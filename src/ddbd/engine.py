@@ -34,6 +34,9 @@ log = logging.getLogger("ddbd.engine")
 
 VALUE_TOL = 1e-9       # strictness for incumbent comparisons
 CONVERGE_TOL = 1e-6    # repeat-loop test: path z equals subproblem value
+REPEAT_CAP = 1000      # restricted refine iterations per node before giving up
+RELAXED_CUT_CAP = 20   # subproblem calls on relaxed paths per node
+BRANCH_CAP = 64        # prefixes per branching before backing up a layer
 
 
 class EngineError(Exception):
@@ -117,10 +120,6 @@ class EngineConfig:
     width: int = 2
     time_limit: float = None
     relaxed_cuts: bool = True          # run subproblems on relaxed paths too
-    relaxed_cut_cap: int = 20
-    repeat_cap: int = 1000
-    branch_cap: int = 64               # prefixes per branching before backing up
-    exact_shortcut: bool = True        # skip the dual phase on exact nodes
     debug_bounds: bool = False         # per-node sandwich check (slow)
     dot_dir: str = None                # dump refinement snapshots when set
 
@@ -189,25 +188,6 @@ def exact_cutset(dd):
         idx = first_merged - 1
     idx = max(idx, 0)
     return idx, list(dd.layers[idx])
-
-
-def prefix_assignments(dd, sense, layer_idx):
-    """Optimal root-to-node label prefixes for every node at layer_idx."""
-    better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
-    best = {dd.root: (0.0, ())}
-    for j in range(layer_idx):
-        nxt = {}
-        for arc in dd.arcs[j]:
-            if arc.tail not in best:
-                continue
-            v, labs = best[arc.tail]
-            cand = (v + arc.weight, labs + (arc.label,))
-            cur = nxt.get(arc.head)
-            if cur is None or better(cand[0], cur[0]) or \
-                    (abs(cand[0] - cur[0]) <= VALUE_TOL and cand[1] < cur[1]):
-                nxt[arc.head] = cand
-        best = nxt
-    return {nid: best[nid][1] for nid in dd.layers[layer_idx] if nid in best}
 
 
 def enumerate_prefixes(dd, layer_idx, cap):
@@ -316,7 +296,7 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
         candidate = None
         if rdd is not None:
             dots.dump(rdd, "restricted")
-            for _ in range(cfg.repeat_cap):
+            for _ in range(REPEAT_CAP):
                 if out_of_time():
                     status = "time_limit"
                     break
@@ -360,7 +340,7 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
             if better(w, w_star) or (tie(w, w_star) and best_x is not None and x < best_x):
                 w_star, best_x, best_z = w, x, z
 
-        if restricted_exact and cfg.exact_shortcut:
+        if restricted_exact:
             # the restricted diagram represented the node exactly: the node
             # is fully solved (or infeasible) and branching cannot improve it
             continue
@@ -378,7 +358,7 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
 
         pruned = False
         if cfg.relaxed_cuts:
-            for _ in range(cfg.relaxed_cut_cap):
+            for _ in range(RELAXED_CUT_CAP):
                 if out_of_time():
                     status = "time_limit"
                     break
@@ -415,7 +395,7 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
             raise EngineError("branching did not extend the partial assignment")
         prefixes = None
         while prefixes is None:
-            prefixes = enumerate_prefixes(xdd, layer_idx, cfg.branch_cap)
+            prefixes = enumerate_prefixes(xdd, layer_idx, BRANCH_CAP)
             if prefixes is None:
                 if layer_idx <= len(partial) + 1:
                     prefixes = enumerate_prefixes(xdd, layer_idx, 10 ** 9)

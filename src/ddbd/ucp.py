@@ -8,6 +8,10 @@ whose node states are (periods since last start-up, periods since last
 shut-down), and the dispatch subproblems are solved in dual form so
 that unbounded rays yield feasibility cuts and optimal points yield
 expected-cost cuts, both expressed over the master variables only.
+The value variable's [lo, hi] interval on the diagram's last arc layer
+comes from closed-form bounds on the dispatch cost (a merit-order
+lower bound, every costly unit at full output as the upper bound), not
+from an LP; optimality cuts tighten it path by path.
 
 The on/off variables are laid out unit-major: all periods of the first
 generator, then the second, and so on, followed by the value layer.
@@ -428,119 +432,37 @@ def master_cost(instance, x):
 # -- value-variable bounds --------------------------------------------------------------
 
 
-def _relaxation_lp(instance, scenario, sense):
-    """Dispatch-cost extremum over the LP relaxation of the full model."""
-    n, T = instance.num_units, instance.horizon
-    nT = n * T
-    X, Y, YB, P, PB = 0, nT, 2 * nT, 3 * nT, 4 * nT
-    nv = 5 * nT
-    c = np.zeros(nv)
-    rows, senses, rhs = [], [], []
-
-    def idx(base, i, j):
-        return base + i * T + j
-
-    def new_row():
-        rows.append(np.zeros(nv))
-        return rows[-1]
-
-    for i, gen in enumerate(instance.generators):
-        for j in range(T):
-            c[idx(P, i, j)] = gen.c_prod
-            # start-up / shut-down bookkeeping
-            r = new_row()
-            r[idx(Y, i, j)] = 1.0
-            r[idx(YB, i, j)] = -1.0
-            r[idx(X, i, j)] = -1.0
-            if j > 0:
-                r[idx(X, i, j - 1)] = 1.0
-            senses.append("=")
-            rhs.append(0.0)
-            # ramping with explicit start/stop indicators
-            r = new_row()
-            r[idx(P, i, j)] = 1.0
-            if j > 0:
-                r[idx(P, i, j - 1)] = -1.0
-                r[idx(X, i, j - 1)] = -gen.ramp_up
-            r[idx(Y, i, j)] = -gen.startup_ramp
-            senses.append("<=")
-            rhs.append(0.0)
-            r = new_row()
-            r[idx(P, i, j)] = -1.0
-            if j > 0:
-                r[idx(P, i, j - 1)] = 1.0
-            r[idx(X, i, j)] = -gen.ramp_down
-            r[idx(YB, i, j)] = -gen.shutdown_ramp
-            senses.append("<=")
-            rhs.append(0.0)
-            # capacity chain
-            r = new_row()
-            r[idx(X, i, j)] = gen.p_min
-            r[idx(P, i, j)] = -1.0
-            senses.append("<=")
-            rhs.append(0.0)
-            r = new_row()
-            r[idx(P, i, j)] = 1.0
-            r[idx(PB, i, j)] = -1.0
-            senses.append("<=")
-            rhs.append(0.0)
-            r = new_row()
-            r[idx(PB, i, j)] = 1.0
-            r[idx(X, i, j)] = -gen.p_max
-            senses.append("<=")
-            rhs.append(0.0)
-        # minimum up/down windows
-        for j in range(gen.min_up - 1, T):
-            r = new_row()
-            for jj in range(j - gen.min_up + 1, j + 1):
-                r[idx(Y, i, jj)] = 1.0
-            r[idx(X, i, j)] = -1.0
-            senses.append("<=")
-            rhs.append(0.0)
-        for j in range(gen.min_down - 1, T):
-            r = new_row()
-            for jj in range(j - gen.min_down + 1, j + 1):
-                r[idx(YB, i, jj)] = 1.0
-            r[idx(X, i, j)] = 1.0
-            senses.append("<=")
-            rhs.append(1.0)
-    for j in range(T):
-        r = new_row()
-        for i in range(n):
-            r[idx(P, i, j)] = 1.0
-        senses.append(">=")
-        rhs.append(scenario.demand[j])
-        r = new_row()
-        for i in range(n):
-            r[idx(PB, i, j)] = 1.0
-        senses.append(">=")
-        rhs.append(scenario.demand[j] + scenario.reserve[j])
-    lo = np.zeros(nv)
-    hi = np.full(nv, INF)
-    hi[:3 * nT] = 1.0
-    return LinearProgram(sense=sense, c=c, A=np.array(rows), senses=senses,
-                         b=np.array(rhs), lo=lo, hi=hi)
-
-
 def compute_gamma(instance):
-    """Scenario-weighted extrema of the dispatch cost over the LP relaxation.
+    """Bounds on the expected dispatch cost, read off the instance data.
 
-    Raises InfeasibleInstanceError when a scenario cannot be served
-    even fractionally, which makes the whole instance infeasible.
+    lo is the probability-weighted merit-order cost: each period's
+    demand is met from the whole fleet in order of production cost,
+    every unit capped at its maximum output and units with negative
+    cost run flat out.  Dropping minimum output, ramps and reserve makes
+    this a relaxation of every dispatch LP.  hi runs every unit with
+    positive cost at maximum output in every period; no dispatch costs
+    more, because production never exceeds maximum output.
+
+    Raises InfeasibleInstanceError when some period's demand plus
+    reserve exceeds the fleet's capacity, which no commitment can serve.
     """
+    merit = sorted(instance.generators, key=lambda g: g.c_prod)
+    cap = instance.total_capacity
     lo = 0.0
-    hi = 0.0
     for sc in instance.scenarios:
-        low = solve(_relaxation_lp(instance, sc, "min"))
-        if low.status != "optimal":
-            raise InfeasibleInstanceError(
-                "scenario is undispatchable even in the LP relaxation")
-        high = solve(_relaxation_lp(instance, sc, "max"))
-        if high.status != "optimal":
-            raise InfeasibleInstanceError("relaxation is unbounded; bad instance data")
-        lo += sc.prob * low.objective
-        hi += sc.prob * high.objective
-    return GammaBounds(lo, hi)
+        for demand, reserve in zip(sc.demand, sc.reserve):
+            # the dispatch LPs accept rows within their feasibility tolerance
+            if demand + reserve > cap + 1e-7 * (1.0 + cap):
+                raise InfeasibleInstanceError(
+                    "demand plus reserve exceeds the fleet's capacity")
+            need = demand
+            for gen in merit:
+                out = gen.p_max if gen.c_prod < 0 else min(gen.p_max, max(need, 0.0))
+                lo += sc.prob * gen.c_prod * out
+                need -= out
+    hi = instance.horizon * sum(max(g.c_prod, 0.0) * g.p_max for g in instance.generators)
+    # lo can pass hi only by rounding, when every unit runs flat out
+    return GammaBounds(min(lo, hi), hi)
 
 
 # -- dispatch subproblems ----------------------------------------------------------------
@@ -621,30 +543,6 @@ def build_subproblem(instance, x, scenario):
         rhs.append(scenario.demand[j] + scenario.reserve[j])
     return LinearProgram(sense="min", c=c, A=np.array(rows), senses=senses,
                          b=np.array(rhs))
-
-
-def build_subproblem_original(instance, x, scenario):
-    """Dispatch LP in the indicator form, with start/stop flags derived
-    from consecutive commitments.  Used to cross-check the committed-only
-    form above."""
-    x = _commitment_vector(instance, x)
-    n, T = instance.num_units, instance.horizon
-    lp = build_subproblem(instance, x, scenario)
-    rows = lp.A.copy()
-    rhs = lp.b.copy()
-    k = 0
-
-    def xv(i, j):
-        return x[instance.var_index(i, j)] if j >= 0 else 0.0
-
-    for i, gen in enumerate(instance.generators):
-        for j in range(T):
-            start = max(xv(i, j) - xv(i, j - 1), 0.0)
-            stop = max(xv(i, j - 1) - xv(i, j), 0.0)
-            rhs[k] = gen.ramp_up * xv(i, j - 1) + gen.startup_ramp * start
-            rhs[k + 1] = gen.ramp_down * xv(i, j) + gen.shutdown_ramp * stop
-            k += 5
-    return LinearProgram(sense="min", c=lp.c, A=rows, senses=lp.senses, b=rhs)
 
 
 def build_dual_subproblem(instance, x, scenario):

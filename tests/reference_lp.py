@@ -1,15 +1,24 @@
-"""Brute-force vertex enumeration used as the independent LP reference.
+"""Independent LP references and shared inputs for the solver tests.
 
-Works for LPs whose feasible region is a polytope (finite box bounds or
-enough rows to bound it).  Every choice of n constraints taken at
-equality is solved; feasible solutions are candidate vertices.  Slow on
-purpose: this code must stay obviously correct, it never shares logic
-with the simplex implementation it checks.
+Brute-force vertex enumeration works for LPs whose feasible region is
+a polytope (finite box bounds or enough rows to bound it).  Every
+choice of n constraints taken at equality is solved; feasible solutions
+are candidate vertices.  Slow on purpose: this code must stay obviously
+correct, it never shares logic with the simplex implementation it
+checks.
+
+build_subproblem_original is the indicator form of the unit-commitment
+dispatch LP, the reference that the committed-only form is checked
+against.  scaled_instance builds the low-demand inputs.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
+
+from ddbd.simplex import LinearProgram
+from ddbd.ucp import build_subproblem, gen_random_instance
 
 FEAS = 1e-7
 
@@ -65,3 +74,39 @@ def best_vertex_value(lp):
         return None
     values = [float(lp.c @ v) for v in vertices]
     return max(values) if lp.sense == "max" else min(values)
+
+
+def build_subproblem_original(instance, x, scenario):
+    """Dispatch LP in the indicator form, with start/stop flags derived
+    from consecutive commitments.  Only the ramp right-hand sides differ
+    from the committed-only form of build_subproblem."""
+    x = [float(v) for v in x]
+    lp = build_subproblem(instance, x, scenario)
+    rhs = lp.b.copy()
+    k = 0
+
+    def xv(i, j):
+        return x[instance.var_index(i, j)] if j >= 0 else 0.0
+
+    for i, gen in enumerate(instance.generators):
+        for j in range(instance.horizon):
+            start = max(xv(i, j) - xv(i, j - 1), 0.0)
+            stop = max(xv(i, j - 1) - xv(i, j), 0.0)
+            rhs[k] = gen.ramp_up * xv(i, j - 1) + gen.startup_ramp * start
+            rhs[k + 1] = gen.ramp_down * xv(i, j) + gen.shutdown_ramp * stop
+            k += 5
+    return LinearProgram(sense="min", c=lp.c, A=lp.A.copy(), senses=lp.senses, b=rhs)
+
+
+# (units, periods, scenarios, seed, demand-and-reserve factor)
+LOW_DEMAND = [(2, 4, 2, 0, 0.4), (3, 3, 1, 0, 0.4), (2, 4, 2, 5, 0.5)]
+
+
+def scaled_instance(n, horizon, scenarios, seed, factor):
+    """Generated instance with every scenario's demand and reserve scaled."""
+    inst = gen_random_instance(n, horizon, scenarios, seed)
+    inst.scenarios = [
+        dataclasses.replace(sc, demand=tuple(d * factor for d in sc.demand),
+                            reserve=tuple(r * factor for r in sc.reserve))
+        for sc in inst.scenarios]
+    return inst.validate()

@@ -36,11 +36,11 @@ from ddbd.ucp import (
     build_relaxed_master_dd,
     build_restricted_master_dd,
     build_subproblem,
-    build_subproblem_original,
     gen_random_instance,
     master_cost,
     ucp_solve,
 )
+from reference_lp import build_subproblem_original
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -19,7 +19,6 @@ from ddbd.engine import (
     cost_tuple_reward,
     dd_bd_solve,
     exact_cutset,
-    prefix_assignments,
 )
 from ddbd.mip import (
     MipMasterOracle,
@@ -64,14 +63,6 @@ def test_exact_cutset_root_only_when_layer_one_merged():
     idx, nodes = exact_cutset(merged)
     assert idx == 0
     assert nodes == [merged.root]
-
-
-def test_prefix_assignments_prefers_optimal_then_lexicographic():
-    dd = from_paths([(0.0, 1.0), (1.0, 0.0)],
-                    weight_fn=lambda j, lab: lab)
-    prefixes = prefix_assignments(dd, "max", 1)
-    labels = sorted(prefixes.values())
-    assert labels == [(0.0,), (1.0,)]
 
 
 # -- cost tuple reward -------------------------------------------------------------
@@ -274,9 +265,8 @@ def test_shortcut_and_relaxed_cut_configs_agree_on_random_instances():
 
     configs = [
         EngineConfig(width=2),
-        EngineConfig(width=2, exact_shortcut=False),
         EngineConfig(width=2, relaxed_cuts=False),
-        EngineConfig(width=1, exact_shortcut=False, relaxed_cuts=False),
+        EngineConfig(width=1, relaxed_cuts=False),
     ]
     compared = 0
     seed = 0

@@ -17,6 +17,7 @@ from ddbd.ucp import (
     gen_random_instance,
     ucp_solve,
 )
+from reference_lp import LOW_DEMAND, scaled_instance
 
 
 def zero_demand_instance(horizon=2):
@@ -82,14 +83,15 @@ def test_naive_bd_matches_brute_force():
 def test_dd_bd_matches_brute_force_small():
     from ddbd.ucp import master_cost
 
-    for seed in (0, 1, 2, 3, 4, 5):
-        inst = gen_random_instance(2, 3, 2, seed=seed)
+    cases = [(f"s{seed}", gen_random_instance(2, 3, 2, seed=seed)) for seed in range(6)]
+    cases += [(f"low{params}", scaled_instance(*params)) for params in LOW_DEMAND]
+    for name, inst in cases:
         brute = brute_force_solve(inst)
-        report = ucp_solve(inst, EngineConfig(width=2), instance_id=f"s{seed}")
-        assert report.status == brute.status, f"seed {seed}"
+        report = ucp_solve(inst, EngineConfig(width=2), instance_id=name)
+        assert report.status == brute.status, name
         if brute.status == "optimal":
             assert report.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6), \
-                f"seed {seed}"
+                name
             # the reported value re-evaluates from its own (x, z) pair
             redo = master_cost(inst, report.x) + report.z
             assert abs(report.value - redo) <= 1e-6 * (1.0 + abs(redo))

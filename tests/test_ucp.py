@@ -10,6 +10,7 @@ from ddbd.ucp import (
     INF,
     GammaBounds,
     Generator,
+    InfeasibleInstanceError,
     InstanceError,
     Scenario,
     UcpInstance,
@@ -18,12 +19,12 @@ from ddbd.ucp import (
     build_relaxed_master_dd,
     build_restricted_master_dd,
     build_subproblem,
-    build_subproblem_original,
     compute_gamma,
     evaluate_subproblems,
     gen_random_instance,
     master_cost,
 )
+from reference_lp import LOW_DEMAND, build_subproblem_original, scaled_instance
 
 
 def simple_generator(min_up=1, min_down=1, c_fixed=100.0, c_prod=5.0,
@@ -225,14 +226,46 @@ def test_gamma_zero_production_cost():
     assert gamma.hi == pytest.approx(0.0, abs=1e-9)
 
 
+def test_gamma_merit_order_and_capacity():
+    gens = [simple_generator(c_prod=5.0, p_max=50.0, p_min=0.0),
+            simple_generator(c_prod=-2.0, p_max=10.0, p_min=0.0),
+            simple_generator(c_prod=3.0, p_max=20.0, p_min=0.0)]
+
+    def fleet(demand, reserve=0.0):
+        return UcpInstance(generators=gens, horizon=1,
+                           scenarios=[Scenario(1.0, (demand,), (reserve,))]).validate()
+
+    # the negative-cost unit runs flat out, the cheaper positive one covers the rest
+    gamma = compute_gamma(fleet(25.0))
+    assert gamma.lo == pytest.approx(-2.0 * 10.0 + 3.0 * 15.0)
+    assert gamma.hi == pytest.approx(3.0 * 20.0 + 5.0 * 50.0)
+    assert compute_gamma(fleet(0.0)).lo == pytest.approx(-20.0)
+    compute_gamma(fleet(60.0, 20.0))  # demand plus reserve at capacity
+    with pytest.raises(InfeasibleInstanceError):
+        compute_gamma(fleet(60.0, 21.0))
+
+
+def test_gamma_at_full_output_survives_probability_rounding():
+    # validate() accepts probabilities that sum to one within 1e-9
+    gen = simple_generator(p_min=0.0)
+    inst = UcpInstance(generators=[gen], horizon=1,
+                       scenarios=[Scenario(0.5, (50.0,), (0.0,)),
+                                  Scenario(0.5 + 5e-10, (50.0,), (0.0,))]).validate()
+    gamma = compute_gamma(inst)
+    assert gamma.lo == gamma.hi == pytest.approx(5.0 * 50.0)
+
+
 def test_gamma_brackets_true_second_stage_cost():
     from ddbd.oracle import feasible_assignments, stage2_expected_cost
 
-    for seed in (3, 4, 5):
-        inst = gen_random_instance(2, 3, 2, seed=seed)
+    negative = single_unit_instance(simple_generator(c_prod=-3.0), 3,
+                                    demand=(20.0, 30.0, 10.0))
+    instances = [gen_random_instance(2, 3, 2, seed=seed) for seed in (3, 4, 5)]
+    instances += [scaled_instance(*params) for params in LOW_DEMAND] + [negative]
+    for inst in instances:
         try:
             gamma = compute_gamma(inst)
-        except Exception:
+        except InfeasibleInstanceError:
             continue
         for x in feasible_assignments(inst):
             cost = stage2_expected_cost(inst, x)
