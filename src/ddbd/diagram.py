@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Absolute tolerance for deciding whether a path satisfies a cut.
 CUT_TOL = 1e-7
 # Accumulated cut left-hand sides are keyed on this grid during exact
@@ -454,82 +456,202 @@ def append_value_layer(dd, lo, hi, slope=1.0):
 
 
 def refine_with_cut(dd, cut, mode="exact"):
-    """Restrict the diagram to the cut, exactly or as a relaxation.
+    """Restrict the diagram to cuts, exactly or as a relaxation.
 
-    mode="exact": the result encodes {s in Sol(dd) : s satisfies cut};
-    nodes are split on accumulated cut left-hand side so the decision at
-    the last layer is unambiguous, interval endpoints are tightened for
-    optimality cuts, and violating paths are removed.
+    mode="exact": `cut` is a CutRow or a list of them, and the result
+    encodes {s in Sol(dd) : s satisfies every cut}.  All cuts are applied
+    in one top-down pass (see _refine_exact): nodes are split on the
+    accumulated left-hand sides so the decision at the last layer is
+    unambiguous, interval endpoints are tightened for optimality cuts,
+    and violating paths are removed.
 
-    mode="relaxed": no splitting; arcs are dropped only when every path
-    through them violates a feasibility cut, and z intervals are
-    tightened only as far as is valid for every path through the node.
-    The result is sandwiched between the exact refinement and Sol(dd).
+    mode="relaxed": `cut` is a single CutRow.  No splitting; arcs are
+    dropped only when every path through them violates a feasibility
+    cut, and z intervals are tightened only as far as is valid for every
+    path through the node.  The result is sandwiched between the exact
+    refinement and Sol(dd).
 
     Raises InfeasibleDiagramError when every path is removed.
     """
     if mode not in ("exact", "relaxed"):
         raise ValueError("mode must be 'exact' or 'relaxed'")
+    single = isinstance(cut, CutRow)
+    if mode == "relaxed" and not single:
+        raise ValueError("relaxed refinement takes a single cut")
+    cuts = [cut] if single else list(cut)
     m = dd.num_arc_layers
     if m == 0:
         raise EmptyDiagramError("cannot refine an empty diagram")
     has_cont = dd.layer_kinds[-1] == "continuous"
-    if cut.z_coeff != 0.0 and not has_cont:
+    if not has_cont and any(c.z_coeff != 0.0 for c in cuts):
         raise ValueError("optimality cut on a diagram without a continuous layer")
     if mode == "relaxed":
         return _refine_relaxed(dd, cut)
-    return _refine_exact(dd, cut)
+    return _refine_exact(dd, cuts)
 
 
-def _refine_exact(dd, cut):
+def _refine_exact(dd, cuts):
+    """Exact refinement by a list of cuts in one top-down pass.
+
+    An output node stands for an input node together with the
+    accumulated left-hand side of every tracked cut, rounded to
+    SPLIT_GRID; the first prefix to reach a key supplies the lhs values
+    carried on.  Optimality cuts are always tracked, because their lhs
+    bounds the value interval on the last layer.  A feasibility cut is
+    tracked until the completion ranges of one backward pass over the
+    input (_completion_limits) show that every completion from the node
+    satisfies it; a child is dropped as soon as even its best completion
+    violates one.  Both tests leave a rounding margin, so on the last
+    layer the cuts still tracked are decided by CutRow.satisfied exactly
+    as if each cut were applied on its own, and optimality cuts tighten
+    [lo, hi] in list order.
+
+    Each layer is extended for all cuts at once: rows of lhs values, one
+    per output node, one column per cut.  A settled cut's entry is NaN,
+    never 0: a zero there would merge a prefix whose cut is settled with
+    one whose lhs is exactly 0 and still open, and hand both the same,
+    wrong, completions.
+    """
     m = dd.num_arc_layers
-    has_cont = dd.layer_kinds[-1] == "continuous"
+    cont = dd.layer_kinds[-1] == "continuous"
+    num_discrete = m - 1 if cont else m
+    feas = [c for c in cuts if c.z_coeff == 0.0]
+    opt = [c for c in cuts if c.z_coeff != 0.0]
+    # ">=" cuts are negated (exactly) so that every feasibility test below
+    # reads  sign * lhs <= sign * rhs + CUT_TOL
+    sign = np.array([1.0 if c.sense == "<=" else -1.0 for c in feas])
+    fcoef = _coefficients(feas, num_discrete) * sign
+    ocoef = _coefficients(opt, num_discrete)
+    row = {nid: r for r, nid in enumerate(nid for layer in dd.layers for nid in layer)}
+    drop_above, settled_at = _completion_limits(dd, feas, sign, fcoef, row)
+
+    def settle(lhs, heads):
+        """Rows that survive, and lhs with newly settled cuts set to NaN."""
+        keep = ~(lhs > drop_above[heads]).any(axis=1)
+        return np.where(lhs <= settled_at[heads], np.nan, lhs), keep
+
+    def satisfied(flhs):
+        """Per row: CutRow.satisfied holds for every cut the row still tracks."""
+        ok = np.ones(len(flhs), dtype=bool)
+        for r, i in zip(*np.nonzero(~np.isnan(flhs))):
+            ok[r] &= feas[i].satisfied(sign[i] * flhs[r, i])
+        return ok
+
+    flhs, keep = settle(np.zeros((1, len(feas))), [row[dd.root]])
+    if not keep[0]:
+        raise InfeasibleDiagramError("a cut removes every path")
+    olhs = np.zeros((1, len(opt)))
     out = DecisionDiagram(m)
     out.layer_kinds = list(dd.layer_kinds)
-    root = out.new_node(0, state=dd.states.get(dd.root),
-                        merged=dd.root in dd.merged)
-    # frontier maps (old node, lhs grid key) -> (new node, lhs value)
-    frontier = {(dd.root, 0): (root, 0.0)}
+    olds = [dd.root]
+    news = [out.new_node(0, state=dd.states.get(dd.root), merged=dd.root in dd.merged)]
     for j in range(m):
         is_last = j == m - 1
-        cont = has_cont and is_last
-        coef = 0.0 if cont else cut.coeffs.get(j, 0.0)
         out_arcs = dd.out_map(j)
-        nxt = {}
+        src, arcs = [], []
+        for r, u in enumerate(olds):
+            for arc in out_arcs.get(u, ()):
+                src.append(r)
+                arcs.append(arc)
+        if not arcs:
+            raise InfeasibleDiagramError("a cut removes every path")
         term = out.new_node(m, state=dd.states.get(dd.terminal),
                             merged=dd.terminal in dd.merged) if is_last else None
-        for (old_tail, _), (new_tail, lhs) in frontier.items():
-            for arc in out_arcs.get(old_tail, ()):
-                if cont:
-                    lo, hi = arc.label.lo, arc.label.hi
-                    if cut.z_coeff != 0.0:
-                        bound = (cut.rhs - lhs) / cut.z_coeff
-                        if (cut.sense == "<=") == (cut.z_coeff > 0):
-                            hi = min(hi, bound)
-                        else:
-                            lo = max(lo, bound)
-                        if lo > hi + CUT_TOL:
-                            continue
-                        lo, hi = min(lo, hi), max(lo, hi)
-                    elif not cut.satisfied(lhs):
-                        continue
-                    out.add_arc(j, new_tail, term, Interval(lo, hi), arc.weight)
-                    continue
-                new_lhs = lhs + coef * arc.label
-                if is_last:
-                    if cut.z_coeff == 0.0 and not cut.satisfied(new_lhs):
-                        continue
-                    out.add_arc(j, new_tail, term, arc.label, arc.weight)
-                    continue
-                key = (arc.head, round(new_lhs / SPLIT_GRID))
-                if key not in nxt:
-                    node = out.new_node(j + 1, state=dd.states.get(arc.head),
-                                        merged=arc.head in dd.merged)
-                    nxt[key] = (node, new_lhs)
-                out.add_arc(j, new_tail, nxt[key][0], arc.label, arc.weight)
-        if not is_last:
-            frontier = nxt
+        if cont and is_last:
+            ok, bound_lhs = satisfied(flhs), olhs.tolist()
+            for arc, r in zip(arcs, src):
+                label = _tighten(arc.label, opt, bound_lhs[r]) if ok[r] else None
+                if label is not None:
+                    out.add_arc(j, news[r], term, label, arc.weight)
+            break
+        labels = np.array([a.label for a in arcs])[:, None]
+        heads = [row[a.head] for a in arcs]
+        child_f, keep = settle(flhs[src] + labels * fcoef[j], heads)
+        if is_last:
+            for c in np.flatnonzero(keep & satisfied(child_f)):
+                out.add_arc(j, news[src[c]], term, arcs[c].label, arcs[c].weight)
+            break
+        child_o = olhs[src] + labels * ocoef[j]
+        # keys compare bits: one NaN pattern for every settled cut, and
+        # + 0.0 folds -0.0 into 0.0 as round() does
+        keys = _row_keys(np.column_stack([
+            heads,
+            np.where(np.isnan(child_f), np.nan, np.rint(child_f / SPLIT_GRID) + 0.0),
+            np.rint(child_o / SPLIT_GRID) + 0.0]))
+        nxt = {}
+        first = []
+        for c in np.flatnonzero(keep).tolist():
+            arc = arcs[c]
+            node = nxt.get(keys[c])
+            if node is None:
+                node = nxt[keys[c]] = out.new_node(j + 1, state=dd.states.get(arc.head),
+                                                   merged=arc.head in dd.merged)
+                first.append(c)
+            out.add_arc(j, news[src[c]], node, arc.label, arc.weight)
+        olds = [arcs[c].head for c in first]
+        news = list(nxt.values())
+        flhs, olhs = child_f[first], child_o[first]
     return prune_dead_nodes(out)
+
+
+def _row_keys(a):
+    """One bytes object per row of a float array, equal iff the rows' bits are."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
+
+
+def _coefficients(cuts, num_layers):
+    """(num_layers, len(cuts)) array of the cuts' coefficients per layer."""
+    return np.array([[c.coeffs.get(j, 0.0) for c in cuts] for j in range(num_layers)],
+                    dtype=float).reshape(num_layers, len(cuts))
+
+
+def _completion_limits(dd, feas, sign, fcoef, row):
+    """Per input node row, the lhs limits past which feasibility cuts are decided.
+
+    One backward pass gives, for every node, the min and max over its
+    completions of each cut's signed lhs (+inf and -inf when no
+    completion exists).  drop_above[u, i] is the signed prefix lhs
+    beyond which even the best completion violates cut i by more than
+    CUT_TOL plus a margin; settled_at[u, i] is the signed prefix lhs at
+    or below which every completion satisfies it with the same margin to
+    spare.  The margin covers the SPLIT_GRID drift of carried lhs values
+    (one grid step per layer, on either side) and the different
+    summation order.
+    """
+    m = dd.num_arc_layers
+    lo = np.full((len(row), len(feas)), np.inf)
+    hi = np.full((len(row), len(feas)), -np.inf)
+    lo[row[dd.terminal]] = hi[row[dd.terminal]] = 0.0
+    for j in range(m - 1, -1, -1):
+        if not dd.arcs[j]:
+            continue
+        tails = [row[a.tail] for a in dd.arcs[j]]
+        heads = [row[a.head] for a in dd.arcs[j]]
+        step = 0.0
+        if j < len(fcoef):
+            step = np.array([a.label for a in dd.arcs[j]])[:, None] * fcoef[j]
+        np.minimum.at(lo, tails, lo[heads] + step)
+        np.maximum.at(hi, tails, hi[heads] + step)
+    rhs = np.array([c.rhs for c in feas])
+    limit = sign * rhs + CUT_TOL
+    margin = 2 * (m + 1) * SPLIT_GRID * (1.0 + np.abs(rhs))
+    return limit + margin - lo, limit - margin - hi
+
+
+def _tighten(label, opt, lhs):
+    """Interval label after each optimality cut in turn, or None once empty."""
+    lo, hi = label.lo, label.hi
+    for cut, s in zip(opt, lhs):
+        bound = (cut.rhs - s) / cut.z_coeff
+        if (cut.sense == "<=") == (cut.z_coeff > 0):
+            hi = min(hi, bound)
+        else:
+            lo = max(lo, bound)
+        if lo > hi + CUT_TOL:
+            return None
+        lo, hi = min(lo, hi), max(lo, hi)
+    return Interval(lo, hi)
 
 
 def _refine_relaxed(dd, cut):

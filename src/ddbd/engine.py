@@ -6,8 +6,10 @@ it builds a width-limited restricted diagram (primal side), iterates
 longest-path / subproblem / refine until the path's value-variable
 agrees with the subproblem optimum, then builds a relaxed diagram (dual
 side) for pruning and for branching over its last exact node layer.
-Cuts live in a global deduplicated pool and are replayed into every
-freshly built diagram by the oracles.
+Cuts live in a global deduplicated pool.  The oracles replay the whole
+pool into every freshly built diagram, and the loops replay each batch
+of new cuts into the current one; either way a replay is one exact
+refinement pass over the list (see replay_cuts).
 
 Master and subproblem oracles are duck-typed; see MasterOracle and
 SubproblemOracle for the expected surface.
@@ -217,13 +219,17 @@ def enumerate_prefixes(dd, layer_idx, cap):
 
 
 def replay_cuts(dd, cuts, width_hint=None):
-    """Exact refinement of a fresh diagram with respect to pooled cuts.
+    """Exact refinement of a diagram with respect to pooled cuts.
 
+    The whole list goes to one refine_with_cut call, a single top-down
+    pass; an empty list returns dd itself.  The call goes through this
+    module's refine_with_cut attribute, so a wrapper bound there (as
+    perfbench/layers.py does to time refinement) sees every replay.
     Node splitting may push the diagram past any configured width;
     that growth is allowed and logged, never blocked.
     """
-    for cut in cuts:
-        dd = refine_with_cut(dd, cut, "exact")
+    if cuts:
+        dd = refine_with_cut(dd, list(cuts), "exact")
     if width_hint is not None and dd.width > width_hint:
         log.debug("refinement grew the diagram to width %d (cap %d)",
                   dd.width, width_hint)

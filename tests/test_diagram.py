@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ddbd.diagram import (
+    CUT_TOL,
     CutRow,
     DecisionDiagram,
     EmptyDiagramError,
@@ -290,6 +291,85 @@ def test_relaxed_refinement_sandwich():
             rex = {s[:3] for s in relaxed}
             bx = {s[:3] for s in base}
             assert ex <= rex <= bx, f"trial {trial}"
+
+
+def test_settled_cut_never_shares_a_key_with_lhs_zero():
+    # x0 = 1 settles the cut at node a (every completion satisfies it) while
+    # x0 = 0 reaches a with the cut still open at lhs exactly 0; one node for
+    # both would let x1 = 0 be cut off behind x0 = 1 as well
+    dd = DecisionDiagram(3, continuous_last=True)
+    r, a, b, t = (dd.new_node(i) for i in range(4))
+    dd.add_arc(0, r, a, 0.0)
+    dd.add_arc(0, r, a, 1.0)
+    dd.add_arc(1, a, b, 0.0)
+    dd.add_arc(1, a, b, 1.0)
+    dd.add_arc(2, b, t, Interval(-10.0, 10.0), 1.0)
+    cut = CutRow(coeffs={0: -0.7, 1: -1.0}, z_coeff=0.0, rhs=-0.6, sense="<=")
+    xs = sorted({s[:2] for s in enumerate_solutions(refine_with_cut(dd, cut, "exact"))})
+    assert xs == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
+def boundary_cut(rng, dd):
+    """Feasibility cut that one path of dd meets right at rhs +- CUT_TOL.
+
+    rhs is stepped float by float until rhs +- CUT_TOL lands on the path's
+    lhs; half the time it then takes one more step, so the path misses.
+    """
+    num_discrete = dd.num_arc_layers - 1
+    path = rng.choice(enumerate_solutions(dd))
+    coeffs = {j: rng.choice([-2.0, -1.0, 1.0, 2.0]) for j in range(num_discrete)}
+    lhs = sum(c * path[j] for j, c in coeffs.items())
+    sense = rng.choice(["<=", ">="])
+    tol = CUT_TOL if sense == "<=" else -CUT_TOL
+    rhs = lhs - tol
+    while rhs + tol > lhs:
+        rhs = math.nextafter(rhs, -math.inf)
+    while rhs + tol < lhs:
+        rhs = math.nextafter(rhs, math.inf)
+    if rng.random() < 0.5:
+        rhs = math.nextafter(rhs, -tol * math.inf)
+    return CutRow(coeffs=coeffs, rhs=rhs, sense=sense)
+
+
+def solutions_or_empty(refine):
+    try:
+        return sorted(enumerate_solutions(refine()))
+    except InfeasibleDiagramError:
+        return []
+
+
+def refine_cut_by_cut(dd, cuts):
+    for cut in cuts:
+        dd = refine_with_cut(dd, cut, "exact")
+    return dd
+
+
+def test_one_pass_refinement_equals_cut_by_cut():
+    rng = random.Random(11)
+    for trial in range(160):
+        if trial % 2:
+            dd = random_mixed_dd(rng)
+        else:   # reconvergent paths and parallel arcs
+            dd = append_value_layer(random_dd(rng, num_layers=3, max_nodes=3, parallel=2),
+                                    rng.uniform(-3, 0), rng.uniform(0, 3))
+        cuts = [random_cut(rng, dd.num_arc_layers, with_z=True)
+                for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            cuts[rng.randrange(len(cuts))] = boundary_cut(rng, dd)
+        one_pass = solutions_or_empty(lambda: refine_with_cut(dd, cuts, "exact"))
+        assert one_pass == solutions_or_empty(lambda: refine_cut_by_cut(dd, cuts)), \
+            f"trial {trial}"
+        feas = [c for c in cuts if c.z_coeff == 0.0]
+        truth = sorted(s for s in enumerate_solutions(dd)
+                       if all(satisfies(c, s) for c in feas))
+        assert solutions_or_empty(lambda: refine_with_cut(dd, feas, "exact")) == truth, \
+            f"trial {trial}"
+
+
+def test_relaxed_refinement_takes_one_cut():
+    cut = CutRow(coeffs={0: 1.0}, z_coeff=0.0, rhs=1.0, sense="<=")
+    with pytest.raises(ValueError):
+        refine_with_cut(example_master_dd(), [cut], "relaxed")
 
 
 # -- merge_nodes -------------------------------------------------------------------

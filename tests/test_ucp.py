@@ -364,6 +364,39 @@ def test_cuts_are_valid_for_every_feasible_commitment():
                 assert cut.satisfied(lhs, tol=1e-6), (probe, cut, x, z)
 
 
+def test_one_pass_replay_matches_cut_by_cut_on_relaxed_master():
+    # relaxed masters hold merged nodes, whose prefixes reach one node with
+    # different cut lhs values; the cuts come from a real solve
+    from ddbd.diagram import refine_with_cut
+    from ddbd.engine import CutPool, dd_bd_solve, replay_cuts
+    from ddbd.ucp import UcpMasterOracle, UcpSubproblemOracle
+
+    for args in LOW_DEMAND[:2]:
+        inst = scaled_instance(*args)
+        gamma = compute_gamma(inst)
+        pool = CutPool()
+
+        class Harvest(UcpSubproblemOracle):
+            def evaluate(self, x):
+                res = super().evaluate(x)
+                for cut in res.cuts:
+                    pool.add(cut)
+                return res
+
+        assert dd_bd_solve(UcpMasterOracle(inst, gamma), Harvest(inst)).status == "optimal"
+        assert pool.count("feasibility") and pool.count("optimality")
+        dd = build_relaxed_master_dd(inst, (), gamma, 2)
+        assert dd.merged
+        cut_by_cut = dd
+        for cut in pool.cuts:
+            cut_by_cut = refine_with_cut(cut_by_cut, cut, "exact")
+        want = sorted(enumerate_solutions(cut_by_cut))
+        got = sorted(enumerate_solutions(replay_cuts(dd, pool.cuts)))
+        assert [s[:-1] for s in got] == [s[:-1] for s in want], args
+        assert [s[-1] for s in got] == pytest.approx([s[-1] for s in want],
+                                                     rel=1e-12, abs=1e-9), args
+
+
 # -- instance generation and serialization --------------------------------------------
 
 
