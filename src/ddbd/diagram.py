@@ -208,23 +208,24 @@ def _alive_nodes(dd):
 
 
 def prune_dead_nodes(dd):
-    """Drop nodes and arcs off every root-terminal path.
+    """Copy of dd without the nodes and arcs off every root-terminal path.
 
     Raises InfeasibleDiagramError when nothing survives.
     """
+    return _drop_dead_nodes(dd.copy())
+
+
+def _drop_dead_nodes(dd):
+    """prune_dead_nodes in place, for a diagram nothing else holds."""
     alive = _alive_nodes(dd)
     if dd.root not in alive or dd.terminal not in alive:
         raise InfeasibleDiagramError("diagram has no root-terminal path")
-    out = DecisionDiagram(dd.num_arc_layers)
-    out.layer_kinds = list(dd.layer_kinds)
-    out.layers = [[nid for nid in layer if nid in alive] for layer in dd.layers]
-    out.arcs = [[Arc(a.tail, a.head, a.label, a.weight)
-                 for a in layer if a.tail in alive and a.head in alive]
-                for layer in dd.arcs]
-    out.states = {nid: s for nid, s in dd.states.items() if nid in alive}
-    out.merged = {nid for nid in dd.merged if nid in alive}
-    out._next_id = dd._next_id
-    return out
+    dd.layers = [[nid for nid in layer if nid in alive] for layer in dd.layers]
+    dd.arcs = [[a for a in layer if a.tail in alive and a.head in alive]
+               for layer in dd.arcs]
+    dd.states = {nid: s for nid, s in dd.states.items() if nid in alive}
+    dd.merged &= alive
+    return dd
 
 
 # -- path optimisation ---------------------------------------------------------
@@ -591,7 +592,7 @@ def _refine_exact(dd, cuts):
         olds = [arcs[c].head for c in first]
         news = list(nxt.values())
         flhs, olhs = child_f[first], child_o[first]
-    return prune_dead_nodes(out)
+    return _drop_dead_nodes(out)
 
 
 def _row_keys(a):

@@ -81,7 +81,14 @@ class MasterOracle:
 
 
 class SubproblemOracle:
-    """evaluate(x) must be a pure function of x and return SubproblemResult."""
+    """evaluate(x) returns a SubproblemResult.
+
+    Its kind and value must be a pure function of x.  The cuts need only
+    be valid: an oracle that warm-starts its LPs from earlier ones may
+    return a different cut for the same x when the dual is degenerate,
+    so an oracle that must repeat itself exactly memoizes per x, as
+    UcpSubproblemOracle does.
+    """
 
     def evaluate(self, x):
         raise NotImplementedError

@@ -112,7 +112,11 @@ class MipMasterOracle(MasterOracle):
 
 class MipSubproblemOracle(SubproblemOracle):
     """Dual-form slave LP; optimal points give value cuts, rays give
-    feasibility cuts."""
+    feasibility cuts.
+
+    Only the dual's objective depends on x, so each LP starts phase 2 from
+    the final basis of the one before (see UcpSubproblemOracle).
+    """
 
     def __init__(self, problem):
         if problem.sense != "max":
@@ -138,6 +142,7 @@ class MipSubproblemOracle(SubproblemOracle):
         self.B = np.array(self.B, dtype=float)
         self.c = np.array(self.c, dtype=float)
         self.b_obj = np.array(problem.y_obj, dtype=float)
+        self._basis = None
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,8 +150,9 @@ class MipSubproblemOracle(SubproblemOracle):
         k = self.B.shape[0]
         dual = LinearProgram(sense="min", c=rhs, A=self.B.T,
                              senses=[">="] * self.B.shape[1], b=self.b_obj,
-                             lo=np.zeros(k))
+                             lo=np.zeros(k), start_basis=self._basis)
         out = solve(dual)
+        self._basis = out.basis
         if out.status == "optimal":
             u = out.x
             cut = CutRow(coeffs=_dense_to_sparse(u @ self.A), z_coeff=1.0,

@@ -9,11 +9,21 @@ passes verification raises NumericalFailureError instead of guessing.
 
 Pivoting uses Bland's rule with a hard pivot cap, trading speed for a
 finite-termination guarantee; problems here are small and dense.
+
+Warm start: every outcome carries its final kernel basis and pivot
+count.  An LP whose start_basis is such a basis, taken from an LP with
+the same rows, senses, rhs and bounds (only the objective may differ),
+is refactorized once in that basis (one dense solve with the basis
+columns) and goes straight to phase 2; the basis is still
+primal-feasible because the constraints are unchanged.  A start basis
+that is missing, malformed, singular or infeasible is ignored and the
+solve starts from the slack/artificial basis as usual.  Certificates
+are checked the same way either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +46,7 @@ class LinearProgram:
     b: np.ndarray
     lo: np.ndarray = None
     hi: np.ndarray = None
+    start_basis: np.ndarray = None   # LpOutcome.basis of an LP with these rows
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -79,6 +90,8 @@ class LpOutcome:
     objective: float = None
     farkas: np.ndarray = None         # >= 0 on inequality rows, see verify
     ray: np.ndarray = None            # improving recession direction
+    basis: np.ndarray = None          # final kernel basis, one column per row
+    pivots: int = 0                   # tableau pivots, both phases
 
 
 # -- public entry points -----------------------------------------------------------
@@ -104,6 +117,18 @@ def verify_certificate(lp, outcome):
     return False
 
 
+def _row_senses(lp):
+    senses = np.array(lp.senses, dtype=object)
+    return senses == "<=", senses == ">=", senses == "="
+
+
+def _rows_hold(lp, res):
+    """Each row's residual (lhs - rhs) is within FEAS_TOL on its feasible side."""
+    le, ge, eq = _row_senses(lp)
+    return not (np.any(le & (res > FEAS_TOL)) or np.any(ge & (res < -FEAS_TOL))
+                or np.any(eq & (np.abs(res) > FEAS_TOL)))
+
+
 def _verify_optimal(lp, out):
     x = out.x
     if x is None or x.size != lp.num_vars or not np.all(np.isfinite(x)):
@@ -111,41 +136,32 @@ def _verify_optimal(lp, out):
     if np.any(x < lp.lo - FEAS_TOL) or np.any(x > lp.hi + FEAS_TOL):
         return False
     res = lp.A @ x - lp.b if lp.num_rows else np.zeros(0)
-    for i, s in enumerate(lp.senses):
-        if s == "<=" and res[i] > FEAS_TOL:
-            return False
-        if s == ">=" and res[i] < -FEAS_TOL:
-            return False
-        if s == "=" and abs(res[i]) > FEAS_TOL:
-            return False
+    if not _rows_hold(lp, res):
+        return False
     y = out.duals
     if y is None or y.size != lp.num_rows:
         return False
     sign = 1.0 if lp.sense == "min" else -1.0
     scale = 1.0 + float(np.max(np.abs(lp.c))) if lp.c.size else 1.0
-    for i, s in enumerate(lp.senses):
-        if s == "<=" and sign * y[i] > FEAS_TOL * scale:
-            return False
-        if s == ">=" and sign * y[i] < -FEAS_TOL * scale:
-            return False
-        # complementary slackness: active dual implies (near-)tight row
-        if s != "=" and abs(y[i]) > FEAS_TOL * scale and \
-                abs(res[i]) > 1e-5 * (1.0 + abs(lp.b[i])):
-            return False
+    le, ge, eq = _row_senses(lp)
+    if np.any(le & (sign * y > FEAS_TOL * scale)) or \
+            np.any(ge & (sign * y < -FEAS_TOL * scale)):
+        return False
+    # complementary slackness: active dual implies (near-)tight row
+    if np.any(~eq & (np.abs(y) > FEAS_TOL * scale)
+              & (np.abs(res) > 1e-5 * (1.0 + np.abs(lp.b)))):
+        return False
     rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
     if out.reduced_costs is not None and np.max(np.abs(rc - out.reduced_costs)) > 1e-6 * scale:
         return False
+    r = sign * rc
+    at_lo = r > FEAS_TOL * scale         # variable must sit at its lower bound
+    at_hi = r < -FEAS_TOL * scale        # at its upper bound
+    if np.any(at_lo & ~(np.isfinite(lp.lo) & (x <= lp.lo + 1e-6))) or \
+            np.any(at_hi & ~(np.isfinite(lp.hi) & (x >= lp.hi - 1e-6))):
+        return False
     dual_obj = float(y @ lp.b) if lp.num_rows else 0.0
-    for j in range(lp.num_vars):
-        r = sign * rc[j]
-        if r > FEAS_TOL * scale:          # variable must sit at its lower bound
-            if not np.isfinite(lp.lo[j]) or x[j] > lp.lo[j] + 1e-6:
-                return False
-            dual_obj += rc[j] * lp.lo[j]
-        elif r < -FEAS_TOL * scale:       # at its upper bound
-            if not np.isfinite(lp.hi[j]) or x[j] < lp.hi[j] - 1e-6:
-                return False
-            dual_obj += rc[j] * lp.hi[j]
+    dual_obj += float(rc[at_lo] @ lp.lo[at_lo] + rc[at_hi] @ lp.hi[at_hi])
     obj = float(lp.c @ x)
     if abs(obj - out.objective) > 1e-6 * (1.0 + abs(obj)):
         return False
@@ -155,30 +171,22 @@ def _verify_optimal(lp, out):
 def _verify_farkas(lp, f):
     if f is None or f.size != lp.num_rows:
         return False
-    orient = np.array([1.0 if s in (">=", "=") else -1.0 for s in lp.senses])
+    _, ge, eq = _row_senses(lp)
+    orient = np.where(ge | eq, 1.0, -1.0)
     peak = float(np.max(np.abs(f))) if f.size else 0.0
     if peak <= 0.0:
         return False
-    for i, s in enumerate(lp.senses):
-        if s != "=" and f[i] < -FEAS_TOL * (1.0 + peak):
-            return False
+    if np.any(~eq & (f < -FEAS_TOL * (1.0 + peak))):
+        return False
     w = (orient * f) @ lp.A
     r = float((orient * f) @ lp.b)
     # Aggregation noise: entries of w that should be exactly zero come out
     # at rounding level; treat them as zero when deciding boundedness.
     wtol = 1e-9 * peak * (1.0 + float(np.max(np.abs(lp.A))) if lp.num_rows else 1.0)
-    best = 0.0
-    for j in range(lp.num_vars):
-        if abs(w[j]) <= wtol:
-            continue
-        if w[j] > 0:
-            if not np.isfinite(lp.hi[j]):
-                return False
-            best += w[j] * lp.hi[j]
-        else:
-            if not np.isfinite(lp.lo[j]):
-                return False
-            best += w[j] * lp.lo[j]
+    up, down = w > wtol, w < -wtol
+    if not (np.all(np.isfinite(lp.hi[up])) and np.all(np.isfinite(lp.lo[down]))):
+        return False
+    best = float(w[up] @ lp.hi[up] + w[down] @ lp.lo[down])
     return r - best > FEAS_TOL * (1.0 + abs(r))
 
 
@@ -188,18 +196,11 @@ def _verify_ray(lp, d):
     if np.max(np.abs(d)) <= FEAS_TOL:
         return False
     res = lp.A @ d if lp.num_rows else np.zeros(0)
-    for i, s in enumerate(lp.senses):
-        if s == "<=" and res[i] > FEAS_TOL:
-            return False
-        if s == ">=" and res[i] < -FEAS_TOL:
-            return False
-        if s == "=" and abs(res[i]) > FEAS_TOL:
-            return False
-    for j in range(lp.num_vars):
-        if np.isfinite(lp.lo[j]) and d[j] < -FEAS_TOL:
-            return False
-        if np.isfinite(lp.hi[j]) and d[j] > FEAS_TOL:
-            return False
+    if not _rows_hold(lp, res):
+        return False
+    if np.any(np.isfinite(lp.lo) & (d < -FEAS_TOL)) or \
+            np.any(np.isfinite(lp.hi) & (d > FEAS_TOL)):
+        return False
     gain = float(lp.c @ d)
     return gain > FEAS_TOL if lp.sense == "max" else gain < -FEAS_TOL
 
@@ -209,61 +210,44 @@ def _verify_ray(lp, d):
 
 @dataclass
 class _Transform:
-    """Affine map x = shift + M u onto nonnegative kernel variables."""
+    """Affine map x = shift + M u onto nonnegative kernel variables.
 
-    n_orig: int
-    cols: list = field(default_factory=list)     # per original var: list of (u index, sign)
-    shift: np.ndarray = None
-    bound_rows: list = field(default_factory=list)  # (var j, width) rows appended
+    Kernel column k is sign[k] times original variable var[k] (after the
+    shift): a variable with a finite lower bound, or only a finite upper
+    bound, takes one column, a free variable two.  A variable with both
+    bounds finite also adds a `<=` row on its column.
+    """
 
-    def to_x(self, u):
-        x = self.shift.copy()
-        for j, parts in enumerate(self.cols):
-            for k, sgn in parts:
-                x[j] += sgn * u[k]
+    var: np.ndarray
+    sign: np.ndarray
+    shift: np.ndarray
+
+    def to_x(self, u, base):
+        """base plus M u, summed column by column in kernel order."""
+        x = base.copy()
+        np.add.at(x, self.var, self.sign * u)
         return x
 
 
 def _transform(lp):
-    n = lp.num_vars
-    t = _Transform(n_orig=n, shift=np.zeros(n))
-    ncols = 0
-    for j in range(n):
-        lo, hi = lp.lo[j], lp.hi[j]
-        if np.isfinite(lo):
-            t.shift[j] = lo
-            t.cols.append([(ncols, 1.0)])
-            ncols += 1
-            if np.isfinite(hi):
-                t.bound_rows.append((j, hi - lo))
-        elif np.isfinite(hi):
-            t.shift[j] = hi
-            t.cols.append([(ncols, -1.0)])
-            ncols += 1
-        else:
-            t.cols.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
-    m = lp.num_rows
-    mk = m + len(t.bound_rows)
-    A = np.zeros((mk, ncols))
-    for j, parts in enumerate(t.cols):
-        for k, sgn in parts:
-            if m:
-                A[:m, k] += sgn * lp.A[:, j]
-    b = np.concatenate([lp.b - (lp.A @ t.shift if m else np.zeros(0)),
-                        np.zeros(len(t.bound_rows))])
-    senses = list(lp.senses)
-    for i, (j, width) in enumerate(t.bound_rows):
-        k = t.cols[j][0][0]
-        A[m + i, k] = 1.0
-        b[m + i] = width
-        senses.append("<=")
-    c = np.zeros(ncols)
+    lo_fin, hi_fin = np.isfinite(lp.lo), np.isfinite(lp.hi)
+    free = ~lo_fin & ~hi_fin
+    var = np.repeat(np.arange(lp.num_vars), np.where(free, 2, 1))
+    first = np.searchsorted(var, np.arange(lp.num_vars))   # each var's first column
+    sign = np.ones(var.size)
+    sign[first[~lo_fin & hi_fin]] = -1.0
+    sign[first[free] + 1] = -1.0
+    shift = np.where(lo_fin, lp.lo, np.where(hi_fin, lp.hi, 0.0))
+    boxed = np.flatnonzero(lo_fin & hi_fin)
+    m, nb = lp.num_rows, boxed.size
+    A = np.zeros((m + nb, var.size))
+    A[:m] += sign * lp.A[:, var]
+    A[m + np.arange(nb), first[boxed]] = 1.0
+    b = np.concatenate([lp.b - (lp.A @ shift if m else np.zeros(0)),
+                        lp.hi[boxed] - lp.lo[boxed]])
+    senses = list(lp.senses) + ["<="] * nb
     cmin = lp.c if lp.sense == "min" else -lp.c
-    for j, parts in enumerate(t.cols):
-        for k, sgn in parts:
-            c[k] = sgn * cmin[j]
-    return t, c, A, senses, b
+    return _Transform(var=var, sign=sign, shift=shift), sign * cmin[var], A, senses, b
 
 
 # -- kernel -------------------------------------------------------------------------
@@ -271,41 +255,71 @@ def _transform(lp):
 
 def _solve_impl(lp):
     t, c, A, senses, b = _transform(lp)
-    status, u, y_kernel, ray_u = _kernel(c, A, senses, b)
+    status, u, y_kernel, ray_u, basis, pivots = _kernel(c, A, senses, b,
+                                                        lp.start_basis)
     m = lp.num_rows
     if status == "infeasible":
         # violation-orientation multipliers for the original rows
-        f = np.empty(m)
-        for i in range(m):
-            z = y_kernel[i]
-            f[i] = -z if lp.senses[i] == "<=" else z
+        f = np.where(_row_senses(lp)[0], -1.0, 1.0) * y_kernel[:m]
         peak = float(np.max(np.abs(f))) if m else 0.0
         if peak > 0:
             f = f / peak
-        return LpOutcome(status="infeasible", farkas=f)
+        return LpOutcome(status="infeasible", farkas=f, basis=basis, pivots=pivots)
     if status == "unbounded":
-        d = np.zeros(lp.num_vars)
-        for j, parts in enumerate(t.cols):
-            for k, sgn in parts:
-                d[j] += sgn * ray_u[k]
+        d = t.to_x(ray_u, np.zeros(lp.num_vars))
         peak = np.max(np.abs(d))
         if peak > 0:
             d = d / peak
-        return LpOutcome(status="unbounded", ray=d)
-    x = t.to_x(u)
+        return LpOutcome(status="unbounded", ray=d, basis=basis, pivots=pivots)
+    x = t.to_x(u, t.shift)
     y = y_kernel[:m].copy()
     if lp.sense == "max":
         y = -y
     rc = lp.c - (lp.A.T @ y if m else 0.0)
     return LpOutcome(status="optimal", x=x, duals=y, reduced_costs=rc,
-                     objective=float(lp.c @ x))
+                     objective=float(lp.c @ x), basis=basis, pivots=pivots)
 
 
-def _kernel(c, A, senses, b):
+def _refactorize(T, start, art_cols):
+    """The tableau T restated in the basis `start`, or None.
+
+    None when `start` cannot begin phase 2: it is missing, has the wrong
+    length, repeats or leaves the column range, names an artificial
+    column, is singular, or gives non-finite or infeasible (below
+    -FEAS_TOL) basic values.  Basic columns are set to the exact identity
+    and basic values in [-FEAS_TOL, 0) to 0.
+    """
+    m = T.shape[0]
+    if start is None or m == 0:
+        return None
+    start = np.asarray(start)
+    if start.shape != (m,) or start.dtype.kind not in "iu":
+        return None
+    cols = start.tolist()
+    if len(set(cols)) != m or min(cols) < 0 or max(cols) >= T.shape[1] - 1 \
+            or art_cols.intersection(cols):
+        return None
+    try:
+        W = np.linalg.solve(T[:, start], T)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(W)) or np.any(W[:, -1] < -FEAS_TOL):
+        return None
+    W[:, start] = np.eye(m)
+    np.maximum(W[:, -1], 0.0, out=W[:, -1])
+    return W
+
+
+def _kernel(c, A, senses, b, start):
     """min c.u  s.t.  A u (senses) b,  u >= 0.
 
-    Returns (status, u, row duals, ray) where duals are stated for the
-    rows as given (not the internally sign-flipped copies).
+    Returns (status, u, row duals, ray, final basis, pivots) where duals
+    are stated for the rows as given (not the internally sign-flipped
+    copies).  The tableau's columns are u, then one slack per inequality
+    row, then one artificial per `>=` or `=` row (after rows with b < 0
+    are negated); a basis lists one column per row.  When `start` passes
+    _refactorize, phase 1 is skipped and phase 2 begins from it;
+    otherwise from the slack/artificial basis.
     """
     m, n = A.shape
     A = A.copy()
@@ -350,8 +364,11 @@ def _kernel(c, A, senses, b):
     art_cols = set(art_of.values())
     reader = {i: (art_of[i] if i in art_of else slack_of[i]) for i in range(m)}
     cap = 10 * (m + ncols) ** 2
+    pivot_count = 0
 
     def pivot(rowi, colj):
+        nonlocal pivot_count
+        pivot_count += 1
         T[rowi] = T[rowi] / T[rowi, colj]
         col = T[:, colj].copy()
         col[rowi] = 0.0
@@ -391,8 +408,12 @@ def _kernel(c, A, senses, b):
             if pivots > cap:
                 raise NumericalFailureError("pivot cap exceeded")
 
+    warm = _refactorize(T, start, art_cols)
+    if warm is not None:
+        T, basis = warm, np.array(start, dtype=int)
+        row_origin = list(range(m))
     # Phase 1: drive artificials to zero.
-    if art_cols:
+    elif art_cols:
         cost1 = np.zeros(ncols)
         for j in art_cols:
             cost1[j] = 1.0
@@ -402,7 +423,7 @@ def _kernel(c, A, senses, b):
         phase1_obj = float(cb1 @ T[:, -1])
         if phase1_obj > FEAS_TOL:
             y = np.array([float(cb1 @ T[:, reader[i]]) for i in range(m)])
-            return "infeasible", None, y * flip, None
+            return "infeasible", None, y * flip, None, basis.copy(), pivot_count
         # drive remaining artificials out of the basis
         dead_rows = []
         for i in range(m):
@@ -436,7 +457,7 @@ def _kernel(c, A, senses, b):
         ray[entering] = 1.0
         for i in range(T.shape[0]):
             ray[basis[i]] = -col[i]
-        return "unbounded", None, None, ray[:n]
+        return "unbounded", None, None, ray[:n], basis.copy(), pivot_count
 
     u = np.zeros(ncols)
     for i in range(T.shape[0]):
@@ -445,7 +466,7 @@ def _kernel(c, A, senses, b):
     y = np.zeros(m)
     for orig in row_origin:
         y[orig] = float(cb @ T[:, reader[orig]])
-    return "optimal", u[:n], y * flip, None
+    return "optimal", u[:n], y * flip, None, basis.copy(), pivot_count
 
 
 # -- plain text fixture format -------------------------------------------------------

@@ -550,32 +550,50 @@ def build_dual_subproblem(instance, x, scenario):
 
     Variables: demand price, reserve price, then per unit-period the
     min-output, capacity, ramp-up, ramp-down and headroom multipliers.
-    Unbounded rays certify undispatchable commitments.
+    Unbounded rays certify undispatchable commitments.  The rows come
+    from _dual_rows and depend on the instance alone; x and the scenario
+    enter only the objective.
     """
-    x = _commitment_vector(instance, x)
+    A, senses, b = _dual_rows(instance)
+    prices = _commitment_prices(instance, _commitment_vector(instance, x))
+    return LinearProgram(sense="max", c=_dual_objective(scenario, prices),
+                         A=A, senses=senses, b=b)
+
+
+def _dual_objective(scenario, prices):
+    """Dual objective: the scenario's demand and reserve prices, then the
+    x-dependent coefficients from _commitment_prices."""
+    demand = np.array(scenario.demand)
+    return np.concatenate([demand, demand + np.array(scenario.reserve), prices])
+
+
+def _commitment_prices(instance, x):
+    """Dual objective coefficients of the per unit-period multipliers at the
+    commitment x (a float list); the headroom multipliers' are 0."""
+    n, T = instance.num_units, instance.horizon
+    on = np.reshape(x, (n, T))
+    before = np.hstack([np.zeros((n, 1)), on[:, :-1]])   # 0 before the horizon
+
+    def per_unit(attr):
+        return np.array([getattr(gen, attr) for gen in instance.generators])[:, None]
+
+    su, sd = per_unit("startup_ramp"), per_unit("shutdown_ramp")
+    return np.concatenate([
+        (per_unit("p_min") * on).ravel(),
+        (-per_unit("p_max") * on).ravel(),
+        ((su - per_unit("ramp_up")) * before - su * on).ravel(),
+        ((sd - per_unit("ramp_down")) * on - sd * before).ravel(),
+        np.zeros(n * T)])
+
+
+def _dual_rows(instance):
+    """Constraint matrix, senses and rhs of the dual dispatch LP."""
     n, T = instance.num_units, instance.horizon
     nT = n * T
     PSI, BETA = 0, T
     PHI, PI = 2 * T, 2 * T + nT
     GAM, DEL, ETA = 2 * T + 2 * nT, 2 * T + 3 * nT, 2 * T + 4 * nT
     nv = 2 * T + 5 * nT
-    c = np.zeros(nv)
-
-    def xv(i, j):
-        return x[instance.var_index(i, j)] if j >= 0 else 0.0
-
-    for j in range(T):
-        c[PSI + j] = scenario.demand[j]
-        c[BETA + j] = scenario.demand[j] + scenario.reserve[j]
-    for i, gen in enumerate(instance.generators):
-        for j in range(T):
-            k = i * T + j
-            c[PHI + k] = gen.p_min * xv(i, j)
-            c[PI + k] = -gen.p_max * xv(i, j)
-            c[GAM + k] = (gen.startup_ramp - gen.ramp_up) * xv(i, j - 1) \
-                - gen.startup_ramp * xv(i, j)
-            c[DEL + k] = (gen.shutdown_ramp - gen.ramp_down) * xv(i, j) \
-                - gen.shutdown_ramp * xv(i, j - 1)
     rows, senses, rhs = [], [], []
     for i, gen in enumerate(instance.generators):
         for j in range(T):
@@ -600,8 +618,7 @@ def build_dual_subproblem(instance, x, scenario):
             rows.append(r)
             senses.append("<=")
             rhs.append(0.0)
-    return LinearProgram(sense="max", c=c, A=np.array(rows), senses=senses,
-                         b=np.array(rhs))
+    return np.array(rows), senses, np.array(rhs)
 
 
 def _cut_pieces(instance, scenario, values):
@@ -635,46 +652,11 @@ def _cut_pieces(instance, scenario, values):
 
 
 def evaluate_subproblems(instance, x):
-    """Solve every scenario's dual dispatch problem at the commitment x.
+    """One evaluation at the commitment x by a fresh UcpSubproblemOracle.
 
-    Returns the feasibility variant (one normalised cut per
-    undispatchable scenario) when any scenario is infeasible, and
-    otherwise the probability-weighted expected cost with a single
-    aggregated lower-bounding cut on the value variable.
+    See UcpSubproblemOracle.dispatch; nothing is memoized or carried over.
     """
-    x = _commitment_vector(instance, x)
-    feas_cuts = []
-    total = 0.0
-    agg_const = 0.0
-    agg_coef = {}
-    lp_calls = 0
-    for sc in instance.scenarios:
-        out = solve(build_dual_subproblem(instance, x, sc))
-        lp_calls += 1
-        if out.status == "unbounded":
-            const, coef = _cut_pieces(instance, sc, out.ray)
-            scale = max([abs(v) for v in coef.values()] + [COEF_EPS])
-            if scale <= COEF_EPS:
-                scale = max(abs(const), 1.0)
-            feas_cuts.append(CutRow(
-                coeffs={k: v / scale for k, v in coef.items()},
-                z_coeff=0.0, rhs=-const / scale, sense="<="))
-            continue
-        if out.status != "optimal":
-            raise RuntimeError("dual dispatch problem reported "
-                               f"{out.status}; the dual is always feasible")
-        const, coef = _cut_pieces(instance, sc, out.x)
-        total += sc.prob * out.objective
-        agg_const += sc.prob * const
-        for k, v in coef.items():
-            agg_coef[k] = agg_coef.get(k, 0.0) + sc.prob * v
-    if feas_cuts:
-        return SubproblemResult(kind="infeasible", cuts=feas_cuts,
-                                lp_calls=lp_calls)
-    cut = CutRow(coeffs={k: -v for k, v in agg_coef.items() if abs(v) > COEF_EPS},
-                 z_coeff=1.0, rhs=agg_const, sense=">=")
-    return SubproblemResult(kind="optimal", cuts=[cut], value=total,
-                            lp_calls=lp_calls)
+    return UcpSubproblemOracle(instance).dispatch(x)
 
 
 # -- instance generation --------------------------------------------------------------
@@ -753,10 +735,20 @@ class UcpMasterOracle(MasterOracle):
 
 
 class UcpSubproblemOracle(SubproblemOracle):
-    """Memoizes per-commitment results; repeat visits cost no LP solves."""
+    """Dual dispatch for every scenario, memoized per commitment.
+
+    The dual's rows depend on the instance alone, so they are built once,
+    and each LP starts phase 2 from the final basis of the LP solved
+    before it: x and the scenario change only the objective, so that basis
+    is still primal-feasible.  Values do not depend on the start basis; on
+    degenerate duals the cut can, and the memo keeps repeat visits
+    identical (and free of LP solves).
+    """
 
     def __init__(self, instance):
         self.instance = instance
+        self._rows = _dual_rows(instance)
+        self._basis = None
         self._cache = {}
 
     def evaluate(self, x):
@@ -765,9 +757,57 @@ class UcpSubproblemOracle(SubproblemOracle):
             hit = self._cache[key]
             return SubproblemResult(kind=hit.kind, cuts=hit.cuts,
                                     value=hit.value, lp_calls=0)
-        res = evaluate_subproblems(self.instance, key)
+        res = self.dispatch(key)
         self._cache[key] = res
         return res
+
+    def dispatch(self, x):
+        """Solve every scenario's dual dispatch problem at the commitment x.
+
+        Returns the feasibility variant (one normalised cut per
+        undispatchable scenario) when any scenario is infeasible, and
+        otherwise the probability-weighted expected cost with a single
+        aggregated lower-bounding cut on the value variable.
+        """
+        instance = self.instance
+        x = _commitment_vector(instance, x)
+        A, senses, b = self._rows
+        prices = _commitment_prices(instance, x)
+        feas_cuts = []
+        total = 0.0
+        agg_const = 0.0
+        agg_coef = {}
+        lp_calls = 0
+        for sc in instance.scenarios:
+            out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
+                                      A=A, senses=senses, b=b,
+                                      start_basis=self._basis))
+            self._basis = out.basis
+            lp_calls += 1
+            if out.status == "unbounded":
+                const, coef = _cut_pieces(instance, sc, out.ray)
+                scale = max([abs(v) for v in coef.values()] + [COEF_EPS])
+                if scale <= COEF_EPS:
+                    scale = max(abs(const), 1.0)
+                feas_cuts.append(CutRow(
+                    coeffs={k: v / scale for k, v in coef.items()},
+                    z_coeff=0.0, rhs=-const / scale, sense="<="))
+                continue
+            if out.status != "optimal":
+                raise RuntimeError("dual dispatch problem reported "
+                                   f"{out.status}; the dual is always feasible")
+            const, coef = _cut_pieces(instance, sc, out.x)
+            total += sc.prob * out.objective
+            agg_const += sc.prob * const
+            for k, v in coef.items():
+                agg_coef[k] = agg_coef.get(k, 0.0) + sc.prob * v
+        if feas_cuts:
+            return SubproblemResult(kind="infeasible", cuts=feas_cuts,
+                                    lp_calls=lp_calls)
+        cut = CutRow(coeffs={k: -v for k, v in agg_coef.items() if abs(v) > COEF_EPS},
+                     z_coeff=1.0, rhs=agg_const, sense=">=")
+        return SubproblemResult(kind="optimal", cuts=[cut], value=total,
+                                lp_calls=lp_calls)
 
 
 def ucp_solve(instance, config=None, instance_id="", known_optimum=None):

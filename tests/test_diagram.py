@@ -19,6 +19,7 @@ from ddbd.diagram import (
     merge_nodes,
     optimal_path,
     path_weight,
+    prune_dead_nodes,
     reduce_interval_arcs,
     refine_with_cut,
     to_dot,
@@ -356,9 +357,18 @@ def test_one_pass_refinement_equals_cut_by_cut():
                 for _ in range(rng.randint(1, 6))]
         if rng.random() < 0.5:
             cuts[rng.randrange(len(cuts))] = boundary_cut(rng, dd)
+        before = (dd.node_count(), sorted(enumerate_solutions(dd)))
         one_pass = solutions_or_empty(lambda: refine_with_cut(dd, cuts, "exact"))
         assert one_pass == solutions_or_empty(lambda: refine_cut_by_cut(dd, cuts)), \
             f"trial {trial}"
+        if trial % 2 and one_pass:
+            # dead nodes are dropped from the refined diagram, in place: none
+            # are left, and the input diagram is untouched
+            refined = refine_with_cut(dd, cuts, "exact")
+            pruned = prune_dead_nodes(refined)
+            assert refined.node_count() == pruned.node_count(), f"trial {trial}"
+            assert sorted(enumerate_solutions(pruned)) == one_pass, f"trial {trial}"
+            assert (dd.node_count(), sorted(enumerate_solutions(dd))) == before
         feas = [c for c in cuts if c.z_coeff == 0.0]
         truth = sorted(s for s in enumerate_solutions(dd)
                        if all(satisfies(c, s) for c in feas))

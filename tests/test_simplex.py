@@ -207,3 +207,167 @@ bounds 0 inf
     assert out.objective == pytest.approx(2.0)
     again = parse_lp_text(format_lp_text(lp))
     assert solve(again).objective == pytest.approx(2.0)
+
+
+# -- certificate tolerance boundaries --------------------------------------------
+#
+# Each case builds a valid certificate with one checked quantity set to t
+# and every other checked quantity far from its threshold.  The check must
+# reject t just past its tolerance and accept t just inside it.
+
+FEAS_TOL = 1e-7   # the certificate slack, stated here independently of the solver
+
+
+def assert_boundary(holds, tol, lower_is_bad=False):
+    """holds(t) is False 1% past tol and True 1% inside it."""
+    past, inside = (0.99, 1.01) if lower_is_bad else (1.01, 0.99)
+    assert not holds(past * tol)
+    assert holds(inside * tol)
+
+
+def optimal_outcome(lp, x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return LpOutcome(status="optimal", x=x, duals=y, reduced_costs=lp.c - lp.A.T @ y,
+                     objective=float(lp.c @ x))
+
+
+def farkas_holds(lp, f):
+    return verify_certificate(lp, LpOutcome(status="infeasible", farkas=np.array(f)))
+
+
+def ray_holds(lp, d):
+    return verify_certificate(lp, LpOutcome(status="unbounded", ray=np.array(d)))
+
+
+@pytest.mark.parametrize("sense,row_sense,step", [
+    ("min", ">=", -1.0), ("max", "<=", 1.0), ("min", "=", -1.0), ("min", "=", 1.0)])
+def test_optimal_primal_residual_boundary(sense, row_sense, step):
+    # the row x1 (row_sense) 1 is tight at x1 = 1 with dual 1; x1 moves t off it
+    lp = make_lp(sense, [1.0], [[1.0]], [row_sense], [1.0])
+    assert verify_certificate(lp, optimal_outcome(lp, [1.0], [1.0]))
+    assert_boundary(lambda t: verify_certificate(
+        lp, optimal_outcome(lp, [1.0 + step * t], [1.0])), FEAS_TOL)
+
+
+def test_optimal_dual_sign_boundary():
+    scale = 2.0   # 1 + max |c|
+    # min x1: x1 >= 1 and x1 - x2 <= 1 are tight at (1, 0); the "<=" row's
+    # dual takes the wrong sign t and the ">=" row's dual absorbs it
+    lp = make_lp("min", [1.0, 0.0], [[1.0, 0.0], [1.0, -1.0]], [">=", "<="], [1.0, 1.0])
+    assert_boundary(lambda t: verify_certificate(
+        lp, optimal_outcome(lp, [1.0, 0.0], [1.0 - t, t])), FEAS_TOL * scale)
+    # min x1: x1 >= 1 and x1 + x2 >= 1 are tight at (1, 0); the second
+    # ">=" row's dual takes the wrong sign -t
+    lp = make_lp("min", [1.0, 0.0], [[1.0, 0.0], [1.0, 1.0]], [">=", ">="], [1.0, 1.0])
+    assert_boundary(lambda t: verify_certificate(
+        lp, optimal_outcome(lp, [1.0, 0.0], [1.0 + t, -t])), FEAS_TOL * scale)
+
+
+def test_optimal_complementary_slackness_boundary():
+    scale = 2.0
+    # the slack row x1 <= 3 carries a dual of size t
+    lp = make_lp("min", [1.0], [[1.0], [1.0]], [">=", "<="], [1.0, 3.0])
+    assert_boundary(lambda t: verify_certificate(
+        lp, optimal_outcome(lp, [1.0], [1.0 + t, -t])), FEAS_TOL * scale)
+
+    # a row with dual -1e-6 is t away from tight: x1 <= 1 + t at x1 = 1
+    def slack_by(t):
+        lp = make_lp("min", [1.0], [[1.0], [1.0]], [">=", "<="], [1.0, 1.0 + t])
+        return verify_certificate(lp, optimal_outcome(lp, [1.0], [1.0 + 1e-6, -1e-6]))
+    assert_boundary(slack_by, 1e-5 * 2.0 / (1.0 - 1e-5))   # t <= 1e-5 (1 + |1 + t|)
+
+
+def test_optimal_duality_gap_boundary():
+    # x1 = 1 + t stays feasible for x1 >= 1 while the dual objective stays 1
+    lp = make_lp("min", [1.0], [[1.0]], [">="], [1.0])
+    assert_boundary(lambda t: verify_certificate(
+        lp, optimal_outcome(lp, [1.0 + t], [1.0])), 2e-6 / (1.0 - 1e-6))
+
+
+def test_farkas_sign_boundary():
+    # x1 >= 2 and x1 <= 1 conflict; an idle third row takes multiplier -t
+    lp = make_lp("max", [1.0], [[1.0], [1.0], [0.0]], [">=", "<=", "<="], [2.0, 1.0, 0.0])
+    assert farkas_holds(lp, [1.0, 1.0, 0.0])
+    assert_boundary(lambda t: farkas_holds(lp, [1.0, 1.0, -t]),
+                    FEAS_TOL * 2.0)   # FEAS_TOL (1 + peak)
+
+
+def test_farkas_margin_boundary():
+    # r - best must exceed FEAS_TOL (1 + |r|)
+    # x1 >= 1 + t over x1 in [0, 1]: r = 1 + t, best = 1 from the upper bound
+    assert_boundary(lambda t: farkas_holds(
+        make_lp("max", [1.0], [[1.0]], [">="], [1.0 + t], lo=[0.0], hi=[1.0]), [1.0]),
+        FEAS_TOL * 2.0 / (1.0 - FEAS_TOL), lower_is_bad=True)
+    # x1 <= 1 - t over x1 in [1, inf): r = t - 1, best = -1 from the lower bound
+    assert_boundary(lambda t: farkas_holds(
+        make_lp("max", [1.0], [[1.0]], ["<="], [1.0 - t], lo=[1.0]), [1.0]),
+        FEAS_TOL * 2.0 / (1.0 + FEAS_TOL), lower_is_bad=True)
+
+
+def test_ray_row_residual_boundary():
+    # max x1 st -x1 + x2 <= 1 (and = 1): d = (1, 1 + t) leaves the recession cone
+    for row_sense in ("<=", "="):
+        lp = make_lp("max", [1.0, 0.0], [[-1.0, 1.0]], [row_sense], [1.0])
+        assert_boundary(lambda t: ray_holds(lp, [1.0, 1.0 + t]), FEAS_TOL)
+    lp = make_lp("max", [1.0, 0.0], [[1.0, -1.0]], [">="], [-1.0])
+    assert_boundary(lambda t: ray_holds(lp, [1.0, 1.0 + t]), FEAS_TOL)
+
+
+def test_ray_bound_sign_boundary():
+    # max x1 st -x1 <= 1; x2 is bounded below (then above) and d moves it the wrong way
+    lp = make_lp("max", [1.0, 0.0], [[-1.0, 0.0]], ["<="], [1.0])
+    assert_boundary(lambda t: ray_holds(lp, [1.0, -t]), FEAS_TOL)
+    lp = make_lp("max", [1.0, 0.0], [[-1.0, 0.0]], ["<="], [1.0],
+                 lo=[0.0, -np.inf], hi=[np.inf, 0.0])
+    assert_boundary(lambda t: ray_holds(lp, [1.0, t]), FEAS_TOL)
+
+
+def test_ray_gain_boundary():
+    # along d = (1, 0) the objective changes by t
+    for sense, sign in (("max", 1.0), ("min", -1.0)):
+        lp_at = lambda t: make_lp(sense, [sign * t, 0.0], [[-1.0, 0.0]], ["<="], [1.0])  # noqa: E731
+        assert_boundary(lambda t: ray_holds(lp_at(t), [1.0, 0.0]), FEAS_TOL,
+                        lower_is_bad=True)
+
+
+# -- start basis ----------------------------------------------------------------
+
+
+def start_basis_lp(c=(1.0, 2.0, 3.0), start=None):
+    # kernel columns: x1, x2, x3, the slacks of rows 0 and 1 (3, 4), then
+    # the artificial of the ">=" row 0 (5); x1 and x2 share a column
+    return LinearProgram(sense="min", c=np.array(c),
+                         A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
+                         senses=[">=", "<="], b=np.array([1.0, 2.0]), start_basis=start)
+
+
+@pytest.mark.parametrize("start", [
+    [0, 1],            # singular: x1 and x2 share a column
+    [3, 4],            # infeasible: the ">=" row's slack would be -1
+    [4], [0, 4, 3],    # wrong length
+    [5, 4],            # the artificial column
+    [4, 4], [0, 9],    # repeated, out of range
+    np.array([0.0, 4.0]),
+])
+def test_bad_start_basis_falls_back_to_the_cold_start(start):
+    cold = solve(start_basis_lp())
+    assert cold.status == "optimal" and cold.pivots > 0
+    out = solve(start_basis_lp(start=start))
+    assert out.status == cold.status
+    assert out.pivots == cold.pivots
+    assert np.array_equal(out.x, cold.x) and np.array_equal(out.duals, cold.duals)
+    assert list(out.basis) == list(cold.basis)
+
+
+def test_start_basis_skips_phase_one():
+    cold = solve(start_basis_lp())
+    again = solve(start_basis_lp(start=cold.basis))
+    assert again.pivots == 0
+    assert again.objective == cold.objective
+    # another objective over the same rows: the old basis is still feasible
+    c = (3.0, 2.0, 1.0)
+    warm = solve(start_basis_lp(c, start=cold.basis))
+    ref = solve(start_basis_lp(c))
+    assert warm.status == ref.status == "optimal"
+    assert warm.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert warm.pivots < ref.pivots

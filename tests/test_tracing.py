@@ -1,8 +1,10 @@
-"""perfbench/layers.py times cut replay by rebinding ``engine.refine_with_cut``.
+"""perfbench/layers.py times cut replay by rebinding ``engine.refine_with_cut``
+and dual LPs by rebinding ``ucp.solve``.
 
 These tests import the tracer unchanged and check that a solve still
-reaches refinement through that attribute, once per non-empty replay, so
-that the benchmark's per-layer refine metrics cannot silently read 0.
+reaches refinement through that attribute, once per non-empty replay, and
+solves every dual LP through ``ucp.solve``, so that the benchmark's
+per-layer refine and dual LP metrics cannot silently read 0.
 """
 
 import os
@@ -34,3 +36,15 @@ def test_trace_records_one_refine_per_nonempty_replay():
     metrics = layer_metrics([spans], [report])
     assert metrics["diagram.refine.calls"] == len(refines) > 0
     assert metrics["engine.replay.calls"] == len(replays)
+
+
+def test_trace_records_one_dual_lp_span_per_lp_call():
+    # the tracer times dual LPs by rebinding ucp.solve, so every LP the
+    # subproblem oracle solves must go through that attribute
+    tracer = Tracer()
+    with traced(tracer):
+        report = ucp_solve(scaled_instance(2, 4, 2, 0, 0.4))
+    spans = tracer.take()
+    dual_lps = [s for s in spans if s.name == "simplex.dual_lp"]
+    assert len(dual_lps) == report.lp_calls > 0
+    assert layer_metrics([spans], [report])["simplex.dual_lp.calls"] == report.lp_calls

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ddbd.diagram import EmptyDiagramError, enumerate_solutions, optimal_path, path_weight
 from ddbd.oracle import scipy_lp_min, unit_schedules
+import ddbd.ucp as ucp_module
 from ddbd.simplex import solve
 from ddbd.ucp import (
     INF,
@@ -14,6 +16,7 @@ from ddbd.ucp import (
     InstanceError,
     Scenario,
     UcpInstance,
+    UcpSubproblemOracle,
     build_dual_subproblem,
     build_master_dd,
     build_relaxed_master_dd,
@@ -362,6 +365,75 @@ def test_cuts_are_valid_for_every_feasible_commitment():
                     continue
                 lhs = sum(c * x[k] for k, c in cut.coeffs.items()) + cut.z_coeff * z
                 assert cut.satisfied(lhs, tol=1e-6), (probe, cut, x, z)
+
+
+def record_dual_solves(monkeypatch):
+    """Every (lp, outcome) pair the ucp module solves from now on."""
+    calls = []
+
+    def recording(lp):
+        out = solve(lp)
+        calls.append((lp, out))
+        return out
+
+    monkeypatch.setattr(ucp_module, "solve", recording)
+    return calls
+
+
+def test_warm_started_evaluation_takes_fewer_pivots(monkeypatch):
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    calls = record_dual_solves(monkeypatch)
+    oracle = UcpSubproblemOracle(inst)
+    oracle.evaluate((1.0,) * inst.num_vars)
+    calls.clear()
+    x = [1.0] * inst.num_vars
+    x[inst.var_index(2, 0)] = x[inst.var_index(2, 1)] = 0.0
+    oracle.evaluate(x)
+    assert len(calls) == 16
+    assert all(lp.start_basis is not None for lp, _ in calls)
+    cold = [solve(dataclasses.replace(lp, start_basis=None)) for lp, _ in calls]
+    assert sum(out.pivots for _, out in calls) < sum(out.pivots for out in cold)
+    for (_, warm), ref in zip(calls, cold):
+        assert warm.status == ref.status
+        if ref.status == "optimal":
+            assert warm.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
+    from ddbd.oracle import feasible_assignments, stage2_expected_cost
+
+    # the negative production cost makes a dual row's rhs negative, so the
+    # cold start needs phase 1
+    negative = single_unit_instance(simple_generator(c_prod=-3.0), 3,
+                                    demand=(20.0, 30.0, 10.0))
+    instances = [gen_random_instance(2, 3, 2, seed=seed) for seed in (1, 2, 3)]
+    instances += [scaled_instance(*params) for params in LOW_DEMAND] + [negative]
+    calls = record_dual_solves(monkeypatch)
+    rng = np.random.default_rng(4)
+    warm_starts = 0
+    for inst in instances:
+        truth = {x: stage2_expected_cost(inst, x) for x in feasible_assignments(inst)}
+        oracle = UcpSubproblemOracle(inst)
+        for _ in range(6):
+            x = tuple(float(v) for v in rng.random(inst.num_vars) < 0.8)   # mostly on
+            calls.clear()
+            res = oracle.evaluate(x)
+            for (lp, out), sc in zip(calls, inst.scenarios):
+                warm_starts += lp.start_basis is not None
+                cold = solve(build_dual_subproblem(inst, x, sc))
+                status, value = scipy_lp_min(build_subproblem(inst, x, sc))
+                assert out.status == cold.status
+                assert out.status == ("optimal" if status == "optimal" else "unbounded")
+                if status == "optimal":
+                    assert out.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-6)
+                    assert out.objective == pytest.approx(value, rel=1e-6, abs=1e-6)
+            for cut in res.cuts:
+                for xt, z in truth.items():
+                    if z is None:
+                        continue
+                    lhs = sum(c * xt[k] for k, c in cut.coeffs.items()) + cut.z_coeff * z
+                    assert cut.satisfied(lhs, tol=1e-6), (x, cut, xt, z)
+    assert warm_starts > 0
 
 
 def test_one_pass_replay_matches_cut_by_cut_on_relaxed_master():
