@@ -15,6 +15,7 @@ threads must clone per worker.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -66,13 +67,28 @@ class CutRow:
 
     coeffs is keyed by discrete arc-layer index.  z_coeff is zero for
     feasibility cuts and nonzero for optimality cuts; z always maps to
-    the continuous terminal layer.
+    the continuous terminal layer.  A cut is not changed once made (see
+    dense).
     """
 
     coeffs: dict = field(default_factory=dict)
     z_coeff: float = 0.0
     rhs: float = 0.0
     sense: str = "<="  # "<=" or ">="
+    _dense: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+
+    def dense(self, num_layers):
+        """coeffs as a float vector over arc layers 0 .. num_layers - 1.
+
+        The vector is made on the first call for a length and kept on the
+        cut, so it lives exactly as long as the cut; it takes no part in
+        ==, key() or repr.  This is sound because a cut is never changed
+        after it is made: code that needs another cut builds a new one.
+        """
+        if self._dense is None or self._dense.size != num_layers:
+            self._dense = np.array([self.coeffs.get(j, 0.0) for j in range(num_layers)],
+                                   dtype=float)
+        return self._dense
 
     @property
     def kind(self):
@@ -508,91 +524,188 @@ def _refine_exact(dd, cuts):
     [lo, hi] in list order.
 
     Each layer is extended for all cuts at once: rows of lhs values, one
-    per output node, one column per cut.  A settled cut's entry is NaN,
-    never 0: a zero there would merge a prefix whose cut is settled with
-    one whose lhs is exactly 0 and still open, and hand both the same,
-    wrong, completions.
+    per output node, one column per cut (feasibility cuts first).  A
+    settled cut's entry is NaN, never 0: a zero there would merge a
+    prefix whose cut is settled with one whose lhs is exactly 0 and
+    still open, and hand both the same, wrong, completions.  A column
+    that is NaN in every carried row separates no two keys, so it is
+    dropped; cuts settled at the root never enter the pass.
+
+    Per-layer work is spent only where the diagram branches.  The arcs
+    are flattened once, with one row per arc of label times coefficient
+    (from CutRow.dense, which the cut keeps) and of the drop and settle
+    limits at the arc's head.  A frontier of one node whose input node
+    has a single outgoing arc starts a run of single-arc layers, which
+    _advance_run takes in one step; one arc makes one node, so the run
+    needs no keys.  Elsewhere, one key per arc holds the head and the
+    rounded lhs of every column.  Node ids, arc order, labels, weights
+    and the InfeasibleDiagramError cases are those of extending,
+    settling and keying every layer on its own.
     """
     m = dd.num_arc_layers
     cont = dd.layer_kinds[-1] == "continuous"
     num_discrete = m - 1 if cont else m
     feas = [c for c in cuts if c.z_coeff == 0.0]
     opt = [c for c in cuts if c.z_coeff != 0.0]
-    # ">=" cuts are negated (exactly) so that every feasibility test below
-    # reads  sign * lhs <= sign * rhs + CUT_TOL
+    nf = len(feas)
+    # ">=" feasibility cuts are negated (exactly) so that every feasibility
+    # test below reads  sign * lhs <= sign * rhs + CUT_TOL
     sign = np.array([1.0 if c.sense == "<=" else -1.0 for c in feas])
-    fcoef = _coefficients(feas, num_discrete) * sign
-    ocoef = _coefficients(opt, num_discrete)
-    row = {nid: r for r, nid in enumerate(nid for layer in dd.layers for nid in layer)}
-    drop_above, settled_at = _completion_limits(dd, feas, sign, fcoef, row)
+    coef = np.array([c.dense(num_discrete) for c in feas + opt],
+                    dtype=float).reshape(len(cuts), num_discrete).T
+    coef[:, :nf] *= sign
+    nids = [nid for layer in dd.layers for nid in layer]
+    row = {nid: r for r, nid in enumerate(nids)}
+    arcs = [a for layer in dd.arcs for a in layer]
+    first = list(itertools.accumulate((len(layer) for layer in dd.arcs), initial=0))
+    tails = [row[a.tail] for a in arcs]
+    heads = [row[a.head] for a in arcs]
+    nd = first[num_discrete]   # arcs on discrete layers come first
+    step = np.zeros((len(arcs), len(cuts)))
+    step[:nd] = np.array([a.label for a in arcs[:nd]], dtype=float)[:, None] \
+        * coef[np.repeat(np.arange(num_discrete), np.diff(first[:num_discrete + 1]))]
+    drop_above, settled_at = _completion_limits(dd, feas, sign, step[:, :nf],
+                                                tails, heads, first, row)
+    # per discrete arc: step, drop limit and settle limit at its head; the
+    # optimality columns get limits that never fire
+    head_rows = np.array(heads[:nd], dtype=int)
+    per_arc = np.empty((nd, 3, len(cuts)))
+    per_arc[:, 0] = step[:nd]
+    per_arc[:, 1, :nf] = drop_above[head_rows]
+    per_arc[:, 1, nf:] = np.inf
+    per_arc[:, 2, :nf] = settled_at[head_rows]
+    per_arc[:, 2, nf:] = -np.inf
+    # CutRow.satisfied per column, for the last layer
+    le = np.array([c.sense == "<=" for c in feas] + [True] * len(opt))
+    rhs = np.array([c.rhs for c in feas] + [np.inf] * len(opt))
+    rhs_up, rhs_down = rhs + CUT_TOL, rhs - CUT_TOL
 
-    def settle(lhs, heads):
-        """Rows that survive, and lhs with newly settled cuts set to NaN."""
-        keep = ~(lhs > drop_above[heads]).any(axis=1)
-        return np.where(lhs <= settled_at[heads], np.nan, lhs), keep
-
-    def satisfied(flhs):
-        """Per row: CutRow.satisfied holds for every cut the row still tracks."""
-        ok = np.ones(len(flhs), dtype=bool)
-        for r, i in zip(*np.nonzero(~np.isnan(flhs))):
-            ok[r] &= feas[i].satisfied(sign[i] * flhs[r, i])
-        return ok
-
-    flhs, keep = settle(np.zeros((1, len(feas))), [row[dd.root]])
-    if not keep[0]:
+    rt = row[dd.root]
+    if (0.0 > drop_above[rt]).any():
         raise InfeasibleDiagramError("a cut removes every path")
-    olhs = np.zeros((1, len(opt)))
+    cols = np.concatenate([np.flatnonzero(settled_at[rt] < 0.0), np.arange(nf, len(cuts))])
+    lhs = np.zeros((1, cols.size))
     out = DecisionDiagram(m)
     out.layer_kinds = list(dd.layer_kinds)
-    olds = [dd.root]
-    news = [out.new_node(0, state=dd.states.get(dd.root), merged=dd.root in dd.merged)]
-    for j in range(m):
-        is_last = j == m - 1
-        out_arcs = dd.out_map(j)
-        src, arcs = [], []
-        for r, u in enumerate(olds):
-            for arc in out_arcs.get(u, ()):
-                src.append(r)
-                arcs.append(arc)
-        if not arcs:
-            raise InfeasibleDiagramError("a cut removes every path")
-        term = out.new_node(m, state=dd.states.get(dd.terminal),
-                            merged=dd.terminal in dd.merged) if is_last else None
-        if cont and is_last:
-            ok, bound_lhs = satisfied(flhs), olhs.tolist()
-            for arc, r in zip(arcs, src):
-                label = _tighten(arc.label, opt, bound_lhs[r]) if ok[r] else None
-                if label is not None:
-                    out.add_arc(j, news[r], term, label, arc.weight)
-            break
-        labels = np.array([a.label for a in arcs])[:, None]
-        heads = [row[a.head] for a in arcs]
-        child_f, keep = settle(flhs[src] + labels * fcoef[j], heads)
-        if is_last:
-            for c in np.flatnonzero(keep & satisfied(child_f)):
-                out.add_arc(j, news[src[c]], term, arcs[c].label, arcs[c].weight)
-            break
-        child_o = olhs[src] + labels * ocoef[j]
-        # keys compare bits: one NaN pattern for every settled cut, and
-        # + 0.0 folds -0.0 into 0.0 as round() does
-        keys = _row_keys(np.column_stack([
-            heads,
-            np.where(np.isnan(child_f), np.nan, np.rint(child_f / SPLIT_GRID) + 0.0),
-            np.rint(child_o / SPLIT_GRID) + 0.0]))
-        nxt = {}
-        first = []
-        for c in np.flatnonzero(keep).tolist():
-            arc = arcs[c]
-            node = nxt.get(keys[c])
-            if node is None:
-                node = nxt[keys[c]] = out.new_node(j + 1, state=dd.states.get(arc.head),
-                                                   merged=arc.head in dd.merged)
-                first.append(c)
-            out.add_arc(j, news[src[c]], node, arc.label, arc.weight)
-        olds = [arcs[c].head for c in first]
-        news = list(nxt.values())
-        flhs, olhs = child_f[first], child_o[first]
+
+    def copy_node(layer, nid):
+        """A node of out in `layer` with input node nid's state and merged tag."""
+        return out.new_node(layer, state=dd.states.get(nid), merged=nid in dd.merged)
+
+    def gather(idx):
+        g = per_arc[idx]
+        return g if cols.size == len(cuts) else g[:, :, cols]
+
+    olds = [rt]
+    news = [copy_node(0, dd.root)]
+    j = 0
+    while True:
+        # a run: one frontier node whose input node has one outgoing arc,
+        # followed down to the last layer but one
+        run = []
+        while len(olds) == 1 and j + len(run) < m - 1:
+            u = heads[run[-1]] if run else olds[0]
+            a, b = first[j + len(run)], first[j + len(run) + 1]
+            if tails[a:b].count(u) != 1:
+                break
+            run.append(tails.index(u, a, b))
+        if run:
+            g = gather(run)
+            lhs = _advance_run(lhs, g[:, 0], g[:, 1], g[:, 2])
+            if lhs is None:
+                raise InfeasibleDiagramError("a cut removes every path")
+            for i in run:
+                tail = news[0]
+                news = [copy_node(j + 1, nids[heads[i]])]
+                out.arcs[j].append(Arc(tail, news[0], arcs[i].label, arcs[i].weight))
+                j += 1
+            olds = [heads[run[-1]]]
+        else:
+            a, b = first[j], first[j + 1]
+            out_of = {}
+            for i in range(a, b):
+                out_of.setdefault(tails[i], []).append(i)
+            src, idx = [], []
+            for r, u in enumerate(olds):
+                for i in out_of.get(u, ()):
+                    src.append(r)
+                    idx.append(i)
+            if not idx:
+                raise InfeasibleDiagramError("a cut removes every path")
+            is_last = j == m - 1
+            term = copy_node(m, dd.terminal) if is_last else None
+            if cont and is_last:
+                ok, bound_lhs = _satisfied(lhs, le[cols], rhs_up[cols], rhs_down[cols]), \
+                    lhs[:, cols.size - len(opt):].tolist()
+                tighten = [(c.rhs, c.z_coeff, (c.sense == "<=") == (c.z_coeff > 0))
+                           for c in opt]
+                for i, r in zip(idx, src):
+                    label = _tighten(arcs[i].label, tighten, bound_lhs[r]) if ok[r] else None
+                    if label is not None:
+                        out.arcs[j].append(Arc(news[r], term, label, arcs[i].weight))
+                break
+            g = gather(idx)
+            child = lhs[src] + g[:, 0]
+            keep = ~(child > g[:, 1]).any(axis=1)
+            child = np.where(child <= g[:, 2], np.nan, child)
+            if is_last:
+                keep &= _satisfied(child, le[cols], rhs_up[cols], rhs_down[cols])
+                out.arcs[j] = [Arc(news[src[c]], term, arcs[idx[c]].label, arcs[idx[c]].weight)
+                               for c in np.flatnonzero(keep).tolist()]
+                break
+            # keys compare bits: every NaN here is np.nan itself, so one
+            # pattern per settled entry, and + 0.0 folds -0.0 into 0.0 as
+            # round() does
+            key = np.empty((len(idx), 1 + cols.size))
+            key[:, 0] = head_rows[idx]
+            np.rint(child / SPLIT_GRID, out=key[:, 1:])
+            key[:, 1:] += 0.0
+            keys = _row_keys(key)
+            sel = np.flatnonzero(keep).tolist()
+            group, kept = {}, []   # output node of each key, numbered by first arc
+            for c in sel:
+                if keys[c] not in group:
+                    group[keys[c]] = len(kept)
+                    kept.append(c)
+            olds = [heads[idx[c]] for c in kept]
+            nxt = [copy_node(j + 1, nids[r]) for r in olds]
+            out.arcs[j] = [Arc(news[src[c]], nxt[group[keys[c]]], arcs[idx[c]].label,
+                               arcs[idx[c]].weight) for c in sel]
+            news = nxt
+            lhs = child[kept]
+            j += 1
+        live = ~np.isnan(lhs).all(axis=0)
+        if not live.all():
+            cols, lhs = cols[live], lhs[:, live]
     return _drop_dead_nodes(out)
+
+
+def _advance_run(lhs, step, drop, settle):
+    """The carried lhs row after a run of single-arc layers, or None.
+
+    lhs is the (1, k) row entering the run; step, drop and settle hold
+    one row per run position.  The run is added up with one cumsum,
+    which makes the same left-to-right additions as extending layer by
+    layer.  A column is NaN from the position after the one where it
+    settles; that position still takes its drop test first, as a layer
+    does.  None when any position drops the child.
+    """
+    vals = np.cumsum(np.concatenate([lhs, step]), axis=0)[1:]
+    settled = np.logical_or.accumulate(vals <= settle, axis=0)
+    tested = vals > drop
+    tested[1:] &= ~settled[:-1]
+    if tested.any():
+        return None
+    return np.where(settled[-1:], np.nan, vals[-1:])
+
+
+def _satisfied(lhs, le, rhs_up, rhs_down):
+    """Per row: CutRow.satisfied holds in every column that is not NaN.
+
+    lhs holds signed feasibility lhs values; le, rhs_up (rhs + CUT_TOL)
+    and rhs_down (rhs - CUT_TOL) describe each column's cut.
+    """
+    return (np.where(le, lhs <= rhs_up, -lhs >= rhs_down) | np.isnan(lhs)).all(axis=1)
 
 
 def _row_keys(a):
@@ -601,13 +714,7 @@ def _row_keys(a):
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
 
 
-def _coefficients(cuts, num_layers):
-    """(num_layers, len(cuts)) array of the cuts' coefficients per layer."""
-    return np.array([[c.coeffs.get(j, 0.0) for c in cuts] for j in range(num_layers)],
-                    dtype=float).reshape(num_layers, len(cuts))
-
-
-def _completion_limits(dd, feas, sign, fcoef, row):
+def _completion_limits(dd, feas, sign, fstep, tails, heads, first, row):
     """Per input node row, the lhs limits past which feasibility cuts are decided.
 
     One backward pass gives, for every node, the min and max over its
@@ -619,21 +726,41 @@ def _completion_limits(dd, feas, sign, fcoef, row):
     spare.  The margin covers the SPLIT_GRID drift of carried lhs values
     (one grid step per layer, on either side) and the different
     summation order.
+
+    fstep holds each arc's signed lhs step (zero on a continuous layer),
+    with the arcs flattened layer by layer; layer j's arcs are
+    first[j]:first[j + 1], and tails and heads give their node rows.  A
+    run of layers with one arc each, chained head to tail, is one reverse
+    cumsum from its deep end: the same additions as layer by layer, since
+    such a layer's tail has no other arc to take a min or max with.
     """
     m = dd.num_arc_layers
+    if not feas:
+        return np.empty((len(row), 0)), np.empty((len(row), 0))
     lo = np.full((len(row), len(feas)), np.inf)
     hi = np.full((len(row), len(feas)), -np.inf)
     lo[row[dd.terminal]] = hi[row[dd.terminal]] = 0.0
-    for j in range(m - 1, -1, -1):
-        if not dd.arcs[j]:
+    j = m - 1
+    while j >= 0:
+        a, b = first[j], first[j + 1]
+        if b - a == 1:
+            top = j
+            while top > 0 and first[top] - first[top - 1] == 1 \
+                    and heads[first[top - 1]] == tails[first[top]]:
+                top -= 1
+            run = first[j:top - 1 if top else None:-1]   # one arc per layer, deep end first
+            rows = [tails[i] for i in run]
+            steps = fstep[run]
+            h = heads[run[0]]
+            lo[rows] = np.cumsum(np.concatenate([lo[h:h + 1], steps]), axis=0)[1:]
+            hi[rows] = np.cumsum(np.concatenate([hi[h:h + 1], steps]), axis=0)[1:]
+            j = top - 1
             continue
-        tails = [row[a.tail] for a in dd.arcs[j]]
-        heads = [row[a.head] for a in dd.arcs[j]]
-        step = 0.0
-        if j < len(fcoef):
-            step = np.array([a.label for a in dd.arcs[j]])[:, None] * fcoef[j]
-        np.minimum.at(lo, tails, lo[heads] + step)
-        np.maximum.at(hi, tails, hi[heads] + step)
+        if b > a:
+            t, h = tails[a:b], heads[a:b]
+            np.minimum.at(lo, t, lo[h] + fstep[a:b])
+            np.maximum.at(hi, t, hi[h] + fstep[a:b])
+        j -= 1
     rhs = np.array([c.rhs for c in feas])
     limit = sign * rhs + CUT_TOL
     margin = 2 * (m + 1) * SPLIT_GRID * (1.0 + np.abs(rhs))
@@ -641,11 +768,14 @@ def _completion_limits(dd, feas, sign, fcoef, row):
 
 
 def _tighten(label, opt, lhs):
-    """Interval label after each optimality cut in turn, or None once empty."""
+    """Interval label after each optimality cut in turn, or None once empty.
+
+    opt holds (rhs, z_coeff, bounds z from above) per optimality cut.
+    """
     lo, hi = label.lo, label.hi
-    for cut, s in zip(opt, lhs):
-        bound = (cut.rhs - s) / cut.z_coeff
-        if (cut.sense == "<=") == (cut.z_coeff > 0):
+    for (rhs, z_coeff, upper), s in zip(opt, lhs):
+        bound = (rhs - s) / z_coeff
+        if upper:
             hi = min(hi, bound)
         else:
             lo = max(lo, bound)

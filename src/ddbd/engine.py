@@ -339,6 +339,8 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
             else:
                 raise EngineError("restricted repeat loop exceeded its cap")
         if status == "time_limit":
+            # the node is open again: its inherited bound still holds
+            inherited_bound[partial] = bound_here
             break
 
         if candidate is not None:
@@ -399,6 +401,8 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
                     pruned = True
                     break
         if status == "time_limit":
+            # w_bar bounds every completion of this node's relaxed diagram
+            inherited_bound[partial] = w_bar
             break
         if pruned:
             continue

@@ -143,6 +143,7 @@ class MipSubproblemOracle(SubproblemOracle):
         self.c = np.array(self.c, dtype=float)
         self.b_obj = np.array(problem.y_obj, dtype=float)
         self._basis = None
+        self._tableau = None
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -150,9 +151,10 @@ class MipSubproblemOracle(SubproblemOracle):
         k = self.B.shape[0]
         dual = LinearProgram(sense="min", c=rhs, A=self.B.T,
                              senses=[">="] * self.B.shape[1], b=self.b_obj,
-                             lo=np.zeros(k), start_basis=self._basis)
+                             lo=np.zeros(k), start_basis=self._basis,
+                             start_tableau=self._tableau)
         out = solve(dual)
-        self._basis = out.basis
+        self._basis, self._tableau = out.basis, out.tableau
         if out.status == "optimal":
             u = out.x
             cut = CutRow(coeffs=_dense_to_sparse(u @ self.A), z_coeff=1.0,

@@ -622,33 +622,38 @@ def _dual_rows(instance):
 
 
 def _cut_pieces(instance, scenario, values):
-    """Constant and x-coefficients of the dual objective at `values`."""
+    """Constant and x-coefficients of the dual objective at `values`.
+
+    coef maps the variable index of unit i, period j to the sum, in this
+    order, of p_min*phi - p_max*pi, -SU*gamma and (SD - RD)*delta at
+    (i, j), then (SU - RU)*gamma and -SD*delta at (i, j + 1).  Terms at
+    or below COEF_EPS are left out, and an index appears only when one
+    of its terms is kept.  All entries are summed at once, a left-out
+    term adding +0.0: no partial sum is -0.0, so that changes no bit of
+    adding the kept terms one by one.
+    """
     n, T = instance.num_units, instance.horizon
     nT = n * T
-    PSI, BETA = 0, T
-    PHI, PI = 2 * T, 2 * T + nT
-    GAM, DEL = 2 * T + 2 * nT, 2 * T + 3 * nT
+    values = np.asarray(values, dtype=float)
     const = 0.0
     for j in range(T):
-        const += scenario.demand[j] * values[PSI + j]
-        const += (scenario.demand[j] + scenario.reserve[j]) * values[BETA + j]
-    coef = {}
-
-    def bump(i, j, v):
-        if j < 0 or abs(v) <= COEF_EPS:
-            return
-        k = instance.var_index(i, j)
-        coef[k] = coef.get(k, 0.0) + v
-
-    for i, gen in enumerate(instance.generators):
-        for j in range(T):
-            k = i * T + j
-            bump(i, j, gen.p_min * values[PHI + k] - gen.p_max * values[PI + k])
-            bump(i, j - 1, (gen.startup_ramp - gen.ramp_up) * values[GAM + k])
-            bump(i, j, -gen.startup_ramp * values[GAM + k])
-            bump(i, j, (gen.shutdown_ramp - gen.ramp_down) * values[DEL + k])
-            bump(i, j - 1, -gen.shutdown_ramp * values[DEL + k])
-    return const, coef
+        const += scenario.demand[j] * values[j]
+        const += (scenario.demand[j] + scenario.reserve[j]) * values[T + j]
+    p_min, p_max, su, sd, ru, rd = np.array(
+        [[g.p_min, g.p_max, g.startup_ramp, g.shutdown_ramp, g.ramp_up, g.ramp_down]
+         for g in instance.generators]).T[:, :, None]
+    phi, pi, gam, dlt = values[2 * T:2 * T + 4 * nT].reshape(4, n, T)
+    terms = np.zeros((5, n, T))   # the next period's terms are 0 at the horizon
+    terms[0] = p_min * phi - p_max * pi
+    terms[1] = -su * gam
+    terms[2] = (sd - rd) * dlt
+    terms[3, :, :-1] = (su - ru) * gam[:, 1:]
+    terms[4, :, :-1] = -sd * dlt[:, 1:]
+    kept = np.abs(terms) > COEF_EPS
+    t = np.where(kept, terms, 0.0)
+    total = (((t[0] + t[1]) + t[2]) + t[3]) + t[4]
+    present = np.flatnonzero(kept.any(axis=0))
+    return const, dict(zip(present.tolist(), total.ravel()[present]))
 
 
 def evaluate_subproblems(instance, x):
@@ -740,7 +745,9 @@ class UcpSubproblemOracle(SubproblemOracle):
     The dual's rows depend on the instance alone, so they are built once,
     and each LP starts phase 2 from the final basis of the LP solved
     before it: x and the scenario change only the objective, so that basis
-    is still primal-feasible.  Values do not depend on the start basis; on
+    is still primal-feasible.  When that LP made no pivot, its refactorized
+    tableau comes along and spares the next LP its dense solve (see
+    ddbd.simplex).  Values do not depend on the start basis; on
     degenerate duals the cut can, and the memo keeps repeat visits
     identical (and free of LP solves).
     """
@@ -749,6 +756,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         self.instance = instance
         self._rows = _dual_rows(instance)
         self._basis = None
+        self._tableau = None
         self._cache = {}
 
     def evaluate(self, x):
@@ -781,8 +789,9 @@ class UcpSubproblemOracle(SubproblemOracle):
         for sc in instance.scenarios:
             out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
                                       A=A, senses=senses, b=b,
-                                      start_basis=self._basis))
-            self._basis = out.basis
+                                      start_basis=self._basis,
+                                      start_tableau=self._tableau))
+            self._basis, self._tableau = out.basis, out.tableau
             lp_calls += 1
             if out.status == "unbounded":
                 const, coef = _cut_pieces(instance, sc, out.ray)

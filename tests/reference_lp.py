@@ -10,6 +10,7 @@ checks.
 build_subproblem_original is the indicator form of the unit-commitment
 dispatch LP, the reference that the committed-only form is checked
 against.  scaled_instance builds the low-demand inputs.
+cut_pieces_by_terms is the term-by-term form of ddbd.ucp._cut_pieces.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import itertools
 import numpy as np
 
 from ddbd.simplex import LinearProgram
-from ddbd.ucp import build_subproblem, gen_random_instance
+from ddbd.ucp import COEF_EPS, build_subproblem, gen_random_instance
 
 FEAS = 1e-7
 
@@ -110,3 +111,34 @@ def scaled_instance(n, horizon, scenarios, seed, factor):
                             reserve=tuple(r * factor for r in sc.reserve))
         for sc in inst.scenarios]
     return inst.validate()
+
+
+def cut_pieces_by_terms(instance, scenario, values):
+    """ddbd.ucp._cut_pieces as a loop over the terms, one dict update each:
+    the reference for the vectorised version."""
+    n, T = instance.num_units, instance.horizon
+    nT = n * T
+    PSI, BETA = 0, T
+    PHI, PI = 2 * T, 2 * T + nT
+    GAM, DEL = 2 * T + 2 * nT, 2 * T + 3 * nT
+    const = 0.0
+    for j in range(T):
+        const += scenario.demand[j] * values[PSI + j]
+        const += (scenario.demand[j] + scenario.reserve[j]) * values[BETA + j]
+    coef = {}
+
+    def bump(i, j, v):
+        if j < 0 or abs(v) <= COEF_EPS:
+            return
+        k = instance.var_index(i, j)
+        coef[k] = coef.get(k, 0.0) + v
+
+    for i, gen in enumerate(instance.generators):
+        for j in range(T):
+            k = i * T + j
+            bump(i, j, gen.p_min * values[PHI + k] - gen.p_max * values[PI + k])
+            bump(i, j - 1, (gen.startup_ramp - gen.ramp_up) * values[GAM + k])
+            bump(i, j, -gen.startup_ramp * values[GAM + k])
+            bump(i, j, (gen.shutdown_ramp - gen.ramp_down) * values[DEL + k])
+            bump(i, j - 1, -gen.shutdown_ramp * values[DEL + k])
+    return const, coef

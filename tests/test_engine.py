@@ -315,3 +315,36 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
     # either no incumbent yet (infinite gap) or an incumbent with a gap
     if report.x is not None:
         assert report.gap is not None and report.gap >= 0.0
+
+
+def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypatch):
+    import math
+    import types
+
+    from ddbd import engine
+    from ddbd.ucp import ucp_solve
+    from reference_lp import scaled_instance
+
+    inst = scaled_instance(2, 4, 2, 0, 0.4)
+    optimum = ucp_solve(inst).value
+    checked = 0
+    for expiry in range(2, 500):
+        readings = []
+
+        def clock():
+            # the solve's own readings: 0 s until the expiry-th, then 100 s
+            readings.append(1)
+            return 0.0 if len(readings) < expiry else 100.0
+
+        monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=clock))
+        report = ucp_solve(inst, EngineConfig(time_limit=1.0))
+        if report.status == "optimal":
+            break
+        assert report.status == "time_limit"
+        if report.gap is not None and math.isfinite(report.gap):
+            # min sense: the reported bound value - gap may not pass the optimum
+            assert report.value - report.gap <= optimum + 1e-9 * abs(optimum), expiry
+            checked += 1
+    else:
+        raise AssertionError("the solve never finished")
+    assert report.value == optimum and checked >= 2

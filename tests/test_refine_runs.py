@@ -1,0 +1,306 @@
+"""Run-collapsed exact refinement against the layer-by-layer reference.
+
+ddbd.diagram._refine_exact advances runs of single-arc layers in one
+step, drops cut columns once they are settled everywhere and keeps each
+cut's dense coefficients on the cut.  None of that may show: every
+refinement here must return the diagram that tests/reference_refine.py
+builds layer by layer, down to node ids, arc order, the bits of labels
+and weights, states and merged tags, or raise InfeasibleDiagramError
+exactly when the reference does.
+"""
+
+import math
+import random
+import struct
+
+import numpy as np
+
+import reference_refine
+from ddbd.diagram import (
+    CUT_TOL,
+    CutRow,
+    DecisionDiagram,
+    InfeasibleDiagramError,
+    Interval,
+    _advance_run,
+    append_value_layer,
+    enumerate_solutions,
+    refine_with_cut,
+)
+from ddbd.ucp import (
+    UcpSubproblemOracle,
+    build_master_dd,
+    build_relaxed_master_dd,
+    build_restricted_master_dd,
+    compute_gamma,
+)
+from reference_lp import scaled_instance
+
+LABELS = (0.0, 1.0, 2.0)
+# not binary fractions, so that sums along a run round
+COEFS = (-2.3, -1.1, -0.7, -0.1, 0.0, 0.1, 0.3, 0.7, 1.9)
+
+
+def _bits(v):
+    if isinstance(v, Interval):
+        return ("interval", _bits(v.lo), _bits(v.hi))
+    return (type(v).__name__, struct.pack("<d", v))
+
+
+def structure(dd):
+    """What the two refinements are compared on; floats as bits."""
+    return (dd.layer_kinds, dd.layers,
+            [[(a.tail, a.head, _bits(a.label), _bits(a.weight)) for a in layer]
+             for layer in dd.arcs],
+            list(dd.states.items()), sorted(dd.merged), dd._next_id)
+
+
+def outcome(refine, dd, cuts):
+    try:
+        return structure(refine(dd, cuts))
+    except InfeasibleDiagramError:
+        return "infeasible"
+
+
+def assert_same_refinement(dd, cuts, label):
+    before = structure(dd)
+    expected = outcome(reference_refine._refine_exact, dd, cuts)
+    assert outcome(lambda d, c: refine_with_cut(d, c, "exact"), dd, cuts) == expected, label
+    assert structure(dd) == before, label
+    return expected
+
+
+def runs_dd(rng, num_discrete=8, lead=3):
+    """Random diagram whose first `lead` layers are a single-arc run from
+    the root; later node layers of width 1 are often joined by one arc,
+    which gives interior runs.  Some nodes carry states and merged tags,
+    and a continuous value layer ends it."""
+    widths = [1] * (lead + 1) + [rng.choice([1, 1, 2, 3])
+                                 for _ in range(num_discrete - lead - 1)] + [1]
+    dd = DecisionDiagram(num_discrete)
+    layers = [[dd.new_node(j, state=(j, i) if rng.random() < 0.5 else None,
+                           merged=rng.random() < 0.2)
+               for i in range(w)] for j, w in enumerate(widths)]
+    for j in range(num_discrete):
+        tails, heads = layers[j], layers[j + 1]
+        if len(tails) == len(heads) == 1 and (j < lead or rng.random() < 0.6):
+            dd.add_arc(j, tails[0], heads[0], rng.choice(LABELS), rng.uniform(-1, 1))
+            continue
+        for u in tails:
+            for _ in range(rng.randint(1, 2)):
+                dd.add_arc(j, u, rng.choice(heads), rng.choice(LABELS), rng.uniform(-1, 1))
+        reached = {a.head for a in dd.arcs[j]}
+        for v in heads:
+            if v not in reached:
+                dd.add_arc(j, rng.choice(tails), v, rng.choice(LABELS), rng.uniform(-1, 1))
+    return append_value_layer(dd, rng.uniform(-5, 0), rng.uniform(0, 5),
+                              rng.choice([1.0, -1.0]))
+
+
+def random_cut(rng, num_discrete):
+    coeffs = {j: rng.choice(COEFS) for j in range(num_discrete)}
+    sense = rng.choice(["<=", ">="])
+    if rng.random() < 0.3:
+        return CutRow(coeffs=coeffs, z_coeff=rng.choice([1.0, -1.0]),
+                      rhs=rng.uniform(-6, 6), sense=sense)
+    return CutRow(coeffs=coeffs, rhs=rng.uniform(-4, 6), sense=sense)
+
+
+def boundary_cut(rng, dd):
+    """Feasibility cut that one path of dd meets right at rhs +- CUT_TOL
+    (half the time it misses by one float)."""
+    num_discrete = dd.num_arc_layers - 1
+    path = rng.choice(enumerate_solutions(dd))
+    coeffs = {j: rng.choice(COEFS) for j in range(num_discrete)}
+    lhs = 0.0
+    for j in range(num_discrete):
+        lhs += coeffs[j] * path[j]
+    sense = rng.choice(["<=", ">="])
+    tol = CUT_TOL if sense == "<=" else -CUT_TOL
+    rhs = lhs - tol
+    while rhs + tol > lhs:
+        rhs = math.nextafter(rhs, -math.inf)
+    while rhs + tol < lhs:
+        rhs = math.nextafter(rhs, math.inf)
+    if rng.random() < 0.5:
+        rhs = math.nextafter(rhs, -tol * math.inf)
+    return CutRow(coeffs=coeffs, rhs=rhs, sense=sense)
+
+
+def lead_run_events(dd, coeffs, sense, rhs_values):
+    """Per rhs value: (kind, position) of the first settle or drop of the
+    feasibility cut (coeffs, rhs, sense) along dd's leading run, as the
+    layer-by-layer pass tests them.  Position -1 is the root; kind is
+    "" where neither happens on the run."""
+    num_discrete = dd.num_arc_layers - 1
+    row = {nid: r for r, nid in enumerate(nid for layer in dd.layers for nid in layer)}
+    cuts = [CutRow(coeffs=coeffs, rhs=float(r), sense=sense) for r in rhs_values]
+    sign = np.array([1.0 if sense == "<=" else -1.0] * len(cuts))
+    fcoef = np.repeat(reference_refine._coefficients(cuts[:1], num_discrete) * sign[0],
+                      len(cuts), axis=1)
+    drop, settle = reference_refine._completion_limits(dd, cuts, sign, fcoef, row)
+    kinds = np.full(len(cuts), "", dtype=object)
+    pos = np.full(len(cuts), -2)
+    node, lhs = dd.root, 0.0
+    for k in range(-1, num_discrete):
+        if k >= 0:
+            out = [a for a in dd.arcs[k] if a.tail == node]
+            if len(out) != 1:
+                break
+            lhs = lhs + out[0].label * fcoef[k, 0]
+            node = out[0].head
+        open_ = kinds == ""
+        dropped = open_ & (lhs > drop[row[node]])
+        settled = open_ & ~dropped & (lhs <= settle[row[node]])
+        kinds[dropped], kinds[settled] = "drop", "settle"
+        pos[dropped | settled] = k
+    return kinds, pos
+
+
+def mid_run_cut(rng, dd, kind, tries=5):
+    """A feasibility cut that the layer-by-layer pass first settles (or
+    drops) strictly inside dd's leading run, or None.
+
+    Along a run the prefix lhs and the completion range move in step, so
+    only rounding can move the event off the run's first layer.  rhs is
+    narrowed, one grid of candidates at a time, to the float where the
+    event starts to happen at or before that layer; the floats around
+    that point are then tried one by one.
+    """
+    num_discrete = dd.num_arc_layers - 1
+    for _ in range(tries):
+        coeffs = {j: rng.choice([c for c in COEFS if c]) for j in range(num_discrete)}
+        sense = rng.choice(["<=", ">="])
+        grid = np.linspace(-60.0, 60.0, 257)
+        for _ in range(7):
+            kinds, pos = lead_run_events(dd, coeffs, sense, grid)
+            early = (kinds == kind) & (pos <= 0)
+            flips = np.flatnonzero(early[1:] != early[:-1])
+            if not flips.size:
+                break
+            a, b = grid[flips[0]], grid[flips[0] + 1]
+            grid = np.linspace(a, b, 257)
+        if not flips.size:
+            continue
+        rhs = [float(a)]
+        for _ in range(128):
+            rhs.insert(0, math.nextafter(rhs[0], -math.inf))
+            rhs.append(math.nextafter(rhs[-1], math.inf))
+        kinds, pos = lead_run_events(dd, coeffs, sense, rhs)
+        hits = np.flatnonzero((kinds == kind) & (pos >= 1))
+        if hits.size:
+            return CutRow(coeffs=coeffs, rhs=rhs[hits[0]], sense=sense)
+    return None
+
+
+def test_runs_match_the_layer_by_layer_reference_on_random_diagrams():
+    rng = random.Random(2024)
+    mid = {"settle": 0, "drop": 0}
+    results = {"infeasible": 0, "refined": 0}
+    for trial in range(120):
+        dd = runs_dd(rng, num_discrete=rng.randint(5, 9), lead=rng.randint(1, 4))
+        num_discrete = dd.num_arc_layers - 1
+        cuts = [random_cut(rng, num_discrete) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            cuts.insert(rng.randrange(len(cuts) + 1), boundary_cut(rng, dd))
+        for kind in ("settle", "drop"):
+            cut = mid_run_cut(rng, dd, kind, tries=3)
+            if cut is not None:
+                mid[kind] += 1
+                cuts.insert(rng.randrange(len(cuts) + 1), cut)
+                assert_same_refinement(dd, [cut], f"trial {trial} {kind} alone")
+        got = assert_same_refinement(dd, cuts, f"trial {trial}")
+        results["infeasible" if got == "infeasible" else "refined"] += 1
+    # the inputs exercise what they are meant to
+    assert mid["settle"] >= 10 and mid["drop"] >= 10, mid
+    assert min(results.values()) >= 10, results
+
+
+def test_runs_match_the_reference_on_ucp_masters_with_prefixes():
+    # a fixed prefix is a leading single-arc run; min-up and min-down
+    # moves force interior ones
+    inst = scaled_instance(2, 4, 2, 0, 0.4)
+    gamma = compute_gamma(inst)
+    oracle = UcpSubproblemOracle(inst)
+    rng = random.Random(5)
+    pool = []
+    while sum(c.z_coeff == 0.0 for c in pool) < 6 or sum(c.z_coeff != 0.0 for c in pool) < 4:
+        x = tuple(float(rng.random() < 0.7) for _ in range(inst.num_vars))
+        pool.extend(oracle.dispatch(x).cuts)
+    paths = enumerate_solutions(build_master_dd(inst, (), gamma))
+    partials = sorted({tuple(p[:k]) for p in paths for k in (0, 1, 3, 5, 7)})
+    mid_run = 0
+    for partial in rng.sample(partials, 12):
+        for build in (build_restricted_master_dd, build_relaxed_master_dd):
+            built = build(inst, partial, gamma, 2)
+            dd = built[0] if isinstance(built, tuple) else built
+            cuts = rng.sample(pool, rng.randint(1, len(pool)))
+            cuts.insert(rng.randrange(len(cuts) + 1), boundary_cut(rng, dd))
+            assert_same_refinement(dd, cuts, f"{build.__name__} {partial}")
+            for cut in pool:
+                assert_same_refinement(dd, [cut], f"{build.__name__} {partial} one cut")
+            for kind in ("settle", "drop"):
+                cut = mid_run_cut(rng, dd, kind, tries=2) if len(partial) > 1 else None
+                if cut is not None:
+                    mid_run += 1
+                    assert_same_refinement(dd, cuts + [cut], f"{partial} mid-run {kind}")
+    assert mid_run >= 4
+
+
+def _advance_run_by_layers(lhs, step, drop, settle):
+    """The run extended one layer at a time, as a branching layer is."""
+    row = lhs[0].copy()
+    for k in range(len(step)):
+        row = row + step[k]
+        if (row > drop[k]).any():
+            return None
+        row = np.where(row <= settle[k], np.nan, row)
+    return row[None]
+
+
+def test_advance_run_equals_layer_by_layer_extension():
+    # limits drawn freely, not from completion ranges, so that settles and
+    # drops land anywhere in the run, on the same position too
+    rng = np.random.default_rng(9)
+    seen = {"dropped": 0, "settled mid-run": 0, "drop and settle at once": 0}
+    for _ in range(400):
+        length, width = rng.integers(1, 7), rng.integers(1, 5)
+        lhs = rng.normal(size=(1, width))
+        lhs[0, rng.random(width) < 0.2] = np.nan
+        step = rng.choice([-0.7, -0.1, 0.0, 0.1, 0.3], size=(length, width))
+        drop = rng.normal(2.0, 1.0, size=(length, width))
+        drop[rng.random((length, width)) < 0.1] = -np.inf
+        settle = rng.normal(-1.5, 1.0, size=(length, width))
+        settle[rng.random((length, width)) < 0.1] = np.inf
+        expected = _advance_run_by_layers(lhs, step, drop, settle)
+        got = _advance_run(lhs, step, drop, settle)
+        if expected is None:
+            assert got is None
+            seen["dropped"] += 1
+        else:
+            assert got is not None and got.tobytes() == expected.tobytes()
+        vals = lhs[0] + np.cumsum(step, axis=0)
+        hits = vals <= settle
+        if length > 1 and (hits[1:] & ~hits[:-1]).any():
+            seen["settled mid-run"] += 1
+        if ((vals > drop) & hits).any():
+            seen["drop and settle at once"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_dense_coefficients_kept_on_the_cut_are_invisible():
+    rng = random.Random(1)
+    dd = runs_dd(rng)
+    cut = CutRow(coeffs={0: 0.5, 3: -1.0, 40: 2.0}, rhs=1.5, sense=">=")
+    twin = CutRow(coeffs={0: 0.5, 3: -1.0, 40: 2.0}, rhs=1.5, sense=">=")
+    before = (repr(cut), cut.key())
+    try:
+        refine_with_cut(dd, [cut], "exact")
+    except InfeasibleDiagramError:
+        pass
+    assert cut._dense is not None
+    assert (repr(cut), cut.key()) == before
+    assert cut == twin and twin._dense is None
+    # coefficients past the diagram's layers are ignored, as the dicts are
+    assert cut.dense(4).tolist() == [0.5, 0.0, 0.0, -1.0]
+    assert cut.dense(2).tolist() == [0.5, 0.0]

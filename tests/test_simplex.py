@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -371,3 +373,72 @@ def test_start_basis_skips_phase_one():
     assert warm.status == ref.status == "optimal"
     assert warm.objective == pytest.approx(ref.objective, rel=1e-12)
     assert warm.pivots < ref.pivots
+
+
+def same_outcome(a, b):
+    """Equal status, vectors bit for bit, objective, basis and pivots."""
+    def bits(v):
+        return None if v is None else np.asarray(v).tobytes()
+    return (a.status, bits(a.x), bits(a.ray), bits(a.duals), bits(a.farkas),
+            repr(a.objective), bits(a.basis), a.pivots) == \
+        (b.status, bits(b.x), bits(b.ray), bits(b.duals), bits(b.farkas),
+         repr(b.objective), bits(b.basis), b.pivots)
+
+
+def count_dense_solves(monkeypatch):
+    calls = []
+    real = np.linalg.solve
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_kept_tableau_replaces_the_refactorization_only_for_its_rows(monkeypatch):
+    cold = solve(start_basis_lp())
+    kept = solve(start_basis_lp(start=cold.basis))
+    assert kept.pivots == 0 and kept.tableau is not None
+    assert cold.tableau is None   # phase 1 ran: nothing was refactorized
+    solves = count_dense_solves(monkeypatch)
+
+    # the same rows and basis: no dense solve, the same outcome as refactorizing
+    c = (1.0, 2.0, 4.0)
+    reused = solve(dataclasses.replace(start_basis_lp(c, start=kept.basis),
+                                       start_tableau=kept.tableau))
+    assert len(solves) == 0
+    fresh = solve(start_basis_lp(c, start=kept.basis))
+    assert len(solves) == 1
+    assert same_outcome(reused, fresh)
+    assert reused.tableau is kept.tableau   # no pivot: handed on unchanged
+
+    # other rows: the kept tableau is ignored and the basis refactorized
+    other = LinearProgram(sense="min", c=np.array(c),
+                          A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
+                          senses=[">=", "<="], b=np.array([1.5, 2.0]),
+                          start_basis=kept.basis)
+    solves.clear()
+    out = solve(dataclasses.replace(other, start_tableau=kept.tableau))
+    assert len(solves) == 1
+    assert same_outcome(out, solve(other))
+    ref = solve(dataclasses.replace(other, start_basis=None))
+    assert out.status == ref.status == "optimal"
+    assert out.objective == pytest.approx(ref.objective, rel=1e-12)
+
+    # phase 2 pivots away from the kept basis on a copy: the kept tableau
+    # stays as it was, and a basis it was not made for is refactorized
+    solves.clear()
+    moved = solve(dataclasses.replace(start_basis_lp((3.0, 2.0, 1.0), start=kept.basis),
+                                      start_tableau=kept.tableau))
+    assert len(solves) == 0 and moved.pivots > 0 and moved.tableau is None
+    assert same_outcome(moved, solve(start_basis_lp((3.0, 2.0, 1.0), start=kept.basis)))
+    solves.clear()
+    assert same_outcome(solve(dataclasses.replace(start_basis_lp(c, start=kept.basis),
+                                                  start_tableau=kept.tableau)), fresh)
+    assert len(solves) == 0
+    again = solve(dataclasses.replace(start_basis_lp(c, start=moved.basis),
+                                      start_tableau=kept.tableau))
+    assert len(solves) == 1
+    assert same_outcome(again, solve(start_basis_lp(c, start=moved.basis)))

@@ -27,7 +27,12 @@ from ddbd.ucp import (
     gen_random_instance,
     master_cost,
 )
-from reference_lp import LOW_DEMAND, build_subproblem_original, scaled_instance
+from reference_lp import (
+    LOW_DEMAND,
+    build_subproblem_original,
+    cut_pieces_by_terms,
+    scaled_instance,
+)
 
 
 def simple_generator(min_up=1, min_down=1, c_fixed=100.0, c_prod=5.0,
@@ -434,6 +439,35 @@ def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
                     lhs = sum(c * xt[k] for k, c in cut.coeffs.items()) + cut.z_coeff * z
                     assert cut.satisfied(lhs, tol=1e-6), (x, cut, xt, z)
     assert warm_starts > 0
+
+
+def test_cut_pieces_matches_the_term_by_term_loop():
+    # dyadic ramps and values make terms cancel to exactly 0; some values
+    # make terms at or below COEF_EPS, which are left out
+    rng = np.random.default_rng(12)
+    base = gen_random_instance(3, 4, 1, seed=0)
+    dyadic = [dataclasses.replace(g, p_min=2.0, p_max=4.0, startup_ramp=2.0, ramp_up=1.0,
+                                  shutdown_ramp=4.0, ramp_down=2.0)
+              for g in base.generators]
+    seen = {"exact zero": 0, "left out": 0}
+    for trial in range(200):
+        inst = dataclasses.replace(base, generators=dyadic if trial % 2 else base.generators)
+        size = 2 * inst.horizon + 5 * inst.num_vars
+        if trial % 2:
+            values = rng.choice([0.0, 0.5, 1.0, -0.5, -1.0, 3e-13, -2e-13, 1e-12], size=size,
+                                p=[0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+        else:
+            values = rng.normal(size=size) * rng.choice([1.0, 1e-13, 0.0], size=size)
+        sc = inst.scenarios[0]
+        const, coef = ucp_module._cut_pieces(inst, sc, values)
+        ref_const, ref_coef = cut_pieces_by_terms(inst, sc, values)
+        assert (type(const), const.hex()) == (type(ref_const), ref_const.hex())
+        assert sorted(coef) == sorted(ref_coef)
+        assert [(type(coef[k]), coef[k].hex()) for k in sorted(coef)] == \
+            [(type(ref_coef[k]), ref_coef[k].hex()) for k in sorted(coef)]
+        seen["exact zero"] += sum(v == 0.0 for v in coef.values())
+        seen["left out"] += inst.num_vars - len(coef)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_one_pass_replay_matches_cut_by_cut_on_relaxed_master():
