@@ -97,7 +97,7 @@ class SubproblemOracle:
 @dataclass
 class SubproblemResult:
     kind: str                 # "optimal" | "infeasible"
-    cuts: list                # optimality cut, or one feasibility cut per bad scenario
+    cuts: list                # optimality cut, or one feasibility cut per distinct cut row
     value: float = None
     lp_calls: int = 0
 

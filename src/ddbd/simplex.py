@@ -8,7 +8,11 @@ before being returned; a solve that cannot produce a certificate that
 passes verification raises NumericalFailureError instead of guessing.
 
 Pivoting uses Bland's rule with a hard pivot cap, trading speed for a
-finite-termination guarantee; problems here are small and dense.
+finite-termination guarantee; problems here are small and dense.  An
+improving column that no row bounds is returned as a ray only when the
+ray gains more than the verifier's FEAS_TOL; a flatter one is passed
+over, so an LP that is unbounded only within tolerance ends optimal
+within tolerance instead of failing verification.
 
 Warm start: every outcome carries its final kernel basis and pivot
 count.  An LP whose start_basis is such a basis, taken from an LP with
@@ -413,8 +417,34 @@ def _kernel(c, A, senses, b, start, kept, rows):
         T[rowi, colj] = 1.0
         basis[rowi] = colj
 
+    def ray_along(entering):
+        """1 on the entering column, minus its tableau column on the basic ones."""
+        ray = np.zeros(ncols)
+        ray[entering] = 1.0
+        ray[basis] = -T[:, entering]
+        return ray
+
+    def ratio_test(entering):
+        """Bland's leaving row for the entering column, or -1 when none bounds it."""
+        col = T[:, entering]
+        eligible = np.flatnonzero(col > PIV_TOL)
+        best_ratio, leave = None, -1
+        for i, ratio in zip(eligible.tolist(), (T[eligible, -1] / col[eligible]).tolist()):
+            if best_ratio is None or ratio < best_ratio - 1e-12 or \
+                    (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]):
+                best_ratio, leave = ratio, i
+        return leave
+
     def run(cost, banned):
-        """Bland iterations until optimal or unbounded; returns entering col or -1."""
+        """Bland iterations until optimal or unbounded; returns entering col or -1.
+
+        An improving column that no row bounds gives a ray.  The ray is
+        returned only when it gains more than FEAS_TOL per unit of its
+        largest entry, the gain verify_certificate asks of it; a flatter
+        one is within tolerance of not improving, so Bland passes on to
+        the next improving column, and with none left the basis is
+        optimal within tolerance.
+        """
         pivots = 0
         banned = np.array(sorted(banned), dtype=int)
         while True:
@@ -424,19 +454,14 @@ def _kernel(c, A, senses, b, start, kept, rows):
             improving = red < -OPT_TOL
             improving[basis] = False
             improving[banned] = False
-            candidates = np.flatnonzero(improving)
-            if candidates.size == 0:
+            for entering in np.flatnonzero(improving).tolist():
+                leave = ratio_test(entering)
+                if leave >= 0:
+                    break
+                if -red[entering] > FEAS_TOL * np.max(np.abs(ray_along(entering)[:n]), initial=0.0):
+                    return entering  # unbounded along this column
+            else:
                 return -1
-            entering = int(candidates[0])
-            col = T[:, entering]
-            eligible = np.flatnonzero(col > PIV_TOL)
-            best_ratio, leave = None, -1
-            for i, ratio in zip(eligible.tolist(), (T[eligible, -1] / col[eligible]).tolist()):
-                if best_ratio is None or ratio < best_ratio - 1e-12 or \
-                        (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]):
-                    best_ratio, leave = ratio, i
-            if leave < 0:
-                return entering  # unbounded along this column
             pivot(leave, entering)
             pivots += 1
             if pivots > cap:
@@ -488,12 +513,8 @@ def _kernel(c, A, senses, b, start, kept, rows):
     entering = run(cost2, banned=art_cols)
     tableau = warm if warm is not None and pivot_count == 0 else None
     if entering != -1:
-        col = T[:, entering]
-        ray = np.zeros(ncols)
-        ray[entering] = 1.0
-        for i in range(T.shape[0]):
-            ray[basis[i]] = -col[i]
-        return "unbounded", None, None, ray[:n], basis.copy(), pivot_count, tableau
+        return ("unbounded", None, None, ray_along(entering)[:n], basis.copy(), pivot_count,
+                tableau)
 
     u = np.zeros(ncols)
     for i in range(T.shape[0]):

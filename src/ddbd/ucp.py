@@ -7,7 +7,11 @@ spinning-reserve constraints.  The master is compiled into a diagram
 whose node states are (periods since last start-up, periods since last
 shut-down), and the dispatch subproblems are solved in dual form so
 that unbounded rays yield feasibility cuts and optimal points yield
-expected-cost cuts, both expressed over the master variables only.
+expected-cost cuts, both expressed over the master variables only.  A
+scenario whose demand plus reserve exceeds the committed capacity in
+some period needs no LP: its ray is written down in closed form and
+verified like an LP's (the closed-form separation of Fischetti, Ljubic
+and Sinnl, Management Science 2017).
 The value variable's [lo, hi] interval on the diagram's last arc layer
 comes from closed-form bounds on the dispatch cost (a merit-order
 lower bound, every costly unit at full output as the upper bound), not
@@ -34,7 +38,14 @@ from .diagram import (
     prune_dead_nodes,
 )
 from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
-from .simplex import LinearProgram, solve
+from .simplex import (
+    FEAS_TOL,
+    LinearProgram,
+    LpOutcome,
+    NumericalFailureError,
+    solve,
+    verify_certificate,
+)
 
 INF = float("inf")
 COEF_EPS = 1e-12
@@ -656,6 +667,47 @@ def _cut_pieces(instance, scenario, values):
     return const, dict(zip(present.tolist(), total.ravel()[present]))
 
 
+def _capacity_ray(instance, period):
+    """Dual ray for a commitment whose capacity at `period` is short.
+
+    Reserve price 1 at the period and capacity multiplier 1 for every
+    unit there, 0 elsewhere: each headroom row then reads beta - pi = 0
+    and each production row 0, and along the ray the dual objective gains
+    demand plus reserve minus the committed capacity at the period.
+    """
+    n, T = instance.num_units, instance.horizon
+    ray = np.zeros(2 * T + 5 * n * T)
+    ray[T + period] = 1.0
+    ray[2 * T + n * T + period + T * np.arange(n)] = 1.0
+    return ray
+
+
+def _feasibility_cut(instance, scenario, ray):
+    """The dual ray's cut over x, scaled to a largest coefficient of 1."""
+    const, coef = _cut_pieces(instance, scenario, ray)
+    scale = max([abs(v) for v in coef.values()] + [COEF_EPS])
+    if scale <= COEF_EPS:
+        scale = max(abs(const), 1.0)
+    return CutRow(coeffs={k: v / scale for k, v in coef.items()},
+                  z_coeff=0.0, rhs=-const / scale, sense="<=")
+
+
+def _tightest(cuts):
+    """The feasibility cuts that no other cut in the list makes redundant.
+
+    A cut is redundant when another has exactly the same coefficients
+    and a smaller rhs; of equal cuts the first is kept.  Order is kept,
+    and the cuts' feasible set is unchanged.
+    """
+    best = {}
+    for cut in cuts:
+        key = tuple(sorted(cut.coeffs.items()))
+        if key not in best or cut.rhs < best[key].rhs:
+            best[key] = cut
+    kept = {id(cut) for cut in best.values()}
+    return [cut for cut in cuts if id(cut) in kept]
+
+
 def evaluate_subproblems(instance, x):
     """One evaluation at the commitment x by a fresh UcpSubproblemOracle.
 
@@ -742,19 +794,30 @@ class UcpMasterOracle(MasterOracle):
 class UcpSubproblemOracle(SubproblemOracle):
     """Dual dispatch for every scenario, memoized per commitment.
 
+    A scenario whose demand plus reserve exceeds the committed capacity
+    in some period by more than FEAS_TOL needs no LP: its dual ray is
+    written down in closed form at the first such period (_capacity_ray),
+    checked with verify_certificate like any LP outcome, and turned into
+    the same cut an LP ray gives.  Short scenarios that share their first
+    short period give cuts on one row, so only the tightest of those is
+    built.  The other scenarios go to the LP.
+
     The dual's rows depend on the instance alone, so they are built once,
     and each LP starts phase 2 from the final basis of the LP solved
     before it: x and the scenario change only the objective, so that basis
     is still primal-feasible.  When that LP made no pivot, its refactorized
     tableau comes along and spares the next LP its dense solve (see
-    ddbd.simplex).  Values do not depend on the start basis; on
-    degenerate duals the cut can, and the memo keeps repeat visits
-    identical (and free of LP solves).
+    ddbd.simplex).  Closed-form rays neither use nor change that basis.
+    Values do not depend on the start basis; on degenerate duals the cut
+    can, and the memo keeps repeat visits identical (and free of LP
+    solves).
     """
 
     def __init__(self, instance):
         self.instance = instance
         self._rows = _dual_rows(instance)
+        self._p_max = np.array([g.p_max for g in instance.generators])
+        self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
         self._basis = None
         self._tableau = None
         self._cache = {}
@@ -772,21 +835,46 @@ class UcpSubproblemOracle(SubproblemOracle):
     def dispatch(self, x):
         """Solve every scenario's dual dispatch problem at the commitment x.
 
-        Returns the feasibility variant (one normalised cut per
-        undispatchable scenario) when any scenario is infeasible, and
-        otherwise the probability-weighted expected cost with a single
-        aggregated lower-bounding cut on the value variable.
+        Returns the feasibility variant when any scenario is infeasible:
+        one normalised cut per undispatchable scenario, from its
+        closed-form capacity ray or its LP ray, less each cut that another
+        one makes redundant (_tightest).  Otherwise returns the
+        probability-weighted expected cost with a single aggregated
+        lower-bounding cut on the value variable.  lp_calls counts LP
+        solves only.  Raises NumericalFailureError when a closed-form ray
+        fails verification.
         """
         instance = self.instance
         x = _commitment_vector(instance, x)
         A, senses, b = self._rows
         prices = _commitment_prices(instance, x)
+        capacity = self._p_max @ np.reshape(x, (instance.num_units, instance.horizon))
+        short = self._need - capacity > FEAS_TOL
+        first = short.argmax(axis=1).tolist()   # first short period, 0 when none
+        # Short scenarios with one first short period give cuts on one row,
+        # and _tightest would keep only the one that needs most there (the
+        # first of equals), so only that one's ray is built.
+        tightest = {}
+        for s in np.flatnonzero(short.any(axis=1)).tolist():
+            t = first[s]
+            if t not in tightest or self._need[s, t] > self._need[tightest[t], t]:
+                tightest[t] = s
         feas_cuts = []
         total = 0.0
         agg_const = 0.0
         agg_coef = {}
         lp_calls = 0
-        for sc in instance.scenarios:
+        for s, sc in enumerate(instance.scenarios):
+            if short[s, first[s]]:
+                if tightest[first[s]] == s:
+                    ray = _capacity_ray(instance, first[s])
+                    lp = LinearProgram(sense="max", c=_dual_objective(sc, prices),
+                                       A=A, senses=senses, b=b)
+                    if not verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)):
+                        raise NumericalFailureError(
+                            "closed-form capacity ray failed self-verification")
+                    feas_cuts.append(_feasibility_cut(instance, sc, ray))
+                continue
             out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
                                       A=A, senses=senses, b=b,
                                       start_basis=self._basis,
@@ -794,13 +882,7 @@ class UcpSubproblemOracle(SubproblemOracle):
             self._basis, self._tableau = out.basis, out.tableau
             lp_calls += 1
             if out.status == "unbounded":
-                const, coef = _cut_pieces(instance, sc, out.ray)
-                scale = max([abs(v) for v in coef.values()] + [COEF_EPS])
-                if scale <= COEF_EPS:
-                    scale = max(abs(const), 1.0)
-                feas_cuts.append(CutRow(
-                    coeffs={k: v / scale for k, v in coef.items()},
-                    z_coeff=0.0, rhs=-const / scale, sense="<="))
+                feas_cuts.append(_feasibility_cut(instance, sc, out.ray))
                 continue
             if out.status != "optimal":
                 raise RuntimeError("dual dispatch problem reported "
@@ -811,7 +893,7 @@ class UcpSubproblemOracle(SubproblemOracle):
             for k, v in coef.items():
                 agg_coef[k] = agg_coef.get(k, 0.0) + sc.prob * v
         if feas_cuts:
-            return SubproblemResult(kind="infeasible", cuts=feas_cuts,
+            return SubproblemResult(kind="infeasible", cuts=_tightest(feas_cuts),
                                     lp_calls=lp_calls)
         cut = CutRow(coeffs={k: -v for k, v in agg_coef.items() if abs(v) > COEF_EPS},
                      z_coeff=1.0, rhs=agg_const, sense=">=")

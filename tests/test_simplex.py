@@ -63,6 +63,19 @@ def test_unbounded_with_ray():
     assert out.ray[0] > 0
 
 
+def test_ray_too_flat_to_certify_is_passed_over():
+    # x1 improves the objective by only 0.5 * FEAS_TOL along a ray, below
+    # what verify_certificate takes; Bland passes over it, not bans it
+    flat = make_lp("max", [0.5e-7, 0.0], [[-1.0, 1.0]], ["<="], [1.0])
+    out = solve(flat)
+    assert out.status == "optimal" and out.objective == pytest.approx(0.0, abs=1e-12)
+    # once x2 is basic, x1 has a steep ray
+    steep_later = make_lp("max", [0.5e-7, 1.0], [[-1.0, 1.0]], ["<="], [1.0])
+    out = solve(steep_later)
+    assert out.status == "unbounded"
+    assert out.ray == pytest.approx([1.0, 1.0])
+
+
 def test_equality_rows_and_boxes():
     lp = make_lp("min", [1.0, 2.0, 0.0],
                  [[1.0, 1.0, 1.0]], ["="], [2.0],

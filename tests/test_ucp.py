@@ -7,7 +7,7 @@ import pytest
 from ddbd.diagram import EmptyDiagramError, enumerate_solutions, optimal_path, path_weight
 from ddbd.oracle import scipy_lp_min, unit_schedules
 import ddbd.ucp as ucp_module
-from ddbd.simplex import solve
+from ddbd.simplex import FEAS_TOL, NumericalFailureError, solve
 from ddbd.ucp import (
     INF,
     GammaBounds,
@@ -386,7 +386,9 @@ def record_dual_solves(monkeypatch):
 
 
 def test_warm_started_evaluation_takes_fewer_pivots(monkeypatch):
-    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    # at demand x0.9 every commitment but all-on is capacity-short in some
+    # scenario and skips the LP; at x0.7 the second commitment reaches it
+    inst = scaled_instance(3, 6, 16, 0, 0.7)
     calls = record_dual_solves(monkeypatch)
     oracle = UcpSubproblemOracle(inst)
     oracle.evaluate((1.0,) * inst.num_vars)
@@ -423,7 +425,10 @@ def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
             x = tuple(float(v) for v in rng.random(inst.num_vars) < 0.8)   # mostly on
             calls.clear()
             res = oracle.evaluate(x)
-            for (lp, out), sc in zip(calls, inst.scenarios):
+            for lp, out in calls:
+                # capacity-short scenarios skip the LP: pair by objective
+                sc = next(sc for sc in inst.scenarios
+                          if np.array_equal(build_dual_subproblem(inst, x, sc).c, lp.c))
                 warm_starts += lp.start_basis is not None
                 cold = solve(build_dual_subproblem(inst, x, sc))
                 status, value = scipy_lp_min(build_subproblem(inst, x, sc))
@@ -439,6 +444,163 @@ def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
                     lhs = sum(c * xt[k] for k, c in cut.coeffs.items()) + cut.z_coeff * z
                     assert cut.satisfied(lhs, tol=1e-6), (x, cut, xt, z)
     assert warm_starts > 0
+
+
+def first_short_period(inst, x, sc):
+    """The first period whose demand plus reserve tops the committed
+    capacity by more than FEAS_TOL, or None."""
+    for t in range(inst.horizon):
+        capacity = sum(g.p_max * x[inst.var_index(i, t)]
+                       for i, g in enumerate(inst.generators))
+        if sc.demand[t] + sc.reserve[t] - capacity > FEAS_TOL:
+            return t
+    return None
+
+
+def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut(monkeypatch):
+    rng = np.random.default_rng(31)
+    instances = [gen_random_instance(int(rng.integers(1, 4)), int(rng.integers(2, 6)),
+                                     int(rng.integers(1, 4)), seed=int(seed))
+                 for seed in rng.integers(0, 10 ** 6, size=12)]
+    instances += [scaled_instance(*params) for params in LOW_DEMAND]
+    calls = record_dual_solves(monkeypatch)
+    compared = set()
+    for inst in instances:
+        for _ in range(15):
+            x = tuple(float(v) for v in rng.random(inst.num_vars) < 0.7)
+            for sc in inst.scenarios:
+                t = first_short_period(inst, x, sc)
+                if t is None:
+                    continue
+                cold = solve(build_dual_subproblem(inst, x, sc))
+                assert cold.status == "unbounded"
+                alone = dataclasses.replace(inst, scenarios=[dataclasses.replace(sc, prob=1.0)])
+                calls.clear()
+                res = UcpSubproblemOracle(alone).evaluate(x)
+                assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
+                assert res.cuts == [ucp_module._feasibility_cut(inst, sc, cold.ray)]
+                compared.add((id(inst), x, t))
+    assert len(compared) >= 100
+
+
+def test_capacity_short_commitment_makes_no_lp_call(monkeypatch):
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    calls = record_dual_solves(monkeypatch)
+    res = UcpSubproblemOracle(inst).evaluate((0.0,) * inst.num_vars)
+    assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
+    # every scenario is short first in period 0, on the same row: the
+    # tightest of the 16 cuts is the one kept
+    scale = max(g.p_max for g in inst.generators)
+    need = max(sc.demand[0] + sc.reserve[0] for sc in inst.scenarios)
+    [cut] = res.cuts
+    assert cut.coeffs == {inst.var_index(i, 0): -g.p_max / scale
+                          for i, g in enumerate(inst.generators)}
+    assert cut.rhs == pytest.approx(-need / scale, rel=1e-15)
+
+
+def test_capacity_ray_that_fails_verification_raises(monkeypatch):
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    closed_form = ucp_module._capacity_ray
+
+    def tampered(instance, period):
+        ray = closed_form(instance, period)
+        ray[2 * instance.horizon + instance.num_vars + instance.var_index(1, period)] = 0.0
+        return ray
+
+    monkeypatch.setattr(ucp_module, "_capacity_ray", tampered)
+    with pytest.raises(NumericalFailureError):
+        UcpSubproblemOracle(inst).evaluate((0.0,) * inst.num_vars)
+
+
+@pytest.mark.parametrize("shortfall,lp_calls", [(0.5 * FEAS_TOL, 1), (2.0 * FEAS_TOL, 0)])
+def test_shortfall_within_tolerance_goes_to_the_lp(monkeypatch, shortfall, lp_calls):
+    gen = simple_generator(p_min=10.0, p_max=50.0)
+    inst = single_unit_instance(gen, 2, demand=(40.0, 20.0), reserve=(10.0 + shortfall, 0.0))
+    calls = record_dual_solves(monkeypatch)
+    res = UcpSubproblemOracle(inst).evaluate((1.0, 1.0))
+    assert (res.lp_calls, len(calls)) == (lp_calls, lp_calls)
+    if lp_calls:
+        status, value = scipy_lp_min(build_subproblem(inst, (1.0, 1.0), inst.scenarios[0]))
+        assert (res.kind, status) == ("optimal", "optimal")
+        assert res.value == pytest.approx(value, rel=1e-9)
+    else:
+        assert res.kind == "infeasible"
+
+
+def cuts_off(cut, x):
+    return not cut.satisfied(sum(c * x[k] for k, c in cut.coeffs.items()))
+
+
+def test_capacity_short_and_ramp_infeasible_scenarios_both_give_cuts(monkeypatch):
+    from ddbd.oracle import feasible_assignments, stage2_expected_cost
+
+    # both periods on: period 1 can reach 20 + 20 = 40 MW by ramping, short
+    # of 45 MW in the first scenario; the second asks for more than 50 MW
+    gen = simple_generator(p_min=10.0, p_max=50.0, ramp=20.0)
+    inst = UcpInstance(generators=[gen], horizon=2,
+                       scenarios=[Scenario(0.5, (10.0, 45.0), (0.0, 0.0)),
+                                  Scenario(0.5, (10.0, 60.0), (0.0, 0.0))]).validate()
+    assert first_short_period(inst, (1.0, 1.0), inst.scenarios[0]) is None
+    assert first_short_period(inst, (1.0, 1.0), inst.scenarios[1]) == 1
+    calls = record_dual_solves(monkeypatch)
+    res = UcpSubproblemOracle(inst).evaluate((1.0, 1.0))
+    assert res.kind == "infeasible" and res.lp_calls == 1
+    assert [out.status for _, out in calls] == ["unbounded"]
+    assert res.cuts == [ucp_module._feasibility_cut(inst, inst.scenarios[0], calls[0][1].ray),
+                        ucp_module._feasibility_cut(inst, inst.scenarios[1],
+                                                    ucp_module._capacity_ray(inst, 1))]
+    for cut in res.cuts:
+        assert cuts_off(cut, (1.0, 1.0))
+        for x in feasible_assignments(inst):
+            if stage2_expected_cost(inst, x) is not None:
+                assert not cuts_off(cut, x), (cut, x)
+
+
+def test_deduplicated_batch_cuts_off_what_the_full_batch_does(monkeypatch):
+    from ddbd.oracle import feasible_assignments
+
+    instances = [gen_random_instance(2, 3, 6, seed=seed) for seed in (0, 1)]
+    instances += [scaled_instance(2, 4, 5, 2, 0.8)]
+    calls = record_dual_solves(monkeypatch)
+    shrunk = 0
+    for inst in instances:
+        points = feasible_assignments(inst)
+        oracle = UcpSubproblemOracle(inst)
+        for x in points:
+            calls.clear()
+            res = oracle.dispatch(x)
+            # the full batch, in scenario order: each short scenario's
+            # closed-form cut and each LP ray's cut
+            solved = iter(out for _, out in calls)
+            full = []
+            for sc in inst.scenarios:
+                t = first_short_period(inst, x, sc)
+                ray = ucp_module._capacity_ray(inst, t) if t is not None else next(solved).ray
+                if ray is not None:
+                    full.append(ucp_module._feasibility_cut(inst, sc, ray))
+            assert next(solved, None) is None
+            if not full:
+                assert res.kind == "optimal"
+                continue
+            assert res.kind == "infeasible"
+            assert res.cuts == ucp_module._tightest(full)
+            shrunk += len(res.cuts) < len(full)
+            for xt in points:
+                assert any(cuts_off(c, xt) for c in res.cuts) == \
+                    any(cuts_off(c, xt) for c in full), (x, xt)
+    assert shrunk >= 10
+
+
+def test_tightest_drops_only_cuts_with_the_same_row_and_a_looser_rhs():
+    from ddbd.diagram import CutRow
+
+    def cut(coeffs, rhs):
+        return CutRow(coeffs=coeffs, rhs=rhs, sense="<=")
+
+    a, b, c = cut({0: -1.0, 1: -0.5}, -1.0), cut({1: -0.5, 0: -1.0}, -2.0), cut({0: -1.0}, -2.0)
+    d, e = cut({0: -1.0, 1: -0.25}, -3.0), cut({0: -1.0, 1: -0.5}, -2.0)
+    kept = ucp_module._tightest([a, b, c, d, e])
+    assert [id(k) for k in kept] == [id(b), id(c), id(d)]
 
 
 def test_cut_pieces_matches_the_term_by_term_loop():
