@@ -1,9 +1,10 @@
 """Command-line surface: generate, solve, compare, verify.
 
 Exit codes for `solve`: 0 optimal, 2 time limit hit, 3 infeasible,
-1 for malformed inputs.  `compare` exits 1 when any method disagrees
-on an optimum, `verify-decomposition` exits 1 when a condition or an
-equivalence check fails.
+1 for malformed inputs (a width below 1 among them).  `compare` exits
+1 on malformed arguments or when any method disagrees on an optimum,
+`verify-decomposition` exits 1 when a condition or an equivalence check
+fails.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_gen_params(text):
+def _parse_ints(text, fields):
+    """The comma-separated integers of text, one per name in fields."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("expected n,T,S,seed")
-    n, t, s, seed = (int(p) for p in parts)
-    return n, t, s, seed
+    if len(parts) != fields.count(",") + 1:
+        raise ValueError(f"expected {fields}, got {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _load_instance(path):
@@ -64,14 +65,14 @@ def cmd_solve(args):
             kind, problem = _load_instance(args.instance)
             instance_id = os.path.basename(args.instance)
         else:
-            n, t, s, seed = _parse_gen_params(args.gen)
+            n, t, s, seed = _parse_ints(args.gen, "n,T,S,seed")
             kind, problem = "ucp", gen_random_instance(n, t, s, seed)
             instance_id = f"gen-{n}x{t}x{s}-seed{seed}"
+        config = _engine_config(args)
     except (OSError, ValueError, InstanceError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    config = _engine_config(args)
     if kind == "ucp":
         if args.sense == "max":
             print("error: unit-commitment instances are minimisation problems",
@@ -100,7 +101,7 @@ def cmd_solve(args):
 
 def cmd_gen(args):
     try:
-        n, t, s, seed = _parse_gen_params(args.params)
+        n, t, s, seed = _parse_ints(args.params, "n,T,S,seed")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -123,44 +124,47 @@ def _agree(values):
 
 
 def cmd_compare(args):
-    sizes = [tuple(int(v) for v in spec.split(",")) for spec in args.sizes]
-    seeds = [int(v) for v in args.seeds.split(",")] if args.seeds else []
+    try:
+        sizes = [_parse_ints(spec, "n,T,S") for spec in args.sizes]
+        seeds = [int(v) for v in args.seeds.split(",")] if args.seeds else []
+        config = EngineConfig(width=args.width, relaxed_cuts=not args.no_relaxed_cuts)
+        instances = [(f"{n}x{t}x{s}-seed{seed}", gen_random_instance(n, t, s, seed))
+                     for n, t, s in sizes for seed in seeds]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows = []
     all_agree = True
-    config = EngineConfig(width=args.width, relaxed_cuts=not args.no_relaxed_cuts)
-    for n, t, s in sizes:
-        for seed in seeds:
-            instance = gen_random_instance(n, t, s, seed)
-            instance_id = f"{n}x{t}x{s}-seed{seed}"
-            results = {}
-            report = ucp_solve(instance, config, instance_id=instance_id)
-            results["dd-bd"] = (report.status, report.value, report.wall_time,
-                                report.feasibility_cuts, report.optimality_cuts,
-                                report.branches)
-            try:
-                naive = naive_bd_solve(instance)
-                results["naive-bd"] = (naive.status, naive.value, 0.0,
-                                       naive.feasibility_cuts,
-                                       naive.optimality_cuts, naive.iterations)
-            except TooLargeError as exc:
-                results["naive-bd"] = ("error", None, 0.0, 0, 0, 0)
-                log.warning("naive-bd failed on %s: %s", instance_id, exc)
-            try:
-                brute = brute_force_solve(instance)
-                results["brute-force"] = (brute.status, brute.best_cost,
-                                          0.0, 0, 0, 0)
-            except TooLargeError as exc:
-                results["brute-force"] = ("error", None, 0.0, 0, 0, 0)
-                log.warning("brute force failed on %s: %s", instance_id, exc)
-            statuses = {r[0] for r in results.values() if r[0] != "error"}
-            agree = _agree([r[1] for r in results.values() if r[0] != "error"]) \
-                and len(statuses) == 1
-            all_agree = all_agree and agree
-            for method in ("dd-bd", "naive-bd", "brute-force"):
-                status, value, wall, fc, oc, br = results[method]
-                val = "" if value is None else f"{value:.9g}"
-                rows.append(f"{instance_id},{method},{status},{val},"
-                            f"{wall:.3f},{fc},{oc},{br},{'=' if agree else '!'}")
+    for instance_id, instance in instances:
+        results = {}
+        report = ucp_solve(instance, config, instance_id=instance_id)
+        results["dd-bd"] = (report.status, report.value, report.wall_time,
+                            report.feasibility_cuts, report.optimality_cuts,
+                            report.branches)
+        try:
+            naive = naive_bd_solve(instance)
+            results["naive-bd"] = (naive.status, naive.value, 0.0,
+                                   naive.feasibility_cuts,
+                                   naive.optimality_cuts, naive.iterations)
+        except TooLargeError as exc:
+            results["naive-bd"] = ("error", None, 0.0, 0, 0, 0)
+            log.warning("naive-bd failed on %s: %s", instance_id, exc)
+        try:
+            brute = brute_force_solve(instance)
+            results["brute-force"] = (brute.status, brute.best_cost,
+                                      0.0, 0, 0, 0)
+        except TooLargeError as exc:
+            results["brute-force"] = ("error", None, 0.0, 0, 0, 0)
+            log.warning("brute force failed on %s: %s", instance_id, exc)
+        statuses = {r[0] for r in results.values() if r[0] != "error"}
+        agree = _agree([r[1] for r in results.values() if r[0] != "error"]) \
+            and len(statuses) == 1
+        all_agree = all_agree and agree
+        for method in ("dd-bd", "naive-bd", "brute-force"):
+            status, value, wall, fc, oc, br = results[method]
+            val = "" if value is None else f"{value:.9g}"
+            rows.append(f"{instance_id},{method},{status},{val},"
+                        f"{wall:.3f},{fc},{oc},{br},{'=' if agree else '!'}")
     text = COMPARE_HEADER + "\n" + "".join(r + "\n" for r in rows)
     if args.out:
         with open(args.out, "w") as fh:

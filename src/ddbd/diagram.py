@@ -472,38 +472,21 @@ def append_value_layer(dd, lo, hi, slope=1.0):
 # -- cut refinement --------------------------------------------------------------
 
 
-def refine_with_cut(dd, cut, mode="exact"):
-    """Restrict the diagram to cuts, exactly or as a relaxation.
+def refine_with_cut(dd, cuts):
+    """Restrict the diagram to a list of cuts, exactly.
 
-    mode="exact": `cut` is a CutRow or a list of them, and the result
-    encodes {s in Sol(dd) : s satisfies every cut}.  All cuts are applied
-    in one top-down pass (see _refine_exact): nodes are split on the
-    accumulated left-hand sides so the decision at the last layer is
-    unambiguous, interval endpoints are tightened for optimality cuts,
+    The result encodes {s in Sol(dd) : s satisfies every cut}.  All cuts
+    are applied in one top-down pass (see _refine_exact): nodes are split
+    on the accumulated left-hand sides so the decision at the last layer
+    is unambiguous, interval endpoints are tightened for optimality cuts,
     and violating paths are removed.
-
-    mode="relaxed": `cut` is a single CutRow.  No splitting; arcs are
-    dropped only when every path through them violates a feasibility
-    cut, and z intervals are tightened only as far as is valid for every
-    path through the node.  The result is sandwiched between the exact
-    refinement and Sol(dd).
 
     Raises InfeasibleDiagramError when every path is removed.
     """
-    if mode not in ("exact", "relaxed"):
-        raise ValueError("mode must be 'exact' or 'relaxed'")
-    single = isinstance(cut, CutRow)
-    if mode == "relaxed" and not single:
-        raise ValueError("relaxed refinement takes a single cut")
-    cuts = [cut] if single else list(cut)
-    m = dd.num_arc_layers
-    if m == 0:
+    if dd.num_arc_layers == 0:
         raise EmptyDiagramError("cannot refine an empty diagram")
-    has_cont = dd.layer_kinds[-1] == "continuous"
-    if not has_cont and any(c.z_coeff != 0.0 for c in cuts):
+    if dd.layer_kinds[-1] != "continuous" and any(c.z_coeff != 0.0 for c in cuts):
         raise ValueError("optimality cut on a diagram without a continuous layer")
-    if mode == "relaxed":
-        return _refine_relaxed(dd, cut)
     return _refine_exact(dd, cuts)
 
 
@@ -783,80 +766,6 @@ def _tighten(label, opt, lhs):
             return None
         lo, hi = min(lo, hi), max(lo, hi)
     return Interval(lo, hi)
-
-
-def _refine_relaxed(dd, cut):
-    m = dd.num_arc_layers
-    has_cont = dd.layer_kinds[-1] == "continuous"
-    # accumulated-LHS ranges from the root
-    min_top = {dd.root: 0.0}
-    max_top = {dd.root: 0.0}
-    for j in range(m):
-        if dd.layer_kinds[j] == "continuous":
-            break
-        coef = cut.coeffs.get(j, 0.0)
-        for arc in dd.arcs[j]:
-            if arc.tail not in min_top:
-                continue
-            v = coef * arc.label
-            lo = min_top[arc.tail] + v
-            hi = max_top[arc.tail] + v
-            min_top[arc.head] = min(min_top.get(arc.head, lo), lo)
-            max_top[arc.head] = max(max_top.get(arc.head, hi), hi)
-    # completion ranges down to the terminal
-    min_bot = {dd.terminal: 0.0}
-    max_bot = {dd.terminal: 0.0}
-    for j in range(m - 1, -1, -1):
-        coef = 0.0 if dd.layer_kinds[j] == "continuous" else cut.coeffs.get(j, 0.0)
-        for arc in dd.arcs[j]:
-            if arc.head not in min_bot:
-                continue
-            v = coef * arc.label if not isinstance(arc.label, Interval) else 0.0
-            lo = min_bot[arc.head] + v
-            hi = max_bot[arc.head] + v
-            min_bot[arc.tail] = min(min_bot.get(arc.tail, lo), lo)
-            max_bot[arc.tail] = max(max_bot.get(arc.tail, hi), hi)
-
-    out = dd.copy()
-    for j in range(m):
-        cont = dd.layer_kinds[j] == "continuous"
-        kept = []
-        for arc in out.arcs[j]:
-            if arc.tail not in min_top or arc.head not in min_bot:
-                continue
-            if cont:
-                if cut.z_coeff != 0.0:
-                    lo, hi = arc.label.lo, arc.label.hi
-                    tighten_hi = (cut.sense == "<=") == (cut.z_coeff > 0)
-                    if tighten_hi:
-                        # loosest bound valid for every path through the tail
-                        s = min_top[arc.tail] if cut.z_coeff > 0 else max_top[arc.tail]
-                        hi = min(hi, (cut.rhs - s) / cut.z_coeff)
-                    else:
-                        s = max_top[arc.tail] if cut.z_coeff > 0 else min_top[arc.tail]
-                        lo = max(lo, (cut.rhs - s) / cut.z_coeff)
-                    if lo > hi + CUT_TOL:
-                        continue
-                    arc.label = Interval(min(lo, hi), hi)
-                else:
-                    lo_tot = min_top[arc.tail]
-                    hi_tot = max_top[arc.tail]
-                    if cut.sense == "<=" and lo_tot > cut.rhs + CUT_TOL:
-                        continue
-                    if cut.sense == ">=" and hi_tot < cut.rhs - CUT_TOL:
-                        continue
-            else:
-                v = cut.coeffs.get(j, 0.0) * arc.label
-                lo_tot = min_top[arc.tail] + v + min_bot[arc.head]
-                hi_tot = max_top[arc.tail] + v + max_bot[arc.head]
-                if cut.z_coeff == 0.0:
-                    if cut.sense == "<=" and lo_tot > cut.rhs + CUT_TOL:
-                        continue
-                    if cut.sense == ">=" and hi_tot < cut.rhs - CUT_TOL:
-                        continue
-            kept.append(arc)
-        out.arcs[j] = kept
-    return prune_dead_nodes(out)
 
 
 # -- constructors ----------------------------------------------------------------

@@ -132,6 +132,10 @@ class EngineConfig:
     debug_bounds: bool = False         # per-node sandwich check (slow)
     dot_dir: str = None                # dump refinement snapshots when set
 
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"width must be at least 1, got {self.width}")
+
 
 @dataclass
 class SolveReport:
@@ -167,9 +171,10 @@ class SolveReport:
             "branches": self.branches,
             "lp_calls": self.lp_calls,
             "wall_time": self.wall_time,
-            "gap": self.gap,
+            # strict JSON has no Infinity: no incumbent, no finite gap
+            "gap": self.gap if self.gap is not None and math.isfinite(self.gap) else None,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def split_assignment(dd, assignment):
@@ -236,7 +241,7 @@ def replay_cuts(dd, cuts, width_hint=None):
     that growth is allowed and logged, never blocked.
     """
     if cuts:
-        dd = refine_with_cut(dd, list(cuts), "exact")
+        dd = refine_with_cut(dd, list(cuts))
     if width_hint is not None and dd.width > width_hint:
         log.debug("refinement grew the diagram to width %d (cap %d)",
                   dd.width, width_hint)

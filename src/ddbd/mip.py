@@ -115,7 +115,8 @@ class MipSubproblemOracle(SubproblemOracle):
     feasibility cuts.
 
     Only the dual's objective depends on x, so each LP starts phase 2 from
-    the final basis of the one before (see UcpSubproblemOracle).
+    the final basis of the one before, the only state carried between
+    LPs (see UcpSubproblemOracle).
     """
 
     def __init__(self, problem):
@@ -143,7 +144,6 @@ class MipSubproblemOracle(SubproblemOracle):
         self.c = np.array(self.c, dtype=float)
         self.b_obj = np.array(problem.y_obj, dtype=float)
         self._basis = None
-        self._tableau = None
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -151,10 +151,9 @@ class MipSubproblemOracle(SubproblemOracle):
         k = self.B.shape[0]
         dual = LinearProgram(sense="min", c=rhs, A=self.B.T,
                              senses=[">="] * self.B.shape[1], b=self.b_obj,
-                             lo=np.zeros(k), start_basis=self._basis,
-                             start_tableau=self._tableau)
+                             lo=np.zeros(k), start_basis=self._basis)
         out = solve(dual)
-        self._basis, self._tableau = out.basis, out.tableau
+        self._basis = out.basis
         if out.status == "optimal":
             u = out.x
             cut = CutRow(coeffs=_dense_to_sparse(u @ self.A), z_coeff=1.0,

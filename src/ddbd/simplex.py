@@ -22,18 +22,7 @@ columns) and goes straight to phase 2; the basis is still
 primal-feasible because the constraints are unchanged.  A start basis
 that is missing, malformed, singular or infeasible is ignored and the
 solve starts from the slack/artificial basis as usual.  Certificates
-are checked the same way either way.
-
-Tableau reuse: the refactorized tableau depends only on the kernel
-rows, which the LP's A, b, senses and bounds fix, and the basis.  An
-outcome whose phase 2 ended at its start basis (no pivot) also carries
-that tableau, with references to the rows it came from, as
-LpOutcome.tableau; passed back as start_tableau together with
-start_basis, it replaces the dense solve when the new LP's rows and
-start basis equal the ones it came from.  Otherwise the kernel
-refactorizes as above, so the outcome is the same either way, bit for
-bit.  The tableau lives on the outcome and the LP that receive it; the
-module keeps no state.
+are checked the same way either way.  The module keeps no state.
 """
 
 from __future__ import annotations
@@ -62,7 +51,6 @@ class LinearProgram:
     lo: np.ndarray = None
     hi: np.ndarray = None
     start_basis: np.ndarray = None   # LpOutcome.basis of an LP with these rows
-    start_tableau: object = None     # LpOutcome.tableau of the LP that gave start_basis
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -108,18 +96,6 @@ class LpOutcome:
     ray: np.ndarray = None            # improving recession direction
     basis: np.ndarray = None          # final kernel basis, one column per row
     pivots: int = 0                   # tableau pivots, both phases
-    tableau: object = None            # refactorized tableau in basis, when no pivot left it
-
-
-@dataclass(frozen=True, eq=False)
-class _Refactorization:
-    """The kernel tableau restated in `basis` and made valid for phase 2,
-    with the LP rows (A, b, senses, lo, hi) that the kernel tableau is a
-    function of."""
-
-    rows: tuple
-    basis: np.ndarray
-    W: np.ndarray
 
 
 # -- public entry points -----------------------------------------------------------
@@ -283,9 +259,7 @@ def _transform(lp):
 
 def _solve_impl(lp):
     t, c, A, senses, b = _transform(lp)
-    status, u, y_kernel, ray_u, basis, pivots, tableau = _kernel(
-        c, A, senses, b, lp.start_basis, lp.start_tableau,
-        (lp.A, lp.b, lp.senses, lp.lo, lp.hi))
+    status, u, y_kernel, ray_u, basis, pivots = _kernel(c, A, senses, b, lp.start_basis)
     m = lp.num_rows
     if status == "infeasible":
         # violation-orientation multipliers for the original rows
@@ -293,35 +267,30 @@ def _solve_impl(lp):
         peak = float(np.max(np.abs(f))) if m else 0.0
         if peak > 0:
             f = f / peak
-        return LpOutcome(status="infeasible", farkas=f, basis=basis, pivots=pivots,
-                         tableau=tableau)
+        return LpOutcome(status="infeasible", farkas=f, basis=basis, pivots=pivots)
     if status == "unbounded":
         d = t.to_x(ray_u, np.zeros(lp.num_vars))
         peak = np.max(np.abs(d))
         if peak > 0:
             d = d / peak
-        return LpOutcome(status="unbounded", ray=d, basis=basis, pivots=pivots,
-                         tableau=tableau)
+        return LpOutcome(status="unbounded", ray=d, basis=basis, pivots=pivots)
     x = t.to_x(u, t.shift)
     y = y_kernel[:m].copy()
     if lp.sense == "max":
         y = -y
     rc = lp.c - (lp.A.T @ y if m else 0.0)
     return LpOutcome(status="optimal", x=x, duals=y, reduced_costs=rc,
-                     objective=float(lp.c @ x), basis=basis, pivots=pivots,
-                     tableau=tableau)
+                     objective=float(lp.c @ x), basis=basis, pivots=pivots)
 
 
-def _refactorize(T, start, art_cols, kept, rows):
+def _refactorize(T, start, art_cols):
     """The tableau T restated in the basis `start`, or None.
 
     None when `start` cannot begin phase 2: it is missing, has the wrong
     length, repeats or leaves the column range, names an artificial
     column, is singular, or gives non-finite or infeasible (below
     -FEAS_TOL) basic values.  Basic columns are set to the exact identity
-    and basic values in [-FEAS_TOL, 0) to 0.  Returns a _Refactorization
-    of T, which `rows` determine; `kept` is returned itself, in place of
-    a new dense solve, when it was made from equal rows and start.
+    and basic values in [-FEAS_TOL, 0) to 0.
     """
     m = T.shape[0]
     if start is None or m == 0:
@@ -333,9 +302,6 @@ def _refactorize(T, start, art_cols, kept, rows):
     if len(set(cols)) != m or min(cols) < 0 or max(cols) >= T.shape[1] - 1 \
             or art_cols.intersection(cols):
         return None
-    if isinstance(kept, _Refactorization) and np.array_equal(kept.basis, start) \
-            and all(np.array_equal(a, b) for a, b in zip(kept.rows, rows)):
-        return kept
     try:
         W = np.linalg.solve(T[:, start], T)
     except np.linalg.LinAlgError:
@@ -344,22 +310,19 @@ def _refactorize(T, start, art_cols, kept, rows):
         return None
     W[:, start] = np.eye(m)
     np.maximum(W[:, -1], 0.0, out=W[:, -1])
-    return _Refactorization(rows=rows, basis=np.array(start, dtype=int), W=W)
+    return W
 
 
-def _kernel(c, A, senses, b, start, kept, rows):
+def _kernel(c, A, senses, b, start):
     """min c.u  s.t.  A u (senses) b,  u >= 0.
 
-    Returns (status, u, row duals, ray, final basis, pivots, tableau)
+    Returns (status, u, row duals, ray, final basis, pivots)
     where duals are stated for the rows as given (not the internally
     sign-flipped copies).  The tableau's columns are u, then one slack
     per inequality row, then one artificial per `>=` or `=` row (after
     rows with b < 0 are negated); a basis lists one column per row.
     When `start` passes _refactorize, phase 1 is skipped and phase 2
-    begins from it; otherwise from the slack/artificial basis.  The
-    returned tableau is the _Refactorization of `start` when phase 2
-    made no pivot (None otherwise); `kept` is an earlier one to reuse,
-    and `rows` are the LP rows that c, A, senses and b come from.
+    begins from it; otherwise from the slack/artificial basis.
     """
     m, n = A.shape
     A = A.copy()
@@ -467,10 +430,9 @@ def _kernel(c, A, senses, b, start, kept, rows):
             if pivots > cap:
                 raise NumericalFailureError("pivot cap exceeded")
 
-    warm = _refactorize(T, start, art_cols, kept, rows)
+    warm = _refactorize(T, start, art_cols)
     if warm is not None:
-        # phase 2 pivots in place: a tableau handed in is kept by its caller
-        T, basis = (warm.W.copy() if warm is kept else warm.W), warm.basis.copy()
+        T, basis = warm, np.array(start, dtype=int)
         row_origin = list(range(m))
     # Phase 1: drive artificials to zero.
     elif art_cols:
@@ -483,7 +445,7 @@ def _kernel(c, A, senses, b, start, kept, rows):
         phase1_obj = float(cb1 @ T[:, -1])
         if phase1_obj > FEAS_TOL:
             y = np.array([float(cb1 @ T[:, reader[i]]) for i in range(m)])
-            return "infeasible", None, y * flip, None, basis.copy(), pivot_count, None
+            return "infeasible", None, y * flip, None, basis.copy(), pivot_count
         # drive remaining artificials out of the basis
         dead_rows = []
         for i in range(m):
@@ -511,10 +473,8 @@ def _kernel(c, A, senses, b, start, kept, rows):
     cost2 = np.zeros(ncols)
     cost2[:n] = c
     entering = run(cost2, banned=art_cols)
-    tableau = warm if warm is not None and pivot_count == 0 else None
     if entering != -1:
-        return ("unbounded", None, None, ray_along(entering)[:n], basis.copy(), pivot_count,
-                tableau)
+        return "unbounded", None, None, ray_along(entering)[:n], basis.copy(), pivot_count
 
     u = np.zeros(ncols)
     for i in range(T.shape[0]):
@@ -523,7 +483,7 @@ def _kernel(c, A, senses, b, start, kept, rows):
     y = np.zeros(m)
     for orig in row_origin:
         y[orig] = float(cb @ T[:, reader[orig]])
-    return "optimal", u[:n], y * flip, None, basis.copy(), pivot_count, tableau
+    return "optimal", u[:n], y * flip, None, basis.copy(), pivot_count
 
 
 # -- plain text fixture format -------------------------------------------------------

@@ -805,8 +805,7 @@ class UcpSubproblemOracle(SubproblemOracle):
     The dual's rows depend on the instance alone, so they are built once,
     and each LP starts phase 2 from the final basis of the LP solved
     before it: x and the scenario change only the objective, so that basis
-    is still primal-feasible.  When that LP made no pivot, its refactorized
-    tableau comes along and spares the next LP its dense solve (see
+    is still primal-feasible, and only the basis is carried (see
     ddbd.simplex).  Closed-form rays neither use nor change that basis.
     Values do not depend on the start basis; on degenerate duals the cut
     can, and the memo keeps repeat visits identical (and free of LP
@@ -819,7 +818,6 @@ class UcpSubproblemOracle(SubproblemOracle):
         self._p_max = np.array([g.p_max for g in instance.generators])
         self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
         self._basis = None
-        self._tableau = None
         self._cache = {}
 
     def evaluate(self, x):
@@ -877,9 +875,8 @@ class UcpSubproblemOracle(SubproblemOracle):
                 continue
             out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
                                       A=A, senses=senses, b=b,
-                                      start_basis=self._basis,
-                                      start_tableau=self._tableau))
-            self._basis, self._tableau = out.basis, out.tableau
+                                      start_basis=self._basis))
+            self._basis = out.basis
             lp_calls += 1
             if out.status == "unbounded":
                 feas_cuts.append(_feasibility_cut(instance, sc, out.ray))

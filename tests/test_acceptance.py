@@ -107,7 +107,7 @@ def test_criterion_2_reward_propagation_worked_case():
     assert reward == 0.0
     aug = append_value_layer(dd, -100.0, 100.0)
     for cut in cuts:
-        aug = refine_with_cut(aug, cut, "exact")
+        aug = refine_with_cut(aug, [cut])
     _, value = optimal_path(aug, "max")
     assert value == reward
     report(2, f"reward {reward} equals refine-then-longest-path exactly")

@@ -73,6 +73,47 @@ def test_solve_width_flag_does_not_change_value(tmp_path):
         assert r1["value"] == pytest.approx(r2["value"], rel=1e-6, abs=1e-6)
 
 
+def test_time_limit_report_file_is_strict_json(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["solve", "--gen", "4,8,3,0", "--time-limit", "0.0001",
+                 "--out", str(out)])
+    assert code == 2
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["status"] == "time_limit"
+    assert doc["value"] is None and doc["gap"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "2,3,2,2", "--width", "0"],
+    ["solve", "--instance", str(FIXTURES / "two_binary_mip.json"), "--sense", "max",
+     "--width", "0"],
+    ["compare", "--sizes", "2,2,1", "--seeds", "0", "--width", "0"],
+])
+def test_width_below_one_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "width" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--sizes", "2,3", "--seeds", "0"],
+    ["compare", "--sizes", "2,2,1,4", "--seeds", "0"],
+    ["compare", "--sizes", "2,x,1", "--seeds", "0"],
+    ["compare", "--sizes", "0,2,1", "--seeds", "0"],
+    ["compare", "--sizes", "2,2,1", "--seeds", "0,x"],
+])
+def test_compare_rejects_malformed_arguments(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_compare_three_way_agreement(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--sizes", "2,2,2", "--seeds", "0,1",

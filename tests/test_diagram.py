@@ -189,7 +189,7 @@ def example_master_dd(big_m=10.0):
 def test_refine_feasibility_cut_removes_violating_path():
     dd = example_master_dd()
     cut = CutRow(coeffs={0: 2.0 / 3.0, 1: 1.0}, z_coeff=0.0, rhs=1.0, sense="<=")
-    ref = refine_with_cut(dd, cut, "exact")
+    ref = refine_with_cut(dd, [cut])
     xs = sorted({s[:2] for s in enumerate_solutions(ref)})
     assert xs == [(0.0, 1.0), (1.0, 0.0)]
 
@@ -198,7 +198,7 @@ def test_refine_optimality_cut_tightens_endpoints():
     dd = example_master_dd()
     feas = CutRow(coeffs={0: 2.0 / 3.0, 1: 1.0}, z_coeff=0.0, rhs=1.0, sense="<=")
     opt = CutRow(coeffs={0: -2.0 / 3.0}, z_coeff=1.0, rhs=2.0, sense="<=")
-    ref = refine_with_cut(refine_with_cut(dd, feas, "exact"), opt, "exact")
+    ref = refine_with_cut(refine_with_cut(dd, [feas]), [opt])
     tops = {}
     for s in enumerate_solutions(ref):
         tops[s[:2]] = max(tops.get(s[:2], -1e18), s[2])
@@ -208,19 +208,18 @@ def test_refine_optimality_cut_tightens_endpoints():
     assert value == pytest.approx(11.0 / 3.0)
 
 
-def test_refine_vacuous_cut_is_identity_both_modes():
+def test_refine_vacuous_cut_is_identity():
     dd = example_master_dd()
     cut = CutRow(coeffs={0: 0.0, 1: 0.0}, z_coeff=0.0, rhs=1.0, sense="<=")
-    for mode in ("exact", "relaxed"):
-        ref = refine_with_cut(dd, cut, mode)
-        assert sorted(enumerate_solutions(ref)) == sorted(enumerate_solutions(dd))
+    ref = refine_with_cut(dd, [cut])
+    assert sorted(enumerate_solutions(ref)) == sorted(enumerate_solutions(dd))
 
 
 def test_refine_infeasible_raises():
     dd = from_paths([(1.0, 1.0)])
     cut = CutRow(coeffs={0: 1.0, 1: 1.0}, z_coeff=0.0, rhs=1.0, sense="<=")
     with pytest.raises(InfeasibleDiagramError):
-        refine_with_cut(dd, cut, "exact")
+        refine_with_cut(dd, [cut])
 
 
 def satisfies(cut, sol, z_index=None):
@@ -257,7 +256,7 @@ def test_exact_refinement_soundness_by_enumeration():
         cut = random_cut(rng, 4, with_z=True)
         expected = sorted(s for s in enumerate_solutions(dd) if satisfies(cut, s, 3))
         try:
-            got = sorted(enumerate_solutions(refine_with_cut(dd, cut, "exact")))
+            got = sorted(enumerate_solutions(refine_with_cut(dd, [cut])))
         except InfeasibleDiagramError:
             got = []
         if cut.z_coeff == 0.0:
@@ -268,30 +267,6 @@ def test_exact_refinement_soundness_by_enumeration():
             for s in got:
                 assert satisfies(cut, s, 3) or abs(cut.z_coeff) * 1e-7 >= 0
                 assert satisfies(cut, s, 3), f"trial {trial}: {s}"
-
-
-def test_relaxed_refinement_sandwich():
-    rng = random.Random(5)
-    for trial in range(60):
-        dd = random_mixed_dd(rng)
-        cut = random_cut(rng, 4, with_z=True)
-        base = set(enumerate_solutions(dd))
-        try:
-            exact = set(enumerate_solutions(refine_with_cut(dd, cut, "exact")))
-        except InfeasibleDiagramError:
-            exact = set()
-        try:
-            relaxed = set(enumerate_solutions(refine_with_cut(dd, cut, "relaxed")))
-        except InfeasibleDiagramError:
-            relaxed = set()
-        # compare on x-parts for optimality cuts, full tuples otherwise
-        if cut.z_coeff == 0.0:
-            assert exact <= relaxed <= base, f"trial {trial}"
-        else:
-            ex = {s[:3] for s in exact}
-            rex = {s[:3] for s in relaxed}
-            bx = {s[:3] for s in base}
-            assert ex <= rex <= bx, f"trial {trial}"
 
 
 def test_settled_cut_never_shares_a_key_with_lhs_zero():
@@ -306,7 +281,7 @@ def test_settled_cut_never_shares_a_key_with_lhs_zero():
     dd.add_arc(1, a, b, 1.0)
     dd.add_arc(2, b, t, Interval(-10.0, 10.0), 1.0)
     cut = CutRow(coeffs={0: -0.7, 1: -1.0}, z_coeff=0.0, rhs=-0.6, sense="<=")
-    xs = sorted({s[:2] for s in enumerate_solutions(refine_with_cut(dd, cut, "exact"))})
+    xs = sorted({s[:2] for s in enumerate_solutions(refine_with_cut(dd, [cut]))})
     assert xs == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -341,7 +316,7 @@ def solutions_or_empty(refine):
 
 def refine_cut_by_cut(dd, cuts):
     for cut in cuts:
-        dd = refine_with_cut(dd, cut, "exact")
+        dd = refine_with_cut(dd, [cut])
     return dd
 
 
@@ -358,13 +333,13 @@ def test_one_pass_refinement_equals_cut_by_cut():
         if rng.random() < 0.5:
             cuts[rng.randrange(len(cuts))] = boundary_cut(rng, dd)
         before = (dd.node_count(), sorted(enumerate_solutions(dd)))
-        one_pass = solutions_or_empty(lambda: refine_with_cut(dd, cuts, "exact"))
+        one_pass = solutions_or_empty(lambda: refine_with_cut(dd, cuts))
         assert one_pass == solutions_or_empty(lambda: refine_cut_by_cut(dd, cuts)), \
             f"trial {trial}"
         if trial % 2 and one_pass:
             # dead nodes are dropped from the refined diagram, in place: none
             # are left, and the input diagram is untouched
-            refined = refine_with_cut(dd, cuts, "exact")
+            refined = refine_with_cut(dd, cuts)
             pruned = prune_dead_nodes(refined)
             assert refined.node_count() == pruned.node_count(), f"trial {trial}"
             assert sorted(enumerate_solutions(pruned)) == one_pass, f"trial {trial}"
@@ -372,14 +347,8 @@ def test_one_pass_refinement_equals_cut_by_cut():
         feas = [c for c in cuts if c.z_coeff == 0.0]
         truth = sorted(s for s in enumerate_solutions(dd)
                        if all(satisfies(c, s) for c in feas))
-        assert solutions_or_empty(lambda: refine_with_cut(dd, feas, "exact")) == truth, \
+        assert solutions_or_empty(lambda: refine_with_cut(dd, feas)) == truth, \
             f"trial {trial}"
-
-
-def test_relaxed_refinement_takes_one_cut():
-    cut = CutRow(coeffs={0: 1.0}, z_coeff=0.0, rhs=1.0, sense="<=")
-    with pytest.raises(ValueError):
-        refine_with_cut(example_master_dd(), [cut], "relaxed")
 
 
 # -- merge_nodes -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -147,7 +149,7 @@ def test_cost_tuple_equals_refine_then_longest_path():
         big = 1e3
         aug = append_value_layer(dd, -big, big)
         for cut in cuts:
-            aug = refine_with_cut(aug, cut, "exact")
+            aug = refine_with_cut(aug, [cut])
         _, value = optimal_path(aug, "max")
         assert value == pytest.approx(reward, abs=1e-9), f"trial {trial}"
 
@@ -231,6 +233,26 @@ def test_report_serialization_round_trip():
     row = report.csv_row()
     assert row.startswith("t,optimal,3.5,")
     assert len(row.split(",")) == len(SolveReport.CSV_HEADER.split(","))
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_json_is_strict_without_an_incumbent():
+    report = SolveReport(status="time_limit", gap=math.inf, instance="t")
+    assert strict_json(report.to_json())["gap"] is None
+    assert report.gap == math.inf
+    finite = SolveReport(status="time_limit", value=3.5, gap=0.25, instance="t")
+    assert strict_json(finite.to_json())["gap"] == 0.25
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_engine_config_rejects_a_width_below_one(width):
+    with pytest.raises(ValueError, match="width"):
+        EngineConfig(width=width)
 
 
 def test_time_limit_reports_gap():
@@ -318,7 +340,6 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
 
 
 def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypatch):
-    import math
     import types
 
     from ddbd import engine

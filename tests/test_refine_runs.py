@@ -65,7 +65,7 @@ def outcome(refine, dd, cuts):
 def assert_same_refinement(dd, cuts, label):
     before = structure(dd)
     expected = outcome(reference_refine._refine_exact, dd, cuts)
-    assert outcome(lambda d, c: refine_with_cut(d, c, "exact"), dd, cuts) == expected, label
+    assert outcome(refine_with_cut, dd, cuts) == expected, label
     assert structure(dd) == before, label
     return expected
 
@@ -295,7 +295,7 @@ def test_dense_coefficients_kept_on_the_cut_are_invisible():
     twin = CutRow(coeffs={0: 0.5, 3: -1.0, 40: 2.0}, rhs=1.5, sense=">=")
     before = (repr(cut), cut.key())
     try:
-        refine_with_cut(dd, [cut], "exact")
+        refine_with_cut(dd, [cut])
     except InfeasibleDiagramError:
         pass
     assert cut._dense is not None

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -410,48 +408,22 @@ def count_dense_solves(monkeypatch):
     return calls
 
 
-def test_kept_tableau_replaces_the_refactorization_only_for_its_rows(monkeypatch):
+def test_a_valid_start_basis_costs_one_dense_solve(monkeypatch):
     cold = solve(start_basis_lp())
-    kept = solve(start_basis_lp(start=cold.basis))
-    assert kept.pivots == 0 and kept.tableau is not None
-    assert cold.tableau is None   # phase 1 ran: nothing was refactorized
     solves = count_dense_solves(monkeypatch)
 
-    # the same rows and basis: no dense solve, the same outcome as refactorizing
-    c = (1.0, 2.0, 4.0)
-    reused = solve(dataclasses.replace(start_basis_lp(c, start=kept.basis),
-                                       start_tableau=kept.tableau))
+    # a cold start, and start bases rejected before refactorizing, solve nothing
+    assert same_outcome(solve(start_basis_lp()), cold)
+    for start in ([4], [5, 4], [4, 4], [0, 9], np.array([0.0, 4.0])):
+        assert same_outcome(solve(start_basis_lp(start=start)), cold)
     assert len(solves) == 0
-    fresh = solve(start_basis_lp(c, start=kept.basis))
-    assert len(solves) == 1
-    assert same_outcome(reused, fresh)
-    assert reused.tableau is kept.tableau   # no pivot: handed on unchanged
 
-    # other rows: the kept tableau is ignored and the basis refactorized
-    other = LinearProgram(sense="min", c=np.array(c),
-                          A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
-                          senses=[">=", "<="], b=np.array([1.5, 2.0]),
-                          start_basis=kept.basis)
-    solves.clear()
-    out = solve(dataclasses.replace(other, start_tableau=kept.tableau))
-    assert len(solves) == 1
-    assert same_outcome(out, solve(other))
-    ref = solve(dataclasses.replace(other, start_basis=None))
-    assert out.status == ref.status == "optimal"
-    assert out.objective == pytest.approx(ref.objective, rel=1e-12)
-
-    # phase 2 pivots away from the kept basis on a copy: the kept tableau
-    # stays as it was, and a basis it was not made for is refactorized
-    solves.clear()
-    moved = solve(dataclasses.replace(start_basis_lp((3.0, 2.0, 1.0), start=kept.basis),
-                                      start_tableau=kept.tableau))
-    assert len(solves) == 0 and moved.pivots > 0 and moved.tableau is None
-    assert same_outcome(moved, solve(start_basis_lp((3.0, 2.0, 1.0), start=kept.basis)))
-    solves.clear()
-    assert same_outcome(solve(dataclasses.replace(start_basis_lp(c, start=kept.basis),
-                                                  start_tableau=kept.tableau)), fresh)
-    assert len(solves) == 0
-    again = solve(dataclasses.replace(start_basis_lp(c, start=moved.basis),
-                                      start_tableau=kept.tableau))
-    assert len(solves) == 1
-    assert same_outcome(again, solve(start_basis_lp(c, start=moved.basis)))
+    # a valid start basis is refactorized once per LP, whether phase 2
+    # stays there or pivots away, and the same LP gives the same outcome
+    for c in ((1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (3.0, 2.0, 1.0)):
+        solves.clear()
+        first = solve(start_basis_lp(c, start=cold.basis))
+        assert len(solves) == 1
+        assert same_outcome(first, solve(start_basis_lp(c, start=cold.basis)))
+        assert len(solves) == 2
+    assert first.pivots > 0

@@ -657,7 +657,7 @@ def test_one_pass_replay_matches_cut_by_cut_on_relaxed_master():
         assert dd.merged
         cut_by_cut = dd
         for cut in pool.cuts:
-            cut_by_cut = refine_with_cut(cut_by_cut, cut, "exact")
+            cut_by_cut = refine_with_cut(cut_by_cut, [cut])
         want = sorted(enumerate_solutions(cut_by_cut))
         got = sorted(enumerate_solutions(replay_cuts(dd, pool.cuts)))
         assert [s[:-1] for s in got] == [s[:-1] for s in want], args
