@@ -6,6 +6,12 @@ it builds a width-limited restricted diagram (primal side), iterates
 longest-path / subproblem / refine until the path's value-variable
 agrees with the subproblem optimum, then builds a relaxed diagram (dual
 side) for pruning and for branching over its last exact node layer.
+A restricted diagram that the oracle reports exact represents the node
+and the pool in full, so the loop's candidate solves the node and the
+relaxed side is skipped; the unit-commitment oracle makes one by
+refining the exact master with the pool and keeping the `width` nodes
+per layer on the best paths (ddbd.diagram.restrict_to_width), which is
+exact whenever that drops nothing.
 Cuts live in a global deduplicated pool.  The oracles replay the whole
 pool into every freshly built diagram, and the loops replay each batch
 of new cuts into the current one; either way a replay is one exact
@@ -66,6 +72,12 @@ class MasterOracle:
     Relaxed diagrams tag relaxation-merged nodes so exact_cutset works.
     Diagrams must end in a continuous value layer (a [v, v] interval
     when the subproblem value is fixed).
+
+    is_exact promises Sol(restricted) = Sol(exact) for the partial
+    assignment and the cuts, so the node needs no relaxed diagram and no
+    branching.  (None, True) proves the node infeasible: its exact
+    diagram is empty, or the cuts remove every path.  (None, False) only
+    says the restricted diagram found nothing.
     """
 
     sense = "min"
@@ -135,6 +147,9 @@ class EngineConfig:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"width must be at least 1, got {self.width}")
+        # `not >=` also rejects NaN, which every comparison would ignore
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time limit must be at least 0 seconds, got {self.time_limit}")
 
 
 @dataclass
@@ -146,6 +161,7 @@ class SolveReport:
     feasibility_cuts: int = 0
     optimality_cuts: int = 0
     branches: int = 0
+    nodes: int = 0                     # partial assignments taken off the stack
     lp_calls: int = 0
     wall_time: float = 0.0
     gap: float = None
@@ -169,6 +185,7 @@ class SolveReport:
             "feasibility_cuts": self.feasibility_cuts,
             "optimality_cuts": self.optimality_cuts,
             "branches": self.branches,
+            "nodes": self.nodes,
             "lp_calls": self.lp_calls,
             "wall_time": self.wall_time,
             # strict JSON has no Infinity: no incumbent, no finite gap
@@ -432,8 +449,8 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
             branches += 1
 
     wall = time.perf_counter() - t0
-    report = SolveReport(status=status, branches=branches, lp_calls=lp_calls,
-                         wall_time=wall, instance=instance_id,
+    report = SolveReport(status=status, branches=branches, nodes=nodes_expanded,
+                         lp_calls=lp_calls, wall_time=wall, instance=instance_id,
                          feasibility_cuts=pool.count("feasibility"),
                          optimality_cuts=pool.count("optimality"))
     if best_x is None:

@@ -35,7 +35,7 @@ from .diagram import (
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
-    prune_dead_nodes,
+    restrict_to_width,
 )
 from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
 from .simplex import (
@@ -267,13 +267,15 @@ def _merge_states(states):
     return (up, down, eq)
 
 
-def _compile_master(instance, partial, gamma, width=None, mode="exact"):
-    """Shared compiler for the exact / relaxed / restricted variants.
+def _compile_master(instance, partial, gamma, width=None):
+    """Shared compiler for the exact and relaxed master diagrams.
 
-    Returns (diagram, is_exact).  Raises EmptyDiagramError when the
-    partial assignment admits no completion.
+    Without a width the diagram is exact; with one, node layers past the
+    width are merged (_merge_layer) and node states carry the merged
+    down-age.  Raises EmptyDiagramError when the partial assignment
+    admits no completion.
     """
-    relaxed = mode == "relaxed"
+    relaxed = width is not None
     n, T = instance.num_units, instance.horizon
     partial = tuple(partial)
     if len(partial) > n * T:
@@ -282,7 +284,6 @@ def _compile_master(instance, partial, gamma, width=None, mode="exact"):
     root = dd.new_node(0, state=_fresh_state(relaxed))
     cur = {_fresh_state(relaxed): root}
     dist = {root: 0.0}
-    is_exact = True
 
     for g in range(n * T):
         unit = g // T
@@ -316,31 +317,14 @@ def _compile_master(instance, partial, gamma, width=None, mode="exact"):
             dd.add_arc(g, parent, child, label, weight)
             dist[child] = min(dist[child], dist[parent] + weight)
 
-        if width is not None and len(children) > width:
-            is_exact = False
-            if mode == "restricted":
-                ranked = sorted(children, key=lambda s: (dist[children[s]], s))
-                dropped = {children[s] for s in ranked[width:]}
-                dd.layers[g + 1] = [nid for nid in dd.layers[g + 1]
-                                    if nid not in dropped]
-                dd.arcs[g] = [a for a in dd.arcs[g] if a.head not in dropped]
-                for s in ranked[width:]:
-                    dd.states.pop(children[s], None)
-                    del children[s]
-            else:
-                children = _merge_layer(dd, g + 1, children, dist, width)
+        if relaxed and len(children) > width:
+            children = _merge_layer(dd, g + 1, children, dist, width)
         cur = children
 
     term = dd.new_node(n * T + 1)
     for state, node in cur.items():
         dd.add_arc(n * T, node, term, Interval(gamma.lo, gamma.hi), 1.0)
-    if mode == "restricted" and not is_exact:
-        # dropping children can strand their parents off every full path
-        try:
-            dd = prune_dead_nodes(dd)
-        except InfeasibleDiagramError as exc:
-            raise EmptyDiagramError(str(exc)) from exc
-    return dd, is_exact
+    return dd
 
 
 def _merge_layer(dd, node_layer, children, dist, width):
@@ -403,22 +387,30 @@ def _merge_layer(dd, node_layer, children, dist, width):
 
 def build_master_dd(instance, partial=(), gamma=None):
     """Exact diagram over the commitment variables plus the value layer."""
-    gamma = gamma or GammaBounds(0.0, 0.0)
-    dd, _ = _compile_master(instance, partial, gamma, width=None, mode="exact")
-    return dd
+    return _compile_master(instance, partial, gamma or GammaBounds(0.0, 0.0))
 
 
 def build_relaxed_master_dd(instance, partial, gamma, width):
     if width < 1:
         raise ValueError("width must be >= 1")
-    dd, _ = _compile_master(instance, partial, gamma, width=width, mode="relaxed")
-    return dd
+    return _compile_master(instance, partial, gamma, width=width)
 
 
-def build_restricted_master_dd(instance, partial, gamma, width):
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    return _compile_master(instance, partial, gamma, width=width, mode="restricted")
+def build_restricted_master_dd(instance, partial, gamma, width, cuts=()):
+    """Restricted diagram of the partial assignment under the cuts.
+
+    Compiles the exact master (build_master_dd), replays the cuts into
+    it in one exact pass (replay_cuts), and keeps in every node layer the
+    `width` nodes with the cheapest root-terminal path through them,
+    value arc included (restrict_to_width).  Its solutions are those of
+    the exact master that satisfy every cut and run through kept nodes,
+    a cheapest one among them.  Returns (diagram, is_exact), is_exact
+    being True when no node was dropped.  Raises EmptyDiagramError when
+    the partial assignment admits no completion and
+    InfeasibleDiagramError when the cuts remove every path.
+    """
+    dd = replay_cuts(build_master_dd(instance, partial, gamma), cuts)
+    return restrict_to_width(dd, width, "min")
 
 
 def master_cost(instance, x):
@@ -773,15 +765,13 @@ class UcpMasterOracle(MasterOracle):
             return None
 
     def build_restricted_dd(self, partial, cuts, width):
+        # an empty exact master, or one the pool empties, proves the node
+        # infeasible: the restricted diagram is then exact
         try:
-            dd, exact = build_restricted_master_dd(self.instance, partial,
-                                                   self.gamma, width)
-        except EmptyDiagramError:
+            return build_restricted_master_dd(self.instance, partial, self.gamma,
+                                              width, cuts)
+        except (EmptyDiagramError, InfeasibleDiagramError):
             return None, True
-        try:
-            return replay_cuts(dd, cuts), exact
-        except InfeasibleDiagramError:
-            return None, exact
 
     def build_relaxed_dd(self, partial, cuts, width):
         try:

@@ -100,6 +100,14 @@ def test_width_below_one_is_an_error(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("limit", ["-1", "nan"])
+def test_negative_or_nan_time_limit_is_an_error(limit, capsys):
+    assert main(["solve", "--gen", "2,3,2,1", "--time-limit", limit]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "time limit" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--sizes", "2,3", "--seeds", "0"],
     ["compare", "--sizes", "2,2,1,4", "--seeds", "0"],

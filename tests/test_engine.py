@@ -227,9 +227,10 @@ def test_infeasible_master_reports_infeasible():
 def test_report_serialization_round_trip():
     report = SolveReport(status="optimal", x=(1.0, 0.0), z=2.5, value=3.5,
                          feasibility_cuts=1, optimality_cuts=2, branches=3,
-                         lp_calls=7, wall_time=0.125, instance="t")
+                         nodes=4, lp_calls=7, wall_time=0.125, instance="t")
     text = report.to_json()
     assert '"value": 3.5' in text
+    assert json.loads(text)["nodes"] == 4
     row = report.csv_row()
     assert row.startswith("t,optimal,3.5,")
     assert len(row.split(",")) == len(SolveReport.CSV_HEADER.split(","))
@@ -253,6 +254,31 @@ def test_report_json_is_strict_without_an_incumbent():
 def test_engine_config_rejects_a_width_below_one(width):
     with pytest.raises(ValueError, match="width"):
         EngineConfig(width=width)
+
+
+@pytest.mark.parametrize("limit", [-1.0, -1e-9, math.nan, -math.inf])
+def test_engine_config_rejects_a_negative_or_nan_time_limit(limit):
+    with pytest.raises(ValueError, match="time limit"):
+        EngineConfig(time_limit=limit)
+
+
+@pytest.mark.parametrize("limit", [None, 0.0, 2.5, math.inf])
+def test_engine_config_accepts_a_time_limit_of_zero_or_more(limit):
+    assert EngineConfig(time_limit=limit).time_limit == limit
+
+
+def test_report_counts_every_node_taken_off_the_stack():
+    from ddbd.ucp import ucp_solve
+    from reference_lp import scaled_instance
+
+    # a solve that runs to the end takes the root and every branch once
+    for args in [(2, 4, 2, 0, 0.4), (3, 3, 1, 0, 0.4)]:
+        report = ucp_solve(scaled_instance(*args))
+        assert report.status == "optimal" and report.branches > 0
+        assert report.nodes == report.branches + 1
+        assert json.loads(report.to_json())["nodes"] == report.nodes
+    # the row keeps its columns
+    assert "nodes" not in SolveReport.CSV_HEADER
 
 
 def test_time_limit_reports_gap():

@@ -1,10 +1,13 @@
-"""perfbench/layers.py times cut replay by rebinding ``engine.refine_with_cut``
-and dual LPs by rebinding ``ucp.solve``.
+"""perfbench/layers.py times cut replay by rebinding ``engine.refine_with_cut``,
+dual LPs by rebinding ``ucp.solve`` and restricted compilation by rebinding
+``ucp.build_restricted_master_dd``.
 
 These tests import the tracer unchanged and check that a solve still
-reaches refinement through that attribute, once per non-empty replay, and
-solves every dual LP through ``ucp.solve``, so that the benchmark's
-per-layer refine and dual LP metrics cannot silently read 0.
+reaches refinement through that attribute, once per non-empty replay,
+solves every dual LP through ``ucp.solve``, and compiles every restricted
+diagram through ``ucp.build_restricted_master_dd``, so that the
+benchmark's per-layer refine, dual LP and restricted compile metrics
+cannot silently read 0.
 """
 
 import os
@@ -48,3 +51,16 @@ def test_trace_records_one_dual_lp_span_per_lp_call():
     dual_lps = [s for s in spans if s.name == "simplex.dual_lp"]
     assert len(dual_lps) == report.lp_calls > 0
     assert layer_metrics([spans], [report])["simplex.dual_lp.calls"] == report.lp_calls
+
+
+def test_trace_records_one_restricted_compile_per_restricted_build():
+    tracer = Tracer()
+    with traced(tracer):
+        report = ucp_solve(scaled_instance(2, 4, 2, 0, 0.4))
+    spans = tracer.take()
+    builds = [k for k, s in enumerate(spans) if s.name == "ucp.master_restricted"]
+    compiles = [s for s in spans if s.name == "ucp.compile_restricted"]
+    assert len(builds) > 1
+    assert sorted(s.parent for s in compiles) == builds
+    metrics = layer_metrics([spans], [report])
+    assert metrics["ucp.compile_restricted.calls"] == len(builds)

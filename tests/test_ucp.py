@@ -4,7 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from ddbd.diagram import EmptyDiagramError, enumerate_solutions, optimal_path, path_weight
+from ddbd.diagram import (
+    CutRow,
+    EmptyDiagramError,
+    InfeasibleDiagramError,
+    enumerate_solutions,
+    optimal_path,
+    path_weight,
+    refine_with_cut,
+)
 from ddbd.oracle import scipy_lp_min, unit_schedules
 import ddbd.ucp as ucp_module
 from ddbd.simplex import FEAS_TOL, NumericalFailureError, solve
@@ -16,6 +24,7 @@ from ddbd.ucp import (
     InstanceError,
     Scenario,
     UcpInstance,
+    UcpMasterOracle,
     UcpSubproblemOracle,
     build_dual_subproblem,
     build_master_dd,
@@ -212,6 +221,73 @@ def test_restricted_is_subset_and_respects_rules():
     feasible = {tuple(float(b) for b in bits) for bits in unit_schedules(gen, 3)}
     for x in x_paths(narrow):
         assert x in feasible
+
+
+def harvested_pool(inst, rng, feasibility=6, optimality=4):
+    """Cuts the subproblem oracle returns at random commitments."""
+    oracle = UcpSubproblemOracle(inst)
+    pool = []
+    while sum(c.z_coeff == 0.0 for c in pool) < feasibility or \
+            sum(c.z_coeff != 0.0 for c in pool) < optimality:
+        x = tuple(float(rng.random() < 0.7) for _ in range(inst.num_vars))
+        pool.extend(oracle.dispatch(x).cuts)
+    return pool
+
+
+def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
+    rng = np.random.default_rng(23)
+    checked = emptied = fitted = 0
+    for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8)]:
+        inst = scaled_instance(*args)
+        gamma = compute_gamma(inst)
+        pool = harvested_pool(inst, rng)
+        paths = enumerate_solutions(build_master_dd(inst, (), gamma))
+        partials = sorted({tuple(p[:k]) for p in paths for k in (0, 1, 3)})
+        for trial in range(12):
+            partial = partials[rng.integers(len(partials))]
+            cuts = [pool[i] for i in rng.choice(len(pool), rng.integers(1, len(pool) + 1),
+                                                replace=False)]
+            try:
+                exact = refine_with_cut(build_master_dd(inst, partial, gamma), cuts)
+            except InfeasibleDiagramError:
+                with pytest.raises(InfeasibleDiagramError):
+                    build_restricted_master_dd(inst, partial, gamma, 1, cuts)
+                emptied += 1
+                continue
+            sols = set(enumerate_solutions(exact))
+            _, best = optimal_path(exact, "min")
+            for width in (1, 2, 3):
+                where = f"{args} {partial} width {width}"
+                dd, is_exact = build_restricted_master_dd(inst, partial, gamma, width, cuts)
+                assert set(enumerate_solutions(dd)) <= sols, where
+                assert optimal_path(dd, "min")[1] == best, where
+                assert all(len(layer) <= width for layer in dd.layers[1:-1]), where
+                fits = all(len(layer) <= width for layer in exact.layers)
+                assert is_exact == fits == (dd.node_count() == exact.node_count()), where
+                checked += 1
+                fitted += fits
+    assert checked >= 60 and emptied < checked / 3 and 0 < fitted < checked / 2, \
+        (checked, emptied, fitted)
+
+
+def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
+    inst = scaled_instance(2, 4, 2, 0, 0.4)
+    oracle = UcpMasterOracle(inst, compute_gamma(inst))
+    # x_0 <= 0 and x_0 >= 1: each cut leaves paths, together none
+    pool = [CutRow(coeffs={0: 1.0}, rhs=0.0, sense="<="),
+            CutRow(coeffs={0: 1.0}, rhs=1.0, sense=">=")]
+    for cuts in ([pool[0]], [pool[1]]):
+        dd, _ = oracle.build_restricted_dd((), cuts, 2)
+        assert dd is not None
+    assert oracle.build_restricted_dd((), pool, 2) == (None, True)
+    assert oracle.build_exact_dd((), pool) is None
+    assert oracle.build_restricted_dd((1.0,), [pool[0]], 2) == (None, True)
+    # so is a partial assignment with no completion: down after one period
+    # up, against a two-period minimum up time
+    unit = UcpMasterOracle(single_unit_instance(simple_generator(min_up=2), 4),
+                           GammaBounds(0.0, 0.0))
+    assert unit.build_restricted_dd((1.0,), [], 2)[0] is not None
+    assert unit.build_restricted_dd((1.0, 0.0), [], 2) == (None, True)
 
 
 # -- value bounds ------------------------------------------------------------------
