@@ -69,22 +69,19 @@ def cmd_solve(args):
             kind, problem = "ucp", gen_random_instance(n, t, s, seed)
             instance_id = f"gen-{n}x{t}x{s}-seed{seed}"
         config = _engine_config(args)
+        if kind == "ucp" and args.sense == "max":
+            raise InstanceError("unit-commitment instances are minimisation problems")
+        if kind == "mip":
+            if args.sense and args.sense != problem.sense:
+                raise InstanceError(f"instance declares sense {problem.sense}")
+            master, sub = MipMasterOracle(problem), MipSubproblemOracle(problem)
     except (OSError, ValueError, InstanceError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if kind == "ucp":
-        if args.sense == "max":
-            print("error: unit-commitment instances are minimisation problems",
-                  file=sys.stderr)
-            return 1
         report = ucp_solve(problem, config, instance_id=instance_id)
     else:
-        if args.sense and args.sense != problem.sense:
-            print(f"error: instance declares sense {problem.sense}", file=sys.stderr)
-            return 1
-        master = MipMasterOracle(problem)
-        sub = MipSubproblemOracle(problem)
         report = dd_bd_solve(master, sub, config, instance_id=instance_id)
 
     if args.out:
@@ -102,11 +99,10 @@ def cmd_solve(args):
 def cmd_gen(args):
     try:
         n, t, s, seed = _parse_ints(args.params, "n,T,S,seed")
+        text = gen_random_instance(n, t, s, seed).to_json()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    instance = gen_random_instance(n, t, s, seed)
-    text = instance.to_json()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

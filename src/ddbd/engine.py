@@ -1,11 +1,17 @@
 """Branch-and-bound over restricted/relaxed decision diagrams with
 Benders-style cut generation.
 
-The solve loop keeps a LIFO stack of partial assignments.  For each one
-it builds a width-limited restricted diagram (primal side), iterates
-longest-path / subproblem / refine until the path's value-variable
-agrees with the subproblem optimum, then builds a relaxed diagram (dual
-side) for pruning and for branching over its last exact node layer.
+The solve loop keeps a LIFO stack of partial assignments.  Each node
+runs one separation loop twice: take the diagram's optimal path,
+evaluate the subproblem there, pool the cuts, replay the fresh ones
+into the diagram, and repeat until the path's value variable agrees
+with the subproblem optimum.  On the width-limited restricted diagram
+(primal side) that yields the node's candidate, and a cut the pool
+already holds is an oracle error.  On the relaxed diagram (dual side)
+it tightens the bound: the node is pruned once the bound cannot beat
+the incumbent, and otherwise it branches over the last exact node
+layer of the last diagram refined, after RELAXED_CUT_CAP evaluations
+at most.
 A restricted diagram that the oracle reports exact represents the node
 and the pool in full, so the loop's candidate solves the node and the
 relaxed side is skipped; the unit-commitment oracle makes one by
@@ -13,7 +19,7 @@ refining the exact master with the pool and keeping the `width` nodes
 per layer on the best paths (ddbd.diagram.restrict_to_width), which is
 exact whenever that drops nothing.
 Cuts live in a global deduplicated pool.  The oracles replay the whole
-pool into every freshly built diagram, and the loops replay each batch
+pool into every freshly built diagram, and the loop replays each batch
 of new cuts into the current one; either way a replay is one exact
 refinement pass over the list (see replay_cuts).
 
@@ -23,8 +29,8 @@ SubproblemOracle for the expected surface.
 
 from __future__ import annotations
 
+import itertools
 import json
-import logging
 import math
 import os
 import time
@@ -38,8 +44,6 @@ from .diagram import (
     to_dot,
 )
 
-log = logging.getLogger("ddbd.engine")
-
 VALUE_TOL = 1e-9       # strictness for incumbent comparisons
 CONVERGE_TOL = 1e-6    # repeat-loop test: path z equals subproblem value
 REPEAT_CAP = 1000      # restricted refine iterations per node before giving up
@@ -51,10 +55,6 @@ class EngineError(Exception):
     """An oracle broke its contract (stalled refinement, bad diagram)."""
 
 
-class BoundViolationError(Exception):
-    """Debug-mode bound sandwich failed."""
-
-
 class PropertyViolationError(Exception):
     """Input diagram lacks the unique-incoming-arc property."""
 
@@ -63,27 +63,26 @@ class MasterOracle:
     """Contract for problem-specific diagram builders.
 
     sense: "min" or "max".
-    build_exact_dd(partial, cuts)      -> diagram or None when infeasible
     build_restricted_dd(partial, cuts, width) -> (diagram or None, is_exact)
     build_relaxed_dd(partial, cuts, width)    -> diagram or None
 
-    Solution-set contract, projected to the discrete labels:
+    Both build over the completions of the partial assignment that
+    satisfy every cut.  Write Sol(exact) for that set; the contract,
+    projected to the discrete labels, is
     Sol(restricted) <= Sol(exact) <= Sol(relaxed) for every input.
-    Relaxed diagrams tag relaxation-merged nodes so exact_cutset works.
-    Diagrams must end in a continuous value layer (a [v, v] interval
-    when the subproblem value is fixed).
+    Relaxed diagrams tag relaxation-merged nodes so exact_cutset works,
+    and None from build_relaxed_dd says Sol(exact) is empty.  Diagrams
+    must end in a continuous value layer (a [v, v] interval when the
+    subproblem value is fixed).
 
-    is_exact promises Sol(restricted) = Sol(exact) for the partial
-    assignment and the cuts, so the node needs no relaxed diagram and no
-    branching.  (None, True) proves the node infeasible: its exact
-    diagram is empty, or the cuts remove every path.  (None, False) only
-    says the restricted diagram found nothing.
+    is_exact promises Sol(restricted) = Sol(exact), so the node needs no
+    relaxed diagram and no branching.  (None, True) proves the node
+    infeasible: Sol(exact) is empty because the partial assignment has
+    no completion or the cuts remove every one.  (None, False) only says
+    the restricted diagram found nothing.
     """
 
     sense = "min"
-
-    def build_exact_dd(self, partial, cuts):
-        raise NotImplementedError
 
     def build_restricted_dd(self, partial, cuts, width):
         raise NotImplementedError
@@ -141,7 +140,6 @@ class EngineConfig:
     width: int = 2
     time_limit: float = None
     relaxed_cuts: bool = True          # run subproblems on relaxed paths too
-    debug_bounds: bool = False         # per-node sandwich check (slow)
     dot_dir: str = None                # dump refinement snapshots when set
 
     def __post_init__(self):
@@ -247,7 +245,7 @@ def enumerate_prefixes(dd, layer_idx, cap):
     return sorted(out)
 
 
-def replay_cuts(dd, cuts, width_hint=None):
+def replay_cuts(dd, cuts):
     """Exact refinement of a diagram with respect to pooled cuts.
 
     The whole list goes to one refine_with_cut call, a single top-down
@@ -255,13 +253,10 @@ def replay_cuts(dd, cuts, width_hint=None):
     module's refine_with_cut attribute, so a wrapper bound there (as
     perfbench/layers.py does to time refinement) sees every replay.
     Node splitting may push the diagram past any configured width;
-    that growth is allowed and logged, never blocked.
+    that growth is allowed, never blocked.
     """
     if cuts:
         dd = refine_with_cut(dd, list(cuts))
-    if width_hint is not None and dd.width > width_hint:
-        log.debug("refinement grew the diagram to width %d (cap %d)",
-                  dd.width, width_hint)
     return dd
 
 
@@ -281,13 +276,8 @@ class _DotDumper:
         self.seq += 1
 
 
-def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
-    """Run the decomposition loop to optimality (or time limit).
-
-    known_optimum is only consulted when config.debug_bounds is set: the
-    per-node primal/dual bound sandwich is then asserted against it and
-    against per-node exact diagrams, raising BoundViolationError.
-    """
+def dd_bd_solve(master, sub, config=None, instance_id=""):
+    """Run the decomposition loop to optimality (or time limit)."""
     cfg = config or EngineConfig()
     sense = master.sense
     t0 = time.perf_counter()
@@ -313,6 +303,45 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
 
+    def separate(dd, tag, cap, prune):
+        """Path -> subproblem -> pool -> replay on dd, at most cap evaluations.
+
+        Returns (outcome, diagram, (x, z, w)) with the last diagram and
+        its optimal path.  Outcomes: "converged" (the path's value
+        variable equals the subproblem value), "stale" (no fresh cut),
+        "empty" (no path is left; the diagram is None), "bounded" (prune
+        is set and the path cannot beat the incumbent), "cap" and
+        "time_limit".
+        """
+        nonlocal lp_calls
+        path = (None, None, None)
+        for evaluations in itertools.count():
+            dots.dump(dd, tag)
+            try:
+                assignment, w = optimal_path(dd, sense)
+            except EmptyDiagramError:
+                return "empty", None, path
+            x, z = split_assignment(dd, assignment)
+            path = (x, z, w)
+            if prune and not better(w, w_star):
+                return "bounded", dd, path
+            if evaluations == cap:
+                return "cap", dd, path
+            if out_of_time():
+                return "time_limit", dd, path
+            res = sub.evaluate(x)
+            lp_calls += res.lp_calls
+            fresh = [c for c in res.cuts if pool.add(c)]
+            if res.kind == "optimal" and z is not None and \
+                    abs(z - res.value) <= CONVERGE_TOL:
+                return "converged", dd, path
+            if not fresh:
+                return "stale", dd, path
+            try:
+                dd = replay_cuts(dd, fresh)
+            except InfeasibleDiagramError:
+                return "empty", None, path
+
     while stack:
         if out_of_time():
             status = "time_limit"
@@ -323,58 +352,22 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
         if bound_here is not None and w_star is not None and not better(bound_here, w_star):
             continue
 
-        if cfg.debug_bounds:
-            _debug_sandwich(master, partial, pool.cuts, cfg.width, sense,
-                            known_optimum if partial == () else None)
-
         rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
-        candidate = None
         if rdd is not None:
-            dots.dump(rdd, "restricted")
-            for _ in range(REPEAT_CAP):
-                if out_of_time():
-                    status = "time_limit"
-                    break
-                try:
-                    assignment, w = optimal_path(rdd, sense)
-                except EmptyDiagramError:
-                    rdd = None
-                    break
-                x, z = split_assignment(rdd, assignment)
-                res = sub.evaluate(x)
-                lp_calls += res.lp_calls
-                fresh = [c for c in res.cuts if pool.add(c)]
-                if res.kind == "optimal" and z is not None and \
-                        abs(z - res.value) <= CONVERGE_TOL:
-                    candidate = (x, z, w)
-                    break
-                if not fresh:
-                    raise EngineError(
-                        "subproblem regenerated only pooled cuts; the diagram "
-                        "refinement cannot make progress")
-                try:
-                    rdd = replay_cuts(rdd, fresh, width_hint=cfg.width)
-                except InfeasibleDiagramError:
-                    rdd = None
-                    break
-                dots.dump(rdd, "restricted")
-            else:
+            outcome, _, (x, z, w) = separate(rdd, "restricted", REPEAT_CAP, prune=False)
+            if outcome == "time_limit":
+                # the node is open again: its inherited bound still holds
+                inherited_bound[partial] = bound_here
+                status = "time_limit"
+                break
+            if outcome == "stale":
+                raise EngineError(
+                    "subproblem regenerated only pooled cuts; the diagram "
+                    "refinement cannot make progress")
+            if outcome == "cap":
                 raise EngineError("restricted repeat loop exceeded its cap")
-        if status == "time_limit":
-            # the node is open again: its inherited bound still holds
-            inherited_bound[partial] = bound_here
-            break
-
-        if candidate is not None:
-            x, z, w = candidate
-            if cfg.debug_bounds and known_optimum is not None:
-                ok = w >= known_optimum - 1e-6 if sense == "min" \
-                    else w <= known_optimum + 1e-6
-                if not ok:
-                    raise BoundViolationError(
-                        f"feasible candidate value {w} beats the known optimum "
-                        f"{known_optimum}")
-            if better(w, w_star) or (tie(w, w_star) and best_x is not None and x < best_x):
+            if outcome == "converged" and (better(w, w_star) or (
+                    tie(w, w_star) and best_x is not None and x < best_x)):
                 w_star, best_x, best_z = w, x, z
 
         if restricted_exact:
@@ -385,48 +378,16 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
         xdd = master.build_relaxed_dd(partial, pool.cuts, cfg.width)
         if xdd is None:
             continue
-        dots.dump(xdd, "relaxed")
-        try:
-            assignment, w_bar = optimal_path(xdd, sense)
-        except EmptyDiagramError:
-            continue
-        if not better(w_bar, w_star):
-            continue
-
-        pruned = False
-        if cfg.relaxed_cuts:
-            for _ in range(RELAXED_CUT_CAP):
-                if out_of_time():
-                    status = "time_limit"
-                    break
-                x_bar, z_bar = split_assignment(xdd, assignment)
-                res = sub.evaluate(x_bar)
-                lp_calls += res.lp_calls
-                fresh = [c for c in res.cuts if pool.add(c)]
-                if res.kind == "optimal" and z_bar is not None and \
-                        abs(z_bar - res.value) <= CONVERGE_TOL:
-                    break
-                if not fresh:
-                    break  # nothing new to separate with; stop improving the bound
-                try:
-                    xdd = replay_cuts(xdd, fresh, width_hint=cfg.width)
-                except InfeasibleDiagramError:
-                    pruned = True
-                    break
-                dots.dump(xdd, "relaxed")
-                try:
-                    assignment, w_bar = optimal_path(xdd, sense)
-                except EmptyDiagramError:
-                    pruned = True
-                    break
-                if not better(w_bar, w_star):
-                    pruned = True
-                    break
-        if status == "time_limit":
+        # a stale cut leaves nothing new to separate with: stop improving
+        # the bound and branch, as after the cap
+        outcome, xdd, (_, _, w_bar) = separate(
+            xdd, "relaxed", RELAXED_CUT_CAP if cfg.relaxed_cuts else 0, prune=True)
+        if outcome == "time_limit":
             # w_bar bounds every completion of this node's relaxed diagram
             inherited_bound[partial] = w_bar
+            status = "time_limit"
             break
-        if pruned:
+        if outcome in ("empty", "bounded"):
             continue
 
         layer_idx, _ = exact_cutset(xdd)
@@ -464,42 +425,6 @@ def dd_bd_solve(master, sub, config=None, instance_id="", known_optimum=None):
         bound = max(open_bounds) if sense == "max" else min(open_bounds)
         report.gap = abs(bound - w_star)
     return report
-
-
-def _debug_sandwich(master, partial, cuts, width, sense, known_optimum):
-    """Relaxed <= exact <= restricted path values (min sense; mirrored for max)."""
-    try:
-        edd = master.build_exact_dd(partial, cuts)
-    except (InfeasibleDiagramError, EmptyDiagramError):
-        edd = None
-    if edd is None:
-        return
-    try:
-        _, exact_val = optimal_path(edd, sense)
-    except EmptyDiagramError:
-        return
-    rdd, _ = master.build_restricted_dd(partial, cuts, width)
-    xdd = master.build_relaxed_dd(partial, cuts, width)
-    tol = 1e-6 * (1.0 + abs(exact_val))
-    if xdd is not None:
-        _, relax_val = optimal_path(xdd, sense)
-        ok = relax_val <= exact_val + tol if sense == "min" else relax_val >= exact_val - tol
-        if not ok:
-            raise BoundViolationError(
-                f"relaxed bound {relax_val} cuts off exact value {exact_val}")
-    if rdd is not None:
-        _, restr_val = optimal_path(rdd, sense)
-        ok = restr_val >= exact_val - tol if sense == "min" else restr_val <= exact_val + tol
-        if not ok:
-            raise BoundViolationError(
-                f"restricted value {restr_val} beats exact value {exact_val}")
-    if known_optimum is not None and xdd is not None:
-        _, relax_val = optimal_path(xdd, sense)
-        ok = relax_val <= known_optimum + 1e-6 if sense == "min" \
-            else relax_val >= known_optimum - 1e-6
-        if not ok:
-            raise BoundViolationError(
-                f"root relaxed bound {relax_val} excludes the optimum {known_optimum}")
 
 
 # -- reward propagation over unique-parent diagrams -----------------------------------

@@ -43,10 +43,13 @@ class MipProblem:
         doc = json.loads(text)
         if doc.get("version") != 1:
             raise ValueError("unsupported problem schema version")
-        rows = [(r["ax"], r["by"], r["sense"], float(r["rhs"])) for r in doc["rows"]]
-        return MipProblem(sense=doc["sense"], x_obj=doc["x_obj"], y_obj=doc["y_obj"],
-                          rows=rows, x_domains=doc["x_domains"],
-                          z_bounds=tuple(doc["z_bounds"]))
+        try:
+            rows = [(r["ax"], r["by"], r["sense"], float(r["rhs"])) for r in doc["rows"]]
+            return MipProblem(sense=doc["sense"], x_obj=doc["x_obj"], y_obj=doc["y_obj"],
+                              rows=rows, x_domains=doc["x_domains"],
+                              z_bounds=tuple(doc["z_bounds"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad problem document: {exc}") from exc
 
     def to_json(self):
         doc = {

@@ -757,13 +757,6 @@ class UcpMasterOracle(MasterOracle):
         self.instance = instance
         self.gamma = gamma
 
-    def build_exact_dd(self, partial, cuts):
-        try:
-            dd = build_master_dd(self.instance, partial, self.gamma)
-            return replay_cuts(dd, cuts)
-        except (EmptyDiagramError, InfeasibleDiagramError):
-            return None
-
     def build_restricted_dd(self, partial, cuts, width):
         # an empty exact master, or one the pool empties, proves the node
         # infeasible: the restricted diagram is then exact
@@ -888,7 +881,7 @@ class UcpSubproblemOracle(SubproblemOracle):
                                 lp_calls=lp_calls)
 
 
-def ucp_solve(instance, config=None, instance_id="", known_optimum=None):
+def ucp_solve(instance, config=None, instance_id=""):
     """Convenience wrapper: bounds, oracles, and the decomposition loop."""
     from .engine import SolveReport, dd_bd_solve
 
@@ -898,5 +891,4 @@ def ucp_solve(instance, config=None, instance_id="", known_optimum=None):
         return SolveReport(status="infeasible", instance=instance_id)
     master = UcpMasterOracle(instance, gamma)
     sub = UcpSubproblemOracle(instance)
-    return dd_bd_solve(master, sub, config, instance_id=instance_id,
-                       known_optimum=known_optimum)
+    return dd_bd_solve(master, sub, config, instance_id=instance_id)

@@ -14,6 +14,8 @@ import numpy as np
 
 from ddbd.cli import main as cli_main
 from ddbd.diagram import (
+    EmptyDiagramError,
+    InfeasibleDiagramError,
     enumerate_solutions,
     dd_to_json,
     from_boxes,
@@ -23,7 +25,7 @@ from ddbd.diagram import (
     refine_with_cut,
     append_value_layer,
 )
-from ddbd.engine import CutPool, EngineConfig, cost_tuple_reward, dd_bd_solve
+from ddbd.engine import CutPool, EngineConfig, cost_tuple_reward, dd_bd_solve, replay_cuts
 from ddbd.mip import MipMasterOracle, MipSubproblemOracle, example_two_binary_problem
 from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
 from ddbd.simplex import solve, verify_certificate
@@ -35,7 +37,11 @@ from ddbd.ucp import (
     build_master_dd,
     build_relaxed_master_dd,
     build_restricted_master_dd,
+    InfeasibleInstanceError,
+    UcpMasterOracle,
+    UcpSubproblemOracle,
     build_subproblem,
+    compute_gamma,
     gen_random_instance,
     master_cost,
     ucp_solve,
@@ -181,9 +187,64 @@ def test_criterion_5_ramp_reformulation_equivalence():
     report(5, f"500 pairs agree ({agree_opt} dispatchable, {agree_inf} not)")
 
 
+class SandwichMaster:
+    """Checks relaxed <= exact <= restricted path values at every node's
+    restricted build, and the root relaxed bound against the optimum."""
+
+    def __init__(self, inner, optimum):
+        self.inner = inner
+        self.sense = inner.sense
+        self.optimum = optimum
+        self.checked = 0
+
+    def build_restricted_dd(self, partial, cuts, width):
+        built = self.inner.build_restricted_dd(partial, cuts, width)
+        try:
+            exact = replay_cuts(build_master_dd(self.inner.instance, partial,
+                                                self.inner.gamma), cuts)
+            _, exact_val = optimal_path(exact, "min")
+        except (EmptyDiagramError, InfeasibleDiagramError):
+            return built
+        tol = 1e-6 * (1.0 + abs(exact_val))
+        relaxed = self.inner.build_relaxed_dd(partial, cuts, width)
+        if relaxed is not None:
+            _, relax_val = optimal_path(relaxed, "min")
+            assert relax_val <= exact_val + tol, \
+                f"relaxed bound {relax_val} cuts off exact value {exact_val}"
+            if partial == () and self.optimum is not None:
+                assert relax_val <= self.optimum + 1e-6, \
+                    f"root relaxed bound {relax_val} excludes the optimum {self.optimum}"
+        if built[0] is not None:
+            _, restr_val = optimal_path(built[0], "min")
+            assert restr_val >= exact_val - tol, \
+                f"restricted value {restr_val} beats exact value {exact_val}"
+        self.checked += 1
+        return built
+
+    def build_relaxed_dd(self, partial, cuts, width):
+        return self.inner.build_relaxed_dd(partial, cuts, width)
+
+
+class OptimumSub:
+    """Checks that no evaluated commitment costs less than the optimum."""
+
+    def __init__(self, inner, optimum):
+        self.inner = inner
+        self.optimum = optimum
+
+    def evaluate(self, x):
+        res = self.inner.evaluate(x)
+        if res.kind == "optimal" and self.optimum is not None:
+            cost = master_cost(self.inner.instance, x) + res.value
+            assert cost >= self.optimum - 1e-6, \
+                f"commitment cost {cost} beats the known optimum {self.optimum}"
+        return res
+
+
 def test_criterion_6_bound_sandwich_everywhere():
     checked = 0
     sandwiches = 0
+    nodes = 0
     for seed in range(100):
         n = 1 + seed % 2
         horizon = 2 + seed % 3
@@ -201,15 +262,22 @@ def test_criterion_6_bound_sandwich_everywhere():
                 _, restr_val = optimal_path(restricted, "min")
                 assert restr_val >= exact_val - 1e-9, f"seed {seed} width {width}"
             sandwiches += 1
-        # per-iteration check inside the solver, against the true optimum
+        # per-node checks inside the solver, against the true optimum
         brute = brute_force_solve(inst)
-        rep = ucp_solve(inst, EngineConfig(width=2, debug_bounds=True),
-                        instance_id=str(seed),
-                        known_optimum=brute.best_cost)
+        try:
+            gamma = compute_gamma(inst)
+        except InfeasibleInstanceError:
+            assert brute.status == "infeasible", f"seed {seed}"
+            checked += 1
+            continue
+        master = SandwichMaster(UcpMasterOracle(inst, gamma), brute.best_cost)
+        sub = OptimumSub(UcpSubproblemOracle(inst), brute.best_cost)
+        rep = dd_bd_solve(master, sub, EngineConfig(width=2), instance_id=str(seed))
         assert rep.status == brute.status
+        nodes += master.checked
         checked += 1
     report(6, f"{checked} instances, {sandwiches} static sandwiches, "
-              f"in-solver checks on every node, zero violations")
+              f"{nodes} solver nodes checked, zero violations")
 
 
 def test_criterion_7_schedule_bijection():

@@ -122,6 +122,26 @@ def test_compare_rejects_malformed_arguments(argv, capsys):
     assert captured.out == ""
 
 
+def broken_mip(tmp_path, edit):
+    doc = json.loads((FIXTURES / "two_binary_mip.json").read_text())
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    return ["solve", "--instance", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["gen", "--params", "0,3,2,2"],
+    lambda tmp_path: broken_mip(tmp_path, lambda doc: doc.pop("rows")),
+    lambda tmp_path: broken_mip(tmp_path, lambda doc: doc.update(sense="min")),
+], ids=["gen-without-units", "mip-without-rows", "mip-min-sense"])
+def test_malformed_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_compare_three_way_agreement(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--sizes", "2,2,2", "--seeds", "0,1",

@@ -13,11 +13,17 @@ from ddbd.diagram import (
     optimal_path,
     refine_with_cut,
 )
+from ddbd import engine
 from ddbd.engine import (
+    RELAXED_CUT_CAP,
     CutPool,
     EngineConfig,
+    EngineError,
+    MasterOracle,
     PropertyViolationError,
     SolveReport,
+    SubproblemOracle,
+    SubproblemResult,
     cost_tuple_reward,
     dd_bd_solve,
     exact_cutset,
@@ -303,6 +309,110 @@ def test_stalled_refinement_is_an_oracle_error():
 
     with pytest.raises(EngineError):
         dd_bd_solve(MipMasterOracle(problem), StallingSub(), EngineConfig())
+
+
+# -- loop edges, pinned with stub oracles -------------------------------------------
+
+INCUMBENT = (1.0, 1.0)
+VACUOUS = CutRow(coeffs={0: 0.0}, rhs=1.0, sense="<=")   # never separates anything
+
+
+def unit_weights(layer, label):
+    # each binary costs its label; the value arc has slope one
+    return 1.0 if layer == 2 else label
+
+
+class StubMaster(MasterOracle):
+    """Two binaries.  At the root the restricted diagram holds INCUMBENT
+    alone with value 50 and is not exact, and the relaxed one holds the
+    other three points with value in [0, 100]; every child is reported
+    infeasible.  Pooled cuts are ignored."""
+
+    def build_restricted_dd(self, partial, cuts, width):
+        if partial:
+            return None, True
+        return from_paths([INCUMBENT + ((50.0, 50.0),)], weight_fn=unit_weights), False
+
+    def build_relaxed_dd(self, partial, cuts, width):
+        points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+        return from_paths([p + ((0.0, 100.0),) for p in points], weight_fn=unit_weights)
+
+
+class StubSub(SubproblemOracle):
+    """INCUMBENT converges at value 50 when `converge` is set.  Any other
+    evaluation, the k-th counted from 1, returns cut_for(k) and a value
+    of 1000, which no path reaches."""
+
+    def __init__(self, cut_for, converge=True):
+        self.cut_for = cut_for
+        self.converge = converge
+        self.evaluated = []
+
+    def evaluate(self, x):
+        if tuple(x) == INCUMBENT and self.converge:
+            return SubproblemResult(kind="optimal", cuts=[], value=50.0)
+        self.evaluated.append(tuple(x))
+        return SubproblemResult(kind="optimal", cuts=[self.cut_for(len(self.evaluated))],
+                                value=1000.0)
+
+
+def value_floor(k):
+    """The optimality cut z >= k."""
+    return CutRow(coeffs={}, z_coeff=1.0, rhs=float(k), sense=">=")
+
+
+def test_stale_cut_on_the_restricted_side_is_an_oracle_error():
+    sub = StubSub(lambda k: VACUOUS, converge=False)
+    with pytest.raises(EngineError):
+        dd_bd_solve(StubMaster(), sub, EngineConfig())
+    assert sub.evaluated == [INCUMBENT, INCUMBENT]
+
+
+def test_stale_cut_on_the_relaxed_side_branches():
+    sub = StubSub(lambda k: VACUOUS)
+    report = dd_bd_solve(StubMaster(), sub, EngineConfig())
+    assert sub.evaluated == [(0.0, 0.0), (0.0, 0.0)]
+    assert (report.status, report.x, report.value) == ("optimal", INCUMBENT, 52.0)
+    assert report.branches == 3
+
+
+def test_relaxed_loop_branches_on_its_last_replay_after_the_cap(monkeypatch):
+    import types
+
+    replays, branched = [], []
+    replay, prefixes = engine.replay_cuts, engine.enumerate_prefixes
+
+    def recording_replay(*args, **kwargs):
+        replays.append(replay(*args, **kwargs))
+        return replays[-1]
+
+    def stop_after_branching(dd, layer_idx, cap):
+        branched.append(dd)
+        return prefixes(dd, layer_idx, cap)
+
+    # the clock reads 0 s until the root branches and 100 s after, so the
+    # children stay open and the gap shows the bound they inherited
+    clock = types.SimpleNamespace(perf_counter=lambda: 100.0 if branched else 0.0)
+    monkeypatch.setattr(engine, "replay_cuts", recording_replay)
+    monkeypatch.setattr(engine, "enumerate_prefixes", stop_after_branching)
+    monkeypatch.setattr(engine, "time", clock)
+    sub = StubSub(value_floor)
+    report = dd_bd_solve(StubMaster(), sub, EngineConfig(time_limit=1.0))
+    assert len(sub.evaluated) == RELAXED_CUT_CAP
+    assert len(replays) == RELAXED_CUT_CAP and branched == [replays[-1]]
+    bound = optimal_path(replays[-1], "min")[1]
+    assert bound == pytest.approx(RELAXED_CUT_CAP)
+    assert (report.status, report.x, report.value) == ("time_limit", INCUMBENT, 52.0)
+    assert report.branches == 3
+    assert report.gap == pytest.approx(52.0 - bound)
+
+
+def test_no_relaxed_cuts_makes_no_relaxed_evaluation():
+    sub = StubSub(value_floor)
+    report = dd_bd_solve(StubMaster(), sub, EngineConfig(relaxed_cuts=False))
+    assert sub.evaluated == []
+    assert (report.status, report.x, report.value) == ("optimal", INCUMBENT, 52.0)
+    assert report.branches == 3
 
 
 def test_shortcut_and_relaxed_cut_configs_agree_on_random_instances():

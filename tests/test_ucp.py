@@ -280,7 +280,6 @@ def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
         dd, _ = oracle.build_restricted_dd((), cuts, 2)
         assert dd is not None
     assert oracle.build_restricted_dd((), pool, 2) == (None, True)
-    assert oracle.build_exact_dd((), pool) is None
     assert oracle.build_restricted_dd((1.0,), [pool[0]], 2) == (None, True)
     # so is a partial assignment with no completion: down after one period
     # up, against a two-period minimum up time
