@@ -13,7 +13,6 @@ from .diagram import (
     enumerate_solutions,
     from_boxes,
     from_paths,
-    merge_nodes,
     optimal_path,
     reduce_interval_arcs,
     refine_with_cut,

@@ -407,37 +407,6 @@ def _label_hi(arc):
     return arc.label.hi if isinstance(arc.label, Interval) else arc.label
 
 
-def merge_nodes(dd, node_layer, nodes, state_merge=None):
-    """Replace `nodes` (all in the given node layer) by a single node.
-
-    Incoming and outgoing arcs are redirected, the merged node state is
-    state_merge([state, ...]) when a combiner is supplied, and the new
-    node is tagged as merged.  Every path of the input stays encodable.
-    """
-    group = set(nodes)
-    if not group.issubset(set(dd.layers[node_layer])):
-        raise ValueError("nodes must all belong to the given layer")
-    out = dd.copy()
-    states = [out.states.get(nid) for nid in nodes]
-    for nid in group:
-        out.layers[node_layer].remove(nid)
-        out.states.pop(nid, None)
-        out.merged.discard(nid)
-    merged_id = out.new_node(
-        node_layer,
-        state=state_merge(states) if state_merge is not None else None,
-        merged=True)
-    if node_layer > 0:
-        for arc in out.arcs[node_layer - 1]:
-            if arc.head in group:
-                arc.head = merged_id
-    if node_layer < len(out.layers) - 1:
-        for arc in out.arcs[node_layer]:
-            if arc.tail in group:
-                arc.tail = merged_id
-    return out
-
-
 def restrict_to_width(dd, width, sense="min"):
     """Keep in every node layer the `width` nodes that lie on the best paths.
 

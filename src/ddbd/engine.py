@@ -283,9 +283,8 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     t0 = time.perf_counter()
     dots = _DotDumper(cfg.dot_dir)
     pool = CutPool()
-    stack = [()]
-    seen = {()}
-    inherited_bound = {(): math.inf if sense == "max" else -math.inf}
+    # (partial assignment, bound inherited from the relaxed diagram it came from)
+    stack = [((), math.inf if sense == "max" else -math.inf)]
     best_x, best_z, w_star = None, None, None
     branches = 0
     lp_calls = 0
@@ -346,10 +345,9 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         if out_of_time():
             status = "time_limit"
             break
-        partial = stack.pop()
+        partial, bound_here = stack.pop()
         nodes_expanded += 1
-        bound_here = inherited_bound.pop(partial, None)
-        if bound_here is not None and w_star is not None and not better(bound_here, w_star):
+        if not better(bound_here, w_star):
             continue
 
         rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
@@ -357,7 +355,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
             outcome, _, (x, z, w) = separate(rdd, "restricted", REPEAT_CAP, prune=False)
             if outcome == "time_limit":
                 # the node is open again: its inherited bound still holds
-                inherited_bound[partial] = bound_here
+                stack.append((partial, bound_here))
                 status = "time_limit"
                 break
             if outcome == "stale":
@@ -384,7 +382,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
             xdd, "relaxed", RELAXED_CUT_CAP if cfg.relaxed_cuts else 0, prune=True)
         if outcome == "time_limit":
             # w_bar bounds every completion of this node's relaxed diagram
-            inherited_bound[partial] = w_bar
+            stack.append((partial, w_bar))
             status = "time_limit"
             break
         if outcome in ("empty", "bounded"):
@@ -401,13 +399,9 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                     prefixes = enumerate_prefixes(xdd, layer_idx, 10 ** 9)
                     break
                 layer_idx -= 1
-        for prefix in sorted(prefixes, reverse=True):
-            if prefix in seen:
-                continue
-            seen.add(prefix)
-            inherited_bound[prefix] = w_bar
-            stack.append(prefix)
-            branches += 1
+        # every prefix extends partial by the same length, so none is pushed twice
+        stack.extend((prefix, w_bar) for prefix in sorted(prefixes, reverse=True))
+        branches += len(prefixes)
 
     wall = time.perf_counter() - t0
     report = SolveReport(status=status, branches=branches, nodes=nodes_expanded,
@@ -421,7 +415,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         return report
     report.x, report.z, report.value = best_x, best_z, w_star
     if status == "time_limit":
-        open_bounds = [b for b in inherited_bound.values()] or [w_star]
+        open_bounds = [b for _, b in stack] or [w_star]
         bound = max(open_bounds) if sense == "max" else min(open_bounds)
         report.gap = abs(bound - w_star)
     return report

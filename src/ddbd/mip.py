@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +39,35 @@ class MipProblem:
     def slave_rows(self):
         return [r for r in self.rows if any(abs(v) > COEF_EPS for v in r[1])]
 
+    def validate(self):
+        """Raise ValueError unless the senses and lengths fit together."""
+        if self.sense not in ("min", "max"):
+            raise ValueError(f"sense must be min or max, not {self.sense!r}")
+        n = len(self.x_domains)
+        if len(self.x_obj) != n:
+            raise ValueError("x_obj must have one entry per x domain")
+        for ax, by, sense, _ in self.rows:
+            if sense not in ("<=", ">=", "="):
+                raise ValueError(f"row sense must be <=, >= or =, not {sense!r}")
+            if len(ax) != n or len(by) != len(self.y_obj):
+                raise ValueError("row ax must match x_domains and by must match y_obj")
+        if len(self.z_bounds) != 2 or self.z_bounds[0] > self.z_bounds[1]:
+            raise ValueError("z_bounds must be two finite numbers lo <= hi")
+        return self
+
     @staticmethod
     def from_json(text):
         doc = json.loads(text)
         if doc.get("version") != 1:
             raise ValueError("unsupported problem schema version")
         try:
-            rows = [(r["ax"], r["by"], r["sense"], float(r["rhs"])) for r in doc["rows"]]
-            return MipProblem(sense=doc["sense"], x_obj=doc["x_obj"], y_obj=doc["y_obj"],
-                              rows=rows, x_domains=doc["x_domains"],
-                              z_bounds=tuple(doc["z_bounds"]))
-        except (KeyError, TypeError) as exc:
+            rows = [(_numbers(r["ax"]), _numbers(r["by"]), r["sense"],
+                     _numbers([r["rhs"]])[0]) for r in doc["rows"]]
+            return MipProblem(sense=doc["sense"], x_obj=_numbers(doc["x_obj"]),
+                              y_obj=_numbers(doc["y_obj"]), rows=rows,
+                              x_domains=[_numbers(d) for d in doc["x_domains"]],
+                              z_bounds=tuple(_numbers(doc["z_bounds"]))).validate()
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad problem document: {exc}") from exc
 
     def to_json(self):
@@ -63,6 +82,15 @@ class MipProblem:
             "z_bounds": list(self.z_bounds),
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _numbers(values):
+    """A JSON list of finite numbers as floats; ValueError otherwise."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values):
+        raise ValueError(f"expected a list of finite numbers, got {values!r}")
+    return [float(v) for v in values]
 
 
 def _row_holds(ax, sense, rhs, x, tol=1e-9):

@@ -256,24 +256,58 @@ def _fresh_state(relaxed):
     return (INF, INF, INF) if relaxed else (INF, INF)
 
 
-def _group_of(state):
-    return "down" if state[0] >= state[1] else "up"
+def _merge_states(reach, width):
+    """Width enforcement for the relaxed compiler, before any node exists.
 
+    reach maps each child state of a layer to its cheapest root distance.
+    States merge only within their up/down group.  Each group that has
+    states gets one slot, and each spare slot of the width goes to the
+    group with the most states left over, ties to "down".  A group ranks
+    its states by (distance, state); with q slots and more than q states
+    it keeps the first q - 1 and merges the rest into one state (max
+    up-age, max down-age, min merged down-age), which joins a kept state
+    equal to it.
 
-def _merge_states(states):
-    up = max(s[0] for s in states)
-    down = max(s[1] for s in states)
-    eq = min(s[2] for s in states)
-    return (up, down, eq)
+    Returns (rep, merged): rep maps every state to the state of its node,
+    listing the down group before the up group and in each its kept
+    states by rank before its merged ones; merged holds the
+    representatives to tag as merged.
+    """
+    groups = ([], [])   # down, up
+    for s in reach:
+        groups[s[0] < s[1]].append(s)
+    active = [grp for grp in groups if grp]
+    quota = [1] * len(active)
+    for _ in range(width - len(active)):
+        left = [len(grp) - q for grp, q in zip(active, quota)]
+        i = max(range(len(active)), key=left.__getitem__)
+        if not left[i]:
+            break
+        quota[i] += 1
+    rep, merged = {}, set()
+    for grp, q in zip(active, quota):
+        ranked = sorted(grp, key=lambda s: (reach[s], s))
+        keep = ranked[:q - 1] if len(ranked) > q else ranked
+        rest = ranked[len(keep):]
+        rep.update((s, s) for s in keep)
+        if rest:
+            state = (max(s[0] for s in rest), max(s[1] for s in rest),
+                     min(s[2] for s in rest))
+            merged.add(state)
+            rep.update((s, state) for s in rest)
+    return rep, merged
 
 
 def _compile_master(instance, partial, gamma, width=None):
     """Shared compiler for the exact and relaxed master diagrams.
 
-    Without a width the diagram is exact; with one, node layers past the
-    width are merged (_merge_layer) and node states carry the merged
-    down-age.  Raises EmptyDiagramError when the partial assignment
-    admits no completion.
+    Each layer first maps every child state to the state its node gets:
+    itself in an exact layer, the fresh state at a unit boundary (the
+    next unit is scheduled independently), and _merge_states' choice in
+    a relaxed layer with more than `width` states, where node states
+    carry the merged down-age.  It then makes the nodes and arcs in one
+    pass over the moves.  Raises EmptyDiagramError when the partial
+    assignment admits no completion.
     """
     relaxed = width is not None
     n, T = instance.num_units, instance.horizon
@@ -281,9 +315,9 @@ def _compile_master(instance, partial, gamma, width=None):
     if len(partial) > n * T:
         raise ValueError("partial assignment longer than the variable count")
     dd = DecisionDiagram(n * T + 1, continuous_last=True)
-    root = dd.new_node(0, state=_fresh_state(relaxed))
-    cur = {_fresh_state(relaxed): root}
-    dist = {root: 0.0}
+    fresh = _fresh_state(relaxed)
+    cur = {fresh: dd.new_node(0, state=fresh)}
+    dist = {fresh: 0.0}   # relaxed: cheapest root distance of each state in cur
 
     for g in range(n * T):
         unit = g // T
@@ -291,98 +325,44 @@ def _compile_master(instance, partial, gamma, width=None):
         min_up, min_down = effective_times(gen, T)
         boundary = (g + 1) % T == 0 and unit < n - 1
         moves = []  # (parent node, label, weight, child state)
+        reach = {}  # relaxed: cheapest root distance of each child state
         for state, node in cur.items():
             for label, weight, nxt in _transitions(gen, state, relaxed,
                                                    min_up, min_down):
                 if g < len(partial) and abs(label - partial[g]) > 1e-9:
                     continue
                 moves.append((node, label, weight, nxt))
+                if relaxed and dist[state] + weight < reach.get(nxt, INF):
+                    reach[nxt] = dist[state] + weight
         if not moves:
             raise EmptyDiagramError("partial assignment admits no completion")
-        if boundary:
-            # the next unit is scheduled independently: collapse the layer
-            child = dd.new_node(g + 1, state=_fresh_state(relaxed))
-            dist[child] = min(dist[p] + w for p, _, w, _ in moves)
-            for parent, label, weight, _ in moves:
-                dd.add_arc(g, parent, child, label, weight)
-            cur = {_fresh_state(relaxed): child}
-            continue
+        rep, merged = {}, ()   # child state -> its node's state, when not itself
+        if relaxed and boundary:
+            rep = dict.fromkeys(reach, fresh)
+        elif relaxed and len(reach) > width:
+            rep, merged = _merge_states(reach, width)
+        dist = reach
+        if rep:
+            dist = {}
+            for s, d in reach.items():
+                if d < dist.get(rep[s], INF):
+                    dist[rep[s]] = d
 
         children = {}
         for parent, label, weight, nxt in moves:
-            if nxt not in children:
-                children[nxt] = dd.new_node(g + 1, state=nxt)
-                dist[children[nxt]] = INF
-            child = children[nxt]
-            dd.add_arc(g, parent, child, label, weight)
-            dist[child] = min(dist[child], dist[parent] + weight)
-
-        if relaxed and len(children) > width:
-            children = _merge_layer(dd, g + 1, children, dist, width)
-        cur = children
+            state = fresh if boundary else rep.get(nxt, nxt)
+            if state not in children:
+                children[state] = dd.new_node(g + 1, state=state,
+                                              merged=state in merged)
+            dd.add_arc(g, parent, children[state], label, weight)
+        # after a merge the next layer reads the nodes in _merge_states' order
+        cur = children if boundary or not rep else {
+            s: children[s] for s in dict.fromkeys(rep.values())}
 
     term = dd.new_node(n * T + 1)
-    for state, node in cur.items():
+    for node in cur.values():
         dd.add_arc(n * T, node, term, Interval(gamma.lo, gamma.hi), 1.0)
     return dd
-
-
-def _merge_layer(dd, node_layer, children, dist, width):
-    """Width enforcement for the relaxed compiler.
-
-    Nodes are grouped by up/down status (states may only merge within a
-    group), ranked by distance from the root, and the worst nodes of
-    each group are merged into one tagged node with combined state
-    (max up-age, max down-age, min merged down-age).
-    """
-    groups = {"down": [], "up": []}
-    for state in children:
-        groups[_group_of(state)].append(state)
-    active = [g for g in ("down", "up") if groups[g]]
-    target = max(width, len(active))
-    quota = {g: 1 for g in active}
-    spare = target - len(active)
-    while spare > 0:
-        # grant extra slots to the larger group first
-        order = sorted(active, key=lambda g: (-(len(groups[g]) - quota[g]), g))
-        granted = False
-        for g in order:
-            if quota[g] < len(groups[g]) and spare > 0:
-                quota[g] += 1
-                spare -= 1
-                granted = True
-                break
-        if not granted:
-            break
-
-    out = {}
-    for g in active:
-        ranked = sorted(groups[g], key=lambda s: (dist[children[s]], s))
-        keep = ranked[:quota[g] - 1] if len(ranked) > quota[g] else ranked
-        rest = ranked[len(keep):]
-        for s in keep:
-            out[s] = children[s]
-        if rest:
-            merged_state = _merge_states(rest)
-            if merged_state in out:
-                # combined state already kept: fold into that node
-                node = out[merged_state]
-                dd.merged.add(node)
-            else:
-                node = dd.new_node(node_layer, state=merged_state, merged=True)
-                dist[node] = INF
-                out[merged_state] = node
-            members = {children[s] for s in rest} - {node}
-            dist[node] = min([dist[node]] + [dist[m] for m in members])
-            dd.layers[node_layer] = [nid for nid in dd.layers[node_layer]
-                                     if nid not in members]
-            for arc in dd.arcs[node_layer - 1]:
-                if arc.head in members:
-                    arc.head = node
-            for m in members:
-                dd.states.pop(m, None)
-                dd.merged.discard(m)
-    return out
 
 
 def build_master_dd(instance, partial=(), gamma=None):

@@ -142,6 +142,31 @@ def test_malformed_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     assert captured.out == ""
 
 
+def set_row(key, value):
+    def edit(doc):
+        doc["rows"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(sense="maximise"),
+    set_row("sense", "<"),
+    lambda doc: doc.update(x_obj=[1.0]),
+    set_row("ax", [1.0, 1.0, 1.0]),
+    set_row("by", [0.0]),
+    set_row("rhs", "1.0"),
+    lambda doc: doc["x_domains"][1].append("two"),
+    lambda doc: doc.update(z_bounds=[10.0, -10.0]),
+    lambda doc: doc.update(z_bounds=[-10.0]),
+], ids=["sense", "row-sense", "x-obj-length", "ax-length", "by-length", "rhs-string",
+        "domain-label", "z-bounds-reversed", "z-bounds-one-entry"])
+def test_malformed_mip_fixture_is_rejected(edit, tmp_path, capsys):
+    assert main(broken_mip(tmp_path, edit) + ["--sense", "max"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad problem document:")
+    assert captured.out == ""
+
+
 def test_compare_three_way_agreement(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--sizes", "2,2,2", "--seeds", "0,1",

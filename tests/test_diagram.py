@@ -16,7 +16,6 @@ from ddbd.diagram import (
     dd_to_json,
     enumerate_solutions,
     from_paths,
-    merge_nodes,
     optimal_path,
     path_weight,
     prune_dead_nodes,
@@ -419,42 +418,6 @@ def test_restrict_to_width_returns_the_input_when_it_fits():
     assert restrict_to_width(dd, 2, "max") == (dd, True)
     with pytest.raises(ValueError):
         restrict_to_width(dd, 0, "max")
-
-
-# -- merge_nodes -------------------------------------------------------------------
-
-
-def ucp_state_merge(states):
-    up = max(s[0] for s in states)
-    down = max(s[1] for s in states)
-    eq = min(s[2] for s in states)
-    return (up, down, eq)
-
-
-def test_merge_state_combiner():
-    assert ucp_state_merge([(3, 1, 1), (2, 1, 1)]) == (3, 1, 1)
-    assert ucp_state_merge([(3, 1, 1), (2, 2, 2)]) == (3, 2, 1)
-
-
-def test_merge_whole_layer_keeps_paths():
-    dd = from_paths([(0.0, 1.0), (1.0, 0.0)])
-    layer = 1
-    merged = merge_nodes(dd, layer, list(dd.layers[layer]))
-    assert merged.width == 1 or len(merged.layers[layer]) == 1
-    sols = set(enumerate_solutions(merged))
-    assert {(0.0, 1.0), (1.0, 0.0)} <= sols
-
-
-def test_merge_superset_property_random():
-    rng = random.Random(13)
-    for _ in range(20):
-        dd = random_dd(rng, num_layers=3, max_nodes=4, labels=(0.0, 1.0))
-        layer = rng.randint(1, 2)
-        nodes = dd.layers[layer]
-        if len(nodes) < 2:
-            continue
-        merged = merge_nodes(dd, layer, nodes[:2])
-        assert set(enumerate_solutions(dd)) <= set(enumerate_solutions(merged))
 
 
 # -- export ------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -9,12 +10,12 @@ from ddbd.diagram import (
     DecisionDiagram,
     append_value_layer,
     from_paths,
-    merge_nodes,
     optimal_path,
     refine_with_cut,
 )
 from ddbd import engine
 from ddbd.engine import (
+    BRANCH_CAP,
     RELAXED_CUT_CAP,
     CutPool,
     EngineConfig,
@@ -60,17 +61,17 @@ def test_exact_cutset_unmerged_is_last_layer_before_terminal():
 
 def test_exact_cutset_stops_before_first_merge():
     dd = from_paths([(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
-    merged = merge_nodes(dd, 2, list(dd.layers[2])[:2])
-    idx, _ = exact_cutset(merged)
+    dd.merged.update(dd.layers[2][:2])
+    idx, _ = exact_cutset(dd)
     assert idx == 1
 
 
 def test_exact_cutset_root_only_when_layer_one_merged():
     dd = from_paths([(0.0, 0.0), (1.0, 1.0)])
-    merged = merge_nodes(dd, 1, list(dd.layers[1]))
-    idx, nodes = exact_cutset(merged)
+    dd.merged.update(dd.layers[1])
+    idx, nodes = exact_cutset(dd)
     assert idx == 0
-    assert nodes == [merged.root]
+    assert nodes == [dd.root]
 
 
 # -- cost tuple reward -------------------------------------------------------------
@@ -413,6 +414,42 @@ def test_no_relaxed_cuts_makes_no_relaxed_evaluation():
     assert sub.evaluated == []
     assert (report.status, report.x, report.value) == ("optimal", INCUMBENT, 52.0)
     assert report.branches == 3
+
+
+class GridMaster(MasterOracle):
+    """No restricted diagram anywhere.  The root's relaxed diagram holds
+    every point of the grid, with value in [0, 1]; every child is
+    infeasible.  Records the partial assignment of each relaxed build."""
+
+    sense = "min"
+
+    def __init__(self, *domains):
+        self.points = list(itertools.product(*domains))
+        self.built = []
+
+    def build_restricted_dd(self, partial, cuts, width):
+        return None, False
+
+    def build_relaxed_dd(self, partial, cuts, width):
+        self.built.append(partial)
+        if partial:
+            return None
+        return from_paths([p + ((0.0, 1.0),) for p in self.points])
+
+
+TEN = [float(v) for v in range(10)]
+HUNDRED = [float(v) for v in range(100)]
+
+
+# 10 x 10 prefixes at the exact cutset back up to layer 1; at layer 1 all
+# 100 are taken however many there are
+@pytest.mark.parametrize("domains", [(TEN, TEN), (HUNDRED,)], ids=["back-up", "take-all"])
+def test_branching_past_the_prefix_cap_branches_on_the_first_variable(domains):
+    assert math.prod(map(len, domains)) > BRANCH_CAP
+    master = GridMaster(*domains)
+    report = dd_bd_solve(master, StubSub(value_floor), EngineConfig(relaxed_cuts=False))
+    assert report.status == "infeasible" and report.branches == len(domains[0])
+    assert master.built == [()] + [(v,) for v in domains[0]]
 
 
 def test_shortcut_and_relaxed_cut_configs_agree_on_random_instances():

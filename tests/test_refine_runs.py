@@ -70,11 +70,15 @@ def assert_same_refinement(dd, cuts, label):
     return expected
 
 
-def runs_dd(rng, num_discrete=8, lead=3):
+def discrete_layers(dd):
+    return dd.layer_kinds.count("discrete")
+
+
+def runs_dd(rng, num_discrete=8, lead=3, value_layer=True):
     """Random diagram whose first `lead` layers are a single-arc run from
     the root; later node layers of width 1 are often joined by one arc,
     which gives interior runs.  Some nodes carry states and merged tags,
-    and a continuous value layer ends it."""
+    and a continuous value layer ends it when value_layer is set."""
     widths = [1] * (lead + 1) + [rng.choice([1, 1, 2, 3])
                                  for _ in range(num_discrete - lead - 1)] + [1]
     dd = DecisionDiagram(num_discrete)
@@ -93,14 +97,16 @@ def runs_dd(rng, num_discrete=8, lead=3):
         for v in heads:
             if v not in reached:
                 dd.add_arc(j, rng.choice(tails), v, rng.choice(LABELS), rng.uniform(-1, 1))
+    if not value_layer:
+        return dd
     return append_value_layer(dd, rng.uniform(-5, 0), rng.uniform(0, 5),
                               rng.choice([1.0, -1.0]))
 
 
-def random_cut(rng, num_discrete):
+def random_cut(rng, num_discrete, value_layer=True):
     coeffs = {j: rng.choice(COEFS) for j in range(num_discrete)}
     sense = rng.choice(["<=", ">="])
-    if rng.random() < 0.3:
+    if value_layer and rng.random() < 0.3:
         return CutRow(coeffs=coeffs, z_coeff=rng.choice([1.0, -1.0]),
                       rhs=rng.uniform(-6, 6), sense=sense)
     return CutRow(coeffs=coeffs, rhs=rng.uniform(-4, 6), sense=sense)
@@ -109,7 +115,7 @@ def random_cut(rng, num_discrete):
 def boundary_cut(rng, dd):
     """Feasibility cut that one path of dd meets right at rhs +- CUT_TOL
     (half the time it misses by one float)."""
-    num_discrete = dd.num_arc_layers - 1
+    num_discrete = discrete_layers(dd)
     path = rng.choice(enumerate_solutions(dd))
     coeffs = {j: rng.choice(COEFS) for j in range(num_discrete)}
     lhs = 0.0
@@ -132,7 +138,7 @@ def lead_run_events(dd, coeffs, sense, rhs_values):
     feasibility cut (coeffs, rhs, sense) along dd's leading run, as the
     layer-by-layer pass tests them.  Position -1 is the root; kind is
     "" where neither happens on the run."""
-    num_discrete = dd.num_arc_layers - 1
+    num_discrete = discrete_layers(dd)
     row = {nid: r for r, nid in enumerate(nid for layer in dd.layers for nid in layer)}
     cuts = [CutRow(coeffs=coeffs, rhs=float(r), sense=sense) for r in rhs_values]
     sign = np.array([1.0 if sense == "<=" else -1.0] * len(cuts))
@@ -167,7 +173,7 @@ def mid_run_cut(rng, dd, kind, tries=5):
     event starts to happen at or before that layer; the floats around
     that point are then tried one by one.
     """
-    num_discrete = dd.num_arc_layers - 1
+    num_discrete = discrete_layers(dd)
     for _ in range(tries):
         coeffs = {j: rng.choice([c for c in COEFS if c]) for j in range(num_discrete)}
         sense = rng.choice(["<=", ">="])
@@ -197,10 +203,14 @@ def test_runs_match_the_layer_by_layer_reference_on_random_diagrams():
     rng = random.Random(2024)
     mid = {"settle": 0, "drop": 0}
     results = {"infeasible": 0, "refined": 0}
-    for trial in range(120):
-        dd = runs_dd(rng, num_discrete=rng.randint(5, 9), lead=rng.randint(1, 4))
-        num_discrete = dd.num_arc_layers - 1
-        cuts = [random_cut(rng, num_discrete) for _ in range(rng.randint(1, 6))]
+    discrete_last = {"infeasible": 0, "refined": 0}   # no value layer
+    for trial in range(160):
+        value_layer = trial < 120
+        dd = runs_dd(rng, num_discrete=rng.randint(5, 9), lead=rng.randint(1, 4),
+                     value_layer=value_layer)
+        num_discrete = discrete_layers(dd)
+        cuts = [random_cut(rng, num_discrete, value_layer)
+                for _ in range(rng.randint(1, 6))]
         if rng.random() < 0.5:
             cuts.insert(rng.randrange(len(cuts) + 1), boundary_cut(rng, dd))
         for kind in ("settle", "drop"):
@@ -210,10 +220,13 @@ def test_runs_match_the_layer_by_layer_reference_on_random_diagrams():
                 cuts.insert(rng.randrange(len(cuts) + 1), cut)
                 assert_same_refinement(dd, [cut], f"trial {trial} {kind} alone")
         got = assert_same_refinement(dd, cuts, f"trial {trial}")
-        results["infeasible" if got == "infeasible" else "refined"] += 1
+        kind = "infeasible" if got == "infeasible" else "refined"
+        results[kind] += 1
+        discrete_last[kind] += not value_layer
     # the inputs exercise what they are meant to
     assert mid["settle"] >= 10 and mid["drop"] >= 10, mid
     assert min(results.values()) >= 10, results
+    assert min(discrete_last.values()) >= 5, discrete_last
 
 
 def test_runs_match_the_reference_on_ucp_masters_with_prefixes():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from ddbd.diagram import (
     CutRow,
     EmptyDiagramError,
     InfeasibleDiagramError,
+    Interval,
     enumerate_solutions,
     optimal_path,
     path_weight,
@@ -26,6 +28,7 @@ from ddbd.ucp import (
     UcpInstance,
     UcpMasterOracle,
     UcpSubproblemOracle,
+    _merge_states,
     build_dual_subproblem,
     build_master_dd,
     build_relaxed_master_dd,
@@ -177,6 +180,109 @@ def test_relaxed_without_width_pressure_equals_exact():
     for state in relaxed.states.values():
         if len(state) == 3:
             assert state[2] == state[1]
+
+
+def canonical_master(dd):
+    """Node count, then the arcs in order with tail and head numbered by
+    first appearance and labels and weights as float.hex, then each
+    numbered node's state and merged tag.  Ids and the order of nodes
+    within a layer do not show."""
+    num = {}
+
+    def hexed(v):
+        return (v.lo.hex(), v.hi.hex()) if isinstance(v, Interval) else float(v).hex()
+
+    arcs = [(j, num.setdefault(a.tail, len(num)), num.setdefault(a.head, len(num)),
+             hexed(a.label), hexed(a.weight))
+            for j, layer in enumerate(dd.arcs) for a in layer]
+    nodes = [(dd.states.get(nid), nid in dd.merged) for nid in num]
+    return repr((sum(map(len, dd.layers)), arcs, nodes))
+
+
+# sha256 of canonical_master for (seed, partial, width) of
+# gen_random_instance(3, 4, 1, seed) with value bounds [0, 1]; width None is
+# the exact master.  Recorded when relaxed layers were merged after their
+# nodes were built.
+PINNED_MASTERS = {
+    (0, (), None):
+        "66b515789433814f117692a7aff54e66bf613b7d503c4f067697b6cc6b9f8310",
+    (0, (), 1):
+        "7ca7c77911fc5bf01e9522d8a5a16aeed3581e0143d3b0bfc8216adbc26caae0",
+    (0, (), 2):
+        "7ca7c77911fc5bf01e9522d8a5a16aeed3581e0143d3b0bfc8216adbc26caae0",
+    (0, (), 3):
+        "52fe38eab59714b788736fa7a914e24c4ddda7b3d7bf47bc8769fa38a89d7265",
+    (0, (1.0,), None):
+        "7268bc33a53d72fa24d2866f9aa34d54ea8f3450a27b8a1029c5a59c772b55e5",
+    (0, (1.0,), 1):
+        "353c689a8a6d3415beec4ad4e56a1bd7e6fceee02015a4559a1120c2c4bf780a",
+    (0, (1.0,), 2):
+        "9406de8162fdad229f004ee5e94baeca8f3b3aacac84a5b151d49f9dfd734b9d",
+    (0, (1.0,), 3):
+        "30736fc426c682327c1c99aeef8f106c531723d320d84778c1977313c188957d",
+    (0, (0.0, 1.0, 1.0, 1.0, 0.0), None):
+        "61fa2358610d7ff86d0e89c5441363668ce6eb7835cc669b8ab5269e499884c5",
+    (0, (0.0, 1.0, 1.0, 1.0, 0.0), 1):
+        "d7f2234cee2b04eb236083908883349492971150b0f50521bfa02cf67037ae9b",
+    (0, (0.0, 1.0, 1.0, 1.0, 0.0), 2):
+        "d7f2234cee2b04eb236083908883349492971150b0f50521bfa02cf67037ae9b",
+    (0, (0.0, 1.0, 1.0, 1.0, 0.0), 3):
+        "f7e05ed0dea4b533811dc6812aa1834c19bc5029f985cb0d4ccc85e51b3a4d37",
+    (1, (), None):
+        "daa6da4136cd36b918719c51031ba94283188750c16beadf19d6e85831929159",
+    (1, (), 1):
+        "f996179b716699357e23e2e16532f97ce5aea6faaccae1d98a16eb08fbb32ea5",
+    (1, (), 2):
+        "f996179b716699357e23e2e16532f97ce5aea6faaccae1d98a16eb08fbb32ea5",
+    (1, (), 3):
+        "73960ac1d9b9ba91ac8dbb9fb866564a04043224dac09bfb9687717bc0a86caa",
+    (1, (1.0,), None):
+        "f0b255a437479fd92dd46c89b28f059c8667a80835eee77d227f16b46b430d4b",
+    (1, (1.0,), 1):
+        "1b9867e1d10a06582a20a1d4b9e339d6b0b579d266bd1d3720d1942151fdc8fd",
+    (1, (1.0,), 2):
+        "2eb7c2200d31d3934590aa5f8b0ed84d7763a88d4b80b5bce894e847ad63600f",
+    (1, (1.0,), 3):
+        "b6bfd1666346e49604870de14f915bbd340dab66fb31761ff1973a7063fc4434",
+    (1, (0.0, 1.0, 1.0, 1.0, 0.0), None):
+        "f818339b0586250be1347026cfdb27c7410f4800c3621fdf83cdb6773604d398",
+    (1, (0.0, 1.0, 1.0, 1.0, 0.0), 1):
+        "625529dc52a11646e0bbbdf256777b0dbaea6d8a271b77da58758c5a6077c698",
+    (1, (0.0, 1.0, 1.0, 1.0, 0.0), 2):
+        "625529dc52a11646e0bbbdf256777b0dbaea6d8a271b77da58758c5a6077c698",
+    (1, (0.0, 1.0, 1.0, 1.0, 0.0), 3):
+        "99003887d36dcde0dd00d8da8f20b18c67569d240c1f7413bbb13ad4becb606d",
+}
+
+
+def test_compiled_masters_match_their_recorded_hashes():
+    got, merged = {}, 0
+    for seed, partial, width in PINNED_MASTERS:
+        inst = gen_random_instance(3, 4, 1, seed)
+        gamma = GammaBounds(0.0, 1.0)
+        dd = (build_master_dd(inst, partial, gamma) if width is None
+              else build_relaxed_master_dd(inst, partial, gamma, width))
+        merged += bool(dd.merged)
+        got[seed, partial, width] = hashlib.sha256(canonical_master(dd).encode()).hexdigest()
+    assert got == PINNED_MASTERS
+    assert merged == 18
+
+
+def test_merge_states_folds_a_merge_equal_to_a_kept_state_into_it():
+    reach = {(5, 3, 1): 0.0, (5, 2, 1): 1.0, (4, 3, 2): 2.0}
+    rep, merged = _merge_states(reach, 2)
+    assert rep == dict.fromkeys(reach, (5, 3, 1))
+    assert merged == {(5, 3, 1)}
+
+
+@pytest.mark.parametrize("reach", [
+    {(3, 1, 1): 5.0, (1, 2, 2): 0.0},
+    {(1, 2, 2): 0.0, (3, 1, 1): 5.0},
+])
+def test_merge_states_lists_the_down_group_first(reach):
+    rep, merged = _merge_states(reach, 1)
+    assert list(rep.items()) == [((3, 1, 1), (3, 1, 1)), ((1, 2, 2), (1, 2, 2))]
+    assert not merged
 
 
 def test_relaxed_keeps_exact_paths_with_no_greater_weight():
