@@ -11,17 +11,23 @@ already holds is an oracle error.  On the relaxed diagram (dual side)
 it tightens the bound: the node is pruned once the bound cannot beat
 the incumbent, and otherwise it branches over the last exact node
 layer of the last diagram refined, after RELAXED_CUT_CAP evaluations
-at most.
+at most.  A branching with a single prefix is none: that prefix is
+extended as far as every path of the diagram shares it (forced_prefix)
+and pushed as the only child.
 A restricted diagram that the oracle reports exact represents the node
 and the pool in full, so the loop's candidate solves the node and the
 relaxed side is skipped; the unit-commitment oracle makes one by
 refining the exact master with the pool and keeping the `width` nodes
 per layer on the best paths (ddbd.diagram.restrict_to_width), which is
 exact whenever that drops nothing.
-Cuts live in a global deduplicated pool.  The oracles replay the whole
-pool into every freshly built diagram, and the loop replays each batch
-of new cuts into the current one; either way a replay is one exact
-refinement pass over the list (see replay_cuts).
+Cuts live in a global deduplicated pool.  Before the root is expanded
+the pool takes the subproblem oracle's initial_cuts(): cuts that hold
+for every x and need no evaluation, such as the unit-commitment
+oracle's per-period capacity cuts, so the root's first diagrams already
+satisfy them.  The oracles replay the whole pool into every freshly
+built diagram, and the loop replays each batch of new cuts into the
+current one; either way a replay is one exact refinement pass over the
+list (see replay_cuts).
 
 Master and subproblem oracles are duck-typed; see MasterOracle and
 SubproblemOracle for the expected surface.
@@ -99,10 +105,17 @@ class SubproblemOracle:
     return a different cut for the same x when the dual is degenerate,
     so an oracle that must repeat itself exactly memoizes per x, as
     UcpSubproblemOracle does.
+
+    initial_cuts() returns cuts that hold for every x the subproblem can
+    serve and that the oracle can write before any evaluation; the solve
+    pools them before the root is expanded.  The default returns none.
     """
 
     def evaluate(self, x):
         raise NotImplementedError
+
+    def initial_cuts(self):
+        return []
 
 
 @dataclass
@@ -245,6 +258,23 @@ def enumerate_prefixes(dd, layer_idx, cap):
     return sorted(out)
 
 
+def forced_prefix(dd):
+    """Longest label prefix that every root path of dd starts with.
+
+    Stops at the last node layer before the terminal, so the prefix
+    never takes a value-layer label.
+    """
+    labels = ()
+    nodes = {dd.root}
+    for j in range(len(dd.layers) - 2):
+        out = [arc for arc in dd.arcs[j] if arc.tail in nodes]
+        if len({arc.label for arc in out}) != 1:
+            break
+        labels += (out[0].label,)
+        nodes = {arc.head for arc in out}
+    return labels
+
+
 def replay_cuts(dd, cuts):
     """Exact refinement of a diagram with respect to pooled cuts.
 
@@ -283,6 +313,8 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     t0 = time.perf_counter()
     dots = _DotDumper(cfg.dot_dir)
     pool = CutPool()
+    for cut in sub.initial_cuts():
+        pool.add(cut)
     # (partial assignment, bound inherited from the relaxed diagram it came from)
     stack = [((), math.inf if sense == "max" else -math.inf)]
     best_x, best_z, w_star = None, None, None
@@ -399,6 +431,10 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                     prefixes = enumerate_prefixes(xdd, layer_idx, 10 ** 9)
                     break
                 layer_idx -= 1
+        if len(prefixes) == 1:
+            # one prefix is no choice: every path of xdd, and so every
+            # completion that satisfies the pool, shares it as far as it goes
+            prefixes = [forced_prefix(xdd)]
         # every prefix extends partial by the same length, so none is pushed twice
         stack.extend((prefix, w_bar) for prefix in sorted(prefixes, reverse=True))
         branches += len(prefixes)

@@ -177,6 +177,13 @@ class MipSubproblemOracle(SubproblemOracle):
         self._basis = None
 
     def evaluate(self, x):
+        if not self.c.size:
+            # no slave rows (as when there is no y): y = 0 is optimal, and
+            # the value 0 for every x, unless some y earns without limit
+            if np.any(self.b_obj > COEF_EPS):
+                raise RuntimeError("the slave has no rows: the problem is unbounded")
+            return SubproblemResult(kind="optimal", value=0.0, cuts=[
+                CutRow(coeffs={}, z_coeff=1.0, rhs=0.0, sense="<=")])
         x = np.asarray(x, dtype=float)
         rhs = self.c - self.A @ x
         k = self.B.shape[0]

@@ -484,53 +484,3 @@ def _kernel(c, A, senses, b, start):
     for orig in row_origin:
         y[orig] = float(cb @ T[:, reader[orig]])
     return "optimal", u[:n], y * flip, None, basis.copy(), pivot_count
-
-
-# -- plain text fixture format -------------------------------------------------------
-
-
-def parse_lp_text(text):
-    """Read the line-oriented fixture format.
-
-    Lines: `min`/`max`, `obj c1 .. cn`, `row a1 .. an <sense> rhs`, and
-    optional `bounds lo hi` lines (one per variable, in order).
-    `#` starts a comment.
-    """
-    sense = None
-    c = None
-    rows, senses, rhs, bounds = [], [], [], []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in ("min", "max"):
-            sense = parts[0]
-        elif parts[0] == "obj":
-            c = [float(v) for v in parts[1:]]
-        elif parts[0] == "row":
-            senses.append(parts[-2])
-            rhs.append(float(parts[-1]))
-            rows.append([float(v) for v in parts[1:-2]])
-        elif parts[0] == "bounds":
-            bounds.append((float(parts[1]), float(parts[2])))
-        else:
-            raise ValueError(f"unrecognised line: {raw!r}")
-    if sense is None or c is None:
-        raise ValueError("fixture must declare a sense and an objective")
-    n = len(c)
-    lo = np.array([bounds[j][0] if j < len(bounds) else 0.0 for j in range(n)])
-    hi = np.array([bounds[j][1] if j < len(bounds) else INF for j in range(n)])
-    return LinearProgram(sense=sense, c=np.array(c),
-                         A=np.array(rows, dtype=float).reshape(len(rows), n),
-                         senses=senses, b=np.array(rhs), lo=lo, hi=hi)
-
-
-def format_lp_text(lp):
-    lines = [lp.sense, "obj " + " ".join(f"{v:g}" for v in lp.c)]
-    for i in range(lp.num_rows):
-        coeffs = " ".join(f"{v:g}" for v in lp.A[i])
-        lines.append(f"row {coeffs} {lp.senses[i]} {lp.b[i]:g}")
-    for j in range(lp.num_vars):
-        lines.append(f"bounds {lp.lo[j]:g} {lp.hi[j]:g}")
-    return "\n".join(lines) + "\n"

@@ -763,7 +763,9 @@ class UcpSubproblemOracle(SubproblemOracle):
     checked with verify_certificate like any LP outcome, and turned into
     the same cut an LP ray gives.  Short scenarios that share their first
     short period give cuts on one row, so only the tightest of those is
-    built.  The other scenarios go to the LP.
+    built.  The other scenarios go to the LP.  initial_cuts() writes the
+    same cuts for every period before any evaluation, so the solve starts
+    with them pooled and dispatch's copies deduplicate against them.
 
     The dual's rows depend on the instance alone, so they are built once,
     and each LP starts phase 2 from the final basis of the LP solved
@@ -792,6 +794,34 @@ class UcpSubproblemOracle(SubproblemOracle):
         res = self.dispatch(key)
         self._cache[key] = res
         return res
+
+    def initial_cuts(self):
+        """The capacity cuts that every dispatchable commitment satisfies.
+
+        One per period t in which some scenario's demand plus reserve
+        exceeds FEAS_TOL: the cut dispatch returns when t is the first
+        short period, for the first of the scenarios that need most at t.
+        At the all-off commitment every such period is short, so each ray
+        is verified against its scenario's dual LP there.  Raises
+        NumericalFailureError when a ray fails verification.
+        """
+        prices = _commitment_prices(self.instance, [0.0] * self.instance.num_vars)
+        return [self._capacity_cut(int(self._need[:, t].argmax()), t, prices)
+                for t in range(self.instance.horizon)
+                if self._need[:, t].max() > FEAS_TOL]
+
+    def _capacity_cut(self, s, period, prices):
+        """Scenario s's cut from its closed-form ray at a short period,
+        verified against its dual LP at the commitment priced by prices."""
+        sc = self.instance.scenarios[s]
+        ray = _capacity_ray(self.instance, period)
+        A, senses, b = self._rows
+        lp = LinearProgram(sense="max", c=_dual_objective(sc, prices),
+                           A=A, senses=senses, b=b)
+        if not verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)):
+            raise NumericalFailureError(
+                "closed-form capacity ray failed self-verification")
+        return _feasibility_cut(self.instance, sc, ray)
 
     def dispatch(self, x):
         """Solve every scenario's dual dispatch problem at the commitment x.
@@ -828,13 +858,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         for s, sc in enumerate(instance.scenarios):
             if short[s, first[s]]:
                 if tightest[first[s]] == s:
-                    ray = _capacity_ray(instance, first[s])
-                    lp = LinearProgram(sense="max", c=_dual_objective(sc, prices),
-                                       A=A, senses=senses, b=b)
-                    if not verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)):
-                        raise NumericalFailureError(
-                            "closed-form capacity ray failed self-verification")
-                    feas_cuts.append(_feasibility_cut(instance, sc, ray))
+                    feas_cuts.append(self._capacity_cut(s, first[s], prices))
                 continue
             out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
                                       A=A, senses=senses, b=b,

@@ -66,6 +66,12 @@ class RecordingSub:
             self.pool.add(cut)
         return res
 
+    def initial_cuts(self):
+        cuts = self.inner.initial_cuts()
+        for cut in cuts:
+            self.pool.add(cut)
+        return cuts
+
 
 def test_criterion_1_worked_mip_end_to_end():
     problem = example_two_binary_problem()
@@ -239,6 +245,9 @@ class OptimumSub:
             assert cost >= self.optimum - 1e-6, \
                 f"commitment cost {cost} beats the known optimum {self.optimum}"
         return res
+
+    def initial_cuts(self):
+        return self.inner.initial_cuts()
 
 
 def test_criterion_6_bound_sandwich_everywhere():

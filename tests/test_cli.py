@@ -167,6 +167,18 @@ def test_malformed_mip_fixture_is_rejected(edit, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_mip_without_continuous_variables_solves_its_master(tmp_path):
+    # no y: the one row is a master row and the slave value is 0 for every x
+    def drop_y(doc):
+        doc.update(y_obj=[], rows=[{"ax": [1, 1], "by": [], "rhs": 1, "sense": ">="}])
+
+    out = tmp_path / "r.json"
+    assert main(broken_mip(tmp_path, drop_y) + ["--sense", "max", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "optimal" and doc["x"] == [1.0, 1.0]
+    assert doc["value"] == 2.0 and doc["z"] == 0.0
+
+
 def test_compare_three_way_agreement(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--sizes", "2,2,2", "--seeds", "0,1",

@@ -279,7 +279,7 @@ def test_report_counts_every_node_taken_off_the_stack():
     from reference_lp import scaled_instance
 
     # a solve that runs to the end takes the root and every branch once
-    for args in [(2, 4, 2, 0, 0.4), (3, 3, 1, 0, 0.4)]:
+    for args in [(2, 4, 2, 5, 0.5), (3, 3, 1, 0, 0.4)]:
         report = ucp_solve(scaled_instance(*args))
         assert report.status == "optimal" and report.branches > 0
         assert report.nodes == report.branches + 1
@@ -452,6 +452,44 @@ def test_branching_past_the_prefix_cap_branches_on_the_first_variable(domains):
     assert master.built == [()] + [(v,) for v in domains[0]]
 
 
+def test_a_single_prefix_is_extended_as_far_as_every_path_shares_it():
+    # every root path starts (0, 1); tagging layer 2 merged makes layer 1
+    # the branching layer, where the only prefix is (0,)
+    class ForcedMaster(GridMaster):
+        def build_relaxed_dd(self, partial, cuts, width):
+            dd = super().build_relaxed_dd(partial, cuts, width)
+            if dd is not None:
+                dd.merged.update(dd.layers[2])
+            return dd
+
+    master = ForcedMaster([0.0], [1.0], [0.0, 1.0])
+    report = dd_bd_solve(master, StubSub(value_floor), EngineConfig(relaxed_cuts=False))
+    assert report.status == "infeasible" and report.branches == 1
+    assert master.built == [(), (0.0, 1.0)]
+
+
+def test_initial_cuts_are_pooled_before_the_root_is_built():
+    seeded = CutRow(coeffs={0: 1.0}, rhs=5.0, sense="<=")
+
+    class SeedingSub(StubSub):
+        def initial_cuts(self):
+            return [seeded, seeded]
+
+    class RecordingMaster(StubMaster):
+        def __init__(self):
+            self.pools = []
+
+        def build_restricted_dd(self, partial, cuts, width):
+            self.pools.append(list(cuts))
+            return super().build_restricted_dd(partial, cuts, width)
+
+    master = RecordingMaster()
+    report = dd_bd_solve(master, SeedingSub(value_floor), EngineConfig(relaxed_cuts=False))
+    assert master.pools[0] == [seeded]
+    assert (report.status, report.x, report.feasibility_cuts) == ("optimal", INCUMBENT, 1)
+    assert SubproblemOracle().initial_cuts() == []
+
+
 def test_shortcut_and_relaxed_cut_configs_agree_on_random_instances():
     from ddbd.engine import dd_bd_solve as solve_loop
     from ddbd.ucp import (UcpMasterOracle, UcpSubproblemOracle, compute_gamma,
@@ -492,7 +530,8 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
     from ddbd.ucp import UcpMasterOracle, UcpSubproblemOracle, compute_gamma
     from ddbd.ucp import gen_random_instance
 
-    inst = gen_random_instance(2, 3, 1, seed=31_001)
+    # the root finds an incumbent within two evaluations; the solve takes eight
+    inst = gen_random_instance(3, 3, 1, seed=31_003)
     gamma = compute_gamma(inst)
     master = UcpMasterOracle(inst, gamma)
     calls = []
@@ -519,7 +558,7 @@ def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypat
     from ddbd.ucp import ucp_solve
     from reference_lp import scaled_instance
 
-    inst = scaled_instance(2, 4, 2, 0, 0.4)
+    inst = scaled_instance(3, 3, 1, 0, 0.4)
     optimum = ucp_solve(inst).value
     checked = 0
     for expiry in range(2, 500):

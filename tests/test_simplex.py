@@ -4,8 +4,6 @@ import pytest
 from ddbd.simplex import (
     LinearProgram,
     LpOutcome,
-    format_lp_text,
-    parse_lp_text,
     solve,
     verify_certificate,
 )
@@ -201,25 +199,6 @@ def test_determinism():
     assert out1.status == out2.status
     assert np.array_equal(out1.x, out2.x)
     assert np.array_equal(out1.duals, out2.duals)
-
-
-# -- text fixtures -----------------------------------------------------------------
-
-
-def test_text_fixture_round_trip():
-    text = """# sample
-min
-obj -1 0.3
-row -1 0.3 >= 2
-row -1 0.7 >= 1
-bounds 0 inf
-bounds 0 inf
-"""
-    lp = parse_lp_text(text)
-    out = solve(lp)
-    assert out.objective == pytest.approx(2.0)
-    again = parse_lp_text(format_lp_text(lp))
-    assert solve(again).objective == pytest.approx(2.0)
 
 
 # -- certificate tolerance boundaries --------------------------------------------

@@ -23,10 +23,11 @@ from ddbd.ucp import ucp_solve  # noqa: E402
 
 
 def test_trace_records_one_refine_per_nonempty_replay():
+    # without demand the pool stays empty, so its replays are empty
     tracer = Tracer()
     with traced(tracer):
-        report = ucp_solve(scaled_instance(2, 4, 2, 0, 0.4))
-    assert report.status == "optimal"
+        reports = [ucp_solve(scaled_instance(2, 4, 2, 0, factor)) for factor in (0.0, 0.4)]
+    assert all(report.status == "optimal" for report in reports)
     spans = tracer.take()
     replays = [k for k, s in enumerate(spans) if s.name == "engine.replay"]
     refines = [s for s in spans if s.name == "diagram.refine"]
@@ -36,7 +37,7 @@ def test_trace_records_one_refine_per_nonempty_replay():
     for k in replays:
         inside = sum(1 for s in refines if s.parent == k)
         assert inside == (1 if spans[k].attrs["cuts"] else 0), spans[k].attrs
-    metrics = layer_metrics([spans], [report])
+    metrics = layer_metrics([spans], reports)
     assert metrics["diagram.refine.calls"] == len(refines) > 0
     assert metrics["engine.replay.calls"] == len(replays)
 
@@ -56,7 +57,7 @@ def test_trace_records_one_dual_lp_span_per_lp_call():
 def test_trace_records_one_restricted_compile_per_restricted_build():
     tracer = Tracer()
     with traced(tracer):
-        report = ucp_solve(scaled_instance(2, 4, 2, 0, 0.4))
+        report = ucp_solve(scaled_instance(3, 3, 1, 0, 0.4))
     spans = tracer.take()
     builds = [k for k, s in enumerate(spans) if s.name == "ucp.master_restricted"]
     compiles = [s for s in spans if s.name == "ucp.compile_restricted"]

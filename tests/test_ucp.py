@@ -679,8 +679,8 @@ def test_capacity_short_commitment_makes_no_lp_call(monkeypatch):
     assert cut.rhs == pytest.approx(-need / scale, rel=1e-15)
 
 
-def test_capacity_ray_that_fails_verification_raises(monkeypatch):
-    inst = scaled_instance(3, 6, 16, 0, 0.9)
+def tamper_capacity_rays(monkeypatch):
+    """Make every closed-form ray drop unit 1's capacity multiplier."""
     closed_form = ucp_module._capacity_ray
 
     def tampered(instance, period):
@@ -689,8 +689,66 @@ def test_capacity_ray_that_fails_verification_raises(monkeypatch):
         return ray
 
     monkeypatch.setattr(ucp_module, "_capacity_ray", tampered)
+
+
+def test_capacity_ray_that_fails_verification_raises(monkeypatch):
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    tamper_capacity_rays(monkeypatch)
     with pytest.raises(NumericalFailureError):
         UcpSubproblemOracle(inst).evaluate((0.0,) * inst.num_vars)
+
+
+def seeding_instances():
+    """Small generated instances at demand x0.4 to x1.0."""
+    rng = np.random.default_rng(53)
+    return [scaled_instance(int(rng.integers(1, 4)), int(rng.integers(2, 4)),
+                            int(rng.integers(1, 4)), int(seed), float(factor))
+            for seed, factor in zip(rng.integers(0, 10 ** 6, size=10),
+                                    np.linspace(0.4, 1.0, 10))]
+
+
+def cut_period(inst, cut):
+    [period] = {k % inst.horizon for k in cut.coeffs}
+    return period
+
+
+def test_initial_cuts_hold_at_every_dispatchable_commitment():
+    from ddbd.oracle import feasible_assignments, stage2_expected_cost
+
+    checked = 0
+    for inst in seeding_instances():
+        cuts = UcpSubproblemOracle(inst).initial_cuts()
+        # generated demand is positive, so every period gets its cut
+        assert [cut_period(inst, cut) for cut in cuts] == list(range(inst.horizon))
+        for x in feasible_assignments(inst):
+            if stage2_expected_cost(inst, x) is None:
+                continue
+            for cut in cuts:
+                lhs = sum(c * x[k] for k, c in cut.coeffs.items())
+                assert cut.satisfied(lhs, tol=1e-6), (x, cut)
+            checked += 1
+    assert checked >= 50
+
+
+def test_initial_cuts_are_the_cuts_dispatch_returns_first_short():
+    compared = 0
+    for inst in seeding_instances():
+        for cut in UcpSubproblemOracle(inst).initial_cuts():
+            t = cut_period(inst, cut)
+            # every unit on before t and off from t: t is every scenario's
+            # first short period
+            x = tuple(float(j < t) for _ in range(inst.num_units) for j in range(inst.horizon))
+            res = UcpSubproblemOracle(inst).dispatch(x)
+            assert [c.key() for c in res.cuts] == [cut.key()], (t, x)
+            compared += 1
+    assert compared >= 20
+
+
+def test_initial_cuts_raise_when_a_ray_fails_verification(monkeypatch):
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    tamper_capacity_rays(monkeypatch)
+    with pytest.raises(NumericalFailureError):
+        UcpSubproblemOracle(inst).initial_cuts()
 
 
 @pytest.mark.parametrize("shortfall,lp_calls", [(0.5 * FEAS_TOL, 1), (2.0 * FEAS_TOL, 0)])
@@ -831,6 +889,12 @@ def test_one_pass_replay_matches_cut_by_cut_on_relaxed_master():
                 for cut in res.cuts:
                     pool.add(cut)
                 return res
+
+            def initial_cuts(self):
+                cuts = super().initial_cuts()
+                for cut in cuts:
+                    pool.add(cut)
+                return cuts
 
         assert dd_bd_solve(UcpMasterOracle(inst, gamma), Harvest(inst)).status == "optimal"
         assert pool.count("feasibility") and pool.count("optimality")
