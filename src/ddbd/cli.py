@@ -1,7 +1,8 @@
 """Command-line surface: generate, solve, compare, verify.
 
 Exit codes for `solve`: 0 optimal, 2 time limit hit, 3 infeasible,
-1 for malformed inputs (a width below 1 among them).  `compare` exits
+1 for malformed inputs (a width below 1 among them) and for an
+unbounded MIP.  `compare` exits
 1 on malformed arguments or when any method disagrees on an optimum,
 `verify-decomposition` exits 1 when a condition or an equivalence check
 fails.
@@ -16,7 +17,7 @@ import os
 import sys
 
 from .engine import EngineConfig, SolveReport, dd_bd_solve
-from .mip import MipMasterOracle, MipProblem, MipSubproblemOracle
+from .mip import MipMasterOracle, MipProblem, MipSubproblemOracle, UnboundedProblemError
 from .oracle import TooLargeError, brute_force_solve, naive_bd_solve
 from .rectangles import equivalence_check, load_fixture, verify_decomposition
 from .ucp import InstanceError, UcpInstance, gen_random_instance, ucp_solve
@@ -82,7 +83,11 @@ def cmd_solve(args):
     if kind == "ucp":
         report = ucp_solve(problem, config, instance_id=instance_id)
     else:
-        report = dd_bd_solve(master, sub, config, instance_id=instance_id)
+        try:
+            report = dd_bd_solve(master, sub, config, instance_id=instance_id)
+        except UnboundedProblemError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     if args.out:
         with open(args.out, "w") as fh:

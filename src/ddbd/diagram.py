@@ -224,16 +224,12 @@ def _alive_nodes(dd):
     return fwd & bwd
 
 
-def prune_dead_nodes(dd):
-    """Copy of dd without the nodes and arcs off every root-terminal path.
-
-    Raises InfeasibleDiagramError when nothing survives.
-    """
-    return _drop_dead_nodes(dd.copy())
-
-
 def _drop_dead_nodes(dd):
-    """prune_dead_nodes in place, for a diagram nothing else holds."""
+    """Drop the nodes and arcs off every root-terminal path, in place.
+
+    Only for a diagram nothing else holds.  Raises InfeasibleDiagramError
+    when nothing survives.
+    """
     alive = _alive_nodes(dd)
     if dd.root not in alive or dd.terminal not in alive:
         raise InfeasibleDiagramError("diagram has no root-terminal path")
@@ -420,7 +416,8 @@ def restrict_to_width(dd, width, sense="min"):
     root-terminal path by the drops are removed too.
 
     Returns (diagram, exact), exact being True when no node was dropped;
-    the diagram is then dd itself, otherwise a fresh copy.  Raises
+    the diagram is then dd itself, otherwise a fresh diagram made of
+    copies of the kept nodes and arcs only.  Raises
     InfeasibleDiagramError when dd has no root-terminal path.
     """
     if width < 1:
@@ -430,18 +427,19 @@ def restrict_to_width(dd, width, sense="min"):
     pick = min if sense == "min" else max
     worst = np.inf if sense == "min" else -np.inf
     m = dd.num_arc_layers
+    contrib = [[_arc_contribution(arc, sense)[0] for arc in layer] for layer in dd.arcs]
     dist = {dd.root: 0.0}
     for j in range(m):
-        for arc in dd.arcs[j]:
+        for arc, c in zip(dd.arcs[j], contrib[j]):
             if arc.tail in dist:
-                d = dist[arc.tail] + _arc_contribution(arc, sense)[0]
+                d = dist[arc.tail] + c
                 dist[arc.head] = pick(dist.get(arc.head, d), d)
     comp = {dd.terminal: 0.0}
     best_arc = {}
     for j in range(m - 1, -1, -1):
-        for arc in dd.arcs[j]:
+        for arc, c in zip(dd.arcs[j], contrib[j]):
             if arc.head in comp:
-                c = _arc_contribution(arc, sense)[0] + comp[arc.head]
+                c += comp[arc.head]
                 if arc.tail not in comp or pick(c, comp[arc.tail]) != comp[arc.tail]:
                     comp[arc.tail] = c
                     best_arc[arc.tail] = arc
@@ -457,14 +455,19 @@ def restrict_to_width(dd, width, sense="min"):
         through = dist.get(nid, worst) + comp.get(nid, worst)
         return (nid not in on_path, through if sense == "min" else -through)
 
-    out = dd.copy()
-    for i, layer in enumerate(out.layers):
+    out = DecisionDiagram(m)
+    out.layer_kinds = list(dd.layer_kinds)
+    for i, layer in enumerate(dd.layers):
         if len(layer) > width:
             keep = set(sorted(layer, key=rank)[:width])
-            out.layers[i] = [nid for nid in layer if nid in keep]
+            layer = [nid for nid in layer if nid in keep]
+        out.layers[i] = list(layer)
     alive = {nid for layer in out.layers for nid in layer}
-    out.arcs = [[a for a in layer if a.tail in alive and a.head in alive]
-                for layer in out.arcs]
+    out.arcs = [[Arc(a.tail, a.head, a.label, a.weight) for a in layer
+                 if a.tail in alive and a.head in alive] for layer in dd.arcs]
+    out.states = {nid: s for nid, s in dd.states.items() if nid in alive}
+    out.merged = dd.merged & alive
+    out._next_id = dd._next_id
     return _drop_dead_nodes(out), False
 
 

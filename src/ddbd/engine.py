@@ -3,7 +3,7 @@ Benders-style cut generation.
 
 The solve loop keeps a LIFO stack of partial assignments.  Each node
 runs one separation loop twice: take the diagram's optimal path,
-evaluate the subproblem there, pool the cuts, replay the fresh ones
+evaluate the subproblem there, pool the cuts, bring the fresh ones
 into the diagram, and repeat until the path's value variable agrees
 with the subproblem optimum.  On the width-limited restricted diagram
 (primal side) that yields the node's candidate, and a cut the pool
@@ -14,6 +14,11 @@ layer of the last diagram refined, after RELAXED_CUT_CAP evaluations
 at most.  A branching with a single prefix is none: that prefix is
 extended as far as every path of the diagram shares it (forced_prefix)
 and pushed as the only child.
+The two sides take fresh cuts differently.  The relaxed loop replays
+each batch into its diagram.  The restricted loop asks the master again
+for the node under the grown pool, so the width limit is applied to
+exact ∩ pool anew each round: the new diagram can hold nodes the last
+one dropped, and it is exact again once exact ∩ pool fits the width.
 A restricted diagram that the oracle reports exact represents the node
 and the pool in full, so the loop's candidate solves the node and the
 relaxed side is skipped; the unit-commitment oracle makes one by
@@ -25,9 +30,15 @@ the pool takes the subproblem oracle's initial_cuts(): cuts that hold
 for every x and need no evaluation, such as the unit-commitment
 oracle's per-period capacity cuts, so the root's first diagrams already
 satisfy them.  The oracles replay the whole pool into every freshly
-built diagram, and the loop replays each batch of new cuts into the
-current one; either way a replay is one exact refinement pass over the
-list (see replay_cuts).
+built diagram (the unit-commitment oracle keeps the refined exact
+master of the last restricted build, so a re-cut replays only the cuts
+pooled since), and the relaxed loop replays each batch of new cuts into
+the current diagram; either way a replay is one exact refinement pass
+over the list (see replay_cuts).
+The clock is read before every evaluation, before each node, and once
+more between the restricted loop and the relaxed build; a node open
+when the time runs out goes back on the stack with a bound that holds
+for it.
 
 Master and subproblem oracles are duck-typed; see MasterOracle and
 SubproblemOracle for the expected surface.
@@ -86,6 +97,13 @@ class MasterOracle:
     infeasible: Sol(exact) is empty because the partial assignment has
     no completion or the cuts remove every one.  (None, False) only says
     the restricted diagram found nothing.
+
+    build_restricted_dd is asked again for the same partial after every
+    batch of fresh cuts, with the pool's list grown by them (the list
+    only appends, and a cut never changes), and the last answer's
+    is_exact is the one that counts.  An oracle may keep state for one
+    partial assignment to make these re-cuts cheap, as UcpMasterOracle
+    does; any other call must still answer in full.
     """
 
     sense = "min"
@@ -334,15 +352,29 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
 
-    def separate(dd, tag, cap, prune):
-        """Path -> subproblem -> pool -> replay on dd, at most cap evaluations.
+    def replay(dd, fresh):
+        try:
+            return replay_cuts(dd, fresh)
+        except InfeasibleDiagramError:
+            return None
 
-        Returns (outcome, diagram, (x, z, w)) with the last diagram and
-        its optimal path.  Outcomes: "converged" (the path's value
-        variable equals the subproblem value), "stale" (no fresh cut),
-        "empty" (no path is left; the diagram is None), "bounded" (prune
-        is set and the path cannot beat the incumbent), "cap" and
-        "time_limit".
+    def recut(_dd, _fresh):
+        # the master cuts the node's exact ∩ pool to width again; its
+        # exactness flag replaces the last one
+        nonlocal restricted_exact
+        rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
+        return rdd
+
+    def separate(dd, tag, cap, prune, refine):
+        """Path -> subproblem -> pool -> refine dd, at most cap evaluations.
+
+        refine(dd, fresh) returns dd under the pool grown by the fresh
+        cuts, or None when no path is left.  Returns (outcome, diagram,
+        (x, z, w)) with the last diagram and its optimal path.  Outcomes:
+        "converged" (the path's value variable equals the subproblem
+        value), "stale" (no fresh cut), "empty" (no path is left; the
+        diagram is None), "bounded" (prune is set and the path cannot
+        beat the incumbent), "cap" and "time_limit".
         """
         nonlocal lp_calls
         path = (None, None, None)
@@ -368,9 +400,8 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                 return "converged", dd, path
             if not fresh:
                 return "stale", dd, path
-            try:
-                dd = replay_cuts(dd, fresh)
-            except InfeasibleDiagramError:
+            dd = refine(dd, fresh)
+            if dd is None:
                 return "empty", None, path
 
     while stack:
@@ -384,7 +415,8 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
 
         rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
         if rdd is not None:
-            outcome, _, (x, z, w) = separate(rdd, "restricted", REPEAT_CAP, prune=False)
+            outcome, _, (x, z, w) = separate(rdd, "restricted", REPEAT_CAP, prune=False,
+                                             refine=recut)
             if outcome == "time_limit":
                 # the node is open again: its inherited bound still holds
                 stack.append((partial, bound_here))
@@ -401,9 +433,14 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                 w_star, best_x, best_z = w, x, z
 
         if restricted_exact:
-            # the restricted diagram represented the node exactly: the node
-            # is fully solved (or infeasible) and branching cannot improve it
+            # the last restricted diagram represented the node exactly: the
+            # node is fully solved (or infeasible) and branching cannot improve it
             continue
+        if out_of_time():
+            # as after a restricted loop cut short: the inherited bound holds
+            stack.append((partial, bound_here))
+            status = "time_limit"
+            break
 
         xdd = master.build_relaxed_dd(partial, pool.cuts, cfg.width)
         if xdd is None:
@@ -411,7 +448,8 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         # a stale cut leaves nothing new to separate with: stop improving
         # the bound and branch, as after the cap
         outcome, xdd, (_, _, w_bar) = separate(
-            xdd, "relaxed", RELAXED_CUT_CAP if cfg.relaxed_cuts else 0, prune=True)
+            xdd, "relaxed", RELAXED_CUT_CAP if cfg.relaxed_cuts else 0,
+            prune=True, refine=replay)
         if outcome == "time_limit":
             # w_bar bounds every completion of this node's relaxed diagram
             stack.append((partial, w_bar))

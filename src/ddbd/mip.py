@@ -24,6 +24,11 @@ from .simplex import LinearProgram, solve
 COEF_EPS = 1e-12
 
 
+class UnboundedProblemError(Exception):
+    """The slave LP is unbounded (or infeasible) for every x: the dual
+    slave has no feasible point, and that does not depend on x."""
+
+
 @dataclass
 class MipProblem:
     sense: str                      # "max" or "min"
@@ -181,7 +186,7 @@ class MipSubproblemOracle(SubproblemOracle):
             # no slave rows (as when there is no y): y = 0 is optimal, and
             # the value 0 for every x, unless some y earns without limit
             if np.any(self.b_obj > COEF_EPS):
-                raise RuntimeError("the slave has no rows: the problem is unbounded")
+                raise UnboundedProblemError("the slave has no rows: the problem is unbounded")
             return SubproblemResult(kind="optimal", value=0.0, cuts=[
                 CutRow(coeffs={}, z_coeff=1.0, rhs=0.0, sense="<=")])
         x = np.asarray(x, dtype=float)
@@ -206,7 +211,7 @@ class MipSubproblemOracle(SubproblemOracle):
             cut = CutRow(coeffs=_dense_to_sparse(coeffs / scale), z_coeff=0.0,
                          rhs=rhs_cut / scale, sense="<=")
             return SubproblemResult(kind="infeasible", cuts=[cut], lp_calls=1)
-        raise RuntimeError("dual slave is infeasible: the problem is unbounded")
+        raise UnboundedProblemError("dual slave is infeasible: the problem is unbounded")
 
 
 def _dense_to_sparse(vec):

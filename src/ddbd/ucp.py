@@ -376,7 +376,42 @@ def build_relaxed_master_dd(instance, partial, gamma, width):
     return _compile_master(instance, partial, gamma, width=width)
 
 
-def build_restricted_master_dd(instance, partial, gamma, width, cuts=()):
+class RefinedMaster:
+    """The exact master of one partial assignment refined by a cut list,
+    kept from one restricted build to the next.
+
+    refine(instance, partial, gamma, cuts) returns
+    replay_cuts(build_master_dd(instance, partial, gamma), cuts) and
+    keeps it.  When the kept diagram has the same instance, gamma and
+    partial, and its cuts are the first cuts of the list, the very same
+    objects in the same order, only the cuts after them are replayed,
+    into the kept diagram: a cut is never changed once made (CutRow),
+    and a cut pool only appends.  Any other call compiles afresh.  A
+    call that raises leaves the kept diagram as it was.
+    """
+
+    def __init__(self):
+        self.instance = self.gamma = self.partial = self.dd = None
+        self.cuts = []
+
+    def _extended_by(self, instance, partial, gamma, cuts):
+        return (self.dd is not None and instance is self.instance
+                and gamma is self.gamma and tuple(partial) == self.partial
+                and len(cuts) >= len(self.cuts)
+                and all(a is b for a, b in zip(self.cuts, cuts)))
+
+    def refine(self, instance, partial, gamma, cuts):
+        cuts = list(cuts)
+        if self._extended_by(instance, partial, gamma, cuts):
+            dd = replay_cuts(self.dd, cuts[len(self.cuts):])
+        else:
+            dd = replay_cuts(build_master_dd(instance, partial, gamma), cuts)
+        self.instance, self.gamma, self.partial = instance, gamma, tuple(partial)
+        self.cuts, self.dd = cuts, dd
+        return dd
+
+
+def build_restricted_master_dd(instance, partial, gamma, width, cuts=(), kept=None):
     """Restricted diagram of the partial assignment under the cuts.
 
     Compiles the exact master (build_master_dd), replays the cuts into
@@ -384,12 +419,14 @@ def build_restricted_master_dd(instance, partial, gamma, width, cuts=()):
     `width` nodes with the cheapest root-terminal path through them,
     value arc included (restrict_to_width).  Its solutions are those of
     the exact master that satisfy every cut and run through kept nodes,
-    a cheapest one among them.  Returns (diagram, is_exact), is_exact
-    being True when no node was dropped.  Raises EmptyDiagramError when
-    the partial assignment admits no completion and
-    InfeasibleDiagramError when the cuts remove every path.
+    a cheapest one among them.  Given a RefinedMaster as `kept`, the
+    refined exact master comes from it, so a build for the same partial
+    under a grown cut list replays only the new cuts.  Returns (diagram,
+    is_exact), is_exact being True when no node was dropped.  Raises
+    EmptyDiagramError when the partial assignment admits no completion
+    and InfeasibleDiagramError when the cuts remove every path.
     """
-    dd = replay_cuts(build_master_dd(instance, partial, gamma), cuts)
+    dd = (RefinedMaster() if kept is None else kept).refine(instance, partial, gamma, cuts)
     return restrict_to_width(dd, width, "min")
 
 
@@ -731,18 +768,32 @@ def gen_random_instance(num_units, horizon, num_scenarios, seed):
 
 
 class UcpMasterOracle(MasterOracle):
+    """Master diagrams of a unit-commitment instance.
+
+    A restricted diagram is the exact master refined by the cuts and cut
+    to `width` nodes per layer (build_restricted_master_dd).  The engine
+    asks again for the same partial after every batch of fresh cuts, so
+    the refined exact master of the last restricted build is kept
+    (RefinedMaster): a re-cut replays only the cuts pooled since, then
+    restricts that diagram to width again.  It can keep nodes the last
+    restriction dropped, and it is exact again once exact ∩ pool fits the
+    width.  Relaxed diagrams are compiled at width and refined by the
+    whole pool on every build.
+    """
+
     sense = "min"
 
     def __init__(self, instance, gamma):
         self.instance = instance
         self.gamma = gamma
+        self._kept = RefinedMaster()
 
     def build_restricted_dd(self, partial, cuts, width):
         # an empty exact master, or one the pool empties, proves the node
         # infeasible: the restricted diagram is then exact
         try:
             return build_restricted_master_dd(self.instance, partial, self.gamma,
-                                              width, cuts)
+                                              width, cuts, self._kept)
         except (EmptyDiagramError, InfeasibleDiagramError):
             return None, True
 

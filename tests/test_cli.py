@@ -179,6 +179,22 @@ def test_mip_without_continuous_variables_solves_its_master(tmp_path):
     assert doc["value"] == 2.0 and doc["z"] == 0.0
 
 
+@pytest.mark.parametrize("rows", [
+    [{"ax": [1, 1], "by": [0], "rhs": 1, "sense": ">="}],
+    [{"ax": [1, 1], "by": [0], "rhs": 1, "sense": ">="},
+     {"ax": [0, 0], "by": [-1], "rhs": 0, "sense": "<="}],
+], ids=["no-slave-row", "slave-row-without-bound"])
+def test_unbounded_mip_is_an_error_not_a_traceback(rows, tmp_path, capsys):
+    # y earns 1 per unit and no row caps it
+    def unbounded(doc):
+        doc.update(y_obj=[1.0], rows=rows)
+
+    assert main(broken_mip(tmp_path, unbounded) + ["--sense", "max"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "unbounded" in captured.err
+    assert captured.out == ""
+
+
 def test_compare_three_way_agreement(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--sizes", "2,2,2", "--seeds", "0,1",

@@ -18,12 +18,17 @@ from ddbd.diagram import (
     from_paths,
     optimal_path,
     path_weight,
-    prune_dead_nodes,
     reduce_interval_arcs,
     refine_with_cut,
     restrict_to_width,
     to_dot,
 )
+from ddbd.diagram import _drop_dead_nodes
+
+
+def prune_dead_nodes(dd):
+    """Copy of dd without the nodes and arcs off every root-terminal path."""
+    return _drop_dead_nodes(dd.copy())
 
 
 def linear_weights(coeffs):
@@ -51,8 +56,6 @@ def random_dd(rng, num_layers=4, max_nodes=8, labels=(0.0, 1.0, 2.0),
         lab = rng.choice(labels)
         w = weight_coeffs[-1] * lab if weight_coeffs else rng.uniform(-2, 2)
         dd.add_arc(num_layers - 1, u, term, lab, w)
-    from ddbd.diagram import prune_dead_nodes
-
     return prune_dead_nodes(dd)
 
 

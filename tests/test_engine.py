@@ -279,7 +279,7 @@ def test_report_counts_every_node_taken_off_the_stack():
     from reference_lp import scaled_instance
 
     # a solve that runs to the end takes the root and every branch once
-    for args in [(2, 4, 2, 5, 0.5), (3, 3, 1, 0, 0.4)]:
+    for args in [(3, 4, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
         report = ucp_solve(scaled_instance(*args))
         assert report.status == "optimal" and report.branches > 0
         assert report.nodes == report.branches + 1
@@ -406,6 +406,36 @@ def test_relaxed_loop_branches_on_its_last_replay_after_the_cap(monkeypatch):
     assert (report.status, report.x, report.value) == ("time_limit", INCUMBENT, 52.0)
     assert report.branches == 3
     assert report.gap == pytest.approx(52.0 - bound)
+
+
+def test_the_clock_is_read_again_before_the_relaxed_build(monkeypatch):
+    import types
+
+    now = [0.0]
+    relaxed = []
+
+    class SlowChildMaster(StubMaster):
+        """The root as in StubMaster; a child's restricted build finds
+        nothing and returns 100 s later, past the limit."""
+
+        def build_restricted_dd(self, partial, cuts, width):
+            if partial:
+                now[0] = 100.0
+                return None, False
+            return super().build_restricted_dd(partial, cuts, width)
+
+        def build_relaxed_dd(self, partial, cuts, width):
+            relaxed.append(partial)
+            return super().build_relaxed_dd(partial, cuts, width)
+
+    monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    report = dd_bd_solve(SlowChildMaster(), StubSub(value_floor),
+                         EngineConfig(time_limit=1.0, relaxed_cuts=False))
+    assert relaxed == [()]
+    assert (report.status, report.x, report.value) == ("time_limit", INCUMBENT, 52.0)
+    # the child went back with the root's relaxed bound, 0: the children
+    # are infeasible, so 52 is the optimum, and 52 - gap may not pass it
+    assert report.gap == 52.0 and report.nodes == 2
 
 
 def test_no_relaxed_cuts_makes_no_relaxed_evaluation():
@@ -558,7 +588,7 @@ def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypat
     from ddbd.ucp import ucp_solve
     from reference_lp import scaled_instance
 
-    inst = scaled_instance(3, 3, 1, 0, 0.4)
+    inst = scaled_instance(3, 4, 1, 4, 0.7)
     optimum = ucp_solve(inst).value
     checked = 0
     for expiry in range(2, 500):

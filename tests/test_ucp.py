@@ -24,6 +24,7 @@ from ddbd.ucp import (
     Generator,
     InfeasibleInstanceError,
     InstanceError,
+    RefinedMaster,
     Scenario,
     UcpInstance,
     UcpMasterOracle,
@@ -374,6 +375,78 @@ def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
                 fitted += fits
     assert checked >= 60 and emptied < checked / 3 and 0 < fitted < checked / 2, \
         (checked, emptied, fitted)
+
+
+def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
+    from ddbd.engine import replay_cuts
+
+    compiled, replayed = [], []
+
+    def counting_build(inst, partial, gamma):
+        compiled.append(partial)
+        return build_master_dd(inst, partial, gamma)
+
+    def counting_replay(dd, cuts):
+        replayed.append(len(cuts))
+        return replay_cuts(dd, cuts)
+
+    def solutions(dd):
+        return set(enumerate_solutions(dd))
+
+    def calls():
+        seen = (compiled[:], replayed[:])
+        compiled.clear()
+        replayed.clear()
+        return seen
+
+    monkeypatch.setattr(ucp_module, "build_master_dd", counting_build)
+    monkeypatch.setattr(ucp_module, "replay_cuts", counting_replay)
+    rng = np.random.default_rng(41)
+    checked = exact = 0
+    for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8),
+                 (3, 3, 1, 0, 0.4), (2, 5, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
+        inst = scaled_instance(*args)
+        gamma = compute_gamma(inst)
+        pool = harvested_pool(inst, rng)
+        paths = enumerate_solutions(build_master_dd(inst, (), gamma))
+        kept = RefinedMaster()
+        for depth in (0, 1, 3):
+            partial = paths[rng.integers(len(paths))][:depth]
+            sizes = sorted(rng.choice(np.arange(1, len(pool) + 1), 3, replace=False))
+            done = 0
+            for k in [0] + [int(k) for k in sizes]:
+                where = f"{args} {partial} {k} cuts"
+                cuts = pool[:k]
+                try:
+                    truth = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
+                except InfeasibleDiagramError:
+                    with pytest.raises(InfeasibleDiagramError):
+                        build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
+                    calls()
+                    break
+                calls()
+                dd, is_exact = build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
+                # a new partial compiles afresh; a grown pool replays only its new cuts
+                assert calls() == (([partial], [k]) if k == 0 else ([], [k - done])), where
+                assert solutions(kept.dd) == solutions(truth), where
+                best = optimal_path(truth, "min")[1]
+                assert optimal_path(dd, "min")[1] == pytest.approx(best, rel=1e-12), where
+                fresh, _ = build_restricted_master_dd(inst, partial, gamma, 2, cuts)
+                calls()
+                assert optimal_path(fresh, "min")[1] == pytest.approx(best, rel=1e-12), where
+                if is_exact:
+                    assert solutions(dd) == solutions(truth), where
+                    exact += 1
+                done = k
+                checked += 1
+            if done:
+                # equal cuts that are other objects, or fewer cuts, are no
+                # extension of the kept list: both compile afresh
+                copies = [dataclasses.replace(c) for c in pool[:done]]
+                for cuts in (copies, pool[:done - 1]):
+                    build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
+                    assert calls() == ([partial], [len(cuts)]), (args, partial)
+    assert checked >= 50 and 0 < exact < checked, (checked, exact)
 
 
 def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
