@@ -150,9 +150,9 @@ class MipSubproblemOracle(SubproblemOracle):
     """Dual-form slave LP; optimal points give value cuts, rays give
     feasibility cuts.
 
-    Only the dual's objective depends on x, so each LP starts phase 2 from
-    the final basis of the one before, the only state carried between
-    LPs (see UcpSubproblemOracle).
+    Only the dual's objective depends on x, so each LP is started from the
+    outcome of the one before, the only state kept between LPs: phase 2
+    continues from its final tableau (see UcpSubproblemOracle).
     """
 
     def __init__(self, problem):
@@ -179,7 +179,7 @@ class MipSubproblemOracle(SubproblemOracle):
         self.B = np.array(self.B, dtype=float)
         self.c = np.array(self.c, dtype=float)
         self.b_obj = np.array(problem.y_obj, dtype=float)
-        self._basis = None
+        self._last = None
 
     def evaluate(self, x):
         if not self.c.size:
@@ -194,9 +194,9 @@ class MipSubproblemOracle(SubproblemOracle):
         k = self.B.shape[0]
         dual = LinearProgram(sense="min", c=rhs, A=self.B.T,
                              senses=[">="] * self.B.shape[1], b=self.b_obj,
-                             lo=np.zeros(k), start_basis=self._basis)
+                             lo=np.zeros(k), start=self._last)
         out = solve(dual)
-        self._basis = out.basis
+        self._last = out
         if out.status == "optimal":
             u = out.x
             cut = CutRow(coeffs=_dense_to_sparse(u @ self.A), z_coeff=1.0,

@@ -14,20 +14,25 @@ ray gains more than the verifier's FEAS_TOL; a flatter one is passed
 over, so an LP that is unbounded only within tolerance ends optimal
 within tolerance instead of failing verification.
 
-Warm start: every outcome carries its final kernel basis and pivot
-count.  An LP whose start_basis is such a basis, taken from an LP with
-the same rows, senses, rhs and bounds (only the objective may differ),
-is refactorized once in that basis (one dense solve with the basis
-columns) and goes straight to phase 2; the basis is still
-primal-feasible because the constraints are unchanged.  A start basis
-that is missing, malformed, singular or infeasible is ignored and the
-solve starts from the slack/artificial basis as usual.  Certificates
-are checked the same way either way.  The module keeps no state.
+Warm start: every outcome carries its pivot count, and an optimal or
+unbounded one also keeps, privately, its final kernel state: the
+tableau in its final basis, the row layout and the variable transform.
+An LP whose `start` is such an outcome, of an LP with the same rows (A,
+b, senses, lo and hi equal by value; only the objective and its sense
+may differ), continues phase 2 from a copy of that tableau, which is
+still primal-feasible because the constraints are unchanged; the
+transform, the tableau set-up and phase 1 are skipped.  Any other start
+(none, an infeasible outcome, or one over other rows) is a cold start
+from the slack/artificial basis.  Certificates are checked the same way
+either way.  An outcome references neither its LP nor that LP's start,
+so a chain of warm solves keeps alive only the outcomes its caller
+keeps.  The module keeps no state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +55,7 @@ class LinearProgram:
     b: np.ndarray
     lo: np.ndarray = None
     hi: np.ndarray = None
-    start_basis: np.ndarray = None   # LpOutcome.basis of an LP with these rows
+    start: LpOutcome = None    # an earlier outcome; warm when its rows equal these
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -75,6 +80,10 @@ class LinearProgram:
             raise ValueError("objective, matrix and rhs entries must be finite")
         if np.any(self.lo > self.hi):
             raise ValueError("lo > hi")
+        if self.start is not None and not isinstance(self.start, LpOutcome):
+            raise TypeError("start must be an LpOutcome or None")
+        senses = np.array(self.senses, dtype=object)
+        self._le, self._ge, self._eq = senses == "<=", senses == ">=", senses == "="
 
     @property
     def num_vars(self):
@@ -94,8 +103,8 @@ class LpOutcome:
     objective: float = None
     farkas: np.ndarray = None         # >= 0 on inequality rows, see verify
     ray: np.ndarray = None            # improving recession direction
-    basis: np.ndarray = None          # final kernel basis, one column per row
     pivots: int = 0                   # tableau pivots, both phases
+    _tableau: _Tableau = field(default=None, repr=False, compare=False)  # warm-start state
 
 
 # -- public entry points -----------------------------------------------------------
@@ -121,16 +130,10 @@ def verify_certificate(lp, outcome):
     return False
 
 
-def _row_senses(lp):
-    senses = np.array(lp.senses, dtype=object)
-    return senses == "<=", senses == ">=", senses == "="
-
-
 def _rows_hold(lp, res):
     """Each row's residual (lhs - rhs) is within FEAS_TOL on its feasible side."""
-    le, ge, eq = _row_senses(lp)
-    return not (np.any(le & (res > FEAS_TOL)) or np.any(ge & (res < -FEAS_TOL))
-                or np.any(eq & (np.abs(res) > FEAS_TOL)))
+    return not (np.any(lp._le & (res > FEAS_TOL)) or np.any(lp._ge & (res < -FEAS_TOL))
+                or np.any(lp._eq & (np.abs(res) > FEAS_TOL)))
 
 
 def _verify_optimal(lp, out):
@@ -147,12 +150,11 @@ def _verify_optimal(lp, out):
         return False
     sign = 1.0 if lp.sense == "min" else -1.0
     scale = 1.0 + float(np.max(np.abs(lp.c))) if lp.c.size else 1.0
-    le, ge, eq = _row_senses(lp)
-    if np.any(le & (sign * y > FEAS_TOL * scale)) or \
-            np.any(ge & (sign * y < -FEAS_TOL * scale)):
+    if np.any(lp._le & (sign * y > FEAS_TOL * scale)) or \
+            np.any(lp._ge & (sign * y < -FEAS_TOL * scale)):
         return False
     # complementary slackness: active dual implies (near-)tight row
-    if np.any(~eq & (np.abs(y) > FEAS_TOL * scale)
+    if np.any(~lp._eq & (np.abs(y) > FEAS_TOL * scale)
               & (np.abs(res) > 1e-5 * (1.0 + np.abs(lp.b)))):
         return False
     rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
@@ -175,12 +177,11 @@ def _verify_optimal(lp, out):
 def _verify_farkas(lp, f):
     if f is None or f.size != lp.num_rows:
         return False
-    _, ge, eq = _row_senses(lp)
-    orient = np.where(ge | eq, 1.0, -1.0)
+    orient = np.where(lp._ge | lp._eq, 1.0, -1.0)
     peak = float(np.max(np.abs(f))) if f.size else 0.0
     if peak <= 0.0:
         return False
-    if np.any(~eq & (f < -FEAS_TOL * (1.0 + peak))):
+    if np.any(~lp._eq & (f < -FEAS_TOL * (1.0 + peak))):
         return False
     w = (orient * f) @ lp.A
     r = float((orient * f) @ lp.b)
@@ -250,84 +251,154 @@ def _transform(lp):
     b = np.concatenate([lp.b - (lp.A @ shift if m else np.zeros(0)),
                         lp.hi[boxed] - lp.lo[boxed]])
     senses = list(lp.senses) + ["<="] * nb
-    cmin = lp.c if lp.sense == "min" else -lp.c
-    return _Transform(var=var, sign=sign, shift=shift), sign * cmin[var], A, senses, b
+    return _Transform(var=var, sign=sign, shift=shift), A, senses, b
 
 
 # -- kernel -------------------------------------------------------------------------
 
 
 def _solve_impl(lp):
-    t, c, A, senses, b = _transform(lp)
-    status, u, y_kernel, ray_u, basis, pivots = _kernel(c, A, senses, b, lp.start_basis)
-    m = lp.num_rows
-    if status == "infeasible":
-        # violation-orientation multipliers for the original rows
-        f = np.where(_row_senses(lp)[0], -1.0, 1.0) * y_kernel[:m]
-        peak = float(np.max(np.abs(f))) if m else 0.0
-        if peak > 0:
-            f = f / peak
-        return LpOutcome(status="infeasible", farkas=f, basis=basis, pivots=pivots)
-    if status == "unbounded":
-        d = t.to_x(ray_u, np.zeros(lp.num_vars))
+    kept = lp.start._tableau if lp.start is not None else None
+    if kept is not None and _same_rows(lp, kept.rows):
+        tab = kept.copy()
+    else:
+        tab, y = _cold_start(lp)
+        if y is not None:
+            # violation-orientation multipliers for the original rows
+            f = np.where(lp._le, -1.0, 1.0) * y[:lp.num_rows]
+            peak = float(np.max(np.abs(f))) if lp.num_rows else 0.0
+            if peak > 0:
+                f = f / peak
+            return LpOutcome(status="infeasible", farkas=f, pivots=tab.pivots)
+    t, n = tab.t, tab.n
+    cost = np.zeros(tab.T.shape[1] - 1)
+    cost[:n] = t.sign * (lp.c if lp.sense == "min" else -lp.c)[t.var]
+    entering = tab.run(cost, tab.art)
+    if entering != -1:
+        d = t.to_x(tab.ray_along(entering)[:n], np.zeros(lp.num_vars))
         peak = np.max(np.abs(d))
         if peak > 0:
             d = d / peak
-        return LpOutcome(status="unbounded", ray=d, basis=basis, pivots=pivots)
-    x = t.to_x(u, t.shift)
-    y = y_kernel[:m].copy()
+        return LpOutcome(status="unbounded", ray=d, pivots=tab.pivots, _tableau=tab)
+    u = np.zeros(cost.size)
+    u[tab.basis] = tab.T[:, -1]
+    x = t.to_x(u[:n], t.shift)
+    y = np.zeros(tab.flip.size)
+    y[tab.origin] = cost[tab.basis] @ tab.T[:, tab.reader]
+    y = (y * tab.flip)[:lp.num_rows]
     if lp.sense == "max":
         y = -y
-    rc = lp.c - (lp.A.T @ y if m else 0.0)
+    rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
     return LpOutcome(status="optimal", x=x, duals=y, reduced_costs=rc,
-                     objective=float(lp.c @ x), basis=basis, pivots=pivots)
+                     objective=float(lp.c @ x), pivots=tab.pivots, _tableau=tab)
 
 
-def _refactorize(T, start, art_cols):
-    """The tableau T restated in the basis `start`, or None.
+def _same_rows(lp, rows):
+    """The LP's A, b, senses, lo and hi equal `rows` by value."""
+    A, b, senses, lo, hi = rows
+    return (lp.senses == senses and np.array_equal(lp.A, A) and np.array_equal(lp.b, b)
+            and np.array_equal(lp.lo, lo) and np.array_equal(lp.hi, hi))
 
-    None when `start` cannot begin phase 2: it is missing, has the wrong
-    length, repeats or leaves the column range, names an artificial
-    column, is singular, or gives non-finite or infeasible (below
-    -FEAS_TOL) basic values.  Basic columns are set to the exact identity
-    and basic values in [-FEAS_TOL, 0) to 0.
+
+class _Tableau:
+    """Kernel state of  min c.u  s.t.  A u (senses) b,  u >= 0,  in one basis.
+
+    T's columns are u (the first n), then one slack per inequality row,
+    then one artificial (`art`) per `>=` or `=` row, after rows with
+    b < 0 are negated (`flip`), then the rhs; `basis` lists each row's
+    basic column.  Row i of T is kernel row origin[i] (phase 1 drops
+    redundant rows), whose dual is read from its slack or artificial
+    column, reader[i].
+    `t` maps u back to x, and `rows` holds the LP data the state was
+    built from, compared before a warm start.
     """
-    m = T.shape[0]
-    if start is None or m == 0:
-        return None
-    start = np.asarray(start)
-    if start.shape != (m,) or start.dtype.kind not in "iu":
-        return None
-    cols = start.tolist()
-    if len(set(cols)) != m or min(cols) < 0 or max(cols) >= T.shape[1] - 1 \
-            or art_cols.intersection(cols):
-        return None
-    try:
-        W = np.linalg.solve(T[:, start], T)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(W)) or np.any(W[:, -1] < -FEAS_TOL):
-        return None
-    W[:, start] = np.eye(m)
-    np.maximum(W[:, -1], 0.0, out=W[:, -1])
-    return W
+
+    def __init__(self, T, basis, reader, flip, art, n, t, rows):
+        self.T, self.basis, self.reader = T, basis, reader
+        self.origin = np.arange(basis.size)
+        self.flip, self.art, self.n, self.t, self.rows = flip, art, n, t, rows
+        self.cap = 10 * (basis.size + T.shape[1] - 1) ** 2
+        self.pivots = 0
+
+    def copy(self):
+        """The same state with its own T and basis and no pivots counted."""
+        twin = copy.copy(self)
+        twin.T, twin.basis, twin.pivots = self.T.copy(), self.basis.copy(), 0
+        return twin
+
+    def pivot(self, rowi, colj):
+        T = self.T
+        self.pivots += 1
+        T[rowi] = T[rowi] / T[rowi, colj]
+        col = T[:, colj].copy()
+        col[rowi] = 0.0
+        T -= np.outer(col, T[rowi])
+        T[:, colj] = 0.0
+        T[rowi, colj] = 1.0
+        self.basis[rowi] = colj
+
+    def ray_along(self, entering):
+        """1 on the entering column, minus its tableau column on the basic ones."""
+        ray = np.zeros(self.T.shape[1] - 1)
+        ray[entering] = 1.0
+        ray[self.basis] = -self.T[:, entering]
+        return ray
+
+    def ratio_test(self, entering):
+        """Bland's leaving row for the entering column, or -1 when none bounds it."""
+        T, basis = self.T, self.basis
+        col = T[:, entering]
+        eligible = np.flatnonzero(col > PIV_TOL)
+        best_ratio, leave = None, -1
+        for i, ratio in zip(eligible.tolist(), (T[eligible, -1] / col[eligible]).tolist()):
+            if best_ratio is None or ratio < best_ratio - 1e-12 or \
+                    (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]):
+                best_ratio, leave = ratio, i
+        return leave
+
+    def run(self, cost, banned):
+        """Bland iterations until optimal or unbounded; returns entering col or -1.
+
+        An improving column that no row bounds gives a ray.  The ray is
+        returned only when it gains more than FEAS_TOL per unit of its
+        largest entry, the gain verify_certificate asks of it; a flatter
+        one is within tolerance of not improving, so Bland passes on to
+        the next improving column, and with none left the basis is
+        optimal within tolerance.
+        """
+        pivots = 0
+        while True:
+            cb = cost[self.basis]
+            red = cost - cb @ self.T[:, :-1]
+            # Bland: the first non-basic, non-banned column that improves
+            improving = red < -OPT_TOL
+            improving[self.basis] = False
+            improving[banned] = False
+            for entering in np.flatnonzero(improving).tolist():
+                leave = self.ratio_test(entering)
+                if leave >= 0:
+                    break
+                if -red[entering] > FEAS_TOL * np.max(
+                        np.abs(self.ray_along(entering)[:self.n]), initial=0.0):
+                    return entering  # unbounded along this column
+            else:
+                return -1
+            self.pivot(leave, entering)
+            pivots += 1
+            if pivots > self.cap:
+                raise NumericalFailureError("pivot cap exceeded")
 
 
-def _kernel(c, A, senses, b, start):
-    """min c.u  s.t.  A u (senses) b,  u >= 0.
+def _cold_start(lp):
+    """The LP's tableau in the slack/artificial basis, taken through phase 1.
 
-    Returns (status, u, row duals, ray, final basis, pivots)
-    where duals are stated for the rows as given (not the internally
-    sign-flipped copies).  The tableau's columns are u, then one slack
-    per inequality row, then one artificial per `>=` or `=` row (after
-    rows with b < 0 are negated); a basis lists one column per row.
-    When `start` passes _refactorize, phase 1 is skipped and phase 2
-    begins from it; otherwise from the slack/artificial basis.
+    Returns (tableau, None) with a primal-feasible basis, or (tableau,
+    y) when phase 1 proves the LP infeasible, where y holds the phase-1
+    row multipliers stated for the kernel rows as given (not the
+    sign-flipped copies).
     """
+    t, A, senses, b = _transform(lp)
     m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    senses = list(senses)
     flip = np.ones(m)
     for i in range(m):
         if b[i] < 0:
@@ -340,10 +411,7 @@ def _kernel(c, A, senses, b, start):
     art_of = {}
     ncols = n
     for i, s in enumerate(senses):
-        if s == "<=":
-            slack_of[i] = ncols
-            ncols += 1
-        elif s == ">=":
+        if s in ("<=", ">="):
             slack_of[i] = ncols
             ncols += 1
     for i, s in enumerate(senses):
@@ -364,123 +432,38 @@ def _kernel(c, A, senses, b, start):
                 T[i, slack_of[i]] = -1.0
             T[i, art_of[i]] = 1.0
             basis[i] = art_of[i]
-    art_cols = set(art_of.values())
-    reader = {i: (art_of[i] if i in art_of else slack_of[i]) for i in range(m)}
-    cap = 10 * (m + ncols) ** 2
-    pivot_count = 0
+    art = np.array(sorted(art_of.values()), dtype=int)
+    reader = np.array([art_of[i] if i in art_of else slack_of[i] for i in range(m)],
+                      dtype=int)
+    rows = (lp.A.copy(), lp.b.copy(), list(lp.senses), lp.lo.copy(), lp.hi.copy())
+    tab = _Tableau(T, basis, reader, flip, art, n, t, rows)
+    if not art.size:
+        return tab, None
 
-    def pivot(rowi, colj):
-        nonlocal pivot_count
-        pivot_count += 1
-        T[rowi] = T[rowi] / T[rowi, colj]
-        col = T[:, colj].copy()
-        col[rowi] = 0.0
-        T[:] -= np.outer(col, T[rowi])
-        T[:, colj] = 0.0
-        T[rowi, colj] = 1.0
-        basis[rowi] = colj
-
-    def ray_along(entering):
-        """1 on the entering column, minus its tableau column on the basic ones."""
-        ray = np.zeros(ncols)
-        ray[entering] = 1.0
-        ray[basis] = -T[:, entering]
-        return ray
-
-    def ratio_test(entering):
-        """Bland's leaving row for the entering column, or -1 when none bounds it."""
-        col = T[:, entering]
-        eligible = np.flatnonzero(col > PIV_TOL)
-        best_ratio, leave = None, -1
-        for i, ratio in zip(eligible.tolist(), (T[eligible, -1] / col[eligible]).tolist()):
-            if best_ratio is None or ratio < best_ratio - 1e-12 or \
-                    (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]):
-                best_ratio, leave = ratio, i
-        return leave
-
-    def run(cost, banned):
-        """Bland iterations until optimal or unbounded; returns entering col or -1.
-
-        An improving column that no row bounds gives a ray.  The ray is
-        returned only when it gains more than FEAS_TOL per unit of its
-        largest entry, the gain verify_certificate asks of it; a flatter
-        one is within tolerance of not improving, so Bland passes on to
-        the next improving column, and with none left the basis is
-        optimal within tolerance.
-        """
-        pivots = 0
-        banned = np.array(sorted(banned), dtype=int)
-        while True:
-            cb = cost[basis]
-            red = cost - cb @ T[:, :-1]
-            # Bland: the first non-basic, non-banned column that improves
-            improving = red < -OPT_TOL
-            improving[basis] = False
-            improving[banned] = False
-            for entering in np.flatnonzero(improving).tolist():
-                leave = ratio_test(entering)
-                if leave >= 0:
-                    break
-                if -red[entering] > FEAS_TOL * np.max(np.abs(ray_along(entering)[:n]), initial=0.0):
-                    return entering  # unbounded along this column
-            else:
-                return -1
-            pivot(leave, entering)
-            pivots += 1
-            if pivots > cap:
-                raise NumericalFailureError("pivot cap exceeded")
-
-    warm = _refactorize(T, start, art_cols)
-    if warm is not None:
-        T, basis = warm, np.array(start, dtype=int)
-        row_origin = list(range(m))
     # Phase 1: drive artificials to zero.
-    elif art_cols:
-        cost1 = np.zeros(ncols)
-        for j in art_cols:
-            cost1[j] = 1.0
-        if run(cost1, banned=frozenset()) != -1:
-            raise NumericalFailureError("phase-1 unbounded; inconsistent tableau")
-        cb1 = cost1[basis]
-        phase1_obj = float(cb1 @ T[:, -1])
-        if phase1_obj > FEAS_TOL:
-            y = np.array([float(cb1 @ T[:, reader[i]]) for i in range(m)])
-            return "infeasible", None, y * flip, None, basis.copy(), pivot_count
-        # drive remaining artificials out of the basis
-        dead_rows = []
-        for i in range(m):
-            if basis[i] in art_cols:
-                target = -1
-                for j in range(ncols):
-                    if j not in art_cols and abs(T[i, j]) > 1e-9:
-                        target = j
-                        break
-                if target >= 0:
-                    pivot(i, target)
-                else:
-                    dead_rows.append(i)
-        if dead_rows:
-            keep = [i for i in range(m) if i not in dead_rows]
-            T = T[keep]
-            basis = basis[keep]
-            row_origin = keep
-        else:
-            row_origin = list(range(m))
-    else:
-        row_origin = list(range(m))
-
-    # Phase 2 on the real objective.
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c
-    entering = run(cost2, banned=art_cols)
-    if entering != -1:
-        return "unbounded", None, None, ray_along(entering)[:n], basis.copy(), pivot_count
-
-    u = np.zeros(ncols)
-    for i in range(T.shape[0]):
-        u[basis[i]] = T[i, -1]
-    cb = cost2[basis]
-    y = np.zeros(m)
-    for orig in row_origin:
-        y[orig] = float(cb @ T[:, reader[orig]])
-    return "optimal", u[:n], y * flip, None, basis.copy(), pivot_count
+    cost1 = np.zeros(ncols)
+    cost1[art] = 1.0
+    if tab.run(cost1, banned=np.array([], dtype=int)) != -1:
+        raise NumericalFailureError("phase-1 unbounded; inconsistent tableau")
+    cb1 = cost1[tab.basis]
+    if float(cb1 @ tab.T[:, -1]) > FEAS_TOL:
+        return tab, (cb1 @ tab.T[:, reader]) * flip
+    # drive remaining artificials out of the basis
+    art_cols = set(art_of.values())
+    dead_rows = []
+    for i in range(m):
+        if tab.basis[i] in art_cols:
+            target = -1
+            for j in range(ncols):
+                if j not in art_cols and abs(tab.T[i, j]) > 1e-9:
+                    target = j
+                    break
+            if target >= 0:
+                tab.pivot(i, target)
+            else:
+                dead_rows.append(i)
+    if dead_rows:
+        keep = np.array([i for i in range(m) if i not in dead_rows], dtype=int)
+        tab.T, tab.basis = tab.T[keep], tab.basis[keep]
+        tab.origin, tab.reader = keep, reader[keep]
+    return tab, None

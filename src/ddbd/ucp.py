@@ -819,12 +819,13 @@ class UcpSubproblemOracle(SubproblemOracle):
     with them pooled and dispatch's copies deduplicate against them.
 
     The dual's rows depend on the instance alone, so they are built once,
-    and each LP starts phase 2 from the final basis of the LP solved
-    before it: x and the scenario change only the objective, so that basis
-    is still primal-feasible, and only the basis is carried (see
-    ddbd.simplex).  Closed-form rays neither use nor change that basis.
-    Values do not depend on the start basis; on degenerate duals the cut
-    can, and the memo keeps repeat visits identical (and free of LP
+    and each LP is started from the outcome of the LP solved before it,
+    the only state kept between LPs: x and the scenario change only the
+    objective, so phase 2 continues from that outcome's final tableau,
+    which is still primal-feasible (see ddbd.simplex).  Only the first LP
+    is a cold start.  Closed-form rays neither use nor change the kept
+    outcome.  Values do not depend on the start; on degenerate duals the
+    cut can, and the memo keeps repeat visits identical (and free of LP
     solves).
     """
 
@@ -833,7 +834,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         self._rows = _dual_rows(instance)
         self._p_max = np.array([g.p_max for g in instance.generators])
         self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
-        self._basis = None
+        self._last = None
         self._cache = {}
 
     def evaluate(self, x):
@@ -912,9 +913,8 @@ class UcpSubproblemOracle(SubproblemOracle):
                     feas_cuts.append(self._capacity_cut(s, first[s], prices))
                 continue
             out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
-                                      A=A, senses=senses, b=b,
-                                      start_basis=self._basis))
-            self._basis = out.basis
+                                      A=A, senses=senses, b=b, start=self._last))
+            self._last = out
             lp_calls += 1
             if out.status == "unbounded":
                 feas_cuts.append(_feasibility_cut(instance, sc, out.ray))

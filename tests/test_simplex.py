@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from ddbd import simplex
 from ddbd.simplex import (
     LinearProgram,
     LpOutcome,
@@ -322,87 +325,139 @@ def test_ray_gain_boundary():
                         lower_is_bad=True)
 
 
-# -- start basis ----------------------------------------------------------------
+# -- warm start -----------------------------------------------------------------
 
 
-def start_basis_lp(c=(1.0, 2.0, 3.0), start=None):
-    # kernel columns: x1, x2, x3, the slacks of rows 0 and 1 (3, 4), then
-    # the artificial of the ">=" row 0 (5); x1 and x2 share a column
-    return LinearProgram(sense="min", c=np.array(c),
-                         A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
-                         senses=[">=", "<="], b=np.array([1.0, 2.0]), start_basis=start)
-
-
-@pytest.mark.parametrize("start", [
-    [0, 1],            # singular: x1 and x2 share a column
-    [3, 4],            # infeasible: the ">=" row's slack would be -1
-    [4], [0, 4, 3],    # wrong length
-    [5, 4],            # the artificial column
-    [4, 4], [0, 9],    # repeated, out of range
-    np.array([0.0, 4.0]),
-])
-def test_bad_start_basis_falls_back_to_the_cold_start(start):
-    cold = solve(start_basis_lp())
-    assert cold.status == "optimal" and cold.pivots > 0
-    out = solve(start_basis_lp(start=start))
-    assert out.status == cold.status
-    assert out.pivots == cold.pivots
-    assert np.array_equal(out.x, cold.x) and np.array_equal(out.duals, cold.duals)
-    assert list(out.basis) == list(cold.basis)
-
-
-def test_start_basis_skips_phase_one():
-    cold = solve(start_basis_lp())
-    again = solve(start_basis_lp(start=cold.basis))
-    assert again.pivots == 0
-    assert again.objective == cold.objective
-    # another objective over the same rows: the old basis is still feasible
-    c = (3.0, 2.0, 1.0)
-    warm = solve(start_basis_lp(c, start=cold.basis))
-    ref = solve(start_basis_lp(c))
-    assert warm.status == ref.status == "optimal"
-    assert warm.objective == pytest.approx(ref.objective, rel=1e-12)
-    assert warm.pivots < ref.pivots
+def start_lp(c=(1.0, 2.0, 3.0), start=None, **rows):
+    # kernel columns: x1, x2, x3, the slacks of rows 0 and 1, then the
+    # artificial of the ">=" row 0, so a cold start needs phase 1
+    data = dict(A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]), senses=[">=", "<="],
+                b=np.array([1.0, 2.0]), lo=None, hi=None)
+    data.update(rows)
+    return LinearProgram(sense="min", c=np.array(c), start=start, **data)
 
 
 def same_outcome(a, b):
-    """Equal status, vectors bit for bit, objective, basis and pivots."""
+    """Equal status, vectors bit for bit, objective and pivots."""
     def bits(v):
         return None if v is None else np.asarray(v).tobytes()
     return (a.status, bits(a.x), bits(a.ray), bits(a.duals), bits(a.farkas),
-            repr(a.objective), bits(a.basis), a.pivots) == \
+            repr(a.objective), a.pivots) == \
         (b.status, bits(b.x), bits(b.ray), bits(b.duals), bits(b.farkas),
-         repr(b.objective), bits(b.basis), b.pivots)
+         repr(b.objective), b.pivots)
 
 
-def count_dense_solves(monkeypatch):
+def count_calls(monkeypatch, owner, name):
     calls = []
-    real = np.linalg.solve
+    real = getattr(owner, name)
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
-def test_a_valid_start_basis_costs_one_dense_solve(monkeypatch):
-    cold = solve(start_basis_lp())
-    solves = count_dense_solves(monkeypatch)
+@pytest.mark.parametrize("rows", [
+    dict(A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -2.0]])),
+    dict(A=np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 0.0]]), c=(1.0, 2.0, 3.0, 1.0)),
+    dict(b=np.array([1.0, 3.0])),
+    dict(senses=[">=", "="]),
+    dict(lo=np.array([0.0, 0.5, 0.0])),
+    dict(hi=np.array([np.inf, np.inf, 4.0])),
+], ids=["A", "A-shape", "b", "sense", "lo", "hi"])
+def test_a_start_over_other_rows_is_a_cold_start(rows):
+    start = solve(start_lp())
+    assert start.status == "optimal"
+    out = solve(start_lp(start=start, **rows))
+    assert same_outcome(out, solve(start_lp(**rows)))
 
-    # a cold start, and start bases rejected before refactorizing, solve nothing
-    assert same_outcome(solve(start_basis_lp()), cold)
-    for start in ([4], [5, 4], [4, 4], [0, 9], np.array([0.0, 4.0])):
-        assert same_outcome(solve(start_basis_lp(start=start)), cold)
-    assert len(solves) == 0
 
-    # a valid start basis is refactorized once per LP, whether phase 2
-    # stays there or pivots away, and the same LP gives the same outcome
-    for c in ((1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (3.0, 2.0, 1.0)):
-        solves.clear()
-        first = solve(start_basis_lp(c, start=cold.basis))
-        assert len(solves) == 1
-        assert same_outcome(first, solve(start_basis_lp(c, start=cold.basis)))
-        assert len(solves) == 2
-    assert first.pivots > 0
+def test_a_warm_start_skips_the_transform_and_phase_one(monkeypatch):
+    cold = solve(start_lp())
+    assert cold.status == "optimal" and cold.pivots > 0
+    transforms = count_calls(monkeypatch, simplex, "_transform")
+    dense_solves = count_calls(monkeypatch, np.linalg, "solve")
+    again = solve(start_lp(start=cold))
+    assert again.pivots == 0 and again.objective == cold.objective
+    # another objective over the same rows: the kept basis is still feasible
+    c = (3.0, 2.0, 1.0)
+    warm = solve(start_lp(c, start=cold))
+    assert transforms == [] and dense_solves == []
+    ref = solve(start_lp(c))
+    assert len(transforms) == 1
+    assert warm.status == ref.status == "optimal"
+    assert warm.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert warm.pivots < ref.pivots
+
+
+def test_one_lp_solved_twice_from_one_start_gives_one_outcome():
+    cold = solve(start_lp())
+    for c in ((1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (3.0, 2.0, 1.0), (-1.0, 0.0, 0.0)):
+        first = solve(start_lp(c, start=cold))
+        assert same_outcome(first, solve(start_lp(c, start=cold)))
+        # and a warm start from the outcome of a warm start
+        assert same_outcome(solve(start_lp(start=first)), solve(start_lp(start=first)))
+    assert first.status == "unbounded" and first.pivots > 0
+
+
+def test_an_infeasible_outcome_hands_on_no_state(monkeypatch):
+    rows = dict(b=np.array([3.0, -2.0]), senses=[">=", ">="],
+                A=np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]))
+    infeasible = solve(start_lp(**rows))
+    assert infeasible.status == "infeasible"
+    transforms = count_calls(monkeypatch, simplex, "_transform")
+    out = solve(start_lp((3.0, 2.0, 1.0), start=infeasible, **rows))
+    assert len(transforms) == 1
+    assert same_outcome(out, solve(start_lp((3.0, 2.0, 1.0), **rows)))
+
+
+def test_a_start_that_is_not_an_outcome_is_rejected():
+    cold = solve(start_lp())
+    with pytest.raises(TypeError):
+        start_lp(start=np.array([0, 4]))
+    with pytest.raises(TypeError):
+        start_lp(start=cold.x)
+
+
+def test_a_dropped_outcome_is_collected_over_a_chain_of_warm_solves():
+    # no outcome references its LP or that LP's start, so the kept tableaus
+    # are freed as soon as the caller drops their outcome, with no cycle
+    rng = np.random.default_rng(3)
+    out = solve(start_lp())
+    dropped = []
+    for _ in range(20):
+        dropped.append(weakref.ref(out))
+        out = solve(start_lp(rng.uniform(0.1, 3.0, size=3), start=out))
+    assert out.status == "optimal"
+    assert all(ref() is None for ref in dropped)
+
+
+def test_warm_chains_do_not_drift_from_a_fresh_factorization():
+    # rows: A x <= b (slack 1) and x1 + ... + xn >= 1 (slack -1, artificial),
+    # so the kernel tableau is [A | slacks | artificial | b] with no transform
+    rng = np.random.default_rng(11)
+    n, m = 8, 10
+    A = np.vstack([np.round(rng.uniform(-1.0, 3.0, size=(m - 1, n)), 2), np.ones(n)])
+    b = np.append(A[:-1] @ rng.uniform(0.2, 1.0, size=n) + rng.uniform(0.5, 2.0, size=m - 1),
+                  1.0)
+    senses = ["<="] * (m - 1) + [">="]
+    T0 = np.hstack([A, np.diag([1.0] * (m - 1) + [-1.0]), np.eye(m)[:, -1:], b[:, None]])
+
+    def lp(c, start=None):
+        return LinearProgram(sense="min", c=c, A=A, senses=senses, b=b, start=start)
+
+    out = solve(lp(rng.uniform(-1.0, 1.0, size=n)))
+    warm_pivots = 0
+    for _ in range(200):
+        c = rng.uniform(-1.0, 1.0, size=n)
+        out = solve(lp(c, start=out))
+        warm_pivots += out.pivots
+        ref = solve(lp(c))
+        assert out.status == ref.status == "optimal"
+        assert abs(out.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        tab = out._tableau
+        fresh = np.linalg.solve(T0[tab.origin][:, tab.basis], T0[tab.origin])
+        assert np.max(np.abs(tab.T - fresh)) <= 1e-9
+    assert warm_pivots > 0

@@ -651,8 +651,8 @@ def test_warm_started_evaluation_takes_fewer_pivots(monkeypatch):
     x[inst.var_index(2, 0)] = x[inst.var_index(2, 1)] = 0.0
     oracle.evaluate(x)
     assert len(calls) == 16
-    assert all(lp.start_basis is not None for lp, _ in calls)
-    cold = [solve(dataclasses.replace(lp, start_basis=None)) for lp, _ in calls]
+    assert all(lp.start is not None for lp, _ in calls)
+    cold = [solve(dataclasses.replace(lp, start=None)) for lp, _ in calls]
     assert sum(out.pivots for _, out in calls) < sum(out.pivots for out in cold)
     for (_, warm), ref in zip(calls, cold):
         assert warm.status == ref.status
@@ -683,7 +683,7 @@ def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
                 # capacity-short scenarios skip the LP: pair by objective
                 sc = next(sc for sc in inst.scenarios
                           if np.array_equal(build_dual_subproblem(inst, x, sc).c, lp.c))
-                warm_starts += lp.start_basis is not None
+                warm_starts += lp.start is not None
                 cold = solve(build_dual_subproblem(inst, x, sc))
                 status, value = scipy_lp_min(build_subproblem(inst, x, sc))
                 assert out.status == cold.status
