@@ -14,11 +14,11 @@ layer of the last diagram refined, after RELAXED_CUT_CAP evaluations
 at most.  A branching with a single prefix is none: that prefix is
 extended as far as every path of the diagram shares it (forced_prefix)
 and pushed as the only child.
-The two sides take fresh cuts differently.  The relaxed loop replays
-each batch into its diagram.  The restricted loop asks the master again
-for the node under the grown pool, so the width limit is applied to
-exact ∩ pool anew each round: the new diagram can hold nodes the last
-one dropped, and it is exact again once exact ∩ pool fits the width.
+Fresh cuts reach a node's diagrams one way on both sides: the loop
+asks the master again for the node under the grown pool.  On the
+restricted side the width limit is thus applied to exact ∩ pool anew
+each round: the new diagram can hold nodes the last one dropped, and
+it is exact again once exact ∩ pool fits the width.
 A restricted diagram that the oracle reports exact represents the node
 and the pool in full, so the loop's candidate solves the node and the
 relaxed side is skipped; the unit-commitment oracle makes one by
@@ -29,12 +29,11 @@ Cuts live in a global deduplicated pool.  Before the root is expanded
 the pool takes the subproblem oracle's initial_cuts(): cuts that hold
 for every x and need no evaluation, such as the unit-commitment
 oracle's per-period capacity cuts, so the root's first diagrams already
-satisfy them.  The oracles replay the whole pool into every freshly
-built diagram (the unit-commitment oracle keeps the refined exact
-master of the last restricted build, so a re-cut replays only the cuts
-pooled since), and the relaxed loop replays each batch of new cuts into
-the current diagram; either way a replay is one exact refinement pass
-over the list (see replay_cuts).
+satisfy them.  The oracles bring the pool into every diagram they
+build by one exact refinement pass over the list (see replay_cuts);
+the unit-commitment oracle keeps the refined master of its last build,
+so asking again for the same partial and side replays only the cuts
+pooled since.
 The clock is read before every evaluation, before each node, and once
 more between the restricted loop and the relaxed build; a node open
 when the time runs out goes back on the stack with a bound that holds
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 
 from .diagram import (
     EmptyDiagramError,
-    InfeasibleDiagramError,
     optimal_path,
     refine_with_cut,
     to_dot,
@@ -98,11 +96,12 @@ class MasterOracle:
     no completion or the cuts remove every one.  (None, False) only says
     the restricted diagram found nothing.
 
-    build_restricted_dd is asked again for the same partial after every
-    batch of fresh cuts, with the pool's list grown by them (the list
-    only appends, and a cut never changes), and the last answer's
-    is_exact is the one that counts.  An oracle may keep state for one
-    partial assignment to make these re-cuts cheap, as UcpMasterOracle
+    Both builds are asked again for the same partial after every batch
+    of fresh cuts, with the pool's list grown by them (the list only
+    appends, and a cut never changes); the last restricted answer's
+    is_exact is the one that counts.  These calls are the only way fresh
+    cuts reach a node's diagrams.  An oracle may keep state for one
+    (partial assignment, side) to make them cheap, as UcpMasterOracle
     does; any other call must still answer in full.
     """
 
@@ -297,9 +296,10 @@ def replay_cuts(dd, cuts):
     """Exact refinement of a diagram with respect to pooled cuts.
 
     The whole list goes to one refine_with_cut call, a single top-down
-    pass; an empty list returns dd itself.  The call goes through this
-    module's refine_with_cut attribute, so a wrapper bound there (as
-    perfbench/layers.py does to time refinement) sees every replay.
+    pass; an empty list returns dd itself.  Master oracles call it through
+    their own module's attribute (ucp.replay_cuts), and it calls through
+    this module's refine_with_cut, so wrappers bound there (as
+    perfbench/layers.py binds) see every replay.
     Node splitting may push the diagram past any configured width;
     that growth is allowed, never blocked.
     """
@@ -339,6 +339,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     branches = 0
     lp_calls = 0
     nodes_expanded = 0
+    restricted_exact = False
     status = "optimal"
 
     def better(a, b):
@@ -352,25 +353,20 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
 
-    def replay(dd, fresh):
-        try:
-            return replay_cuts(dd, fresh)
-        except InfeasibleDiagramError:
-            return None
-
-    def recut(_dd, _fresh):
+    def restricted():
         # the master cuts the node's exact ∩ pool to width again; its
         # exactness flag replaces the last one
         nonlocal restricted_exact
         rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
         return rdd
 
-    def separate(dd, tag, cap, prune, refine):
-        """Path -> subproblem -> pool -> refine dd, at most cap evaluations.
+    def separate(build, tag, cap, prune):
+        """Build -> path -> subproblem -> pool, at most cap evaluations.
 
-        refine(dd, fresh) returns dd under the pool grown by the fresh
-        cuts, or None when no path is left.  Returns (outcome, diagram,
-        (x, z, w)) with the last diagram and its optimal path.  Outcomes:
+        build() returns the node's diagram under the current pool, or
+        None when no path is left; it is called first and again after
+        every batch of fresh cuts.  Returns (outcome, diagram, (x, z, w))
+        with the last diagram and its optimal path.  Outcomes:
         "converged" (the path's value variable equals the subproblem
         value), "stale" (no fresh cut), "empty" (no path is left; the
         diagram is None), "bounded" (prune is set and the path cannot
@@ -379,6 +375,9 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         nonlocal lp_calls
         path = (None, None, None)
         for evaluations in itertools.count():
+            dd = build()
+            if dd is None:
+                return "empty", None, path
             dots.dump(dd, tag)
             try:
                 assignment, w = optimal_path(dd, sense)
@@ -400,9 +399,6 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                 return "converged", dd, path
             if not fresh:
                 return "stale", dd, path
-            dd = refine(dd, fresh)
-            if dd is None:
-                return "empty", None, path
 
     while stack:
         if out_of_time():
@@ -413,24 +409,21 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         if not better(bound_here, w_star):
             continue
 
-        rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
-        if rdd is not None:
-            outcome, _, (x, z, w) = separate(rdd, "restricted", REPEAT_CAP, prune=False,
-                                             refine=recut)
-            if outcome == "time_limit":
-                # the node is open again: its inherited bound still holds
-                stack.append((partial, bound_here))
-                status = "time_limit"
-                break
-            if outcome == "stale":
-                raise EngineError(
-                    "subproblem regenerated only pooled cuts; the diagram "
-                    "refinement cannot make progress")
-            if outcome == "cap":
-                raise EngineError("restricted repeat loop exceeded its cap")
-            if outcome == "converged" and (better(w, w_star) or (
-                    tie(w, w_star) and best_x is not None and x < best_x)):
-                w_star, best_x, best_z = w, x, z
+        outcome, _, (x, z, w) = separate(restricted, "restricted", REPEAT_CAP, prune=False)
+        if outcome == "time_limit":
+            # the node is open again: its inherited bound still holds
+            stack.append((partial, bound_here))
+            status = "time_limit"
+            break
+        if outcome == "stale":
+            raise EngineError(
+                "subproblem regenerated only pooled cuts; the diagram "
+                "refinement cannot make progress")
+        if outcome == "cap":
+            raise EngineError("restricted repeat loop exceeded its cap")
+        if outcome == "converged" and (better(w, w_star) or (
+                tie(w, w_star) and best_x is not None and x < best_x)):
+            w_star, best_x, best_z = w, x, z
 
         if restricted_exact:
             # the last restricted diagram represented the node exactly: the
@@ -442,14 +435,11 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
             status = "time_limit"
             break
 
-        xdd = master.build_relaxed_dd(partial, pool.cuts, cfg.width)
-        if xdd is None:
-            continue
         # a stale cut leaves nothing new to separate with: stop improving
         # the bound and branch, as after the cap
         outcome, xdd, (_, _, w_bar) = separate(
-            xdd, "relaxed", RELAXED_CUT_CAP if cfg.relaxed_cuts else 0,
-            prune=True, refine=replay)
+            lambda: master.build_relaxed_dd(partial, pool.cuts, cfg.width), "relaxed",
+            RELAXED_CUT_CAP if cfg.relaxed_cuts else 0, prune=True)
         if outcome == "time_limit":
             # w_bar bounds every completion of this node's relaxed diagram
             stack.append((partial, w_bar))

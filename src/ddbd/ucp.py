@@ -59,6 +59,15 @@ class InfeasibleInstanceError(Exception):
     """Some scenario cannot be dispatched even with every unit relaxed on."""
 
 
+def _require_finite(what, values, kind=(int, float)):
+    """InstanceError unless every value is a finite number of the kind;
+    a bool is none."""
+    for v in values:
+        if type(v) is bool or not isinstance(v, kind) or not math.isfinite(v):
+            noun = "integer" if kind is int else "number"
+            raise InstanceError(f"{what}: {v!r} is no finite {noun}")
+
+
 @dataclass(frozen=True)
 class Generator:
     c_fixed: float            # $ per committed period
@@ -75,6 +84,10 @@ class Generator:
     startup_cost_inf: float   # cost when the unit has never been up
 
     def validate(self):
+        _require_finite("generator costs, outputs and ramps", (
+            self.c_fixed, self.c_prod, self.p_min, self.p_max, self.ramp_up, self.ramp_down,
+            self.startup_ramp, self.shutdown_ramp, *self.startup_costs, self.startup_cost_inf))
+        _require_finite("minimum up/down times", (self.min_up, self.min_down), int)
         if not (0 <= self.p_min <= self.p_max):
             raise InstanceError("need 0 <= min output <= max output")
         if self.min_up < 1 or self.min_down < 1:
@@ -115,6 +128,7 @@ class UcpInstance:
     scenarios: list
 
     def validate(self):
+        _require_finite("horizon", (self.horizon,), int)
         if self.horizon < 1:
             raise InstanceError("horizon must be >= 1")
         if not self.generators or not self.scenarios:
@@ -125,7 +139,8 @@ class UcpInstance:
         for sc in self.scenarios:
             if len(sc.demand) != self.horizon or len(sc.reserve) != self.horizon:
                 raise InstanceError("scenario series length must match the horizon")
-            if any(d < 0 for d in sc.demand) or any(r < 0 for r in sc.reserve):
+            _require_finite("scenario data", (sc.prob, *sc.demand, *sc.reserve))
+            if min(sc.demand) < 0 or min(sc.reserve) < 0:
                 raise InstanceError("demand and reserve must be nonnegative")
             total += sc.prob
         if abs(total - 1.0) > 1e-9:
@@ -179,27 +194,20 @@ class UcpInstance:
         try:
             gens = [
                 Generator(
-                    c_fixed=float(g["c_f"]), c_prod=float(g["c_g"]),
-                    p_min=float(g["m"]), p_max=float(g["M"]),
-                    min_up=int(g["L"]), min_down=int(g["l"]),
-                    ramp_up=float(g["RU"]), ramp_down=float(g["RD"]),
-                    startup_ramp=float(g["SU"]), shutdown_ramp=float(g["SD"]),
-                    startup_costs=tuple(float(v) for v in g["K"]),
-                    startup_cost_inf=float(g["K_inf"]),
+                    c_fixed=g["c_f"], c_prod=g["c_g"], p_min=g["m"], p_max=g["M"],
+                    min_up=g["L"], min_down=g["l"], ramp_up=g["RU"], ramp_down=g["RD"],
+                    startup_ramp=g["SU"], shutdown_ramp=g["SD"],
+                    startup_costs=tuple(g["K"]), startup_cost_inf=g["K_inf"],
                 )
                 for g in doc["generators"]
             ]
             scens = [
-                Scenario(prob=float(s["prob"]),
-                         demand=tuple(float(v) for v in s["D"]),
-                         reserve=tuple(float(v) for v in s["R"]))
+                Scenario(prob=s["prob"], demand=tuple(s["D"]), reserve=tuple(s["R"]))
                 for s in doc["scenarios"]
             ]
-            inst = UcpInstance(generators=gens, horizon=int(doc["T"]),
-                               scenarios=scens)
-        except (KeyError, TypeError, ValueError) as exc:
+            return UcpInstance(generators=gens, horizon=doc["T"], scenarios=scens).validate()
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InstanceError(f"bad instance document: {exc}") from exc
-        return inst.validate()
 
 
 @dataclass(frozen=True)
@@ -377,13 +385,14 @@ def build_relaxed_master_dd(instance, partial, gamma, width):
 
 
 class RefinedMaster:
-    """The exact master of one partial assignment refined by a cut list,
-    kept from one restricted build to the next.
+    """The master of one partial assignment refined by a cut list, kept
+    from one build to the next.
 
-    refine(instance, partial, gamma, cuts) returns
-    replay_cuts(build_master_dd(instance, partial, gamma), cuts) and
-    keeps it.  When the kept diagram has the same instance, gamma and
-    partial, and its cuts are the first cuts of the list, the very same
+    refine(instance, partial, gamma, cuts, width) returns and keeps
+    replay_cuts(master, cuts), the master being build_master_dd when
+    width is None and build_relaxed_master_dd at that width otherwise.
+    When the kept diagram has the same instance, gamma, partial and
+    width, and its cuts are the first cuts of the list, the very same
     objects in the same order, only the cuts after them are replayed,
     into the kept diagram: a cut is never changed once made (CutRow),
     and a cut pool only appends.  Any other call compiles afresh.  A
@@ -391,23 +400,24 @@ class RefinedMaster:
     """
 
     def __init__(self):
-        self.instance = self.gamma = self.partial = self.dd = None
+        self.instance = self.gamma = self.partial = self.width = self.dd = None
         self.cuts = []
 
-    def _extended_by(self, instance, partial, gamma, cuts):
+    def _extended_by(self, instance, partial, gamma, cuts, width):
         return (self.dd is not None and instance is self.instance
                 and gamma is self.gamma and tuple(partial) == self.partial
-                and len(cuts) >= len(self.cuts)
+                and width == self.width and len(cuts) >= len(self.cuts)
                 and all(a is b for a, b in zip(self.cuts, cuts)))
 
-    def refine(self, instance, partial, gamma, cuts):
+    def refine(self, instance, partial, gamma, cuts, width=None):
         cuts = list(cuts)
-        if self._extended_by(instance, partial, gamma, cuts):
+        if self._extended_by(instance, partial, gamma, cuts, width):
             dd = replay_cuts(self.dd, cuts[len(self.cuts):])
         else:
-            dd = replay_cuts(build_master_dd(instance, partial, gamma), cuts)
+            dd = replay_cuts(build_master_dd(instance, partial, gamma) if width is None else
+                             build_relaxed_master_dd(instance, partial, gamma, width), cuts)
         self.instance, self.gamma, self.partial = instance, gamma, tuple(partial)
-        self.cuts, self.dd = cuts, dd
+        self.width, self.cuts, self.dd = width, cuts, dd
         return dd
 
 
@@ -771,14 +781,14 @@ class UcpMasterOracle(MasterOracle):
     """Master diagrams of a unit-commitment instance.
 
     A restricted diagram is the exact master refined by the cuts and cut
-    to `width` nodes per layer (build_restricted_master_dd).  The engine
-    asks again for the same partial after every batch of fresh cuts, so
-    the refined exact master of the last restricted build is kept
-    (RefinedMaster): a re-cut replays only the cuts pooled since, then
-    restricts that diagram to width again.  It can keep nodes the last
-    restriction dropped, and it is exact again once exact ∩ pool fits the
-    width.  Relaxed diagrams are compiled at width and refined by the
-    whole pool on every build.
+    to `width` nodes per layer (build_restricted_master_dd); a relaxed
+    one is the master compiled at width and refined by the cuts.  The
+    refined master of the last build is kept (RefinedMaster), so asking
+    again for the same partial and side replays only the cuts pooled
+    since.  A re-cut restricted diagram can keep nodes the last one
+    dropped, and it is exact again once exact ∩ pool fits the width.
+    One kept master serves both sides: the engine never asks for a
+    node's restricted diagram again once its relaxed side starts.
     """
 
     sense = "min"
@@ -799,8 +809,7 @@ class UcpMasterOracle(MasterOracle):
 
     def build_relaxed_dd(self, partial, cuts, width):
         try:
-            dd = build_relaxed_master_dd(self.instance, partial, self.gamma, width)
-            return replay_cuts(dd, cuts)
+            return self._kept.refine(self.instance, partial, self.gamma, cuts, width)
         except (EmptyDiagramError, InfeasibleDiagramError):
             return None
 

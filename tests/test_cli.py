@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -164,6 +165,37 @@ def test_malformed_mip_fixture_is_rejected(edit, tmp_path, capsys):
     assert main(broken_mip(tmp_path, edit) + ["--sense", "max"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: bad problem document:")
+    assert captured.out == ""
+
+
+def set_generator(key, value):
+    def edit(doc):
+        doc["generators"][0][key] = value
+    return edit
+
+
+def set_demand(doc):
+    doc["scenarios"][0]["D"][1] = math.nan
+
+
+# JSON's NaN and Infinity literals parse to floats, float() takes "500",
+# and an integer past the float range overflows any conversion
+@pytest.mark.parametrize("edit", [
+    set_demand,
+    set_generator("c_g", math.nan),
+    set_generator("c_f", math.inf),
+    lambda doc: doc.update(T=3.9),
+    set_generator("c_f", "500"),
+    set_generator("c_f", 10 ** 400),
+], ids=["nan-demand", "nan-c_g", "infinite-c_f", "fractional-T", "string-c_f", "huge-c_f"])
+def test_malformed_ucp_instance_is_rejected(edit, tmp_path, capsys):
+    doc = json.loads(gen_random_instance(2, 3, 2, seed=2).to_json())
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
     assert captured.out == ""
 
 

@@ -326,8 +326,10 @@ def unit_weights(layer, label):
 class StubMaster(MasterOracle):
     """Two binaries.  At the root the restricted diagram holds INCUMBENT
     alone with value 50 and is not exact, and the relaxed one holds the
-    other three points with value in [0, 100]; every child is reported
-    infeasible.  Pooled cuts are ignored."""
+    other three points with value in [0, 100], refined by the pool
+    through engine.replay_cuts; every child is reported infeasible.  The
+    restricted diagram ignores the pool: every cut these tests pool
+    admits INCUMBENT at value 50."""
 
     def build_restricted_dd(self, partial, cuts, width):
         if partial:
@@ -336,7 +338,8 @@ class StubMaster(MasterOracle):
 
     def build_relaxed_dd(self, partial, cuts, width):
         points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
-        return from_paths([p + ((0.0, 100.0),) for p in points], weight_fn=unit_weights)
+        dd = from_paths([p + ((0.0, 100.0),) for p in points], weight_fn=unit_weights)
+        return engine.replay_cuts(dd, cuts)
 
 
 class StubSub(SubproblemOracle):
@@ -400,12 +403,46 @@ def test_relaxed_loop_branches_on_its_last_replay_after_the_cap(monkeypatch):
     sub = StubSub(value_floor)
     report = dd_bd_solve(StubMaster(), sub, EngineConfig(time_limit=1.0))
     assert len(sub.evaluated) == RELAXED_CUT_CAP
-    assert len(replays) == RELAXED_CUT_CAP and branched == [replays[-1]]
+    # the first relaxed build replays the empty pool, and every
+    # evaluation is followed by one more build
+    assert len(replays) == RELAXED_CUT_CAP + 1 and branched == [replays[-1]]
     bound = optimal_path(replays[-1], "min")[1]
     assert bound == pytest.approx(RELAXED_CUT_CAP)
     assert (report.status, report.x, report.value) == ("time_limit", INCUMBENT, 52.0)
     assert report.branches == 3
     assert report.gap == pytest.approx(52.0 - bound)
+
+
+def test_the_relaxed_build_is_asked_again_with_each_fresh_batch():
+    class BatchSub(StubSub):
+        """Evaluation k returns z >= k - 1, z >= k and z >= k + 0.5: from
+        the second on, the first of them is pooled already."""
+
+        def evaluate(self, x):
+            res = super().evaluate(x)
+            if res.cuts:
+                k = len(self.evaluated)
+                res.cuts = [value_floor(k - 1), value_floor(k), value_floor(k + 0.5)]
+            return res
+
+    class RecordingMaster(StubMaster):
+        def __init__(self):
+            self.relaxed = []
+
+        def build_relaxed_dd(self, partial, cuts, width):
+            self.relaxed.append(list(cuts))
+            return super().build_relaxed_dd(partial, cuts, width)
+
+    master = RecordingMaster()
+    report = dd_bd_solve(master, BatchSub(value_floor), EngineConfig())
+    assert (report.status, report.x, report.value) == ("optimal", INCUMBENT, 52.0)
+    assert master.relaxed[0] == [] and len(master.relaxed) == RELAXED_CUT_CAP + 1
+    for k, (before, after) in enumerate(zip(master.relaxed, master.relaxed[1:]), start=1):
+        fresh = [value_floor(k), value_floor(k + 0.5)]
+        if k == 1:
+            fresh.insert(0, value_floor(0))
+        assert all(a is b for a, b in zip(before, after)), k
+        assert after[len(before):] == fresh, k
 
 
 def test_the_clock_is_read_again_before_the_relaxed_build(monkeypatch):

@@ -386,12 +386,32 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
         compiled.append(partial)
         return build_master_dd(inst, partial, gamma)
 
+    def counting_relaxed(inst, partial, gamma, width):
+        compiled.append(partial)
+        return build_relaxed_master_dd(inst, partial, gamma, width)
+
     def counting_replay(dd, cuts):
         replayed.append(len(cuts))
         return replay_cuts(dd, cuts)
 
+    def master(inst, partial, gamma, width):
+        if width is None:
+            return build_master_dd(inst, partial, gamma)
+        return build_relaxed_master_dd(inst, partial, gamma, width)
+
+    def build(inst, partial, gamma, cuts, kept, width):
+        """(kept diagram, the build's diagram, is_exact) for one side."""
+        if width is None:
+            dd, is_exact = build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
+            return kept.dd, dd, is_exact
+        dd = kept.refine(inst, partial, gamma, cuts, width)
+        return dd, dd, False
+
     def solutions(dd):
         return set(enumerate_solutions(dd))
+
+    def merged_per_layer(dd):
+        return [len(dd.merged.intersection(layer)) for layer in dd.layers]
 
     def calls():
         seen = (compiled[:], replayed[:])
@@ -400,53 +420,72 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
         return seen
 
     monkeypatch.setattr(ucp_module, "build_master_dd", counting_build)
+    monkeypatch.setattr(ucp_module, "build_relaxed_master_dd", counting_relaxed)
     monkeypatch.setattr(ucp_module, "replay_cuts", counting_replay)
-    rng = np.random.default_rng(41)
-    checked = exact = 0
-    for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8),
-                 (3, 3, 1, 0, 0.4), (2, 5, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
-        inst = scaled_instance(*args)
-        gamma = compute_gamma(inst)
-        pool = harvested_pool(inst, rng)
-        paths = enumerate_solutions(build_master_dd(inst, (), gamma))
-        kept = RefinedMaster()
-        for depth in (0, 1, 3):
-            partial = paths[rng.integers(len(paths))][:depth]
-            sizes = sorted(rng.choice(np.arange(1, len(pool) + 1), 3, replace=False))
-            done = 0
-            for k in [0] + [int(k) for k in sizes]:
-                where = f"{args} {partial} {k} cuts"
-                cuts = pool[:k]
-                try:
-                    truth = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
-                except InfeasibleDiagramError:
-                    with pytest.raises(InfeasibleDiagramError):
-                        build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
+    # width None keeps the exact master of restricted builds, an integer the
+    # relaxed master of relaxed builds at that width
+    for width in (None, 2):
+        rng = np.random.default_rng(41)
+        checked = exact = merged = 0
+        for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8),
+                     (3, 3, 1, 0, 0.4), (2, 5, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
+            inst = scaled_instance(*args)
+            gamma = compute_gamma(inst)
+            pool = harvested_pool(inst, rng)
+            paths = enumerate_solutions(build_master_dd(inst, (), gamma))
+            kept = RefinedMaster()
+            for depth in (0, 1, 3):
+                partial = paths[rng.integers(len(paths))][:depth]
+                sizes = sorted(rng.choice(np.arange(1, len(pool) + 1), 3, replace=False))
+                done = 0
+                for k in [0] + [int(k) for k in sizes]:
+                    where = f"{width} {args} {partial} {k} cuts"
+                    cuts = pool[:k]
+                    try:
+                        truth = replay_cuts(master(inst, partial, gamma, width), cuts)
+                    except InfeasibleDiagramError:
+                        with pytest.raises(InfeasibleDiagramError):
+                            build(inst, partial, gamma, cuts, kept, width)
+                        calls()
+                        break
+                    # the same cuts replayed batch by batch, as the kept master takes them
+                    batched = replay_cuts(
+                        batched if k else master(inst, partial, gamma, width), pool[done:k])
                     calls()
-                    break
-                calls()
-                dd, is_exact = build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
-                # a new partial compiles afresh; a grown pool replays only its new cuts
-                assert calls() == (([partial], [k]) if k == 0 else ([], [k - done])), where
-                assert solutions(kept.dd) == solutions(truth), where
-                best = optimal_path(truth, "min")[1]
-                assert optimal_path(dd, "min")[1] == pytest.approx(best, rel=1e-12), where
-                fresh, _ = build_restricted_master_dd(inst, partial, gamma, 2, cuts)
-                calls()
-                assert optimal_path(fresh, "min")[1] == pytest.approx(best, rel=1e-12), where
-                if is_exact:
-                    assert solutions(dd) == solutions(truth), where
-                    exact += 1
-                done = k
-                checked += 1
-            if done:
-                # equal cuts that are other objects, or fewer cuts, are no
-                # extension of the kept list: both compile afresh
-                copies = [dataclasses.replace(c) for c in pool[:done]]
-                for cuts in (copies, pool[:done - 1]):
-                    build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
-                    assert calls() == ([partial], [len(cuts)]), (args, partial)
-    assert checked >= 50 and 0 < exact < checked, (checked, exact)
+                    refined, dd, is_exact = build(inst, partial, gamma, cuts, kept, width)
+                    # a new partial compiles afresh; a grown pool replays only its new cuts
+                    assert calls() == (([partial], [k]) if k == 0 else ([], [k - done])), where
+                    assert refined is kept.dd and solutions(refined) == solutions(truth), where
+                    best = optimal_path(truth, "min")[1]
+                    assert optimal_path(dd, "min")[1] == pytest.approx(best, rel=1e-12), where
+                    _, fresh, _ = build(inst, partial, gamma, cuts, RefinedMaster(), width)
+                    calls()
+                    assert optimal_path(fresh, "min")[1] == pytest.approx(best, rel=1e-12), where
+                    if width is not None:
+                        assert refined.node_count() == batched.node_count(), where
+                        assert merged_per_layer(refined) == merged_per_layer(batched), where
+                        merged += bool(refined.merged)
+                    if is_exact:
+                        assert solutions(dd) == solutions(truth), where
+                        exact += 1
+                    done = k
+                    checked += 1
+                if done:
+                    # equal cuts that are other objects, or fewer cuts, are no
+                    # extension of the kept list, nor is the other side's master
+                    # for the same partial and cuts: each compiles afresh
+                    copies = [dataclasses.replace(c) for c in pool[:done]]
+                    for cuts in (copies, pool[:done - 1]):
+                        build(inst, partial, gamma, cuts, kept, width)
+                        assert calls() == ([partial], [len(cuts)]), (width, args, partial)
+                    for side in (3 if width is None else None, width):
+                        build(inst, partial, gamma, pool[:done - 1], kept, side)
+                        assert calls() == ([partial], [done - 1]), (width, args, partial, side)
+        assert checked >= 50, (width, checked)
+        if width is None:
+            assert 0 < exact < checked, (checked, exact)
+        else:
+            assert 0 < merged, merged
 
 
 def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
@@ -1015,6 +1054,9 @@ def test_json_round_trip_and_validation():
     bad = simple_generator()
     with pytest.raises(InstanceError):
         Generator(**{**bad.__dict__, "startup_ramp": bad.ramp_up + 1.0}).validate()
+    for field, value in [("c_prod", float("nan")), ("min_up", 2.0), ("p_max", "50")]:
+        with pytest.raises(InstanceError):
+            Generator(**{**bad.__dict__, field: value}).validate()
     doc = inst.to_json().replace('"version": 1', '"version": 9')
     with pytest.raises(InstanceError):
         UcpInstance.from_json(doc)
