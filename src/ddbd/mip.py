@@ -72,7 +72,7 @@ class MipProblem:
                               y_obj=_numbers(doc["y_obj"]), rows=rows,
                               x_domains=[_numbers(d) for d in doc["x_domains"]],
                               z_bounds=tuple(_numbers(doc["z_bounds"]))).validate()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad problem document: {exc}") from exc
 
     def to_json(self):

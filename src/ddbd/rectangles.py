@@ -267,18 +267,23 @@ def _make_membership(spec, dim, tol=HULL_TOL):
 def load_fixture(text):
     """Parse a decomposition fixture; returns (samples, free, pieces, objectives)."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("bad fixture document: expected a JSON object")
     if doc.get("version") != 1:
         raise ValueError("unsupported fixture version")
-    dim = int(doc["dimension"])
-    member = _make_membership(doc.get("membership", {}), dim)
-    samples = SampleSet(points=doc["samples"], member=member)
-    free = [int(i) for i in doc["free_indices"]]
-    pieces = []
-    for pc in doc["pieces"]:
-        boxes = [Box(lo=tuple(float(v) for v in bx["lo"]),
-                     hi=tuple(float(v) for v in bx["hi"])) for bx in pc["boxes"]]
-        fixed = {int(k): float(v) for k, v in pc.get("fixed", {}).items()}
-        pieces.append(PieceSet(boxes=boxes, fixed_coords=fixed))
-    objectives = [(obj.get("name", f"f{k}"), make_polynomial(obj["terms"]))
-                  for k, obj in enumerate(doc.get("objectives", []))]
+    try:
+        dim = int(doc["dimension"])
+        member = _make_membership(doc.get("membership", {}), dim)
+        samples = SampleSet(points=doc["samples"], member=member)
+        free = [int(i) for i in doc["free_indices"]]
+        pieces = []
+        for pc in doc["pieces"]:
+            boxes = [Box(lo=tuple(float(v) for v in bx["lo"]),
+                         hi=tuple(float(v) for v in bx["hi"])) for bx in pc["boxes"]]
+            fixed = {int(k): float(v) for k, v in pc.get("fixed", {}).items()}
+            pieces.append(PieceSet(boxes=boxes, fixed_coords=fixed))
+        objectives = [(obj.get("name", f"f{k}"), make_polynomial(obj["terms"]))
+                      for k, obj in enumerate(doc.get("objectives", []))]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"bad fixture document: {exc}") from exc
     return samples, free, pieces, objectives

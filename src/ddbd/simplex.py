@@ -8,11 +8,14 @@ before being returned; a solve that cannot produce a certificate that
 passes verification raises NumericalFailureError instead of guessing.
 
 Pivoting uses Bland's rule with a hard pivot cap, trading speed for a
-finite-termination guarantee; problems here are small and dense.  An
-improving column that no row bounds is returned as a ray only when the
-ray gains more than the verifier's FEAS_TOL; a flatter one is passed
-over, so an LP that is unbounded only within tolerance ends optimal
-within tolerance instead of failing verification.
+finite-termination guarantee.  The tableau has dense storage, with
+updates that touch only the rows a pivot changes and reduced costs
+carried between pivots; every exit (optimal, or a ray) is decided on
+reduced costs priced afresh from the tableau.  An improving column that
+no row bounds is returned as a ray only when the ray gains more than the
+verifier's FEAS_TOL; a flatter one is passed over, so an LP that is
+unbounded only within tolerance ends optimal within tolerance instead
+of failing verification.
 
 Warm start: every outcome carries its pivot count, and an optimal or
 unbounded one also keeps, privately, its final kernel state: the
@@ -84,6 +87,8 @@ class LinearProgram:
             raise TypeError("start must be an LpOutcome or None")
         senses = np.array(self.senses, dtype=object)
         self._le, self._ge, self._eq = senses == "<=", senses == ">=", senses == "="
+        if not np.all(self._le | self._ge | self._eq):
+            raise ValueError("row senses must be '<=', '>=' or '='")
 
     @property
     def num_vars(self):
@@ -327,15 +332,25 @@ class _Tableau:
         return twin
 
     def pivot(self, rowi, colj):
+        """Make colj basic in row rowi.
+
+        Only the rows whose colj entry is nonzero are updated: any other
+        row would lose 0 * (pivot row), so it is left as it is.
+        """
         T = self.T
         self.pivots += 1
         T[rowi] = T[rowi] / T[rowi, colj]
         col = T[:, colj].copy()
         col[rowi] = 0.0
-        T -= np.outer(col, T[rowi])
+        nz = np.flatnonzero(col)
+        T[nz] -= np.outer(col[nz], T[rowi])
         T[:, colj] = 0.0
         T[rowi, colj] = 1.0
         self.basis[rowi] = colj
+
+    def reduced_costs(self, cost):
+        """cost - cost[basis] @ T, priced afresh from the tableau."""
+        return cost - cost[self.basis] @ self.T[:, :-1]
 
     def ray_along(self, entering):
         """1 on the entering column, minus its tableau column on the basic ones."""
@@ -356,8 +371,28 @@ class _Tableau:
                 best_ratio, leave = ratio, i
         return leave
 
+    def bland(self, red, banned):
+        """Bland's choice under reduced costs `red`: (entering, leaving row),
+        (entering, -1) when entering gives a ray, or (-1, -1) when optimal."""
+        improving = red < -OPT_TOL
+        improving[self.basis] = False
+        improving[banned] = False
+        for entering in np.flatnonzero(improving).tolist():
+            leave = self.ratio_test(entering)
+            if leave >= 0:
+                return entering, leave
+            if -red[entering] > FEAS_TOL * np.max(
+                    np.abs(self.ray_along(entering)[:self.n]), initial=0.0):
+                return entering, -1
+        return -1, -1
+
     def run(self, cost, banned):
         """Bland iterations until optimal or unbounded; returns entering col or -1.
+
+        Reduced costs are priced once and then carried through each
+        pivot.  An exit is taken only on fresh ones: when the carried
+        costs show no pivot to make, they are priced afresh and Bland
+        chooses again.
 
         An improving column that no row bounds gives a ray.  The ray is
         returned only when it gains more than FEAS_TOL per unit of its
@@ -366,24 +401,18 @@ class _Tableau:
         the next improving column, and with none left the basis is
         optimal within tolerance.
         """
+        red, fresh = self.reduced_costs(cost), True
         pivots = 0
         while True:
-            cb = cost[self.basis]
-            red = cost - cb @ self.T[:, :-1]
-            # Bland: the first non-basic, non-banned column that improves
-            improving = red < -OPT_TOL
-            improving[self.basis] = False
-            improving[banned] = False
-            for entering in np.flatnonzero(improving).tolist():
-                leave = self.ratio_test(entering)
-                if leave >= 0:
-                    break
-                if -red[entering] > FEAS_TOL * np.max(
-                        np.abs(self.ray_along(entering)[:self.n]), initial=0.0):
-                    return entering  # unbounded along this column
-            else:
-                return -1
+            entering, leave = self.bland(red, banned)
+            if leave < 0:
+                if fresh:
+                    return entering  # -1: optimal; else unbounded along entering
+                red, fresh = self.reduced_costs(cost), True
+                continue
             self.pivot(leave, entering)
+            red -= red[entering] * self.T[leave, :-1]
+            fresh = False
             pivots += 1
             if pivots > self.cap:
                 raise NumericalFailureError("pivot cap exceeded")

@@ -159,8 +159,9 @@ def set_row(key, value):
     lambda doc: doc["x_domains"][1].append("two"),
     lambda doc: doc.update(z_bounds=[10.0, -10.0]),
     lambda doc: doc.update(z_bounds=[-10.0]),
+    lambda doc: doc["x_obj"].__setitem__(0, 10 ** 400),
 ], ids=["sense", "row-sense", "x-obj-length", "ax-length", "by-length", "rhs-string",
-        "domain-label", "z-bounds-reversed", "z-bounds-one-entry"])
+        "domain-label", "z-bounds-reversed", "z-bounds-one-entry", "huge-x-obj"])
 def test_malformed_mip_fixture_is_rejected(edit, tmp_path, capsys):
     assert main(broken_mip(tmp_path, edit) + ["--sense", "max"]) == 1
     captured = capsys.readouterr()
@@ -256,6 +257,27 @@ def test_verify_fixture_pass_and_fail(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "equivalence[neg_square_x2]: FAIL" in out
+
+
+def boxes_with(edit):
+    doc = json.loads((FIXTURES / "example_boxes.json").read_text())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "x",
+    boxes_with(lambda doc: doc.update(membership=[1, 2])),
+    boxes_with(lambda doc: doc.pop("samples")),
+], ids=["list", "string", "membership-list", "no-samples"])
+def test_verify_rejects_a_malformed_fixture(doc, tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-decomposition", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad fixture document:")
+    assert captured.out == ""
 
 
 def test_verify_missing_file(capsys):

@@ -95,6 +95,12 @@ def test_free_variable():
 # -- certificate rejection -------------------------------------------------------
 
 
+@pytest.mark.parametrize("sense", ["<", "=<", ""])
+def test_an_unknown_row_sense_is_rejected(sense):
+    with pytest.raises(ValueError, match="row senses"):
+        LinearProgram(sense="min", c=[1.0], A=[[1.0]], senses=[sense], b=[1.0])
+
+
 def test_verify_rejects_bad_farkas_sign():
     lp = make_lp("max", [1.0], [[1.0]], ["<="], [1.0])
     fake = LpOutcome(status="infeasible", farkas=np.array([-1.0]))
@@ -461,3 +467,136 @@ def test_warm_chains_do_not_drift_from_a_fresh_factorization():
         fresh = np.linalg.solve(T0[tab.origin][:, tab.basis], T0[tab.origin])
         assert np.max(np.abs(tab.T - fresh)) <= 1e-9
     assert warm_pivots > 0
+
+
+# -- the pivot's arithmetic ------------------------------------------------------
+
+
+def dense_pivot(self, rowi, colj):
+    """The kernel's pivot as one dense rank-1 update of every tableau row."""
+    T = self.T
+    self.pivots += 1
+    T[rowi] = T[rowi] / T[rowi, colj]
+    col = T[:, colj].copy()
+    col[rowi] = 0.0
+    T -= np.outer(col, T[rowi])
+    T[:, colj] = 0.0
+    T[rowi, colj] = 1.0
+    self.basis[rowi] = colj
+
+
+def kernel_lp(rng):
+    """A small LP with sparse rows of every sense; feasible around a point
+    (degenerate when slack is zero) or with a random rhs, and with boxed,
+    half-bounded and free variables, so it may be infeasible or unbounded."""
+    n, m = rng.integers(1, 7), rng.integers(1, 9)
+    A = np.round(rng.uniform(-3, 3, size=(m, n)), 1) * (rng.random((m, n)) < 0.6)
+    senses = list(rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.35, 0.15]))
+    if rng.random() < 0.6:
+        x0 = np.round(rng.uniform(0, 2, size=n), 1)
+        slack = np.where(rng.random(m) < 0.5, 0.0, np.round(rng.uniform(0, 1.5, size=m), 1))
+        orient = np.select([np.array(senses) == "<=", np.array(senses) == ">="], [1.0, -1.0], 0.0)
+        b = A @ x0 + orient * slack
+    else:
+        b = np.round(rng.uniform(-3, 3, size=m), 1)
+    lo = np.where(rng.random(n) < 0.2, -np.inf, np.where(rng.random(n) < 0.2, -1.0, 0.0))
+    hi = np.where(rng.random(n) < 0.5, np.inf, np.round(rng.uniform(1, 6, size=n), 1))
+    c = np.round(rng.uniform(-2, 2, size=n), 1)
+    return LinearProgram(sense=str(rng.choice(["min", "max"])), c=c, A=A, senses=senses,
+                         b=b, lo=lo, hi=hi)
+
+
+def kernel_chains(seed, count):
+    """`count` LPs, each followed by a warm chain of three more objectives."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lp = kernel_lp(rng)
+        yield lp, [rng.uniform(-2, 2, size=lp.num_vars) for _ in range(3)]
+
+
+def solve_chain(lp, objectives):
+    """The LP's outcome, then each objective's, warm from the one before."""
+    outs = [solve(lp)]
+    for c in objectives:
+        outs.append(solve(LinearProgram(sense=lp.sense, c=c, A=lp.A, senses=lp.senses,
+                                        b=lp.b, lo=lp.lo, hi=lp.hi, start=outs[-1])))
+    return outs
+
+
+def test_touched_row_pivots_give_the_dense_update(monkeypatch):
+    def fields(out):
+        return (out.status, out.x, out.duals, out.farkas, out.ray, out.objective, out.pivots)
+
+    def equal(a, b):
+        return all(np.array_equal(u, v) for u, v in zip(fields(a), fields(b)))
+
+    degenerate = []
+
+    def watched_dense(self, rowi, colj):
+        degenerate.append(self.T[rowi, -1] == 0.0)
+        dense_pivot(self, rowi, colj)
+
+    seen, phase_one = set(), 0
+    for lp, objectives in kernel_chains(2024, 200):
+        outs = solve_chain(lp, objectives)
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex._Tableau, "pivot", watched_dense)
+            refs = solve_chain(lp, objectives)
+        assert all(equal(out, ref) for out, ref in zip(outs, refs))
+        seen.update(out.status for out in outs)
+        phase_one += not all(s == "<=" for s in lp.senses)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert phase_one > 50 and sum(degenerate) > 20
+
+
+def test_carried_reduced_costs_track_fresh_ones_and_exits_are_fresh(monkeypatch):
+    events, costs = [], []
+    real = {name: getattr(simplex._Tableau, name)
+            for name in ("run", "reduced_costs", "bland", "pivot")}
+
+    def run(self, cost, banned):
+        costs.append(cost)
+        entering = real["run"](self, cost, banned)
+        events.append(("exit", entering, self, banned))
+        return entering
+
+    def priced(self, cost):
+        red = real["reduced_costs"](self, cost)
+        events.append(("fresh", red.copy()))
+        return red
+
+    def bland(self, red, banned):
+        # every Bland choice, on fresh or carried reduced costs, sees
+        # values within rounding of the tableau's own
+        cost = costs[-1]
+        fresh = cost - cost[self.basis] @ self.T[:, :-1]
+        assert np.max(np.abs(red - fresh)) <= 1e-9 * (1.0 + np.max(np.abs(cost)))
+        events.append(("bland",))
+        return real["bland"](self, red, banned)
+
+    def pivot(self, rowi, colj):
+        events.append(("pivot",))
+        real["pivot"](self, rowi, colj)
+
+    for name, spy in (("run", run), ("reduced_costs", priced), ("bland", bland),
+                      ("pivot", pivot)):
+        monkeypatch.setattr(simplex._Tableau, name, spy)
+    for lp, objectives in kernel_chains(7, 100):
+        solve_chain(lp, objectives)
+    exits = [k for k, e in enumerate(events) if e[0] == "exit"]
+    for k in exits:
+        # the exit is decided on reduced costs priced after the last pivot
+        assert [e[0] for e in events[k - 2:k]] == ["fresh", "bland"]
+        _, entering, tab, banned = events[k]
+        red = events[k - 2][1]
+        if entering >= 0:
+            assert red[entering] < -simplex.OPT_TOL
+            assert tab.ratio_test(entering) == -1
+        else:
+            improving = red < -simplex.OPT_TOL
+            improving[tab.basis] = False
+            improving[banned] = False
+            assert all(tab.ratio_test(j) == -1 for j in np.flatnonzero(improving))
+    # carried costs that showed no pivot to make, priced afresh before the exit
+    repriced = sum(a[0] == "bland" and b[0] == "fresh" for a, b in zip(events, events[1:]))
+    assert len(exits) > 300 and repriced > 100
