@@ -9,8 +9,7 @@ acts as a slope, so a path picks an endpoint e and contributes
 weight * e to the path length.
 
 Diagrams are treated as immutable once built: every operation in this
-module returns a fresh diagram, or its input when it changes nothing
-(restrict_to_width).  Callers that share diagrams across
+module returns a fresh diagram.  Callers that share diagrams across
 threads must clone per worker.
 """
 
@@ -401,74 +400,6 @@ def _label_lo(arc):
 
 def _label_hi(arc):
     return arc.label.hi if isinstance(arc.label, Interval) else arc.label
-
-
-def restrict_to_width(dd, width, sense="min"):
-    """Keep in every node layer the `width` nodes that lie on the best paths.
-
-    A node's rank is the length of the best root-terminal path through
-    it: its best distance from the root plus its best completion, the
-    interval arc counted at its better endpoint for `sense`.  The nodes
-    of one optimal path (at each node the first arc that attains the
-    best completion) rank first, so a tie cannot leave every optimal
-    path broken and the optimum of dd is kept, value included.  Ties in
-    rank go to the earlier node of the layer.  Nodes left off every
-    root-terminal path by the drops are removed too.
-
-    Returns (diagram, exact), exact being True when no node was dropped;
-    the diagram is then dd itself, otherwise a fresh diagram made of
-    copies of the kept nodes and arcs only.  Raises
-    InfeasibleDiagramError when dd has no root-terminal path.
-    """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if all(len(layer) <= width for layer in dd.layers):
-        return dd, True
-    pick = min if sense == "min" else max
-    worst = np.inf if sense == "min" else -np.inf
-    m = dd.num_arc_layers
-    contrib = [[_arc_contribution(arc, sense)[0] for arc in layer] for layer in dd.arcs]
-    dist = {dd.root: 0.0}
-    for j in range(m):
-        for arc, c in zip(dd.arcs[j], contrib[j]):
-            if arc.tail in dist:
-                d = dist[arc.tail] + c
-                dist[arc.head] = pick(dist.get(arc.head, d), d)
-    comp = {dd.terminal: 0.0}
-    best_arc = {}
-    for j in range(m - 1, -1, -1):
-        for arc, c in zip(dd.arcs[j], contrib[j]):
-            if arc.head in comp:
-                c += comp[arc.head]
-                if arc.tail not in comp or pick(c, comp[arc.tail]) != comp[arc.tail]:
-                    comp[arc.tail] = c
-                    best_arc[arc.tail] = arc
-    if dd.root not in comp:
-        raise InfeasibleDiagramError("diagram has no root-terminal path")
-    on_path = {dd.root}
-    node = dd.root
-    for _ in range(m):
-        node = best_arc[node].head
-        on_path.add(node)
-
-    def rank(nid):
-        through = dist.get(nid, worst) + comp.get(nid, worst)
-        return (nid not in on_path, through if sense == "min" else -through)
-
-    out = DecisionDiagram(m)
-    out.layer_kinds = list(dd.layer_kinds)
-    for i, layer in enumerate(dd.layers):
-        if len(layer) > width:
-            keep = set(sorted(layer, key=rank)[:width])
-            layer = [nid for nid in layer if nid in keep]
-        out.layers[i] = list(layer)
-    alive = {nid for layer in out.layers for nid in layer}
-    out.arcs = [[Arc(a.tail, a.head, a.label, a.weight) for a in layer
-                 if a.tail in alive and a.head in alive] for layer in dd.arcs]
-    out.states = {nid: s for nid, s in dd.states.items() if nid in alive}
-    out.merged = dd.merged & alive
-    out._next_id = dd._next_id
-    return _drop_dead_nodes(out), False
 
 
 def append_value_layer(dd, lo, hi, slope=1.0):

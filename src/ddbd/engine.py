@@ -5,26 +5,21 @@ The solve loop keeps a LIFO stack of partial assignments.  Each node
 runs one separation loop twice: take the diagram's optimal path,
 evaluate the subproblem there, pool the cuts, bring the fresh ones
 into the diagram, and repeat until the path's value variable agrees
-with the subproblem optimum.  On the width-limited restricted diagram
-(primal side) that yields the node's candidate, and a cut the pool
-already holds is an oracle error.  On the relaxed diagram (dual side)
-it tightens the bound: the node is pruned once the bound cannot beat
-the incumbent, and otherwise it branches over the last exact node
-layer of the last diagram refined, after RELAXED_CUT_CAP evaluations
-at most.  A branching with a single prefix is none: that prefix is
-extended as far as every path of the diagram shares it (forced_prefix)
-and pushed as the only child.
+with the subproblem optimum.  On the restricted diagram (primal side)
+that yields the node's candidate, and a cut the pool already holds is
+an oracle error.  On the relaxed diagram (dual side) it tightens the
+bound: the node is pruned once the bound cannot beat the incumbent,
+and otherwise it branches over the last exact node layer of the last
+diagram refined, after RELAXED_CUT_CAP evaluations at most.  A
+branching with a single prefix is none: that prefix is extended as far
+as every path of the diagram shares it (forced_prefix) and pushed as
+the only child.
 Fresh cuts reach a node's diagrams one way on both sides: the loop
-asks the master again for the node under the grown pool.  On the
-restricted side the width limit is thus applied to exact ∩ pool anew
-each round: the new diagram can hold nodes the last one dropped, and
-it is exact again once exact ∩ pool fits the width.
-A restricted diagram that the oracle reports exact represents the node
-and the pool in full, so the loop's candidate solves the node and the
-relaxed side is skipped; the unit-commitment oracle makes one by
-refining the exact master with the pool and keeping the `width` nodes
-per layer on the best paths (ddbd.diagram.restrict_to_width), which is
-exact whenever that drops nothing.
+asks the master again for the node under the grown pool.  A restricted
+diagram that the oracle reports exact represents the node and the pool
+in full, so the loop's candidate solves the node and the relaxed side
+is skipped.  Both shipped oracles report exact; the unit-commitment one
+hands back the exact master refined by the pool.
 Cuts live in a global deduplicated pool.  Before the root is expanded
 the pool takes the subproblem oracle's initial_cuts(): cuts that hold
 for every x and need no evaluation, such as the unit-commitment
@@ -91,7 +86,9 @@ class MasterOracle:
     subproblem value is fixed).
 
     is_exact promises Sol(restricted) = Sol(exact), so the node needs no
-    relaxed diagram and no branching.  (None, True) proves the node
+    relaxed diagram and no branching; the width and the relaxed side
+    serve only an oracle whose restricted diagrams are inexact (neither
+    shipped oracle has one).  (None, True) proves the node
     infeasible: Sol(exact) is empty because the partial assignment has
     no completion or the cuts remove every one.  (None, False) only says
     the restricted diagram found nothing.
@@ -354,8 +351,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
 
     def restricted():
-        # the master cuts the node's exact ∩ pool to width again; its
-        # exactness flag replaces the last one
+        # the last build's exactness flag is the one that counts
         nonlocal restricted_exact
         rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
         return rdd

@@ -35,7 +35,6 @@ from .diagram import (
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
-    restrict_to_width,
 )
 from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
 from .simplex import (
@@ -424,20 +423,17 @@ class RefinedMaster:
 def build_restricted_master_dd(instance, partial, gamma, width, cuts=(), kept=None):
     """Restricted diagram of the partial assignment under the cuts.
 
-    Compiles the exact master (build_master_dd), replays the cuts into
-    it in one exact pass (replay_cuts), and keeps in every node layer the
-    `width` nodes with the cheapest root-terminal path through them,
-    value arc included (restrict_to_width).  Its solutions are those of
-    the exact master that satisfy every cut and run through kept nodes,
-    a cheapest one among them.  Given a RefinedMaster as `kept`, the
-    refined exact master comes from it, so a build for the same partial
-    under a grown cut list replays only the new cuts.  Returns (diagram,
-    is_exact), is_exact being True when no node was dropped.  Raises
-    EmptyDiagramError when the partial assignment admits no completion
-    and InfeasibleDiagramError when the cuts remove every path.
+    Compiles the exact master (build_master_dd) and replays the cuts
+    into it in one exact pass (replay_cuts): exact ∩ pool itself, so it
+    returns (diagram, True).  `width` is the contract's argument and
+    goes unused.  Given a RefinedMaster as `kept`, the refined master
+    comes from it, so a build for the same partial under a grown cut
+    list replays only the new cuts.  Raises EmptyDiagramError when the
+    partial assignment admits no completion and InfeasibleDiagramError
+    when the cuts remove every path.
     """
-    dd = (RefinedMaster() if kept is None else kept).refine(instance, partial, gamma, cuts)
-    return restrict_to_width(dd, width, "min")
+    kept = RefinedMaster() if kept is None else kept
+    return kept.refine(instance, partial, gamma, cuts), True
 
 
 def master_cost(instance, x):
@@ -780,15 +776,12 @@ def gen_random_instance(num_units, horizon, num_scenarios, seed):
 class UcpMasterOracle(MasterOracle):
     """Master diagrams of a unit-commitment instance.
 
-    A restricted diagram is the exact master refined by the cuts and cut
-    to `width` nodes per layer (build_restricted_master_dd); a relaxed
-    one is the master compiled at width and refined by the cuts.  The
-    refined master of the last build is kept (RefinedMaster), so asking
-    again for the same partial and side replays only the cuts pooled
-    since.  A re-cut restricted diagram can keep nodes the last one
-    dropped, and it is exact again once exact ∩ pool fits the width.
-    One kept master serves both sides: the engine never asks for a
-    node's restricted diagram again once its relaxed side starts.
+    A restricted diagram is the exact master refined by the cuts
+    (build_restricted_master_dd), reported exact, so a converged
+    restricted loop closes its node; a relaxed one is the master
+    compiled at width and refined by the cuts.  The refined master of
+    the last build is kept (RefinedMaster), so asking again for the same
+    partial and side replays only the cuts pooled since.
     """
 
     sense = "min"

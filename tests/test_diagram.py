@@ -20,7 +20,6 @@ from ddbd.diagram import (
     path_weight,
     reduce_interval_arcs,
     refine_with_cut,
-    restrict_to_width,
     to_dot,
 )
 from ddbd.diagram import _drop_dead_nodes
@@ -352,75 +351,6 @@ def test_one_pass_refinement_equals_cut_by_cut():
                        if all(satisfies(c, s) for c in feas))
         assert solutions_or_empty(lambda: refine_with_cut(dd, feas)) == truth, \
             f"trial {trial}"
-
-
-# -- restrict_to_width ---------------------------------------------------------------
-
-
-def check_restriction(dd, width, sense, where):
-    """restrict_to_width(dd) against enumeration of dd; returns dd's optimum."""
-    sols = set(enumerate_solutions(dd))
-    _, best = optimal_path(dd, sense)
-    out, exact = restrict_to_width(dd, width, sense)
-    assert set(enumerate_solutions(out)) <= sols, where
-    assert optimal_path(out, sense)[1] == best, where
-    assert all(len(layer) <= width for layer in out.layers[1:-1]), where
-    dropped = out.node_count() < dd.node_count()
-    assert exact == (not dropped) == all(len(layer) <= width for layer in dd.layers), where
-    return best
-
-
-def test_restrict_to_width_keeps_an_optimum_of_the_refined_diagram():
-    rng = random.Random(19)
-    checked = tied = 0
-    for trial in range(150):
-        # integer weights on few labels: optimal paths tie often
-        coeffs = [float(rng.randint(-2, 2)) for _ in range(4)]
-        dd = append_value_layer(random_dd(rng, num_layers=4, max_nodes=5, parallel=2,
-                                          weight_coeffs=coeffs),
-                                rng.randint(-2, 0), rng.randint(0, 2))
-        cuts = [random_cut(rng, dd.num_arc_layers, with_z=True)
-                for _ in range(rng.randint(0, 3))]
-        try:
-            refined = refine_with_cut(dd, cuts) if cuts else dd
-        except InfeasibleDiagramError:
-            continue
-        for sense in ("min", "max"):
-            for width in (1, 2, 3):
-                best = check_restriction(refined, width, sense, f"trial {trial} {sense} {width}")
-            optima = {s[:-1] for s in enumerate_solutions(refined)
-                      if path_weight(refined, s, sense) == best}
-            tied += len(optima) > 1
-            checked += 1
-    assert checked >= 150 and tied >= 30, (checked, tied)
-
-
-def test_restrict_to_width_one_keeps_a_whole_path_under_ties():
-    # two disjoint optimal paths r-a1-b1-t and r-a2-b2-t, with b2 first in
-    # its layer: ranking each layer on its own would keep a1 and b2, which
-    # share no path
-    dd = DecisionDiagram(3)
-    root = dd.new_node(0)
-    a1, a2 = dd.new_node(1), dd.new_node(1)
-    b2, b1 = dd.new_node(2), dd.new_node(2)
-    term = dd.new_node(3)
-    for tail, head, label in [(root, a1, 0.0), (root, a2, 1.0)]:
-        dd.add_arc(0, tail, head, label, 1.0)
-    for tail, head in [(a1, b1), (a2, b2)]:
-        dd.add_arc(1, tail, head, 0.0, 1.0)
-    for tail in (b2, b1):
-        dd.add_arc(2, tail, term, 0.0, 1.0)
-    out, exact = restrict_to_width(dd, 1, "min")
-    assert not exact
-    assert out.layers[1:3] == [[a1], [b1]]
-    assert enumerate_solutions(out) == [(0.0, 0.0, 0.0)]
-
-
-def test_restrict_to_width_returns_the_input_when_it_fits():
-    dd = from_paths([(0.0, 1.0), (1.0, 0.0)])
-    assert restrict_to_width(dd, 2, "max") == (dd, True)
-    with pytest.raises(ValueError):
-        restrict_to_width(dd, 0, "max")
 
 
 # -- export ------------------------------------------------------------------------

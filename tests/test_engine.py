@@ -8,6 +8,7 @@ import pytest
 from ddbd.diagram import (
     CutRow,
     DecisionDiagram,
+    InfeasibleDiagramError,
     append_value_layer,
     from_paths,
     optimal_path,
@@ -272,20 +273,6 @@ def test_engine_config_rejects_a_negative_or_nan_time_limit(limit):
 @pytest.mark.parametrize("limit", [None, 0.0, 2.5, math.inf])
 def test_engine_config_accepts_a_time_limit_of_zero_or_more(limit):
     assert EngineConfig(time_limit=limit).time_limit == limit
-
-
-def test_report_counts_every_node_taken_off_the_stack():
-    from ddbd.ucp import ucp_solve
-    from reference_lp import scaled_instance
-
-    # a solve that runs to the end takes the root and every branch once
-    for args in [(3, 4, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
-        report = ucp_solve(scaled_instance(*args))
-        assert report.status == "optimal" and report.branches > 0
-        assert report.nodes == report.branches + 1
-        assert json.loads(report.to_json())["nodes"] == report.nodes
-    # the row keeps its columns
-    assert "nodes" not in SolveReport.CSV_HEADER
 
 
 def test_time_limit_reports_gap():
@@ -557,6 +544,94 @@ def test_initial_cuts_are_pooled_before_the_root_is_built():
     assert SubproblemOracle().initial_cuts() == []
 
 
+# -- a stub search that branches one variable at a time ------------------------------
+
+COSTS = (1.0, 2.0, 3.0)
+
+
+def tree_weights(layer, label):
+    # y_j costs COSTS[j]; the value arc has slope one
+    return 1.0 if layer == len(COSTS) else COSTS[layer] * label
+
+
+class TreeMaster(MasterOracle):
+    """Binaries y_0 .. y_2 costing COSTS and a value in [0, 30], every
+    diagram refined by the pool through engine.replay_cuts.  The
+    restricted diagram completes the partial assignment with zeros and
+    is exact only for a full one.  The relaxed diagram holds every
+    completion, and its layer after the next variable is tagged merged,
+    so the search branches on one variable at a time."""
+
+    def _refined(self, partial, completions, cuts):
+        dd = from_paths([tuple(partial) + c + ((0.0, 30.0),) for c in completions],
+                        weight_fn=tree_weights)
+        try:
+            return engine.replay_cuts(dd, cuts)
+        except InfeasibleDiagramError:
+            return None
+
+    def build_restricted_dd(self, partial, cuts, width):
+        zeros = (0.0,) * (len(COSTS) - len(partial))
+        return self._refined(partial, [zeros], cuts), len(partial) == len(COSTS)
+
+    def build_relaxed_dd(self, partial, cuts, width):
+        rest = itertools.product((0.0, 1.0), repeat=len(COSTS) - len(partial))
+        dd = self._refined(partial, rest, cuts)
+        if dd is not None and len(partial) + 2 <= len(COSTS):
+            dd.merged.update(dd.layers[len(partial) + 2])
+        return dd
+
+
+class NoGoodSub(SubproblemOracle):
+    """Value 10 per variable at 0, with the optimality cut
+    z >= value - 30 * (Hamming distance to x): valid for every y, since
+    no value exceeds 30.  The optimum is all ones, at 6."""
+
+    def evaluate(self, x):
+        value = 10.0 * x.count(0.0)
+        cut = CutRow(coeffs={j: 30.0 if v == 0.0 else -30.0 for j, v in enumerate(x)},
+                     z_coeff=1.0, rhs=value - 30.0 * sum(x), sense=">=")
+        return SubproblemResult(kind="optimal", cuts=[cut], value=value)
+
+
+def test_report_counts_every_node_taken_off_the_stack():
+    # a solve that runs to the end takes the root and every branch once
+    report = dd_bd_solve(TreeMaster(), NoGoodSub(), EngineConfig())
+    assert (report.status, report.x, report.value) == ("optimal", (1.0, 1.0, 1.0), 6.0)
+    assert report.branches > len(COSTS)
+    assert report.nodes == report.branches + 1
+    assert json.loads(report.to_json())["nodes"] == report.nodes
+    # the row keeps its columns
+    assert "nodes" not in SolveReport.CSV_HEADER
+
+
+def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypatch):
+    import types
+
+    optimum = 6.0
+    checked = 0
+    for expiry in range(2, 500):
+        readings = []
+
+        def clock():
+            # the solve's own readings: 0 s until the expiry-th, then 100 s
+            readings.append(1)
+            return 0.0 if len(readings) < expiry else 100.0
+
+        monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=clock))
+        report = dd_bd_solve(TreeMaster(), NoGoodSub(), EngineConfig(time_limit=1.0))
+        if report.status == "optimal":
+            break
+        assert report.status == "time_limit"
+        if report.gap is not None and math.isfinite(report.gap):
+            # min sense: the reported bound value - gap may not pass the optimum
+            assert report.value - report.gap <= optimum, expiry
+            checked += 1
+    else:
+        raise AssertionError("the solve never finished")
+    assert report.value == optimum and checked >= 2
+
+
 def test_shortcut_and_relaxed_cut_configs_agree_on_random_instances():
     from ddbd.engine import dd_bd_solve as solve_loop
     from ddbd.ucp import (UcpMasterOracle, UcpSubproblemOracle, compute_gamma,
@@ -580,14 +655,13 @@ def test_shortcut_and_relaxed_cut_configs_agree_on_random_instances():
         except InfeasibleInstanceError:
             continue
         master = UcpMasterOracle(inst, gamma)
-        reports = [solve_loop(master, UcpSubproblemOracle(inst), cfg)
-                   for cfg in configs]
-        statuses = {r.status for r in reports}
-        assert len(statuses) == 1, f"seed {seed}: {statuses}"
-        if reports[0].status == "optimal":
-            base = reports[0].value
-            for r in reports[1:]:
-                assert abs(r.value - base) <= 1e-6 * (1.0 + abs(base)), f"seed {seed}"
+        # every restricted diagram is exact, so neither the width nor the
+        # relaxed cuts can change the search
+        searches = {(r.status, r.x, r.value, r.feasibility_cuts, r.optimality_cuts,
+                     r.lp_calls, r.branches)
+                    for r in (solve_loop(master, UcpSubproblemOracle(inst), cfg)
+                              for cfg in configs)}
+        assert len(searches) == 1, f"seed {seed}: {searches}"
         compared += 1
 
 
@@ -616,35 +690,3 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
     # either no incumbent yet (infinite gap) or an incumbent with a gap
     if report.x is not None:
         assert report.gap is not None and report.gap >= 0.0
-
-
-def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypatch):
-    import types
-
-    from ddbd import engine
-    from ddbd.ucp import ucp_solve
-    from reference_lp import scaled_instance
-
-    inst = scaled_instance(3, 4, 1, 4, 0.7)
-    optimum = ucp_solve(inst).value
-    checked = 0
-    for expiry in range(2, 500):
-        readings = []
-
-        def clock():
-            # the solve's own readings: 0 s until the expiry-th, then 100 s
-            readings.append(1)
-            return 0.0 if len(readings) < expiry else 100.0
-
-        monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=clock))
-        report = ucp_solve(inst, EngineConfig(time_limit=1.0))
-        if report.status == "optimal":
-            break
-        assert report.status == "time_limit"
-        if report.gap is not None and math.isfinite(report.gap):
-            # min sense: the reported bound value - gap may not pass the optimum
-            assert report.value - report.gap <= optimum + 1e-9 * abs(optimum), expiry
-            checked += 1
-    else:
-        raise AssertionError("the solve never finished")
-    assert report.value == optimum and checked >= 2

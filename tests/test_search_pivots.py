@@ -9,6 +9,10 @@ kernel, whose pivots updated every tableau row and priced every reduced
 cost afresh, and were unchanged when the kernel began to update only the
 rows a pivot touches and to carry reduced costs between pivots.  A
 change that alters the pivots on purpose records new totals and says why.
+
+The warm total of 2x4x2 s5 was re-recorded (24 -> 19) when the root
+stopped making the two relaxed-side evaluations that its inexact
+restricted diagram used to need (see test_search_golden).
 """
 
 import pytest
@@ -23,7 +27,7 @@ PIVOTS = {   # spec -> (cold, warm) dispatch pivots
     (3, 4, 2, 2, 1.0): (39, 0),
     (2, 4, 2, 0, 0.4): (8, 0),
     (3, 3, 1, 0, 0.4): (18, 31),
-    (2, 4, 2, 5, 0.5): (20, 24),
+    (2, 4, 2, 5, 0.5): (20, 19),
     (3, 5, 2, 1, 0.8): (45, 47),
     (3, 6, 3, 1, 0.8): (54, 66),
     (4, 6, 3, 1, 0.8): (71, 87),

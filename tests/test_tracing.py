@@ -5,9 +5,9 @@ dual LPs by rebinding ``ucp.solve`` and restricted compilation by rebinding
 These tests import the tracer unchanged and check that a solve still
 reaches refinement through that attribute, once per non-empty replay,
 solves every dual LP through ``ucp.solve``, compiles every restricted
-diagram through ``ucp.build_restricted_master_dd``, and replays cuts once
-inside every relaxed build, the relaxed loop's own builds included, so
-that the benchmark's per-layer refine, dual LP, restricted compile and
+diagram through ``ucp.build_restricted_master_dd``, and replays cuts only
+inside those compiles, a unit-commitment solve making no relaxed build,
+so that the benchmark's per-layer refine, dual LP, restricted compile and
 replay metrics cannot silently read 0.
 """
 
@@ -68,16 +68,17 @@ def test_trace_records_one_restricted_compile_per_restricted_build():
     assert metrics["ucp.compile_restricted.calls"] == len(builds)
 
 
-def test_trace_records_one_replay_per_relaxed_build():
-    # the relaxed loop's replays come through ucp.replay_cuts inside the
-    # relaxed build, so the benchmark's engine.replay metrics count them
+def test_trace_records_every_replay_inside_a_restricted_compile():
+    # a unit-commitment solve closes its nodes on the restricted side, and
+    # its replays come through ucp.replay_cuts inside the restricted
+    # compile, so the benchmark's engine.replay metrics count them all
     tracer = Tracer()
     with traced(tracer):
         report = ucp_solve(scaled_instance(3, 6, 3, 0, 0.8))
     spans = tracer.take()
-    builds = [k for k, s in enumerate(spans) if s.name == "ucp.master_relaxed"]
-    compiles = [s for s in spans if s.name == "ucp.compile_relaxed"]
+    compiles = {k for k, s in enumerate(spans) if s.name == "ucp.compile_restricted"}
     replays = [s for s in spans if s.name == "engine.replay"]
-    # more builds than compiles: the relaxed loop asked the master again
-    assert report.status == "optimal" and len(builds) > len(compiles) > 0
-    assert sorted(s.parent for s in replays if s.parent in builds) == builds
+    assert report.status == "optimal" and compiles
+    assert not any(s.name == "ucp.master_relaxed" for s in spans)
+    assert replays and all(s.parent in compiles for s in replays)
+    assert layer_metrics([spans], [report])["engine.replay.calls"] == len(replays)

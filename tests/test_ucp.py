@@ -10,12 +10,14 @@ from ddbd.diagram import (
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
+    dd_to_json,
     enumerate_solutions,
     optimal_path,
     path_weight,
     refine_with_cut,
 )
-from ddbd.oracle import scipy_lp_min, unit_schedules
+from ddbd.engine import replay_cuts
+from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
 import ddbd.ucp as ucp_module
 from ddbd.simplex import FEAS_TOL, NumericalFailureError, solve
 from ddbd.ucp import (
@@ -39,6 +41,7 @@ from ddbd.ucp import (
     evaluate_subproblems,
     gen_random_instance,
     master_cost,
+    ucp_solve,
 )
 from reference_lp import (
     LOW_DEMAND,
@@ -316,18 +319,14 @@ def test_restricted_is_subset_and_respects_rules():
     inst = single_unit_instance(gen, 3)
     gamma = GammaBounds(0.0, 0.0)
     exact = build_master_dd(inst, gamma=gamma)
-    full, exact_flag = build_restricted_master_dd(inst, (), gamma, width=10 ** 6)
-    assert exact_flag
-    assert sorted(enumerate_solutions(full)) == sorted(enumerate_solutions(exact))
-
-    narrow, exact_flag = build_restricted_master_dd(inst, (), gamma, width=1)
-    assert not exact_flag
-    sols = x_paths(narrow)
-    assert len(sols) == 1
-    assert sols[0] in x_paths(exact)
     feasible = {tuple(float(b) for b in bits) for bits in unit_schedules(gen, 3)}
-    for x in x_paths(narrow):
-        assert x in feasible
+    # the exact master at every width, however narrow
+    assert max(len(layer) for layer in exact.layers) > 1
+    for width in (1, 2, 10 ** 6):
+        dd, exact_flag = build_restricted_master_dd(inst, (), gamma, width)
+        assert exact_flag
+        assert dd_to_json(dd) == dd_to_json(exact)
+        assert set(x_paths(dd)) <= feasible
 
 
 def harvested_pool(inst, rng, feasibility=6, optimality=4):
@@ -342,8 +341,9 @@ def harvested_pool(inst, rng, feasibility=6, optimality=4):
 
 
 def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
+    # the restricted build is exact ∩ cuts itself at every width
     rng = np.random.default_rng(23)
-    checked = emptied = fitted = 0
+    checked = emptied = wider = 0
     for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8)]:
         inst = scaled_instance(*args)
         gamma = compute_gamma(inst)
@@ -355,31 +355,23 @@ def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
             cuts = [pool[i] for i in rng.choice(len(pool), rng.integers(1, len(pool) + 1),
                                                 replace=False)]
             try:
-                exact = refine_with_cut(build_master_dd(inst, partial, gamma), cuts)
+                exact = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
             except InfeasibleDiagramError:
                 with pytest.raises(InfeasibleDiagramError):
                     build_restricted_master_dd(inst, partial, gamma, 1, cuts)
                 emptied += 1
                 continue
-            sols = set(enumerate_solutions(exact))
-            _, best = optimal_path(exact, "min")
             for width in (1, 2, 3):
                 where = f"{args} {partial} width {width}"
                 dd, is_exact = build_restricted_master_dd(inst, partial, gamma, width, cuts)
-                assert set(enumerate_solutions(dd)) <= sols, where
-                assert optimal_path(dd, "min")[1] == best, where
-                assert all(len(layer) <= width for layer in dd.layers[1:-1]), where
-                fits = all(len(layer) <= width for layer in exact.layers)
-                assert is_exact == fits == (dd.node_count() == exact.node_count()), where
+                assert is_exact and dd_to_json(dd) == dd_to_json(exact), where
                 checked += 1
-                fitted += fits
-    assert checked >= 60 and emptied < checked / 3 and 0 < fitted < checked / 2, \
-        (checked, emptied, fitted)
+                wider += any(len(layer) > width for layer in exact.layers)
+    assert checked >= 60 and emptied < checked / 3 and checked / 2 < wider, \
+        (checked, emptied, wider)
 
 
 def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
-    from ddbd.engine import replay_cuts
-
     compiled, replayed = [], []
 
     def counting_build(inst, partial, gamma):
@@ -403,6 +395,7 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
         """(kept diagram, the build's diagram, is_exact) for one side."""
         if width is None:
             dd, is_exact = build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
+            assert dd is kept.dd
             return kept.dd, dd, is_exact
         dd = kept.refine(inst, partial, gamma, cuts, width)
         return dd, dd, False
@@ -483,7 +476,7 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
                         assert calls() == ([partial], [done - 1]), (width, args, partial, side)
         assert checked >= 50, (width, checked)
         if width is None:
-            assert 0 < exact < checked, (checked, exact)
+            assert exact == checked, (checked, exact)
         else:
             assert 0 < merged, merged
 
@@ -505,6 +498,20 @@ def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
                            GammaBounds(0.0, 0.0))
     assert unit.build_restricted_dd((1.0,), [], 2)[0] is not None
     assert unit.build_restricted_dd((1.0, 0.0), [], 2) == (None, True)
+
+
+def test_ucp_solve_closes_at_the_root():
+    # both branched at width 2 while restricted diagrams were cut to the
+    # width; a converged restricted loop over exact ∩ pool solves the root
+    for args, optimum in [((3, 4, 2, 1, 0.6), 31765.555004250513),
+                          ((3, 4, 1, 4, 0.7), 39027.205105283065)]:
+        inst = scaled_instance(*args)
+        report = ucp_solve(inst)
+        assert (report.status, report.nodes, report.branches) == ("optimal", 1, 0), args
+        assert report.value == optimum, args
+        brute = brute_force_solve(inst)
+        assert report.x == brute.best_x, args
+        assert report.value == pytest.approx(brute.best_cost, rel=1e-9), args
 
 
 # -- value bounds ------------------------------------------------------------------
