@@ -1,23 +1,23 @@
-"""Benders oracles for small bounded mixed-integer linear programs.
+"""Benders oracles for bounded mixed-integer linear programs.
 
 A problem is max/min a.x + b.y subject to rows over (x, y), with x
 integer over finite domains and y >= 0 continuous.  Rows touching only
 x become master constraints; the rest form the slave LP whose dual
-yields the cuts.  The master diagram enumerates the x domain, so this
-adapter is meant for desk-size problems and for exercising the engine
-against hand-checked cases.
+yields the cuts.  The master diagram is compiled by refinement: a chain
+with one arc per domain value is cut by the master rows, as pooled cuts
+are, so its size follows the rows' distinct partial sums rather than the
+number of feasible points.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CutRow, InfeasibleDiagramError, append_value_layer, from_paths
+from .diagram import CutRow, DecisionDiagram, InfeasibleDiagramError, Interval
 from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
 from .simplex import LinearProgram, solve
 
@@ -98,44 +98,40 @@ def _numbers(values):
     return [float(v) for v in values]
 
 
-def _row_holds(ax, sense, rhs, x, tol=1e-9):
-    lhs = float(np.dot(ax, x))
-    if sense == "<=":
-        return lhs <= rhs + tol
-    if sense == ">=":
-        return lhs >= rhs - tol
-    return abs(lhs - rhs) <= tol
-
 class MipMasterOracle(MasterOracle):
-    """Exact enumeration of the x domain as a diagram; width is ignored.
+    """Exact master diagram compiled by refinement; width is ignored.
 
-    Restricted and relaxed diagrams coincide with the exact one, so the
-    engine takes the exact-node shortcut and never branches.
+    A chain with one node per layer carries an arc for each distinct
+    domain value, weighted by its objective term, and ends in the
+    [z_lo, z_hi] value arc.  The master rows, made feasibility cuts once
+    ("=" as a "<=" and a ">=" row), are replayed into it, then the pool
+    cuts.  Restricted and relaxed diagrams coincide with the exact one,
+    so the engine takes the exact-node shortcut and never branches.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.sense = problem.sense
-        self._masters = problem.master_rows()
-
-    def _feasible_points(self, partial):
-        pts = []
-        for x in itertools.product(*self.problem.x_domains):
-            if any(abs(x[i] - v) > 1e-9 for i, v in enumerate(partial)):
-                continue
-            if all(_row_holds(ax, s, rhs, x) for ax, _, s, rhs in self._masters):
-                pts.append(tuple(float(v) for v in x))
-        return pts
+        self._rows = [CutRow(coeffs=_dense_to_sparse(ax), rhs=float(rhs), sense=s)
+                      for ax, _, sense, rhs in problem.master_rows()
+                      for s in (("<=", ">=") if sense == "=" else (sense,))]
 
     def build_exact_dd(self, partial, cuts):
-        pts = self._feasible_points(partial)
-        if not pts:
-            return None
-        coeffs = self.problem.x_obj
-        dd = from_paths(pts, weight_fn=lambda j, lab: coeffs[j] * lab)
-        dd = append_value_layer(dd, *self.problem.z_bounds)
+        n = len(self.problem.x_domains)
+        dd = DecisionDiagram(n + 1, continuous_last=True)
+        node = dd.new_node(0)
+        for j, domain in enumerate(self.problem.x_domains):
+            head = dd.new_node(j + 1)
+            for v in dict.fromkeys(float(v) for v in domain):
+                if j >= len(partial) or abs(v - partial[j]) <= 1e-9:
+                    dd.add_arc(j, node, head, v, self.problem.x_obj[j] * v)
+            if not dd.arcs[j]:
+                return None
+            node = head
+        lo, hi = self.problem.z_bounds
+        dd.add_arc(n, node, dd.new_node(n + 1), Interval(float(lo), float(hi)), 1.0)
         try:
-            return replay_cuts(dd, cuts)
+            return replay_cuts(replay_cuts(dd, self._rows), cuts)
         except InfeasibleDiagramError:
             return None
 

@@ -212,6 +212,20 @@ def test_mip_without_continuous_variables_solves_its_master(tmp_path):
     assert doc["value"] == 2.0 and doc["z"] == 0.0
 
 
+def test_mip_without_integer_variables_solves_its_slave(tmp_path):
+    # no x: the master is the value arc alone, and the slave LP is the problem
+    def drop_x(doc):
+        doc.update(x_domains=[], x_obj=[], rows=[
+            {"ax": [], "by": [1, 1], "rhs": 0, "sense": ">="},
+            {"ax": [], "by": [0.3, 0.7], "rhs": 0.3, "sense": "<="}])
+
+    out = tmp_path / "r.json"
+    assert main(broken_mip(tmp_path, drop_x) + ["--sense", "max", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "optimal" and doc["x"] == []
+    assert doc["value"] == pytest.approx(2.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("rows", [
     [{"ax": [1, 1], "by": [0], "rhs": 1, "sense": ">="}],
     [{"ax": [1, 1], "by": [0], "rhs": 1, "sense": ">="},

@@ -1,0 +1,160 @@
+"""The generic MIP oracles against enumeration.
+
+The master diagram is compiled by refinement, so it is checked here
+against the plain enumeration of the x domain product that it replaces
+(reference_points), and whole solves are checked against enumerating x
+and solving every slave LP with scipy's HiGHS (brute_force_max).  The
+data are integers and halves, so every row's lhs is exact in floating
+point and no tolerance decides a point.
+"""
+
+import itertools
+import random
+import time
+
+import numpy as np
+import pytest
+
+from ddbd.diagram import Interval, enumerate_solutions
+from ddbd.engine import EngineConfig, dd_bd_solve
+from ddbd.mip import (
+    MipMasterOracle,
+    MipProblem,
+    MipSubproblemOracle,
+    example_two_binary_problem,
+)
+from ddbd.oracle import scipy_lp_min
+from ddbd.simplex import LinearProgram
+
+
+def row_holds(ax, sense, rhs, x):
+    lhs = sum(a * v for a, v in zip(ax, x))
+    return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
+
+
+def reference_points(problem, partial):
+    """The x points the master admits: the domain product, filtered."""
+    return {tuple(float(v) for v in x) for x in itertools.product(*problem.x_domains)
+            if all(abs(x[j] - v) <= 1e-9 for j, v in enumerate(partial))
+            and all(row_holds(ax, s, rhs, x) for ax, _, s, rhs in problem.master_rows())}
+
+
+def random_master_problem(rng):
+    n = rng.randint(1, 7)
+    domains = [rng.sample([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0], rng.randint(1, 3))
+               for _ in range(n)]
+    # each rhs is offset from the lhs at one domain point, so rows often hold
+    x0 = [rng.choice(domain) for domain in domains]
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        ax = [float(rng.randint(-2, 2)) for _ in range(n)]
+        sense = rng.choice(["<=", ">=", "="])
+        offset = {"<=": rng.randint(-1, 3), ">=": rng.randint(-3, 1),
+                  "=": rng.choice([0, 0, 0, 1])}[sense]
+        rows.append((ax, [], sense, float(np.dot(ax, x0)) + offset))
+    z_bounds = rng.choice([(0.0, 0.0), (-5.0, 5.0), (1.5, 2.0)])
+    return MipProblem(sense="max", x_obj=[float(rng.randint(-2, 2)) for _ in range(n)],
+                      y_obj=[], rows=rows, x_domains=domains, z_bounds=z_bounds)
+
+
+def random_partial(rng, problem):
+    partial = []
+    for domain in problem.x_domains[:rng.randint(0, len(problem.x_domains))]:
+        # now and then a value outside the domain, which admits nothing
+        partial.append(rng.choice(domain) if rng.random() < 0.9 else 7.0)
+    return tuple(partial)
+
+
+def test_refined_master_has_exactly_the_enumerated_points():
+    rng = random.Random(17)
+    empty = 0
+    for trial in range(320):
+        problem = random_master_problem(rng)
+        partial = random_partial(rng, problem)
+        master = MipMasterOracle(problem)
+        points = reference_points(problem, partial)
+        dd = master.build_exact_dd(partial, [])
+        if not points:
+            assert dd is None, f"trial {trial}"
+            empty += 1
+            continue
+        ends = Interval(*problem.z_bounds).endpoints()
+        assert set(enumerate_solutions(dd)) == {x + (e,) for x in points for e in ends}, \
+            f"trial {trial}"
+        restricted, is_exact = master.build_restricted_dd(partial, [], width=1)
+        assert is_exact
+        assert set(enumerate_solutions(restricted)) == set(enumerate_solutions(dd))
+    # both outcomes are well represented
+    assert 40 <= empty <= 280
+
+
+def test_a_domain_value_listed_twice_gives_each_point_once():
+    problem = example_two_binary_problem()
+    problem.x_domains = [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
+    paths = enumerate_solutions(MipMasterOracle(problem).build_exact_dd((), []))
+    assert sorted(paths) == [(0.0, 1.0, -10.0), (0.0, 1.0, 10.0), (1.0, 0.0, -10.0),
+                             (1.0, 0.0, 10.0), (1.0, 1.0, -10.0), (1.0, 1.0, 10.0)]
+    report = dd_bd_solve(MipMasterOracle(problem), MipSubproblemOracle(problem),
+                         EngineConfig(width=2))
+    assert report.status == "optimal"
+    assert report.value == pytest.approx(11.0 / 3.0, abs=1e-6)
+    assert tuple(report.x) == (1.0, 0.0)
+
+
+# -- brute-force agreement sweep ---------------------------------------------------
+
+Y_CAP = 4.0   # every y is capped by a slave row y_i <= Y_CAP
+
+
+def random_mip(seed):
+    """A max MIP with slave rows, every y capped, and z_bounds that hold."""
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 4), rng.randint(1, 3)
+    domains = [rng.choice([[0.0, 1.0], [0.0, 1.0, 2.0], [1.0, 2.0]]) for _ in range(n)]
+    rows = [([float(rng.randint(-2, 2)) for _ in range(n)], [0.0] * k,
+             rng.choice(["<=", ">="]), float(rng.randint(0, 3)))
+            for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(1, 3)):
+        by = [float(rng.randint(-2, 2)) for _ in range(k)]
+        by[rng.randrange(k)] = float(rng.choice([-2, -1, 1, 2]))
+        rows.append(([float(rng.randint(-2, 2)) for _ in range(n)], by,
+                     rng.choice(["<=", ">=", "="]), float(rng.randint(-2, 4))))
+    rows += [([0.0] * n, [float(i == j) for j in range(k)], "<=", Y_CAP) for i in range(k)]
+    y_obj = [float(rng.randint(-2, 3)) for _ in range(k)]
+    z = Y_CAP * sum(abs(b) for b in y_obj)
+    return MipProblem(sense="max", x_obj=[float(rng.randint(-2, 2)) for _ in range(n)],
+                      y_obj=y_obj, rows=rows, x_domains=domains, z_bounds=(-z, z))
+
+
+def brute_force_max(problem):
+    """Best objective over the enumerated x, each slave LP solved by HiGHS;
+    None when no x has a feasible slave."""
+    slave = problem.slave_rows()
+    best = None
+    for x in reference_points(problem, ()):
+        lp = LinearProgram(sense="min", c=-np.array(problem.y_obj),
+                           A=[by for _, by, _, _ in slave], senses=[s for *_, s, _ in slave],
+                           b=[rhs - np.dot(ax, x) for ax, _, _, rhs in slave])
+        status, value = scipy_lp_min(lp)
+        if status == "optimal":
+            total = float(np.dot(problem.x_obj, x)) - value
+            best = total if best is None else max(best, total)
+    return best
+
+
+def test_mip_solves_agree_with_brute_force():
+    t0 = time.perf_counter()
+    feasible = 0
+    for seed in range(160):
+        problem = random_mip(seed)
+        best = brute_force_max(problem)
+        report = dd_bd_solve(MipMasterOracle(problem), MipSubproblemOracle(problem),
+                             EngineConfig(width=2), instance_id=str(seed))
+        assert report.status == ("infeasible" if best is None else "optimal"), f"seed {seed}"
+        if best is not None:
+            assert abs(report.value - best) <= 1e-6 * (1.0 + abs(best)), \
+                f"seed {seed}: {report.value} vs {best}"
+            feasible += 1
+    # both statuses are well represented
+    assert 40 <= feasible <= 120
+    assert time.perf_counter() - t0 < 120.0
