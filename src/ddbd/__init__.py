@@ -4,6 +4,7 @@ stochastic unit-commitment application and verification tooling."""
 from .diagram import (
     CutRow,
     DecisionDiagram,
+    DiagramBuilder,
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,

@@ -8,9 +8,18 @@ node layer the single terminal.  Discrete arc layers carry float labels
 acts as a slope, so a path picks an endpoint e and contributes
 weight * e to the path length.
 
-Diagrams are treated as immutable once built: every operation in this
-module returns a fresh diagram.  Callers that share diagrams across
-threads must clone per worker.
+A diagram is a set of flat arrays, and a node's id is its row.  Node
+layer i is rows node_first[i]:node_first[i + 1], so the root is row 0
+and the terminal the last row; states[row] is a node's state (None when
+it has none) and merged[row] its relaxation tag.  Arc layer j is arcs
+arc_first[j]:arc_first[j + 1], each with a tail and a head row, a float
+label and a weight.  A continuous layer's intervals are in lo and hi, one
+entry per arc of that layer, and its labels are NaN.
+
+DiagramBuilder makes diagrams: it numbers the rows layer by layer in
+creation order and keeps each layer's arcs in add order.  A built
+diagram is never changed (its arrays are read-only), so operations share
+arrays freely and every operation returns a fresh diagram.
 """
 
 from __future__ import annotations
@@ -48,17 +57,13 @@ class Interval:
     hi: float
 
     def endpoints(self):
-        if abs(self.hi - self.lo) <= 0.0:
-            return (self.lo,)
-        return (self.lo, self.hi)
+        return _endpoints(self.lo, self.hi)
 
 
-@dataclass
-class Arc:
-    tail: int
-    head: int
-    label: object  # float for discrete layers, Interval for continuous
-    weight: float
+def _endpoints(lo, hi):
+    if abs(hi - lo) <= 0.0:
+        return (lo,)
+    return (lo, hi)
 
 
 @dataclass
@@ -106,155 +111,231 @@ class CutRow:
         return lhs >= self.rhs - tol
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class DecisionDiagram:
-    """Layered DAG; see module docstring for the representation."""
+    """Layered DAG as flat arrays; see the module docstring."""
 
-    def __init__(self, num_arc_layers, continuous_last=False):
-        self.layers = [[] for _ in range(num_arc_layers + 1)]
-        self.arcs = [[] for _ in range(num_arc_layers)]
-        self.layer_kinds = ["discrete"] * num_arc_layers
-        if continuous_last and num_arc_layers:
-            self.layer_kinds[-1] = "continuous"
-        self.states = {}
-        self.merged = set()
-        self._next_id = 0
+    layer_kinds: list
+    node_first: np.ndarray
+    states: list
+    merged: np.ndarray
+    arc_first: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    label: np.ndarray
+    weight: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
-    # -- construction helpers -------------------------------------------------
-
-    def new_node(self, layer, state=None, merged=False):
-        nid = self._next_id
-        self._next_id += 1
-        self.layers[layer].append(nid)
-        if state is not None:
-            self.states[nid] = state
-        if merged:
-            self.merged.add(nid)
-        return nid
-
-    def add_arc(self, layer, tail, head, label, weight=0.0):
-        self.arcs[layer].append(Arc(tail, head, label, weight))
+    def __post_init__(self):
+        for a in (self.node_first, self.merged, self.arc_first, self.tail, self.head,
+                  self.label, self.weight, self.lo, self.hi):
+            a.flags.writeable = False
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def num_arc_layers(self):
-        return len(self.arcs)
+        return len(self.layer_kinds)
 
     @property
     def root(self):
-        return self.layers[0][0]
+        return 0
 
     @property
     def terminal(self):
-        return self.layers[-1][0]
+        return len(self.states) - 1
 
     @property
     def width(self):
-        return max(len(layer) for layer in self.layers)
+        return int(np.diff(self.node_first).max())
 
     def node_count(self):
-        return sum(len(layer) for layer in self.layers)
+        return len(self.states)
 
-    def node_layer_of(self):
-        where = {}
-        for i, layer in enumerate(self.layers):
-            for nid in layer:
-                where[nid] = i
-        return where
+    def layer_rows(self, i):
+        """Rows of node layer i."""
+        return range(int(self.node_first[i]), int(self.node_first[i + 1]))
 
-    def out_map(self, layer):
-        out = {}
-        for arc in self.arcs[layer]:
-            out.setdefault(arc.tail, []).append(arc)
-        return out
+    def layer_arcs(self, j):
+        """Arc indices of arc layer j."""
+        return range(int(self.arc_first[j]), int(self.arc_first[j + 1]))
 
-    def in_map(self, layer):
-        incoming = {}
-        for arc in self.arcs[layer]:
-            incoming.setdefault(arc.head, []).append(arc)
-        return incoming
+    @property
+    def value_first(self):
+        """Index of the first value-layer arc (the arc count when there is
+        none): arc i from there on spans lo[i - value_first], hi[i - value_first]."""
+        return len(self.tail) - len(self.lo)
 
-    def copy(self):
-        dd = DecisionDiagram(self.num_arc_layers)
-        dd.layer_kinds = list(self.layer_kinds)
-        dd.layers = [list(layer) for layer in self.layers]
-        dd.arcs = [[Arc(a.tail, a.head, a.label, a.weight) for a in layer]
-                   for layer in self.arcs]
-        dd.states = dict(self.states)
-        dd.merged = set(self.merged)
-        dd._next_id = self._next_id
-        return dd
+    def out_index(self):
+        """(order, first): node u's out-arcs, in add order, are
+        order[first[u]:first[u + 1]]."""
+        order = np.argsort(self.tail, kind="stable")
+        return order, _offsets(self.tail, self.node_count())
 
     def validate(self):
-        """Check the structural invariants; raises ValueError on violation."""
-        if len(self.layers[0]) != 1 or len(self.layers[-1]) != 1:
+        """Check the array invariants; raises ValueError on violation."""
+        n, m, num_arcs = len(self.states), self.num_arc_layers, len(self.tail)
+        for name, first, size in (("node", self.node_first, n),
+                                  ("arc", self.arc_first, num_arcs)):
+            if first[0] != 0 or first[-1] != size or (np.diff(first) < 0).any():
+                raise ValueError(f"{name} offsets are not monotone over the arrays")
+        if len(self.node_first) != m + 2 or len(self.arc_first) != m + 1:
+            raise ValueError("offsets do not match the layer count")
+        if len(self.merged) != n:
+            raise ValueError("states and merged need one entry per node")
+        if not len(self.head) == len(self.label) == len(self.weight) == num_arcs:
+            raise ValueError("arc arrays differ in length")
+        if np.diff(self.node_first)[[0, -1]].tolist() != [1, 1]:
             raise ValueError("root and terminal layers must hold exactly one node")
-        where = self.node_layer_of()
-        for j, layer_arcs in enumerate(self.arcs):
-            for arc in layer_arcs:
-                if where.get(arc.tail) != j or where.get(arc.head) != j + 1:
-                    raise ValueError(f"arc at layer {j} does not connect adjacent layers")
-                if isinstance(arc.label, Interval):
-                    if self.layer_kinds[j] != "continuous":
-                        raise ValueError("interval label on a discrete layer")
-                    if arc.label.lo > arc.label.hi:
-                        raise ValueError("interval with lo > hi")
         if "continuous" in self.layer_kinds[:-1]:
             raise ValueError("only the final arc layer may be continuous")
-        reach = _alive_nodes(self)
-        for j, layer in enumerate(self.layers):
-            for nid in layer:
-                if nid not in reach and 0 < j < len(self.layers) - 1:
-                    raise ValueError(f"dangling node {nid} at layer {j}")
+        num_value = int(np.diff(self.arc_first)[-1]) \
+            if m and self.layer_kinds[-1] == "continuous" else 0
+        if not len(self.lo) == len(self.hi) == num_value:
+            raise ValueError("lo and hi need one entry per value-layer arc")
+        if (self.lo > self.hi).any():
+            raise ValueError("interval with lo > hi")
+        layer_of = np.repeat(np.arange(m + 1), np.diff(self.node_first))
+        arc_layer = np.repeat(np.arange(m), np.diff(self.arc_first))
+        if ((self.tail < 0) | (self.tail >= n) | (self.head < 0) | (self.head >= n)).any() \
+                or (layer_of[self.tail] != arc_layer).any() \
+                or (layer_of[self.head] != arc_layer + 1).any():
+            raise ValueError("an arc does not connect adjacent layers")
+        dangling = np.flatnonzero(~_alive_nodes(self))
+        if dangling.size:
+            raise ValueError(f"dangling node {dangling[0]} at layer {layer_of[dangling[0]]}")
+
+
+class DiagramBuilder:
+    """Collects nodes and arcs in lists and freezes them once, in build.
+
+    new_node returns a handle that add_arc takes as tail or head.  build
+    numbers the rows layer by layer in creation order and keeps each arc
+    layer's arcs in add order.  An Interval label goes on a continuous
+    layer, a float label on a discrete one.
+    """
+
+    def __init__(self, num_arc_layers, continuous_last=False):
+        self.layer_kinds = ["discrete"] * num_arc_layers
+        if continuous_last and num_arc_layers:
+            self.layer_kinds[-1] = "continuous"
+        self._node_layer, self._states, self._merged = [], [], []
+        self._arc_layer, self._tail, self._head, self._label, self._weight = [], [], [], [], []
+        self._lo, self._hi = [], []   # of each Interval label, in add order
+
+    def new_node(self, layer, state=None, merged=False):
+        self._node_layer.append(layer)
+        self._states.append(state)
+        self._merged.append(merged)
+        return len(self._states) - 1
+
+    def add_arc(self, layer, tail, head, label, weight=0.0):
+        if isinstance(label, Interval):
+            if self.layer_kinds[layer] != "continuous":
+                raise ValueError(f"Interval label on discrete layer {layer}")
+            self._lo.append(label.lo)
+            self._hi.append(label.hi)
+            label = _NAN
+        self._arc_layer.append(layer)
+        self._tail.append(tail)
+        self._head.append(head)
+        self._label.append(label)
+        self._weight.append(weight)
+
+    def build(self):
+        m = len(self.layer_kinds)
+        layer = np.array(self._node_layer, dtype=np.intp)
+        order = np.argsort(layer, kind="stable")
+        row = np.empty(len(order), dtype=np.intp)
+        row[order] = np.arange(len(order))
+        arc_layer = np.array(self._arc_layer, dtype=np.intp)
+        arc_first = _offsets(arc_layer, m)
+        if m and self.layer_kinds[-1] == "continuous" \
+                and arc_first[-1] - arc_first[-2] != len(self._lo):
+            raise ValueError(f"float label on continuous layer {m - 1}")
+        arcs = np.argsort(arc_layer, kind="stable")
+        return DecisionDiagram(
+            layer_kinds=list(self.layer_kinds),
+            node_first=_offsets(layer, m + 1),
+            states=[self._states[i] for i in order.tolist()],
+            merged=np.array(self._merged, dtype=bool)[order],
+            arc_first=arc_first,
+            tail=row[np.array(self._tail, dtype=np.intp)[arcs]],
+            head=row[np.array(self._head, dtype=np.intp)[arcs]],
+            label=np.array(self._label, dtype=float)[arcs],
+            weight=np.array(self._weight, dtype=float)[arcs],
+            lo=np.array(self._lo, dtype=float),
+            hi=np.array(self._hi, dtype=float))
+
+
+_NAN = float("nan")
+
+
+def _offsets(layer_of, num_layers):
+    """Offsets of the groups of a layer (or node) index array, as in node_first."""
+    counts = np.bincount(layer_of, minlength=num_layers)   # raises on a negative index
+    if len(counts) > num_layers:
+        raise IndexError(f"layer index past the last layer, {num_layers - 1}")
+    first = np.zeros(num_layers + 1, dtype=np.intp)
+    np.cumsum(counts, out=first[1:])
+    return first
 
 
 def _alive_nodes(dd):
-    """Nodes lying on at least one root-terminal path."""
-    if not dd.arcs:
-        return {dd.root}
-    fwd = {dd.root}
-    for layer_arcs in dd.arcs:
-        nxt = {a.head for a in layer_arcs if a.tail in fwd}
-        fwd |= nxt
-    bwd = {dd.terminal}
-    for layer_arcs in reversed(dd.arcs):
-        prv = {a.tail for a in layer_arcs if a.head in bwd}
-        bwd |= prv
+    """Bool per row: the node lies on at least one root-terminal path."""
+    n = dd.node_count()
+    fwd, bwd = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    fwd[dd.root] = bwd[dd.terminal] = True
+    first = dd.arc_first.tolist()
+    for a, b in zip(first[:-1], first[1:]):
+        fwd[dd.head[a:b][fwd[dd.tail[a:b]]]] = True
+    for a, b in zip(first[-2::-1], first[:0:-1]):
+        bwd[dd.tail[a:b][bwd[dd.head[a:b]]]] = True
     return fwd & bwd
 
 
 def _drop_dead_nodes(dd):
-    """Drop the nodes and arcs off every root-terminal path, in place.
+    """dd without the nodes and arcs off every root-terminal path.
 
-    Only for a diagram nothing else holds.  Raises InfeasibleDiagramError
-    when nothing survives.
+    Returns dd itself when every non-terminal node has an out-arc and
+    every non-root node an in-arc, since then every node is on a path.
+    Raises InfeasibleDiagramError when nothing survives.
     """
+    n = dd.node_count()
+    if np.bincount(dd.tail, minlength=n)[:-1].all() \
+            and np.bincount(dd.head, minlength=n)[1:].all():
+        return dd
     alive = _alive_nodes(dd)
-    if dd.root not in alive or dd.terminal not in alive:
+    if not alive[dd.root] or not alive[dd.terminal]:
         raise InfeasibleDiagramError("diagram has no root-terminal path")
-    dd.layers = [[nid for nid in layer if nid in alive] for layer in dd.layers]
-    dd.arcs = [[a for a in layer if a.tail in alive and a.head in alive]
-               for layer in dd.arcs]
-    dd.states = {nid: s for nid, s in dd.states.items() if nid in alive}
-    dd.merged &= alive
-    return dd
+    return _subset(dd, alive, alive[dd.tail] & alive[dd.head])
+
+
+def _subset(dd, nodes, arcs):
+    """The diagram of the rows and arcs of dd where the bool masks are set;
+    a kept arc's tail and head must be kept nodes."""
+    row = np.cumsum(nodes) - 1
+    value = arcs[dd.value_first:]
+    return DecisionDiagram(
+        layer_kinds=list(dd.layer_kinds),
+        node_first=np.concatenate([[0], np.cumsum(nodes)])[dd.node_first],
+        states=[s for s, keep in zip(dd.states, nodes.tolist()) if keep],
+        merged=dd.merged[nodes],
+        arc_first=np.concatenate([[0], np.cumsum(arcs)])[dd.arc_first],
+        tail=row[dd.tail[arcs]], head=row[dd.head[arcs]],
+        label=dd.label[arcs], weight=dd.weight[arcs],
+        lo=dd.lo[value], hi=dd.hi[value])
+
+
+def _arc_labels(dd):
+    """Each arc's label as a float, or as an (lo, hi) pair on the value layer."""
+    labels = dd.label.tolist()
+    labels[dd.value_first:] = zip(dd.lo.tolist(), dd.hi.tolist())
+    return labels
 
 
 # -- path optimisation ---------------------------------------------------------
-
-
-def _arc_contribution(arc, sense):
-    """Best objective contribution of an arc and the label realising it."""
-    if isinstance(arc.label, Interval):
-        cands = [(arc.weight * e, e) for e in (arc.label.lo, arc.label.hi)]
-        if sense == "max":
-            best = max(v for v, _ in cands)
-        else:
-            best = min(v for v, _ in cands)
-        # among optimal endpoints prefer the smaller label
-        label = min(e for v, e in cands if v == best)
-        return best, label
-    return arc.weight, arc.label
 
 
 def optimal_path(dd, sense="max"):
@@ -266,72 +347,81 @@ def optimal_path(dd, sense="max"):
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    if not dd.arcs:
+    m = dd.num_arc_layers
+    if not m:
         raise EmptyDiagramError("diagram has no arc layers")
-    best = {dd.terminal: 0.0}
-    for j in range(dd.num_arc_layers - 1, -1, -1):
-        nxt = {}
-        for arc in dd.arcs[j]:
-            if arc.head not in best:
+    is_max = sense == "max"
+    vf = dd.value_first
+    tail, head, first = dd.tail.tolist(), dd.head.tolist(), dd.arc_first.tolist()
+    weight = dd.weight.tolist()
+    # an interval arc contributes its better endpoint, the first on a tie
+    at_lo, at_hi = dd.weight[vf:] * dd.lo, dd.weight[vf:] * dd.hi
+    gain = weight[:vf] + np.where(at_hi > at_lo if is_max else at_hi < at_lo,
+                                  at_hi, at_lo).tolist()
+    best = [None] * dd.node_count()
+    best[dd.terminal] = 0.0
+    for j in range(m - 1, -1, -1):
+        reached = False
+        for i in range(first[j], first[j + 1]):
+            below = best[head[i]]
+            if below is None:
                 continue
-            val, _ = _arc_contribution(arc, sense)
-            total = val + best[arc.head]
-            cur = nxt.get(arc.tail)
-            if cur is None or (sense == "max" and total > cur) or \
-                    (sense == "min" and total < cur):
-                nxt[arc.tail] = total
-        for nid, v in nxt.items():
-            best[nid] = v
-        if not nxt:
+            reached = True
+            total = gain[i] + below
+            cur = best[tail[i]]
+            if cur is None or (total > cur if is_max else total < cur):
+                best[tail[i]] = total
+        if not reached:
             raise EmptyDiagramError("diagram has no root-terminal path")
-    if dd.root not in best:
+    if best[dd.root] is None:
         raise EmptyDiagramError("diagram has no root-terminal path")
 
+    labels = _arc_labels(dd)
     assignment = []
     node = dd.root
-    for j in range(dd.num_arc_layers):
+    for j in range(m):
         tol = PATH_TIE_TOL * (1.0 + abs(best[node]))
         choice = None
-        for arc in dd.arcs[j]:
-            if arc.tail != node or arc.head not in best:
+        for i in range(first[j], first[j + 1]):
+            below = best[head[i]]
+            if tail[i] != node or below is None:
                 continue
-            if isinstance(arc.label, Interval):
-                cand_labels = arc.label.endpoints()
-            else:
-                cand_labels = (arc.label,)
-            for lab in cand_labels:
-                contrib = arc.weight * lab if isinstance(arc.label, Interval) else arc.weight
-                if abs(contrib + best[arc.head] - best[node]) <= tol:
-                    key = (lab, arc.head)
-                    if choice is None or key < choice[0]:
-                        choice = (key, arc)
-        if choice is None:  # numerical safety net; fall back to best arc
+            lab = labels[i]
+            for e in (_endpoints(*lab) if i >= vf else (lab,)):
+                contrib = weight[i] * e if i >= vf else weight[i]
+                if abs(contrib + below - best[node]) <= tol:
+                    key = (e, head[i])
+                    if choice is None or key < choice:
+                        choice = key
+        if choice is None:   # no arc within the tie tolerance of the pass's value
             raise EmptyDiagramError("optimal path reconstruction failed")
-        (lab, _), arc = choice
-        assignment.append(lab)
-        node = arc.head
+        assignment.append(choice[0])
+        node = choice[1]
     return assignment, best[dd.root]
 
 
 def enumerate_solutions(dd, cap=100_000):
     """Exact multiset of path encodings; interval arcs expand to endpoints."""
-    if not dd.arcs:
+    m = dd.num_arc_layers
+    if not m:
         return []
-    out_maps = [dd.out_map(j) for j in range(dd.num_arc_layers)]
+    labels, vf = _arc_labels(dd), dd.value_first
+    head = dd.head.tolist()
+    order, first = dd.out_index()
+    order, first = order.tolist(), first.tolist()
     results = []
     stack = [(dd.root, 0, ())]
     while stack:
         node, j, prefix = stack.pop()
-        if j == dd.num_arc_layers:
+        if j == m:
             results.append(prefix)
             if len(results) > cap:
                 raise PathExplosionError(f"more than {cap} paths")
             continue
-        for arc in reversed(out_maps[j].get(node, ())):
-            labels = arc.label.endpoints() if isinstance(arc.label, Interval) \
-                else (arc.label,)
-            for lab in reversed(labels):
-                stack.append((arc.head, j + 1, prefix + (lab,)))
+        for i in reversed(order[first[node]:first[node + 1]]):
+            lab = labels[i]
+            for e in reversed(_endpoints(*lab) if i >= vf else (lab,)):
+                stack.append((head[i], j + 1, prefix + (e,)))
                 if len(stack) > cap:
                     raise PathExplosionError(f"more than {cap} paths")
     return results
@@ -344,21 +434,24 @@ def path_weight(dd, assignment, sense="max"):
     nodes), the best length for the given sense is returned.
     """
     better = max if sense == "max" else min
+    labels, weight, vf = _arc_labels(dd), dd.weight.tolist(), dd.value_first
+    tail, head = dd.tail.tolist(), dd.head.tolist()
     reach = {dd.root: 0.0}
     for j, lab in enumerate(assignment):
         nxt = {}
-        for arc in dd.arcs[j]:
-            if arc.tail not in reach:
+        for i in dd.layer_arcs(j):
+            if tail[i] not in reach:
                 continue
-            if isinstance(arc.label, Interval):
-                if not (arc.label.lo - 1e-12 <= lab <= arc.label.hi + 1e-12):
+            if i >= vf:
+                lo, hi = labels[i]
+                if not (lo - 1e-12 <= lab <= hi + 1e-12):
                     continue
-                total = reach[arc.tail] + arc.weight * lab
+                total = reach[tail[i]] + weight[i] * lab
             else:
-                if arc.label != lab:
+                if labels[i] != lab:
                     continue
-                total = reach[arc.tail] + arc.weight
-            nxt[arc.head] = better(nxt.get(arc.head, total), total)
+                total = reach[tail[i]] + weight[i]
+            nxt[head[i]] = better(nxt.get(head[i], total), total)
         if not nxt:
             raise ValueError(f"no arc with label {lab} at layer {j}")
         reach = nxt
@@ -375,31 +468,20 @@ def reduce_interval_arcs(dd, layer_indices):
     untouched.  Preserves optima of objectives convex in those
     coordinates.
     """
-    out = dd.copy()
+    labels = _arc_labels(dd)
+    lo = [lab[0] if i >= dd.value_first else lab for i, lab in enumerate(labels)]
+    hi = [lab[1] if i >= dd.value_first else lab for i, lab in enumerate(labels)]
+    tail, head = dd.tail.tolist(), dd.head.tolist()
+    keep = np.ones(len(labels), dtype=bool)
     for j in layer_indices:
         groups = {}
-        for arc in out.arcs[j]:
-            groups.setdefault((arc.tail, arc.head), []).append(arc)
-        kept = []
-        for pair_arcs in groups.values():
-            lo_arc = min(pair_arcs, key=_label_lo)
-            hi_arc = max(pair_arcs, key=_label_hi)
-            kept.append(lo_arc)
-            if hi_arc is not lo_arc:
-                kept.append(hi_arc)
-        # keep deterministic layer order
-        order = {id(a): i for i, a in enumerate(out.arcs[j])}
-        kept.sort(key=lambda a: order[id(a)])
-        out.arcs[j] = kept
-    return out
-
-
-def _label_lo(arc):
-    return arc.label.lo if isinstance(arc.label, Interval) else arc.label
-
-
-def _label_hi(arc):
-    return arc.label.hi if isinstance(arc.label, Interval) else arc.label
+        for i in dd.layer_arcs(j):
+            keep[i] = False
+            groups.setdefault((tail[i], head[i]), []).append(i)
+        for arcs in groups.values():
+            keep[min(arcs, key=lo.__getitem__)] = True
+            keep[max(arcs, key=hi.__getitem__)] = True
+    return _subset(dd, np.ones(dd.node_count(), dtype=bool), keep)
 
 
 def append_value_layer(dd, lo, hi, slope=1.0):
@@ -411,27 +493,25 @@ def append_value_layer(dd, lo, hi, slope=1.0):
     variables only.
     """
     m = dd.num_arc_layers
-    out = DecisionDiagram(m + 1, continuous_last=True)
+    out = DiagramBuilder(m + 1, continuous_last=True)
     out.layer_kinds[:m] = list(dd.layer_kinds)
-    out.layers = [list(layer) for layer in dd.layers[:-1]]
-    out.layers.append([])   # clone layer
-    out.layers.append([])   # new terminal
-    out.arcs = [[Arc(a.tail, a.head, a.label, a.weight) for a in layer]
-                for layer in dd.arcs[:-1]]
-    out.states = dict(dd.states)
-    out.merged = set(dd.merged)
-    out._next_id = dd._next_id
+    layer_of = np.repeat(np.arange(m + 1), np.diff(dd.node_first)).tolist()
+    merged = dd.merged.tolist()
+    for r in range(dd.terminal):   # every row but the terminal keeps its handle
+        out.new_node(layer_of[r], dd.states[r], merged[r])
+    tail, head = dd.tail.tolist(), dd.head.tolist()
+    label, weight = dd.label.tolist(), dd.weight.tolist()
     clone = {}
-    last_arcs = []
-    for arc in dd.arcs[-1]:
-        if arc.tail not in clone:
-            clone[arc.tail] = out.new_node(m)
-        last_arcs.append(Arc(arc.tail, clone[arc.tail], arc.label, arc.weight))
-    out.arcs.append(last_arcs)
+    for j in range(m):
+        for i in dd.layer_arcs(j):
+            if j == m - 1 and tail[i] not in clone:
+                clone[tail[i]] = out.new_node(m)
+            out.add_arc(j, tail[i], clone[tail[i]] if j == m - 1 else head[i],
+                        label[i], weight[i])
     term = out.new_node(m + 1)
-    out.arcs.append([Arc(v, term, Interval(float(lo), float(hi)), slope)
-                     for v in out.layers[m]])
-    return out
+    for v in clone.values():
+        out.add_arc(m, v, term, Interval(float(lo), float(hi)), slope)
+    return out.build()
 
 
 # -- cut refinement --------------------------------------------------------------
@@ -479,15 +559,17 @@ def _refine_exact(dd, cuts):
     that is NaN in every carried row separates no two keys, so it is
     dropped; cuts settled at the root never enter the pass.
 
-    Per-layer work is spent only where the diagram branches.  The arcs
-    are flattened once, with one row per arc of label times coefficient
-    (from CutRow.dense, which the cut keeps) and of the drop and settle
-    limits at the arc's head.  A frontier of one node whose input node
-    has a single outgoing arc starts a run of single-arc layers, which
-    _advance_run takes in one step; one arc makes one node, so the run
-    needs no keys.  Elsewhere, one key per arc holds the head and the
-    rounded lhs of every column.  Node ids, arc order, labels, weights
-    and the InfeasibleDiagramError cases are those of extending,
+    Per-layer work is spent only where the diagram branches.  Each arc
+    gets a row of label times coefficient (from CutRow.dense, which the
+    cut keeps) and of the drop and settle limits at its head.  A frontier
+    of one node whose input node has a single out-arc starts a run of
+    single-arc layers, which _advance_run takes in one step; one arc
+    makes one node, so the run needs no keys.  Elsewhere, one key per arc
+    holds the head and the rounded lhs of every column.  The output is
+    collected as input rows per output node and (tail, head, input arc)
+    per output arc, and labels, weights, states and tags are gathered
+    from the input once at the end.  Node rows, arc order, labels,
+    weights and the InfeasibleDiagramError cases are those of extending,
     settling and keying every layer on its own.
     """
     m = dd.num_arc_layers
@@ -502,130 +584,167 @@ def _refine_exact(dd, cuts):
     coef = np.array([c.dense(num_discrete) for c in feas + opt],
                     dtype=float).reshape(len(cuts), num_discrete).T
     coef[:, :nf] *= sign
-    nids = [nid for layer in dd.layers for nid in layer]
-    row = {nid: r for r, nid in enumerate(nids)}
-    arcs = [a for layer in dd.arcs for a in layer]
-    first = list(itertools.accumulate((len(layer) for layer in dd.arcs), initial=0))
-    tails = [row[a.tail] for a in arcs]
-    heads = [row[a.head] for a in arcs]
-    nd = first[num_discrete]   # arcs on discrete layers come first
-    step = np.zeros((len(arcs), len(cuts)))
-    step[:nd] = np.array([a.label for a in arcs[:nd]], dtype=float)[:, None] \
-        * coef[np.repeat(np.arange(num_discrete), np.diff(first[:num_discrete + 1]))]
-    drop_above, settled_at = _completion_limits(dd, feas, sign, step[:, :nf],
-                                                tails, heads, first, row)
+    heads = dd.head
+    nd = int(dd.arc_first[num_discrete])   # arcs on discrete layers come first
+    step = np.zeros((len(heads), len(cuts)))
+    step[:nd] = dd.label[:nd, None] \
+        * coef[np.repeat(np.arange(num_discrete), np.diff(dd.arc_first[:num_discrete + 1]))]
+    drop_above, settled_at = _completion_limits(dd, feas, sign, step[:, :nf])
     # per discrete arc: step, drop limit and settle limit at its head; the
     # optimality columns get limits that never fire
-    head_rows = np.array(heads[:nd], dtype=int)
     per_arc = np.empty((nd, 3, len(cuts)))
     per_arc[:, 0] = step[:nd]
-    per_arc[:, 1, :nf] = drop_above[head_rows]
+    per_arc[:, 1, :nf] = drop_above[heads[:nd]]
     per_arc[:, 1, nf:] = np.inf
-    per_arc[:, 2, :nf] = settled_at[head_rows]
+    per_arc[:, 2, :nf] = settled_at[heads[:nd]]
     per_arc[:, 2, nf:] = -np.inf
     # CutRow.satisfied per column, for the last layer
     le = np.array([c.sense == "<=" for c in feas] + [True] * len(opt))
     rhs = np.array([c.rhs for c in feas] + [np.inf] * len(opt))
     rhs_up, rhs_down = rhs + CUT_TOL, rhs - CUT_TOL
 
-    rt = row[dd.root]
-    if (0.0 > drop_above[rt]).any():
+    if (0.0 > drop_above[dd.root]).any():
         raise InfeasibleDiagramError("a cut removes every path")
-    cols = np.concatenate([np.flatnonzero(settled_at[rt] < 0.0), np.arange(nf, len(cuts))])
+    cols = np.concatenate([np.flatnonzero(settled_at[dd.root] < 0.0),
+                           np.arange(nf, len(cuts))])
     lhs = np.zeros((1, cols.size))
-    out = DecisionDiagram(m)
-    out.layer_kinds = list(dd.layer_kinds)
-
-    def copy_node(layer, nid):
-        """A node of out in `layer` with input node nid's state and merged tag."""
-        return out.new_node(layer, state=dd.states.get(nid), merged=nid in dd.merged)
+    order, out_first = dd.out_index()
+    out_deg = np.diff(out_first)
+    # dead nodes are possible only where an input node has no out-arc or an
+    # arc is dropped; otherwise every output node is on a path
+    pruned = not out_deg[:-1].all()
 
     def gather(idx):
         g = per_arc[idx]
         return g if cols.size == len(cuts) else g[:, :, cols]
 
-    olds = [rt]
-    news = [copy_node(0, dd.root)]
+    # the output: the input row of each node, layer by layer, and the
+    # (tail row, head row, input arc) of each arc, with per-layer counts
+    node_src, layer_size = [np.array([dd.root])], [1]
+    arc_tail, arc_head, arc_src, layer_arcs = [], [], [], []
+    olds = node_src[0]   # input rows of the frontier
+    base = 0             # output row of the frontier's first node
+    lo, hi = dd.lo, dd.hi   # the value layer's intervals, tightened on the way out
     j = 0
     while True:
-        # a run: one frontier node whose input node has one outgoing arc,
+        # a run: one frontier node whose input node has one out-arc,
         # followed down to the last layer but one
         run = []
-        while len(olds) == 1 and j + len(run) < m - 1:
-            u = heads[run[-1]] if run else olds[0]
-            a, b = first[j + len(run)], first[j + len(run) + 1]
-            if tails[a:b].count(u) != 1:
-                break
-            run.append(tails.index(u, a, b))
+        if len(olds) == 1:
+            u = int(olds[0])
+            while j + len(run) < m - 1 and out_deg[u] == 1:
+                run.append(int(order[out_first[u]]))
+                u = int(heads[run[-1]])
         if run:
             g = gather(run)
             lhs = _advance_run(lhs, g[:, 0], g[:, 1], g[:, 2])
             if lhs is None:
                 raise InfeasibleDiagramError("a cut removes every path")
-            for i in run:
-                tail = news[0]
-                news = [copy_node(j + 1, nids[heads[i]])]
-                out.arcs[j].append(Arc(tail, news[0], arcs[i].label, arcs[i].weight))
-                j += 1
-            olds = [heads[run[-1]]]
+            rows = np.arange(base + 1, base + 1 + len(run))
+            olds = heads[run]
+            node_src.append(olds)
+            arc_tail.append(rows - 1)
+            arc_head.append(rows)
+            arc_src.append(np.array(run))
+            layer_size += [1] * len(run)
+            layer_arcs += [1] * len(run)
+            base += len(run)
+            j += len(run)
+            olds = olds[-1:]
         else:
-            a, b = first[j], first[j + 1]
-            out_of = {}
-            for i in range(a, b):
-                out_of.setdefault(tails[i], []).append(i)
-            src, idx = [], []
-            for r, u in enumerate(olds):
-                for i in out_of.get(u, ()):
-                    src.append(r)
-                    idx.append(i)
-            if not idx:
+            # each frontier node's out-arcs in turn, in add order
+            deg = out_deg[olds]
+            src = np.repeat(np.arange(len(olds)), deg)
+            if not src.size:
                 raise InfeasibleDiagramError("a cut removes every path")
+            idx = order[np.arange(src.size) + (out_first[olds] - np.cumsum(deg) + deg)[src]]
             is_last = j == m - 1
-            term = copy_node(m, dd.terminal) if is_last else None
             if cont and is_last:
-                ok, bound_lhs = _satisfied(lhs, le[cols], rhs_up[cols], rhs_down[cols]), \
-                    lhs[:, cols.size - len(opt):].tolist()
-                tighten = [(c.rhs, c.z_coeff, (c.sense == "<=") == (c.z_coeff > 0))
-                           for c in opt]
-                for i, r in zip(idx, src):
-                    label = _tighten(arcs[i].label, tighten, bound_lhs[r]) if ok[r] else None
-                    if label is not None:
-                        out.arcs[j].append(Arc(news[r], term, label, arcs[i].weight))
-                break
-            g = gather(idx)
-            child = lhs[src] + g[:, 0]
-            keep = ~(child > g[:, 1]).any(axis=1)
-            child = np.where(child <= g[:, 2], np.nan, child)
+                keep, lo, hi = _tighten(dd, opt, idx - dd.value_first,
+                                        lhs[:, cols.size - len(opt):], src,
+                                        _satisfied(lhs, le[cols], rhs_up[cols], rhs_down[cols]))
+                lo, hi = lo[keep], hi[keep]
+            else:
+                g = gather(idx)
+                child = lhs[src] + g[:, 0]
+                keep = ~(child > g[:, 1]).any(axis=1)
+                child = np.where(child <= g[:, 2], np.nan, child)
+                if is_last:
+                    keep &= _satisfied(child, le[cols], rhs_up[cols], rhs_down[cols])
             if is_last:
-                keep &= _satisfied(child, le[cols], rhs_up[cols], rhs_down[cols])
-                out.arcs[j] = [Arc(news[src[c]], term, arcs[idx[c]].label, arcs[idx[c]].weight)
-                               for c in np.flatnonzero(keep).tolist()]
+                node_src.append(np.array([dd.terminal]))
+                layer_size.append(1)
+                arc_tail.append(base + src[keep])
+                arc_head.append(np.full(int(keep.sum()), base + len(olds)))
+                arc_src.append(idx[keep])
+                layer_arcs.append(int(keep.sum()))
+                pruned = pruned or layer_arcs[-1] < keep.size
                 break
+            sel = np.flatnonzero(keep)
+            pruned = pruned or sel.size < keep.size
+            if not sel.size:
+                raise InfeasibleDiagramError("a cut removes every path")
             # keys compare bits: every NaN here is np.nan itself, so one
             # pattern per settled entry, and + 0.0 folds -0.0 into 0.0 as
             # round() does
-            key = np.empty((len(idx), 1 + cols.size))
-            key[:, 0] = head_rows[idx]
-            np.rint(child / SPLIT_GRID, out=key[:, 1:])
+            key = np.empty((sel.size, 1 + cols.size))
+            key[:, 0] = heads[idx[sel]]
+            np.rint(child[sel] / SPLIT_GRID, out=key[:, 1:])
             key[:, 1:] += 0.0
-            keys = _row_keys(key)
-            sel = np.flatnonzero(keep).tolist()
-            group, kept = {}, []   # output node of each key, numbered by first arc
-            for c in sel:
-                if keys[c] not in group:
-                    group[keys[c]] = len(kept)
-                    kept.append(c)
-            olds = [heads[idx[c]] for c in kept]
-            nxt = [copy_node(j + 1, nids[r]) for r in olds]
-            out.arcs[j] = [Arc(news[src[c]], nxt[group[keys[c]]], arcs[idx[c]].label,
-                               arcs[idx[c]].weight) for c in sel]
-            news = nxt
-            lhs = child[kept]
+            group, firsts = {}, []   # output node of each key, numbered by first arc
+            gid = []
+            for c, k in zip(sel.tolist(), _row_keys(key)):
+                if k not in group:
+                    group[k] = len(firsts)
+                    firsts.append(c)
+                gid.append(group[k])
+            arc_tail.append(base + src[sel])
+            base += len(olds)
+            arc_head.append(base + np.array(gid, dtype=np.intp))
+            arc_src.append(idx[sel])
+            layer_arcs.append(sel.size)
+            olds = heads[idx[firsts]]
+            node_src.append(olds)
+            layer_size.append(len(firsts))
+            lhs = child[firsts]
             j += 1
-        live = ~np.isnan(lhs).all(axis=0)
-        if not live.all():
-            cols, lhs = cols[live], lhs[:, live]
-    return _drop_dead_nodes(out)
+        if cols.size > len(opt):   # only feasibility columns settle
+            live = ~np.isnan(lhs).all(axis=0)
+            if not live.all():
+                cols, lhs = cols[live], lhs[:, live]
+    node_src = np.concatenate(node_src)
+    arc_src = np.concatenate(arc_src)
+    out = DecisionDiagram(
+        layer_kinds=list(dd.layer_kinds),
+        node_first=np.array(list(itertools.accumulate(layer_size, initial=0))),
+        states=[dd.states[r] for r in node_src.tolist()],
+        merged=dd.merged[node_src],
+        arc_first=np.array(list(itertools.accumulate(layer_arcs, initial=0))),
+        tail=np.concatenate(arc_tail), head=np.concatenate(arc_head),
+        label=dd.label[arc_src], weight=dd.weight[arc_src],
+        lo=lo, hi=hi)
+    return _drop_dead_nodes(out) if pruned else out
+
+
+def _tighten(dd, opt, value_arcs, bound_lhs, src, ok):
+    """(keep, lo, hi) of value-layer arcs after each optimality cut in turn.
+
+    value_arcs indexes dd.lo and dd.hi; arc k leaves the frontier node
+    src[k], whose optimality lhs values are bound_lhs[src[k]] and whose
+    feasibility cuts hold where ok is set.  An arc is dropped once its
+    interval is empty; min and max keep the first operand on ties.
+    """
+    lo, hi = dd.lo[value_arcs], dd.hi[value_arcs]
+    keep = ok[src]
+    for k, c in enumerate(opt):
+        bound = (c.rhs - bound_lhs[src, k]) / c.z_coeff
+        if (c.sense == "<=") == (c.z_coeff > 0):   # bounds z from above
+            hi = np.where(bound < hi, bound, hi)
+        else:
+            lo = np.where(bound > lo, bound, lo)
+        keep &= ~(lo > hi + CUT_TOL)
+        lo, hi = np.where(hi < lo, hi, lo), np.where(hi > lo, hi, lo)
+    return keep, lo, hi
 
 
 def _advance_run(lhs, step, drop, settle):
@@ -662,7 +781,7 @@ def _row_keys(a):
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
 
 
-def _completion_limits(dd, feas, sign, fstep, tails, heads, first, row):
+def _completion_limits(dd, feas, sign, fstep):
     """Per input node row, the lhs limits past which feasibility cuts are decided.
 
     One backward pass gives, for every node, the min and max over its
@@ -675,19 +794,19 @@ def _completion_limits(dd, feas, sign, fstep, tails, heads, first, row):
     (one grid step per layer, on either side) and the different
     summation order.
 
-    fstep holds each arc's signed lhs step (zero on a continuous layer),
-    with the arcs flattened layer by layer; layer j's arcs are
-    first[j]:first[j + 1], and tails and heads give their node rows.  A
-    run of layers with one arc each, chained head to tail, is one reverse
-    cumsum from its deep end: the same additions as layer by layer, since
-    such a layer's tail has no other arc to take a min or max with.
+    fstep holds each arc's signed lhs step (zero on a continuous layer).
+    A run of layers with one arc each, chained head to tail, is one
+    reverse cumsum from its deep end: the same additions as layer by
+    layer, since such a layer's tail has no other arc to take a min or
+    max with.
     """
-    m = dd.num_arc_layers
+    m, n = dd.num_arc_layers, dd.node_count()
     if not feas:
-        return np.empty((len(row), 0)), np.empty((len(row), 0))
-    lo = np.full((len(row), len(feas)), np.inf)
-    hi = np.full((len(row), len(feas)), -np.inf)
-    lo[row[dd.terminal]] = hi[row[dd.terminal]] = 0.0
+        return np.empty((n, 0)), np.empty((n, 0))
+    tails, heads, first = dd.tail, dd.head, dd.arc_first.tolist()
+    lo = np.full((n, len(feas)), np.inf)
+    hi = np.full((n, len(feas)), -np.inf)
+    lo[dd.terminal] = hi[dd.terminal] = 0.0
     j = m - 1
     while j >= 0:
         a, b = first[j], first[j + 1]
@@ -697,7 +816,7 @@ def _completion_limits(dd, feas, sign, fstep, tails, heads, first, row):
                     and heads[first[top - 1]] == tails[first[top]]:
                 top -= 1
             run = first[j:top - 1 if top else None:-1]   # one arc per layer, deep end first
-            rows = [tails[i] for i in run]
+            rows = tails[run]
             steps = fstep[run]
             h = heads[run[0]]
             lo[rows] = np.cumsum(np.concatenate([lo[h:h + 1], steps]), axis=0)[1:]
@@ -715,24 +834,6 @@ def _completion_limits(dd, feas, sign, fstep, tails, heads, first, row):
     return limit + margin - lo, limit - margin - hi
 
 
-def _tighten(label, opt, lhs):
-    """Interval label after each optimality cut in turn, or None once empty.
-
-    opt holds (rhs, z_coeff, bounds z from above) per optimality cut.
-    """
-    lo, hi = label.lo, label.hi
-    for (rhs, z_coeff, upper), s in zip(opt, lhs):
-        bound = (rhs - s) / z_coeff
-        if upper:
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
-        if lo > hi + CUT_TOL:
-            return None
-        lo, hi = min(lo, hi), max(lo, hi)
-    return Interval(lo, hi)
-
-
 # -- constructors ----------------------------------------------------------------
 
 
@@ -742,11 +843,11 @@ def from_paths(paths, weight_fn=None):
     Path elements are floats for discrete layers; the final element may
     be an (lo, hi) pair or Interval, making the last layer continuous.
     weight_fn(layer, label) supplies arc weights (interval arcs receive
-    the slope); weights default to zero.
+    the slope); weights default to zero.  A path given twice adds no arc.
     """
     paths = [tuple(p) for p in paths]
     if not paths:
-        return DecisionDiagram(0)
+        return DiagramBuilder(0).build()
     m = len(paths[0])
     if any(len(p) != m for p in paths):
         raise ValueError("all paths must have the same length")
@@ -762,10 +863,11 @@ def from_paths(paths, weight_fn=None):
     continuous = any(isinstance(p[-1], Interval) for p in paths)
     if any(isinstance(el, Interval) for p in paths for el in p[:-1]):
         raise ValueError("interval labels are only allowed on the last layer")
-    dd = DecisionDiagram(m, continuous_last=continuous)
+    dd = DiagramBuilder(m, continuous_last=continuous)
     root = dd.new_node(0)
     term = dd.new_node(m)
     trie = {(): root}
+    last = set()   # (tail, label) of the last layer's arcs
     for p in paths:
         for j in range(m):
             prefix, nxt = p[:j], p[:j + 1]
@@ -781,12 +883,12 @@ def from_paths(paths, weight_fn=None):
             if continuous and j == m - 1 and not isinstance(label, Interval):
                 label = Interval(float(label), float(label))
             w = weight_fn(j, label) if weight_fn is not None else 0.0
-            if j == m - 1 and any(a.tail == tail and a.label == label
-                                  for a in dd.arcs[j]):
-                continue
+            if j == m - 1:
+                if (tail, label) in last:
+                    continue
+                last.add((tail, label))
             dd.add_arc(j, tail, head, label, w)
-    # order layers by first appearance for determinism
-    return dd
+    return dd.build()
 
 
 def from_boxes(boxes, weight_fn=None):
@@ -801,7 +903,7 @@ def from_boxes(boxes, weight_fn=None):
     if len(dims) != 1:
         raise ValueError("boxes must share one dimension")
     n = dims.pop()
-    dd = DecisionDiagram(n)
+    dd = DiagramBuilder(n)
     root = dd.new_node(0)
     term = dd.new_node(n)
     for lo, hi in boxes:
@@ -813,7 +915,7 @@ def from_boxes(boxes, weight_fn=None):
                 w = weight_fn(j, lab) if weight_fn is not None else 0.0
                 dd.add_arc(j, prev, head, lab, w)
             prev = head
-    return dd
+    return dd.build()
 
 
 # -- export ----------------------------------------------------------------------
@@ -822,29 +924,24 @@ def from_boxes(boxes, weight_fn=None):
 def to_dot(dd):
     """Graphviz text with deterministic node ordering."""
     lines = ["digraph dd {", "  rankdir=TB;"]
-    names = {}
-    for i, layer in enumerate(dd.layers):
-        for nid in layer:
-            if nid == dd.root:
-                name = "r"
-            elif len(dd.layers) > 1 and nid == dd.terminal:
-                name = "t"
-            else:
-                name = f"n{len(names)}"
-            names[nid] = name
-            state = dd.states.get(nid)
-            label = name if state is None else f"{name} {state}"
-            if nid in dd.merged:
-                label += " *"
-            lines.append(f'  {name} [label="{label}"];')
-    for j, layer_arcs in enumerate(dd.arcs):
-        for arc in layer_arcs:
-            if isinstance(arc.label, Interval):
-                lab = f"[{arc.label.lo:g},{arc.label.hi:g}]"
-            else:
-                lab = f"{arc.label:g}"
-            lines.append(f'  {names[arc.tail]} -> {names[arc.head]} '
-                         f'[label="{lab} / {arc.weight:g}"];')
+    names = []
+    merged = dd.merged.tolist()
+    for r, state in enumerate(dd.states):
+        if r == dd.root:
+            name = "r"
+        elif dd.num_arc_layers and r == dd.terminal:
+            name = "t"
+        else:
+            name = f"n{r}"
+        names.append(name)
+        label = name if state is None else f"{name} {state}"
+        if merged[r]:
+            label += " *"
+        lines.append(f'  {name} [label="{label}"];')
+    for tail, head, lab, w in zip(dd.tail.tolist(), dd.head.tolist(), _arc_labels(dd),
+                                  dd.weight.tolist()):
+        lab = f"[{lab[0]:g},{lab[1]:g}]" if isinstance(lab, tuple) else f"{lab:g}"
+        lines.append(f'  {names[tail]} -> {names[head]} [label="{lab} / {w:g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -853,40 +950,23 @@ SCHEMA_VERSION = 1
 
 
 def dd_to_json(dd):
-    """Versioned JSON text; node ids are renumbered canonically."""
-    ids = {}
-    for layer in dd.layers:
-        for nid in layer:
-            ids[nid] = len(ids)
+    """Versioned JSON text; node ids are the rows."""
+    merged = dd.merged.tolist()
+    nodes = [{"id": r,
+              **({} if s is None else {"state": list(s) if isinstance(s, (tuple, list)) else s}),
+              **({"merged": True} if merged[r] else {})}
+             for r, s in enumerate(dd.states)]
+    arcs = [{"tail": t, "head": h,
+             "label": {"lo": lab[0], "hi": lab[1]} if isinstance(lab, tuple) else lab,
+             "weight": w}
+            for t, h, lab, w in zip(dd.tail.tolist(), dd.head.tolist(), _arc_labels(dd),
+                                    dd.weight.tolist())]
+    node_first, arc_first = dd.node_first.tolist(), dd.arc_first.tolist()
     doc = {
         "version": SCHEMA_VERSION,
         "layer_kinds": list(dd.layer_kinds),
-        "layers": [
-            [
-                {
-                    "id": ids[nid],
-                    **({"state": list(dd.states[nid])
-                        if isinstance(dd.states.get(nid), (tuple, list))
-                        else dd.states[nid]} if nid in dd.states else {}),
-                    **({"merged": True} if nid in dd.merged else {}),
-                }
-                for nid in layer
-            ]
-            for layer in dd.layers
-        ],
-        "arcs": [
-            [
-                {
-                    "tail": ids[a.tail],
-                    "head": ids[a.head],
-                    "label": {"lo": a.label.lo, "hi": a.label.hi}
-                    if isinstance(a.label, Interval) else a.label,
-                    "weight": a.weight,
-                }
-                for a in layer
-            ]
-            for layer in dd.arcs
-        ],
+        "layers": [nodes[a:b] for a, b in zip(node_first[:-1], node_first[1:])],
+        "arcs": [arcs[a:b] for a, b in zip(arc_first[:-1], arc_first[1:])],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -895,23 +975,18 @@ def dd_from_json(text):
     doc = json.loads(text)
     if doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported diagram schema version {doc.get('version')}")
-    m = len(doc["arcs"])
-    dd = DecisionDiagram(m)
+    dd = DiagramBuilder(len(doc["arcs"]))
     dd.layer_kinds = list(doc["layer_kinds"])
+    handle = {}
     for i, layer in enumerate(doc["layers"]):
         for node in layer:
-            dd.layers[i].append(node["id"])
-            if "state" in node:
-                state = node["state"]
-                dd.states[node["id"]] = tuple(state) if isinstance(state, list) else state
-            if node.get("merged"):
-                dd.merged.add(node["id"])
-    dd._next_id = 1 + max((n["id"] for layer in doc["layers"] for n in layer),
-                          default=-1)
+            state = node.get("state")
+            handle[node["id"]] = dd.new_node(
+                i, tuple(state) if isinstance(state, list) else state, node.get("merged", False))
     for j, layer in enumerate(doc["arcs"]):
         for a in layer:
             label = a["label"]
             if isinstance(label, dict):
                 label = Interval(label["lo"], label["hi"])
-            dd.add_arc(j, a["tail"], a["head"], label, a["weight"])
-    return dd
+            dd.add_arc(j, handle[a["tail"]], handle[a["head"]], label, a["weight"])
+    return dd.build()

@@ -47,6 +47,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagram import (
     EmptyDiagramError,
     optimal_path,
@@ -232,18 +234,13 @@ def exact_cutset(dd):
     Returns (layer index, node ids).  For an exact diagram this is the
     last node layer before the terminal; the root layer is always exact.
     """
-    where = dd.node_layer_of()
-    first_merged = None
-    for nid in dd.merged:
-        li = where.get(nid)
-        if li is not None and (first_merged is None or li < first_merged):
-            first_merged = li
-    if first_merged is None:
-        idx = len(dd.layers) - 2
+    merged = np.flatnonzero(dd.merged)
+    if merged.size:   # rows are in layer order, so the first merged row is shallowest
+        idx = int(np.searchsorted(dd.node_first, merged[0], side="right")) - 2
     else:
-        idx = first_merged - 1
+        idx = dd.num_arc_layers - 1
     idx = max(idx, 0)
-    return idx, list(dd.layers[idx])
+    return idx, list(dd.layer_rows(idx))
 
 
 def enumerate_prefixes(dd, layer_idx, cap):
@@ -254,6 +251,9 @@ def enumerate_prefixes(dd, layer_idx, cap):
     node is not enough.  Returns None when more than `cap` prefixes
     exist so the caller can fall back to a shallower layer.
     """
+    order, first = dd.out_index()
+    order, first = order.tolist(), first.tolist()
+    label, head = dd.label.tolist(), dd.head.tolist()
     out = []
     seen = set()
     stack = [(dd.root, 0, ())]
@@ -266,9 +266,8 @@ def enumerate_prefixes(dd, layer_idx, cap):
                 if len(out) > cap:
                     return None
             continue
-        for arc in dd.arcs[j]:
-            if arc.tail == node:
-                stack.append((arc.head, j + 1, labs + (arc.label,)))
+        for i in order[first[node]:first[node + 1]]:
+            stack.append((head[i], j + 1, labs + (label[i],)))
     return sorted(out)
 
 
@@ -279,13 +278,16 @@ def forced_prefix(dd):
     never takes a value-layer label.
     """
     labels = ()
-    nodes = {dd.root}
-    for j in range(len(dd.layers) - 2):
-        out = [arc for arc in dd.arcs[j] if arc.tail in nodes]
-        if len({arc.label for arc in out}) != 1:
+    nodes = np.zeros(dd.node_count(), dtype=bool)
+    nodes[dd.root] = True
+    for j in range(dd.num_arc_layers - 1):
+        a, b = dd.arc_first[j], dd.arc_first[j + 1]
+        out = nodes[dd.tail[a:b]]
+        labs = dd.label[a:b][out].tolist()
+        if len(set(labs)) != 1:
             break
-        labels += (out[0].label,)
-        nodes = {arc.head for arc in out}
+        labels += (labs[0],)
+        nodes[dd.head[a:b][out]] = True
     return labels
 
 
@@ -495,15 +497,14 @@ def cost_tuple_reward(dd, cuts):
     its nodes.
     """
     m = dd.num_arc_layers
-    if m == 0 or not dd.layers[-2]:
+    if m == 0 or not dd.layer_rows(m - 1):
         raise EmptyDiagramError("no nodes to propagate rewards through")
+    incoming = np.bincount(dd.head, minlength=dd.node_count())
     for j in range(1, m):
-        incoming = dd.in_map(j - 1)
-        for nid in dd.layers[j]:
-            if len(incoming.get(nid, ())) != 1:
+        for nid in dd.layer_rows(j):
+            if incoming[nid] != 1:
                 raise PropertyViolationError(
-                    f"node {nid} at layer {j} has "
-                    f"{len(incoming.get(nid, ()))} incoming arcs")
+                    f"node {nid} at layer {j} has {incoming[nid]} incoming arcs")
     alphas = []
     for cut in cuts:
         if cut.z_coeff == 0.0:
@@ -514,25 +515,27 @@ def cost_tuple_reward(dd, cuts):
         coef = {j: -c / cut.z_coeff for j, c in cut.coeffs.items()}
         alphas.append((coef, cut.rhs / cut.z_coeff))
 
+    tail, head, label = dd.tail.tolist(), dd.head.tolist(), dd.label.tolist()
     rewards = {dd.root: [a0 for _, a0 in alphas]}
     for j in range(m - 1):
-        for arc in dd.arcs[j]:
-            base = rewards[arc.tail]
-            rewards[arc.head] = [
-                base[k] + alphas[k][0].get(j, 0.0) * arc.label
+        for i in dd.layer_arcs(j):
+            base = rewards[tail[i]]
+            rewards[head[i]] = [
+                base[k] + alphas[k][0].get(j, 0.0) * label[i]
                 for k in range(len(alphas))
             ]
     best = None
-    last = dd.out_map(m - 1)
-    for nid in dd.layers[-2]:
+    last = {}
+    for i in dd.layer_arcs(m - 1):
+        last.setdefault(tail[i], []).append(i)
+    for nid in dd.layer_rows(m - 1):
         arcs = last.get(nid)
         if not arcs:
             continue
         if len(arcs) != 1:
             raise PropertyViolationError(
                 f"node {nid} sends {len(arcs)} arcs to the terminal")
-        arc = arcs[0]
-        acc = min(rewards[nid][k] + alphas[k][0].get(m - 1, 0.0) * arc.label
+        acc = min(rewards[nid][k] + alphas[k][0].get(m - 1, 0.0) * label[arcs[0]]
                   for k in range(len(alphas)))
         if best is None or acc > best:
             best = acc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CutRow, DecisionDiagram, InfeasibleDiagramError, Interval
+from .diagram import CutRow, DiagramBuilder, InfeasibleDiagramError, Interval
 from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
 from .simplex import LinearProgram, solve
 
@@ -118,20 +118,21 @@ class MipMasterOracle(MasterOracle):
 
     def build_exact_dd(self, partial, cuts):
         n = len(self.problem.x_domains)
-        dd = DecisionDiagram(n + 1, continuous_last=True)
+        dd = DiagramBuilder(n + 1, continuous_last=True)
         node = dd.new_node(0)
         for j, domain in enumerate(self.problem.x_domains):
             head = dd.new_node(j + 1)
-            for v in dict.fromkeys(float(v) for v in domain):
-                if j >= len(partial) or abs(v - partial[j]) <= 1e-9:
-                    dd.add_arc(j, node, head, v, self.problem.x_obj[j] * v)
-            if not dd.arcs[j]:
+            values = [v for v in dict.fromkeys(float(v) for v in domain)
+                      if j >= len(partial) or abs(v - partial[j]) <= 1e-9]
+            if not values:
                 return None
+            for v in values:
+                dd.add_arc(j, node, head, v, self.problem.x_obj[j] * v)
             node = head
         lo, hi = self.problem.z_bounds
         dd.add_arc(n, node, dd.new_node(n + 1), Interval(float(lo), float(hi)), 1.0)
         try:
-            return replay_cuts(replay_cuts(dd, self._rows), cuts)
+            return replay_cuts(replay_cuts(dd.build(), self._rows), cuts)
         except InfeasibleDiagramError:
             return None
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagram import (
     CutRow,
-    DecisionDiagram,
+    DiagramBuilder,
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
@@ -321,7 +321,7 @@ def _compile_master(instance, partial, gamma, width=None):
     partial = tuple(partial)
     if len(partial) > n * T:
         raise ValueError("partial assignment longer than the variable count")
-    dd = DecisionDiagram(n * T + 1, continuous_last=True)
+    dd = DiagramBuilder(n * T + 1, continuous_last=True)
     fresh = _fresh_state(relaxed)
     cur = {fresh: dd.new_node(0, state=fresh)}
     dist = {fresh: 0.0}   # relaxed: cheapest root distance of each state in cur
@@ -369,7 +369,7 @@ def _compile_master(instance, partial, gamma, width=None):
     term = dd.new_node(n * T + 1)
     for node in cur.values():
         dd.add_arc(n * T, node, term, Interval(gamma.lo, gamma.hi), 1.0)
-    return dd
+    return dd.build()
 
 
 def build_master_dd(instance, partial=(), gamma=None):

@@ -4,21 +4,40 @@ _refine_exact is the one-pass refinement as it stood before single-arc
 layer runs were advanced in one step and settled cut columns were
 dropped: every layer is extended, settled and keyed on its own, with
 the cut coefficients read from the CutRow dicts on every call.  The
-production pass must return structurally identical diagrams (node ids,
+production pass must return structurally identical diagrams (node rows,
 arc order, label and weight bits, states, merged tags) or raise
-InfeasibleDiagramError in the same cases.
+InfeasibleDiagramError in the same cases.  The reference reads the input
+one arc layer at a time, as Arc tuples, and builds its output with
+DiagramBuilder, one node and one arc at a time.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
 from ddbd.diagram import (
     CUT_TOL,
     SPLIT_GRID,
-    DecisionDiagram,
+    DiagramBuilder,
     InfeasibleDiagramError,
     Interval,
     _drop_dead_nodes,
 )
+
+Arc = namedtuple("Arc", "tail head label weight")
+
+
+def layer_arcs(dd, j):
+    """Arc layer j of dd in order; value-layer labels as Interval."""
+    arcs = []
+    for i in dd.layer_arcs(j):
+        if i >= dd.value_first:
+            k = i - dd.value_first
+            label = Interval(float(dd.lo[k]), float(dd.hi[k]))
+        else:
+            label = float(dd.label[i])
+        arcs.append(Arc(int(dd.tail[i]), int(dd.head[i]), label, float(dd.weight[i])))
+    return arcs
 
 
 def _refine_exact(dd, cuts):
@@ -53,7 +72,7 @@ def _refine_exact(dd, cuts):
     sign = np.array([1.0 if c.sense == "<=" else -1.0 for c in feas])
     fcoef = _coefficients(feas, num_discrete) * sign
     ocoef = _coefficients(opt, num_discrete)
-    row = {nid: r for r, nid in enumerate(nid for layer in dd.layers for nid in layer)}
+    row = {nid: nid for nid in range(dd.node_count())}
     drop_above, settled_at = _completion_limits(dd, feas, sign, fcoef, row)
 
     def settle(lhs, heads):
@@ -72,13 +91,15 @@ def _refine_exact(dd, cuts):
     if not keep[0]:
         raise InfeasibleDiagramError("a cut removes every path")
     olhs = np.zeros((1, len(opt)))
-    out = DecisionDiagram(m)
+    out = DiagramBuilder(m)
     out.layer_kinds = list(dd.layer_kinds)
     olds = [dd.root]
-    news = [out.new_node(0, state=dd.states.get(dd.root), merged=dd.root in dd.merged)]
+    news = [out.new_node(0, state=dd.states[dd.root], merged=dd.merged[dd.root])]
     for j in range(m):
         is_last = j == m - 1
-        out_arcs = dd.out_map(j)
+        out_arcs = {}
+        for arc in layer_arcs(dd, j):
+            out_arcs.setdefault(arc.tail, []).append(arc)
         src, arcs = [], []
         for r, u in enumerate(olds):
             for arc in out_arcs.get(u, ()):
@@ -86,8 +107,8 @@ def _refine_exact(dd, cuts):
                 arcs.append(arc)
         if not arcs:
             raise InfeasibleDiagramError("a cut removes every path")
-        term = out.new_node(m, state=dd.states.get(dd.terminal),
-                            merged=dd.terminal in dd.merged) if is_last else None
+        term = out.new_node(m, state=dd.states[dd.terminal],
+                            merged=dd.merged[dd.terminal]) if is_last else None
         if cont and is_last:
             ok, bound_lhs = satisfied(flhs), olhs.tolist()
             for arc, r in zip(arcs, src):
@@ -115,14 +136,14 @@ def _refine_exact(dd, cuts):
             arc = arcs[c]
             node = nxt.get(keys[c])
             if node is None:
-                node = nxt[keys[c]] = out.new_node(j + 1, state=dd.states.get(arc.head),
-                                                   merged=arc.head in dd.merged)
+                node = nxt[keys[c]] = out.new_node(j + 1, state=dd.states[arc.head],
+                                                   merged=dd.merged[arc.head])
                 first.append(c)
             out.add_arc(j, news[src[c]], node, arc.label, arc.weight)
         olds = [arcs[c].head for c in first]
         news = list(nxt.values())
         flhs, olhs = child_f[first], child_o[first]
-    return _drop_dead_nodes(out)
+    return _drop_dead_nodes(out.build())
 
 
 def _row_keys(a):
@@ -155,13 +176,14 @@ def _completion_limits(dd, feas, sign, fcoef, row):
     hi = np.full((len(row), len(feas)), -np.inf)
     lo[row[dd.terminal]] = hi[row[dd.terminal]] = 0.0
     for j in range(m - 1, -1, -1):
-        if not dd.arcs[j]:
+        arcs = layer_arcs(dd, j)
+        if not arcs:
             continue
-        tails = [row[a.tail] for a in dd.arcs[j]]
-        heads = [row[a.head] for a in dd.arcs[j]]
+        tails = [row[a.tail] for a in arcs]
+        heads = [row[a.head] for a in arcs]
         step = 0.0
         if j < len(fcoef):
-            step = np.array([a.label for a in dd.arcs[j]])[:, None] * fcoef[j]
+            step = np.array([a.label for a in arcs])[:, None] * fcoef[j]
         np.minimum.at(lo, tails, lo[heads] + step)
         np.maximum.at(hi, tails, hi[heads] + step)
     rhs = np.array([c.rhs for c in feas])

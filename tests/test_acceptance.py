@@ -102,9 +102,9 @@ def test_criterion_1_worked_mip_end_to_end():
 
 
 def test_criterion_2_reward_propagation_worked_case():
-    from ddbd.diagram import CutRow, DecisionDiagram
+    from ddbd.diagram import CutRow, DiagramBuilder
 
-    dd = DecisionDiagram(2)
+    dd = DiagramBuilder(2)
     r = dd.new_node(0)
     u0 = dd.new_node(1)
     u1 = dd.new_node(1)
@@ -113,6 +113,7 @@ def test_criterion_2_reward_propagation_worked_case():
     dd.add_arc(0, r, u1, 1.0, 0.0)
     dd.add_arc(1, u0, t, 0.0, 0.0)
     dd.add_arc(1, u1, t, 0.0, 0.0)
+    dd = dd.build()
     cuts = [CutRow(coeffs={0: -3.0, 1: -2.0}, z_coeff=1.0, rhs=0.0, sense="<="),
             CutRow(coeffs={0: 3.0, 1: 5.0}, z_coeff=1.0, rhs=3.0, sense="<=")]
     reward = cost_tuple_reward(dd, cuts)
@@ -138,9 +139,9 @@ def test_criterion_3_golden_master_diagram():
     dd = build_master_dd(inst, gamma=GammaBounds(-25.0, 25.0))
     xs = sorted({sol[:-1] for sol in enumerate_solutions(dd)})
     assert xs == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    first_start = [a for a in dd.arcs[0] if a.label == 1.0]
+    first_start = [i for i in dd.layer_arcs(0) if dd.label[i] == 1.0]
     assert len(first_start) == 1
-    assert first_start[0].weight == GOLDEN_GENERATOR.c_fixed + \
+    assert dd.weight[first_start[0]] == GOLDEN_GENERATOR.c_fixed + \
         GOLDEN_GENERATOR.startup_cost_inf
     golden = (FIXTURES / "golden_two_period_master.json").read_bytes()
     assert dd_to_json(dd).encode() == golden

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -307,3 +308,43 @@ def test_emit_dot_snapshots(tmp_path):
     files = sorted(dots.glob("*.dot"))
     assert files, "expected diagram snapshots"
     assert "digraph" in files[0].read_text()
+
+
+# sha256 of every --emit-dot file, by file name, recorded before diagrams
+# were stored as flat arrays: to_dot must write the same bytes
+PINNED_DOTS = {
+    "two_binary_mip": {
+        "0000_restricted.dot": "62eeff71c6ac96d1fe5e566fc4955674af9f62222fb76022c4f6c827630bbc2c",
+        "0001_restricted.dot": "b839f89032174d29716791d54b013204efb73eba5b158cfb47b3e2e3986375ea",
+        "0002_restricted.dot": "11e52109134673105a61e58cb0dad643b7548f0f9ea6f5a51d4e04cfe742f91a",
+    },
+    # golden row 2x4x2 s5 x0.5: the master and five refinements of it
+    "ucp-2x4x2-s5-d0.5": {
+        "0000_restricted.dot": "7db09f3cdabead16c48a26aaff625f88cbeef37cecc331ccb5fee82eb15579cc",
+        "0001_restricted.dot": "5d8e072664c93341b32b5687ab34af2f2d93e2d500a2ac8e4a25c64d1ac2c16d",
+        "0002_restricted.dot": "fa11ee9dc1bcadb0384f410da07028823f2f0fb8428f0f15b02ad37991ccfd04",
+        "0003_restricted.dot": "c84d19ab1639ae65a019ea27741e49846dcaa102b3501983cf1bc82d51d8b725",
+        "0004_restricted.dot": "5ceca160c74a19e90fef045b2ade80e69b8e5f0db2c631e19c51bda9b8cb899f",
+        "0005_restricted.dot": "55e3921206e687392736fae9960927ada712d3d4273beae651718da433ea3405",
+    },
+}
+
+
+def _dot_hashes(tmp_path, name, instance):
+    dots = tmp_path / name
+    code = main(["solve", "--instance", str(instance), "--emit-dot", str(dots),
+                 "--out", str(tmp_path / f"{name}.json")])
+    assert code == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(dots.glob("*.dot"))}
+
+
+def test_emitted_dot_files_match_their_recorded_hashes(tmp_path):
+    from reference_lp import scaled_instance
+
+    ucp = tmp_path / "ucp.json"
+    ucp.write_text(scaled_instance(2, 4, 2, 5, 0.5).to_json())
+    got = {"two_binary_mip": _dot_hashes(tmp_path, "two_binary_mip",
+                                         FIXTURES / "two_binary_mip.json"),
+           "ucp-2x4x2-s5-d0.5": _dot_hashes(tmp_path, "ucp", ucp)}
+    assert got == PINNED_DOTS

@@ -1,12 +1,17 @@
+import dataclasses
+import hashlib
+import itertools
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 
 from ddbd.diagram import (
     CUT_TOL,
     CutRow,
-    DecisionDiagram,
+    DiagramBuilder,
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
@@ -23,11 +28,12 @@ from ddbd.diagram import (
     to_dot,
 )
 from ddbd.diagram import _drop_dead_nodes
+from ddbd.engine import replay_cuts
 
 
 def prune_dead_nodes(dd):
-    """Copy of dd without the nodes and arcs off every root-terminal path."""
-    return _drop_dead_nodes(dd.copy())
+    """dd without the nodes and arcs off every root-terminal path."""
+    return _drop_dead_nodes(dd)
 
 
 def linear_weights(coeffs):
@@ -37,7 +43,7 @@ def linear_weights(coeffs):
 def random_dd(rng, num_layers=4, max_nodes=8, labels=(0.0, 1.0, 2.0),
               parallel=1, weight_coeffs=None):
     """Random layered DD; every node keeps at least one outgoing arc."""
-    dd = DecisionDiagram(num_layers)
+    dd = DiagramBuilder(num_layers)
     prev = [dd.new_node(0)]
     for j in range(1, num_layers):
         width = rng.randint(1, max_nodes)
@@ -55,7 +61,7 @@ def random_dd(rng, num_layers=4, max_nodes=8, labels=(0.0, 1.0, 2.0),
         lab = rng.choice(labels)
         w = weight_coeffs[-1] * lab if weight_coeffs else rng.uniform(-2, 2)
         dd.add_arc(num_layers - 1, u, term, lab, w)
-    return prune_dead_nodes(dd)
+    return prune_dead_nodes(dd.build())
 
 
 def brute_force_best(dd, sense):
@@ -93,11 +99,15 @@ def test_optimal_path_picks_interval_endpoint_by_sense():
     assert value == pytest.approx(-4.0)
 
 
-def test_optimal_path_empty_raises():
-    dd = DecisionDiagram(0)
+def root_only():
+    dd = DiagramBuilder(0)
     dd.new_node(0)
+    return dd.build()
+
+
+def test_optimal_path_empty_raises():
     with pytest.raises(EmptyDiagramError):
-        optimal_path(dd)
+        optimal_path(root_only())
 
 
 def test_optimal_path_lexicographic_tie_break():
@@ -106,13 +116,43 @@ def test_optimal_path_lexicographic_tie_break():
     assert assignment == [0.0, 1.0]
 
 
+# sha256 of the assignments optimal_path returned on tie_break_diagrams, both
+# senses, recorded before diagrams were stored as flat arrays
+PINNED_TIE_BREAKS = "91a16984d6d802e194fd7200b9c2aac251b0df94b3eb2d5a4ef2ce9e0664c03a"
+
+
+def tie_break_diagrams():
+    """240 seeded diagrams whose small integer weights make many optimal
+    paths tie; every other one ends in a value layer with integer bounds
+    and a slope of -1, 0 or 1 (0 ties the two endpoints)."""
+    rng = random.Random(23)
+    for trial in range(240):
+        coeffs = [float(rng.choice([-1, 0, 1, 2])) for _ in range(4)]
+        dd = random_dd(rng, max_nodes=rng.randint(1, 5), parallel=2, weight_coeffs=coeffs)
+        if trial % 2:
+            lo = float(rng.randint(-3, 0))
+            dd = append_value_layer(dd, lo, lo + rng.randint(0, 3), float(rng.choice([-1, 0, 1])))
+        yield dd
+
+
+def test_optimal_path_tie_break_is_pinned():
+    # path values were all the enumeration comparison saw; this pins which
+    # of the tied optimal paths is returned.  Every sum here is exact, so
+    # path_weight gives the value bit for bit.
+    seen = []
+    for dd in tie_break_diagrams():
+        for sense in ("max", "min"):
+            assignment, value = optimal_path(dd, sense)
+            assert path_weight(dd, assignment, sense) == value
+            seen.append(tuple(float(v).hex() for v in assignment))
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == PINNED_TIE_BREAKS
+
+
 # -- enumerate_solutions -----------------------------------------------------------
 
 
 def test_enumerate_empty_diagram():
-    dd = DecisionDiagram(0)
-    dd.new_node(0)
-    assert enumerate_solutions(dd) == []
+    assert enumerate_solutions(root_only()) == []
 
 
 def test_enumerate_round_trips_explicit_paths():
@@ -127,6 +167,24 @@ def test_enumerate_expands_interval_endpoints():
     assert sols == [(0.0, -2.0), (0.0, 2.0), (1.0, 1.0)]
 
 
+def test_from_paths_builds_every_binary_path_of_14_variables_in_under_a_second():
+    paths = list(itertools.product((0.0, 1.0), repeat=14))
+    t0 = time.perf_counter()
+    dd = from_paths(paths)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(dd.tail) == 2 ** 15 - 2   # a binary trie: 2 + 4 + ... + 2**14 arcs
+    assert len(enumerate_solutions(dd)) == 2 ** 14
+
+
+def test_from_paths_adds_no_second_arc_for_a_repeated_path():
+    dd = from_paths([(0.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+    assert len(dd.tail) == 4
+    assert sorted(enumerate_solutions(dd)) == [(0.0, 1.0), (1.0, 0.0)]
+    dd = from_paths([(1.0, (2.0, 3.0)), (1.0, (2.0, 3.0)), (1.0, 2.5)])
+    assert len(dd.tail) == 3
+    assert sorted(enumerate_solutions(dd)) == [(1.0, 2.0), (1.0, 2.5), (1.0, 3.0)]
+
+
 def test_enumerate_cap():
     paths = [(float(a), float(b)) for a in range(4) for b in range(4)]
     dd = from_paths(paths)
@@ -138,13 +196,13 @@ def test_enumerate_cap():
 
 
 def test_reduce_keeps_min_and_max_parallel_labels():
-    dd = DecisionDiagram(1)
+    dd = DiagramBuilder(1)
     r = dd.new_node(0)
     t = dd.new_node(1)
     for lab in (0.0, 0.5, 1.0):
         dd.add_arc(0, r, t, lab, lab)
-    red = reduce_interval_arcs(dd, {0})
-    labels = sorted(a.label for a in red.arcs[0])
+    red = reduce_interval_arcs(dd.build(), {0})
+    labels = sorted(red.label.tolist())
     assert labels == [0.0, 1.0]
 
 
@@ -171,7 +229,7 @@ def test_reduce_preserves_linear_optimum():
 
 def example_master_dd(big_m=10.0):
     """Two binaries with x1 + x2 >= 1, value layer bounded by +-big_m."""
-    dd = DecisionDiagram(3, continuous_last=True)
+    dd = DiagramBuilder(3, continuous_last=True)
     r = dd.new_node(0)
     a0 = dd.new_node(1)
     a1 = dd.new_node(1)
@@ -185,7 +243,7 @@ def example_master_dd(big_m=10.0):
     dd.add_arc(1, a1, b1, 1.0, 1.0)
     dd.add_arc(2, b0, t, Interval(-big_m, big_m), 1.0)
     dd.add_arc(2, b1, t, Interval(-big_m, big_m), 1.0)
-    return dd
+    return dd.build()
 
 
 def test_refine_feasibility_cut_removes_violating_path():
@@ -275,7 +333,7 @@ def test_settled_cut_never_shares_a_key_with_lhs_zero():
     # x0 = 1 settles the cut at node a (every completion satisfies it) while
     # x0 = 0 reaches a with the cut still open at lhs exactly 0; one node for
     # both would let x1 = 0 be cut off behind x0 = 1 as well
-    dd = DecisionDiagram(3, continuous_last=True)
+    dd = DiagramBuilder(3, continuous_last=True)
     r, a, b, t = (dd.new_node(i) for i in range(4))
     dd.add_arc(0, r, a, 0.0)
     dd.add_arc(0, r, a, 1.0)
@@ -283,7 +341,7 @@ def test_settled_cut_never_shares_a_key_with_lhs_zero():
     dd.add_arc(1, a, b, 1.0)
     dd.add_arc(2, b, t, Interval(-10.0, 10.0), 1.0)
     cut = CutRow(coeffs={0: -0.7, 1: -1.0}, z_coeff=0.0, rhs=-0.6, sense="<=")
-    xs = sorted({s[:2] for s in enumerate_solutions(refine_with_cut(dd, [cut]))})
+    xs = sorted({s[:2] for s in enumerate_solutions(refine_with_cut(dd.build(), [cut]))})
     assert xs == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -353,6 +411,30 @@ def test_one_pass_refinement_equals_cut_by_cut():
             f"trial {trial}"
 
 
+def test_operations_leave_their_input_as_it_was():
+    # a built diagram is shared by whoever holds it, so no operation may
+    # write into it; its arrays are read-only, and its states list and
+    # every array's bits must come out as they went in
+    rng = random.Random(29)
+    checked = 0
+    for trial in range(40):
+        dd = append_value_layer(random_dd(rng, parallel=2), -3.0, 3.0)
+        before = dd_to_json(dd)
+        cuts = [random_cut(rng, dd.num_arc_layers, with_z=True) for _ in range(3)]
+        for op in (lambda: refine_with_cut(dd, cuts), lambda: replay_cuts(dd, cuts),
+                   lambda: optimal_path(dd, "max"), lambda: optimal_path(dd, "min"),
+                   lambda: enumerate_solutions(dd),
+                   lambda: reduce_interval_arcs(dd, set(range(dd.num_arc_layers)))):
+            try:
+                op()
+            except InfeasibleDiagramError:
+                pass
+            assert dd_to_json(dd) == before, f"trial {trial}"
+            checked += 1
+        assert not dd.tail.flags.writeable and not dd.lo.flags.writeable
+    assert checked == 240
+
+
 # -- export ------------------------------------------------------------------------
 
 
@@ -361,24 +443,65 @@ def test_to_dot_deterministic_and_counts_nodes():
     text1 = to_dot(dd)
     text2 = to_dot(dd)
     assert text1 == text2
-    assert text1.count("->") == len([a for arcs in dd.arcs for a in arcs])
+    assert text1.count("->") == len(dd.tail)
 
 
 def test_to_dot_empty():
-    dd = DecisionDiagram(0)
-    dd.new_node(0)
-    text = to_dot(dd)
+    text = to_dot(root_only())
     assert '"r"' in text or "r [" in text
     assert "->" not in text
 
 
 def test_json_round_trip():
     dd = example_master_dd()
-    dd.states[dd.root] = (math.inf, math.inf)
+    dd = dataclasses.replace(dd, states=[(math.inf, math.inf)] + dd.states[1:])
     text = dd_to_json(dd)
     back = dd_from_json(text)
     assert dd_to_json(back) == text
     assert sorted(enumerate_solutions(back)) == sorted(enumerate_solutions(dd))
+
+
+def test_validate_rejects_broken_arrays():
+    dd = example_master_dd()   # node layers of 1, 2, 2 and 1 rows; 2, 3 and 2 arcs
+    dd.validate()
+    dangling = DiagramBuilder(2)
+    r, u, v, t = dangling.new_node(0), dangling.new_node(1), dangling.new_node(1), dangling.new_node(2)
+    dangling.add_arc(0, r, u, 0.0)
+    dangling.add_arc(0, r, v, 1.0)
+    dangling.add_arc(1, u, t, 0.0)
+    head = dd.head.copy()
+    head[0] = 3   # layer 0 to layer 2
+    broken = {
+        "not monotone": dataclasses.replace(dd, node_first=np.array([0, 1, 5, 3, 6])),
+        "not monotone over the arrays": dataclasses.replace(dd, arc_first=np.array([0, 2, 5, 6])),
+        "one entry per node": dataclasses.replace(dd, merged=dd.merged[:-1]),
+        "exactly one node": dataclasses.replace(dd, states=dd.states[:-1],
+                                                merged=dd.merged[:-1],
+                                                node_first=np.array([0, 1, 3, 5, 5])),
+        "value-layer arc": dataclasses.replace(dd, lo=dd.lo[:1], hi=dd.hi[:1]),
+        "lo > hi": dataclasses.replace(dd, lo=np.array([20.0, -10.0])),
+        "adjacent layers": dataclasses.replace(dd, head=head),
+        "dangling node 2 at layer 1": dangling.build(),
+    }
+    for message, diagram in broken.items():
+        with pytest.raises(ValueError, match=message):
+            diagram.validate()
+
+
+def test_builder_rejects_a_label_of_the_wrong_kind_or_a_layer_out_of_range():
+    dd = DiagramBuilder(2, continuous_last=True)
+    r, u, t = dd.new_node(0), dd.new_node(1), dd.new_node(2)
+    with pytest.raises(ValueError, match="Interval label on discrete layer 0"):
+        dd.add_arc(0, r, u, Interval(0.0, 1.0))
+    dd.add_arc(0, r, u, 1.0)
+    dd.add_arc(1, u, t, 2.0)
+    with pytest.raises(ValueError, match="float label on continuous layer 1"):
+        dd.build()
+    dd = DiagramBuilder(1)
+    dd.new_node(0)
+    dd.new_node(2)
+    with pytest.raises(IndexError):
+        dd.build()
 
 
 def test_append_value_layer():
@@ -399,14 +522,14 @@ def test_golden_fixture_round_trips_byte_identical():
 
 
 def test_reduce_handles_interval_arcs_in_bundles():
-    dd = DecisionDiagram(1, continuous_last=True)
+    dd = DiagramBuilder(1, continuous_last=True)
     r = dd.new_node(0)
     t = dd.new_node(1)
     dd.add_arc(0, r, t, Interval(-1.0, 1.0), 1.0)
     dd.add_arc(0, r, t, Interval(-3.0, 0.5), 1.0)
     dd.add_arc(0, r, t, Interval(-0.5, 2.0), 1.0)
-    red = reduce_interval_arcs(dd, {0})
-    spans = sorted((a.label.lo, a.label.hi) for a in red.arcs[0])
+    red = reduce_interval_arcs(dd.build(), {0})
+    spans = sorted(zip(red.lo.tolist(), red.hi.tolist()))
     assert spans == [(-3.0, 0.5), (-0.5, 2.0)]  # min-lo and max-hi arcs survive
 
 

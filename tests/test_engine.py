@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 
 from ddbd.diagram import (
     CutRow,
-    DecisionDiagram,
+    DiagramBuilder,
     InfeasibleDiagramError,
     append_value_layer,
     from_paths,
@@ -53,23 +54,30 @@ def test_cut_pool_deduplicates_on_rounded_coefficients():
 # -- exact cutset -----------------------------------------------------------------
 
 
+def tag_merged(dd, rows):
+    """A copy of dd with the given node rows tagged merged."""
+    merged = dd.merged.copy()
+    merged[list(rows)] = True
+    return dataclasses.replace(dd, merged=merged)
+
+
 def test_exact_cutset_unmerged_is_last_layer_before_terminal():
     dd = from_paths([(0.0, 1.0), (1.0, 0.0)])
     idx, nodes = exact_cutset(dd)
-    assert idx == len(dd.layers) - 2
-    assert set(nodes) == set(dd.layers[idx])
+    assert idx == dd.num_arc_layers - 1
+    assert set(nodes) == set(dd.layer_rows(idx))
 
 
 def test_exact_cutset_stops_before_first_merge():
     dd = from_paths([(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
-    dd.merged.update(dd.layers[2][:2])
+    dd = tag_merged(dd, dd.layer_rows(2)[:2])
     idx, _ = exact_cutset(dd)
     assert idx == 1
 
 
 def test_exact_cutset_root_only_when_layer_one_merged():
     dd = from_paths([(0.0, 0.0), (1.0, 1.0)])
-    dd.merged.update(dd.layers[1])
+    dd = tag_merged(dd, dd.layer_rows(1))
     idx, nodes = exact_cutset(dd)
     assert idx == 0
     assert nodes == [dd.root]
@@ -80,7 +88,7 @@ def test_exact_cutset_root_only_when_layer_one_merged():
 
 def non_reduced_two_point_dd():
     """Distinct paths (0,0) and (1,0); every internal node has one parent."""
-    dd = DecisionDiagram(2)
+    dd = DiagramBuilder(2)
     r = dd.new_node(0)
     u0 = dd.new_node(1)
     u1 = dd.new_node(1)
@@ -89,7 +97,7 @@ def non_reduced_two_point_dd():
     dd.add_arc(0, r, u1, 1.0, 0.0)
     dd.add_arc(1, u0, t, 0.0, 0.0)
     dd.add_arc(1, u1, t, 0.0, 0.0)
-    return dd
+    return dd.build()
 
 
 def crossing_value_cuts():
@@ -110,7 +118,7 @@ def test_cost_tuple_reward_single_cut_constant():
 
 
 def test_cost_tuple_requires_unique_incoming():
-    bad = DecisionDiagram(2)
+    bad = DiagramBuilder(2)
     r = bad.new_node(0)
     u = bad.new_node(1)
     t = bad.new_node(2)
@@ -118,14 +126,14 @@ def test_cost_tuple_requires_unique_incoming():
     bad.add_arc(0, r, u, 1.0, 0.0)
     bad.add_arc(1, u, t, 0.0, 0.0)
     with pytest.raises(PropertyViolationError):
-        cost_tuple_reward(bad, crossing_value_cuts())
+        cost_tuple_reward(bad.build(), crossing_value_cuts())
 
 
 def non_reduced_from_paths(paths):
     """Tree-shaped diagram: shared prefixes up to the second-last label,
     then one leaf per path so the terminal sees a unique arc per node."""
     n = len(paths[0])
-    dd = DecisionDiagram(n)
+    dd = DiagramBuilder(n)
     trie = {(): dd.new_node(0)}
     term = dd.new_node(n)
     for p in paths:
@@ -137,7 +145,7 @@ def non_reduced_from_paths(paths):
         tail = trie[p[:n - 2]] if n >= 2 else trie[()]
         dd.add_arc(n - 2, tail, leaf, p[n - 2], 0.0)
         dd.add_arc(n - 1, leaf, term, p[n - 1], 0.0)
-    return dd
+    return dd.build()
 
 
 def test_cost_tuple_equals_refine_then_longest_path():
@@ -513,7 +521,7 @@ def test_a_single_prefix_is_extended_as_far_as_every_path_shares_it():
         def build_relaxed_dd(self, partial, cuts, width):
             dd = super().build_relaxed_dd(partial, cuts, width)
             if dd is not None:
-                dd.merged.update(dd.layers[2])
+                dd = tag_merged(dd, dd.layer_rows(2))
             return dd
 
     master = ForcedMaster([0.0], [1.0], [0.0, 1.0])
@@ -578,7 +586,7 @@ class TreeMaster(MasterOracle):
         rest = itertools.product((0.0, 1.0), repeat=len(COSTS) - len(partial))
         dd = self._refined(partial, rest, cuts)
         if dd is not None and len(partial) + 2 <= len(COSTS):
-            dd.merged.update(dd.layers[len(partial) + 2])
+            dd = tag_merged(dd, dd.layer_rows(len(partial) + 2))
         return dd
 
 

@@ -65,6 +65,16 @@ def random_partial(rng, problem):
     return tuple(partial)
 
 
+class ValidatingMaster(MipMasterOracle):
+    """The MIP master with every diagram it builds checked by validate()."""
+
+    def build_exact_dd(self, partial, cuts):
+        dd = super().build_exact_dd(partial, cuts)
+        if dd is not None:
+            dd.validate()
+        return dd
+
+
 def test_refined_master_has_exactly_the_enumerated_points():
     rng = random.Random(17)
     empty = 0
@@ -78,11 +88,13 @@ def test_refined_master_has_exactly_the_enumerated_points():
             assert dd is None, f"trial {trial}"
             empty += 1
             continue
+        dd.validate()
         ends = Interval(*problem.z_bounds).endpoints()
         assert set(enumerate_solutions(dd)) == {x + (e,) for x in points for e in ends}, \
             f"trial {trial}"
         restricted, is_exact = master.build_restricted_dd(partial, [], width=1)
         assert is_exact
+        restricted.validate()
         assert set(enumerate_solutions(restricted)) == set(enumerate_solutions(dd))
     # both outcomes are well represented
     assert 40 <= empty <= 280
@@ -91,10 +103,12 @@ def test_refined_master_has_exactly_the_enumerated_points():
 def test_a_domain_value_listed_twice_gives_each_point_once():
     problem = example_two_binary_problem()
     problem.x_domains = [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
-    paths = enumerate_solutions(MipMasterOracle(problem).build_exact_dd((), []))
+    dd = MipMasterOracle(problem).build_exact_dd((), [])
+    dd.validate()
+    paths = enumerate_solutions(dd)
     assert sorted(paths) == [(0.0, 1.0, -10.0), (0.0, 1.0, 10.0), (1.0, 0.0, -10.0),
                              (1.0, 0.0, 10.0), (1.0, 1.0, -10.0), (1.0, 1.0, 10.0)]
-    report = dd_bd_solve(MipMasterOracle(problem), MipSubproblemOracle(problem),
+    report = dd_bd_solve(ValidatingMaster(problem), MipSubproblemOracle(problem),
                          EngineConfig(width=2))
     assert report.status == "optimal"
     assert report.value == pytest.approx(11.0 / 3.0, abs=1e-6)
@@ -148,7 +162,7 @@ def test_mip_solves_agree_with_brute_force():
     for seed in range(160):
         problem = random_mip(seed)
         best = brute_force_max(problem)
-        report = dd_bd_solve(MipMasterOracle(problem), MipSubproblemOracle(problem),
+        report = dd_bd_solve(ValidatingMaster(problem), MipSubproblemOracle(problem),
                              EngineConfig(width=2), instance_id=str(seed))
         assert report.status == ("infeasible" if best is None else "optimal"), f"seed {seed}"
         if best is not None:

@@ -4,14 +4,15 @@ ddbd.diagram._refine_exact advances runs of single-arc layers in one
 step, drops cut columns once they are settled everywhere and keeps each
 cut's dense coefficients on the cut.  None of that may show: every
 refinement here must return the diagram that tests/reference_refine.py
-builds layer by layer, down to node ids, arc order, the bits of labels
-and weights, states and merged tags, or raise InfeasibleDiagramError
-exactly when the reference does.
+builds layer by layer, down to node rows, arc order, the bits of labels
+and weights, states and merged tags (all of which dd_to_json writes), or
+raise InfeasibleDiagramError exactly when the reference does.  Every
+refined diagram must pass validate(), and the input must be left as it
+was.
 """
 
 import math
 import random
-import struct
 
 import numpy as np
 
@@ -19,11 +20,11 @@ import reference_refine
 from ddbd.diagram import (
     CUT_TOL,
     CutRow,
-    DecisionDiagram,
+    DiagramBuilder,
     InfeasibleDiagramError,
-    Interval,
     _advance_run,
     append_value_layer,
+    dd_to_json,
     enumerate_solutions,
     refine_with_cut,
 )
@@ -41,32 +42,22 @@ LABELS = (0.0, 1.0, 2.0)
 COEFS = (-2.3, -1.1, -0.7, -0.1, 0.0, 0.1, 0.3, 0.7, 1.9)
 
 
-def _bits(v):
-    if isinstance(v, Interval):
-        return ("interval", _bits(v.lo), _bits(v.hi))
-    return (type(v).__name__, struct.pack("<d", v))
-
-
-def structure(dd):
-    """What the two refinements are compared on; floats as bits."""
-    return (dd.layer_kinds, dd.layers,
-            [[(a.tail, a.head, _bits(a.label), _bits(a.weight)) for a in layer]
-             for layer in dd.arcs],
-            list(dd.states.items()), sorted(dd.merged), dd._next_id)
-
-
 def outcome(refine, dd, cuts):
+    """dd_to_json of the refined diagram (repr writes floats bit for bit),
+    or "infeasible"."""
     try:
-        return structure(refine(dd, cuts))
+        refined = refine(dd, cuts)
     except InfeasibleDiagramError:
         return "infeasible"
+    refined.validate()
+    return dd_to_json(refined)
 
 
 def assert_same_refinement(dd, cuts, label):
-    before = structure(dd)
+    before = dd_to_json(dd)
     expected = outcome(reference_refine._refine_exact, dd, cuts)
     assert outcome(refine_with_cut, dd, cuts) == expected, label
-    assert structure(dd) == before, label
+    assert dd_to_json(dd) == before, label
     return expected
 
 
@@ -81,7 +72,7 @@ def runs_dd(rng, num_discrete=8, lead=3, value_layer=True):
     and a continuous value layer ends it when value_layer is set."""
     widths = [1] * (lead + 1) + [rng.choice([1, 1, 2, 3])
                                  for _ in range(num_discrete - lead - 1)] + [1]
-    dd = DecisionDiagram(num_discrete)
+    dd = DiagramBuilder(num_discrete)
     layers = [[dd.new_node(j, state=(j, i) if rng.random() < 0.5 else None,
                            merged=rng.random() < 0.2)
                for i in range(w)] for j, w in enumerate(widths)]
@@ -90,16 +81,18 @@ def runs_dd(rng, num_discrete=8, lead=3, value_layer=True):
         if len(tails) == len(heads) == 1 and (j < lead or rng.random() < 0.6):
             dd.add_arc(j, tails[0], heads[0], rng.choice(LABELS), rng.uniform(-1, 1))
             continue
+        reached = set()
         for u in tails:
             for _ in range(rng.randint(1, 2)):
-                dd.add_arc(j, u, rng.choice(heads), rng.choice(LABELS), rng.uniform(-1, 1))
-        reached = {a.head for a in dd.arcs[j]}
+                v = rng.choice(heads)
+                reached.add(v)
+                dd.add_arc(j, u, v, rng.choice(LABELS), rng.uniform(-1, 1))
         for v in heads:
             if v not in reached:
                 dd.add_arc(j, rng.choice(tails), v, rng.choice(LABELS), rng.uniform(-1, 1))
     if not value_layer:
-        return dd
-    return append_value_layer(dd, rng.uniform(-5, 0), rng.uniform(0, 5),
+        return dd.build()
+    return append_value_layer(dd.build(), rng.uniform(-5, 0), rng.uniform(0, 5),
                               rng.choice([1.0, -1.0]))
 
 
@@ -139,7 +132,7 @@ def lead_run_events(dd, coeffs, sense, rhs_values):
     layer-by-layer pass tests them.  Position -1 is the root; kind is
     "" where neither happens on the run."""
     num_discrete = discrete_layers(dd)
-    row = {nid: r for r, nid in enumerate(nid for layer in dd.layers for nid in layer)}
+    row = {nid: nid for nid in range(dd.node_count())}
     cuts = [CutRow(coeffs=coeffs, rhs=float(r), sense=sense) for r in rhs_values]
     sign = np.array([1.0 if sense == "<=" else -1.0] * len(cuts))
     fcoef = np.repeat(reference_refine._coefficients(cuts[:1], num_discrete) * sign[0],
@@ -150,7 +143,7 @@ def lead_run_events(dd, coeffs, sense, rhs_values):
     node, lhs = dd.root, 0.0
     for k in range(-1, num_discrete):
         if k >= 0:
-            out = [a for a in dd.arcs[k] if a.tail == node]
+            out = [a for a in reference_refine.layer_arcs(dd, k) if a.tail == node]
             if len(out) != 1:
                 break
             lhs = lhs + out[0].label * fcoef[k, 0]

@@ -9,11 +9,11 @@ from ddbd.diagram import (
     CutRow,
     EmptyDiagramError,
     InfeasibleDiagramError,
-    Interval,
     dd_to_json,
     enumerate_solutions,
     optimal_path,
     path_weight,
+    reduce_interval_arcs,
     refine_with_cut,
 )
 from ddbd.engine import replay_cuts
@@ -83,9 +83,9 @@ def test_two_period_master_structure():
     assert x_paths(dd) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     assert dd.node_count() == 7
     gen = inst.generators[0]
-    first_start = [a for a in dd.arcs[0] if a.label == 1.0]
+    first_start = [i for i in dd.layer_arcs(0) if dd.label[i] == 1.0]
     assert len(first_start) == 1
-    assert first_start[0].weight == gen.c_fixed + gen.startup_cost_inf
+    assert dd.weight[first_start[0]] == gen.c_fixed + gen.startup_cost_inf
     # every schedule appears with both value-interval endpoints
     values = {}
     for sol in enumerate_solutions(dd):
@@ -178,11 +178,11 @@ def test_relaxed_without_width_pressure_equals_exact():
     gamma = GammaBounds(-5.0, 5.0)
     exact = build_master_dd(inst, gamma=gamma)
     relaxed = build_relaxed_master_dd(inst, (), gamma, width=10 ** 6)
-    assert not relaxed.merged
+    assert not relaxed.merged.any()
     assert sorted(enumerate_solutions(relaxed)) == sorted(enumerate_solutions(exact))
     # merged-age mirrors the down-age when nothing merges
-    for state in relaxed.states.values():
-        if len(state) == 3:
+    for state in relaxed.states:
+        if state is not None and len(state) == 3:
             assert state[2] == state[1]
 
 
@@ -193,14 +193,17 @@ def canonical_master(dd):
     within a layer do not show."""
     num = {}
 
-    def hexed(v):
-        return (v.lo.hex(), v.hi.hex()) if isinstance(v, Interval) else float(v).hex()
+    def hexed(i):
+        if i >= dd.value_first:
+            k = i - dd.value_first
+            return (float(dd.lo[k]).hex(), float(dd.hi[k]).hex())
+        return float(dd.label[i]).hex()
 
-    arcs = [(j, num.setdefault(a.tail, len(num)), num.setdefault(a.head, len(num)),
-             hexed(a.label), hexed(a.weight))
-            for j, layer in enumerate(dd.arcs) for a in layer]
-    nodes = [(dd.states.get(nid), nid in dd.merged) for nid in num]
-    return repr((sum(map(len, dd.layers)), arcs, nodes))
+    arcs = [(j, num.setdefault(int(dd.tail[i]), len(num)),
+             num.setdefault(int(dd.head[i]), len(num)), hexed(i), float(dd.weight[i]).hex())
+            for j in range(dd.num_arc_layers) for i in dd.layer_arcs(j)]
+    nodes = [(dd.states[r], bool(dd.merged[r])) for r in num]
+    return repr((dd.node_count(), arcs, nodes))
 
 
 # sha256 of canonical_master for (seed, partial, width) of
@@ -266,7 +269,7 @@ def test_compiled_masters_match_their_recorded_hashes():
         gamma = GammaBounds(0.0, 1.0)
         dd = (build_master_dd(inst, partial, gamma) if width is None
               else build_relaxed_master_dd(inst, partial, gamma, width))
-        merged += bool(dd.merged)
+        merged += bool(dd.merged.any())
         got[seed, partial, width] = hashlib.sha256(canonical_master(dd).encode()).hexdigest()
     assert got == PINNED_MASTERS
     assert merged == 18
@@ -321,7 +324,7 @@ def test_restricted_is_subset_and_respects_rules():
     exact = build_master_dd(inst, gamma=gamma)
     feasible = {tuple(float(b) for b in bits) for bits in unit_schedules(gen, 3)}
     # the exact master at every width, however narrow
-    assert max(len(layer) for layer in exact.layers) > 1
+    assert exact.width > 1
     for width in (1, 2, 10 ** 6):
         dd, exact_flag = build_restricted_master_dd(inst, (), gamma, width)
         assert exact_flag
@@ -338,6 +341,39 @@ def harvested_pool(inst, rng, feasibility=6, optimality=4):
         x = tuple(float(rng.random() < 0.7) for _ in range(inst.num_vars))
         pool.extend(oracle.dispatch(x).cuts)
     return pool
+
+
+def test_replays_leave_masters_and_the_kept_master_as_they_were():
+    # array slices are views: a replay that wrote into its input would
+    # change the kept master under the next replay, silently
+    rng = np.random.default_rng(3)
+    for args in [(2, 4, 2, 0, 0.4), (3, 3, 1, 0, 0.4)]:
+        inst = scaled_instance(*args)
+        gamma = compute_gamma(inst)
+        pool = harvested_pool(inst, rng)
+        for master in (build_master_dd(inst, (), gamma),
+                       build_relaxed_master_dd(inst, (), gamma, 2)):
+            before = dd_to_json(master)
+            for op in (lambda: refine_with_cut(master, pool), lambda: replay_cuts(master, pool),
+                       lambda: optimal_path(master, "min"), lambda: enumerate_solutions(master),
+                       lambda: reduce_interval_arcs(master, range(master.num_arc_layers))):
+                try:
+                    op()
+                except InfeasibleDiagramError:
+                    pass
+                assert dd_to_json(master) == before, args
+        kept = RefinedMaster()
+        for k in range(1, len(pool) + 1):
+            try:
+                first = kept.refine(inst, (), gamma, pool[:k])
+            except InfeasibleDiagramError:
+                break
+            held = dd_to_json(first)
+            try:
+                kept.refine(inst, (), gamma, pool[:k + 1])   # replays pool[k] into first
+            except InfeasibleDiagramError:
+                break
+            assert dd_to_json(first) == held, (args, k)
 
 
 def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
@@ -366,7 +402,7 @@ def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
                 dd, is_exact = build_restricted_master_dd(inst, partial, gamma, width, cuts)
                 assert is_exact and dd_to_json(dd) == dd_to_json(exact), where
                 checked += 1
-                wider += any(len(layer) > width for layer in exact.layers)
+                wider += exact.width > width
     assert checked >= 60 and emptied < checked / 3 and checked / 2 < wider, \
         (checked, emptied, wider)
 
@@ -404,7 +440,8 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
         return set(enumerate_solutions(dd))
 
     def merged_per_layer(dd):
-        return [len(dd.merged.intersection(layer)) for layer in dd.layers]
+        return [int(dd.merged[dd.node_first[i]:dd.node_first[i + 1]].sum())
+                for i in range(dd.num_arc_layers + 1)]
 
     def calls():
         seen = (compiled[:], replayed[:])
@@ -457,7 +494,7 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
                     if width is not None:
                         assert refined.node_count() == batched.node_count(), where
                         assert merged_per_layer(refined) == merged_per_layer(batched), where
-                        merged += bool(refined.merged)
+                        merged += bool(refined.merged.any())
                     if is_exact:
                         assert solutions(dd) == solutions(truth), where
                         exact += 1
@@ -1018,7 +1055,7 @@ def test_one_pass_replay_matches_cut_by_cut_on_relaxed_master():
         assert dd_bd_solve(UcpMasterOracle(inst, gamma), Harvest(inst)).status == "optimal"
         assert pool.count("feasibility") and pool.count("optimality")
         dd = build_relaxed_master_dd(inst, (), gamma, 2)
-        assert dd.merged
+        assert dd.merged.any()
         cut_by_cut = dd
         for cut in pool.cuts:
             cut_by_cut = refine_with_cut(cut_by_cut, [cut])
