@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -571,6 +571,14 @@ def _refine_exact(dd, cuts):
     from the input once at the end.  Node rows, arc order, labels,
     weights and the InfeasibleDiagramError cases are those of extending,
     settling and keying every layer on its own.
+
+    A replay of optimality cuts only first tries _unsplit: on an input
+    already in this pass's order (arcs grouped by tail row, heads
+    numbered by first arrival), one forward pass of the lhs values shows
+    whether any node would split or any value arc empty.  When none
+    would, the output is the input with tightened intervals, so it
+    shares every input array but lo and hi, byte for byte what the keyed
+    pass would build.
     """
     m = dd.num_arc_layers
     cont = dd.layer_kinds[-1] == "continuous"
@@ -589,6 +597,10 @@ def _refine_exact(dd, cuts):
     step = np.zeros((len(heads), len(cuts)))
     step[:nd] = dd.label[:nd, None] \
         * coef[np.repeat(np.arange(num_discrete), np.diff(dd.arc_first[:num_discrete + 1]))]
+    if cont and not feas:
+        out = _unsplit(dd, opt, step[:nd])
+        if out is not None:
+            return out
     drop_above, settled_at = _completion_limits(dd, feas, sign, step[:, :nf])
     # per discrete arc: step, drop limit and settle limit at its head; the
     # optimality columns get limits that never fire
@@ -724,6 +736,50 @@ def _refine_exact(dd, cuts):
         label=dd.label[arc_src], weight=dd.weight[arc_src],
         lo=lo, hi=hi)
     return _drop_dead_nodes(out) if pruned else out
+
+
+def _unsplit(dd, opt, step):
+    """The keyed pass's output for optimality cuts that split no node, or None.
+
+    Only for dd in the keyed pass's own order: arcs grouped by tail row,
+    every row but the terminal with an out-arc, and heads numbered by
+    first arrival, as compile and refine outputs are.  The pass then
+    visits the arcs in index order, so one forward pass carries each
+    row's lhs values from its first in-arc (the lowest index, found from
+    the running maximum of head, not from repeated fancy-index
+    assignment).  When every discrete arc's rounded lhs equals its
+    head's and no value arc's interval empties, every output node is its
+    input node: the result shares all of dd's arrays but lo and hi.
+    None otherwise, and the keyed pass runs.  step holds each discrete
+    arc's lhs step, one column per cut.
+    """
+    tail, head = dd.tail, dd.head
+    n = dd.node_count()
+    seen = np.maximum.accumulate(np.concatenate([[0], head]))   # seen[k]: top row before arc k
+    dt = np.diff(tail)
+    if tail[0] != 0 or tail[-1] != n - 2 or not ((dt >= 0) & (dt <= 1)).all() \
+            or (head > seen[:-1] + 1).any() or seen[-1] != n - 1:
+        return None
+    first = np.flatnonzero(head > seen[:-1])   # first[r - 1]: row r's first in-arc
+    lhs = np.zeros((n, step.shape[1]))
+    child = np.empty_like(step)
+    arc_first, node_first = dd.arc_first.tolist(), dd.node_first.tolist()
+    for j in range(dd.num_arc_layers - 1):
+        a, b = arc_first[j], arc_first[j + 1]
+        np.add(lhs[tail[a:b]], step[a:b], out=child[a:b])
+        lhs[node_first[j + 1]:node_first[j + 2]] = \
+            child[first[node_first[j + 1] - 1:node_first[j + 2] - 1]]
+    # keys as the keyed pass makes them (+ 0.0 folds -0.0 into 0.0); it
+    # would turn an infinite lhs into NaN, so such a pass is left to it
+    keys = np.rint(child / SPLIT_GRID) + 0.0
+    if not np.isfinite(child).all() \
+            or not np.array_equal(keys, np.rint(lhs[head[:len(step)]] / SPLIT_GRID) + 0.0):
+        return None
+    value = tail[dd.value_first:]
+    keep, lo, hi = _tighten(dd, opt, np.arange(len(value)), lhs, value, np.ones(n, dtype=bool))
+    if not keep.all():
+        return None
+    return replace(dd, lo=lo, hi=hi)
 
 
 def _tighten(dd, opt, value_arcs, bound_lhs, src, ok):

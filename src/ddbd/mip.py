@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagram import CutRow, DiagramBuilder, InfeasibleDiagramError, Interval
 from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
-from .simplex import LinearProgram, solve
+from .simplex import LinearProgram, LpRows, solve
 
 COEF_EPS = 1e-12
 
@@ -147,9 +147,10 @@ class MipSubproblemOracle(SubproblemOracle):
     """Dual-form slave LP; optimal points give value cuts, rays give
     feasibility cuts.
 
-    Only the dual's objective depends on x, so each LP is started from the
-    outcome of the one before, the only state kept between LPs: phase 2
-    continues from its final tableau (see UcpSubproblemOracle).
+    Only the dual's objective depends on x, so its rows are checked once
+    (one LpRows for every LP) and each LP is started from the outcome of
+    the one before, the only state kept between LPs: phase 2 continues
+    from its final tableau (see UcpSubproblemOracle).
     """
 
     def __init__(self, problem):
@@ -176,6 +177,9 @@ class MipSubproblemOracle(SubproblemOracle):
         self.B = np.array(self.B, dtype=float)
         self.c = np.array(self.c, dtype=float)
         self.b_obj = np.array(problem.y_obj, dtype=float)
+        if self.c.size:
+            self._rows = LpRows(self.B.T, [">="] * self.B.shape[1], self.b_obj,
+                                lo=np.zeros(self.c.size))
         self._last = None
 
     def evaluate(self, x):
@@ -188,10 +192,7 @@ class MipSubproblemOracle(SubproblemOracle):
                 CutRow(coeffs={}, z_coeff=1.0, rhs=0.0, sense="<=")])
         x = np.asarray(x, dtype=float)
         rhs = self.c - self.A @ x
-        k = self.B.shape[0]
-        dual = LinearProgram(sense="min", c=rhs, A=self.B.T,
-                             senses=[">="] * self.B.shape[1], b=self.b_obj,
-                             lo=np.zeros(k), start=self._last)
+        dual = LinearProgram(sense="min", c=rhs, rows=self._rows, start=self._last)
         out = solve(dual)
         self._last = out
         if out.status == "optimal":

@@ -19,17 +19,21 @@ of failing verification.
 
 Warm start: every outcome carries its pivot count, and an optimal or
 unbounded one also keeps, privately, its final kernel state: the
-tableau in its final basis, the row layout and the variable transform.
-An LP whose `start` is such an outcome, of an LP with the same rows (A,
-b, senses, lo and hi equal by value; only the objective and its sense
-may differ), continues phase 2 from a copy of that tableau, which is
-still primal-feasible because the constraints are unchanged; the
-transform, the tableau set-up and phase 1 are skipped.  Any other start
-(none, an infeasible outcome, or one over other rows) is a cold start
-from the slack/artificial basis.  Certificates are checked the same way
-either way.  An outcome references neither its LP nor that LP's start,
-so a chain of warm solves keeps alive only the outcomes its caller
-keeps.  The module keeps no state.
+tableau in its final basis, the LP's rows (its LpRows) and the variable
+transform.  An LP whose `start` is such an outcome, of an LP with the
+same rows (only the objective and its sense may differ), continues
+phase 2 from a copy of that tableau, which is still primal-feasible
+because the constraints are unchanged; the transform, the tableau
+set-up and phase 1 are skipped.  Rows are the same when the two LPs
+share one LpRows: it is checked once, when made, and read-only, so LPs
+built over it need no check of their rows and no comparison.  LPs given
+their own A, senses, b, lo and hi get a fresh LpRows each, holding
+copies, and warm-start only when those equal the kept rows by value.
+Any other start (none, an infeasible outcome, or one over other rows)
+is a cold start from the slack/artificial basis.  Certificates are
+checked the same way either way.  An outcome references neither its LP
+nor that LP's start, so a chain of warm solves keeps alive only the
+outcomes its caller keeps.  The module keeps no state.
 """
 
 from __future__ import annotations
@@ -49,46 +53,92 @@ class NumericalFailureError(Exception):
     """The pivot cap was hit or a certificate failed self-verification."""
 
 
-@dataclass
-class LinearProgram:
-    sense: str                 # "min" or "max"
-    c: np.ndarray
-    A: np.ndarray              # shape (m, n); may be empty (0, n)
-    senses: list               # per-row "<=", ">=", "="
-    b: np.ndarray
-    lo: np.ndarray = None
-    hi: np.ndarray = None
-    start: LpOutcome = None    # an earlier outcome; warm when its rows equal these
+class LpRows:
+    """An LP's rows and variable bounds, checked once and then read-only.
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        n = self.c.size
-        self.A = np.asarray(self.A, dtype=float).reshape(-1, n)
-        self.b = np.asarray(self.b, dtype=float)
-        self.senses = list(self.senses)
-        if self.lo is None:
-            self.lo = np.zeros(n)
-        if self.hi is None:
-            self.hi = np.full(n, INF)
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
+    A, b, lo and hi are the object's own float arrays (copies of what it
+    was given), marked read-only, and senses is a tuple, so LPs that share
+    one LpRows share its checks and can never see it change.  lo and hi
+    default to 0 and +inf; they may be infinite but not NaN.
+    """
+
+    def __init__(self, A, senses, b, lo=None, hi=None, num_vars=None):
+        A = np.array(A, dtype=float)
+        n = A.shape[-1] if num_vars is None else num_vars
+        self.A = A.reshape(-1, n)
+        self.b = np.array(b, dtype=float)
+        self.senses = tuple(senses)
+        self.lo = np.zeros(n) if lo is None else np.array(lo, dtype=float)
+        self.hi = np.full(n, INF) if hi is None else np.array(hi, dtype=float)
         if len(self.senses) != self.A.shape[0] or self.b.size != self.A.shape[0]:
             raise ValueError("row count mismatch")
         if self.lo.size != n or self.hi.size != n:
             raise ValueError("bound size mismatch")
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.A))
-                and np.all(np.isfinite(self.b))):
-            raise ValueError("objective, matrix and rhs entries must be finite")
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+            raise ValueError("matrix and rhs entries must be finite")
+        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
+            raise ValueError("bounds must not be NaN")
         if np.any(self.lo > self.hi):
             raise ValueError("lo > hi")
+        senses = np.array(self.senses, dtype=object)
+        self.le, self.ge, self.eq = senses == "<=", senses == ">=", senses == "="
+        if not np.all(self.le | self.ge | self.eq):
+            raise ValueError("row senses must be '<=', '>=' or '='")
+        for a in (self.A, self.b, self.lo, self.hi, self.le, self.ge, self.eq):
+            a.flags.writeable = False
+
+    @property
+    def num_vars(self):
+        return self.A.shape[1]
+
+    def same_as(self, other):
+        """The same rows: this object, or equal senses, A, b, lo and hi."""
+        return self is other or (
+            self.senses == other.senses and np.array_equal(self.A, other.A)
+            and np.array_equal(self.b, other.b) and np.array_equal(self.lo, other.lo)
+            and np.array_equal(self.hi, other.hi))
+
+
+@dataclass
+class LinearProgram:
+    """One LP: an objective over rows given either as A, senses, b, lo
+    and hi (checked and copied into a fresh LpRows) or as `rows`, an
+    LpRows that several LPs share; A, senses, b, lo and hi then read it."""
+
+    sense: str                 # "min" or "max"
+    c: np.ndarray
+    A: np.ndarray = None       # shape (m, n); may be empty (0, n)
+    senses: list = None        # per-row "<=", ">=", "="
+    b: np.ndarray = None
+    lo: np.ndarray = None
+    hi: np.ndarray = None
+    start: LpOutcome = None    # an earlier outcome; warm when its rows equal these
+    rows: LpRows = None
+
+    def __post_init__(self):
+        self.c = np.asarray(self.c, dtype=float)
+        given = (self.A, self.senses, self.b, self.lo, self.hi)
+        if self.rows is None:
+            if self.A is None or self.senses is None or self.b is None:
+                raise TypeError("an LP needs A, senses and b, or rows")
+            self.rows = LpRows(*given, num_vars=self.c.size)
+        else:
+            # dataclasses.replace passes the rows' own arrays back in with them
+            own = (self.rows.A, self.rows.senses, self.rows.b, self.rows.lo, self.rows.hi)
+            if any(g is not None and g is not r for g, r in zip(given, own)):
+                raise ValueError("give rows, or A, senses, b, lo and hi, not both")
+            if self.rows.num_vars != self.c.size:
+                raise ValueError("bound size mismatch")
+        rows = self.rows
+        self.A, self.senses, self.b, self.lo, self.hi = \
+            rows.A, rows.senses, rows.b, rows.lo, rows.hi
+        self._le, self._ge, self._eq = rows.le, rows.ge, rows.eq
+        if self.sense not in ("min", "max"):
+            raise ValueError("sense must be 'min' or 'max'")
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("objective entries must be finite")
         if self.start is not None and not isinstance(self.start, LpOutcome):
             raise TypeError("start must be an LpOutcome or None")
-        senses = np.array(self.senses, dtype=object)
-        self._le, self._ge, self._eq = senses == "<=", senses == ">=", senses == "="
-        if not np.all(self._le | self._ge | self._eq):
-            raise ValueError("row senses must be '<=', '>=' or '='")
 
     @property
     def num_vars(self):
@@ -264,7 +314,7 @@ def _transform(lp):
 
 def _solve_impl(lp):
     kept = lp.start._tableau if lp.start is not None else None
-    if kept is not None and _same_rows(lp, kept.rows):
+    if kept is not None and lp.rows.same_as(kept.rows):
         tab = kept.copy()
     else:
         tab, y = _cold_start(lp)
@@ -298,13 +348,6 @@ def _solve_impl(lp):
                      objective=float(lp.c @ x), pivots=tab.pivots, _tableau=tab)
 
 
-def _same_rows(lp, rows):
-    """The LP's A, b, senses, lo and hi equal `rows` by value."""
-    A, b, senses, lo, hi = rows
-    return (lp.senses == senses and np.array_equal(lp.A, A) and np.array_equal(lp.b, b)
-            and np.array_equal(lp.lo, lo) and np.array_equal(lp.hi, hi))
-
-
 class _Tableau:
     """Kernel state of  min c.u  s.t.  A u (senses) b,  u >= 0,  in one basis.
 
@@ -314,8 +357,8 @@ class _Tableau:
     basic column.  Row i of T is kernel row origin[i] (phase 1 drops
     redundant rows), whose dual is read from its slack or artificial
     column, reader[i].
-    `t` maps u back to x, and `rows` holds the LP data the state was
-    built from, compared before a warm start.
+    `t` maps u back to x, and `rows` is the LP's LpRows, compared before
+    a warm start.
     """
 
     def __init__(self, T, basis, reader, flip, art, n, t, rows):
@@ -464,8 +507,7 @@ def _cold_start(lp):
     art = np.array(sorted(art_of.values()), dtype=int)
     reader = np.array([art_of[i] if i in art_of else slack_of[i] for i in range(m)],
                       dtype=int)
-    rows = (lp.A.copy(), lp.b.copy(), list(lp.senses), lp.lo.copy(), lp.hi.copy())
-    tab = _Tableau(T, basis, reader, flip, art, n, t, rows)
+    tab = _Tableau(T, basis, reader, flip, art, n, t, lp.rows)
     if not art.size:
         return tab, None
 

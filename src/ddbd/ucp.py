@@ -41,6 +41,7 @@ from .simplex import (
     FEAS_TOL,
     LinearProgram,
     LpOutcome,
+    LpRows,
     NumericalFailureError,
     solve,
     verify_certificate,
@@ -581,7 +582,7 @@ def build_dual_subproblem(instance, x, scenario):
     enter only the objective.
     """
     A, senses, b = _dual_rows(instance)
-    prices = _commitment_prices(instance, _commitment_vector(instance, x))
+    prices = _commitment_prices(_unit_columns(instance), _commitment_vector(instance, x))
     return LinearProgram(sense="max", c=_dual_objective(scenario, prices),
                          A=A, senses=senses, b=b)
 
@@ -593,23 +594,28 @@ def _dual_objective(scenario, prices):
     return np.concatenate([demand, demand + np.array(scenario.reserve), prices])
 
 
-def _commitment_prices(instance, x):
+def _unit_columns(instance):
+    """p_min, p_max, SU, SD, RU and RD of every unit, each an (n, 1)
+    column: the per-generator constants of _commitment_prices and
+    _cut_terms, built once per oracle."""
+    return np.array([[g.p_min, g.p_max, g.startup_ramp, g.shutdown_ramp,
+                      g.ramp_up, g.ramp_down] for g in instance.generators]).T[:, :, None]
+
+
+def _commitment_prices(units, x):
     """Dual objective coefficients of the per unit-period multipliers at the
-    commitment x (a float list); the headroom multipliers' are 0."""
-    n, T = instance.num_units, instance.horizon
-    on = np.reshape(x, (n, T))
+    commitment x (a float list); the headroom multipliers' are 0.  units
+    is _unit_columns of the instance."""
+    p_min, p_max, su, sd, ru, rd = units
+    n = p_min.shape[0]
+    on = np.reshape(x, (n, -1))
     before = np.hstack([np.zeros((n, 1)), on[:, :-1]])   # 0 before the horizon
-
-    def per_unit(attr):
-        return np.array([getattr(gen, attr) for gen in instance.generators])[:, None]
-
-    su, sd = per_unit("startup_ramp"), per_unit("shutdown_ramp")
     return np.concatenate([
-        (per_unit("p_min") * on).ravel(),
-        (-per_unit("p_max") * on).ravel(),
-        ((su - per_unit("ramp_up")) * before - su * on).ravel(),
-        ((sd - per_unit("ramp_down")) * on - sd * before).ravel(),
-        np.zeros(n * T)])
+        (p_min * on).ravel(),
+        (-p_max * on).ravel(),
+        ((su - ru) * before - su * on).ravel(),
+        ((sd - rd) * on - sd * before).ravel(),
+        np.zeros(on.size)])
 
 
 def _dual_rows(instance):
@@ -647,27 +653,26 @@ def _dual_rows(instance):
     return np.array(rows), senses, np.array(rhs)
 
 
-def _cut_pieces(instance, scenario, values):
-    """Constant and x-coefficients of the dual objective at `values`.
+def _cut_terms(units, scenario, values):
+    """Constant and dense x-coefficients of the dual objective at `values`.
 
-    coef maps the variable index of unit i, period j to the sum, in this
-    order, of p_min*phi - p_max*pi, -SU*gamma and (SD - RD)*delta at
-    (i, j), then (SU - RU)*gamma and -SD*delta at (i, j + 1).  Terms at
-    or below COEF_EPS are left out, and an index appears only when one
-    of its terms is kept.  All entries are summed at once, a left-out
-    term adding +0.0: no partial sum is -0.0, so that changes no bit of
-    adding the kept terms one by one.
+    Returns (const, coef, present), coef and present over the variable
+    indices.  coef at unit i, period j is the sum, in this order, of
+    p_min*phi - p_max*pi, -SU*gamma and (SD - RD)*delta at (i, j), then
+    (SU - RU)*gamma and -SD*delta at (i, j + 1).  Terms at or below
+    COEF_EPS are left out, and present marks the indices where one of
+    the terms is kept.  All entries are summed at once, a left-out term
+    adding +0.0: no partial sum is -0.0, so that changes no bit of adding
+    the kept terms one by one.  units is _unit_columns of the instance.
     """
-    n, T = instance.num_units, instance.horizon
+    p_min, p_max, su, sd, ru, rd = units
+    n, T = p_min.shape[0], len(scenario.demand)
     nT = n * T
     values = np.asarray(values, dtype=float)
     const = 0.0
     for j in range(T):
         const += scenario.demand[j] * values[j]
         const += (scenario.demand[j] + scenario.reserve[j]) * values[T + j]
-    p_min, p_max, su, sd, ru, rd = np.array(
-        [[g.p_min, g.p_max, g.startup_ramp, g.shutdown_ramp, g.ramp_up, g.ramp_down]
-         for g in instance.generators]).T[:, :, None]
     phi, pi, gam, dlt = values[2 * T:2 * T + 4 * nT].reshape(4, n, T)
     terms = np.zeros((5, n, T))   # the next period's terms are 0 at the horizon
     terms[0] = p_min * phi - p_max * pi
@@ -678,8 +683,14 @@ def _cut_pieces(instance, scenario, values):
     kept = np.abs(terms) > COEF_EPS
     t = np.where(kept, terms, 0.0)
     total = (((t[0] + t[1]) + t[2]) + t[3]) + t[4]
-    present = np.flatnonzero(kept.any(axis=0))
-    return const, dict(zip(present.tolist(), total.ravel()[present]))
+    return const, total.ravel(), kept.any(axis=0).ravel()
+
+
+def _cut_pieces(units, scenario, values):
+    """_cut_terms with coef as a dict over the present indices, ascending."""
+    const, total, present = _cut_terms(units, scenario, values)
+    present = np.flatnonzero(present)
+    return const, dict(zip(present.tolist(), total[present]))
 
 
 def _capacity_ray(instance, period):
@@ -697,9 +708,10 @@ def _capacity_ray(instance, period):
     return ray
 
 
-def _feasibility_cut(instance, scenario, ray):
-    """The dual ray's cut over x, scaled to a largest coefficient of 1."""
-    const, coef = _cut_pieces(instance, scenario, ray)
+def _feasibility_cut(units, scenario, ray):
+    """The dual ray's cut over x, scaled to a largest coefficient of 1;
+    units is _unit_columns of the instance."""
+    const, coef = _cut_pieces(units, scenario, ray)
     scale = max([abs(v) for v in coef.values()] + [COEF_EPS])
     if scale <= COEF_EPS:
         scale = max(abs(const), 1.0)
@@ -820,20 +832,23 @@ class UcpSubproblemOracle(SubproblemOracle):
     same cuts for every period before any evaluation, so the solve starts
     with them pooled and dispatch's copies deduplicate against them.
 
-    The dual's rows depend on the instance alone, so they are built once,
-    and each LP is started from the outcome of the LP solved before it,
-    the only state kept between LPs: x and the scenario change only the
-    objective, so phase 2 continues from that outcome's final tableau,
-    which is still primal-feasible (see ddbd.simplex).  Only the first LP
-    is a cold start.  Closed-form rays neither use nor change the kept
-    outcome.  Values do not depend on the start; on degenerate duals the
-    cut can, and the memo keeps repeat visits identical (and free of LP
-    solves).
+    The dual's rows depend on the instance alone, so they are built and
+    checked once, as one read-only LpRows that every scenario LP and every
+    closed-form ray check shares; so are the per-unit constants of the
+    prices and cuts (_unit_columns).  Each LP is started from the outcome
+    of the LP solved before it, the only state kept between LPs: x and
+    the scenario change only the objective, so phase 2 continues from
+    that outcome's final tableau, which is still primal-feasible (see
+    ddbd.simplex).  Only the first LP is a cold start.  Closed-form rays
+    neither use nor change the kept outcome.  Values do not depend on
+    the start; on degenerate duals the cut can, and the memo keeps repeat
+    visits identical (and free of LP solves).
     """
 
     def __init__(self, instance):
         self.instance = instance
-        self._rows = _dual_rows(instance)
+        self._rows = LpRows(*_dual_rows(instance))
+        self._units = _unit_columns(instance)
         self._p_max = np.array([g.p_max for g in instance.generators])
         self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
         self._last = None
@@ -859,7 +874,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         is verified against its scenario's dual LP there.  Raises
         NumericalFailureError when a ray fails verification.
         """
-        prices = _commitment_prices(self.instance, [0.0] * self.instance.num_vars)
+        prices = _commitment_prices(self._units, [0.0] * self.instance.num_vars)
         return [self._capacity_cut(int(self._need[:, t].argmax()), t, prices)
                 for t in range(self.instance.horizon)
                 if self._need[:, t].max() > FEAS_TOL]
@@ -869,13 +884,11 @@ class UcpSubproblemOracle(SubproblemOracle):
         verified against its dual LP at the commitment priced by prices."""
         sc = self.instance.scenarios[s]
         ray = _capacity_ray(self.instance, period)
-        A, senses, b = self._rows
-        lp = LinearProgram(sense="max", c=_dual_objective(sc, prices),
-                           A=A, senses=senses, b=b)
+        lp = LinearProgram(sense="max", c=_dual_objective(sc, prices), rows=self._rows)
         if not verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)):
             raise NumericalFailureError(
                 "closed-form capacity ray failed self-verification")
-        return _feasibility_cut(self.instance, sc, ray)
+        return _feasibility_cut(self._units, sc, ray)
 
     def dispatch(self, x):
         """Solve every scenario's dual dispatch problem at the commitment x.
@@ -885,14 +898,15 @@ class UcpSubproblemOracle(SubproblemOracle):
         closed-form capacity ray or its LP ray, less each cut that another
         one makes redundant (_tightest).  Otherwise returns the
         probability-weighted expected cost with a single aggregated
-        lower-bounding cut on the value variable.  lp_calls counts LP
-        solves only.  Raises NumericalFailureError when a closed-form ray
-        fails verification.
+        lower-bounding cut on the value variable, whose coefficients are
+        summed over the scenarios in one dense array and listed in the
+        order their indices first appear, scenario by scenario.  lp_calls
+        counts LP solves only.  Raises NumericalFailureError when a
+        closed-form ray fails verification.
         """
         instance = self.instance
         x = _commitment_vector(instance, x)
-        A, senses, b = self._rows
-        prices = _commitment_prices(instance, x)
+        prices = _commitment_prices(self._units, x)
         capacity = self._p_max @ np.reshape(x, (instance.num_units, instance.horizon))
         short = self._need - capacity > FEAS_TOL
         first = short.argmax(axis=1).tolist()   # first short period, 0 when none
@@ -907,7 +921,9 @@ class UcpSubproblemOracle(SubproblemOracle):
         feas_cuts = []
         total = 0.0
         agg_const = 0.0
-        agg_coef = {}
+        agg_coef = np.zeros(instance.num_vars)
+        # the first scenario whose coefficients hold each index, for the order
+        seen = np.full(instance.num_vars, len(instance.scenarios))
         lp_calls = 0
         for s, sc in enumerate(instance.scenarios):
             if short[s, first[s]]:
@@ -915,24 +931,28 @@ class UcpSubproblemOracle(SubproblemOracle):
                     feas_cuts.append(self._capacity_cut(s, first[s], prices))
                 continue
             out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
-                                      A=A, senses=senses, b=b, start=self._last))
+                                      rows=self._rows, start=self._last))
             self._last = out
             lp_calls += 1
             if out.status == "unbounded":
-                feas_cuts.append(_feasibility_cut(instance, sc, out.ray))
+                feas_cuts.append(_feasibility_cut(self._units, sc, out.ray))
                 continue
             if out.status != "optimal":
                 raise RuntimeError("dual dispatch problem reported "
                                    f"{out.status}; the dual is always feasible")
-            const, coef = _cut_pieces(instance, sc, out.x)
+            const, coef, present = _cut_terms(self._units, sc, out.x)
             total += sc.prob * out.objective
             agg_const += sc.prob * const
-            for k, v in coef.items():
-                agg_coef[k] = agg_coef.get(k, 0.0) + sc.prob * v
+            # an index a scenario leaves out adds exactly +0.0, which
+            # changes no sum: agg_coef never holds -0.0
+            agg_coef += sc.prob * coef
+            seen[present & (seen > s)] = s
         if feas_cuts:
             return SubproblemResult(kind="infeasible", cuts=_tightest(feas_cuts),
                                     lp_calls=lp_calls)
-        cut = CutRow(coeffs={k: -v for k, v in agg_coef.items() if abs(v) > COEF_EPS},
+        order = np.argsort(seen, kind="stable")
+        order = order[np.abs(agg_coef[order]) > COEF_EPS]
+        cut = CutRow(coeffs=dict(zip(order.tolist(), -agg_coef[order])),
                      z_coeff=1.0, rhs=agg_const, sense=">=")
         return SubproblemResult(kind="optimal", cuts=[cut], value=total,
                                 lp_calls=lp_calls)

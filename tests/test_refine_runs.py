@@ -8,9 +8,11 @@ builds layer by layer, down to node rows, arc order, the bits of labels
 and weights, states and merged tags (all of which dd_to_json writes), or
 raise InfeasibleDiagramError exactly when the reference does.  Every
 refined diagram must pass validate(), and the input must be left as it
-was.
+was.  That holds too where a replay of optimality cuts only, splitting
+no node, returns the input's own arrays with new value intervals.
 """
 
+import json
 import math
 import random
 
@@ -24,6 +26,7 @@ from ddbd.diagram import (
     InfeasibleDiagramError,
     _advance_run,
     append_value_layer,
+    dd_from_json,
     dd_to_json,
     enumerate_solutions,
     refine_with_cut,
@@ -310,3 +313,131 @@ def test_dense_coefficients_kept_on_the_cut_are_invisible():
     # coefficients past the diagram's layers are ignored, as the dicts are
     assert cut.dense(4).tolist() == [0.5, 0.0, 0.0, -1.0]
     assert cut.dense(2).tolist() == [0.5, 0.0]
+
+
+def shares_input(dd, cuts, label):
+    """assert_same_refinement; True when the refined diagram shares dd's
+    arrays, all of them but lo and hi, as a replay of optimality cuts
+    that splits no node returns it."""
+    assert_same_refinement(dd, cuts, label)
+    try:
+        out = refine_with_cut(dd, cuts)
+    except InfeasibleDiagramError:
+        return False
+    if not np.shares_memory(out.tail, dd.tail):
+        return False
+    assert all(c.z_coeff != 0.0 for c in cuts), label
+    assert all(getattr(out, name) is getattr(dd, name)
+               for name in ("node_first", "states", "merged", "arc_first", "tail", "head",
+                            "label", "weight")), label
+    return True
+
+
+def out_of_order(dd):
+    """Copies of dd, read back through dd_from_json, that break one rule
+    of the keyed pass's order each: the value layer's arcs reversed, so
+    they are no longer grouped by ascending tail row (when there are two
+    tails), and the rows of the first node layer with two nodes reversed,
+    its out-arcs re-sorted by tail, so the heads of the layer above are
+    no longer numbered by first arrival (when there is such a layer)."""
+    out = []
+    if len(set(dd.tail[dd.value_first:].tolist())) > 1:
+        doc = json.loads(dd_to_json(dd))
+        doc["arcs"][-1].reverse()
+        out.append(dd_from_json(json.dumps(doc)))
+    wide = [i for i in range(dd.num_arc_layers) if len(dd.layer_rows(i)) > 1]
+    if wide:
+        doc = json.loads(dd_to_json(dd))
+        layer = doc["layers"][wide[0]]
+        layer.reverse()
+        rank = {node["id"]: k for k, node in enumerate(layer)}
+        doc["arcs"][wide[0]].sort(key=lambda a: rank[a["tail"]])
+        out.append(dd_from_json(json.dumps(doc)))
+    return out
+
+
+def emptying_cut(dd):
+    """An optimality cut, z <= t or z >= t, that empties some value arcs of
+    dd but not all and splits no node; None when dd's intervals have
+    their lower ends, and their upper ends, too close together."""
+    for ends, sense in ((dd.lo, "<="), (dd.hi, ">=")):
+        if ends.max() - ends.min() > 1e-3:
+            return CutRow(coeffs={}, z_coeff=1.0, rhs=float(ends.min() + ends.max()) / 2,
+                          sense=sense)
+    return None
+
+
+def check_optimality_replays(dd, cuts, spread, label, seen):
+    """Each optimality cut alone and all at once on dd; on dd refined by
+    the optimality cut `spread`, a cut that empties value arcs and one
+    that leaves every interval as it is; and the cuts on dd with its arcs
+    out of order.  Counts go to `seen`."""
+    for k, cut in enumerate(cuts):
+        seen["shared"] += shares_input(dd, [cut], f"{label} cut {k}")
+        seen["replays"] += 1
+    seen["shared"] += shares_input(dd, cuts, f"{label} all")
+    seen["replays"] += 1
+    try:
+        refined = refine_with_cut(dd, [spread])
+    except InfeasibleDiagramError:
+        return
+    cut = emptying_cut(refined)
+    if cut is not None:
+        assert not shares_input(refined, [cut], f"{label} emptying")
+        seen["emptying"] += 1
+    slack = CutRow(coeffs={}, z_coeff=-1.0, rhs=-float(refined.hi.max()) - 1.0, sense=">=")
+    seen["shared"] += shares_input(refined, [slack], f"{label} slack")
+    seen["replays"] += 1
+    for k, other in enumerate(out_of_order(dd)):
+        assert not shares_input(other, cuts, f"{label} out of order {k}")
+        seen["out of order"] += 1
+
+
+def test_optimality_replays_that_split_nothing_match_the_reference_on_ucp_masters():
+    inst = scaled_instance(2, 4, 2, 0, 0.4)
+    gamma = compute_gamma(inst)
+    oracle = UcpSubproblemOracle(inst)
+    rng = random.Random(17)
+    pool = []
+    while len(pool) < 6:
+        x = tuple(float(rng.random() < 0.7) for _ in range(inst.num_vars))
+        res = oracle.dispatch(x)
+        if res.kind == "optimal":
+            pool.extend(res.cuts)
+    seen = {"shared": 0, "replays": 0, "emptying": 0, "out of order": 0}
+    paths = enumerate_solutions(build_master_dd(inst, (), gamma))
+    partials = sorted({tuple(p[:k]) for p in paths for k in (0, 2, 5)})
+    for partial in rng.sample(partials, 6):
+        for build in (build_restricted_master_dd, build_relaxed_master_dd):
+            built = build(inst, partial, gamma, 2)
+            dd = built[0] if isinstance(built, tuple) else built
+            cuts = rng.sample(pool, 3)
+            check_optimality_replays(dd, cuts, cuts[0], f"{build.__name__} {partial}", seen)
+    assert seen == {"shared": 51, "replays": 60, "emptying": 8, "out of order": 24}
+
+
+def test_optimality_replays_that_split_nothing_match_the_reference_on_random_diagrams():
+    # coefficients on the leading run, which every path shares, or too
+    # small to change a rounded key, split nothing; the small ones give
+    # the prefixes into one node different lhs values, so the value
+    # intervals show which prefix's values the node carries
+    rng = random.Random(23)
+    seen = {"shared": 0, "replays": 0, "emptying": 0, "out of order": 0}
+    for trial in range(40):
+        lead = rng.randint(1, 3)
+        dd = runs_dd(rng, num_discrete=rng.randint(5, 8), lead=lead)
+        # a feasibility cut settled at the root renumbers dd in the pass's order
+        dd = refine_with_cut(dd, [CutRow(coeffs={}, rhs=1.0, sense="<=")])
+        num_discrete = discrete_layers(dd)
+        cuts = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {j: rng.choice(COEFS) for j in range(lead)}
+            coeffs.update({j: rng.choice([0.0, 1e-10, -2e-10, 3e-10])
+                           for j in range(lead, num_discrete)})
+            if rng.random() < 0.2:   # one that splits, now and then
+                coeffs[num_discrete - 1] = rng.choice([0.7, -1.1])
+            cuts.append(CutRow(coeffs=coeffs, z_coeff=rng.choice([1.0, -1.0, 0.5]),
+                               rhs=rng.uniform(-3, 3), sense=rng.choice(["<=", ">="])))
+        spread = CutRow(coeffs={num_discrete - 1: 1.0}, z_coeff=1.0, rhs=0.0, sense=">=")
+        check_optimality_replays(dd, cuts, spread, f"trial {trial}", seen)
+    assert seen == {"shared": 91, "replays": 186, "emptying": 21, "out of order": 54}

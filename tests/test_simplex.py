@@ -7,6 +7,7 @@ from ddbd import simplex
 from ddbd.simplex import (
     LinearProgram,
     LpOutcome,
+    LpRows,
     solve,
     verify_certificate,
 )
@@ -99,6 +100,23 @@ def test_free_variable():
 def test_an_unknown_row_sense_is_rejected(sense):
     with pytest.raises(ValueError, match="row senses"):
         LinearProgram(sense="min", c=[1.0], A=[[1.0]], senses=[sense], b=[1.0])
+
+
+@pytest.mark.parametrize("bound", ["lo", "hi"])
+def test_a_nan_bound_is_rejected(bound):
+    # a NaN bound is not finite, so _verify_ray would read it as none: with
+    # hi = [nan], max x over x >= 0 came back as a self-verified ray
+    with pytest.raises(ValueError, match="NaN"):
+        make_lp("max", [1.0], [[1.0]], [">="], [0.0], **{bound: [np.nan]})
+    with pytest.raises(ValueError, match="NaN"):
+        LpRows([[1.0]], [">="], [0.0], **{bound: [np.nan]})
+
+
+def test_infinite_bounds_stay_allowed():
+    out = solve(make_lp("max", [1.0], [[1.0]], [">="], [0.0], lo=[-np.inf], hi=[np.inf]))
+    assert out.status == "unbounded"
+    out = solve(make_lp("min", [1.0], [[1.0]], [">="], [0.0], lo=[-np.inf], hi=[np.inf]))
+    assert out.status == "optimal" and out.x[0] == 0.0
 
 
 def test_verify_rejects_bad_farkas_sign():
@@ -425,6 +443,68 @@ def test_a_start_that_is_not_an_outcome_is_rejected():
         start_lp(start=np.array([0, 4]))
     with pytest.raises(TypeError):
         start_lp(start=cold.x)
+
+
+def start_rows(**rows):
+    """start_lp's rows, with `rows` in place of some of them, as an LpRows."""
+    lp = start_lp(**rows)
+    return LpRows(lp.A, lp.senses, lp.b, lp.lo, lp.hi)
+
+
+def test_lps_over_one_lp_rows_warm_start_with_no_row_check(monkeypatch):
+    rows = start_rows()
+    cold = solve(LinearProgram(sense="min", c=np.array([1.0, 2.0, 3.0]), rows=rows))
+    checks = count_calls(monkeypatch, np, "array_equal")
+    finite = count_calls(monkeypatch, np, "isfinite")
+    transforms = count_calls(monkeypatch, simplex, "_transform")
+    lp = LinearProgram(sense="min", c=np.array([3.0, 2.0, 1.0]), rows=rows, start=cold)
+    assert checks == [] and len(finite) == 1   # the objective's check only
+    warm = solve(lp)
+    assert checks == [] and transforms == []
+    # the same outcome as a warm start over rows equal by value
+    assert same_outcome(warm, solve(start_lp((3.0, 2.0, 1.0), start=solve(start_lp()))))
+
+
+@pytest.mark.parametrize("rows", [
+    dict(b=np.array([1.0, 3.0])),
+    dict(hi=np.array([np.inf, np.inf, 4.0])),
+], ids=["b", "hi"])
+def test_a_start_over_other_row_values_is_cold_with_shared_rows(rows, monkeypatch):
+    start = solve(LinearProgram(sense="min", c=np.array([1.0, 2.0, 3.0]), rows=start_rows()))
+    other = start_rows(**rows)
+    transforms = count_calls(monkeypatch, simplex, "_transform")
+    out = solve(LinearProgram(sense="min", c=np.array([1.0, 2.0, 3.0]), rows=other,
+                              start=start))
+    assert len(transforms) == 1
+    assert same_outcome(out, solve(start_lp(**rows)))
+
+
+def test_an_lp_keeps_its_own_copy_of_rows_its_caller_changes_in_place(monkeypatch):
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+    b = np.array([1.0, 2.0])
+    first = start_lp(A=A, b=b)
+    cold = solve(first)
+    A[1, 2], b[1] = -2.0, 3.0   # the caller's arrays stay writeable
+    assert first.A[1, 2] == -1.0 and first.b[1] == 2.0
+    transforms = count_calls(monkeypatch, simplex, "_transform")
+    out = solve(start_lp(A=A, b=b, start=cold))
+    assert len(transforms) == 1
+    assert same_outcome(out, solve(start_lp(A=A.copy(), b=b.copy())))
+
+
+def test_an_lps_rows_are_read_only():
+    lp = start_lp(lo=np.zeros(3))
+    for a in (lp.A, lp.b, lp.lo, lp.hi, lp.rows.A):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert isinstance(lp.senses, tuple)
+    shared = LinearProgram(sense="max", c=np.ones(3), rows=lp.rows)
+    assert shared.rows is lp.rows and shared.A is lp.A
+    with pytest.raises(ValueError, match="not both"):
+        LinearProgram(sense="max", c=np.ones(3), A=np.ones((2, 3)), rows=lp.rows)
+    with pytest.raises(ValueError, match="bound size"):
+        LinearProgram(sense="max", c=np.ones(2), rows=lp.rows)
 
 
 def test_a_dropped_outcome_is_collected_over_a_chain_of_warm_solves():

@@ -709,6 +709,10 @@ def test_cuts_are_valid_for_every_feasible_commitment():
                 assert cut.satisfied(lhs, tol=1e-6), (probe, cut, x, z)
 
 
+def feasibility_cut(inst, sc, ray):
+    return ucp_module._feasibility_cut(ucp_module._unit_columns(inst), sc, ray)
+
+
 def record_dual_solves(monkeypatch):
     """Every (lp, outcome) pair the ucp module solves from now on."""
     calls = []
@@ -815,7 +819,7 @@ def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut(monkeypatch):
                 calls.clear()
                 res = UcpSubproblemOracle(alone).evaluate(x)
                 assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
-                assert res.cuts == [ucp_module._feasibility_cut(inst, sc, cold.ray)]
+                assert res.cuts == [feasibility_cut(inst, sc, cold.ray)]
                 compared.add((id(inst), x, t))
     assert len(compared) >= 100
 
@@ -941,8 +945,8 @@ def test_capacity_short_and_ramp_infeasible_scenarios_both_give_cuts(monkeypatch
     res = UcpSubproblemOracle(inst).evaluate((1.0, 1.0))
     assert res.kind == "infeasible" and res.lp_calls == 1
     assert [out.status for _, out in calls] == ["unbounded"]
-    assert res.cuts == [ucp_module._feasibility_cut(inst, inst.scenarios[0], calls[0][1].ray),
-                        ucp_module._feasibility_cut(inst, inst.scenarios[1],
+    assert res.cuts == [feasibility_cut(inst, inst.scenarios[0], calls[0][1].ray),
+                        feasibility_cut(inst, inst.scenarios[1],
                                                     ucp_module._capacity_ray(inst, 1))]
     for cut in res.cuts:
         assert cuts_off(cut, (1.0, 1.0))
@@ -972,7 +976,7 @@ def test_deduplicated_batch_cuts_off_what_the_full_batch_does(monkeypatch):
                 t = first_short_period(inst, x, sc)
                 ray = ucp_module._capacity_ray(inst, t) if t is not None else next(solved).ray
                 if ray is not None:
-                    full.append(ucp_module._feasibility_cut(inst, sc, ray))
+                    full.append(feasibility_cut(inst, sc, ray))
             assert next(solved, None) is None
             if not full:
                 assert res.kind == "optimal"
@@ -1016,7 +1020,7 @@ def test_cut_pieces_matches_the_term_by_term_loop():
         else:
             values = rng.normal(size=size) * rng.choice([1.0, 1e-13, 0.0], size=size)
         sc = inst.scenarios[0]
-        const, coef = ucp_module._cut_pieces(inst, sc, values)
+        const, coef = ucp_module._cut_pieces(ucp_module._unit_columns(inst), sc, values)
         ref_const, ref_coef = cut_pieces_by_terms(inst, sc, values)
         assert (type(const), const.hex()) == (type(ref_const), ref_const.hex())
         assert sorted(coef) == sorted(ref_coef)
