@@ -17,6 +17,19 @@ verifier's FEAS_TOL; a flatter one is passed over, so an LP that is
 unbounded only within tolerance ends optimal within tolerance instead
 of failing verification.
 
+Secondary objective: an LP may carry `secondary`, a second objective of
+the same sense and length as `c`, to choose among its optimal vertices.
+When phase 2 ends optimal, Bland's loop goes on with the secondary cost,
+the artificials and every column whose fresh primary reduced cost is
+above OPT_TOL banned, so only columns of the optimal face can enter and
+every basis it passes stays optimal.  That run is skipped when no open
+nonbasic column improves the secondary cost, and where it finds a ray
+the basis it stopped at is kept.  The primary reduced costs are then
+priced afresh, and the primary loop resumes should any improve.  These
+tie pivots count in `pivots` and against the pivot cap.  The outcome's
+certificate, duals and objective are the primary's, checked as always;
+the kept tableau is the final one.
+
 Warm start: every outcome carries its pivot count, and an optimal or
 unbounded one also keeps, privately, its final kernel state: the
 tableau in its final basis, the LP's rows (its LpRows) and the variable
@@ -114,6 +127,7 @@ class LinearProgram:
     hi: np.ndarray = None
     start: LpOutcome = None    # an earlier outcome; warm when its rows equal these
     rows: LpRows = None
+    secondary: np.ndarray = None   # tie-break objective on the optimal face, same sense
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -137,6 +151,12 @@ class LinearProgram:
             raise ValueError("sense must be 'min' or 'max'")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("objective entries must be finite")
+        if self.secondary is not None:
+            self.secondary = np.asarray(self.secondary, dtype=float)
+            if self.secondary.shape != self.c.shape:
+                raise ValueError("secondary objective size mismatch")
+            if not np.all(np.isfinite(self.secondary)):
+                raise ValueError("secondary objective entries must be finite")
         if self.start is not None and not isinstance(self.start, LpOutcome):
             raise TypeError("start must be an LpOutcome or None")
 
@@ -326,9 +346,11 @@ def _solve_impl(lp):
                 f = f / peak
             return LpOutcome(status="infeasible", farkas=f, pivots=tab.pivots)
     t, n = tab.t, tab.n
-    cost = np.zeros(tab.T.shape[1] - 1)
-    cost[:n] = t.sign * (lp.c if lp.sense == "min" else -lp.c)[t.var]
-    entering = tab.run(cost, tab.art)
+    cost = tab.kernel_cost(lp.c, lp.sense)
+    since = tab.pivots
+    entering, red = tab.run(cost, tab.art, since)
+    if entering == -1 and lp.secondary is not None:
+        entering = tab.settle_face(cost, red, lp.secondary, lp.sense, since)
     if entering != -1:
         d = t.to_x(tab.ray_along(entering)[:n], np.zeros(lp.num_vars))
         peak = np.max(np.abs(d))
@@ -391,6 +413,12 @@ class _Tableau:
         T[rowi, colj] = 1.0
         self.basis[rowi] = colj
 
+    def kernel_cost(self, c, sense):
+        """The minimised kernel cost of objective c under `sense`: 0 past u."""
+        cost = np.zeros(self.T.shape[1] - 1)
+        cost[:self.n] = self.t.sign * (c if sense == "min" else -c)[self.t.var]
+        return cost
+
     def reduced_costs(self, cost):
         """cost - cost[basis] @ T, priced afresh from the tableau."""
         return cost - cost[self.basis] @ self.T[:, :-1]
@@ -429,8 +457,13 @@ class _Tableau:
                 return entering, -1
         return -1, -1
 
-    def run(self, cost, banned):
-        """Bland iterations until optimal or unbounded; returns entering col or -1.
+    def run(self, cost, banned, since=None):
+        """Bland iterations until optimal or unbounded.
+
+        Returns (entering, red): entering is -1 when optimal, else the
+        column that gives a ray; red is the fresh reduced costs the exit
+        was decided on.  The pivot cap counts the pivots made since the
+        tableau's count was `since` (default: this call's start).
 
         Reduced costs are priced once and then carried through each
         pivot.  An exit is taken only on fresh ones: when the carried
@@ -444,21 +477,54 @@ class _Tableau:
         the next improving column, and with none left the basis is
         optimal within tolerance.
         """
+        since = self.pivots if since is None else since
         red, fresh = self.reduced_costs(cost), True
-        pivots = 0
         while True:
             entering, leave = self.bland(red, banned)
             if leave < 0:
                 if fresh:
-                    return entering  # -1: optimal; else unbounded along entering
+                    return entering, red  # -1: optimal; else a ray along entering
                 red, fresh = self.reduced_costs(cost), True
                 continue
             self.pivot(leave, entering)
             red -= red[entering] * self.T[leave, :-1]
             fresh = False
-            pivots += 1
-            if pivots > self.cap:
+            if self.pivots - since > self.cap:
                 raise NumericalFailureError("pivot cap exceeded")
+
+    def settle_face(self, cost, red, secondary, sense, since):
+        """From an optimal basis, move along the optimal face to a vertex
+        that is best for the objective `secondary` under `sense`; returns
+        the entering column as run does.
+
+        red is cost's fresh reduced costs at the optimal basis.  Every
+        column whose reduced cost is above OPT_TOL stays nonbasic at 0, so
+        Bland's loop on the secondary cost, with those and the artificials
+        banned, pivots only among optimal bases.  It is skipped when no
+        open nonbasic column improves that cost (at once when none is
+        open: the optimum is then unique); if it ends on a ray, the basis
+        it stopped at is still optimal and is kept.  After any tie pivot,
+        cost's reduced costs are priced afresh, and should tolerance drift
+        have made any improving, cost's loop resumes.  All pivots count
+        against one cap from `since`.
+        """
+        open_ = red <= OPT_TOL
+        open_[self.art] = False
+        # basic columns price at exactly 0 and no artificial is basic, so
+        # when only they are open, no nonbasic column is
+        if np.count_nonzero(open_) == self.basis.size:
+            return -1
+        banned = np.flatnonzero(~open_)
+        open_[self.basis] = False
+        cols = np.flatnonzero(open_)
+        second = self.kernel_cost(secondary, sense)
+        if not np.any(second[cols] - second[self.basis] @ self.T[:, cols] < -OPT_TOL):
+            return -1
+        made = self.pivots
+        self.run(second, banned, since)
+        if self.pivots == made:
+            return -1   # no tie pivot: still the optimal basis priced above
+        return self.run(cost, self.art, since)[0]
 
 
 def _cold_start(lp):
@@ -514,7 +580,7 @@ def _cold_start(lp):
     # Phase 1: drive artificials to zero.
     cost1 = np.zeros(ncols)
     cost1[art] = 1.0
-    if tab.run(cost1, banned=np.array([], dtype=int)) != -1:
+    if tab.run(cost1, banned=np.array([], dtype=int))[0] != -1:
         raise NumericalFailureError("phase-1 unbounded; inconsistent tableau")
     cb1 = cost1[tab.basis]
     if float(cb1 @ tab.T[:, -1]) > FEAS_TOL:

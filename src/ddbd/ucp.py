@@ -583,15 +583,17 @@ def build_dual_subproblem(instance, x, scenario):
     """
     A, senses, b = _dual_rows(instance)
     prices = _commitment_prices(_unit_columns(instance), _commitment_vector(instance, x))
-    return LinearProgram(sense="max", c=_dual_objective(scenario, prices),
-                         A=A, senses=senses, b=b)
+    demand = np.array(scenario.demand, dtype=float)
+    return LinearProgram(sense="max", c=_dual_objective(
+        demand, demand + np.array(scenario.reserve), prices), A=A, senses=senses, b=b)
 
 
-def _dual_objective(scenario, prices):
-    """Dual objective: the scenario's demand and reserve prices, then the
-    x-dependent coefficients from _commitment_prices."""
-    demand = np.array(scenario.demand)
-    return np.concatenate([demand, demand + np.array(scenario.reserve), prices])
+def _dual_objective(demand, need, prices):
+    """Dual objective: the demand prices' coefficients (a scenario's
+    demand), the reserve prices' (its demand plus reserve, `need`), then
+    the x-dependent coefficients from _commitment_prices.  Given one row
+    per scenario in each, it returns one objective per row."""
+    return np.concatenate([demand, need, prices], axis=-1)
 
 
 def _unit_columns(instance):
@@ -840,9 +842,18 @@ class UcpSubproblemOracle(SubproblemOracle):
     the scenario change only the objective, so phase 2 continues from
     that outcome's final tableau, which is still primal-feasible (see
     ddbd.simplex).  Only the first LP is a cold start.  Closed-form rays
-    neither use nor change the kept outcome.  Values do not depend on
-    the start; on degenerate duals the cut can, and the memo keeps repeat
-    visits identical (and free of LP solves).
+    neither use nor change the kept outcome.
+
+    Each scenario LP carries a secondary objective, the dual objective at
+    the core point x0 = 0.5 on every commitment variable (priced once,
+    in __init__), so it ends at the optimal dual whose cut is highest at
+    x0: a Pareto-optimal cut in the sense of Magnanti and Wong (1981),
+    with x0 the midpoint of the domain rather than a point known to lie
+    in the core (Papadakos, 2008).  The cut is still tight at x, being
+    on the optimal face, and valid, being dual-feasible; the primary
+    certificate checks both.  Values do not depend on the start; where
+    several optimal duals tie at x0 the cut can, and the memo keeps
+    repeat visits identical (and free of LP solves).
     """
 
     def __init__(self, instance):
@@ -850,7 +861,11 @@ class UcpSubproblemOracle(SubproblemOracle):
         self._rows = LpRows(*_dual_rows(instance))
         self._units = _unit_columns(instance)
         self._p_max = np.array([g.p_max for g in instance.generators])
+        self._demand = np.array([sc.demand for sc in instance.scenarios], dtype=float)
         self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
+        core = _commitment_prices(self._units, [0.5] * instance.num_vars)
+        self._core = _dual_objective(self._demand, self._need,
+                                     np.tile(core, (len(instance.scenarios), 1)))
         self._last = None
         self._cache = {}
 
@@ -884,7 +899,8 @@ class UcpSubproblemOracle(SubproblemOracle):
         verified against its dual LP at the commitment priced by prices."""
         sc = self.instance.scenarios[s]
         ray = _capacity_ray(self.instance, period)
-        lp = LinearProgram(sense="max", c=_dual_objective(sc, prices), rows=self._rows)
+        lp = LinearProgram(sense="max", c=_dual_objective(self._demand[s], self._need[s], prices),
+                           rows=self._rows)
         if not verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)):
             raise NumericalFailureError(
                 "closed-form capacity ray failed self-verification")
@@ -930,8 +946,10 @@ class UcpSubproblemOracle(SubproblemOracle):
                 if tightest[first[s]] == s:
                     feas_cuts.append(self._capacity_cut(s, first[s], prices))
                 continue
-            out = solve(LinearProgram(sense="max", c=_dual_objective(sc, prices),
-                                      rows=self._rows, start=self._last))
+            out = solve(LinearProgram(sense="max",
+                                      c=_dual_objective(self._demand[s], self._need[s], prices),
+                                      rows=self._rows, start=self._last,
+                                      secondary=self._core[s]))
             self._last = out
             lp_calls += 1
             if out.status == "unbounded":

@@ -318,14 +318,17 @@ PINNED_DOTS = {
         "0001_restricted.dot": "b839f89032174d29716791d54b013204efb73eba5b158cfb47b3e2e3986375ea",
         "0002_restricted.dot": "11e52109134673105a61e58cb0dad643b7548f0f9ea6f5a51d4e04cfe742f91a",
     },
-    # golden row 2x4x2 s5 x0.5: the master and five refinements of it
+    # golden row 2x4x2 s5 x0.5: the master and five refinements of it,
+    # re-recorded from 0001 on when dual dispatch LPs began to end at the
+    # optimal dual best at the commitment midpoint, which changes the
+    # optimality cuts refined in (the cut-free master 0000 is unchanged)
     "ucp-2x4x2-s5-d0.5": {
         "0000_restricted.dot": "7db09f3cdabead16c48a26aaff625f88cbeef37cecc331ccb5fee82eb15579cc",
-        "0001_restricted.dot": "5d8e072664c93341b32b5687ab34af2f2d93e2d500a2ac8e4a25c64d1ac2c16d",
-        "0002_restricted.dot": "fa11ee9dc1bcadb0384f410da07028823f2f0fb8428f0f15b02ad37991ccfd04",
-        "0003_restricted.dot": "c84d19ab1639ae65a019ea27741e49846dcaa102b3501983cf1bc82d51d8b725",
-        "0004_restricted.dot": "5ceca160c74a19e90fef045b2ade80e69b8e5f0db2c631e19c51bda9b8cb899f",
-        "0005_restricted.dot": "55e3921206e687392736fae9960927ada712d3d4273beae651718da433ea3405",
+        "0001_restricted.dot": "b3b13fc307d1f2003557fa84e2ab79da58551e968da5565f5dcb1c94253bf743",
+        "0002_restricted.dot": "3295f1ae97c19b929925a4231ef4573a2d0e6256e04aacef2a0cc5dc272c2b40",
+        "0003_restricted.dot": "63f215a36174782fd962100f93016e0c90c3591b2a41412807288612d9267ffb",
+        "0004_restricted.dot": "301e61235d29a18a489630013268b90d68ccda0f49c2deea49d941a7b5866231",
+        "0005_restricted.dot": "943bb698e46b653f5a62e05a4989697109e41bfc3a3f03d8ca9ecd105acf2c25",
     },
 }
 

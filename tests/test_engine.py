@@ -679,7 +679,9 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
     from ddbd.ucp import UcpMasterOracle, UcpSubproblemOracle, compute_gamma
     from ddbd.ucp import gen_random_instance
 
-    # the root finds an incumbent within two evaluations; the solve takes eight
+    # the root finds an incumbent within two evaluations, and the solve takes
+    # two; the limit falls during the first evaluation's sleep, after a
+    # root build of a few ms
     inst = gen_random_instance(3, 3, 1, seed=31_003)
     gamma = compute_gamma(inst)
     master = UcpMasterOracle(inst, gamma)
@@ -692,7 +694,7 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
             return super().evaluate(x)
 
     report = dd_bd_solve(master, SlowSub(inst),
-                         EngineConfig(width=1, time_limit=0.05))
+                         EngineConfig(width=1, time_limit=0.015))
     assert report.status == "time_limit"
     assert calls, "the subproblem should have been reached before the limit"
     # either no incumbent yet (infinite gap) or an incumbent with a gap

@@ -104,3 +104,21 @@ def test_dd_bd_width_independence():
     assert small.status == large.status
     if small.status == "optimal":
         assert small.value == pytest.approx(large.value, rel=1e-6, abs=1e-6)
+
+
+LOW_BAND = [(n, horizon, scenarios, 1000 * n + 100 * horizon + 10 * scenarios, factor)
+            for n in (1, 2, 3) for horizon in (2, 3, 4) for scenarios in (1, 2)
+            for factor in (0.4, 0.6)]
+
+
+@pytest.mark.parametrize("spec", LOW_BAND, ids=["x".join(map(str, s[:3])) + f"-d{s[4]:g}"
+                                                for s in LOW_BAND])
+def test_dd_bd_matches_brute_force_at_low_demand(spec):
+    # at low demand most commitments are dispatchable, so optimality cuts,
+    # not capacity cuts, decide the search
+    inst = scaled_instance(*spec)
+    brute = brute_force_solve(inst)
+    report = ucp_solve(inst, EngineConfig(width=2))
+    assert report.status == brute.status
+    if brute.status == "optimal":
+        assert report.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6)

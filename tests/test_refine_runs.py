@@ -413,7 +413,10 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_ucp_master
             dd = built[0] if isinstance(built, tuple) else built
             cuts = rng.sample(pool, 3)
             check_optimality_replays(dd, cuts, cuts[0], f"{build.__name__} {partial}", seen)
-    assert seen == {"shared": 51, "replays": 60, "emptying": 8, "out of order": 24}
+    # "shared" went 51 -> 49 when dispatch began to return Pareto-optimal
+    # cuts (the optimal duals best at the commitment midpoint): the pool
+    # holds other cuts, two more of whose replays split a node
+    assert seen == {"shared": 49, "replays": 60, "emptying": 8, "out of order": 24}
 
 
 def test_optimality_replays_that_split_nothing_match_the_reference_on_random_diagrams():

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from ddbd.simplex import (
     solve,
     verify_certificate,
 )
-from reference_lp import best_vertex_value
+from reference_lp import best_vertex_value, enumerate_vertices
 
 
 def make_lp(sense, c, rows, senses, b, lo=None, hi=None):
@@ -634,11 +635,11 @@ def test_carried_reduced_costs_track_fresh_ones_and_exits_are_fresh(monkeypatch)
     real = {name: getattr(simplex._Tableau, name)
             for name in ("run", "reduced_costs", "bland", "pivot")}
 
-    def run(self, cost, banned):
+    def run(self, cost, banned, since=None):
         costs.append(cost)
-        entering = real["run"](self, cost, banned)
-        events.append(("exit", entering, self, banned))
-        return entering
+        entering, red = real["run"](self, cost, banned, since)
+        events.append(("exit", entering, self, banned, red))
+        return entering, red
 
     def priced(self, cost):
         red = real["reduced_costs"](self, cost)
@@ -667,8 +668,9 @@ def test_carried_reduced_costs_track_fresh_ones_and_exits_are_fresh(monkeypatch)
     for k in exits:
         # the exit is decided on reduced costs priced after the last pivot
         assert [e[0] for e in events[k - 2:k]] == ["fresh", "bland"]
-        _, entering, tab, banned = events[k]
+        _, entering, tab, banned, returned = events[k]
         red = events[k - 2][1]
+        assert np.array_equal(returned, red)   # run hands back the exit's costs
         if entering >= 0:
             assert red[entering] < -simplex.OPT_TOL
             assert tab.ratio_test(entering) == -1
@@ -680,3 +682,122 @@ def test_carried_reduced_costs_track_fresh_ones_and_exits_are_fresh(monkeypatch)
     # carried costs that showed no pivot to make, priced afresh before the exit
     repriced = sum(a[0] == "bland" and b[0] == "fresh" for a, b in zip(events, events[1:]))
     assert len(exits) > 300 and repriced > 100
+
+
+# -- a secondary objective on the optimal face ----------------------------------
+
+
+def tied_lp(rng):
+    """A boxed LP, feasible around a point unless its box cuts that point
+    off, whose objective has small integer entries, so its optimal face
+    is often more than a point."""
+    lp = random_lp(rng, nmax=4, mmax=6, force_feasible=True)
+    c = rng.integers(-1, 2, size=lp.num_vars).astype(float)
+    return dataclasses.replace(lp, c=c)
+
+
+def with_secondary(lp, secondary):
+    return dataclasses.replace(lp, secondary=secondary)
+
+
+def sign(lp):
+    return 1.0 if lp.sense == "max" else -1.0
+
+
+def test_a_secondary_objective_keeps_the_primary_and_is_best_on_the_face():
+    rng = np.random.default_rng(2026)
+    moved = 0
+    for _ in range(150):
+        lp = tied_lp(rng)
+        secondary = np.round(rng.uniform(-2, 2, size=lp.num_vars), 2)
+        plain, tied = solve(lp), solve(with_secondary(lp, secondary))
+        assert plain.status == tied.status
+        if plain.status != "optimal":
+            continue
+        assert verify_certificate(lp, tied)
+        assert abs(tied.objective - plain.objective) <= 1e-6 * (1.0 + abs(plain.objective))
+        # as good for the secondary as the plain vertex, and as any optimal vertex
+        gain = sign(lp) * (secondary @ tied.x - secondary @ plain.x)
+        assert gain >= -1e-6
+        face = [v for v in enumerate_vertices(lp)
+                if abs(lp.c @ v - plain.objective) <= 1e-7 * (1.0 + abs(plain.objective))]
+        best = max(sign(lp) * (secondary @ v) for v in face)
+        assert sign(lp) * (secondary @ tied.x) == pytest.approx(best, rel=1e-6, abs=1e-6)
+        moved += gain > 1e-6
+    assert moved > 20
+
+
+def test_a_secondary_unbounded_on_the_face_stops_at_an_optimal_basis(monkeypatch):
+    # min x0 over x0, x1 >= 0: the face x0 = 0 runs off along x1, which
+    # the secondary objective rewards
+    lp = make_lp("min", [1.0, 0.0], [[1.0, -1.0]], ["<="], [1.0])
+    out = solve(with_secondary(lp, [0.0, -1.0]))
+    assert out.status == "optimal" and out.objective == pytest.approx(0.0)
+    assert verify_certificate(lp, out)
+    # the same on random LPs with free and half-bounded variables: record
+    # whether each secondary run (the first run inside settle_face) ends on a ray
+    entered, rays = [], []
+    real_run, real_settle = simplex._Tableau.run, simplex._Tableau.settle_face
+
+    def run(self, *args, **kwargs):
+        result = real_run(self, *args, **kwargs)
+        if entered:
+            entered[-1].append(result[0])
+        return result
+
+    def settle(self, *args):
+        entered.append([])
+        try:
+            return real_settle(self, *args)
+        finally:
+            runs = entered.pop()
+            rays.append(bool(runs) and runs[0] != -1)
+
+    monkeypatch.setattr(simplex._Tableau, "run", run)
+    monkeypatch.setattr(simplex._Tableau, "settle_face", settle)
+    rng = np.random.default_rng(8)
+    for lp, _ in kernel_chains(31, 300):
+        lp = dataclasses.replace(lp, c=rng.integers(-1, 2, size=lp.num_vars).astype(float))
+        plain = solve(lp)
+        if plain.status != "optimal":
+            continue
+        out = solve(with_secondary(lp, rng.uniform(-2, 2, size=lp.num_vars)))
+        assert out.status == "optimal" and verify_certificate(lp, out)
+        assert abs(out.objective - plain.objective) <= 1e-6 * (1.0 + abs(plain.objective))
+    assert sum(rays) > 5
+
+
+def test_a_unique_optimum_makes_no_tie_pivots():
+    # min x0 + x1 with x0 + 2 x1 >= 2 and 2 x0 + x1 >= 2: optimal at (2/3, 2/3) alone
+    lp = make_lp("min", [1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], [">=", ">="], [2.0, 2.0])
+    plain = solve(lp)
+    for secondary in ([1.0, -1.0], [-1.0, 1.0], [-5.0, -5.0]):
+        tied = solve(with_secondary(lp, secondary))
+        assert tied.pivots == plain.pivots
+        assert np.array_equal(tied.x, plain.x)
+    rng = np.random.default_rng(5)
+    unique = 0
+    for _ in range(100):
+        lp = random_lp(rng, force_feasible=True)
+        plain = solve(lp)
+        if plain.status != "optimal":
+            continue
+        tab = plain._tableau
+        red = tab.reduced_costs(tab.kernel_cost(lp.c, lp.sense))
+        open_ = red <= simplex.OPT_TOL
+        open_[tab.basis] = False
+        open_[tab.art] = False
+        if open_.any():
+            continue
+        unique += 1
+        tied = solve(with_secondary(lp, rng.uniform(-2, 2, size=lp.num_vars)))
+        assert tied.pivots == plain.pivots and np.array_equal(tied.x, plain.x)
+    assert unique > 50
+
+
+@pytest.mark.parametrize("secondary", [[1.0], [1.0, 2.0, 3.0], [1.0, np.nan],
+                                       [np.inf, 0.0]])
+def test_a_bad_secondary_objective_is_rejected(secondary):
+    with pytest.raises(ValueError):
+        LinearProgram(sense="min", c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[">="], b=[1.0],
+                      secondary=secondary)

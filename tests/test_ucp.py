@@ -680,6 +680,13 @@ def test_dual_matches_primal_value_and_unboundedness():
 
 
 def test_zero_demand_gives_zero_value_cut():
+    """At zero demand the all-off commitment costs 0, and so does its cut
+    there.  The cut used to have every coefficient 0, the vertex Bland's
+    rule reached first; among the optimal duals dispatch now takes the one
+    best at the commitment midpoint, whose cut charges each committed
+    period, so it is checked for value, tightness and validity instead."""
+    from ddbd.oracle import stage2_expected_cost
+
     gen = simple_generator()
     inst = single_unit_instance(gen, 2)
     res = evaluate_subproblems(inst, (0.0, 0.0))
@@ -687,8 +694,13 @@ def test_zero_demand_gives_zero_value_cut():
     assert res.value == pytest.approx(0.0)
     cut = res.cuts[0]
     assert cut.z_coeff == 1.0 and cut.sense == ">="
-    assert all(abs(v) <= 1e-9 for v in cut.coeffs.values())
-    assert cut.rhs == pytest.approx(0.0, abs=1e-9)
+
+    def bound(x):   # the least z the cut allows at x
+        return cut.rhs - sum(c * x[k] for k, c in cut.coeffs.items())
+
+    assert bound((0, 0)) == pytest.approx(0.0, abs=1e-9)
+    for x in itertools.product((0, 1), repeat=2):
+        assert bound(x) <= stage2_expected_cost(inst, x) + 1e-6, x
 
 
 def test_cuts_are_valid_for_every_feasible_commitment():
@@ -707,6 +719,46 @@ def test_cuts_are_valid_for_every_feasible_commitment():
                     continue
                 lhs = sum(c * x[k] for k, c in cut.coeffs.items()) + cut.z_coeff * z
                 assert cut.satisfied(lhs, tol=1e-6), (probe, cut, x, z)
+
+
+def test_optimality_cuts_are_valid_tight_and_pareto_at_the_midpoint(monkeypatch):
+    """Every optimality cut dispatch returns holds at every feasible
+    commitment (checked against HiGHS), is tight at its own commitment x̂,
+    and at the midpoint x0 = 0.5 is at least the cut from the same LPs
+    solved without a secondary objective (Magnanti-Wong)."""
+    from ddbd.oracle import feasible_assignments, stage2_expected_cost
+
+    real = ucp_module.solve
+
+    def plain(lp):
+        return real(dataclasses.replace(lp, secondary=None))
+
+    def bound(cut, x):   # the least z the cut allows at x
+        return cut.rhs - sum(c * x[k] for k, c in cut.coeffs.items())
+
+    checked = stronger = 0
+    for inst in (scaled_instance(2, 3, 2, 4, 0.5), scaled_instance(2, 4, 2, 0, 0.4),
+                 scaled_instance(3, 2, 2, 3, 0.5)):
+        truth = {x: stage2_expected_cost(inst, x) for x in feasible_assignments(inst)}
+        midpoint = [0.5] * inst.num_vars
+        for x_hat, value in truth.items():
+            if value is None:
+                continue
+            res = evaluate_subproblems(inst, x_hat)
+            with monkeypatch.context() as patch:
+                patch.setattr(ucp_module, "solve", plain)
+                ref = evaluate_subproblems(inst, x_hat)
+            assert res.kind == ref.kind == "optimal"
+            (cut,), (ref_cut,) = res.cuts, ref.cuts
+            assert bound(cut, x_hat) == pytest.approx(value, rel=1e-6, abs=1e-6)
+            for x, z in truth.items():
+                if z is not None:
+                    assert bound(cut, x) <= z + 1e-6 * (1.0 + abs(z)), (x_hat, x)
+            core, ref_core = bound(cut, midpoint), bound(ref_cut, midpoint)
+            assert core >= ref_core - 1e-6 * (1.0 + abs(ref_core)), x_hat
+            checked += 1
+            stronger += core > ref_core + 1e-6 * (1.0 + abs(ref_core))
+    assert checked > 40 and stronger > checked // 2
 
 
 def feasibility_cut(inst, sc, ray):
