@@ -1,11 +1,12 @@
 """Command-line surface: generate, solve, compare, verify.
 
 Exit codes for `solve`: 0 optimal, 2 time limit hit, 3 infeasible,
-1 for malformed inputs (a width below 1 among them) and for an
-unbounded MIP.  `compare` exits
-1 on malformed arguments or when any method disagrees on an optimum,
-`verify-decomposition` exits 1 when a condition or an equivalence check
-fails.
+1 for malformed inputs and for an unbounded MIP; an instance declares
+its own sense.  `compare` exits 1 on malformed arguments or when any
+method disagrees on an optimum, `verify-decomposition` when a condition
+or an equivalence check fails.  Every command exits 1 on a usage error,
+with the usage on stderr, and on an --out path it cannot write, checked
+before any work is done.
 """
 
 from __future__ import annotations
@@ -53,11 +54,21 @@ def _load_instance(path):
     raise InstanceError("unrecognised instance schema")
 
 
-def _engine_config(args):
-    return EngineConfig(width=args.width,
-                        time_limit=args.time_limit,
-                        relaxed_cuts=not args.no_relaxed_cuts,
-                        dot_dir=args.emit_dot)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: `solve` keeps 2 for a time limit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _check_out(path):
+    """Raise OSError unless a file can be written at path."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise OSError(f"cannot write --out {path}")
 
 
 def cmd_solve(args):
@@ -69,12 +80,9 @@ def cmd_solve(args):
             n, t, s, seed = _parse_ints(args.gen, "n,T,S,seed")
             kind, problem = "ucp", gen_random_instance(n, t, s, seed)
             instance_id = f"gen-{n}x{t}x{s}-seed{seed}"
-        config = _engine_config(args)
-        if kind == "ucp" and args.sense == "max":
-            raise InstanceError("unit-commitment instances are minimisation problems")
+        config = EngineConfig(time_limit=args.time_limit, dot_dir=args.emit_dot)
+        _check_out(args.out)
         if kind == "mip":
-            if args.sense and args.sense != problem.sense:
-                raise InstanceError(f"instance declares sense {problem.sense}")
             master, sub = MipMasterOracle(problem), MipSubproblemOracle(problem)
     except (OSError, ValueError, InstanceError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -105,7 +113,8 @@ def cmd_gen(args):
     try:
         n, t, s, seed = _parse_ints(args.params, "n,T,S,seed")
         text = gen_random_instance(n, t, s, seed).to_json()
-    except ValueError as exc:
+        _check_out(args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
@@ -128,17 +137,17 @@ def cmd_compare(args):
     try:
         sizes = [_parse_ints(spec, "n,T,S") for spec in args.sizes]
         seeds = [int(v) for v in args.seeds.split(",")] if args.seeds else []
-        config = EngineConfig(width=args.width, relaxed_cuts=not args.no_relaxed_cuts)
         instances = [(f"{n}x{t}x{s}-seed{seed}", gen_random_instance(n, t, s, seed))
                      for n, t, s in sizes for seed in seeds]
-    except ValueError as exc:
+        _check_out(args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = []
     all_agree = True
     for instance_id, instance in instances:
         results = {}
-        report = ucp_solve(instance, config, instance_id=instance_id)
+        report = ucp_solve(instance, instance_id=instance_id)
         results["dd-bd"] = (report.status, report.value, report.wall_time,
                             report.feasibility_cuts, report.optimality_cuts,
                             report.branches)
@@ -200,7 +209,7 @@ def cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddbd",
         description="decision-diagram decomposition solver and verification tools")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -208,10 +217,7 @@ def build_parser():
     ps = sub.add_parser("solve", help="solve an instance file or a generated one")
     ps.add_argument("--instance", help="instance JSON (unit commitment or MIP)")
     ps.add_argument("--gen", help="n,T,S,seed to generate an instance instead")
-    ps.add_argument("--sense", choices=["min", "max"], default=None)
-    ps.add_argument("--width", type=int, default=2)
     ps.add_argument("--time-limit", type=float, default=None)
-    ps.add_argument("--no-relaxed-cuts", action="store_true")
     ps.add_argument("--emit-dot", metavar="DIR", default=None)
     ps.add_argument("--out", help="write the JSON report here (plus a .csv row)")
     ps.set_defaults(func=cmd_solve)
@@ -226,8 +232,6 @@ def build_parser():
     pc.add_argument("--sizes", action="append", default=[],
                     help="n,T,S triple; repeatable")
     pc.add_argument("--seeds", default="", help="comma-separated seeds")
-    pc.add_argument("--width", type=int, default=2)
-    pc.add_argument("--no-relaxed-cuts", action="store_true")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_compare)
 

@@ -2,33 +2,24 @@
 Benders-style cut generation.
 
 The solve loop keeps a LIFO stack of partial assignments.  Each node
-runs one separation loop twice: take the diagram's optimal path,
-evaluate the subproblem there, pool the cuts, bring the fresh ones
-into the diagram, and repeat until the path's value variable agrees
-with the subproblem optimum.  On the restricted diagram (primal side)
-that yields the node's candidate, and a cut the pool already holds is
-an oracle error.  On the relaxed diagram (dual side) it tightens the
-bound: the node is pruned once the bound cannot beat the incumbent,
-and otherwise it branches over the last exact node layer of the last
-diagram refined, after RELAXED_CUT_CAP evaluations at most.  A
-branching with a single prefix is none: that prefix is extended as far
-as every path of the diagram shares it (forced_prefix) and pushed as
-the only child.
-Fresh cuts reach a node's diagrams one way on both sides: the loop
-asks the master again for the node under the grown pool.  A restricted
-diagram that the oracle reports exact represents the node and the pool
-in full, so the loop's candidate solves the node and the relaxed side
-is skipped.  Both shipped oracles report exact; the unit-commitment one
-hands back the exact master refined by the pool.
-Cuts live in a global deduplicated pool.  Before the root is expanded
-the pool takes the subproblem oracle's initial_cuts(): cuts that hold
-for every x and need no evaluation, such as the unit-commitment
-oracle's per-period capacity cuts, so the root's first diagrams already
-satisfy them.  The oracles bring the pool into every diagram they
-build by one exact refinement pass over the list (see replay_cuts);
-the unit-commitment oracle keeps the refined master of its last build,
-so asking again for the same partial and side replays only the cuts
-pooled since.
+runs one separation loop: take the diagram's optimal path, evaluate the
+subproblem there, pool the cuts, and ask the master again for the node
+under the grown pool (the only way fresh cuts reach a diagram), until
+the path's value variable agrees with the subproblem optimum.  On the
+restricted diagram that yields the node's candidate, and a cut the pool
+already holds is an oracle error.  A restricted diagram reported exact
+solves the node; both shipped oracles report exact, so their solves end
+at the root.  For an inexact one the relaxed side runs the same loop to
+tighten the bound: the node is pruned once the bound cannot beat the
+incumbent, and otherwise it branches over the last exact node layer of
+the last diagram refined, after RELAXED_CUT_CAP evaluations or a stale
+cut.  A single prefix is no branching: it is extended as far as every
+path shares it (forced_prefix) and pushed as the only child.
+Cuts live in a global deduplicated pool, seeded before the root with
+the subproblem oracle's initial_cuts(): cuts that hold for every x,
+such as the unit-commitment oracle's per-period capacity cuts.  The
+oracles bring the pool into a diagram by one exact refinement pass over
+the list (see replay_cuts).
 The clock is read before every evaluation, before each node, and once
 more between the restricted loop and the relaxed build; a node open
 when the time runs out goes back on the stack with a bound that holds
@@ -75,8 +66,8 @@ class MasterOracle:
     """Contract for problem-specific diagram builders.
 
     sense: "min" or "max".
-    build_restricted_dd(partial, cuts, width) -> (diagram or None, is_exact)
-    build_relaxed_dd(partial, cuts, width)    -> diagram or None
+    build_restricted_dd(partial, cuts) -> (diagram or None, is_exact)
+    build_relaxed_dd(partial, cuts)    -> diagram or None
 
     Both build over the completions of the partial assignment that
     satisfy every cut.  Write Sol(exact) for that set; the contract,
@@ -85,12 +76,13 @@ class MasterOracle:
     Relaxed diagrams tag relaxation-merged nodes so exact_cutset works,
     and None from build_relaxed_dd says Sol(exact) is empty.  Diagrams
     must end in a continuous value layer (a [v, v] interval when the
-    subproblem value is fixed).
+    subproblem value is fixed).  An oracle that bounds its diagrams'
+    width takes the width in its constructor.
 
     is_exact promises Sol(restricted) = Sol(exact), so the node needs no
-    relaxed diagram and no branching; the width and the relaxed side
-    serve only an oracle whose restricted diagrams are inexact (neither
-    shipped oracle has one).  (None, True) proves the node
+    relaxed diagram and no branching, and build_relaxed_dd is never
+    called for it; an oracle that always reports exact (both shipped
+    ones do) need not define it.  (None, True) proves the node
     infeasible: Sol(exact) is empty because the partial assignment has
     no completion or the cuts remove every one.  (None, False) only says
     the restricted diagram found nothing.
@@ -100,16 +92,16 @@ class MasterOracle:
     appends, and a cut never changes); the last restricted answer's
     is_exact is the one that counts.  These calls are the only way fresh
     cuts reach a node's diagrams.  An oracle may keep state for one
-    (partial assignment, side) to make them cheap, as UcpMasterOracle
-    does; any other call must still answer in full.
+    partial assignment to make them cheap, as UcpMasterOracle and
+    MipMasterOracle do; any other call must still answer in full.
     """
 
     sense = "min"
 
-    def build_restricted_dd(self, partial, cuts, width):
+    def build_restricted_dd(self, partial, cuts):
         raise NotImplementedError
 
-    def build_relaxed_dd(self, partial, cuts, width):
+    def build_relaxed_dd(self, partial, cuts):
         raise NotImplementedError
 
 
@@ -166,14 +158,10 @@ class CutPool:
 
 @dataclass
 class EngineConfig:
-    width: int = 2
     time_limit: float = None
-    relaxed_cuts: bool = True          # run subproblems on relaxed paths too
     dot_dir: str = None                # dump refinement snapshots when set
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be at least 1, got {self.width}")
         # `not >=` also rejects NaN, which every comparison would ignore
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError(f"time limit must be at least 0 seconds, got {self.time_limit}")
@@ -299,8 +287,8 @@ def replay_cuts(dd, cuts):
     their own module's attribute (ucp.replay_cuts), and it calls through
     this module's refine_with_cut, so wrappers bound there (as
     perfbench/layers.py binds) see every replay.
-    Node splitting may push the diagram past any configured width;
-    that growth is allowed, never blocked.
+    Node splitting may push the diagram past any width its oracle
+    compiled it to; that growth is allowed, never blocked.
     """
     if cuts:
         dd = refine_with_cut(dd, list(cuts))
@@ -355,7 +343,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     def restricted():
         # the last build's exactness flag is the one that counts
         nonlocal restricted_exact
-        rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts, cfg.width)
+        rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts)
         return rdd
 
     def separate(build, tag, cap, prune):
@@ -436,8 +424,8 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         # a stale cut leaves nothing new to separate with: stop improving
         # the bound and branch, as after the cap
         outcome, xdd, (_, _, w_bar) = separate(
-            lambda: master.build_relaxed_dd(partial, pool.cuts, cfg.width), "relaxed",
-            RELAXED_CUT_CAP if cfg.relaxed_cuts else 0, prune=True)
+            lambda: master.build_relaxed_dd(partial, pool.cuts), "relaxed",
+            RELAXED_CUT_CAP, prune=True)
         if outcome == "time_limit":
             # w_bar bounds every completion of this node's relaxed diagram
             stack.append((partial, w_bar))

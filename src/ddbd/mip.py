@@ -99,14 +99,16 @@ def _numbers(values):
 
 
 class MipMasterOracle(MasterOracle):
-    """Exact master diagram compiled by refinement; width is ignored.
+    """Exact master diagram compiled by refinement.
 
     A chain with one node per layer carries an arc for each distinct
     domain value, weighted by its objective term, and ends in the
     [z_lo, z_hi] value arc.  The master rows, made feasibility cuts once
     ("=" as a "<=" and a ">=" row), are replayed into it, then the pool
-    cuts.  Restricted and relaxed diagrams coincide with the exact one,
-    so the engine takes the exact-node shortcut and never branches.
+    cuts.  The chain refined by the rows is kept for the last partial
+    assignment, so asking again for it replays only the pool.  The
+    restricted diagram is this exact one, reported exact, so the engine
+    asks for no relaxed diagram and never branches.
     """
 
     def __init__(self, problem):
@@ -115,8 +117,11 @@ class MipMasterOracle(MasterOracle):
         self._rows = [CutRow(coeffs=_dense_to_sparse(ax), rhs=float(rhs), sense=s)
                       for ax, _, sense, rhs in problem.master_rows()
                       for s in (("<=", ">=") if sense == "=" else (sense,))]
+        self._partial = self._master = None
 
-    def build_exact_dd(self, partial, cuts):
+    def _compile(self, partial):
+        """The chain of the partial assignment refined by the master rows,
+        or None when no point is left."""
         n = len(self.problem.x_domains)
         dd = DiagramBuilder(n + 1, continuous_last=True)
         node = dd.new_node(0)
@@ -132,15 +137,20 @@ class MipMasterOracle(MasterOracle):
         lo, hi = self.problem.z_bounds
         dd.add_arc(n, node, dd.new_node(n + 1), Interval(float(lo), float(hi)), 1.0)
         try:
-            return replay_cuts(replay_cuts(dd.build(), self._rows), cuts)
+            return replay_cuts(dd.build(), self._rows)
         except InfeasibleDiagramError:
             return None
 
-    def build_restricted_dd(self, partial, cuts, width):
-        return self.build_exact_dd(partial, cuts), True
+    def build_exact_dd(self, partial, cuts):
+        if tuple(partial) != self._partial:
+            self._partial, self._master = tuple(partial), self._compile(partial)
+        try:
+            return None if self._master is None else replay_cuts(self._master, cuts)
+        except InfeasibleDiagramError:
+            return None
 
-    def build_relaxed_dd(self, partial, cuts, width):
-        return self.build_exact_dd(partial, cuts)
+    def build_restricted_dd(self, partial, cuts):
+        return self.build_exact_dd(partial, cuts), True
 
 
 class MipSubproblemOracle(SubproblemOracle):

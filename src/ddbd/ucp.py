@@ -385,53 +385,50 @@ def build_relaxed_master_dd(instance, partial, gamma, width):
 
 
 class RefinedMaster:
-    """The master of one partial assignment refined by a cut list, kept
-    from one build to the next.
+    """The exact master of one partial assignment refined by a cut list,
+    kept from one build to the next.
 
-    refine(instance, partial, gamma, cuts, width) returns and keeps
-    replay_cuts(master, cuts), the master being build_master_dd when
-    width is None and build_relaxed_master_dd at that width otherwise.
-    When the kept diagram has the same instance, gamma, partial and
-    width, and its cuts are the first cuts of the list, the very same
-    objects in the same order, only the cuts after them are replayed,
-    into the kept diagram: a cut is never changed once made (CutRow),
-    and a cut pool only appends.  Any other call compiles afresh.  A
-    call that raises leaves the kept diagram as it was.
+    refine(instance, partial, gamma, cuts) returns and keeps
+    replay_cuts(build_master_dd(instance, partial, gamma), cuts).  When
+    the kept diagram has the same instance, gamma and partial, and its
+    cuts are the first cuts of the list, the very same objects in the
+    same order, only the cuts after them are replayed, into the kept
+    diagram: a cut is never changed once made (CutRow), and a cut pool
+    only appends.  Any other call compiles afresh.  A call that raises
+    leaves the kept diagram as it was.
     """
 
     def __init__(self):
-        self.instance = self.gamma = self.partial = self.width = self.dd = None
+        self.instance = self.gamma = self.partial = self.dd = None
         self.cuts = []
 
-    def _extended_by(self, instance, partial, gamma, cuts, width):
+    def _extended_by(self, instance, partial, gamma, cuts):
         return (self.dd is not None and instance is self.instance
                 and gamma is self.gamma and tuple(partial) == self.partial
-                and width == self.width and len(cuts) >= len(self.cuts)
+                and len(cuts) >= len(self.cuts)
                 and all(a is b for a, b in zip(self.cuts, cuts)))
 
-    def refine(self, instance, partial, gamma, cuts, width=None):
+    def refine(self, instance, partial, gamma, cuts):
         cuts = list(cuts)
-        if self._extended_by(instance, partial, gamma, cuts, width):
+        if self._extended_by(instance, partial, gamma, cuts):
             dd = replay_cuts(self.dd, cuts[len(self.cuts):])
         else:
-            dd = replay_cuts(build_master_dd(instance, partial, gamma) if width is None else
-                             build_relaxed_master_dd(instance, partial, gamma, width), cuts)
+            dd = replay_cuts(build_master_dd(instance, partial, gamma), cuts)
         self.instance, self.gamma, self.partial = instance, gamma, tuple(partial)
-        self.width, self.cuts, self.dd = width, cuts, dd
+        self.cuts, self.dd = cuts, dd
         return dd
 
 
-def build_restricted_master_dd(instance, partial, gamma, width, cuts=(), kept=None):
+def build_restricted_master_dd(instance, partial, gamma, cuts=(), kept=None):
     """Restricted diagram of the partial assignment under the cuts.
 
     Compiles the exact master (build_master_dd) and replays the cuts
     into it in one exact pass (replay_cuts): exact ∩ pool itself, so it
-    returns (diagram, True).  `width` is the contract's argument and
-    goes unused.  Given a RefinedMaster as `kept`, the refined master
-    comes from it, so a build for the same partial under a grown cut
-    list replays only the new cuts.  Raises EmptyDiagramError when the
-    partial assignment admits no completion and InfeasibleDiagramError
-    when the cuts remove every path.
+    returns (diagram, True).  Given a RefinedMaster as `kept`, the
+    refined master comes from it, so a build for the same partial under
+    a grown cut list replays only the new cuts.  Raises
+    EmptyDiagramError when the partial assignment admits no completion
+    and InfeasibleDiagramError when the cuts remove every path.
     """
     kept = RefinedMaster() if kept is None else kept
     return kept.refine(instance, partial, gamma, cuts), True
@@ -792,10 +789,10 @@ class UcpMasterOracle(MasterOracle):
 
     A restricted diagram is the exact master refined by the cuts
     (build_restricted_master_dd), reported exact, so a converged
-    restricted loop closes its node; a relaxed one is the master
-    compiled at width and refined by the cuts.  The refined master of
-    the last build is kept (RefinedMaster), so asking again for the same
-    partial and side replays only the cuts pooled since.
+    restricted loop closes its node and no relaxed diagram is asked
+    for.  The refined master of the last build is kept (RefinedMaster),
+    so asking again for the same partial replays only the cuts pooled
+    since.
     """
 
     sense = "min"
@@ -805,20 +802,14 @@ class UcpMasterOracle(MasterOracle):
         self.gamma = gamma
         self._kept = RefinedMaster()
 
-    def build_restricted_dd(self, partial, cuts, width):
+    def build_restricted_dd(self, partial, cuts):
         # an empty exact master, or one the pool empties, proves the node
         # infeasible: the restricted diagram is then exact
         try:
             return build_restricted_master_dd(self.instance, partial, self.gamma,
-                                              width, cuts, self._kept)
+                                              cuts, self._kept)
         except (EmptyDiagramError, InfeasibleDiagramError):
             return None, True
-
-    def build_relaxed_dd(self, partial, cuts, width):
-        try:
-            return self._kept.refine(self.instance, partial, self.gamma, cuts, width)
-        except (EmptyDiagramError, InfeasibleDiagramError):
-            return None
 
 
 class UcpSubproblemOracle(SubproblemOracle):

@@ -78,7 +78,7 @@ def test_criterion_1_worked_mip_end_to_end():
     master = MipMasterOracle(problem)
     sub = RecordingSub(MipSubproblemOracle(problem))
     t0 = time.perf_counter()
-    rep = dd_bd_solve(master, sub, EngineConfig(width=2), instance_id="worked")
+    rep = dd_bd_solve(master, sub, EngineConfig(), instance_id="worked")
     elapsed = time.perf_counter() - t0
     assert rep.status == "optimal"
     assert abs(rep.value - 11.0 / 3.0) <= 1e-6
@@ -157,7 +157,7 @@ def test_criterion_4_oracle_agreement_sweep():
             seed = 1000 * n + 100 * horizon + 10 * scen + k
             inst = gen_random_instance(n, horizon, scen, seed=seed)
             brute = brute_force_solve(inst)
-            rep = ucp_solve(inst, EngineConfig(width=2), instance_id=str(seed))
+            rep = ucp_solve(inst, EngineConfig(), instance_id=str(seed))
             assert rep.status == brute.status, f"seed {seed}"
             if brute.status == "optimal":
                 tol = 1e-6 * (1.0 + abs(brute.best_cost))
@@ -196,7 +196,9 @@ def test_criterion_5_ramp_reformulation_equivalence():
 
 class SandwichMaster:
     """Checks relaxed <= exact <= restricted path values at every node's
-    restricted build, and the root relaxed bound against the optimum."""
+    restricted build, and the root relaxed bound against the optimum.
+    The relaxed side is the width-2 relaxed master refined by the cuts:
+    the solve asks for none, since every restricted diagram is exact."""
 
     def __init__(self, inner, optimum):
         self.inner = inner
@@ -204,32 +206,29 @@ class SandwichMaster:
         self.optimum = optimum
         self.checked = 0
 
-    def build_restricted_dd(self, partial, cuts, width):
-        built = self.inner.build_restricted_dd(partial, cuts, width)
+    def build_restricted_dd(self, partial, cuts):
+        built = self.inner.build_restricted_dd(partial, cuts)
+        inst, gamma = self.inner.instance, self.inner.gamma
         try:
-            exact = replay_cuts(build_master_dd(self.inner.instance, partial,
-                                                self.inner.gamma), cuts)
+            exact = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
             _, exact_val = optimal_path(exact, "min")
         except (EmptyDiagramError, InfeasibleDiagramError):
             return built
         tol = 1e-6 * (1.0 + abs(exact_val))
-        relaxed = self.inner.build_relaxed_dd(partial, cuts, width)
-        if relaxed is not None:
-            _, relax_val = optimal_path(relaxed, "min")
-            assert relax_val <= exact_val + tol, \
-                f"relaxed bound {relax_val} cuts off exact value {exact_val}"
-            if partial == () and self.optimum is not None:
-                assert relax_val <= self.optimum + 1e-6, \
-                    f"root relaxed bound {relax_val} excludes the optimum {self.optimum}"
+        # every exact path survives the relaxed refinement, so it cannot empty
+        relaxed = replay_cuts(build_relaxed_master_dd(inst, partial, gamma, 2), cuts)
+        _, relax_val = optimal_path(relaxed, "min")
+        assert relax_val <= exact_val + tol, \
+            f"relaxed bound {relax_val} cuts off exact value {exact_val}"
+        if partial == () and self.optimum is not None:
+            assert relax_val <= self.optimum + 1e-6, \
+                f"root relaxed bound {relax_val} excludes the optimum {self.optimum}"
         if built[0] is not None:
             _, restr_val = optimal_path(built[0], "min")
             assert restr_val >= exact_val - tol, \
                 f"restricted value {restr_val} beats exact value {exact_val}"
         self.checked += 1
         return built
-
-    def build_relaxed_dd(self, partial, cuts, width):
-        return self.inner.build_relaxed_dd(partial, cuts, width)
 
 
 class OptimumSub:
@@ -263,14 +262,13 @@ def test_criterion_6_bound_sandwich_everywhere():
         gamma = GammaBounds(0.0, 0.0)
         exact = build_master_dd(inst, gamma=gamma)
         _, exact_val = optimal_path(exact, "min")
+        restricted, _ = build_restricted_master_dd(inst, (), gamma)
+        _, restr_val = optimal_path(restricted, "min")
+        assert restr_val >= exact_val - 1e-9, f"seed {seed}"
         for width in (1, 2, 3):
             relaxed = build_relaxed_master_dd(inst, (), gamma, width)
             _, relax_val = optimal_path(relaxed, "min")
             assert relax_val <= exact_val + 1e-9, f"seed {seed} width {width}"
-            restricted, _ = build_restricted_master_dd(inst, (), gamma, width)
-            if restricted is not None:
-                _, restr_val = optimal_path(restricted, "min")
-                assert restr_val >= exact_val - 1e-9, f"seed {seed} width {width}"
             sandwiches += 1
         # per-node checks inside the solver, against the true optimum
         brute = brute_force_solve(inst)
@@ -282,7 +280,7 @@ def test_criterion_6_bound_sandwich_everywhere():
             continue
         master = SandwichMaster(UcpMasterOracle(inst, gamma), brute.best_cost)
         sub = OptimumSub(UcpSubproblemOracle(inst), brute.best_cost)
-        rep = dd_bd_solve(master, sub, EngineConfig(width=2), instance_id=str(seed))
+        rep = dd_bd_solve(master, sub, EngineConfig(), instance_id=str(seed))
         assert rep.status == brute.status
         nodes += master.checked
         checked += 1

@@ -24,7 +24,7 @@ def test_gen_writes_valid_instance(tmp_path, capsys):
 def test_solve_worked_mip_fixture(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["solve", "--instance", str(FIXTURES / "two_binary_mip.json"),
-                 "--sense", "max", "--out", str(out)])
+                 "--out", str(out)])
     captured = capsys.readouterr().out
     assert code == 0
     doc = json.loads(out.read_text())
@@ -59,22 +59,6 @@ def test_solve_rejects_bad_schema(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_solve_width_flag_does_not_change_value(tmp_path):
-    inst = gen_random_instance(2, 3, 2, seed=2)
-    path = tmp_path / "inst.json"
-    path.write_text(inst.to_json())
-    reports = []
-    for width in ("2", "1000000"):
-        out = tmp_path / f"r{width}.json"
-        code = main(["solve", "--instance", str(path), "--width", width,
-                     "--out", str(out)])
-        reports.append((code, json.loads(out.read_text())))
-    (c1, r1), (c2, r2) = reports
-    assert c1 == c2
-    if c1 == 0:
-        assert r1["value"] == pytest.approx(r2["value"], rel=1e-6, abs=1e-6)
-
-
 def test_time_limit_report_file_is_strict_json(tmp_path):
     out = tmp_path / "r.json"
     code = main(["solve", "--gen", "4,8,3,0", "--time-limit", "0.0001",
@@ -89,17 +73,54 @@ def test_time_limit_report_file_is_strict_json(tmp_path):
     assert doc["value"] is None and doc["gap"] is None
 
 
+# removed flags, a missing source, a value of the wrong type: exit 1, as
+# for any malformed input, never 2, which solve keeps for a time limit
 @pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "2,2,1,0", "--width", "2"],
+    ["solve"],
+    ["solve", "--gen", "2,2,1,0", "--time-limit", "abc"],
+    ["compare", "--width", "2"],
     ["solve", "--gen", "2,3,2,2", "--width", "0"],
     ["solve", "--instance", str(FIXTURES / "two_binary_mip.json"), "--sense", "max",
      "--width", "0"],
     ["compare", "--sizes", "2,2,1", "--seeds", "0", "--width", "0"],
-])
-def test_width_below_one_is_an_error(argv, capsys):
-    assert main(argv) == 1
+    ["solve", "--gen", "2,2,1,0", "--no-relaxed-cuts"],
+], ids=["solve-width", "solve-no-source", "solve-time-limit-abc", "compare-width",
+        "solve-width-0", "mip-sense-width-0", "compare-width-0", "solve-no-relaxed-cuts"])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "width" in captured.err
+    assert captured.err.startswith("usage: ddbd") and "error:" in captured.err
     assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--help"])
+    assert stop.value.code == 0
+    assert "--time-limit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "2,3,2,2"],
+    ["compare", "--sizes", "2,2,1", "--seeds", "0"],
+    ["gen", "--params", "2,3,2,2"],
+], ids=["solve", "compare", "gen"])
+def test_unwritable_out_is_an_error_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    import ddbd.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the --out path was checked")
+
+    monkeypatch.setattr(cli, "ucp_solve", no_solve)
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("limit", ["-1", "nan"])
@@ -164,7 +185,7 @@ def set_row(key, value):
 ], ids=["sense", "row-sense", "x-obj-length", "ax-length", "by-length", "rhs-string",
         "domain-label", "z-bounds-reversed", "z-bounds-one-entry", "huge-x-obj"])
 def test_malformed_mip_fixture_is_rejected(edit, tmp_path, capsys):
-    assert main(broken_mip(tmp_path, edit) + ["--sense", "max"]) == 1
+    assert main(broken_mip(tmp_path, edit)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: bad problem document:")
     assert captured.out == ""
@@ -207,7 +228,7 @@ def test_mip_without_continuous_variables_solves_its_master(tmp_path):
         doc.update(y_obj=[], rows=[{"ax": [1, 1], "by": [], "rhs": 1, "sense": ">="}])
 
     out = tmp_path / "r.json"
-    assert main(broken_mip(tmp_path, drop_y) + ["--sense", "max", "--out", str(out)]) == 0
+    assert main(broken_mip(tmp_path, drop_y) + ["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["status"] == "optimal" and doc["x"] == [1.0, 1.0]
     assert doc["value"] == 2.0 and doc["z"] == 0.0
@@ -221,7 +242,7 @@ def test_mip_without_integer_variables_solves_its_slave(tmp_path):
             {"ax": [], "by": [0.3, 0.7], "rhs": 0.3, "sense": "<="}])
 
     out = tmp_path / "r.json"
-    assert main(broken_mip(tmp_path, drop_x) + ["--sense", "max", "--out", str(out)]) == 0
+    assert main(broken_mip(tmp_path, drop_x) + ["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["status"] == "optimal" and doc["x"] == []
     assert doc["value"] == pytest.approx(2.0, abs=1e-9)
@@ -237,7 +258,7 @@ def test_unbounded_mip_is_an_error_not_a_traceback(rows, tmp_path, capsys):
     def unbounded(doc):
         doc.update(y_obj=[1.0], rows=rows)
 
-    assert main(broken_mip(tmp_path, unbounded) + ["--sense", "max"]) == 1
+    assert main(broken_mip(tmp_path, unbounded)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "unbounded" in captured.err
     assert captured.out == ""

@@ -177,7 +177,7 @@ def test_worked_mip_end_to_end():
     problem = example_two_binary_problem()
     master = MipMasterOracle(problem)
     sub = MipSubproblemOracle(problem)
-    report = dd_bd_solve(master, sub, EngineConfig(width=2), instance_id="worked")
+    report = dd_bd_solve(master, sub, EngineConfig(), instance_id="worked")
     assert report.status == "optimal"
     assert report.value == pytest.approx(11.0 / 3.0, abs=1e-6)
     assert tuple(report.x) == (1.0, 0.0)
@@ -266,12 +266,6 @@ def test_report_json_is_strict_without_an_incumbent():
     assert strict_json(finite.to_json())["gap"] == 0.25
 
 
-@pytest.mark.parametrize("width", [0, -1])
-def test_engine_config_rejects_a_width_below_one(width):
-    with pytest.raises(ValueError, match="width"):
-        EngineConfig(width=width)
-
-
 @pytest.mark.parametrize("limit", [-1.0, -1e-9, math.nan, -math.inf])
 def test_engine_config_rejects_a_negative_or_nan_time_limit(limit):
     with pytest.raises(ValueError, match="time limit"):
@@ -326,12 +320,12 @@ class StubMaster(MasterOracle):
     restricted diagram ignores the pool: every cut these tests pool
     admits INCUMBENT at value 50."""
 
-    def build_restricted_dd(self, partial, cuts, width):
+    def build_restricted_dd(self, partial, cuts):
         if partial:
             return None, True
         return from_paths([INCUMBENT + ((50.0, 50.0),)], weight_fn=unit_weights), False
 
-    def build_relaxed_dd(self, partial, cuts, width):
+    def build_relaxed_dd(self, partial, cuts):
         points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
         dd = from_paths([p + ((0.0, 100.0),) for p in points], weight_fn=unit_weights)
         return engine.replay_cuts(dd, cuts)
@@ -353,6 +347,19 @@ class StubSub(SubproblemOracle):
         self.evaluated.append(tuple(x))
         return SubproblemResult(kind="optimal", cuts=[self.cut_for(len(self.evaluated))],
                                 value=1000.0)
+
+
+class StaleSub(StubSub):
+    """Seeds the pool with its cut (VACUOUS unless given) and answers
+    every evaluation but a converging INCUMBENT with that cut again, so a
+    relaxed loop finds it stale at its first evaluation and branches."""
+
+    def __init__(self, cut=VACUOUS):
+        super().__init__(lambda k: cut)
+        self.cut = cut
+
+    def initial_cuts(self):
+        return [self.cut]
 
 
 def value_floor(k):
@@ -424,9 +431,9 @@ def test_the_relaxed_build_is_asked_again_with_each_fresh_batch():
         def __init__(self):
             self.relaxed = []
 
-        def build_relaxed_dd(self, partial, cuts, width):
+        def build_relaxed_dd(self, partial, cuts):
             self.relaxed.append(list(cuts))
-            return super().build_relaxed_dd(partial, cuts, width)
+            return super().build_relaxed_dd(partial, cuts)
 
     master = RecordingMaster()
     report = dd_bd_solve(master, BatchSub(value_floor), EngineConfig())
@@ -450,32 +457,23 @@ def test_the_clock_is_read_again_before_the_relaxed_build(monkeypatch):
         """The root as in StubMaster; a child's restricted build finds
         nothing and returns 100 s later, past the limit."""
 
-        def build_restricted_dd(self, partial, cuts, width):
+        def build_restricted_dd(self, partial, cuts):
             if partial:
                 now[0] = 100.0
                 return None, False
-            return super().build_restricted_dd(partial, cuts, width)
+            return super().build_restricted_dd(partial, cuts)
 
-        def build_relaxed_dd(self, partial, cuts, width):
+        def build_relaxed_dd(self, partial, cuts):
             relaxed.append(partial)
-            return super().build_relaxed_dd(partial, cuts, width)
+            return super().build_relaxed_dd(partial, cuts)
 
     monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-    report = dd_bd_solve(SlowChildMaster(), StubSub(value_floor),
-                         EngineConfig(time_limit=1.0, relaxed_cuts=False))
+    report = dd_bd_solve(SlowChildMaster(), StaleSub(), EngineConfig(time_limit=1.0))
     assert relaxed == [()]
     assert (report.status, report.x, report.value) == ("time_limit", INCUMBENT, 52.0)
     # the child went back with the root's relaxed bound, 0: the children
     # are infeasible, so 52 is the optimum, and 52 - gap may not pass it
     assert report.gap == 52.0 and report.nodes == 2
-
-
-def test_no_relaxed_cuts_makes_no_relaxed_evaluation():
-    sub = StubSub(value_floor)
-    report = dd_bd_solve(StubMaster(), sub, EngineConfig(relaxed_cuts=False))
-    assert sub.evaluated == []
-    assert (report.status, report.x, report.value) == ("optimal", INCUMBENT, 52.0)
-    assert report.branches == 3
 
 
 class GridMaster(MasterOracle):
@@ -489,10 +487,10 @@ class GridMaster(MasterOracle):
         self.points = list(itertools.product(*domains))
         self.built = []
 
-    def build_restricted_dd(self, partial, cuts, width):
+    def build_restricted_dd(self, partial, cuts):
         return None, False
 
-    def build_relaxed_dd(self, partial, cuts, width):
+    def build_relaxed_dd(self, partial, cuts):
         self.built.append(partial)
         if partial:
             return None
@@ -509,7 +507,7 @@ HUNDRED = [float(v) for v in range(100)]
 def test_branching_past_the_prefix_cap_branches_on_the_first_variable(domains):
     assert math.prod(map(len, domains)) > BRANCH_CAP
     master = GridMaster(*domains)
-    report = dd_bd_solve(master, StubSub(value_floor), EngineConfig(relaxed_cuts=False))
+    report = dd_bd_solve(master, StaleSub(), EngineConfig())
     assert report.status == "infeasible" and report.branches == len(domains[0])
     assert master.built == [()] + [(v,) for v in domains[0]]
 
@@ -518,14 +516,14 @@ def test_a_single_prefix_is_extended_as_far_as_every_path_shares_it():
     # every root path starts (0, 1); tagging layer 2 merged makes layer 1
     # the branching layer, where the only prefix is (0,)
     class ForcedMaster(GridMaster):
-        def build_relaxed_dd(self, partial, cuts, width):
-            dd = super().build_relaxed_dd(partial, cuts, width)
+        def build_relaxed_dd(self, partial, cuts):
+            dd = super().build_relaxed_dd(partial, cuts)
             if dd is not None:
                 dd = tag_merged(dd, dd.layer_rows(2))
             return dd
 
     master = ForcedMaster([0.0], [1.0], [0.0, 1.0])
-    report = dd_bd_solve(master, StubSub(value_floor), EngineConfig(relaxed_cuts=False))
+    report = dd_bd_solve(master, StaleSub(), EngineConfig())
     assert report.status == "infeasible" and report.branches == 1
     assert master.built == [(), (0.0, 1.0)]
 
@@ -533,7 +531,7 @@ def test_a_single_prefix_is_extended_as_far_as_every_path_shares_it():
 def test_initial_cuts_are_pooled_before_the_root_is_built():
     seeded = CutRow(coeffs={0: 1.0}, rhs=5.0, sense="<=")
 
-    class SeedingSub(StubSub):
+    class SeedingSub(StaleSub):
         def initial_cuts(self):
             return [seeded, seeded]
 
@@ -541,12 +539,12 @@ def test_initial_cuts_are_pooled_before_the_root_is_built():
         def __init__(self):
             self.pools = []
 
-        def build_restricted_dd(self, partial, cuts, width):
+        def build_restricted_dd(self, partial, cuts):
             self.pools.append(list(cuts))
-            return super().build_restricted_dd(partial, cuts, width)
+            return super().build_restricted_dd(partial, cuts)
 
     master = RecordingMaster()
-    report = dd_bd_solve(master, SeedingSub(value_floor), EngineConfig(relaxed_cuts=False))
+    report = dd_bd_solve(master, SeedingSub(seeded), EngineConfig())
     assert master.pools[0] == [seeded]
     assert (report.status, report.x, report.feasibility_cuts) == ("optimal", INCUMBENT, 1)
     assert SubproblemOracle().initial_cuts() == []
@@ -578,11 +576,11 @@ class TreeMaster(MasterOracle):
         except InfeasibleDiagramError:
             return None
 
-    def build_restricted_dd(self, partial, cuts, width):
+    def build_restricted_dd(self, partial, cuts):
         zeros = (0.0,) * (len(COSTS) - len(partial))
         return self._refined(partial, [zeros], cuts), len(partial) == len(COSTS)
 
-    def build_relaxed_dd(self, partial, cuts, width):
+    def build_relaxed_dd(self, partial, cuts):
         rest = itertools.product((0.0, 1.0), repeat=len(COSTS) - len(partial))
         dd = self._refined(partial, rest, cuts)
         if dd is not None and len(partial) + 2 <= len(COSTS):
@@ -640,39 +638,6 @@ def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypat
     assert report.value == optimum and checked >= 2
 
 
-def test_shortcut_and_relaxed_cut_configs_agree_on_random_instances():
-    from ddbd.engine import dd_bd_solve as solve_loop
-    from ddbd.ucp import (UcpMasterOracle, UcpSubproblemOracle, compute_gamma,
-                          gen_random_instance)
-    from ddbd.ucp import InfeasibleInstanceError
-
-    configs = [
-        EngineConfig(width=2),
-        EngineConfig(width=2, relaxed_cuts=False),
-        EngineConfig(width=1, relaxed_cuts=False),
-    ]
-    compared = 0
-    seed = 0
-    while compared < 50:
-        seed += 1
-        n = 1 + seed % 2
-        horizon = 2 + seed % 2
-        inst = gen_random_instance(n, horizon, 1, seed=31_000 + seed)
-        try:
-            gamma = compute_gamma(inst)
-        except InfeasibleInstanceError:
-            continue
-        master = UcpMasterOracle(inst, gamma)
-        # every restricted diagram is exact, so neither the width nor the
-        # relaxed cuts can change the search
-        searches = {(r.status, r.x, r.value, r.feasibility_cuts, r.optimality_cuts,
-                     r.lp_calls, r.branches)
-                    for r in (solve_loop(master, UcpSubproblemOracle(inst), cfg)
-                              for cfg in configs)}
-        assert len(searches) == 1, f"seed {seed}: {searches}"
-        compared += 1
-
-
 def test_time_limit_after_incumbent_keeps_best_and_gap():
     import time as clock
 
@@ -694,7 +659,7 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
             return super().evaluate(x)
 
     report = dd_bd_solve(master, SlowSub(inst),
-                         EngineConfig(width=1, time_limit=0.015))
+                         EngineConfig(time_limit=0.015))
     assert report.status == "time_limit"
     assert calls, "the subproblem should have been reached before the limit"
     # either no incumbent yet (infinite gap) or an incumbent with a gap

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from ddbd.diagram import Interval, enumerate_solutions
+from ddbd import mip
 from ddbd.engine import EngineConfig, dd_bd_solve
 from ddbd.mip import (
     MipMasterOracle,
@@ -92,7 +93,7 @@ def test_refined_master_has_exactly_the_enumerated_points():
         ends = Interval(*problem.z_bounds).endpoints()
         assert set(enumerate_solutions(dd)) == {x + (e,) for x in points for e in ends}, \
             f"trial {trial}"
-        restricted, is_exact = master.build_restricted_dd(partial, [], width=1)
+        restricted, is_exact = master.build_restricted_dd(partial, [])
         assert is_exact
         restricted.validate()
         assert set(enumerate_solutions(restricted)) == set(enumerate_solutions(dd))
@@ -109,10 +110,41 @@ def test_a_domain_value_listed_twice_gives_each_point_once():
     assert sorted(paths) == [(0.0, 1.0, -10.0), (0.0, 1.0, 10.0), (1.0, 0.0, -10.0),
                              (1.0, 0.0, 10.0), (1.0, 1.0, -10.0), (1.0, 1.0, 10.0)]
     report = dd_bd_solve(ValidatingMaster(problem), MipSubproblemOracle(problem),
-                         EngineConfig(width=2))
+                         EngineConfig())
     assert report.status == "optimal"
     assert report.value == pytest.approx(11.0 / 3.0, abs=1e-6)
     assert tuple(report.x) == (1.0, 0.0)
+
+
+def test_master_rows_are_replayed_once_per_partial(monkeypatch):
+    # the chain refined by the master rows is kept for the last partial
+    # assignment: asking again replays only the pool onto it
+    problem = example_two_binary_problem()
+    master = MipMasterOracle(problem)
+    replay, row_replays = mip.replay_cuts, []
+
+    def counting_replay(dd, cuts):
+        if cuts is master._rows:
+            row_replays.append(dd)
+        return replay(dd, cuts)
+
+    monkeypatch.setattr(mip, "replay_cuts", counting_replay)
+    sub = MipSubproblemOracle(problem)
+    pool = sub.evaluate((1.0, 1.0)).cuts + sub.evaluate((0.0, 1.0)).cuts
+    asks = [((), 0), ((), 1), ((), 2), ((1.0,), 0), ((1.0,), 2), ((1.0, 0.0), 2), ((), 2)]
+    for k, (partial, size) in enumerate(asks):
+        dd = master.build_exact_dd(partial, pool[:size])
+        fresh = MipMasterOracle(problem).build_exact_dd(partial, pool[:size])
+        assert set(enumerate_solutions(dd)) == set(enumerate_solutions(fresh)), (partial, size)
+        # one row replay per change of partial: (), (1.0,), (1.0, 0.0), ()
+        partials = [p for p, _ in asks[:k + 1]]
+        assert len(row_replays) == sum(a != b for a, b in zip([None] + partials, partials))
+    # a shipped solve asks for the root alone: the rows are replayed once
+    row_replays.clear()
+    master = MipMasterOracle(problem)
+    report = dd_bd_solve(master, MipSubproblemOracle(problem))
+    assert (report.status, report.feasibility_cuts, report.optimality_cuts) == ("optimal", 1, 1)
+    assert len(row_replays) == 1
 
 
 # -- brute-force agreement sweep ---------------------------------------------------
@@ -163,7 +195,7 @@ def test_mip_solves_agree_with_brute_force():
         problem = random_mip(seed)
         best = brute_force_max(problem)
         report = dd_bd_solve(ValidatingMaster(problem), MipSubproblemOracle(problem),
-                             EngineConfig(width=2), instance_id=str(seed))
+                             EngineConfig(), instance_id=str(seed))
         assert report.status == ("infeasible" if best is None else "optimal"), f"seed {seed}"
         if best is not None:
             assert abs(report.value - best) <= 1e-6 * (1.0 + abs(best)), \

@@ -1,7 +1,6 @@
 import pytest
 
 from ddbd.diagram import enumerate_solutions
-from ddbd.engine import EngineConfig
 from ddbd.oracle import (
     TooLargeError,
     brute_force_solve,
@@ -87,7 +86,7 @@ def test_dd_bd_matches_brute_force_small():
     cases += [(f"low{params}", scaled_instance(*params)) for params in LOW_DEMAND]
     for name, inst in cases:
         brute = brute_force_solve(inst)
-        report = ucp_solve(inst, EngineConfig(width=2), instance_id=name)
+        report = ucp_solve(inst, instance_id=name)
         assert report.status == brute.status, name
         if brute.status == "optimal":
             assert report.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6), \
@@ -95,15 +94,6 @@ def test_dd_bd_matches_brute_force_small():
             # the reported value re-evaluates from its own (x, z) pair
             redo = master_cost(inst, report.x) + report.z
             assert abs(report.value - redo) <= 1e-6 * (1.0 + abs(redo))
-
-
-def test_dd_bd_width_independence():
-    inst = gen_random_instance(2, 3, 2, seed=11)
-    small = ucp_solve(inst, EngineConfig(width=1))
-    large = ucp_solve(inst, EngineConfig(width=1_000_000))
-    assert small.status == large.status
-    if small.status == "optimal":
-        assert small.value == pytest.approx(large.value, rel=1e-6, abs=1e-6)
 
 
 LOW_BAND = [(n, horizon, scenarios, 1000 * n + 100 * horizon + 10 * scenarios, factor)
@@ -118,7 +108,7 @@ def test_dd_bd_matches_brute_force_at_low_demand(spec):
     # not capacity cuts, decide the search
     inst = scaled_instance(*spec)
     brute = brute_force_solve(inst)
-    report = ucp_solve(inst, EngineConfig(width=2))
+    report = ucp_solve(inst)
     assert report.status == brute.status
     if brute.status == "optimal":
         assert report.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6)

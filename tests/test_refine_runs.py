@@ -241,8 +241,8 @@ def test_runs_match_the_reference_on_ucp_masters_with_prefixes():
     mid_run = 0
     for partial in rng.sample(partials, 12):
         for build in (build_restricted_master_dd, build_relaxed_master_dd):
-            built = build(inst, partial, gamma, 2)
-            dd = built[0] if isinstance(built, tuple) else built
+            dd = (build(inst, partial, gamma)[0] if build is build_restricted_master_dd
+                  else build(inst, partial, gamma, 2))
             cuts = rng.sample(pool, rng.randint(1, len(pool)))
             cuts.insert(rng.randrange(len(cuts) + 1), boundary_cut(rng, dd))
             assert_same_refinement(dd, cuts, f"{build.__name__} {partial}")
@@ -409,8 +409,8 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_ucp_master
     partials = sorted({tuple(p[:k]) for p in paths for k in (0, 2, 5)})
     for partial in rng.sample(partials, 6):
         for build in (build_restricted_master_dd, build_relaxed_master_dd):
-            built = build(inst, partial, gamma, 2)
-            dd = built[0] if isinstance(built, tuple) else built
+            dd = (build(inst, partial, gamma)[0] if build is build_restricted_master_dd
+                  else build(inst, partial, gamma, 2))
             cuts = rng.sample(pool, 3)
             check_optimality_replays(dd, cuts, cuts[0], f"{build.__name__} {partial}", seen)
     # "shared" went 51 -> 49 when dispatch began to return Pareto-optimal

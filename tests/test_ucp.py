@@ -323,13 +323,12 @@ def test_restricted_is_subset_and_respects_rules():
     gamma = GammaBounds(0.0, 0.0)
     exact = build_master_dd(inst, gamma=gamma)
     feasible = {tuple(float(b) for b in bits) for bits in unit_schedules(gen, 3)}
-    # the exact master at every width, however narrow
+    # the exact master itself, however wide
     assert exact.width > 1
-    for width in (1, 2, 10 ** 6):
-        dd, exact_flag = build_restricted_master_dd(inst, (), gamma, width)
-        assert exact_flag
-        assert dd_to_json(dd) == dd_to_json(exact)
-        assert set(x_paths(dd)) <= feasible
+    dd, exact_flag = build_restricted_master_dd(inst, (), gamma)
+    assert exact_flag
+    assert dd_to_json(dd) == dd_to_json(exact)
+    assert set(x_paths(dd)) <= feasible
 
 
 def harvested_pool(inst, rng, feasibility=6, optimality=4):
@@ -377,9 +376,9 @@ def test_replays_leave_masters_and_the_kept_master_as_they_were():
 
 
 def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
-    # the restricted build is exact ∩ cuts itself at every width
+    # the restricted build is exact ∩ cuts itself
     rng = np.random.default_rng(23)
-    checked = emptied = wider = 0
+    checked = emptied = 0
     for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8)]:
         inst = scaled_instance(*args)
         gamma = compute_gamma(inst)
@@ -394,17 +393,13 @@ def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
                 exact = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
             except InfeasibleDiagramError:
                 with pytest.raises(InfeasibleDiagramError):
-                    build_restricted_master_dd(inst, partial, gamma, 1, cuts)
+                    build_restricted_master_dd(inst, partial, gamma, cuts)
                 emptied += 1
                 continue
-            for width in (1, 2, 3):
-                where = f"{args} {partial} width {width}"
-                dd, is_exact = build_restricted_master_dd(inst, partial, gamma, width, cuts)
-                assert is_exact and dd_to_json(dd) == dd_to_json(exact), where
-                checked += 1
-                wider += exact.width > width
-    assert checked >= 60 and emptied < checked / 3 and checked / 2 < wider, \
-        (checked, emptied, wider)
+            dd, is_exact = build_restricted_master_dd(inst, partial, gamma, cuts)
+            assert is_exact and dd_to_json(dd) == dd_to_json(exact), f"{args} {partial}"
+            checked += 1
+    assert checked >= 20 and emptied < checked, (checked, emptied)
 
 
 def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
@@ -414,34 +409,18 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
         compiled.append(partial)
         return build_master_dd(inst, partial, gamma)
 
-    def counting_relaxed(inst, partial, gamma, width):
-        compiled.append(partial)
-        return build_relaxed_master_dd(inst, partial, gamma, width)
-
     def counting_replay(dd, cuts):
         replayed.append(len(cuts))
         return replay_cuts(dd, cuts)
 
-    def master(inst, partial, gamma, width):
-        if width is None:
-            return build_master_dd(inst, partial, gamma)
-        return build_relaxed_master_dd(inst, partial, gamma, width)
-
-    def build(inst, partial, gamma, cuts, kept, width):
-        """(kept diagram, the build's diagram, is_exact) for one side."""
-        if width is None:
-            dd, is_exact = build_restricted_master_dd(inst, partial, gamma, 2, cuts, kept)
-            assert dd is kept.dd
-            return kept.dd, dd, is_exact
-        dd = kept.refine(inst, partial, gamma, cuts, width)
-        return dd, dd, False
+    def build(inst, partial, gamma, cuts, kept):
+        """(kept diagram, the build's diagram, is_exact)."""
+        dd, is_exact = build_restricted_master_dd(inst, partial, gamma, cuts, kept)
+        assert dd is kept.dd
+        return kept.dd, dd, is_exact
 
     def solutions(dd):
         return set(enumerate_solutions(dd))
-
-    def merged_per_layer(dd):
-        return [int(dd.merged[dd.node_first[i]:dd.node_first[i + 1]].sum())
-                for i in range(dd.num_arc_layers + 1)]
 
     def calls():
         seen = (compiled[:], replayed[:])
@@ -450,72 +429,53 @@ def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
         return seen
 
     monkeypatch.setattr(ucp_module, "build_master_dd", counting_build)
-    monkeypatch.setattr(ucp_module, "build_relaxed_master_dd", counting_relaxed)
     monkeypatch.setattr(ucp_module, "replay_cuts", counting_replay)
-    # width None keeps the exact master of restricted builds, an integer the
-    # relaxed master of relaxed builds at that width
-    for width in (None, 2):
-        rng = np.random.default_rng(41)
-        checked = exact = merged = 0
-        for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8),
-                     (3, 3, 1, 0, 0.4), (2, 5, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
-            inst = scaled_instance(*args)
-            gamma = compute_gamma(inst)
-            pool = harvested_pool(inst, rng)
-            paths = enumerate_solutions(build_master_dd(inst, (), gamma))
-            kept = RefinedMaster()
-            for depth in (0, 1, 3):
-                partial = paths[rng.integers(len(paths))][:depth]
-                sizes = sorted(rng.choice(np.arange(1, len(pool) + 1), 3, replace=False))
-                done = 0
-                for k in [0] + [int(k) for k in sizes]:
-                    where = f"{width} {args} {partial} {k} cuts"
-                    cuts = pool[:k]
-                    try:
-                        truth = replay_cuts(master(inst, partial, gamma, width), cuts)
-                    except InfeasibleDiagramError:
-                        with pytest.raises(InfeasibleDiagramError):
-                            build(inst, partial, gamma, cuts, kept, width)
-                        calls()
-                        break
-                    # the same cuts replayed batch by batch, as the kept master takes them
-                    batched = replay_cuts(
-                        batched if k else master(inst, partial, gamma, width), pool[done:k])
+    rng = np.random.default_rng(41)
+    checked = exact = 0
+    for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8),
+                 (3, 3, 1, 0, 0.4), (2, 5, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
+        inst = scaled_instance(*args)
+        gamma = compute_gamma(inst)
+        pool = harvested_pool(inst, rng)
+        paths = enumerate_solutions(build_master_dd(inst, (), gamma))
+        kept = RefinedMaster()
+        for depth in (0, 1, 3):
+            partial = paths[rng.integers(len(paths))][:depth]
+            sizes = sorted(rng.choice(np.arange(1, len(pool) + 1), 3, replace=False))
+            done = 0
+            for k in [0] + [int(k) for k in sizes]:
+                where = f"{args} {partial} {k} cuts"
+                cuts = pool[:k]
+                try:
+                    truth = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
+                except InfeasibleDiagramError:
+                    with pytest.raises(InfeasibleDiagramError):
+                        build(inst, partial, gamma, cuts, kept)
                     calls()
-                    refined, dd, is_exact = build(inst, partial, gamma, cuts, kept, width)
-                    # a new partial compiles afresh; a grown pool replays only its new cuts
-                    assert calls() == (([partial], [k]) if k == 0 else ([], [k - done])), where
-                    assert refined is kept.dd and solutions(refined) == solutions(truth), where
-                    best = optimal_path(truth, "min")[1]
-                    assert optimal_path(dd, "min")[1] == pytest.approx(best, rel=1e-12), where
-                    _, fresh, _ = build(inst, partial, gamma, cuts, RefinedMaster(), width)
-                    calls()
-                    assert optimal_path(fresh, "min")[1] == pytest.approx(best, rel=1e-12), where
-                    if width is not None:
-                        assert refined.node_count() == batched.node_count(), where
-                        assert merged_per_layer(refined) == merged_per_layer(batched), where
-                        merged += bool(refined.merged.any())
-                    if is_exact:
-                        assert solutions(dd) == solutions(truth), where
-                        exact += 1
-                    done = k
-                    checked += 1
-                if done:
-                    # equal cuts that are other objects, or fewer cuts, are no
-                    # extension of the kept list, nor is the other side's master
-                    # for the same partial and cuts: each compiles afresh
-                    copies = [dataclasses.replace(c) for c in pool[:done]]
-                    for cuts in (copies, pool[:done - 1]):
-                        build(inst, partial, gamma, cuts, kept, width)
-                        assert calls() == ([partial], [len(cuts)]), (width, args, partial)
-                    for side in (3 if width is None else None, width):
-                        build(inst, partial, gamma, pool[:done - 1], kept, side)
-                        assert calls() == ([partial], [done - 1]), (width, args, partial, side)
-        assert checked >= 50, (width, checked)
-        if width is None:
-            assert exact == checked, (checked, exact)
-        else:
-            assert 0 < merged, merged
+                    break
+                calls()
+                refined, dd, is_exact = build(inst, partial, gamma, cuts, kept)
+                # a new partial compiles afresh; a grown pool replays only its new cuts
+                assert calls() == (([partial], [k]) if k == 0 else ([], [k - done])), where
+                assert refined is kept.dd and solutions(refined) == solutions(truth), where
+                best = optimal_path(truth, "min")[1]
+                assert optimal_path(dd, "min")[1] == pytest.approx(best, rel=1e-12), where
+                _, fresh, _ = build(inst, partial, gamma, cuts, RefinedMaster())
+                calls()
+                assert optimal_path(fresh, "min")[1] == pytest.approx(best, rel=1e-12), where
+                if is_exact:
+                    assert solutions(dd) == solutions(truth), where
+                    exact += 1
+                done = k
+                checked += 1
+            if done:
+                # equal cuts that are other objects, or fewer cuts, are no
+                # extension of the kept list: each compiles afresh
+                copies = [dataclasses.replace(c) for c in pool[:done]]
+                for cuts in (copies, pool[:done - 1]):
+                    build(inst, partial, gamma, cuts, kept)
+                    assert calls() == ([partial], [len(cuts)]), (args, partial)
+    assert checked >= 50 and exact == checked, (checked, exact)
 
 
 def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
@@ -525,16 +485,16 @@ def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
     pool = [CutRow(coeffs={0: 1.0}, rhs=0.0, sense="<="),
             CutRow(coeffs={0: 1.0}, rhs=1.0, sense=">=")]
     for cuts in ([pool[0]], [pool[1]]):
-        dd, _ = oracle.build_restricted_dd((), cuts, 2)
+        dd, _ = oracle.build_restricted_dd((), cuts)
         assert dd is not None
-    assert oracle.build_restricted_dd((), pool, 2) == (None, True)
-    assert oracle.build_restricted_dd((1.0,), [pool[0]], 2) == (None, True)
+    assert oracle.build_restricted_dd((), pool) == (None, True)
+    assert oracle.build_restricted_dd((1.0,), [pool[0]]) == (None, True)
     # so is a partial assignment with no completion: down after one period
     # up, against a two-period minimum up time
     unit = UcpMasterOracle(single_unit_instance(simple_generator(min_up=2), 4),
                            GammaBounds(0.0, 0.0))
-    assert unit.build_restricted_dd((1.0,), [], 2)[0] is not None
-    assert unit.build_restricted_dd((1.0, 0.0), [], 2) == (None, True)
+    assert unit.build_restricted_dd((1.0,), [])[0] is not None
+    assert unit.build_restricted_dd((1.0, 0.0), []) == (None, True)
 
 
 def test_ucp_solve_closes_at_the_root():
