@@ -17,9 +17,13 @@ cut.  A single prefix is no branching: it is extended as far as every
 path shares it (forced_prefix) and pushed as the only child.
 Cuts live in a global deduplicated pool, seeded before the root with
 the subproblem oracle's initial_cuts(): cuts that hold for every x,
-such as the unit-commitment oracle's per-period capacity cuts.  The
-oracles bring the pool into a diagram by one exact refinement pass over
-the list (see replay_cuts).
+such as the unit-commitment oracle's per-period capacity cuts.  The MIP
+oracle brings the pool into a diagram by one exact refinement pass over
+the list (see replay_cuts); the unit-commitment oracle finds an optimal
+path of its master under the pool in one label pass and returns that
+path.  Every restricted path whose evaluation is optimal is a feasible
+point, and the best of them is the incumbent until a converged path
+replaces it, so a solve stopped by the clock still reports one.
 The clock is read before every evaluation, before each node, and once
 more between the restricted loop and the relaxed build; a node open
 when the time runs out goes back on the stack with a bound that holds
@@ -79,21 +83,22 @@ class MasterOracle:
     subproblem value is fixed).  An oracle that bounds its diagrams'
     width takes the width in its constructor.
 
-    is_exact promises Sol(restricted) = Sol(exact), so the node needs no
-    relaxed diagram and no branching, and build_relaxed_dd is never
-    called for it; an oracle that always reports exact (both shipped
-    ones do) need not define it.  (None, True) proves the node
-    infeasible: Sol(exact) is empty because the partial assignment has
-    no completion or the cuts remove every one.  (None, False) only says
-    the restricted diagram found nothing.
+    is_exact promises that the restricted diagram holds an optimum of
+    Sol(exact), at its value: its optimal path is optimal over the whole
+    node under the cuts, so the node needs no relaxed diagram and no
+    branching, and build_relaxed_dd is never called for it; an oracle
+    that always reports exact (both shipped ones do) need not define
+    it.  (None, True) means Sol(exact) is empty: the partial assignment
+    has no completion, or the cuts remove every one.  (None, False) only
+    says the restricted diagram found nothing.
 
     Both builds are asked again for the same partial after every batch
     of fresh cuts, with the pool's list grown by them (the list only
     appends, and a cut never changes); the last restricted answer's
     is_exact is the one that counts.  These calls are the only way fresh
     cuts reach a node's diagrams.  An oracle may keep state for one
-    partial assignment to make them cheap, as UcpMasterOracle and
-    MipMasterOracle do; any other call must still answer in full.
+    partial assignment to make them cheap, as MipMasterOracle does; any
+    other call must still answer in full.
     """
 
     sense = "min"
@@ -323,6 +328,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     # (partial assignment, bound inherited from the relaxed diagram it came from)
     stack = [((), math.inf if sense == "max" else -math.inf)]
     best_x, best_z, w_star = None, None, None
+    best_closed = False   # the incumbent is a converged path
     branches = 0
     lp_calls = 0
     nodes_expanded = 0
@@ -356,9 +362,12 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         "converged" (the path's value variable equals the subproblem
         value), "stale" (no fresh cut), "empty" (no path is left; the
         diagram is None), "bounded" (prune is set and the path cannot
-        beat the incumbent), "cap" and "time_limit".
+        beat the incumbent), "cap" and "time_limit".  On the restricted
+        side, an optimal evaluation that has not converged
+        is the feasible point x at cost w - z + value, taken as the
+        incumbent when it is strictly better.
         """
-        nonlocal lp_calls
+        nonlocal lp_calls, w_star, best_x, best_z, best_closed
         path = (None, None, None)
         for evaluations in itertools.count():
             dd = build()
@@ -380,9 +389,12 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
             res = sub.evaluate(x)
             lp_calls += res.lp_calls
             fresh = [c for c in res.cuts if pool.add(c)]
-            if res.kind == "optimal" and z is not None and \
-                    abs(z - res.value) <= CONVERGE_TOL:
-                return "converged", dd, path
+            if res.kind == "optimal" and z is not None:
+                if abs(z - res.value) <= CONVERGE_TOL:
+                    return "converged", dd, path
+                if tag == "restricted" and better(w - z + res.value, w_star):
+                    w_star, best_x, best_z = w - z + res.value, x, res.value
+                    best_closed = False
             if not fresh:
                 return "stale", dd, path
 
@@ -407,9 +419,13 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                 "refinement cannot make progress")
         if outcome == "cap":
             raise EngineError("restricted repeat loop exceeded its cap")
+        # a converged path replaces an incumbent it ties that came from a
+        # point evaluated on the way, and of tied converged paths the
+        # lexicographically smallest x is kept
         if outcome == "converged" and (better(w, w_star) or (
-                tie(w, w_star) and best_x is not None and x < best_x)):
+                tie(w, w_star) and (not best_closed or x < best_x))):
             w_star, best_x, best_z = w, x, z
+            best_closed = True
 
         if restricted_exact:
             # the last restricted diagram represented the node exactly: the

@@ -17,6 +17,16 @@ comes from closed-form bounds on the dispatch cost (a merit-order
 lower bound, every costly unit at full output as the upper bound), not
 from an LP; optimality cuts tighten it path by path.
 
+The restricted master is not compiled and then refined.  One top-down
+label pass over period-major layers (layer g sets unit g % n at period
+g // n) takes the whole cut pool at once: a capacity cut couples one
+period across the units, so it is settled at the end of its period,
+and optimality cuts are resources of Pareto labels rather than keys
+that split nodes (the label dominance of resource-constrained shortest
+paths, Irnich and Desaulniers 2005; in decision diagrams, Coppé,
+Gillard and Schaus, INFORMS J. Computing 2024).  The pass returns one
+optimal path, in the unit-major layer order of the exact master.
+
 The on/off variables are laid out unit-major: all periods of the first
 generator, then the second, and so on, followed by the value layer.
 """
@@ -26,17 +36,29 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import add, ge
 
 import numpy as np
 
 from .diagram import (
+    CUT_TOL,
+    PATH_TIE_TOL,
+    SPLIT_GRID,
     CutRow,
+    DecisionDiagram,
     DiagramBuilder,
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
 )
-from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
+# replay_cuts is no longer called here; it stays importable as ucp.replay_cuts,
+# which perfbench/layers.py rebinds by name
+from .engine import (  # noqa: F401
+    MasterOracle,
+    SubproblemOracle,
+    SubproblemResult,
+    replay_cuts,
+)
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -384,54 +406,316 @@ def build_relaxed_master_dd(instance, partial, gamma, width):
     return _compile_master(instance, partial, gamma, width=width)
 
 
-class RefinedMaster:
-    """The exact master of one partial assignment refined by a cut list,
-    kept from one build to the next.
+# -- restricted master: one period-major label pass -------------------------------------
 
-    refine(instance, partial, gamma, cuts) returns and keeps
-    replay_cuts(build_master_dd(instance, partial, gamma), cuts).  When
-    the kept diagram has the same instance, gamma and partial, and its
-    cuts are the first cuts of the list, the very same objects in the
-    same order, only the cuts after them are replayed, into the kept
-    diagram: a cut is never changed once made (CutRow), and a cut pool
-    only appends.  Any other call compiles afresh.  A call that raises
-    leaves the kept diagram as it was.
+
+def _capped_moves(gen, horizon):
+    """One unit's moves over capped states, by state index.
+
+    An up unit's state is (min(up, min_up), INF), a down unit's
+    (INF, min(down, cap)) with cap = max(min_down, len(startup_costs)),
+    and a unit that has never been up stays (INF, INF).  No later move
+    or weight of _transitions reads more than that: an up unit may stop
+    once up reaches min_up, a down one may start once down reaches
+    min_down, at the start-up cost of its down age, which saturates at
+    the table's length.  The reachable states are numbered from 0, the
+    fresh state; moves[s] lists (label, weight, next state's index) from
+    state s, the weights written as _transitions writes them.
     """
-
-    def __init__(self):
-        self.instance = self.gamma = self.partial = self.dd = None
-        self.cuts = []
-
-    def _extended_by(self, instance, partial, gamma, cuts):
-        return (self.dd is not None and instance is self.instance
-                and gamma is self.gamma and tuple(partial) == self.partial
-                and len(cuts) >= len(self.cuts)
-                and all(a is b for a, b in zip(self.cuts, cuts)))
-
-    def refine(self, instance, partial, gamma, cuts):
-        cuts = list(cuts)
-        if self._extended_by(instance, partial, gamma, cuts):
-            dd = replay_cuts(self.dd, cuts[len(self.cuts):])
+    min_up, min_down = effective_times(gen, horizon)
+    cap = max(min_down, len(gen.startup_costs))
+    index, out = {}, []
+    todo = [_fresh_state(False)]
+    while todo:
+        state = todo.pop()
+        if state in index:
+            continue
+        index[state] = len(index)
+        up, down = state
+        if up < down:
+            moves = [(1.0, gen.c_fixed, (min(up + 1, min_up), INF))]
+            if up >= min_up:
+                moves.append((0.0, 0.0, (INF, 1)))
         else:
-            dd = replay_cuts(build_master_dd(instance, partial, gamma), cuts)
-        self.instance, self.gamma, self.partial = instance, gamma, tuple(partial)
-        self.cuts, self.dd = cuts, dd
-        return dd
+            moves = [(0.0, 0.0, (INF, down if down == INF else min(down + 1, cap)))]
+            if down >= min_down:
+                moves.append((1.0, gen.c_fixed + gen.startup_cost(down), (1, INF)))
+        out.append(moves)
+        todo.extend(nxt for _, _, nxt in moves)
+    return tuple(tuple((lab, w, index[nxt]) for lab, w, nxt in moves) for moves in out)
 
 
-def build_restricted_master_dd(instance, partial, gamma, cuts=(), kept=None):
+def _fixed_labels(instance, moves, partial):
+    """The partial assignment as one label (0.0 or 1.0) per variable, None
+    where free.  Raises EmptyDiagramError when some unit's fixed periods
+    break its rules, which is exactly when the partial admits no
+    completion: every state has a move, and units are independent."""
+    fixed = [None] * instance.num_vars
+    state = 0
+    for v, p in enumerate(partial):
+        unit, t = divmod(v, instance.horizon)
+        step = [(lab, nxt) for lab, _, nxt in moves[unit][0 if t == 0 else state]
+                if abs(lab - p) <= 1e-9]
+        if not step:
+            raise EmptyDiagramError("partial assignment admits no completion")
+        fixed[v], state = step[0]
+    return fixed
+
+
+def _cut_schedule(feas, order, fixed):
+    """When each feasibility cut is tested, along the layer order `order`.
+
+    A cut is signed to read lhs <= limit, its rhs plus CUT_TOL (a ">="
+    cut is negated, exactly).  After layer g the lhs still to come lies
+    between the suffix sums of each later layer's least and greatest
+    term: a·p at a variable fixed to p, min(0, a) and max(0, a) at a
+    free one.  A cut that every completion meets, with a margin, never
+    opens; one that every completion breaks raises
+    InfeasibleDiagramError.  Any other cut opens at its first layer with
+    a nonzero coefficient, and every such layer tests a label's lhs:
+    above `drop` the label goes, at or below `settle` the cut is settled
+    and leaves the key.  Both keep _completion_limits' rounding margin,
+    except at the cut's last nonzero coefficient, where both are the
+    limit itself: there every open cut is decided as CutRow.satisfied
+    decides it.
+
+    Returns one list per layer of (cut, coefficient, drop, settle,
+    opens), the cuts in list order.
+    """
+    N = len(order)
+    layers = [[] for _ in range(N)]
+    if not feas:
+        return layers
+    sign = np.array([1.0 if c.sense == "<=" else -1.0 for c in feas])
+    rhs = np.array([c.rhs for c in feas])
+    a = sign[:, None] * np.array([c.dense(N) for c in feas])[:, order]
+    p = np.array([np.nan if fixed[v] is None else fixed[v] for v in order])
+    free = np.isnan(p)
+    term_lo = np.where(free, np.minimum(a, 0.0), a * np.nan_to_num(p))
+    term_hi = np.where(free, np.maximum(a, 0.0), term_lo)
+    rest_lo, rest_hi = (np.append(np.cumsum(t[:, ::-1], axis=1)[:, ::-1],
+                                  np.zeros((len(feas), 1)), axis=1) for t in (term_lo, term_hi))
+    limit = sign * rhs + CUT_TOL
+    margin = 2 * (N + 2) * SPLIT_GRID * (1.0 + np.abs(rhs))
+    touched = a != 0.0
+    some = touched.any(axis=1)
+    if (rest_lo[:, 0] > limit + np.where(some, margin, 0.0)).any():
+        raise InfeasibleDiagramError("a cut removes every path")
+    opened = some & ~(rest_hi[:, 0] <= limit - margin)
+    drop = (limit + margin)[:, None] - rest_lo[:, 1:]
+    settle = (limit - margin)[:, None] - rest_hi[:, 1:]
+    first = touched.argmax(axis=1)
+    last = N - 1 - touched[:, ::-1].argmax(axis=1)
+    ks = np.arange(len(feas))
+    drop[ks, last] = settle[ks, last] = limit
+    g_at, k_at = np.nonzero((touched & opened[:, None]).T)   # by layer, then cut
+    for g, k, coef, up, down, opens in zip(g_at.tolist(), k_at.tolist(), a[k_at, g_at].tolist(),
+                                       drop[k_at, g_at].tolist(), settle[k_at, g_at].tolist(),
+                                       (first[k_at] == g_at).tolist()):
+        layers[g].append((k, coef, up, down, opens))
+    return layers
+
+
+def _advance_cuts(flhs, lab, open_now, opening):
+    """The open feasibility cuts' (cut, lhs) pairs after one layer's move.
+
+    flhs holds the cuts open before the layer; open_now maps each of
+    them that the layer tests to its (coefficient, drop, settle), and
+    opening lists (cut, coefficient, drop, settle) for the cuts whose
+    first nonzero coefficient is the layer's (see _cut_schedule).  A
+    settled cut leaves; None when a test drops the move.
+    """
+    out = []
+    for k, lhs in flhs:
+        test = open_now.get(k)
+        if test is not None:
+            a, drop, settle = test
+            if lab:
+                lhs += a
+            if lhs > drop:
+                return None
+            if lhs <= settle:
+                continue
+        out.append((k, lhs))
+    for k, a, drop, settle in opening:
+        lhs = a if lab else 0.0
+        if lhs > drop:
+            return None
+        if lhs > settle:
+            out.append((k, lhs))
+    return tuple(out)
+
+
+def _add_label(labels, label, margin):
+    """Keep labels a Pareto set: add label unless one there dominates it,
+    and drop those it dominates.
+
+    a dominates b when it costs no more, has every optimality lhs at
+    least as high (signed), and has either the lexicographically smaller
+    x or a cost lower by more than the tie margin: b can then neither
+    win nor tie into the win.  Dominance is transitive, so a label that
+    one there dominates dominates none of them.
+    """
+    cost, olhs, xkey = label
+    kept = []
+    for old in labels:
+        c, o, x = old
+        if c <= cost and (x < xkey or c < cost - margin) and all(map(ge, o, olhs)):
+            return
+        if not (cost <= c and (xkey < x or cost < c - margin) and all(map(ge, olhs, o))):
+            kept.append(old)
+    kept.append(label)
+    labels[:] = kept
+
+
+def _best_completion(instance, moves, fixed, gamma, cuts):
+    """x of an optimal completion under the cuts, unit-major, as floats.
+
+    One top-down pass over period-major layers: layer g sets unit g % n
+    at period g // n.  A label is a prefix: its cost, the signed lhs of
+    every optimality cut and x as an integer whose bits read x in
+    unit-major order, so that of two prefixes of one layer the smaller
+    integer is the lexicographically smaller x, whatever the common
+    completion.  Labels are grouped by key: the capped state of every
+    unit (_capped_moves) and the SPLIT_GRID-rounded lhs of every open
+    feasibility cut (_cut_schedule), whose values the key's first label
+    supplies.  Each key keeps a Pareto set (_add_label); with no
+    optimality cut that is its cheapest label, and any label within the
+    tie margin that has a smaller x.  This is the label dominance of
+    resource-constrained shortest paths (Irnich and Desaulniers, 2005).
+
+    A final label is worth cost + z, where z is the largest of gamma.lo
+    and every optimality cut's bound, capped at gamma.hi; one whose bound
+    tops gamma.hi by more than CUT_TOL is dropped, as _tighten drops its
+    value arc.  Of the labels within PATH_TIE_TOL of the best worth, the
+    one with the smallest x wins, as optimal_path breaks ties.  Raises
+    InfeasibleDiagramError when no label is left.
+    """
+    n, T = instance.num_units, instance.horizon
+    N = n * T
+    order = [(g % n) * T + g // n for g in range(N)]
+    feas = [c for c in cuts if c.z_coeff == 0.0]
+    opt = [c for c in cuts if c.z_coeff != 0.0]
+    if any((c.sense == "<=") == (c.z_coeff > 0) for c in opt):
+        raise ValueError("an optimality cut must bound the value from below")
+    schedule = _cut_schedule(feas, order, fixed)
+    # signed so that a higher lhs is a lower bound on z
+    ocoef = (np.array([np.sign(c.z_coeff) * c.dense(N) for c in opt]).T.tolist()
+             if opt else [()] * N)
+    # two costs closer than margin may tie in the end (PATH_TIE_TOL of any worth)
+    scale = sum(T * (abs(g.c_fixed) + max(abs(g.startup_cost_inf), *map(abs, g.startup_costs)))
+                for g in instance.generators) + abs(gamma.lo) + abs(gamma.hi)
+    margin = 2 * PATH_TIE_TOL * (1.0 + scale)
+
+    # key (unit states, open cuts' rounded lhs) -> (open cuts' lhs, labels)
+    layer = {((0,) * n, ()): ((), [(0.0, (0.0,) * len(opt), 0)])}
+    for g in range(N):
+        unit, v = g % n, order[g]
+        p = fixed[v]
+        bit = 1 << (N - 1 - v)
+        tests = schedule[g]
+        open_now = {k: t for k, *t, opens in tests if not opens}
+        opening = [(k, *t) for k, *t, opens in tests if opens]
+        oc = ocoef[v]
+        children = {}
+        for (states, fkey), (flhs, labels) in layer.items():
+            for lab, w, nxt in moves[unit][states[unit]]:
+                if p is not None and lab != p:
+                    continue
+                if tests:
+                    cflhs = _advance_cuts(flhs, lab, open_now, opening)
+                    if cflhs is None:
+                        continue
+                    cfkey = tuple((k, round(lhs / SPLIT_GRID)) for k, lhs in cflhs)
+                else:
+                    cflhs, cfkey = flhs, fkey
+                key = (states[:unit] + (nxt,) + states[unit + 1:], cfkey)
+                if lab:
+                    moved = [(cost + w, tuple(map(add, olhs, oc)), xkey | bit)
+                             for cost, olhs, xkey in labels]
+                else:   # a down move costs nothing and adds nothing to any lhs
+                    moved = labels
+                bucket = children.get(key)
+                if bucket is None:   # one parent's set, moved alike, needs no test
+                    children[key] = (cflhs, list(moved))
+                else:
+                    for label in moved:
+                        _add_label(bucket[1], label, margin)
+        if not children:
+            raise InfeasibleDiagramError("a cut removes every path")
+        layer = children
+
+    bounds = [(c.rhs, c.z_coeff, np.sign(c.z_coeff)) for c in opt]
+    worth = []
+    for _, labels in layer.values():
+        for cost, olhs, xkey in labels:
+            z = max([gamma.lo] + [(rhs - s * lhs) / zc
+                                  for lhs, (rhs, zc, s) in zip(olhs, bounds)])
+            if z <= gamma.hi + CUT_TOL:
+                worth.append((cost + min(z, gamma.hi), xkey))
+    if not worth:
+        raise InfeasibleDiagramError("the optimality cuts remove every path")
+    best = min(w for w, _ in worth)
+    tol = PATH_TIE_TOL * (1.0 + abs(best))
+    xkey = min(k for w, k in worth if w <= best + tol)
+    return [float(xkey >> (N - 1 - v) & 1) for v in range(N)]
+
+
+def _one_path(instance, gamma, x, opt):
+    """The master's path of x, unit-major, ending in the value arc [z, gamma.hi].
+
+    Arc weights and node states are the exact master's along x.  z is
+    gamma.lo raised by each optimality cut in list order, with each cut's
+    lhs summed over the variables in unit-major order, as a replay into
+    the exact master sums it, so that the path's value keeps its bits.
+    """
+    n, T = instance.num_units, instance.horizon
+    N = n * T
+    states, weights = [_fresh_state(False)], []
+    for unit, gen in enumerate(instance.generators):
+        min_up, min_down = effective_times(gen, T)
+        state = _fresh_state(False)
+        for t in range(T):
+            _, w, state = next(m for m in _transitions(gen, state, False, min_up, min_down)
+                               if m[0] == x[unit * T + t])
+            weights.append(w)
+            states.append(_fresh_state(False) if t == T - 1 and unit < n - 1 else state)
+    lo, hi = gamma.lo, gamma.hi
+    for cut in opt:
+        lhs = 0.0
+        for v, c in enumerate(cut.dense(N).tolist()):
+            if x[v]:
+                lhs += c
+        bound = (cut.rhs - lhs) / cut.z_coeff
+        lo = bound if bound > lo else lo
+        lo = hi if hi < lo else lo
+    rows = np.arange(N + 2)
+    return DecisionDiagram(
+        layer_kinds=["discrete"] * N + ["continuous"], node_first=np.arange(N + 3),
+        states=states + [None], merged=np.zeros(N + 2, dtype=bool),
+        arc_first=np.arange(N + 2), tail=rows[:-1], head=rows[1:],
+        label=np.array(x + [np.nan]), weight=np.array(weights + [1.0]),
+        lo=np.array([lo]), hi=np.array([hi]))
+
+
+def build_restricted_master_dd(instance, partial, gamma, cuts=()):
     """Restricted diagram of the partial assignment under the cuts.
 
-    Compiles the exact master (build_master_dd) and replays the cuts
-    into it in one exact pass (replay_cuts): exact ∩ pool itself, so it
-    returns (diagram, True).  Given a RefinedMaster as `kept`, the
-    refined master comes from it, so a build for the same partial under
-    a grown cut list replays only the new cuts.  Raises
-    EmptyDiagramError when the partial assignment admits no completion
-    and InfeasibleDiagramError when the cuts remove every path.
+    One period-major label pass (_best_completion) finds an optimum of
+    the exact master's completions of the partial that satisfy every
+    cut; the diagram is that one path, in the master's unit-major layer
+    order (_one_path).  It holds an optimum of exact ∩ cuts, which is
+    what the engine's is_exact promises, so it returns (diagram, True).
+    Raises EmptyDiagramError when the partial assignment admits no
+    completion and InfeasibleDiagramError when the cuts remove every one.
     """
-    kept = RefinedMaster() if kept is None else kept
-    return kept.refine(instance, partial, gamma, cuts), True
+    if len(partial) > instance.num_vars:
+        raise ValueError("partial assignment longer than the variable count")
+    moves = [_capped_moves(gen, instance.horizon) for gen in instance.generators]
+    fixed = _fixed_labels(instance, moves, partial)
+    cuts = list(cuts)
+    x = _best_completion(instance, moves, fixed, gamma, cuts)
+    return _one_path(instance, gamma, x, [c for c in cuts if c.z_coeff != 0.0]), True
 
 
 def master_cost(instance, x):
@@ -787,12 +1071,12 @@ def gen_random_instance(num_units, horizon, num_scenarios, seed):
 class UcpMasterOracle(MasterOracle):
     """Master diagrams of a unit-commitment instance.
 
-    A restricted diagram is the exact master refined by the cuts
-    (build_restricted_master_dd), reported exact, so a converged
-    restricted loop closes its node and no relaxed diagram is asked
-    for.  The refined master of the last build is kept (RefinedMaster),
-    so asking again for the same partial replays only the cuts pooled
-    since.
+    A restricted diagram is one optimal path of exact ∩ pool, found by
+    one label pass over the whole pool on every ask
+    (build_restricted_master_dd) and reported exact, so a converged
+    restricted loop closes its node and no relaxed diagram is asked for.
+    Nothing is kept between asks: a label dominated under one pool need
+    not be under a larger one.
     """
 
     sense = "min"
@@ -800,14 +1084,12 @@ class UcpMasterOracle(MasterOracle):
     def __init__(self, instance, gamma):
         self.instance = instance
         self.gamma = gamma
-        self._kept = RefinedMaster()
 
     def build_restricted_dd(self, partial, cuts):
-        # an empty exact master, or one the pool empties, proves the node
+        # no completion, or none the pool leaves, proves the node
         # infeasible: the restricted diagram is then exact
         try:
-            return build_restricted_master_dd(self.instance, partial, self.gamma,
-                                              cuts, self._kept)
+            return build_restricted_master_dd(self.instance, partial, self.gamma, cuts)
         except (EmptyDiagramError, InfeasibleDiagramError):
             return None, True
 

@@ -195,10 +195,13 @@ def test_criterion_5_ramp_reformulation_equivalence():
 
 
 class SandwichMaster:
-    """Checks relaxed <= exact <= restricted path values at every node's
+    """Checks relaxed <= exact = restricted path values at every node's
     restricted build, and the root relaxed bound against the optimum.
-    The relaxed side is the width-2 relaxed master refined by the cuts:
-    the solve asks for none, since every restricted diagram is exact."""
+    A restricted diagram reported exact holds an optimum of exact ∩ pool,
+    so its path value equals the exact one, and it is None exactly when
+    exact ∩ pool is empty.  The relaxed side is the width-2 relaxed
+    master refined by the cuts: the solve asks for none, since every
+    restricted diagram is exact."""
 
     def __init__(self, inner, optimum):
         self.inner = inner
@@ -213,6 +216,7 @@ class SandwichMaster:
             exact = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
             _, exact_val = optimal_path(exact, "min")
         except (EmptyDiagramError, InfeasibleDiagramError):
+            assert built == (None, True), "restricted diagram of an empty node"
             return built
         tol = 1e-6 * (1.0 + abs(exact_val))
         # every exact path survives the relaxed refinement, so it cannot empty
@@ -223,10 +227,10 @@ class SandwichMaster:
         if partial == () and self.optimum is not None:
             assert relax_val <= self.optimum + 1e-6, \
                 f"root relaxed bound {relax_val} excludes the optimum {self.optimum}"
-        if built[0] is not None:
-            _, restr_val = optimal_path(built[0], "min")
-            assert restr_val >= exact_val - tol, \
-                f"restricted value {restr_val} beats exact value {exact_val}"
+        assert built[1], "restricted diagram not reported exact"
+        _, restr_val = optimal_path(built[0], "min")
+        assert abs(restr_val - exact_val) <= tol, \
+            f"restricted value {restr_val} is not the exact value {exact_val}"
         self.checked += 1
         return built
 
@@ -264,7 +268,7 @@ def test_criterion_6_bound_sandwich_everywhere():
         _, exact_val = optimal_path(exact, "min")
         restricted, _ = build_restricted_master_dd(inst, (), gamma)
         _, restr_val = optimal_path(restricted, "min")
-        assert restr_val >= exact_val - 1e-9, f"seed {seed}"
+        assert abs(restr_val - exact_val) <= 1e-9 * (1.0 + abs(exact_val)), f"seed {seed}"
         for width in (1, 2, 3):
             relaxed = build_relaxed_master_dd(inst, (), gamma, width)
             _, relax_val = optimal_path(relaxed, "min")

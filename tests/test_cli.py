@@ -331,25 +331,26 @@ def test_emit_dot_snapshots(tmp_path):
     assert "digraph" in files[0].read_text()
 
 
-# sha256 of every --emit-dot file, by file name, recorded before diagrams
-# were stored as flat arrays: to_dot must write the same bytes
+# sha256 of every --emit-dot file, by file name; the MIP hashes were
+# recorded before diagrams were stored as flat arrays: to_dot must write
+# the same bytes
 PINNED_DOTS = {
     "two_binary_mip": {
         "0000_restricted.dot": "62eeff71c6ac96d1fe5e566fc4955674af9f62222fb76022c4f6c827630bbc2c",
         "0001_restricted.dot": "b839f89032174d29716791d54b013204efb73eba5b158cfb47b3e2e3986375ea",
         "0002_restricted.dot": "11e52109134673105a61e58cb0dad643b7548f0f9ea6f5a51d4e04cfe742f91a",
     },
-    # golden row 2x4x2 s5 x0.5: the master and five refinements of it,
-    # re-recorded from 0001 on when dual dispatch LPs began to end at the
-    # optimal dual best at the commitment midpoint, which changes the
-    # optimality cuts refined in (the cut-free master 0000 is unchanged)
+    # golden row 2x4x2 s5 x0.5: the restricted path of each of the six
+    # asks, re-recorded when restricted diagrams became one optimal path
+    # found by a label pass, where they used to be the master refined by
+    # the pool (the solve and its report are unchanged)
     "ucp-2x4x2-s5-d0.5": {
-        "0000_restricted.dot": "7db09f3cdabead16c48a26aaff625f88cbeef37cecc331ccb5fee82eb15579cc",
-        "0001_restricted.dot": "b3b13fc307d1f2003557fa84e2ab79da58551e968da5565f5dcb1c94253bf743",
-        "0002_restricted.dot": "3295f1ae97c19b929925a4231ef4573a2d0e6256e04aacef2a0cc5dc272c2b40",
-        "0003_restricted.dot": "63f215a36174782fd962100f93016e0c90c3591b2a41412807288612d9267ffb",
-        "0004_restricted.dot": "301e61235d29a18a489630013268b90d68ccda0f49c2deea49d941a7b5866231",
-        "0005_restricted.dot": "943bb698e46b653f5a62e05a4989697109e41bfc3a3f03d8ca9ecd105acf2c25",
+        "0000_restricted.dot": "314cc36024ebb3fbc4567e5ce72bc6493cc64ec44e1fd73f3453d239212f3249",
+        "0001_restricted.dot": "ebce2e76182e66e1e75944584d901e97468898669b3203e265218ae2c1ef6e9e",
+        "0002_restricted.dot": "c2d332e16b7610befa7a3c6338e10b974d61cbbe4c93e284882dc023bbd40355",
+        "0003_restricted.dot": "953fcfbb48e1acae026c02d27173c8910be19bd19c5ddae1c4a630fd62c1ae3e",
+        "0004_restricted.dot": "6157d8d44e4751b57ecc40386b28d96313455406a6212c155b6736be7e25c831",
+        "0005_restricted.dot": "7301244c0a1bad8cf42e04e38af5ffc299e6a3bf771f4c0fe15c470feca261e6",
     },
 }
 

@@ -665,3 +665,90 @@ def test_time_limit_after_incumbent_keeps_best_and_gap():
     # either no incumbent yet (infinite gap) or an incumbent with a gap
     if report.x is not None:
         assert report.gap is not None and report.gap >= 0.0
+
+
+def test_time_limit_keeps_the_first_optimal_evaluation_as_incumbent():
+    import time as clock
+
+    from ddbd.ucp import (
+        UcpMasterOracle,
+        UcpSubproblemOracle,
+        compute_gamma,
+        evaluate_subproblems,
+        gen_random_instance,
+        master_cost,
+    )
+
+    # the limit falls during the first evaluation's sleep; that evaluation
+    # is optimal, so its commitment is a feasible point, and the report
+    # keeps it with its cost (the optimum is 40,483.00)
+    inst = gen_random_instance(3, 3, 1, seed=31_003)
+    calls = []
+
+    class SlowSub(UcpSubproblemOracle):
+        def evaluate(self, x):
+            calls.append(tuple(x))
+            clock.sleep(0.03)
+            return super().evaluate(x)
+
+    report = dd_bd_solve(UcpMasterOracle(inst, compute_gamma(inst)), SlowSub(inst),
+                         EngineConfig(time_limit=0.015))
+    assert report.status == "time_limit"
+    assert calls[:1] == [report.x]
+    value = evaluate_subproblems(inst, report.x).value
+    assert report.z == value
+    assert report.value == pytest.approx(master_cost(inst, report.x) + value, rel=1e-12)
+    assert report.value == pytest.approx(41_452.09, abs=0.01)
+
+
+A_POINT, B_POINT = (0.0, 1.0), (1.0, 0.0)
+
+
+class ScriptedMaster(MasterOracle):
+    """Hands out the scripted (x, value interval) paths in turn, whatever
+    the partial and the pool, each as a diagram reported exact."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def build_restricted_dd(self, partial, cuts):
+        x, z = self.script.pop(0)
+        return from_paths([x + (z,)], weight_fn=unit_weights), True
+
+
+class TableSub(SubproblemOracle):
+    """Optimal at every x, at its tabled value, with a fresh cut each time."""
+
+    def __init__(self, values):
+        self.values = values
+        self.seen = []
+
+    def evaluate(self, x):
+        self.seen.append(tuple(x))
+        return SubproblemResult(kind="optimal", cuts=[value_floor(len(self.seen))],
+                                value=self.values[tuple(x)])
+
+
+@pytest.mark.parametrize("value_b,want", [(7.0, A_POINT), (6.0, B_POINT)])
+def test_an_evaluated_point_replaces_the_incumbent_only_when_strictly_better(
+        monkeypatch, value_b, want):
+    import types
+
+    # both points cost 1 in the master; the clock runs out after two evaluations
+    sub = TableSub({A_POINT: 7.0, B_POINT: value_b})
+    monkeypatch.setattr(engine, "time", types.SimpleNamespace(
+        perf_counter=lambda: 100.0 if len(sub.seen) >= 2 else 0.0))
+    master = ScriptedMaster([(A_POINT, (0.0, 0.0)), (B_POINT, (0.0, 0.0)),
+                             (A_POINT, (0.0, 0.0))])
+    report = dd_bd_solve(master, sub, EngineConfig(time_limit=1.0))
+    assert sub.seen == [A_POINT, B_POINT]
+    assert (report.status, report.x, report.z, report.value) == \
+        ("time_limit", want, sub.values[want], 1.0 + sub.values[want])
+
+
+def test_a_converged_path_replaces_an_incumbent_it_ties():
+    sub = TableSub({A_POINT: 7.0, B_POINT: 7.0})
+    master = ScriptedMaster([(A_POINT, (0.0, 0.0)), (B_POINT, (7.0, 7.0))])
+    report = dd_bd_solve(master, sub, EngineConfig())
+    assert sub.seen == [A_POINT, B_POINT]
+    assert (report.status, report.x, report.z, report.value) == ("optimal", B_POINT, 7.0, 8.0)

@@ -35,7 +35,6 @@ from ddbd.ucp import (
     UcpSubproblemOracle,
     build_master_dd,
     build_relaxed_master_dd,
-    build_restricted_master_dd,
     compute_gamma,
 )
 from reference_lp import scaled_instance
@@ -240,8 +239,8 @@ def test_runs_match_the_reference_on_ucp_masters_with_prefixes():
     partials = sorted({tuple(p[:k]) for p in paths for k in (0, 1, 3, 5, 7)})
     mid_run = 0
     for partial in rng.sample(partials, 12):
-        for build in (build_restricted_master_dd, build_relaxed_master_dd):
-            dd = (build(inst, partial, gamma)[0] if build is build_restricted_master_dd
+        for build in (build_master_dd, build_relaxed_master_dd):
+            dd = (build(inst, partial, gamma) if build is build_master_dd
                   else build(inst, partial, gamma, 2))
             cuts = rng.sample(pool, rng.randint(1, len(pool)))
             cuts.insert(rng.randrange(len(cuts) + 1), boundary_cut(rng, dd))
@@ -408,8 +407,8 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_ucp_master
     paths = enumerate_solutions(build_master_dd(inst, (), gamma))
     partials = sorted({tuple(p[:k]) for p in paths for k in (0, 2, 5)})
     for partial in rng.sample(partials, 6):
-        for build in (build_restricted_master_dd, build_relaxed_master_dd):
-            dd = (build(inst, partial, gamma)[0] if build is build_restricted_master_dd
+        for build in (build_master_dd, build_relaxed_master_dd):
+            dd = (build(inst, partial, gamma) if build is build_master_dd
                   else build(inst, partial, gamma, 2))
             cuts = rng.sample(pool, 3)
             check_optimality_replays(dd, cuts, cuts[0], f"{build.__name__} {partial}", seen)

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import itertools
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from ddbd.ucp import (
     Generator,
     InfeasibleInstanceError,
     InstanceError,
-    RefinedMaster,
     Scenario,
     UcpInstance,
     UcpMasterOracle,
@@ -323,12 +324,13 @@ def test_restricted_is_subset_and_respects_rules():
     gamma = GammaBounds(0.0, 0.0)
     exact = build_master_dd(inst, gamma=gamma)
     feasible = {tuple(float(b) for b in bits) for bits in unit_schedules(gen, 3)}
-    # the exact master itself, however wide
+    # one path of the exact master, however wide the master is, at its optimum
     assert exact.width > 1
     dd, exact_flag = build_restricted_master_dd(inst, (), gamma)
     assert exact_flag
-    assert dd_to_json(dd) == dd_to_json(exact)
+    assert dd.width == 1 and len(enumerate_solutions(dd)) == 1
     assert set(x_paths(dd)) <= feasible
+    assert optimal_path(dd, "min") == optimal_path(exact, "min")
 
 
 def harvested_pool(inst, rng, feasibility=6, optimality=4):
@@ -342,9 +344,9 @@ def harvested_pool(inst, rng, feasibility=6, optimality=4):
     return pool
 
 
-def test_replays_leave_masters_and_the_kept_master_as_they_were():
+def test_replays_leave_masters_as_they_were():
     # array slices are views: a replay that wrote into its input would
-    # change the kept master under the next replay, silently
+    # change the master under the next replay, silently
     rng = np.random.default_rng(3)
     for args in [(2, 4, 2, 0, 0.4), (3, 3, 1, 0, 0.4)]:
         inst = scaled_instance(*args)
@@ -361,24 +363,40 @@ def test_replays_leave_masters_and_the_kept_master_as_they_were():
                 except InfeasibleDiagramError:
                     pass
                 assert dd_to_json(master) == before, args
-        kept = RefinedMaster()
-        for k in range(1, len(pool) + 1):
-            try:
-                first = kept.refine(inst, (), gamma, pool[:k])
-            except InfeasibleDiagramError:
-                break
-            held = dd_to_json(first)
-            try:
-                kept.refine(inst, (), gamma, pool[:k + 1])   # replays pool[k] into first
-            except InfeasibleDiagramError:
-                break
-            assert dd_to_json(first) == held, (args, k)
+
+
+def assert_build_matches_the_refined_master(inst, partial, gamma, cuts, where):
+    """build_restricted_master_dd gives the x and the value, to the bit, of
+    optimal_path over the exact master refined by the cuts, and raises
+    what that raises.  Returns "ok", "empty" or "emptied"."""
+    try:
+        want = optimal_path(replay_cuts(build_master_dd(inst, partial, gamma), cuts), "min")
+    except EmptyDiagramError:
+        with pytest.raises(EmptyDiagramError):
+            build_restricted_master_dd(inst, partial, gamma, cuts)
+        return "empty"
+    except InfeasibleDiagramError:
+        with pytest.raises(InfeasibleDiagramError):
+            build_restricted_master_dd(inst, partial, gamma, cuts)
+        return "emptied"
+    dd, is_exact = build_restricted_master_dd(inst, partial, gamma, cuts)
+    assert is_exact and dd.width == 1, where
+    got = optimal_path(dd, "min")
+    assert got[0] == want[0] and got[1].hex() == want[1].hex(), (where, got, want)
+    # the path's arcs are the master's own: summed in order, they are
+    # master_cost's sum, exactly
+    cost = 0.0
+    for w in dd.weight[:-1].tolist():
+        cost += w
+    assert cost == master_cost(inst, tuple(got[0][:-1])), where
+    assert tuple(got[0][:len(partial)]) == tuple(partial), where
+    return "ok"
 
 
 def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
-    # the restricted build is exact ∩ cuts itself
+    # an optimal path of exact ∩ cuts, with its x and value to the bit
     rng = np.random.default_rng(23)
-    checked = emptied = 0
+    seen = {"ok": 0, "emptied": 0}
     for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8)]:
         inst = scaled_instance(*args)
         gamma = compute_gamma(inst)
@@ -389,93 +407,55 @@ def test_restricted_master_keeps_an_optimum_of_exact_and_cuts():
             partial = partials[rng.integers(len(partials))]
             cuts = [pool[i] for i in rng.choice(len(pool), rng.integers(1, len(pool) + 1),
                                                 replace=False)]
-            try:
-                exact = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
-            except InfeasibleDiagramError:
-                with pytest.raises(InfeasibleDiagramError):
-                    build_restricted_master_dd(inst, partial, gamma, cuts)
-                emptied += 1
-                continue
-            dd, is_exact = build_restricted_master_dd(inst, partial, gamma, cuts)
-            assert is_exact and dd_to_json(dd) == dd_to_json(exact), f"{args} {partial}"
-            checked += 1
-    assert checked >= 20 and emptied < checked, (checked, emptied)
+            seen[assert_build_matches_the_refined_master(
+                inst, partial, gamma, cuts, f"{args} {partial}")] += 1
+    assert seen["ok"] >= 20 and seen["emptied"] < seen["ok"], seen
 
 
-def test_kept_master_replays_only_the_cuts_pooled_since(monkeypatch):
-    compiled, replayed = [], []
-
-    def counting_build(inst, partial, gamma):
-        compiled.append(partial)
-        return build_master_dd(inst, partial, gamma)
-
-    def counting_replay(dd, cuts):
-        replayed.append(len(cuts))
-        return replay_cuts(dd, cuts)
-
-    def build(inst, partial, gamma, cuts, kept):
-        """(kept diagram, the build's diagram, is_exact)."""
-        dd, is_exact = build_restricted_master_dd(inst, partial, gamma, cuts, kept)
-        assert dd is kept.dd
-        return kept.dd, dd, is_exact
-
-    def solutions(dd):
-        return set(enumerate_solutions(dd))
-
-    def calls():
-        seen = (compiled[:], replayed[:])
-        compiled.clear()
-        replayed.clear()
-        return seen
-
-    monkeypatch.setattr(ucp_module, "build_master_dd", counting_build)
-    monkeypatch.setattr(ucp_module, "replay_cuts", counting_replay)
-    rng = np.random.default_rng(41)
-    checked = exact = 0
-    for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8),
-                 (3, 3, 1, 0, 0.4), (2, 5, 2, 1, 0.6), (3, 4, 1, 4, 0.7)]:
+def test_label_pass_matches_the_refined_exact_master_on_random_partials():
+    # random partial assignments, many with no completion, under random
+    # subsets of harvested pools and of cuts with either sense
+    rng = np.random.default_rng(5)
+    seen = {"ok": 0, "empty": 0, "emptied": 0}
+    for args in [(2, 4, 2, 0, 0.4), (2, 4, 2, 5, 0.5), (1, 6, 2, 3, 0.8), (3, 3, 1, 0, 0.4),
+                 (2, 5, 2, 1, 0.6), (3, 4, 1, 4, 0.7), (3, 4, 2, 1, 0.6)]:
         inst = scaled_instance(*args)
         gamma = compute_gamma(inst)
-        pool = harvested_pool(inst, rng)
-        paths = enumerate_solutions(build_master_dd(inst, (), gamma))
-        kept = RefinedMaster()
-        for depth in (0, 1, 3):
-            partial = paths[rng.integers(len(paths))][:depth]
-            sizes = sorted(rng.choice(np.arange(1, len(pool) + 1), 3, replace=False))
-            done = 0
-            for k in [0] + [int(k) for k in sizes]:
-                where = f"{args} {partial} {k} cuts"
-                cuts = pool[:k]
-                try:
-                    truth = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
-                except InfeasibleDiagramError:
-                    with pytest.raises(InfeasibleDiagramError):
-                        build(inst, partial, gamma, cuts, kept)
-                    calls()
-                    break
-                calls()
-                refined, dd, is_exact = build(inst, partial, gamma, cuts, kept)
-                # a new partial compiles afresh; a grown pool replays only its new cuts
-                assert calls() == (([partial], [k]) if k == 0 else ([], [k - done])), where
-                assert refined is kept.dd and solutions(refined) == solutions(truth), where
-                best = optimal_path(truth, "min")[1]
-                assert optimal_path(dd, "min")[1] == pytest.approx(best, rel=1e-12), where
-                _, fresh, _ = build(inst, partial, gamma, cuts, RefinedMaster())
-                calls()
-                assert optimal_path(fresh, "min")[1] == pytest.approx(best, rel=1e-12), where
-                if is_exact:
-                    assert solutions(dd) == solutions(truth), where
-                    exact += 1
-                done = k
-                checked += 1
-            if done:
-                # equal cuts that are other objects, or fewer cuts, are no
-                # extension of the kept list: each compiles afresh
-                copies = [dataclasses.replace(c) for c in pool[:done]]
-                for cuts in (copies, pool[:done - 1]):
-                    build(inst, partial, gamma, cuts, kept)
-                    assert calls() == ([partial], [len(cuts)]), (args, partial)
-    assert checked >= 50 and exact == checked, (checked, exact)
+        n = inst.num_vars
+        pool = harvested_pool(inst, rng) + [
+            CutRow(coeffs={int(j): 1.0 for j in rng.choice(n, 3, replace=False)},
+                   rhs=2.0, sense=">="),
+            CutRow(coeffs={int(j): 1.0 for j in rng.choice(n, 4, replace=False)},
+                   rhs=1.0, sense="<=")]
+        for trial in range(30):
+            partial = tuple(float(rng.random() < 0.5) for _ in range(rng.integers(0, n)))
+            cuts = [pool[i] for i in rng.choice(len(pool), rng.integers(0, len(pool) + 1),
+                                                replace=False)]
+            seen[assert_build_matches_the_refined_master(
+                inst, partial, gamma, cuts, f"{args} {partial} {len(cuts)} cuts")] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_capped_states_keep_every_move_and_weight():
+    # a capped state forgets only ages that no later move or weight reads
+    for min_up, min_down, table in [(1, 1, (5.0,)), (2, 3, (5.0, 9.0)), (3, 1, (1.0, 2.0, 3.0)),
+                                    (2, 2, (4.0, 4.0, 6.0, 8.0))]:
+        gen = simple_generator(min_up=min_up, min_down=min_down, table=table, cold=10.0)
+        horizon = 6
+        inst = single_unit_instance(gen, horizon)
+        moves = ucp_module._capped_moves(gen, horizon)   # state 0 is the fresh one
+        for bits in unit_schedules(gen, horizon):
+            state, cost = 0, 0.0
+            for b in bits:
+                (w, state), = [(w, nxt) for lab, w, nxt in moves[state] if lab == b]
+                cost += w
+            assert cost == master_cost(inst, tuple(map(float, bits)))
+        # and no schedule that breaks the rules has a path
+        frontier = [((), 0)]
+        for _ in range(horizon):
+            frontier = [(p + (lab,), nxt) for p, s in frontier for lab, _, nxt in moves[s]]
+        paths = {tuple(int(b) for b in p) for p, _ in frontier}
+        assert paths == {tuple(bits) for bits in unit_schedules(gen, horizon)}
 
 
 def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
@@ -509,6 +489,23 @@ def test_ucp_solve_closes_at_the_root():
         brute = brute_force_solve(inst)
         assert report.x == brute.best_x, args
         assert report.value == pytest.approx(brute.best_cost, rel=1e-9), args
+
+
+def test_frontier_instances_solve_at_the_milp_optimum():
+    # with restricted masters refined by node splitting, the first ran out
+    # of memory and the second took seconds and half a gigabyte; HiGHS
+    # solves the extensive form for the reference optimum
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from reference import milp_optimum
+
+    for args in [(5, 8, 4, 0, 0.6), (5, 12, 4, 0, 0.8)]:
+        inst = scaled_instance(*args)
+        report = ucp_solve(inst)
+        assert (report.status, report.branches) == ("optimal", 0), args
+        _, optimum = milp_optimum(inst)
+        assert report.value == pytest.approx(optimum, rel=1e-6), args
+        assert master_cost(inst, report.x) + evaluate_subproblems(inst, report.x).value \
+            == pytest.approx(optimum, rel=1e-6), args
 
 
 # -- value bounds ------------------------------------------------------------------
