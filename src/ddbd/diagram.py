@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -559,26 +559,12 @@ def _refine_exact(dd, cuts):
     that is NaN in every carried row separates no two keys, so it is
     dropped; cuts settled at the root never enter the pass.
 
-    Per-layer work is spent only where the diagram branches.  Each arc
-    gets a row of label times coefficient (from CutRow.dense, which the
-    cut keeps) and of the drop and settle limits at its head.  A frontier
-    of one node whose input node has a single out-arc starts a run of
-    single-arc layers, which _advance_run takes in one step; one arc
-    makes one node, so the run needs no keys.  Elsewhere, one key per arc
-    holds the head and the rounded lhs of every column.  The output is
-    collected as input rows per output node and (tail, head, input arc)
-    per output arc, and labels, weights, states and tags are gathered
-    from the input once at the end.  Node rows, arc order, labels,
-    weights and the InfeasibleDiagramError cases are those of extending,
-    settling and keying every layer on its own.
-
-    A replay of optimality cuts only first tries _unsplit: on an input
-    already in this pass's order (arcs grouped by tail row, heads
-    numbered by first arrival), one forward pass of the lhs values shows
-    whether any node would split or any value arc empty.  When none
-    would, the output is the input with tightened intervals, so it
-    shares every input array but lo and hi, byte for byte what the keyed
-    pass would build.
+    Each arc gets a row of label times coefficient (from CutRow.dense,
+    which the cut keeps) and of the drop and settle limits at its head,
+    and one key per arc holds the head and the rounded lhs of every
+    column.  The output is collected as input rows per output node and
+    (tail, head, input arc) per output arc, and labels, weights, states
+    and tags are gathered from the input once at the end.
     """
     m = dd.num_arc_layers
     cont = dd.layer_kinds[-1] == "continuous"
@@ -597,10 +583,6 @@ def _refine_exact(dd, cuts):
     step = np.zeros((len(heads), len(cuts)))
     step[:nd] = dd.label[:nd, None] \
         * coef[np.repeat(np.arange(num_discrete), np.diff(dd.arc_first[:num_discrete + 1]))]
-    if cont and not feas:
-        out = _unsplit(dd, opt, step[:nd])
-        if out is not None:
-            return out
     drop_above, settled_at = _completion_limits(dd, feas, sign, step[:, :nf])
     # per discrete arc: step, drop limit and settle limit at its head; the
     # optimality columns get limits that never fire
@@ -626,10 +608,6 @@ def _refine_exact(dd, cuts):
     # arc is dropped; otherwise every output node is on a path
     pruned = not out_deg[:-1].all()
 
-    def gather(idx):
-        g = per_arc[idx]
-        return g if cols.size == len(cuts) else g[:, :, cols]
-
     # the output: the input row of each node, layer by layer, and the
     # (tail row, head row, input arc) of each arc, with per-layer counts
     node_src, layer_size = [np.array([dd.root])], [1]
@@ -637,89 +615,64 @@ def _refine_exact(dd, cuts):
     olds = node_src[0]   # input rows of the frontier
     base = 0             # output row of the frontier's first node
     lo, hi = dd.lo, dd.hi   # the value layer's intervals, tightened on the way out
-    j = 0
-    while True:
-        # a run: one frontier node whose input node has one out-arc,
-        # followed down to the last layer but one
-        run = []
-        if len(olds) == 1:
-            u = int(olds[0])
-            while j + len(run) < m - 1 and out_deg[u] == 1:
-                run.append(int(order[out_first[u]]))
-                u = int(heads[run[-1]])
-        if run:
-            g = gather(run)
-            lhs = _advance_run(lhs, g[:, 0], g[:, 1], g[:, 2])
-            if lhs is None:
-                raise InfeasibleDiagramError("a cut removes every path")
-            rows = np.arange(base + 1, base + 1 + len(run))
-            olds = heads[run]
-            node_src.append(olds)
-            arc_tail.append(rows - 1)
-            arc_head.append(rows)
-            arc_src.append(np.array(run))
-            layer_size += [1] * len(run)
-            layer_arcs += [1] * len(run)
-            base += len(run)
-            j += len(run)
-            olds = olds[-1:]
+    for j in range(m):
+        # each frontier node's out-arcs in turn, in add order
+        deg = out_deg[olds]
+        src = np.repeat(np.arange(len(olds)), deg)
+        if not src.size:
+            raise InfeasibleDiagramError("a cut removes every path")
+        idx = order[np.arange(src.size) + (out_first[olds] - np.cumsum(deg) + deg)[src]]
+        is_last = j == m - 1
+        if cont and is_last:
+            keep, lo, hi = _tighten(dd, opt, idx - dd.value_first,
+                                    lhs[:, cols.size - len(opt):], src,
+                                    _satisfied(lhs, le[cols], rhs_up[cols], rhs_down[cols]))
+            lo, hi = lo[keep], hi[keep]
         else:
-            # each frontier node's out-arcs in turn, in add order
-            deg = out_deg[olds]
-            src = np.repeat(np.arange(len(olds)), deg)
-            if not src.size:
-                raise InfeasibleDiagramError("a cut removes every path")
-            idx = order[np.arange(src.size) + (out_first[olds] - np.cumsum(deg) + deg)[src]]
-            is_last = j == m - 1
-            if cont and is_last:
-                keep, lo, hi = _tighten(dd, opt, idx - dd.value_first,
-                                        lhs[:, cols.size - len(opt):], src,
-                                        _satisfied(lhs, le[cols], rhs_up[cols], rhs_down[cols]))
-                lo, hi = lo[keep], hi[keep]
-            else:
-                g = gather(idx)
-                child = lhs[src] + g[:, 0]
-                keep = ~(child > g[:, 1]).any(axis=1)
-                child = np.where(child <= g[:, 2], np.nan, child)
-                if is_last:
-                    keep &= _satisfied(child, le[cols], rhs_up[cols], rhs_down[cols])
+            g = per_arc[idx]
+            if cols.size < len(cuts):
+                g = g[:, :, cols]
+            child = lhs[src] + g[:, 0]
+            keep = ~(child > g[:, 1]).any(axis=1)
+            child = np.where(child <= g[:, 2], np.nan, child)
             if is_last:
-                node_src.append(np.array([dd.terminal]))
-                layer_size.append(1)
-                arc_tail.append(base + src[keep])
-                arc_head.append(np.full(int(keep.sum()), base + len(olds)))
-                arc_src.append(idx[keep])
-                layer_arcs.append(int(keep.sum()))
-                pruned = pruned or layer_arcs[-1] < keep.size
-                break
-            sel = np.flatnonzero(keep)
-            pruned = pruned or sel.size < keep.size
-            if not sel.size:
-                raise InfeasibleDiagramError("a cut removes every path")
-            # keys compare bits: every NaN here is np.nan itself, so one
-            # pattern per settled entry, and + 0.0 folds -0.0 into 0.0 as
-            # round() does
-            key = np.empty((sel.size, 1 + cols.size))
-            key[:, 0] = heads[idx[sel]]
-            np.rint(child[sel] / SPLIT_GRID, out=key[:, 1:])
-            key[:, 1:] += 0.0
-            group, firsts = {}, []   # output node of each key, numbered by first arc
-            gid = []
-            for c, k in zip(sel.tolist(), _row_keys(key)):
-                if k not in group:
-                    group[k] = len(firsts)
-                    firsts.append(c)
-                gid.append(group[k])
-            arc_tail.append(base + src[sel])
-            base += len(olds)
-            arc_head.append(base + np.array(gid, dtype=np.intp))
-            arc_src.append(idx[sel])
-            layer_arcs.append(sel.size)
-            olds = heads[idx[firsts]]
-            node_src.append(olds)
-            layer_size.append(len(firsts))
-            lhs = child[firsts]
-            j += 1
+                keep &= _satisfied(child, le[cols], rhs_up[cols], rhs_down[cols])
+        if is_last:
+            node_src.append(np.array([dd.terminal]))
+            layer_size.append(1)
+            arc_tail.append(base + src[keep])
+            arc_head.append(np.full(int(keep.sum()), base + len(olds)))
+            arc_src.append(idx[keep])
+            layer_arcs.append(int(keep.sum()))
+            pruned = pruned or layer_arcs[-1] < keep.size
+            break
+        sel = np.flatnonzero(keep)
+        pruned = pruned or sel.size < keep.size
+        if not sel.size:
+            raise InfeasibleDiagramError("a cut removes every path")
+        # keys compare bits: every NaN here is np.nan itself, so one
+        # pattern per settled entry, and + 0.0 folds -0.0 into 0.0 as
+        # round() does
+        key = np.empty((sel.size, 1 + cols.size))
+        key[:, 0] = heads[idx[sel]]
+        np.rint(child[sel] / SPLIT_GRID, out=key[:, 1:])
+        key[:, 1:] += 0.0
+        group, firsts = {}, []   # output node of each key, numbered by first arc
+        gid = []
+        for c, k in zip(sel.tolist(), _row_keys(key)):
+            if k not in group:
+                group[k] = len(firsts)
+                firsts.append(c)
+            gid.append(group[k])
+        arc_tail.append(base + src[sel])
+        base += len(olds)
+        arc_head.append(base + np.array(gid, dtype=np.intp))
+        arc_src.append(idx[sel])
+        layer_arcs.append(sel.size)
+        olds = heads[idx[firsts]]
+        node_src.append(olds)
+        layer_size.append(len(firsts))
+        lhs = child[firsts]
         if cols.size > len(opt):   # only feasibility columns settle
             live = ~np.isnan(lhs).all(axis=0)
             if not live.all():
@@ -736,50 +689,6 @@ def _refine_exact(dd, cuts):
         label=dd.label[arc_src], weight=dd.weight[arc_src],
         lo=lo, hi=hi)
     return _drop_dead_nodes(out) if pruned else out
-
-
-def _unsplit(dd, opt, step):
-    """The keyed pass's output for optimality cuts that split no node, or None.
-
-    Only for dd in the keyed pass's own order: arcs grouped by tail row,
-    every row but the terminal with an out-arc, and heads numbered by
-    first arrival, as compile and refine outputs are.  The pass then
-    visits the arcs in index order, so one forward pass carries each
-    row's lhs values from its first in-arc (the lowest index, found from
-    the running maximum of head, not from repeated fancy-index
-    assignment).  When every discrete arc's rounded lhs equals its
-    head's and no value arc's interval empties, every output node is its
-    input node: the result shares all of dd's arrays but lo and hi.
-    None otherwise, and the keyed pass runs.  step holds each discrete
-    arc's lhs step, one column per cut.
-    """
-    tail, head = dd.tail, dd.head
-    n = dd.node_count()
-    seen = np.maximum.accumulate(np.concatenate([[0], head]))   # seen[k]: top row before arc k
-    dt = np.diff(tail)
-    if tail[0] != 0 or tail[-1] != n - 2 or not ((dt >= 0) & (dt <= 1)).all() \
-            or (head > seen[:-1] + 1).any() or seen[-1] != n - 1:
-        return None
-    first = np.flatnonzero(head > seen[:-1])   # first[r - 1]: row r's first in-arc
-    lhs = np.zeros((n, step.shape[1]))
-    child = np.empty_like(step)
-    arc_first, node_first = dd.arc_first.tolist(), dd.node_first.tolist()
-    for j in range(dd.num_arc_layers - 1):
-        a, b = arc_first[j], arc_first[j + 1]
-        np.add(lhs[tail[a:b]], step[a:b], out=child[a:b])
-        lhs[node_first[j + 1]:node_first[j + 2]] = \
-            child[first[node_first[j + 1] - 1:node_first[j + 2] - 1]]
-    # keys as the keyed pass makes them (+ 0.0 folds -0.0 into 0.0); it
-    # would turn an infinite lhs into NaN, so such a pass is left to it
-    keys = np.rint(child / SPLIT_GRID) + 0.0
-    if not np.isfinite(child).all() \
-            or not np.array_equal(keys, np.rint(lhs[head[:len(step)]] / SPLIT_GRID) + 0.0):
-        return None
-    value = tail[dd.value_first:]
-    keep, lo, hi = _tighten(dd, opt, np.arange(len(value)), lhs, value, np.ones(n, dtype=bool))
-    if not keep.all():
-        return None
-    return replace(dd, lo=lo, hi=hi)
 
 
 def _tighten(dd, opt, value_arcs, bound_lhs, src, ok):
@@ -803,25 +712,6 @@ def _tighten(dd, opt, value_arcs, bound_lhs, src, ok):
     return keep, lo, hi
 
 
-def _advance_run(lhs, step, drop, settle):
-    """The carried lhs row after a run of single-arc layers, or None.
-
-    lhs is the (1, k) row entering the run; step, drop and settle hold
-    one row per run position.  The run is added up with one cumsum,
-    which makes the same left-to-right additions as extending layer by
-    layer.  A column is NaN from the position after the one where it
-    settles; that position still takes its drop test first, as a layer
-    does.  None when any position drops the child.
-    """
-    vals = np.cumsum(np.concatenate([lhs, step]), axis=0)[1:]
-    settled = np.logical_or.accumulate(vals <= settle, axis=0)
-    tested = vals > drop
-    tested[1:] &= ~settled[:-1]
-    if tested.any():
-        return None
-    return np.where(settled[-1:], np.nan, vals[-1:])
-
-
 def _satisfied(lhs, le, rhs_up, rhs_down):
     """Per row: CutRow.satisfied holds in every column that is not NaN.
 
@@ -840,21 +730,16 @@ def _row_keys(a):
 def _completion_limits(dd, feas, sign, fstep):
     """Per input node row, the lhs limits past which feasibility cuts are decided.
 
-    One backward pass gives, for every node, the min and max over its
-    completions of each cut's signed lhs (+inf and -inf when no
-    completion exists).  drop_above[u, i] is the signed prefix lhs
-    beyond which even the best completion violates cut i by more than
-    CUT_TOL plus a margin; settled_at[u, i] is the signed prefix lhs at
-    or below which every completion satisfies it with the same margin to
-    spare.  The margin covers the SPLIT_GRID drift of carried lhs values
-    (one grid step per layer, on either side) and the different
-    summation order.
-
-    fstep holds each arc's signed lhs step (zero on a continuous layer).
-    A run of layers with one arc each, chained head to tail, is one
-    reverse cumsum from its deep end: the same additions as layer by
-    layer, since such a layer's tail has no other arc to take a min or
-    max with.
+    One backward pass, an arc layer at a time, gives for every node the
+    min and max over its completions of each cut's signed lhs (+inf and
+    -inf when no completion exists).  drop_above[u, i] is the signed
+    prefix lhs beyond which even the best completion violates cut i by
+    more than CUT_TOL plus a margin; settled_at[u, i] is the signed
+    prefix lhs at or below which every completion satisfies it with the
+    same margin to spare.  The margin covers the SPLIT_GRID drift of
+    carried lhs values (one grid step per layer, on either side) and the
+    different summation order.  fstep holds each arc's signed lhs step
+    (zero on a continuous layer).
     """
     m, n = dd.num_arc_layers, dd.node_count()
     if not feas:
@@ -863,27 +748,10 @@ def _completion_limits(dd, feas, sign, fstep):
     lo = np.full((n, len(feas)), np.inf)
     hi = np.full((n, len(feas)), -np.inf)
     lo[dd.terminal] = hi[dd.terminal] = 0.0
-    j = m - 1
-    while j >= 0:
-        a, b = first[j], first[j + 1]
-        if b - a == 1:
-            top = j
-            while top > 0 and first[top] - first[top - 1] == 1 \
-                    and heads[first[top - 1]] == tails[first[top]]:
-                top -= 1
-            run = first[j:top - 1 if top else None:-1]   # one arc per layer, deep end first
-            rows = tails[run]
-            steps = fstep[run]
-            h = heads[run[0]]
-            lo[rows] = np.cumsum(np.concatenate([lo[h:h + 1], steps]), axis=0)[1:]
-            hi[rows] = np.cumsum(np.concatenate([hi[h:h + 1], steps]), axis=0)[1:]
-            j = top - 1
-            continue
-        if b > a:
-            t, h = tails[a:b], heads[a:b]
-            np.minimum.at(lo, t, lo[h] + fstep[a:b])
-            np.maximum.at(hi, t, hi[h] + fstep[a:b])
-        j -= 1
+    for a, b in zip(first[-2::-1], first[:0:-1]):
+        t, h = tails[a:b], heads[a:b]
+        np.minimum.at(lo, t, lo[h] + fstep[a:b])
+        np.maximum.at(hi, t, hi[h] + fstep[a:b])
     rhs = np.array([c.rhs for c in feas])
     limit = sign * rhs + CUT_TOL
     margin = 2 * (m + 1) * SPLIT_GRID * (1.0 + np.abs(rhs))

@@ -288,9 +288,8 @@ def replay_cuts(dd, cuts):
     """Exact refinement of a diagram with respect to pooled cuts.
 
     The whole list goes to one refine_with_cut call, a single top-down
-    pass; an empty list returns dd itself.  Master oracles call it through
-    their own module's attribute (ucp.replay_cuts), and it calls through
-    this module's refine_with_cut, so wrappers bound there (as
+    pass; an empty list returns dd itself.  It calls through this
+    module's refine_with_cut, so wrappers bound there (as
     perfbench/layers.py binds) see every replay.
     Node splitting may push the diagram past any width its oracle
     compiled it to; that growth is allowed, never blocked.
@@ -409,7 +408,11 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
 
         outcome, _, (x, z, w) = separate(restricted, "restricted", REPEAT_CAP, prune=False)
         if outcome == "time_limit":
-            # the node is open again: its inherited bound still holds
+            # the node is open again: its inherited bound still holds, and
+            # so does the last path value when that diagram was exact, as
+            # the optimum of exact ∩ pool
+            if restricted_exact:
+                bound_here = min(bound_here, w) if sense == "max" else max(bound_here, w)
             stack.append((partial, bound_here))
             status = "time_limit"
             break

@@ -1,13 +1,13 @@
 """Layer-by-layer exact refinement: the reference for ddbd.diagram's.
 
-_refine_exact is the one-pass refinement as it stood before single-arc
-layer runs were advanced in one step and settled cut columns were
-dropped: every layer is extended, settled and keyed on its own, with
-the cut coefficients read from the CutRow dicts on every call.  The
-production pass must return structurally identical diagrams (node rows,
-arc order, label and weight bits, states, merged tags) or raise
-InfeasibleDiagramError in the same cases.  The reference reads the input
-one arc layer at a time, as Arc tuples, and builds its output with
+_refine_exact is the one-pass refinement as it stood before diagrams
+became flat arrays and settled cut columns were dropped: every layer is
+extended, settled and keyed on its own, with every cut column carried
+to the end and the cut coefficients read from the CutRow dicts on every
+call.  The production pass must return structurally identical diagrams
+(node rows, arc order, label and weight bits, states, merged tags) or
+raise InfeasibleDiagramError in the same cases.  The reference reads the
+input one arc layer at a time, as Arc tuples, and builds its output with
 DiagramBuilder, one node and one arc at a time.
 """
 

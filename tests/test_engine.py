@@ -683,6 +683,9 @@ def test_time_limit_keeps_the_first_optimal_evaluation_as_incumbent():
     # is optimal, so its commitment is a feasible point, and the report
     # keeps it with its cost (the optimum is 40,483.00)
     inst = gen_random_instance(3, 3, 1, seed=31_003)
+    optimum = dd_bd_solve(UcpMasterOracle(inst, compute_gamma(inst)),
+                          UcpSubproblemOracle(inst)).value
+    assert optimum == pytest.approx(40_483.00, abs=0.01)
     calls = []
 
     class SlowSub(UcpSubproblemOracle):
@@ -699,6 +702,10 @@ def test_time_limit_keeps_the_first_optimal_evaluation_as_incumbent():
     assert report.z == value
     assert report.value == pytest.approx(master_cost(inst, report.x) + value, rel=1e-12)
     assert report.value == pytest.approx(41_452.09, abs=0.01)
+    # the root's last restricted diagram was exact, so its path value
+    # bounds the open root and the gap is finite
+    assert math.isfinite(report.gap)
+    assert report.value - report.gap <= optimum * (1.0 + 1e-9)
 
 
 A_POINT, B_POINT = (0.0, 1.0), (1.0, 0.0)

@@ -5,7 +5,9 @@ against the plain enumeration of the x domain product that it replaces
 (reference_points), and whole solves are checked against enumerating x
 and solving every slave LP with scipy's HiGHS (brute_force_max).  The
 data are integers and halves, so every row's lhs is exact in floating
-point and no tolerance decides a point.
+point and no tolerance decides a point.  The refined masters are also
+checked bit for bit against tests/reference_refine.py, with pools of
+cuts harvested from the slave, whose coefficients are not exact.
 """
 
 import itertools
@@ -15,9 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from ddbd.diagram import Interval, enumerate_solutions
+import reference_refine
+from ddbd.diagram import Interval, dd_to_json, enumerate_solutions
 from ddbd import mip
-from ddbd.engine import EngineConfig, dd_bd_solve
+from ddbd.engine import CutPool, EngineConfig, dd_bd_solve
 from ddbd.mip import (
     MipMasterOracle,
     MipProblem,
@@ -204,3 +207,63 @@ def test_mip_solves_agree_with_brute_force():
     # both statuses are well represented
     assert 40 <= feasible <= 120
     assert time.perf_counter() - t0 < 120.0
+
+
+# -- the refined master against the layer-by-layer reference ---------------------
+
+
+def varied_mip(seed):
+    """random_mip(seed), now and then with a domain value listed twice and
+    with an "=" master row that holds at one domain point."""
+    problem = random_mip(seed)
+    rng = random.Random(-1 - seed)
+    n = len(problem.x_domains)
+    if rng.random() < 0.5:
+        j = rng.randrange(n)
+        problem.x_domains[j] = problem.x_domains[j] + [rng.choice(problem.x_domains[j])]
+    if rng.random() < 0.5:
+        x0 = [rng.choice(domain) for domain in problem.x_domains]
+        ax = [float(rng.randint(-2, 2)) for _ in range(n)]
+        problem.rows.insert(0, (ax, [0.0] * len(problem.y_obj), "=", float(np.dot(ax, x0))))
+    return problem
+
+
+def reference_replay(dd, cuts):
+    """engine.replay_cuts with the layer-by-layer reference refinement."""
+    return reference_refine._refine_exact(dd, list(cuts)) if cuts else dd
+
+
+def master_json(problem, partial, cuts):
+    """dd_to_json of a fresh MipMasterOracle's exact master, or None."""
+    dd = MipMasterOracle(problem).build_exact_dd(partial, cuts)
+    if dd is None:
+        return None
+    dd.validate()
+    return dd_to_json(dd)
+
+
+def test_refined_master_matches_the_reference_refinement_bit_for_bit(monkeypatch):
+    # the chain is refined by the master rows and then by the pool, each
+    # one replay; the reference must give the same node rows, arc order
+    # and label, weight and interval bits, and empty the same masters
+    seen = {"equality rows": 0, "repeated values": 0, "empty": 0, "refined": 0}
+    for seed in range(40):
+        problem = varied_mip(seed)
+        rng = random.Random(seed)
+        seen["equality rows"] += any(s == "=" for _, _, s, _ in problem.master_rows())
+        seen["repeated values"] += any(len(set(d)) < len(d) for d in problem.x_domains)
+        sub = MipSubproblemOracle(problem)
+        pool = CutPool()
+        for _ in range(4):
+            for cut in sub.evaluate(tuple(rng.choice(d) for d in problem.x_domains)).cuts:
+                pool.add(cut)
+        for partial in ((), random_partial(rng, problem)):
+            for size in sorted({0, len(pool) // 2, len(pool)}):
+                cuts = pool.cuts[:size]
+                got = master_json(problem, partial, cuts)
+                with monkeypatch.context() as patched:
+                    patched.setattr(mip, "replay_cuts", reference_replay)
+                    assert master_json(problem, partial, cuts) == got, (seed, partial, size)
+                seen["empty" if got is None else "refined"] += 1
+    # the inputs exercise what they are meant to
+    assert min(seen.values()) >= 10, seen

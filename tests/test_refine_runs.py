@@ -1,15 +1,16 @@
-"""Run-collapsed exact refinement against the layer-by-layer reference.
+"""Exact refinement against the layer-by-layer reference.
 
-ddbd.diagram._refine_exact advances runs of single-arc layers in one
-step, drops cut columns once they are settled everywhere and keeps each
-cut's dense coefficients on the cut.  None of that may show: every
-refinement here must return the diagram that tests/reference_refine.py
-builds layer by layer, down to node rows, arc order, the bits of labels
-and weights, states and merged tags (all of which dd_to_json writes), or
-raise InfeasibleDiagramError exactly when the reference does.  Every
-refined diagram must pass validate(), and the input must be left as it
-was.  That holds too where a replay of optimality cuts only, splitting
-no node, returns the input's own arrays with new value intervals.
+ddbd.diagram._refine_exact keys every layer in one pass over arrays,
+drops cut columns once they are settled everywhere and keeps each cut's
+dense coefficients on the cut.  None of that may show: every refinement
+here must return the diagram that tests/reference_refine.py builds one
+node and one arc at a time, down to node rows, arc order, the bits of
+labels and weights, states and merged tags (all of which dd_to_json
+writes), or raise InfeasibleDiagramError exactly when the reference
+does.  Every refined diagram must pass validate(), and the input must be
+left as it was.  The inputs favour single-arc layers (as fixed prefixes
+and forced unit moves give), cuts settled or dropped inside them, and
+replays of optimality cuts that split no node.
 """
 
 import json
@@ -24,7 +25,6 @@ from ddbd.diagram import (
     CutRow,
     DiagramBuilder,
     InfeasibleDiagramError,
-    _advance_run,
     append_value_layer,
     dd_from_json,
     dd_to_json,
@@ -255,47 +255,6 @@ def test_runs_match_the_reference_on_ucp_masters_with_prefixes():
     assert mid_run >= 4
 
 
-def _advance_run_by_layers(lhs, step, drop, settle):
-    """The run extended one layer at a time, as a branching layer is."""
-    row = lhs[0].copy()
-    for k in range(len(step)):
-        row = row + step[k]
-        if (row > drop[k]).any():
-            return None
-        row = np.where(row <= settle[k], np.nan, row)
-    return row[None]
-
-
-def test_advance_run_equals_layer_by_layer_extension():
-    # limits drawn freely, not from completion ranges, so that settles and
-    # drops land anywhere in the run, on the same position too
-    rng = np.random.default_rng(9)
-    seen = {"dropped": 0, "settled mid-run": 0, "drop and settle at once": 0}
-    for _ in range(400):
-        length, width = rng.integers(1, 7), rng.integers(1, 5)
-        lhs = rng.normal(size=(1, width))
-        lhs[0, rng.random(width) < 0.2] = np.nan
-        step = rng.choice([-0.7, -0.1, 0.0, 0.1, 0.3], size=(length, width))
-        drop = rng.normal(2.0, 1.0, size=(length, width))
-        drop[rng.random((length, width)) < 0.1] = -np.inf
-        settle = rng.normal(-1.5, 1.0, size=(length, width))
-        settle[rng.random((length, width)) < 0.1] = np.inf
-        expected = _advance_run_by_layers(lhs, step, drop, settle)
-        got = _advance_run(lhs, step, drop, settle)
-        if expected is None:
-            assert got is None
-            seen["dropped"] += 1
-        else:
-            assert got is not None and got.tobytes() == expected.tobytes()
-        vals = lhs[0] + np.cumsum(step, axis=0)
-        hits = vals <= settle
-        if length > 1 and (hits[1:] & ~hits[:-1]).any():
-            seen["settled mid-run"] += 1
-        if ((vals > drop) & hits).any():
-            seen["drop and settle at once"] += 1
-    assert min(seen.values()) >= 20, seen
-
-
 def test_dense_coefficients_kept_on_the_cut_are_invisible():
     rng = random.Random(1)
     dd = runs_dd(rng)
@@ -312,24 +271,6 @@ def test_dense_coefficients_kept_on_the_cut_are_invisible():
     # coefficients past the diagram's layers are ignored, as the dicts are
     assert cut.dense(4).tolist() == [0.5, 0.0, 0.0, -1.0]
     assert cut.dense(2).tolist() == [0.5, 0.0]
-
-
-def shares_input(dd, cuts, label):
-    """assert_same_refinement; True when the refined diagram shares dd's
-    arrays, all of them but lo and hi, as a replay of optimality cuts
-    that splits no node returns it."""
-    assert_same_refinement(dd, cuts, label)
-    try:
-        out = refine_with_cut(dd, cuts)
-    except InfeasibleDiagramError:
-        return False
-    if not np.shares_memory(out.tail, dd.tail):
-        return False
-    assert all(c.z_coeff != 0.0 for c in cuts), label
-    assert all(getattr(out, name) is getattr(dd, name)
-               for name in ("node_first", "states", "merged", "arc_first", "tail", "head",
-                            "label", "weight")), label
-    return True
 
 
 def out_of_order(dd):
@@ -372,9 +313,9 @@ def check_optimality_replays(dd, cuts, spread, label, seen):
     that leaves every interval as it is; and the cuts on dd with its arcs
     out of order.  Counts go to `seen`."""
     for k, cut in enumerate(cuts):
-        seen["shared"] += shares_input(dd, [cut], f"{label} cut {k}")
+        assert_same_refinement(dd, [cut], f"{label} cut {k}")
         seen["replays"] += 1
-    seen["shared"] += shares_input(dd, cuts, f"{label} all")
+    assert_same_refinement(dd, cuts, f"{label} all")
     seen["replays"] += 1
     try:
         refined = refine_with_cut(dd, [spread])
@@ -382,13 +323,13 @@ def check_optimality_replays(dd, cuts, spread, label, seen):
         return
     cut = emptying_cut(refined)
     if cut is not None:
-        assert not shares_input(refined, [cut], f"{label} emptying")
+        assert_same_refinement(refined, [cut], f"{label} emptying")
         seen["emptying"] += 1
     slack = CutRow(coeffs={}, z_coeff=-1.0, rhs=-float(refined.hi.max()) - 1.0, sense=">=")
-    seen["shared"] += shares_input(refined, [slack], f"{label} slack")
+    assert_same_refinement(refined, [slack], f"{label} slack")
     seen["replays"] += 1
     for k, other in enumerate(out_of_order(dd)):
-        assert not shares_input(other, cuts, f"{label} out of order {k}")
+        assert_same_refinement(other, cuts, f"{label} out of order {k}")
         seen["out of order"] += 1
 
 
@@ -403,7 +344,7 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_ucp_master
         res = oracle.dispatch(x)
         if res.kind == "optimal":
             pool.extend(res.cuts)
-    seen = {"shared": 0, "replays": 0, "emptying": 0, "out of order": 0}
+    seen = {"replays": 0, "emptying": 0, "out of order": 0}
     paths = enumerate_solutions(build_master_dd(inst, (), gamma))
     partials = sorted({tuple(p[:k]) for p in paths for k in (0, 2, 5)})
     for partial in rng.sample(partials, 6):
@@ -412,10 +353,7 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_ucp_master
                   else build(inst, partial, gamma, 2))
             cuts = rng.sample(pool, 3)
             check_optimality_replays(dd, cuts, cuts[0], f"{build.__name__} {partial}", seen)
-    # "shared" went 51 -> 49 when dispatch began to return Pareto-optimal
-    # cuts (the optimal duals best at the commitment midpoint): the pool
-    # holds other cuts, two more of whose replays split a node
-    assert seen == {"shared": 49, "replays": 60, "emptying": 8, "out of order": 24}
+    assert seen == {"replays": 60, "emptying": 8, "out of order": 24}
 
 
 def test_optimality_replays_that_split_nothing_match_the_reference_on_random_diagrams():
@@ -424,7 +362,7 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_random_dia
     # the prefixes into one node different lhs values, so the value
     # intervals show which prefix's values the node carries
     rng = random.Random(23)
-    seen = {"shared": 0, "replays": 0, "emptying": 0, "out of order": 0}
+    seen = {"replays": 0, "emptying": 0, "out of order": 0}
     for trial in range(40):
         lead = rng.randint(1, 3)
         dd = runs_dd(rng, num_discrete=rng.randint(5, 8), lead=lead)
@@ -442,4 +380,4 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_random_dia
                                rhs=rng.uniform(-3, 3), sense=rng.choice(["<=", ">="])))
         spread = CutRow(coeffs={num_discrete - 1: 1.0}, z_coeff=1.0, rhs=0.0, sense=">=")
         check_optimality_replays(dd, cuts, spread, f"trial {trial}", seen)
-    assert seen == {"shared": 91, "replays": 186, "emptying": 21, "out of order": 54}
+    assert seen == {"replays": 186, "emptying": 21, "out of order": 54}
