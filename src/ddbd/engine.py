@@ -17,7 +17,8 @@ cut.  A single prefix is no branching: it is extended as far as every
 path shares it (forced_prefix) and pushed as the only child.
 Cuts live in a global deduplicated pool, seeded before the root with
 the subproblem oracle's initial_cuts(): cuts that hold for every x,
-such as the unit-commitment oracle's per-period capacity cuts.  The MIP
+such as the unit-commitment oracle's per-period capacity cuts and its
+period-0 start-up cut.  The MIP
 oracle brings the pool into a diagram by one exact refinement pass over
 the list (see replay_cuts); the unit-commitment oracle finds an optimal
 path of its master under the pool in one label pass and returns that

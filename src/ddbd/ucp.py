@@ -9,9 +9,11 @@ shut-down), and the dispatch subproblems are solved in dual form so
 that unbounded rays yield feasibility cuts and optimal points yield
 expected-cost cuts, both expressed over the master variables only.  A
 scenario whose demand plus reserve exceeds the committed capacity in
-some period needs no LP: its ray is written down in closed form and
-verified like an LP's (the closed-form separation of Fischetti, Ljubic
-and Sinnl, Management Science 2017).
+some period, or whose period-0 demand exceeds what the committed units
+can reach from off in one start-up ramp, needs no LP: its ray is
+written down in closed form and verified like an LP's (the closed-form
+separation of Fischetti, Ljubic and Sinnl, Management Science 2017).
+Both kinds of cut are pooled before the first evaluation.
 The value variable's [lo, hi] interval on the diagram's last arc layer
 comes from closed-form bounds on the dispatch cost (a merit-order
 lower bound, every costly unit at full output as the upper bound), not
@@ -991,6 +993,29 @@ def _capacity_ray(instance, period):
     return ray
 
 
+def _startup_ray(instance):
+    """Dual ray for a commitment whose start-up output at period 0 is short.
+
+    Every unit is off before the horizon, so a unit on at period 0 makes
+    at most min(SU, p_max) there.  Demand price 1 at period 0 and, per
+    unit, ramp-up multiplier 1 at period 0 when SU <= p_max, headroom and
+    capacity multipliers 1 there otherwise, 0 elsewhere: each production
+    row at period 0 then reads psi - gamma = 0 or psi - eta = 0, each
+    headroom row 0 or eta - pi = 0, and along the ray the dual objective
+    gains the period-0 demand minus sum_i min(SU_i, p_max_i) x_i0.
+    """
+    n, T = instance.num_units, instance.horizon
+    nT = n * T
+    ray = np.zeros(2 * T + 5 * nT)
+    ray[0] = 1.0                             # demand price at period 0
+    at0 = T * np.arange(n)
+    ramp = np.array([g.startup_ramp <= g.p_max for g in instance.generators])
+    ray[2 * T + 2 * nT + at0[ramp]] = 1.0    # ramp-up
+    ray[2 * T + nT + at0[~ramp]] = 1.0       # capacity
+    ray[2 * T + 4 * nT + at0[~ramp]] = 1.0   # headroom
+    return ray
+
+
 def _feasibility_cut(units, scenario, ray):
     """The dual ray's cut over x, scaled to a largest coefficient of 1;
     units is _unit_columns of the instance."""
@@ -1103,9 +1128,16 @@ class UcpSubproblemOracle(SubproblemOracle):
     checked with verify_certificate like any LP outcome, and turned into
     the same cut an LP ray gives.  Short scenarios that share their first
     short period give cuts on one row, so only the tightest of those is
-    built.  The other scenarios go to the LP.  initial_cuts() writes the
-    same cuts for every period before any evaluation, so the solve starts
-    with them pooled and dispatch's copies deduplicate against them.
+    built.  Likewise a scenario whose period-0 demand exceeds the
+    committed start-up output there, sum_i min(SU_i, p_max_i) x_i0, by
+    more than FEAS_TOL is short: every unit is off before the horizon.
+    Its closed-form ray (_startup_ray) gives the cut
+    sum_i min(SU_i, p_max_i) x_i0 >= d_0, on one row for every scenario,
+    so only the one with the largest d_0 is built.  The other scenarios
+    go to the LP.  initial_cuts() writes the same cuts before any
+    evaluation, one capacity cut per period and the start-up cut, so the
+    solve starts with them pooled and dispatch's copies deduplicate
+    against them.
 
     The dual's rows depend on the instance alone, so they are built and
     checked once, as one read-only LpRows that every scenario LP and every
@@ -1134,6 +1166,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         self._rows = LpRows(*_dual_rows(instance))
         self._units = _unit_columns(instance)
         self._p_max = np.array([g.p_max for g in instance.generators])
+        self._reach = np.minimum([g.startup_ramp for g in instance.generators], self._p_max)
         self._demand = np.array([sc.demand for sc in instance.scenarios], dtype=float)
         self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
         core = _commitment_prices(self._units, [0.5] * instance.num_vars)
@@ -1153,51 +1186,61 @@ class UcpSubproblemOracle(SubproblemOracle):
         return res
 
     def initial_cuts(self):
-        """The capacity cuts that every dispatchable commitment satisfies.
+        """The closed-form cuts that every dispatchable commitment satisfies.
 
-        One per period t in which some scenario's demand plus reserve
-        exceeds FEAS_TOL: the cut dispatch returns when t is the first
-        short period, for the first of the scenarios that need most at t.
-        At the all-off commitment every such period is short, so each ray
-        is verified against its scenario's dual LP there.  Raises
-        NumericalFailureError when a ray fails verification.
+        One capacity cut per period t in which some scenario's demand plus
+        reserve exceeds FEAS_TOL: the cut dispatch returns when t is the
+        first short period, for the first of the scenarios that need most
+        at t.  Then the start-up cut, when the largest period-0 demand
+        exceeds FEAS_TOL: the one dispatch returns for the first scenario
+        with that demand.  A cut that another makes redundant is left out
+        (_tightest), as dispatch leaves it out.  At the all-off commitment
+        every such cut is violated, so each ray is verified against its
+        scenario's dual LP there.  Raises NumericalFailureError when a ray
+        fails verification.
         """
-        prices = _commitment_prices(self._units, [0.0] * self.instance.num_vars)
-        return [self._capacity_cut(int(self._need[:, t].argmax()), t, prices)
-                for t in range(self.instance.horizon)
+        instance = self.instance
+        prices = _commitment_prices(self._units, [0.0] * instance.num_vars)
+        cuts = [self._ray_cut(int(self._need[:, t].argmax()), _capacity_ray(instance, t), prices)
+                for t in range(instance.horizon)
                 if self._need[:, t].max() > FEAS_TOL]
+        if self._demand[:, 0].max() > FEAS_TOL:
+            cuts.append(self._ray_cut(int(self._demand[:, 0].argmax()),
+                                      _startup_ray(instance), prices))
+        return _tightest(cuts)
 
-    def _capacity_cut(self, s, period, prices):
-        """Scenario s's cut from its closed-form ray at a short period,
-        verified against its dual LP at the commitment priced by prices."""
-        sc = self.instance.scenarios[s]
-        ray = _capacity_ray(self.instance, period)
+    def _ray_cut(self, s, ray, prices):
+        """Scenario s's cut from a closed-form ray, verified against its
+        dual LP at the commitment priced by prices."""
         lp = LinearProgram(sense="max", c=_dual_objective(self._demand[s], self._need[s], prices),
                            rows=self._rows)
         if not verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)):
-            raise NumericalFailureError(
-                "closed-form capacity ray failed self-verification")
-        return _feasibility_cut(self._units, sc, ray)
+            raise NumericalFailureError("closed-form ray failed self-verification")
+        return _feasibility_cut(self._units, self.instance.scenarios[s], ray)
 
     def dispatch(self, x):
         """Solve every scenario's dual dispatch problem at the commitment x.
 
         Returns the feasibility variant when any scenario is infeasible:
         one normalised cut per undispatchable scenario, from its
-        closed-form capacity ray or its LP ray, less each cut that another
-        one makes redundant (_tightest).  Otherwise returns the
-        probability-weighted expected cost with a single aggregated
-        lower-bounding cut on the value variable, whose coefficients are
-        summed over the scenarios in one dense array and listed in the
-        order their indices first appear, scenario by scenario.  lp_calls
-        counts LP solves only.  Raises NumericalFailureError when a
-        closed-form ray fails verification.
+        closed-form capacity ray or its LP ray, in scenario order, then
+        the start-up cut when some scenario is short of start-up output at
+        period 0, less each cut that another one makes redundant
+        (_tightest).  A scenario short either way makes no LP.  Otherwise
+        returns the probability-weighted expected cost with a single
+        aggregated lower-bounding cut on the value variable, whose
+        coefficients are summed over the scenarios in one dense array and
+        listed in the order their indices first appear, scenario by
+        scenario.  lp_calls counts LP solves only.  Raises
+        NumericalFailureError when a closed-form ray fails verification.
         """
         instance = self.instance
         x = _commitment_vector(instance, x)
         prices = _commitment_prices(self._units, x)
-        capacity = self._p_max @ np.reshape(x, (instance.num_units, instance.horizon))
-        short = self._need - capacity > FEAS_TOL
+        on = np.reshape(x, (instance.num_units, instance.horizon))
+        short = self._need - self._p_max @ on > FEAS_TOL
+        # every unit is off before the horizon, so start-up ramps cap period 0
+        startup_short = self._demand[:, 0] - self._reach @ on[:, 0] > FEAS_TOL
         first = short.argmax(axis=1).tolist()   # first short period, 0 when none
         # Short scenarios with one first short period give cuts on one row,
         # and _tightest would keep only the one that needs most there (the
@@ -1215,9 +1258,9 @@ class UcpSubproblemOracle(SubproblemOracle):
         seen = np.full(instance.num_vars, len(instance.scenarios))
         lp_calls = 0
         for s, sc in enumerate(instance.scenarios):
-            if short[s, first[s]]:
-                if tightest[first[s]] == s:
-                    feas_cuts.append(self._capacity_cut(s, first[s], prices))
+            if short[s, first[s]] or startup_short[s]:
+                if short[s, first[s]] and tightest[first[s]] == s:
+                    feas_cuts.append(self._ray_cut(s, _capacity_ray(instance, first[s]), prices))
                 continue
             out = solve(LinearProgram(sense="max",
                                       c=_dual_objective(self._demand[s], self._need[s], prices),
@@ -1238,6 +1281,10 @@ class UcpSubproblemOracle(SubproblemOracle):
             # changes no sum: agg_coef never holds -0.0
             agg_coef += sc.prob * coef
             seen[present & (seen > s)] = s
+        if startup_short.any():
+            # one row for every scenario: the largest period-0 demand is tightest
+            feas_cuts.append(self._ray_cut(int(self._demand[:, 0].argmax()),
+                                           _startup_ray(instance), prices))
         if feas_cuts:
             return SubproblemResult(kind="infeasible", cuts=_tightest(feas_cuts),
                                     lp_calls=lp_calls)

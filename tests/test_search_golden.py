@@ -57,6 +57,18 @@ on its optimal face at the dual point best at the commitment midpoint,
 giving Magnanti-Wong (Pareto-optimal) cuts.  Those dominate whichever
 optimal vertex Bland's rule used to stop at, so fewer are needed.
 Status, optimum, branches and feasibility cuts stayed as recorded.
+
+Feasibility cuts were re-recorded (+1 on every row but 3x4x2 s1) when
+the root pool began with a start-up cut as well, sum_i min(SU_i,
+p_max_i) x_i0 >= d_0 for the largest period-0 demand: every unit is off
+before the horizon, so no commitment reaches more than that at period 0.
+On the nine rows where that cut is new to the pool the search is
+otherwise unchanged, LP calls and pivots included.  3x4x2 s1 has a
+scenario whose period-0 demand tops sum_i SU_i; its solve used to find
+that cut by a dual LP ray (two LPs, one cold), and the seeded cut now
+proves the root infeasible before any evaluation: LP calls 2 -> 0, the
+same five feasibility cuts.  Status, optimum, branches and optimality
+cuts stayed as recorded.
 """
 
 import pytest
@@ -65,16 +77,16 @@ from ddbd.ucp import ucp_solve
 from reference_lp import scaled_instance
 
 GOLDEN = [
-    ((3, 4, 2, 0, 1.0), "optimal", "46466.820068699584", 0, 4, 1, 2),
-    ((3, 4, 2, 1, 1.0), "infeasible", None, 0, 5, 0, 2),
-    ((3, 4, 2, 2, 1.0), "optimal", "40682.569488106696", 0, 4, 1, 2),
-    ((2, 4, 2, 0, 0.4), "optimal", "6118.073389064835", 0, 4, 1, 2),
-    ((3, 3, 1, 0, 0.4), "optimal", "8837.73171839126", 0, 3, 2, 2),
-    ((2, 4, 2, 5, 0.5), "optimal", "21512.006588150718", 0, 4, 5, 10),
-    ((3, 5, 2, 1, 0.8), "optimal", "51235.530283429776", 0, 5, 2, 4),
-    ((3, 6, 3, 1, 0.8), "optimal", "61469.639437852486", 0, 6, 2, 6),
-    ((4, 6, 3, 1, 0.8), "optimal", "95878.46538757958", 0, 6, 2, 6),
-    ((3, 6, 16, 0, 0.9), "optimal", "55462.47814090696", 0, 6, 1, 16),
+    ((3, 4, 2, 0, 1.0), "optimal", "46466.820068699584", 0, 5, 1, 2),
+    ((3, 4, 2, 1, 1.0), "infeasible", None, 0, 5, 0, 0),
+    ((3, 4, 2, 2, 1.0), "optimal", "40682.569488106696", 0, 5, 1, 2),
+    ((2, 4, 2, 0, 0.4), "optimal", "6118.073389064835", 0, 5, 1, 2),
+    ((3, 3, 1, 0, 0.4), "optimal", "8837.73171839126", 0, 4, 2, 2),
+    ((2, 4, 2, 5, 0.5), "optimal", "21512.006588150718", 0, 5, 5, 10),
+    ((3, 5, 2, 1, 0.8), "optimal", "51235.530283429776", 0, 6, 2, 4),
+    ((3, 6, 3, 1, 0.8), "optimal", "61469.639437852486", 0, 7, 2, 6),
+    ((4, 6, 3, 1, 0.8), "optimal", "95878.46538757958", 0, 7, 2, 6),
+    ((3, 6, 16, 0, 0.9), "optimal", "55462.47814090696", 0, 7, 1, 16),
 ]
 
 

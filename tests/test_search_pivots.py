@@ -19,6 +19,10 @@ pivot on along its optimal face toward the dual point best at the
 commitment midpoint (see test_search_golden): those tie pivots add to
 the cold and warm totals, and the stronger cuts leave fewer warm LPs.
 The four rows with no optimal face to move along kept their totals.
+
+3x4x2 s1 was re-recorded (40, 1) -> (0, 0) when the root pool began with
+the closed-form start-up cut (see test_search_golden): it proves that
+row infeasible at the root, so no dispatch LP is solved.
 """
 
 import pytest
@@ -29,7 +33,7 @@ from test_search_golden import GOLDEN
 
 PIVOTS = {   # spec -> (cold, warm) dispatch pivots
     (3, 4, 2, 0, 1.0): (41, 0),
-    (3, 4, 2, 1, 1.0): (40, 1),
+    (3, 4, 2, 1, 1.0): (0, 0),
     (3, 4, 2, 2, 1.0): (39, 0),
     (2, 4, 2, 0, 0.4): (16, 0),
     (3, 3, 1, 0, 0.4): (25, 6),

@@ -21,7 +21,7 @@ from ddbd.diagram import (
 from ddbd.engine import replay_cuts
 from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
 import ddbd.ucp as ucp_module
-from ddbd.simplex import FEAS_TOL, NumericalFailureError, solve
+from ddbd.simplex import FEAS_TOL, LpOutcome, NumericalFailureError, solve, verify_certificate
 from ddbd.ucp import (
     INF,
     GammaBounds,
@@ -807,6 +807,30 @@ def first_short_period(inst, x, sc):
     return None
 
 
+def startup_short(inst, x, sc):
+    """Whether the period-0 demand tops, by more than FEAS_TOL, what the
+    units on at period 0 can make there from off: min(SU, p_max) each."""
+    reach = sum(min(g.startup_ramp, g.p_max) * x[inst.var_index(i, 0)]
+                for i, g in enumerate(inst.generators))
+    return sc.demand[0] - reach > FEAS_TOL
+
+
+def startup_cut(inst):
+    """The start-up cut of the first scenario with the largest period-0 demand."""
+    sc = max(inst.scenarios, key=lambda sc: sc.demand[0])
+    return feasibility_cut(inst, sc, ucp_module._startup_ray(inst))
+
+
+def startup_short_instance():
+    """Units of 50 and 40 MW that start up to 20 and 25 MW: 46 and 48 MW
+    at period 0 are within capacity but beyond any start-up."""
+    gens = [simple_generator(p_min=10.0, p_max=50.0, ramp=20.0),
+            simple_generator(p_min=10.0, p_max=40.0, ramp=25.0)]
+    return UcpInstance(generators=gens, horizon=2,
+                       scenarios=[Scenario(0.5, (46.0, 40.0), (5.0, 5.0)),
+                                  Scenario(0.5, (48.0, 40.0), (0.0, 5.0))]).validate()
+
+
 def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut(monkeypatch):
     rng = np.random.default_rng(31)
     instances = [gen_random_instance(int(rng.integers(1, 4)), int(rng.integers(2, 6)),
@@ -828,8 +852,14 @@ def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut(monkeypatch):
                 calls.clear()
                 res = UcpSubproblemOracle(alone).evaluate(x)
                 assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
-                assert res.cuts == [feasibility_cut(inst, sc, cold.ray)]
-                compared.add((id(inst), x, t))
+                # a commitment also short of start-up output adds that cut,
+                # which can make the capacity cut redundant
+                want = [feasibility_cut(inst, sc, cold.ray)]
+                if startup_short(inst, x, sc):
+                    want.append(startup_cut(alone))
+                assert res.cuts == ucp_module._tightest(want)
+                if res.cuts[0] == want[0]:
+                    compared.add((id(inst), x, t))
     assert len(compared) >= 100
 
 
@@ -839,13 +869,19 @@ def test_capacity_short_commitment_makes_no_lp_call(monkeypatch):
     res = UcpSubproblemOracle(inst).evaluate((0.0,) * inst.num_vars)
     assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
     # every scenario is short first in period 0, on the same row: the
-    # tightest of the 16 cuts is the one kept
+    # tightest of the 16 cuts is the one kept; so is the tightest of the
+    # 16 start-up cuts, the largest period-0 demand's
     scale = max(g.p_max for g in inst.generators)
     need = max(sc.demand[0] + sc.reserve[0] for sc in inst.scenarios)
-    [cut] = res.cuts
+    cut, startup = res.cuts
     assert cut.coeffs == {inst.var_index(i, 0): -g.p_max / scale
                           for i, g in enumerate(inst.generators)}
     assert cut.rhs == pytest.approx(-need / scale, rel=1e-15)
+    reach = [min(g.startup_ramp, g.p_max) for g in inst.generators]
+    assert startup.coeffs == pytest.approx({inst.var_index(i, 0): -r / max(reach)
+                                            for i, r in enumerate(reach)}, rel=1e-15)
+    assert startup.rhs == pytest.approx(-max(sc.demand[0] for sc in inst.scenarios)
+                                        / max(reach), rel=1e-15)
 
 
 def tamper_capacity_rays(monkeypatch):
@@ -887,8 +923,14 @@ def test_initial_cuts_hold_at_every_dispatchable_commitment():
     checked = 0
     for inst in seeding_instances():
         cuts = UcpSubproblemOracle(inst).initial_cuts()
-        # generated demand is positive, so every period gets its cut
-        assert [cut_period(inst, cut) for cut in cuts] == list(range(inst.horizon))
+        # generated demand is positive, so every period gets its capacity
+        # cut, and period 0 the start-up cut after them; a lone unit's two
+        # period-0 cuts share a row, and only the tighter is kept
+        periods = [cut_period(inst, cut) for cut in cuts]
+        if inst.num_units > 1:
+            assert periods == list(range(inst.horizon)) + [0]
+        else:
+            assert sorted(periods) == list(range(inst.horizon))
         for x in feasible_assignments(inst):
             if stage2_expected_cost(inst, x) is None:
                 continue
@@ -900,17 +942,27 @@ def test_initial_cuts_hold_at_every_dispatchable_commitment():
 
 
 def test_initial_cuts_are_the_cuts_dispatch_returns_first_short():
-    compared = 0
-    for inst in seeding_instances():
-        for cut in UcpSubproblemOracle(inst).initial_cuts():
-            t = cut_period(inst, cut)
+    compared = startup_at_later_periods = 0
+    for inst in seeding_instances() + [startup_short_instance()]:
+        startup = startup_cut(inst)
+        returned = set()
+        for t in range(inst.horizon):
             # every unit on before t and off from t: t is every scenario's
-            # first short period
+            # first short period, and the start-up cut comes after its cut
+            # when t is 0 (but for a lone unit, where the two share a row)
+            # or when the whole fleet falls short at period 0
             x = tuple(float(j < t) for _ in range(inst.num_units) for j in range(inst.horizon))
+            later = t > 0 and cuts_off(startup, x)
             res = UcpSubproblemOracle(inst).dispatch(x)
-            assert [c.key() for c in res.cuts] == [cut.key()], (t, x)
+            assert cut_period(inst, res.cuts[0]) == t, (t, x)
+            assert len(res.cuts) == (1 + (inst.num_units > 1) if t == 0 else 1 + later), (t, x)
+            if len(res.cuts) == 2:
+                assert res.cuts[1].key() == startup.key(), (t, x)
+            returned |= {c.key() for c in res.cuts}
             compared += 1
-    assert compared >= 20
+            startup_at_later_periods += later
+        assert returned == {c.key() for c in UcpSubproblemOracle(inst).initial_cuts()}
+    assert compared >= 20 and startup_at_later_periods >= 1
 
 
 def test_initial_cuts_raise_when_a_ray_fails_verification(monkeypatch):
@@ -918,6 +970,79 @@ def test_initial_cuts_raise_when_a_ray_fails_verification(monkeypatch):
     tamper_capacity_rays(monkeypatch)
     with pytest.raises(NumericalFailureError):
         UcpSubproblemOracle(inst).initial_cuts()
+
+
+def test_startup_short_instance_is_infeasible_without_an_lp(monkeypatch):
+    inst = startup_short_instance()
+    calls = record_dual_solves(monkeypatch)
+    on = (1.0,) * inst.num_vars
+    assert all(first_short_period(inst, on, sc) is None for sc in inst.scenarios)
+    res = UcpSubproblemOracle(inst).evaluate(on)
+    assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
+    assert [c.key() for c in res.cuts] == [startup_cut(inst).key()]
+    assert res.cuts[0].coeffs == {inst.var_index(0, 0): -0.8, inst.var_index(1, 0): -1.0}
+    assert res.cuts[0].rhs == pytest.approx(-48.0 / 25.0, rel=1e-15)
+    report = ucp_solve(inst)
+    assert (report.status, report.lp_calls, len(calls)) == ("infeasible", 0, 0)
+    assert brute_force_solve(inst).best_x is None
+
+
+def test_startup_ray_takes_the_capacity_multipliers_above_maximum_output():
+    from ddbd.oracle import feasible_assignments, stage2_expected_cost
+
+    # start-up ramp below, at and above maximum output: the last unit's
+    # period-0 output is capped by p_max, so its coefficient is p_max
+    gens = [dataclasses.replace(simple_generator(p_max=p_max, ramp=ramp), startup_ramp=su)
+            for p_max, ramp, su in [(50.0, 40.0, 30.0), (40.0, 40.0, 40.0), (40.0, 60.0, 60.0)]]
+    inst = UcpInstance(generators=gens, horizon=2,
+                       scenarios=[Scenario(0.6, (95.0, 60.0), (0.0, 0.0)),
+                                  Scenario(0.4, (100.0, 60.0), (0.0, 0.0))]).validate()
+    n, T = inst.num_units, inst.horizon
+    ray = ucp_module._startup_ray(inst)
+    gamma, pi, eta = (ray[2 * T + k * n * T:2 * T + (k + 1) * n * T] for k in (2, 1, 4))
+    at0 = [inst.var_index(i, 0) for i in range(n)]
+    assert (gamma[at0].tolist(), pi[at0].tolist(), eta[at0].tolist()) == \
+        ([1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    assert ray.sum() == 5.0 and ray[0] == 1.0
+    *_, cut = UcpSubproblemOracle(inst).initial_cuts()
+    assert cut.coeffs == {at0[0]: -30.0 / 40.0, at0[1]: -1.0, at0[2]: -1.0}
+    assert cut.rhs == pytest.approx(-100.0 / 40.0, rel=1e-15)
+    # the ray certifies every commitment the cut cuts off, against a cold
+    # dual LP built from scratch, dispatch returns the cut there with no
+    # LP for a short scenario, and the cut keeps every dispatchable one
+    for x in feasible_assignments(inst):
+        lhs = sum(c * x[k] for k, c in cut.coeffs.items())
+        short = [startup_short(inst, x, sc) for sc in inst.scenarios]
+        for sc, is_short in zip(inst.scenarios, short):
+            lp = build_dual_subproblem(inst, x, sc)
+            assert verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)) == is_short, x
+        if any(short):
+            res = UcpSubproblemOracle(inst).dispatch(x)
+            assert res.cuts[-1].key() == cut.key(), x
+            assert res.lp_calls == 0 or not all(short), x
+        if stage2_expected_cost(inst, x) is not None:
+            assert cut.satisfied(lhs), x
+
+
+def tamper_startup_rays(monkeypatch):
+    """Make every closed-form start-up ray drop unit 1's ramp-up multiplier."""
+    closed_form = ucp_module._startup_ray
+
+    def tampered(instance):
+        ray = closed_form(instance)
+        ray[2 * instance.horizon + 2 * instance.num_vars + instance.var_index(1, 0)] = 0.0
+        return ray
+
+    monkeypatch.setattr(ucp_module, "_startup_ray", tampered)
+
+
+def test_startup_ray_that_fails_verification_raises(monkeypatch):
+    inst = startup_short_instance()
+    tamper_startup_rays(monkeypatch)
+    with pytest.raises(NumericalFailureError):
+        UcpSubproblemOracle(inst).initial_cuts()
+    with pytest.raises(NumericalFailureError):
+        UcpSubproblemOracle(inst).evaluate((1.0,) * inst.num_vars)
 
 
 @pytest.mark.parametrize("shortfall,lp_calls", [(0.5 * FEAS_TOL, 1), (2.0 * FEAS_TOL, 0)])
@@ -978,15 +1103,21 @@ def test_deduplicated_batch_cuts_off_what_the_full_batch_does(monkeypatch):
             calls.clear()
             res = oracle.dispatch(x)
             # the full batch, in scenario order: each short scenario's
-            # closed-form cut and each LP ray's cut
+            # closed-form cut and each LP ray's cut, then each start-up
+            # cut; a scenario short of start-up output makes no LP
             solved = iter(out for _, out in calls)
             full = []
             for sc in inst.scenarios:
                 t = first_short_period(inst, x, sc)
-                ray = ucp_module._capacity_ray(inst, t) if t is not None else next(solved).ray
-                if ray is not None:
-                    full.append(feasibility_cut(inst, sc, ray))
+                if t is not None:
+                    full.append(feasibility_cut(inst, sc, ucp_module._capacity_ray(inst, t)))
+                elif not startup_short(inst, x, sc):
+                    ray = next(solved).ray
+                    if ray is not None:
+                        full.append(feasibility_cut(inst, sc, ray))
             assert next(solved, None) is None
+            full += [feasibility_cut(inst, sc, ucp_module._startup_ray(inst))
+                     for sc in inst.scenarios if startup_short(inst, x, sc)]
             if not full:
                 assert res.kind == "optimal"
                 continue
