@@ -27,7 +27,6 @@ from .engine import (
     SubproblemResult,
     cost_tuple_reward,
     dd_bd_solve,
-    exact_cutset,
 )
 from .simplex import (
     LinearProgram,

@@ -1,34 +1,26 @@
-"""Branch-and-bound over restricted/relaxed decision diagrams with
-Benders-style cut generation.
+"""Benders-style cut generation over a master decision diagram.
 
-The solve loop keeps a LIFO stack of partial assignments.  Each node
-runs one separation loop: take the diagram's optimal path, evaluate the
-subproblem there, pool the cuts, and ask the master again for the node
-under the grown pool (the only way fresh cuts reach a diagram), until
-the path's value variable agrees with the subproblem optimum.  On the
-restricted diagram that yields the node's candidate, and a cut the pool
-already holds is an oracle error.  A restricted diagram reported exact
-solves the node; both shipped oracles report exact, so their solves end
-at the root.  For an inexact one the relaxed side runs the same loop to
-tighten the bound: the node is pruned once the bound cannot beat the
-incumbent, and otherwise it branches over the last exact node layer of
-the last diagram refined, after RELAXED_CUT_CAP evaluations or a stale
-cut.  A single prefix is no branching: it is extended as far as every
-path shares it (forced_prefix) and pushed as the only child.
-Cuts live in a global deduplicated pool, seeded before the root with
-the subproblem oracle's initial_cuts(): cuts that hold for every x,
-such as the unit-commitment oracle's per-period capacity cuts and its
-period-0 start-up cut.  The MIP
-oracle brings the pool into a diagram by one exact refinement pass over
-the list (see replay_cuts); the unit-commitment oracle finds an optimal
-path of its master under the pool in one label pass and returns that
-path.  Every restricted path whose evaluation is optimal is a feasible
-point, and the best of them is the incumbent until a converged path
-replaces it, so a solve stopped by the clock still reports one.
-The clock is read before every evaluation, before each node, and once
-more between the restricted loop and the relaxed build; a node open
-when the time runs out goes back on the stack with a bound that holds
-for it.
+The solve is one separation loop at the root: ask the master for its
+diagram under the cut pool, take the diagram's optimal path, evaluate
+the subproblem there, pool the cuts, and ask the master again under the
+grown pool (the only way fresh cuts reach the master), until the path's
+value variable agrees with the subproblem optimum.  The master must
+answer with a diagram that holds an optimum of its points under the
+pool (see MasterOracle), so a converged path is optimal and no relaxed
+diagram or branching is needed; both shipped oracles answer that way.
+A cut the pool already holds is an oracle error.
+Cuts live in a global deduplicated pool, seeded before the first build
+with the subproblem oracle's initial_cuts(): cuts that hold for every
+x, such as the unit-commitment oracle's per-period capacity cuts and
+its period-0 start-up cut.  The MIP oracle brings the pool into a
+diagram by one exact refinement pass over the list (see replay_cuts);
+the unit-commitment oracle finds an optimal path of its master under
+the pool in one label pass and returns that path.  Every path whose
+evaluation is optimal is a feasible point, and the best of them is the
+incumbent until a converged path replaces it, so a solve stopped by the
+clock still reports one.  The clock is read before the first build and
+before every evaluation; a solve stopped after a build reports that
+build's path value as its bound.
 
 Master and subproblem oracles are duck-typed; see MasterOracle and
 SubproblemOracle for the expected surface.
@@ -54,9 +46,7 @@ from .diagram import (
 
 VALUE_TOL = 1e-9       # strictness for incumbent comparisons
 CONVERGE_TOL = 1e-6    # repeat-loop test: path z equals subproblem value
-REPEAT_CAP = 1000      # restricted refine iterations per node before giving up
-RELAXED_CUT_CAP = 20   # subproblem calls on relaxed paths per node
-BRANCH_CAP = 64        # prefixes per branching before backing up a layer
+REPEAT_CAP = 1000      # evaluations before the loop gives up
 
 
 class EngineError(Exception):
@@ -68,46 +58,28 @@ class PropertyViolationError(Exception):
 
 
 class MasterOracle:
-    """Contract for problem-specific diagram builders.
+    """Contract for problem-specific master diagram builders.
 
     sense: "min" or "max".
-    build_restricted_dd(partial, cuts) -> (diagram or None, is_exact)
-    build_relaxed_dd(partial, cuts)    -> diagram or None
+    build_restricted_dd(cuts) -> (diagram or None, is_exact)
 
-    Both build over the completions of the partial assignment that
-    satisfy every cut.  Write Sol(exact) for that set; the contract,
-    projected to the discrete labels, is
-    Sol(restricted) <= Sol(exact) <= Sol(relaxed) for every input.
-    Relaxed diagrams tag relaxation-merged nodes so exact_cutset works,
-    and None from build_relaxed_dd says Sol(exact) is empty.  Diagrams
-    must end in a continuous value layer (a [v, v] interval when the
-    subproblem value is fixed).  An oracle that bounds its diagrams'
-    width takes the width in its constructor.
+    Write Sol(exact) for the master's points that satisfy every cut.
+    The diagram must hold an optimum of Sol(exact), at its value, so that
+    its optimal path is optimal over the master under the cuts; None
+    says Sol(exact) is empty.  is_exact confirms that promise, and the
+    engine raises EngineError when it is False: a diagram that may miss
+    every optimum would need relaxed diagrams and branching, which the
+    engine does not have.  Diagrams must end in a continuous value layer
+    (a [v, v] interval when the subproblem value is fixed).
 
-    is_exact promises that the restricted diagram holds an optimum of
-    Sol(exact), at its value: its optimal path is optimal over the whole
-    node under the cuts, so the node needs no relaxed diagram and no
-    branching, and build_relaxed_dd is never called for it; an oracle
-    that always reports exact (both shipped ones do) need not define
-    it.  (None, True) means Sol(exact) is empty: the partial assignment
-    has no completion, or the cuts remove every one.  (None, False) only
-    says the restricted diagram found nothing.
-
-    Both builds are asked again for the same partial after every batch
-    of fresh cuts, with the pool's list grown by them (the list only
-    appends, and a cut never changes); the last restricted answer's
-    is_exact is the one that counts.  These calls are the only way fresh
-    cuts reach a node's diagrams.  An oracle may keep state for one
-    partial assignment to make them cheap, as MipMasterOracle does; any
-    other call must still answer in full.
+    The build is asked again after every batch of fresh cuts, with the
+    pool's list grown by them (the list only appends, and a cut never
+    changes).  These calls are the only way fresh cuts reach the master.
     """
 
     sense = "min"
 
-    def build_restricted_dd(self, partial, cuts):
-        raise NotImplementedError
-
-    def build_relaxed_dd(self, partial, cuts):
+    def build_restricted_dd(self, cuts):
         raise NotImplementedError
 
 
@@ -181,8 +153,8 @@ class SolveReport:
     value: float = None
     feasibility_cuts: int = 0
     optimality_cuts: int = 0
-    branches: int = 0
-    nodes: int = 0                     # partial assignments taken off the stack
+    branches: int = 0                  # always 0: the solve does not branch
+    nodes: int = 0                     # 1 once the root loop has started, else 0
     lp_calls: int = 0
     wall_time: float = 0.0
     gap: float = None
@@ -222,29 +194,11 @@ def split_assignment(dd, assignment):
     return tuple(assignment), None
 
 
-def exact_cutset(dd):
-    """Deepest node layer above any relaxation-merged node.
-
-    Returns (layer index, node ids).  For an exact diagram this is the
-    last node layer before the terminal; the root layer is always exact.
-    """
-    merged = np.flatnonzero(dd.merged)
-    if merged.size:   # rows are in layer order, so the first merged row is shallowest
-        idx = int(np.searchsorted(dd.node_first, merged[0], side="right")) - 2
-    else:
-        idx = dd.num_arc_layers - 1
-    idx = max(idx, 0)
-    return idx, list(dd.layer_rows(idx))
-
-
+# no solve calls enumerate_prefixes; it stays importable as engine.enumerate_prefixes,
+# which perfbench/layers.py rebinds by name
 def enumerate_prefixes(dd, layer_idx, cap):
-    """Distinct label prefixes of root paths into node layer layer_idx.
-
-    Branching must cover every path of the diagram, and paths that share
-    a node can carry different subproblem behaviour, so one prefix per
-    node is not enough.  Returns None when more than `cap` prefixes
-    exist so the caller can fall back to a shallower layer.
-    """
+    """Distinct label prefixes of root paths into node layer layer_idx,
+    sorted, or None when more than `cap` exist."""
     order, first = dd.out_index()
     order, first = order.tolist(), first.tolist()
     label, head = dd.label.tolist(), dd.head.tolist()
@@ -263,26 +217,6 @@ def enumerate_prefixes(dd, layer_idx, cap):
         for i in order[first[node]:first[node + 1]]:
             stack.append((head[i], j + 1, labs + (label[i],)))
     return sorted(out)
-
-
-def forced_prefix(dd):
-    """Longest label prefix that every root path of dd starts with.
-
-    Stops at the last node layer before the terminal, so the prefix
-    never takes a value-layer label.
-    """
-    labels = ()
-    nodes = np.zeros(dd.node_count(), dtype=bool)
-    nodes[dd.root] = True
-    for j in range(dd.num_arc_layers - 1):
-        a, b = dd.arc_first[j], dd.arc_first[j + 1]
-        out = nodes[dd.tail[a:b]]
-        labs = dd.label[a:b][out].tolist()
-        if len(set(labs)) != 1:
-            break
-        labels += (labs[0],)
-        nodes[dd.head[a:b][out]] = True
-    return labels
 
 
 def replay_cuts(dd, cuts):
@@ -325,14 +259,10 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     pool = CutPool()
     for cut in sub.initial_cuts():
         pool.add(cut)
-    # (partial assignment, bound inherited from the relaxed diagram it came from)
-    stack = [((), math.inf if sense == "max" else -math.inf)]
     best_x, best_z, w_star = None, None, None
-    best_closed = False   # the incumbent is a converged path
-    branches = 0
+    bound = None          # the last path value, when the clock stops the loop
     lp_calls = 0
-    nodes_expanded = 0
-    restricted_exact = False
+    nodes = 0
     status = "optimal"
 
     def better(a, b):
@@ -340,141 +270,53 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
             return True
         return a > b + VALUE_TOL if sense == "max" else a < b - VALUE_TOL
 
-    def tie(a, b):
-        return b is not None and abs(a - b) <= VALUE_TOL
-
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
 
-    def restricted():
-        # the last build's exactness flag is the one that counts
-        nonlocal restricted_exact
-        rdd, restricted_exact = master.build_restricted_dd(partial, pool.cuts)
-        return rdd
-
-    def separate(build, tag, cap, prune):
-        """Build -> path -> subproblem -> pool, at most cap evaluations.
-
-        build() returns the node's diagram under the current pool, or
-        None when no path is left; it is called first and again after
-        every batch of fresh cuts.  Returns (outcome, diagram, (x, z, w))
-        with the last diagram and its optimal path.  Outcomes:
-        "converged" (the path's value variable equals the subproblem
-        value), "stale" (no fresh cut), "empty" (no path is left; the
-        diagram is None), "bounded" (prune is set and the path cannot
-        beat the incumbent), "cap" and "time_limit".  On the restricted
-        side, an optimal evaluation that has not converged
-        is the feasible point x at cost w - z + value, taken as the
-        incumbent when it is strictly better.
-        """
-        nonlocal lp_calls, w_star, best_x, best_z, best_closed
-        path = (None, None, None)
+    if out_of_time():
+        status = "time_limit"
+    else:
+        nodes = 1
         for evaluations in itertools.count():
-            dd = build()
+            dd, is_exact = master.build_restricted_dd(pool.cuts)
+            if not is_exact:
+                raise EngineError("the master diagram may miss every optimum")
             if dd is None:
-                return "empty", None, path
-            dots.dump(dd, tag)
+                break
+            dots.dump(dd, "restricted")
             try:
                 assignment, w = optimal_path(dd, sense)
             except EmptyDiagramError:
-                return "empty", None, path
+                break
             x, z = split_assignment(dd, assignment)
-            path = (x, z, w)
-            if prune and not better(w, w_star):
-                return "bounded", dd, path
-            if evaluations == cap:
-                return "cap", dd, path
+            if evaluations == REPEAT_CAP:
+                raise EngineError("restricted repeat loop exceeded its cap")
             if out_of_time():
-                return "time_limit", dd, path
+                # w is the optimum of the master under the pool: it bounds
+                # every feasible point
+                status, bound = "time_limit", w
+                break
             res = sub.evaluate(x)
             lp_calls += res.lp_calls
             fresh = [c for c in res.cuts if pool.add(c)]
             if res.kind == "optimal" and z is not None:
                 if abs(z - res.value) <= CONVERGE_TOL:
-                    return "converged", dd, path
-                if tag == "restricted" and better(w - z + res.value, w_star):
-                    w_star, best_x, best_z = w - z + res.value, x, res.value
-                    best_closed = False
-            if not fresh:
-                return "stale", dd, path
-
-    while stack:
-        if out_of_time():
-            status = "time_limit"
-            break
-        partial, bound_here = stack.pop()
-        nodes_expanded += 1
-        if not better(bound_here, w_star):
-            continue
-
-        outcome, _, (x, z, w) = separate(restricted, "restricted", REPEAT_CAP, prune=False)
-        if outcome == "time_limit":
-            # the node is open again: its inherited bound still holds, and
-            # so does the last path value when that diagram was exact, as
-            # the optimum of exact ∩ pool
-            if restricted_exact:
-                bound_here = min(bound_here, w) if sense == "max" else max(bound_here, w)
-            stack.append((partial, bound_here))
-            status = "time_limit"
-            break
-        if outcome == "stale":
-            raise EngineError(
-                "subproblem regenerated only pooled cuts; the diagram "
-                "refinement cannot make progress")
-        if outcome == "cap":
-            raise EngineError("restricted repeat loop exceeded its cap")
-        # a converged path replaces an incumbent it ties that came from a
-        # point evaluated on the way, and of tied converged paths the
-        # lexicographically smallest x is kept
-        if outcome == "converged" and (better(w, w_star) or (
-                tie(w, w_star) and (not best_closed or x < best_x))):
-            w_star, best_x, best_z = w, x, z
-            best_closed = True
-
-        if restricted_exact:
-            # the last restricted diagram represented the node exactly: the
-            # node is fully solved (or infeasible) and branching cannot improve it
-            continue
-        if out_of_time():
-            # as after a restricted loop cut short: the inherited bound holds
-            stack.append((partial, bound_here))
-            status = "time_limit"
-            break
-
-        # a stale cut leaves nothing new to separate with: stop improving
-        # the bound and branch, as after the cap
-        outcome, xdd, (_, _, w_bar) = separate(
-            lambda: master.build_relaxed_dd(partial, pool.cuts), "relaxed",
-            RELAXED_CUT_CAP, prune=True)
-        if outcome == "time_limit":
-            # w_bar bounds every completion of this node's relaxed diagram
-            stack.append((partial, w_bar))
-            status = "time_limit"
-            break
-        if outcome in ("empty", "bounded"):
-            continue
-
-        layer_idx, _ = exact_cutset(xdd)
-        if layer_idx <= len(partial):
-            raise EngineError("branching did not extend the partial assignment")
-        prefixes = None
-        while prefixes is None:
-            prefixes = enumerate_prefixes(xdd, layer_idx, BRANCH_CAP)
-            if prefixes is None:
-                if layer_idx <= len(partial) + 1:
-                    prefixes = enumerate_prefixes(xdd, layer_idx, 10 ** 9)
+                    # a converged path replaces an incumbent it ties, which
+                    # came from a point evaluated on the way
+                    if better(w, w_star) or abs(w - w_star) <= VALUE_TOL:
+                        w_star, best_x, best_z = w, x, z
                     break
-                layer_idx -= 1
-        if len(prefixes) == 1:
-            # one prefix is no choice: every path of xdd, and so every
-            # completion that satisfies the pool, shares it as far as it goes
-            prefixes = [forced_prefix(xdd)]
-        # every prefix extends partial by the same length, so none is pushed twice
-        stack.extend((prefix, w_bar) for prefix in sorted(prefixes, reverse=True))
-        branches += len(prefixes)
+                # an optimal evaluation that has not converged is the
+                # feasible point x at cost w - z + value
+                if better(w - z + res.value, w_star):
+                    w_star, best_x, best_z = w - z + res.value, x, res.value
+            if not fresh:
+                raise EngineError(
+                    "subproblem regenerated only pooled cuts; the diagram "
+                    "refinement cannot make progress")
 
     wall = time.perf_counter() - t0
-    report = SolveReport(status=status, branches=branches, nodes=nodes_expanded,
+    report = SolveReport(status=status, nodes=nodes,
                          lp_calls=lp_calls, wall_time=wall, instance=instance_id,
                          feasibility_cuts=pool.count("feasibility"),
                          optimality_cuts=pool.count("optimality"))
@@ -485,8 +327,6 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         return report
     report.x, report.z, report.value = best_x, best_z, w_star
     if status == "time_limit":
-        open_bounds = [b for _, b in stack] or [w_star]
-        bound = max(open_bounds) if sense == "max" else min(open_bounds)
         report.gap = abs(bound - w_star)
     return report
 

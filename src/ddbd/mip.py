@@ -104,11 +104,9 @@ class MipMasterOracle(MasterOracle):
     A chain with one node per layer carries an arc for each distinct
     domain value, weighted by its objective term, and ends in the
     [z_lo, z_hi] value arc.  The master rows, made feasibility cuts once
-    ("=" as a "<=" and a ">=" row), are replayed into it, then the pool
-    cuts.  The chain refined by the rows is kept for the last partial
-    assignment, so asking again for it replays only the pool.  The
-    restricted diagram is this exact one, reported exact, so the engine
-    asks for no relaxed diagram and never branches.
+    ("=" as a "<=" and a ">=" row), are replayed into it when the oracle
+    is made; each ask replays only the pool.  The restricted diagram is
+    this exact one, reported exact.
     """
 
     def __init__(self, problem):
@@ -117,21 +115,18 @@ class MipMasterOracle(MasterOracle):
         self._rows = [CutRow(coeffs=_dense_to_sparse(ax), rhs=float(rhs), sense=s)
                       for ax, _, sense, rhs in problem.master_rows()
                       for s in (("<=", ">=") if sense == "=" else (sense,))]
-        self._partial = self._master = None
+        self._master = self._compile()
 
-    def _compile(self, partial):
-        """The chain of the partial assignment refined by the master rows,
-        or None when no point is left."""
+    def _compile(self):
+        """The chain refined by the master rows, or None when no point is left."""
         n = len(self.problem.x_domains)
         dd = DiagramBuilder(n + 1, continuous_last=True)
         node = dd.new_node(0)
         for j, domain in enumerate(self.problem.x_domains):
             head = dd.new_node(j + 1)
-            values = [v for v in dict.fromkeys(float(v) for v in domain)
-                      if j >= len(partial) or abs(v - partial[j]) <= 1e-9]
-            if not values:
+            if not domain:
                 return None
-            for v in values:
+            for v in dict.fromkeys(float(v) for v in domain):
                 dd.add_arc(j, node, head, v, self.problem.x_obj[j] * v)
             node = head
         lo, hi = self.problem.z_bounds
@@ -141,16 +136,14 @@ class MipMasterOracle(MasterOracle):
         except InfeasibleDiagramError:
             return None
 
-    def build_exact_dd(self, partial, cuts):
-        if tuple(partial) != self._partial:
-            self._partial, self._master = tuple(partial), self._compile(partial)
+    def build_exact_dd(self, cuts):
         try:
             return None if self._master is None else replay_cuts(self._master, cuts)
         except InfeasibleDiagramError:
             return None
 
-    def build_restricted_dd(self, partial, cuts):
-        return self.build_exact_dd(partial, cuts), True
+    def build_restricted_dd(self, cuts):
+        return self.build_exact_dd(cuts), True
 
 
 class MipSubproblemOracle(SubproblemOracle):

@@ -397,6 +397,9 @@ def _compile_master(instance, partial, gamma, width=None):
     return dd.build()
 
 
+# No solve calls the two compilers below: they are the reference that the
+# restricted label pass and the relaxed bounds are checked against, and
+# perfbench/layers.py rebinds build_relaxed_master_dd by name.
 def build_master_dd(instance, partial=(), gamma=None):
     """Exact diagram over the commitment variables plus the value layer."""
     return _compile_master(instance, partial, gamma or GammaBounds(0.0, 0.0))
@@ -447,32 +450,14 @@ def _capped_moves(gen, horizon):
     return tuple(tuple((lab, w, index[nxt]) for lab, w, nxt in moves) for moves in out)
 
 
-def _fixed_labels(instance, moves, partial):
-    """The partial assignment as one label (0.0 or 1.0) per variable, None
-    where free.  Raises EmptyDiagramError when some unit's fixed periods
-    break its rules, which is exactly when the partial admits no
-    completion: every state has a move, and units are independent."""
-    fixed = [None] * instance.num_vars
-    state = 0
-    for v, p in enumerate(partial):
-        unit, t = divmod(v, instance.horizon)
-        step = [(lab, nxt) for lab, _, nxt in moves[unit][0 if t == 0 else state]
-                if abs(lab - p) <= 1e-9]
-        if not step:
-            raise EmptyDiagramError("partial assignment admits no completion")
-        fixed[v], state = step[0]
-    return fixed
-
-
-def _cut_schedule(feas, order, fixed):
+def _cut_schedule(feas, order):
     """When each feasibility cut is tested, along the layer order `order`.
 
     A cut is signed to read lhs <= limit, its rhs plus CUT_TOL (a ">="
     cut is negated, exactly).  After layer g the lhs still to come lies
     between the suffix sums of each later layer's least and greatest
-    term: a·p at a variable fixed to p, min(0, a) and max(0, a) at a
-    free one.  A cut that every completion meets, with a margin, never
-    opens; one that every completion breaks raises
+    term, min(0, a) and max(0, a).  A cut that every completion meets,
+    with a margin, never opens; one that every completion breaks raises
     InfeasibleDiagramError.  Any other cut opens at its first layer with
     a nonzero coefficient, and every such layer tests a label's lhs:
     above `drop` the label goes, at or below `settle` the cut is settled
@@ -491,12 +476,9 @@ def _cut_schedule(feas, order, fixed):
     sign = np.array([1.0 if c.sense == "<=" else -1.0 for c in feas])
     rhs = np.array([c.rhs for c in feas])
     a = sign[:, None] * np.array([c.dense(N) for c in feas])[:, order]
-    p = np.array([np.nan if fixed[v] is None else fixed[v] for v in order])
-    free = np.isnan(p)
-    term_lo = np.where(free, np.minimum(a, 0.0), a * np.nan_to_num(p))
-    term_hi = np.where(free, np.maximum(a, 0.0), term_lo)
     rest_lo, rest_hi = (np.append(np.cumsum(t[:, ::-1], axis=1)[:, ::-1],
-                                  np.zeros((len(feas), 1)), axis=1) for t in (term_lo, term_hi))
+                                  np.zeros((len(feas), 1)), axis=1)
+                        for t in (np.minimum(a, 0.0), np.maximum(a, 0.0)))
     limit = sign * rhs + CUT_TOL
     margin = 2 * (N + 2) * SPLIT_GRID * (1.0 + np.abs(rhs))
     touched = a != 0.0
@@ -570,7 +552,7 @@ def _add_label(labels, label, margin):
     labels[:] = kept
 
 
-def _best_completion(instance, moves, fixed, gamma, cuts):
+def _best_completion(instance, moves, gamma, cuts):
     """x of an optimal completion under the cuts, unit-major, as floats.
 
     One top-down pass over period-major layers: layer g sets unit g % n
@@ -600,7 +582,7 @@ def _best_completion(instance, moves, fixed, gamma, cuts):
     opt = [c for c in cuts if c.z_coeff != 0.0]
     if any((c.sense == "<=") == (c.z_coeff > 0) for c in opt):
         raise ValueError("an optimality cut must bound the value from below")
-    schedule = _cut_schedule(feas, order, fixed)
+    schedule = _cut_schedule(feas, order)
     # signed so that a higher lhs is a lower bound on z
     ocoef = (np.array([np.sign(c.z_coeff) * c.dense(N) for c in opt]).T.tolist()
              if opt else [()] * N)
@@ -613,7 +595,6 @@ def _best_completion(instance, moves, fixed, gamma, cuts):
     layer = {((0,) * n, ()): ((), [(0.0, (0.0,) * len(opt), 0)])}
     for g in range(N):
         unit, v = g % n, order[g]
-        p = fixed[v]
         bit = 1 << (N - 1 - v)
         tests = schedule[g]
         open_now = {k: t for k, *t, opens in tests if not opens}
@@ -622,8 +603,6 @@ def _best_completion(instance, moves, fixed, gamma, cuts):
         children = {}
         for (states, fkey), (flhs, labels) in layer.items():
             for lab, w, nxt in moves[unit][states[unit]]:
-                if p is not None and lab != p:
-                    continue
                 if tests:
                     cflhs = _advance_cuts(flhs, lab, open_now, opening)
                     if cflhs is None:
@@ -700,23 +679,19 @@ def _one_path(instance, gamma, x, opt):
         lo=np.array([lo]), hi=np.array([hi]))
 
 
-def build_restricted_master_dd(instance, partial, gamma, cuts=()):
-    """Restricted diagram of the partial assignment under the cuts.
+def build_restricted_master_dd(instance, gamma, cuts=()):
+    """Restricted master diagram under the cuts.
 
     One period-major label pass (_best_completion) finds an optimum of
-    the exact master's completions of the partial that satisfy every
-    cut; the diagram is that one path, in the master's unit-major layer
-    order (_one_path).  It holds an optimum of exact ∩ cuts, which is
-    what the engine's is_exact promises, so it returns (diagram, True).
-    Raises EmptyDiagramError when the partial assignment admits no
-    completion and InfeasibleDiagramError when the cuts remove every one.
+    the exact master's paths that satisfy every cut; the diagram is that
+    one path, in the master's unit-major layer order (_one_path).  It
+    holds an optimum of exact ∩ cuts, which is what the engine's
+    is_exact promises, so it returns (diagram, True).  Raises
+    InfeasibleDiagramError when the cuts remove every path.
     """
-    if len(partial) > instance.num_vars:
-        raise ValueError("partial assignment longer than the variable count")
     moves = [_capped_moves(gen, instance.horizon) for gen in instance.generators]
-    fixed = _fixed_labels(instance, moves, partial)
     cuts = list(cuts)
-    x = _best_completion(instance, moves, fixed, gamma, cuts)
+    x = _best_completion(instance, moves, gamma, cuts)
     return _one_path(instance, gamma, x, [c for c in cuts if c.z_coeff != 0.0]), True
 
 
@@ -1099,9 +1074,8 @@ class UcpMasterOracle(MasterOracle):
     A restricted diagram is one optimal path of exact ∩ pool, found by
     one label pass over the whole pool on every ask
     (build_restricted_master_dd) and reported exact, so a converged
-    restricted loop closes its node and no relaxed diagram is asked for.
-    Nothing is kept between asks: a label dominated under one pool need
-    not be under a larger one.
+    path is optimal.  Nothing is kept between asks: a label dominated
+    under one pool need not be under a larger one.
     """
 
     sense = "min"
@@ -1110,12 +1084,12 @@ class UcpMasterOracle(MasterOracle):
         self.instance = instance
         self.gamma = gamma
 
-    def build_restricted_dd(self, partial, cuts):
-        # no completion, or none the pool leaves, proves the node
-        # infeasible: the restricted diagram is then exact
+    def build_restricted_dd(self, cuts):
+        # no path the pool leaves proves the instance infeasible: the
+        # restricted diagram is then exact
         try:
-            return build_restricted_master_dd(self.instance, partial, self.gamma, cuts)
-        except (EmptyDiagramError, InfeasibleDiagramError):
+            return build_restricted_master_dd(self.instance, self.gamma, cuts)
+        except InfeasibleDiagramError:
             return None, True
 
 

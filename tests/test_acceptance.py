@@ -195,13 +195,12 @@ def test_criterion_5_ramp_reformulation_equivalence():
 
 
 class SandwichMaster:
-    """Checks relaxed <= exact = restricted path values at every node's
-    restricted build, and the root relaxed bound against the optimum.
-    A restricted diagram reported exact holds an optimum of exact ∩ pool,
+    """Checks relaxed <= exact = restricted path values at every
+    restricted build, and the relaxed bound against the optimum.  A
+    restricted diagram reported exact holds an optimum of exact ∩ pool,
     so its path value equals the exact one, and it is None exactly when
     exact ∩ pool is empty.  The relaxed side is the width-2 relaxed
-    master refined by the cuts: the solve asks for none, since every
-    restricted diagram is exact."""
+    master refined by the cuts, which the solve itself never builds."""
 
     def __init__(self, inner, optimum):
         self.inner = inner
@@ -209,24 +208,24 @@ class SandwichMaster:
         self.optimum = optimum
         self.checked = 0
 
-    def build_restricted_dd(self, partial, cuts):
-        built = self.inner.build_restricted_dd(partial, cuts)
+    def build_restricted_dd(self, cuts):
+        built = self.inner.build_restricted_dd(cuts)
         inst, gamma = self.inner.instance, self.inner.gamma
         try:
-            exact = replay_cuts(build_master_dd(inst, partial, gamma), cuts)
+            exact = replay_cuts(build_master_dd(inst, (), gamma), cuts)
             _, exact_val = optimal_path(exact, "min")
         except (EmptyDiagramError, InfeasibleDiagramError):
             assert built == (None, True), "restricted diagram of an empty node"
             return built
         tol = 1e-6 * (1.0 + abs(exact_val))
         # every exact path survives the relaxed refinement, so it cannot empty
-        relaxed = replay_cuts(build_relaxed_master_dd(inst, partial, gamma, 2), cuts)
+        relaxed = replay_cuts(build_relaxed_master_dd(inst, (), gamma, 2), cuts)
         _, relax_val = optimal_path(relaxed, "min")
         assert relax_val <= exact_val + tol, \
             f"relaxed bound {relax_val} cuts off exact value {exact_val}"
-        if partial == () and self.optimum is not None:
+        if self.optimum is not None:
             assert relax_val <= self.optimum + 1e-6, \
-                f"root relaxed bound {relax_val} excludes the optimum {self.optimum}"
+                f"relaxed bound {relax_val} excludes the optimum {self.optimum}"
         assert built[1], "restricted diagram not reported exact"
         _, restr_val = optimal_path(built[0], "min")
         assert abs(restr_val - exact_val) <= tol, \
@@ -257,7 +256,7 @@ class OptimumSub:
 def test_criterion_6_bound_sandwich_everywhere():
     checked = 0
     sandwiches = 0
-    nodes = 0
+    builds = 0
     for seed in range(100):
         n = 1 + seed % 2
         horizon = 2 + seed % 3
@@ -266,7 +265,7 @@ def test_criterion_6_bound_sandwich_everywhere():
         gamma = GammaBounds(0.0, 0.0)
         exact = build_master_dd(inst, gamma=gamma)
         _, exact_val = optimal_path(exact, "min")
-        restricted, _ = build_restricted_master_dd(inst, (), gamma)
+        restricted, _ = build_restricted_master_dd(inst, gamma)
         _, restr_val = optimal_path(restricted, "min")
         assert abs(restr_val - exact_val) <= 1e-9 * (1.0 + abs(exact_val)), f"seed {seed}"
         for width in (1, 2, 3):
@@ -286,10 +285,10 @@ def test_criterion_6_bound_sandwich_everywhere():
         sub = OptimumSub(UcpSubproblemOracle(inst), brute.best_cost)
         rep = dd_bd_solve(master, sub, EngineConfig(), instance_id=str(seed))
         assert rep.status == brute.status
-        nodes += master.checked
+        builds += master.checked
         checked += 1
     report(6, f"{checked} instances, {sandwiches} static sandwiches, "
-              f"{nodes} solver nodes checked, zero violations")
+              f"{builds} solver builds checked, zero violations")
 
 
 def test_criterion_7_schedule_bijection():

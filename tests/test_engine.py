@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -17,8 +16,6 @@ from ddbd.diagram import (
 )
 from ddbd import engine
 from ddbd.engine import (
-    BRANCH_CAP,
-    RELAXED_CUT_CAP,
     CutPool,
     EngineConfig,
     EngineError,
@@ -29,7 +26,6 @@ from ddbd.engine import (
     SubproblemResult,
     cost_tuple_reward,
     dd_bd_solve,
-    exact_cutset,
 )
 from ddbd.mip import (
     MipMasterOracle,
@@ -49,38 +45,6 @@ def test_cut_pool_deduplicates_on_rounded_coefficients():
     assert pool.add(a)
     assert not pool.add(b)
     assert pool.count("feasibility") == 1
-
-
-# -- exact cutset -----------------------------------------------------------------
-
-
-def tag_merged(dd, rows):
-    """A copy of dd with the given node rows tagged merged."""
-    merged = dd.merged.copy()
-    merged[list(rows)] = True
-    return dataclasses.replace(dd, merged=merged)
-
-
-def test_exact_cutset_unmerged_is_last_layer_before_terminal():
-    dd = from_paths([(0.0, 1.0), (1.0, 0.0)])
-    idx, nodes = exact_cutset(dd)
-    assert idx == dd.num_arc_layers - 1
-    assert set(nodes) == set(dd.layer_rows(idx))
-
-
-def test_exact_cutset_stops_before_first_merge():
-    dd = from_paths([(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
-    dd = tag_merged(dd, dd.layer_rows(2)[:2])
-    idx, _ = exact_cutset(dd)
-    assert idx == 1
-
-
-def test_exact_cutset_root_only_when_layer_one_merged():
-    dd = from_paths([(0.0, 0.0), (1.0, 1.0)])
-    dd = tag_merged(dd, dd.layer_rows(1))
-    idx, nodes = exact_cutset(dd)
-    assert idx == 0
-    assert nodes == [dd.root]
 
 
 # -- cost tuple reward -------------------------------------------------------------
@@ -219,7 +183,7 @@ def test_degenerate_benders_equals_longest_path():
     master = MipMasterOracle(problem)
     sub = MipSubproblemOracle(problem)
     report = dd_bd_solve(master, sub, EngineConfig())
-    dd = master.build_exact_dd((), [])
+    dd = master.build_exact_dd([])
     _, value = optimal_path(dd, "max")
     assert report.value == pytest.approx(value, abs=1e-9)
     assert report.value == pytest.approx(2.5)
@@ -303,7 +267,6 @@ def test_stalled_refinement_is_an_oracle_error():
 
 # -- loop edges, pinned with stub oracles -------------------------------------------
 
-INCUMBENT = (1.0, 1.0)
 VACUOUS = CutRow(coeffs={0: 0.0}, rhs=1.0, sense="<=")   # never separates anything
 
 
@@ -312,54 +275,42 @@ def unit_weights(layer, label):
     return 1.0 if layer == 2 else label
 
 
-class StubMaster(MasterOracle):
-    """Two binaries.  At the root the restricted diagram holds INCUMBENT
-    alone with value 50 and is not exact, and the relaxed one holds the
-    other three points with value in [0, 100], refined by the pool
-    through engine.replay_cuts; every child is reported infeasible.  The
-    restricted diagram ignores the pool: every cut these tests pool
-    admits INCUMBENT at value 50."""
+class GridMaster(MasterOracle):
+    """Two binaries, each costing its label, with the value in [0, 100]:
+    every point, refined by the pool through engine.replay_cuts and
+    reported exact unless `exact` is False.  Records the pool of every
+    build."""
 
-    def build_restricted_dd(self, partial, cuts):
-        if partial:
-            return None, True
-        return from_paths([INCUMBENT + ((50.0, 50.0),)], weight_fn=unit_weights), False
+    def __init__(self, exact=True):
+        self.exact = exact
+        self.pools = []
 
-    def build_relaxed_dd(self, partial, cuts):
-        points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    def build_restricted_dd(self, cuts):
+        self.pools.append(list(cuts))
+        points = itertools.product((0.0, 1.0), repeat=2)
         dd = from_paths([p + ((0.0, 100.0),) for p in points], weight_fn=unit_weights)
-        return engine.replay_cuts(dd, cuts)
+        try:
+            return engine.replay_cuts(dd, cuts), self.exact
+        except InfeasibleDiagramError:
+            return None, self.exact
 
 
-class StubSub(SubproblemOracle):
-    """INCUMBENT converges at value 50 when `converge` is set.  Any other
-    evaluation, the k-th counted from 1, returns cut_for(k) and a value
-    of 1000, which no path reaches."""
+class RepeatSub(SubproblemOracle):
+    """Optimal at value `value` everywhere, with `cuts` at every
+    evaluation; seeds the pool with `seeds`."""
 
-    def __init__(self, cut_for, converge=True):
-        self.cut_for = cut_for
-        self.converge = converge
+    def __init__(self, value, cuts=(), seeds=()):
+        self.value = value
+        self.cuts = list(cuts)
+        self.seeds = list(seeds)
         self.evaluated = []
 
     def evaluate(self, x):
-        if tuple(x) == INCUMBENT and self.converge:
-            return SubproblemResult(kind="optimal", cuts=[], value=50.0)
         self.evaluated.append(tuple(x))
-        return SubproblemResult(kind="optimal", cuts=[self.cut_for(len(self.evaluated))],
-                                value=1000.0)
-
-
-class StaleSub(StubSub):
-    """Seeds the pool with its cut (VACUOUS unless given) and answers
-    every evaluation but a converging INCUMBENT with that cut again, so a
-    relaxed loop finds it stale at its first evaluation and branches."""
-
-    def __init__(self, cut=VACUOUS):
-        super().__init__(lambda k: cut)
-        self.cut = cut
+        return SubproblemResult(kind="optimal", cuts=list(self.cuts), value=self.value)
 
     def initial_cuts(self):
-        return [self.cut]
+        return list(self.seeds)
 
 
 def value_floor(k):
@@ -368,189 +319,41 @@ def value_floor(k):
 
 
 def test_stale_cut_on_the_restricted_side_is_an_oracle_error():
-    sub = StubSub(lambda k: VACUOUS, converge=False)
-    with pytest.raises(EngineError):
-        dd_bd_solve(StubMaster(), sub, EngineConfig())
-    assert sub.evaluated == [INCUMBENT, INCUMBENT]
-
-
-def test_stale_cut_on_the_relaxed_side_branches():
-    sub = StubSub(lambda k: VACUOUS)
-    report = dd_bd_solve(StubMaster(), sub, EngineConfig())
+    # the value 1000 is out of every path's reach, so the cheapest point
+    # is evaluated again, and its cut is pooled already
+    sub = RepeatSub(1000.0, [VACUOUS])
+    with pytest.raises(EngineError, match="only pooled cuts"):
+        dd_bd_solve(GridMaster(), sub, EngineConfig())
     assert sub.evaluated == [(0.0, 0.0), (0.0, 0.0)]
-    assert (report.status, report.x, report.value) == ("optimal", INCUMBENT, 52.0)
-    assert report.branches == 3
 
 
-def test_relaxed_loop_branches_on_its_last_replay_after_the_cap(monkeypatch):
-    import types
+def test_an_inexact_restricted_diagram_is_an_oracle_error():
+    class EmptyInexactMaster(MasterOracle):
+        def build_restricted_dd(self, cuts):
+            return None, False
 
-    replays, branched = [], []
-    replay, prefixes = engine.replay_cuts, engine.enumerate_prefixes
-
-    def recording_replay(*args, **kwargs):
-        replays.append(replay(*args, **kwargs))
-        return replays[-1]
-
-    def stop_after_branching(dd, layer_idx, cap):
-        branched.append(dd)
-        return prefixes(dd, layer_idx, cap)
-
-    # the clock reads 0 s until the root branches and 100 s after, so the
-    # children stay open and the gap shows the bound they inherited
-    clock = types.SimpleNamespace(perf_counter=lambda: 100.0 if branched else 0.0)
-    monkeypatch.setattr(engine, "replay_cuts", recording_replay)
-    monkeypatch.setattr(engine, "enumerate_prefixes", stop_after_branching)
-    monkeypatch.setattr(engine, "time", clock)
-    sub = StubSub(value_floor)
-    report = dd_bd_solve(StubMaster(), sub, EngineConfig(time_limit=1.0))
-    assert len(sub.evaluated) == RELAXED_CUT_CAP
-    # the first relaxed build replays the empty pool, and every
-    # evaluation is followed by one more build
-    assert len(replays) == RELAXED_CUT_CAP + 1 and branched == [replays[-1]]
-    bound = optimal_path(replays[-1], "min")[1]
-    assert bound == pytest.approx(RELAXED_CUT_CAP)
-    assert (report.status, report.x, report.value) == ("time_limit", INCUMBENT, 52.0)
-    assert report.branches == 3
-    assert report.gap == pytest.approx(52.0 - bound)
-
-
-def test_the_relaxed_build_is_asked_again_with_each_fresh_batch():
-    class BatchSub(StubSub):
-        """Evaluation k returns z >= k - 1, z >= k and z >= k + 0.5: from
-        the second on, the first of them is pooled already."""
-
-        def evaluate(self, x):
-            res = super().evaluate(x)
-            if res.cuts:
-                k = len(self.evaluated)
-                res.cuts = [value_floor(k - 1), value_floor(k), value_floor(k + 0.5)]
-            return res
-
-    class RecordingMaster(StubMaster):
-        def __init__(self):
-            self.relaxed = []
-
-        def build_relaxed_dd(self, partial, cuts):
-            self.relaxed.append(list(cuts))
-            return super().build_relaxed_dd(partial, cuts)
-
-    master = RecordingMaster()
-    report = dd_bd_solve(master, BatchSub(value_floor), EngineConfig())
-    assert (report.status, report.x, report.value) == ("optimal", INCUMBENT, 52.0)
-    assert master.relaxed[0] == [] and len(master.relaxed) == RELAXED_CUT_CAP + 1
-    for k, (before, after) in enumerate(zip(master.relaxed, master.relaxed[1:]), start=1):
-        fresh = [value_floor(k), value_floor(k + 0.5)]
-        if k == 1:
-            fresh.insert(0, value_floor(0))
-        assert all(a is b for a, b in zip(before, after)), k
-        assert after[len(before):] == fresh, k
-
-
-def test_the_clock_is_read_again_before_the_relaxed_build(monkeypatch):
-    import types
-
-    now = [0.0]
-    relaxed = []
-
-    class SlowChildMaster(StubMaster):
-        """The root as in StubMaster; a child's restricted build finds
-        nothing and returns 100 s later, past the limit."""
-
-        def build_restricted_dd(self, partial, cuts):
-            if partial:
-                now[0] = 100.0
-                return None, False
-            return super().build_restricted_dd(partial, cuts)
-
-        def build_relaxed_dd(self, partial, cuts):
-            relaxed.append(partial)
-            return super().build_relaxed_dd(partial, cuts)
-
-    monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-    report = dd_bd_solve(SlowChildMaster(), StaleSub(), EngineConfig(time_limit=1.0))
-    assert relaxed == [()]
-    assert (report.status, report.x, report.value) == ("time_limit", INCUMBENT, 52.0)
-    # the child went back with the root's relaxed bound, 0: the children
-    # are infeasible, so 52 is the optimum, and 52 - gap may not pass it
-    assert report.gap == 52.0 and report.nodes == 2
-
-
-class GridMaster(MasterOracle):
-    """No restricted diagram anywhere.  The root's relaxed diagram holds
-    every point of the grid, with value in [0, 1]; every child is
-    infeasible.  Records the partial assignment of each relaxed build."""
-
-    sense = "min"
-
-    def __init__(self, *domains):
-        self.points = list(itertools.product(*domains))
-        self.built = []
-
-    def build_restricted_dd(self, partial, cuts):
-        return None, False
-
-    def build_relaxed_dd(self, partial, cuts):
-        self.built.append(partial)
-        if partial:
-            return None
-        return from_paths([p + ((0.0, 1.0),) for p in self.points])
-
-
-TEN = [float(v) for v in range(10)]
-HUNDRED = [float(v) for v in range(100)]
-
-
-# 10 x 10 prefixes at the exact cutset back up to layer 1; at layer 1 all
-# 100 are taken however many there are
-@pytest.mark.parametrize("domains", [(TEN, TEN), (HUNDRED,)], ids=["back-up", "take-all"])
-def test_branching_past_the_prefix_cap_branches_on_the_first_variable(domains):
-    assert math.prod(map(len, domains)) > BRANCH_CAP
-    master = GridMaster(*domains)
-    report = dd_bd_solve(master, StaleSub(), EngineConfig())
-    assert report.status == "infeasible" and report.branches == len(domains[0])
-    assert master.built == [()] + [(v,) for v in domains[0]]
-
-
-def test_a_single_prefix_is_extended_as_far_as_every_path_shares_it():
-    # every root path starts (0, 1); tagging layer 2 merged makes layer 1
-    # the branching layer, where the only prefix is (0,)
-    class ForcedMaster(GridMaster):
-        def build_relaxed_dd(self, partial, cuts):
-            dd = super().build_relaxed_dd(partial, cuts)
-            if dd is not None:
-                dd = tag_merged(dd, dd.layer_rows(2))
-            return dd
-
-    master = ForcedMaster([0.0], [1.0], [0.0, 1.0])
-    report = dd_bd_solve(master, StaleSub(), EngineConfig())
-    assert report.status == "infeasible" and report.branches == 1
-    assert master.built == [(), (0.0, 1.0)]
+    for master in (GridMaster(exact=False), EmptyInexactMaster()):
+        sub = RepeatSub(0.0)
+        with pytest.raises(EngineError, match="miss every optimum"):
+            dd_bd_solve(master, sub, EngineConfig())
+        assert sub.evaluated == []
 
 
 def test_initial_cuts_are_pooled_before_the_root_is_built():
-    seeded = CutRow(coeffs={0: 1.0}, rhs=5.0, sense="<=")
-
-    class SeedingSub(StaleSub):
-        def initial_cuts(self):
-            return [seeded, seeded]
-
-    class RecordingMaster(StubMaster):
-        def __init__(self):
-            self.pools = []
-
-        def build_restricted_dd(self, partial, cuts):
-            self.pools.append(list(cuts))
-            return super().build_restricted_dd(partial, cuts)
-
-    master = RecordingMaster()
-    report = dd_bd_solve(master, SeedingSub(seeded), EngineConfig())
-    assert master.pools[0] == [seeded]
-    assert (report.status, report.x, report.feasibility_cuts) == ("optimal", INCUMBENT, 1)
+    # x_0 + x_1 >= 1 removes the cheapest point (0, 0); of the two points
+    # that cost 1 the lexicographically smaller converges at once
+    seeded = CutRow(coeffs={0: 1.0, 1: 1.0}, rhs=1.0, sense=">=")
+    master = GridMaster()
+    sub = RepeatSub(0.0, seeds=[seeded, seeded])
+    report = dd_bd_solve(master, sub, EngineConfig())
+    assert master.pools == [[seeded]]
+    assert sub.evaluated == [(0.0, 1.0)]
+    assert (report.status, report.x, report.value, report.feasibility_cuts) == \
+        ("optimal", (0.0, 1.0), 1.0, 1)
     assert SubproblemOracle().initial_cuts() == []
 
 
-# -- a stub search that branches one variable at a time ------------------------------
+# -- a stub solve that takes several evaluations ---------------------------------------
 
 COSTS = (1.0, 2.0, 3.0)
 
@@ -560,32 +363,18 @@ def tree_weights(layer, label):
     return 1.0 if layer == len(COSTS) else COSTS[layer] * label
 
 
-class TreeMaster(MasterOracle):
-    """Binaries y_0 .. y_2 costing COSTS and a value in [0, 30], every
-    diagram refined by the pool through engine.replay_cuts.  The
-    restricted diagram completes the partial assignment with zeros and
-    is exact only for a full one.  The relaxed diagram holds every
-    completion, and its layer after the next variable is tagged merged,
-    so the search branches on one variable at a time."""
+class CubeMaster(MasterOracle):
+    """Binaries y_0 .. y_2 costing COSTS and a value in [0, 30]: every
+    point, refined by the pool through engine.replay_cuts and reported
+    exact."""
 
-    def _refined(self, partial, completions, cuts):
-        dd = from_paths([tuple(partial) + c + ((0.0, 30.0),) for c in completions],
-                        weight_fn=tree_weights)
+    def build_restricted_dd(self, cuts):
+        points = itertools.product((0.0, 1.0), repeat=len(COSTS))
+        dd = from_paths([p + ((0.0, 30.0),) for p in points], weight_fn=tree_weights)
         try:
-            return engine.replay_cuts(dd, cuts)
+            return engine.replay_cuts(dd, cuts), True
         except InfeasibleDiagramError:
-            return None
-
-    def build_restricted_dd(self, partial, cuts):
-        zeros = (0.0,) * (len(COSTS) - len(partial))
-        return self._refined(partial, [zeros], cuts), len(partial) == len(COSTS)
-
-    def build_relaxed_dd(self, partial, cuts):
-        rest = itertools.product((0.0, 1.0), repeat=len(COSTS) - len(partial))
-        dd = self._refined(partial, rest, cuts)
-        if dd is not None and len(partial) + 2 <= len(COSTS):
-            dd = tag_merged(dd, dd.layer_rows(len(partial) + 2))
-        return dd
+            return None, True
 
 
 class NoGoodSub(SubproblemOracle):
@@ -598,17 +387,6 @@ class NoGoodSub(SubproblemOracle):
         cut = CutRow(coeffs={j: 30.0 if v == 0.0 else -30.0 for j, v in enumerate(x)},
                      z_coeff=1.0, rhs=value - 30.0 * sum(x), sense=">=")
         return SubproblemResult(kind="optimal", cuts=[cut], value=value)
-
-
-def test_report_counts_every_node_taken_off_the_stack():
-    # a solve that runs to the end takes the root and every branch once
-    report = dd_bd_solve(TreeMaster(), NoGoodSub(), EngineConfig())
-    assert (report.status, report.x, report.value) == ("optimal", (1.0, 1.0, 1.0), 6.0)
-    assert report.branches > len(COSTS)
-    assert report.nodes == report.branches + 1
-    assert json.loads(report.to_json())["nodes"] == report.nodes
-    # the row keeps its columns
-    assert "nodes" not in SolveReport.CSV_HEADER
 
 
 def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypatch):
@@ -625,7 +403,9 @@ def test_time_limit_gap_bounds_the_optimum_wherever_the_clock_runs_out(monkeypat
             return 0.0 if len(readings) < expiry else 100.0
 
         monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=clock))
-        report = dd_bd_solve(TreeMaster(), NoGoodSub(), EngineConfig(time_limit=1.0))
+        report = dd_bd_solve(CubeMaster(), NoGoodSub(), EngineConfig(time_limit=1.0))
+        # the second reading is the one before the root loop starts
+        assert report.nodes == (0 if expiry == 2 else 1), expiry
         if report.status == "optimal":
             break
         assert report.status == "time_limit"
@@ -713,12 +493,12 @@ A_POINT, B_POINT = (0.0, 1.0), (1.0, 0.0)
 
 class ScriptedMaster(MasterOracle):
     """Hands out the scripted (x, value interval) paths in turn, whatever
-    the partial and the pool, each as a diagram reported exact."""
+    the pool, each as a diagram reported exact."""
 
     def __init__(self, script):
         self.script = list(script)
 
-    def build_restricted_dd(self, partial, cuts):
+    def build_restricted_dd(self, cuts):
         x, z = self.script.pop(0)
         return from_paths([x + (z,)], weight_fn=unit_weights), True
 

@@ -10,6 +10,7 @@ checked bit for bit against tests/reference_refine.py, with pools of
 cuts harvested from the slave, whose coefficients are not exact.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -36,11 +37,10 @@ def row_holds(ax, sense, rhs, x):
     return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
 
 
-def reference_points(problem, partial):
+def reference_points(problem):
     """The x points the master admits: the domain product, filtered."""
     return {tuple(float(v) for v in x) for x in itertools.product(*problem.x_domains)
-            if all(abs(x[j] - v) <= 1e-9 for j, v in enumerate(partial))
-            and all(row_holds(ax, s, rhs, x) for ax, _, s, rhs in problem.master_rows())}
+            if all(row_holds(ax, s, rhs, x) for ax, _, s, rhs in problem.master_rows())}
 
 
 def random_master_problem(rng):
@@ -69,11 +69,19 @@ def random_partial(rng, problem):
     return tuple(partial)
 
 
+def with_partial(problem, partial):
+    """The problem with the partial assignment x_j = v added as "=" master rows."""
+    n, k = len(problem.x_domains), len(problem.y_obj)
+    fixing = [([float(i == j) for i in range(n)], [0.0] * k, "=", v)
+              for j, v in enumerate(partial)]
+    return dataclasses.replace(problem, rows=problem.rows + fixing)
+
+
 class ValidatingMaster(MipMasterOracle):
     """The MIP master with every diagram it builds checked by validate()."""
 
-    def build_exact_dd(self, partial, cuts):
-        dd = super().build_exact_dd(partial, cuts)
+    def build_exact_dd(self, cuts):
+        dd = super().build_exact_dd(cuts)
         if dd is not None:
             dd.validate()
         return dd
@@ -84,10 +92,10 @@ def test_refined_master_has_exactly_the_enumerated_points():
     empty = 0
     for trial in range(320):
         problem = random_master_problem(rng)
-        partial = random_partial(rng, problem)
+        problem = with_partial(problem, random_partial(rng, problem))
         master = MipMasterOracle(problem)
-        points = reference_points(problem, partial)
-        dd = master.build_exact_dd(partial, [])
+        points = reference_points(problem)
+        dd = master.build_exact_dd([])
         if not points:
             assert dd is None, f"trial {trial}"
             empty += 1
@@ -96,7 +104,7 @@ def test_refined_master_has_exactly_the_enumerated_points():
         ends = Interval(*problem.z_bounds).endpoints()
         assert set(enumerate_solutions(dd)) == {x + (e,) for x in points for e in ends}, \
             f"trial {trial}"
-        restricted, is_exact = master.build_restricted_dd(partial, [])
+        restricted, is_exact = master.build_restricted_dd([])
         assert is_exact
         restricted.validate()
         assert set(enumerate_solutions(restricted)) == set(enumerate_solutions(dd))
@@ -107,7 +115,7 @@ def test_refined_master_has_exactly_the_enumerated_points():
 def test_a_domain_value_listed_twice_gives_each_point_once():
     problem = example_two_binary_problem()
     problem.x_domains = [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
-    dd = MipMasterOracle(problem).build_exact_dd((), [])
+    dd = MipMasterOracle(problem).build_exact_dd([])
     dd.validate()
     paths = enumerate_solutions(dd)
     assert sorted(paths) == [(0.0, 1.0, -10.0), (0.0, 1.0, 10.0), (1.0, 0.0, -10.0),
@@ -119,35 +127,31 @@ def test_a_domain_value_listed_twice_gives_each_point_once():
     assert tuple(report.x) == (1.0, 0.0)
 
 
-def test_master_rows_are_replayed_once_per_partial(monkeypatch):
-    # the chain refined by the master rows is kept for the last partial
-    # assignment: asking again replays only the pool onto it
+def test_master_rows_are_replayed_once(monkeypatch):
+    # the chain is refined by the master rows when the oracle is made:
+    # every ask replays only the pool onto it
     problem = example_two_binary_problem()
-    master = MipMasterOracle(problem)
-    replay, row_replays = mip.replay_cuts, []
+    replay, replayed = mip.replay_cuts, []
 
-    def counting_replay(dd, cuts):
-        if cuts is master._rows:
-            row_replays.append(dd)
+    def recording_replay(dd, cuts):
+        replayed.append(cuts)
         return replay(dd, cuts)
 
-    monkeypatch.setattr(mip, "replay_cuts", counting_replay)
+    monkeypatch.setattr(mip, "replay_cuts", recording_replay)
+    master = MipMasterOracle(problem)
     sub = MipSubproblemOracle(problem)
     pool = sub.evaluate((1.0, 1.0)).cuts + sub.evaluate((0.0, 1.0)).cuts
-    asks = [((), 0), ((), 1), ((), 2), ((1.0,), 0), ((1.0,), 2), ((1.0, 0.0), 2), ((), 2)]
-    for k, (partial, size) in enumerate(asks):
-        dd = master.build_exact_dd(partial, pool[:size])
-        fresh = MipMasterOracle(problem).build_exact_dd(partial, pool[:size])
-        assert set(enumerate_solutions(dd)) == set(enumerate_solutions(fresh)), (partial, size)
-        # one row replay per change of partial: (), (1.0,), (1.0, 0.0), ()
-        partials = [p for p, _ in asks[:k + 1]]
-        assert len(row_replays) == sum(a != b for a, b in zip([None] + partials, partials))
-    # a shipped solve asks for the root alone: the rows are replayed once
-    row_replays.clear()
+    for size in (0, 1, 2, 1, 0, 2):
+        dd = master.build_exact_dd(pool[:size])
+        fresh = MipMasterOracle(problem).build_exact_dd(pool[:size])
+        assert set(enumerate_solutions(dd)) == set(enumerate_solutions(fresh)), size
+    assert sum(cuts is master._rows for cuts in replayed) == 1
+    # a shipped solve replays the rows once too, when its master is made
+    replayed.clear()
     master = MipMasterOracle(problem)
     report = dd_bd_solve(master, MipSubproblemOracle(problem))
     assert (report.status, report.feasibility_cuts, report.optimality_cuts) == ("optimal", 1, 1)
-    assert len(row_replays) == 1
+    assert sum(cuts is master._rows for cuts in replayed) == 1
 
 
 # -- brute-force agreement sweep ---------------------------------------------------
@@ -180,7 +184,7 @@ def brute_force_max(problem):
     None when no x has a feasible slave."""
     slave = problem.slave_rows()
     best = None
-    for x in reference_points(problem, ()):
+    for x in reference_points(problem):
         lp = LinearProgram(sense="min", c=-np.array(problem.y_obj),
                            A=[by for _, by, _, _ in slave], senses=[s for *_, s, _ in slave],
                            b=[rhs - np.dot(ax, x) for ax, _, _, rhs in slave])
@@ -233,9 +237,9 @@ def reference_replay(dd, cuts):
     return reference_refine._refine_exact(dd, list(cuts)) if cuts else dd
 
 
-def master_json(problem, partial, cuts):
+def master_json(problem, cuts):
     """dd_to_json of a fresh MipMasterOracle's exact master, or None."""
-    dd = MipMasterOracle(problem).build_exact_dd(partial, cuts)
+    dd = MipMasterOracle(problem).build_exact_dd(cuts)
     if dd is None:
         return None
     dd.validate()
@@ -258,12 +262,13 @@ def test_refined_master_matches_the_reference_refinement_bit_for_bit(monkeypatch
             for cut in sub.evaluate(tuple(rng.choice(d) for d in problem.x_domains)).cuts:
                 pool.add(cut)
         for partial in ((), random_partial(rng, problem)):
+            fixed = with_partial(problem, partial)
             for size in sorted({0, len(pool) // 2, len(pool)}):
                 cuts = pool.cuts[:size]
-                got = master_json(problem, partial, cuts)
+                got = master_json(fixed, cuts)
                 with monkeypatch.context() as patched:
                     patched.setattr(mip, "replay_cuts", reference_replay)
-                    assert master_json(problem, partial, cuts) == got, (seed, partial, size)
+                    assert master_json(fixed, cuts) == got, (seed, partial, size)
                 seen["empty" if got is None else "refined"] += 1
     # the inputs exercise what they are meant to
     assert min(seen.values()) >= 10, seen

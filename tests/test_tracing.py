@@ -72,7 +72,7 @@ def test_trace_records_one_restricted_compile_per_restricted_build():
 
 
 def test_trace_records_no_replay_inside_a_restricted_compile():
-    # a unit-commitment solve closes its nodes on the restricted side, and
+    # a unit-commitment solve is one loop at the root, and
     # each restricted compile is one label pass over the whole pool
     tracer = Tracer()
     with traced(tracer):

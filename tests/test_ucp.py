@@ -326,7 +326,7 @@ def test_restricted_is_subset_and_respects_rules():
     feasible = {tuple(float(b) for b in bits) for bits in unit_schedules(gen, 3)}
     # one path of the exact master, however wide the master is, at its optimum
     assert exact.width > 1
-    dd, exact_flag = build_restricted_master_dd(inst, (), gamma)
+    dd, exact_flag = build_restricted_master_dd(inst, gamma)
     assert exact_flag
     assert dd.width == 1 and len(enumerate_solutions(dd)) == 1
     assert set(x_paths(dd)) <= feasible
@@ -365,21 +365,26 @@ def test_replays_leave_masters_as_they_were():
                 assert dd_to_json(master) == before, args
 
 
+def fixing_cuts(partial):
+    """The partial assignment as cuts: x_v <= 0 or x_v >= 1 per fixed variable."""
+    return [CutRow(coeffs={v: 1.0}, rhs=p, sense=">=" if p else "<=")
+            for v, p in enumerate(partial)]
+
+
 def assert_build_matches_the_refined_master(inst, partial, gamma, cuts, where):
-    """build_restricted_master_dd gives the x and the value, to the bit, of
-    optimal_path over the exact master refined by the cuts, and raises
-    what that raises.  Returns "ok", "empty" or "emptied"."""
+    """build_restricted_master_dd, given the partial assignment as cuts
+    (fixing_cuts) ahead of `cuts`, gives the x and the value, to the bit,
+    of optimal_path over the exact master of the partial refined by the
+    cuts, and raises InfeasibleDiagramError where that master is empty or
+    emptied.  Returns "ok", "empty" or "emptied"."""
+    fixed = fixing_cuts(partial) + list(cuts)
     try:
         want = optimal_path(replay_cuts(build_master_dd(inst, partial, gamma), cuts), "min")
-    except EmptyDiagramError:
-        with pytest.raises(EmptyDiagramError):
-            build_restricted_master_dd(inst, partial, gamma, cuts)
-        return "empty"
-    except InfeasibleDiagramError:
+    except (EmptyDiagramError, InfeasibleDiagramError) as exc:
         with pytest.raises(InfeasibleDiagramError):
-            build_restricted_master_dd(inst, partial, gamma, cuts)
-        return "emptied"
-    dd, is_exact = build_restricted_master_dd(inst, partial, gamma, cuts)
+            build_restricted_master_dd(inst, gamma, fixed)
+        return "empty" if isinstance(exc, EmptyDiagramError) else "emptied"
+    dd, is_exact = build_restricted_master_dd(inst, gamma, fixed)
     assert is_exact and dd.width == 1, where
     got = optimal_path(dd, "min")
     assert got[0] == want[0] and got[1].hex() == want[1].hex(), (where, got, want)
@@ -465,16 +470,15 @@ def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
     pool = [CutRow(coeffs={0: 1.0}, rhs=0.0, sense="<="),
             CutRow(coeffs={0: 1.0}, rhs=1.0, sense=">=")]
     for cuts in ([pool[0]], [pool[1]]):
-        dd, _ = oracle.build_restricted_dd((), cuts)
+        dd, _ = oracle.build_restricted_dd(cuts)
         assert dd is not None
-    assert oracle.build_restricted_dd((), pool) == (None, True)
-    assert oracle.build_restricted_dd((1.0,), [pool[0]]) == (None, True)
-    # so is a partial assignment with no completion: down after one period
-    # up, against a two-period minimum up time
+    assert oracle.build_restricted_dd(pool) == (None, True)
+    # so are cuts that only the unit's rules make exclusive: down after
+    # one period up, against a two-period minimum up time
     unit = UcpMasterOracle(single_unit_instance(simple_generator(min_up=2), 4),
                            GammaBounds(0.0, 0.0))
-    assert unit.build_restricted_dd((1.0,), [])[0] is not None
-    assert unit.build_restricted_dd((1.0, 0.0), []) == (None, True)
+    assert unit.build_restricted_dd(fixing_cuts((1.0,)))[0] is not None
+    assert unit.build_restricted_dd(fixing_cuts((1.0, 0.0))) == (None, True)
 
 
 def test_ucp_solve_closes_at_the_root():
