@@ -17,6 +17,7 @@ from scipy.optimize import linprog
 
 from .ucp import (
     InfeasibleInstanceError,
+    UcpSubproblemOracle,
     build_subproblem,
     compute_gamma,
     evaluate_subproblems,
@@ -164,9 +165,11 @@ class NaiveBdResult:
 def naive_bd_solve(instance, max_iterations=10_000):
     """Classical decomposition with the master solved by enumeration.
 
-    Shares the cut machinery with the diagram solver but replaces the
-    diagram master by a scan over all feasible commitments, making it a
-    mid-weight cross-check between brute force and the real solver.
+    Shares the cut machinery with the diagram solver, the seeded
+    closed-form cuts of UcpSubproblemOracle.initial_cuts() included, but
+    replaces the diagram master by a scan over all feasible commitments,
+    making it a mid-weight cross-check between brute force and the real
+    solver.
     """
     if instance.num_vars > ENUMERATION_CAP:
         raise TooLargeError("master enumeration too large")
@@ -175,8 +178,8 @@ def naive_bd_solve(instance, max_iterations=10_000):
     except InfeasibleInstanceError:
         return NaiveBdResult(status="infeasible")
     candidates = feasible_assignments(instance)
-    feas_cuts, opt_cuts = [], []
-    seen = set()
+    feas_cuts, opt_cuts = UcpSubproblemOracle(instance).initial_cuts(), []
+    seen = {cut.key() for cut in feas_cuts}
 
     def master_value(x):
         for cut in feas_cuts:

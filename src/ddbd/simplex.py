@@ -33,20 +33,21 @@ the kept tableau is the final one.
 Warm start: every outcome carries its pivot count, and an optimal or
 unbounded one also keeps, privately, its final kernel state: the
 tableau in its final basis, the LP's rows (its LpRows) and the variable
-transform.  An LP whose `start` is such an outcome, of an LP with the
-same rows (only the objective and its sense may differ), continues
-phase 2 from a copy of that tableau, which is still primal-feasible
-because the constraints are unchanged; the transform, the tableau
-set-up and phase 1 are skipped.  Rows are the same when the two LPs
-share one LpRows: it is checked once, when made, and read-only, so LPs
-built over it need no check of their rows and no comparison.  LPs given
-their own A, senses, b, lo and hi get a fresh LpRows each, holding
-copies, and warm-start only when those equal the kept rows by value.
-Any other start (none, an infeasible outcome, or one over other rows)
-is a cold start from the slack/artificial basis.  Certificates are
-checked the same way either way.  An outcome references neither its LP
-nor that LP's start, so a chain of warm solves keeps alive only the
-outcomes its caller keeps.  The module keeps no state.
+transform.  An LP whose `start` is such an outcome, of an LP over the
+same LpRows object (only the objective and its sense may differ),
+continues phase 2 from a copy of that tableau, which is still
+primal-feasible because the constraints are unchanged; the transform,
+the tableau set-up and phase 1 are skipped.  An LpRows is checked once,
+when made, and read-only, so LPs built over it need no check of their
+rows, and rows are matched by identity alone.  An LP given its own A,
+senses, b, lo and hi gets a fresh LpRows, holding copies, so it starts
+cold; LPs built over its `rows` can continue from its outcome.  Any
+other start (none, an infeasible outcome, or one over other rows, even
+rows equal by value) is a cold start from the slack/artificial basis.
+Certificates are checked the same way either way.  An outcome
+references neither its LP nor that LP's start, so a chain of warm
+solves keeps alive only the outcomes its caller keeps.  The module
+keeps no state.
 """
 
 from __future__ import annotations
@@ -104,19 +105,14 @@ class LpRows:
     def num_vars(self):
         return self.A.shape[1]
 
-    def same_as(self, other):
-        """The same rows: this object, or equal senses, A, b, lo and hi."""
-        return self is other or (
-            self.senses == other.senses and np.array_equal(self.A, other.A)
-            and np.array_equal(self.b, other.b) and np.array_equal(self.lo, other.lo)
-            and np.array_equal(self.hi, other.hi))
-
 
 @dataclass
 class LinearProgram:
     """One LP: an objective over rows given either as A, senses, b, lo
     and hi (checked and copied into a fresh LpRows) or as `rows`, an
-    LpRows that several LPs share; A, senses, b, lo and hi then read it."""
+    LpRows that several LPs share; A, senses, b, lo and hi then read it.
+    `start` warm-starts only over the same LpRows object, so LPs that
+    should continue from each other's outcomes share `rows`."""
 
     sense: str                 # "min" or "max"
     c: np.ndarray
@@ -125,7 +121,7 @@ class LinearProgram:
     b: np.ndarray = None
     lo: np.ndarray = None
     hi: np.ndarray = None
-    start: LpOutcome = None    # an earlier outcome; warm when its rows equal these
+    start: LpOutcome = None    # an earlier outcome; warm when its LP had these rows
     rows: LpRows = None
     secondary: np.ndarray = None   # tie-break objective on the optimal face, same sense
 
@@ -334,7 +330,7 @@ def _transform(lp):
 
 def _solve_impl(lp):
     kept = lp.start._tableau if lp.start is not None else None
-    if kept is not None and lp.rows.same_as(kept.rows):
+    if kept is not None and lp.rows is kept.rows:
         tab = kept.copy()
     else:
         tab, y = _cold_start(lp)
@@ -379,8 +375,8 @@ class _Tableau:
     basic column.  Row i of T is kernel row origin[i] (phase 1 drops
     redundant rows), whose dual is read from its slack or artificial
     column, reader[i].
-    `t` maps u back to x, and `rows` is the LP's LpRows, compared before
-    a warm start.
+    `t` maps u back to x, and `rows` is the LP's LpRows, which a warm
+    start must share.
     """
 
     def __init__(self, T, basis, reader, flip, art, n, t, rows):

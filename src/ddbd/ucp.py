@@ -7,13 +7,15 @@ spinning-reserve constraints.  The master is compiled into a diagram
 whose node states are (periods since last start-up, periods since last
 shut-down), and the dispatch subproblems are solved in dual form so
 that unbounded rays yield feasibility cuts and optimal points yield
-expected-cost cuts, both expressed over the master variables only.  A
-scenario whose demand plus reserve exceeds the committed capacity in
-some period, or whose period-0 demand exceeds what the committed units
-can reach from off in one start-up ramp, needs no LP: its ray is
-written down in closed form and verified like an LP's (the closed-form
-separation of Fischetti, Ljubic and Sinnl, Management Science 2017).
-Both kinds of cut are pooled before the first evaluation.
+expected-cost cuts, both expressed over the master variables only.
+Two families of feasibility cut are written down in closed form instead,
+with rays verified like an LP's (the closed-form separation of
+Fischetti, Ljubic and Sinnl, Management Science 2017): committed
+capacity must cover demand plus reserve in every period, and the units
+on at period 0 must reach its demand from off in one start-up ramp.
+Both are pooled before the first build, so no commitment the master
+proposes falls short of them beyond the pool's CUT_TOL, and every
+evaluation is LPs only.
 The value variable's [lo, hi] interval on the diagram's last arc layer
 comes from closed-form bounds on the dispatch cost (a merit-order
 lower bound, every costly unit at full output as the upper bound), not
@@ -1096,22 +1098,13 @@ class UcpMasterOracle(MasterOracle):
 class UcpSubproblemOracle(SubproblemOracle):
     """Dual dispatch for every scenario, memoized per commitment.
 
-    A scenario whose demand plus reserve exceeds the committed capacity
-    in some period by more than FEAS_TOL needs no LP: its dual ray is
-    written down in closed form at the first such period (_capacity_ray),
-    checked with verify_certificate like any LP outcome, and turned into
-    the same cut an LP ray gives.  Short scenarios that share their first
-    short period give cuts on one row, so only the tightest of those is
-    built.  Likewise a scenario whose period-0 demand exceeds the
-    committed start-up output there, sum_i min(SU_i, p_max_i) x_i0, by
-    more than FEAS_TOL is short: every unit is off before the horizon.
-    Its closed-form ray (_startup_ray) gives the cut
-    sum_i min(SU_i, p_max_i) x_i0 >= d_0, on one row for every scenario,
-    so only the one with the largest d_0 is built.  The other scenarios
-    go to the LP.  initial_cuts() writes the same cuts before any
-    evaluation, one capacity cut per period and the start-up cut, so the
-    solve starts with them pooled and dispatch's copies deduplicate
-    against them.
+    initial_cuts() writes the closed-form feasibility cuts, one capacity
+    cut per period and the start-up cut, each from a ray verified against
+    its scenario's dual LP; the engine pools them before the first build.
+    The master then meets them to within CUT_TOL, so dispatch solves one
+    dual LP per scenario and nothing else: a commitment short of them
+    only within that band, or infeasible for another reason (ramping,
+    minimum output), gets its cut from the LP's ray.
 
     The dual's rows depend on the instance alone, so they are built and
     checked once, as one read-only LpRows that every scenario LP and every
@@ -1120,8 +1113,8 @@ class UcpSubproblemOracle(SubproblemOracle):
     of the LP solved before it, the only state kept between LPs: x and
     the scenario change only the objective, so phase 2 continues from
     that outcome's final tableau, which is still primal-feasible (see
-    ddbd.simplex).  Only the first LP is a cold start.  Closed-form rays
-    neither use nor change the kept outcome.
+    ddbd.simplex).  Only the first LP is a cold start.  initial_cuts()'s
+    ray checks neither use nor change the kept outcome.
 
     Each scenario LP carries a secondary objective, the dual objective at
     the core point x0 = 0.5 on every commitment variable (priced once,
@@ -1139,8 +1132,6 @@ class UcpSubproblemOracle(SubproblemOracle):
         self.instance = instance
         self._rows = LpRows(*_dual_rows(instance))
         self._units = _unit_columns(instance)
-        self._p_max = np.array([g.p_max for g in instance.generators])
-        self._reach = np.minimum([g.startup_ramp for g in instance.generators], self._p_max)
         self._demand = np.array([sc.demand for sc in instance.scenarios], dtype=float)
         self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
         core = _commitment_prices(self._units, [0.5] * instance.num_vars)
@@ -1163,13 +1154,13 @@ class UcpSubproblemOracle(SubproblemOracle):
         """The closed-form cuts that every dispatchable commitment satisfies.
 
         One capacity cut per period t in which some scenario's demand plus
-        reserve exceeds FEAS_TOL: the cut dispatch returns when t is the
-        first short period, for the first of the scenarios that need most
-        at t.  Then the start-up cut, when the largest period-0 demand
-        exceeds FEAS_TOL: the one dispatch returns for the first scenario
-        with that demand.  A cut that another makes redundant is left out
-        (_tightest), as dispatch leaves it out.  At the all-off commitment
-        every such cut is violated, so each ray is verified against its
+        reserve exceeds FEAS_TOL, sum_i p_max_i x_it >= d_t + r_t for the
+        first of the scenarios that need most at t.  Then the start-up cut,
+        when the largest period-0 demand exceeds FEAS_TOL: every unit is
+        off before the horizon, so sum_i min(SU_i, p_max_i) x_i0 >= d_0
+        for the first scenario with that demand.  A cut that another makes
+        redundant is left out (_tightest).  At the all-off commitment every
+        such cut is violated, so each ray is verified against its
         scenario's dual LP there.  Raises NumericalFailureError when a ray
         fails verification.
         """
@@ -1195,53 +1186,30 @@ class UcpSubproblemOracle(SubproblemOracle):
     def dispatch(self, x):
         """Solve every scenario's dual dispatch problem at the commitment x.
 
-        Returns the feasibility variant when any scenario is infeasible:
-        one normalised cut per undispatchable scenario, from its
-        closed-form capacity ray or its LP ray, in scenario order, then
-        the start-up cut when some scenario is short of start-up output at
-        period 0, less each cut that another one makes redundant
-        (_tightest).  A scenario short either way makes no LP.  Otherwise
-        returns the probability-weighted expected cost with a single
-        aggregated lower-bounding cut on the value variable, whose
-        coefficients are summed over the scenarios in one dense array and
-        listed in the order their indices first appear, scenario by
-        scenario.  lp_calls counts LP solves only.  Raises
-        NumericalFailureError when a closed-form ray fails verification.
+        Returns the feasibility variant when any scenario's dual LP is
+        unbounded: one normalised cut per such scenario from its LP ray,
+        in scenario order, less each cut that another one makes redundant
+        (_tightest).  Otherwise returns the probability-weighted expected
+        cost with a single aggregated lower-bounding cut on the value
+        variable, whose coefficients are summed over the scenarios in one
+        dense array and listed in the order their indices first appear,
+        scenario by scenario.  lp_calls is the number of scenarios.
         """
         instance = self.instance
         x = _commitment_vector(instance, x)
         prices = _commitment_prices(self._units, x)
-        on = np.reshape(x, (instance.num_units, instance.horizon))
-        short = self._need - self._p_max @ on > FEAS_TOL
-        # every unit is off before the horizon, so start-up ramps cap period 0
-        startup_short = self._demand[:, 0] - self._reach @ on[:, 0] > FEAS_TOL
-        first = short.argmax(axis=1).tolist()   # first short period, 0 when none
-        # Short scenarios with one first short period give cuts on one row,
-        # and _tightest would keep only the one that needs most there (the
-        # first of equals), so only that one's ray is built.
-        tightest = {}
-        for s in np.flatnonzero(short.any(axis=1)).tolist():
-            t = first[s]
-            if t not in tightest or self._need[s, t] > self._need[tightest[t], t]:
-                tightest[t] = s
         feas_cuts = []
         total = 0.0
         agg_const = 0.0
         agg_coef = np.zeros(instance.num_vars)
         # the first scenario whose coefficients hold each index, for the order
         seen = np.full(instance.num_vars, len(instance.scenarios))
-        lp_calls = 0
         for s, sc in enumerate(instance.scenarios):
-            if short[s, first[s]] or startup_short[s]:
-                if short[s, first[s]] and tightest[first[s]] == s:
-                    feas_cuts.append(self._ray_cut(s, _capacity_ray(instance, first[s]), prices))
-                continue
             out = solve(LinearProgram(sense="max",
                                       c=_dual_objective(self._demand[s], self._need[s], prices),
                                       rows=self._rows, start=self._last,
                                       secondary=self._core[s]))
             self._last = out
-            lp_calls += 1
             if out.status == "unbounded":
                 feas_cuts.append(_feasibility_cut(self._units, sc, out.ray))
                 continue
@@ -1255,10 +1223,7 @@ class UcpSubproblemOracle(SubproblemOracle):
             # changes no sum: agg_coef never holds -0.0
             agg_coef += sc.prob * coef
             seen[present & (seen > s)] = s
-        if startup_short.any():
-            # one row for every scenario: the largest period-0 demand is tightest
-            feas_cuts.append(self._ray_cut(int(self._demand[:, 0].argmax()),
-                                           _startup_ray(instance), prices))
+        lp_calls = len(instance.scenarios)
         if feas_cuts:
             return SubproblemResult(kind="infeasible", cuts=_tightest(feas_cuts),
                                     lp_calls=lp_calls)

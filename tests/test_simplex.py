@@ -353,13 +353,28 @@ def test_ray_gain_boundary():
 # -- warm start -----------------------------------------------------------------
 
 
-def start_lp(c=(1.0, 2.0, 3.0), start=None, **rows):
-    # kernel columns: x1, x2, x3, the slacks of rows 0 and 1, then the
-    # artificial of the ">=" row 0, so a cold start needs phase 1
+def start_data(**changes):
+    """The warm-start tests' rows as LpRows arguments, with `changes` in
+    place of some of them.  Kernel columns: x1, x2, x3, the slacks of rows
+    0 and 1, then the artificial of the ">=" row 0, so a cold start needs
+    phase 1."""
     data = dict(A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]), senses=[">=", "<="],
                 b=np.array([1.0, 2.0]), lo=None, hi=None)
-    data.update(rows)
-    return LinearProgram(sense="min", c=np.array(c), start=start, **data)
+    data.update(changes)
+    return data
+
+
+def start_rows(**changes):
+    """start_data's rows as a new LpRows."""
+    return LpRows(**start_data(**changes))
+
+
+# a warm start needs the very LpRows of its start's LP, so LPs share this one
+START_ROWS = start_rows()
+
+
+def start_lp(c=(1.0, 2.0, 3.0), start=None, rows=START_ROWS):
+    return LinearProgram(sense="min", c=np.array(c), start=start, rows=rows)
 
 
 def same_outcome(a, b):
@@ -384,19 +399,22 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("rows", [
-    dict(A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -2.0]])),
-    dict(A=np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 0.0]]), c=(1.0, 2.0, 3.0, 1.0)),
-    dict(b=np.array([1.0, 3.0])),
-    dict(senses=[">=", "="]),
-    dict(lo=np.array([0.0, 0.5, 0.0])),
-    dict(hi=np.array([np.inf, np.inf, 4.0])),
-], ids=["A", "A-shape", "b", "sense", "lo", "hi"])
-def test_a_start_over_other_rows_is_a_cold_start(rows):
+@pytest.mark.parametrize("c, changes", [
+    ((1.0, 2.0, 3.0), dict(A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -2.0]]))),
+    ((1.0, 2.0, 3.0, 1.0), dict(A=np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 0.0]]))),
+    ((1.0, 2.0, 3.0), dict(b=np.array([1.0, 3.0]))),
+    ((1.0, 2.0, 3.0), dict(senses=[">=", "="])),
+    ((1.0, 2.0, 3.0), dict(lo=np.array([0.0, 0.5, 0.0]))),
+    ((1.0, 2.0, 3.0), dict(hi=np.array([np.inf, np.inf, 4.0]))),
+    ((1.0, 2.0, 3.0), dict()),
+], ids=["A", "A-shape", "b", "sense", "lo", "hi", "equal-values"])
+def test_a_start_over_other_rows_is_a_cold_start(c, changes):
     start = solve(start_lp())
     assert start.status == "optimal"
-    out = solve(start_lp(start=start, **rows))
-    assert same_outcome(out, solve(start_lp(**rows)))
+    # another LpRows, even one equal to START_ROWS by value, starts cold
+    rows = start_rows(**changes)
+    out = solve(start_lp(c, start=start, rows=rows))
+    assert same_outcome(out, solve(start_lp(c, rows=rows)))
 
 
 def test_a_warm_start_skips_the_transform_and_phase_one(monkeypatch):
@@ -428,14 +446,14 @@ def test_one_lp_solved_twice_from_one_start_gives_one_outcome():
 
 
 def test_an_infeasible_outcome_hands_on_no_state(monkeypatch):
-    rows = dict(b=np.array([3.0, -2.0]), senses=[">=", ">="],
-                A=np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]))
-    infeasible = solve(start_lp(**rows))
+    rows = start_rows(b=np.array([3.0, -2.0]), senses=[">=", ">="],
+                      A=np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]))
+    infeasible = solve(start_lp(rows=rows))
     assert infeasible.status == "infeasible"
     transforms = count_calls(monkeypatch, simplex, "_transform")
-    out = solve(start_lp((3.0, 2.0, 1.0), start=infeasible, **rows))
+    out = solve(start_lp((3.0, 2.0, 1.0), start=infeasible, rows=rows))
     assert len(transforms) == 1
-    assert same_outcome(out, solve(start_lp((3.0, 2.0, 1.0), **rows)))
+    assert same_outcome(out, solve(start_lp((3.0, 2.0, 1.0), rows=rows)))
 
 
 def test_a_start_that_is_not_an_outcome_is_rejected():
@@ -444,12 +462,6 @@ def test_a_start_that_is_not_an_outcome_is_rejected():
         start_lp(start=np.array([0, 4]))
     with pytest.raises(TypeError):
         start_lp(start=cold.x)
-
-
-def start_rows(**rows):
-    """start_lp's rows, with `rows` in place of some of them, as an LpRows."""
-    lp = start_lp(**rows)
-    return LpRows(lp.A, lp.senses, lp.b, lp.lo, lp.hi)
 
 
 def test_lps_over_one_lp_rows_warm_start_with_no_row_check(monkeypatch):
@@ -462,39 +474,46 @@ def test_lps_over_one_lp_rows_warm_start_with_no_row_check(monkeypatch):
     assert checks == [] and len(finite) == 1   # the objective's check only
     warm = solve(lp)
     assert checks == [] and transforms == []
-    # the same outcome as a warm start over rows equal by value
+    # the same outcome as a warm start over another LpRows of these values
     assert same_outcome(warm, solve(start_lp((3.0, 2.0, 1.0), start=solve(start_lp()))))
 
 
-@pytest.mark.parametrize("rows", [
+@pytest.mark.parametrize("changes", [
     dict(b=np.array([1.0, 3.0])),
     dict(hi=np.array([np.inf, np.inf, 4.0])),
 ], ids=["b", "hi"])
-def test_a_start_over_other_row_values_is_cold_with_shared_rows(rows, monkeypatch):
-    start = solve(LinearProgram(sense="min", c=np.array([1.0, 2.0, 3.0]), rows=start_rows()))
-    other = start_rows(**rows)
+def test_a_start_over_other_row_values_is_cold_with_shared_rows(changes, monkeypatch):
+    start = solve(start_lp())
+    other = start_rows(**changes)
     transforms = count_calls(monkeypatch, simplex, "_transform")
-    out = solve(LinearProgram(sense="min", c=np.array([1.0, 2.0, 3.0]), rows=other,
-                              start=start))
+    out = solve(start_lp(start=start, rows=other))
     assert len(transforms) == 1
-    assert same_outcome(out, solve(start_lp(**rows)))
+    assert same_outcome(out, solve(start_lp(rows=other)))
+
+
+def given_arrays_lp(c=(1.0, 2.0, 3.0), start=None, **changes):
+    """start_lp's LP given its rows as arrays, so it makes its own LpRows."""
+    return LinearProgram(sense="min", c=np.array(c), start=start, **start_data(**changes))
 
 
 def test_an_lp_keeps_its_own_copy_of_rows_its_caller_changes_in_place(monkeypatch):
     A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
     b = np.array([1.0, 2.0])
-    first = start_lp(A=A, b=b)
+    first = given_arrays_lp(A=A, b=b)
     cold = solve(first)
     A[1, 2], b[1] = -2.0, 3.0   # the caller's arrays stay writeable
     assert first.A[1, 2] == -1.0 and first.b[1] == 2.0
     transforms = count_calls(monkeypatch, simplex, "_transform")
-    out = solve(start_lp(A=A, b=b, start=cold))
+    out = solve(given_arrays_lp(A=A, b=b, start=cold))
     assert len(transforms) == 1
-    assert same_outcome(out, solve(start_lp(A=A.copy(), b=b.copy())))
+    assert same_outcome(out, solve(given_arrays_lp(A=A.copy(), b=b.copy())))
+    # the LP's own LpRows is what its outcome warm-starts
+    again = solve(start_lp(start=cold, rows=first.rows))
+    assert len(transforms) == 2 and again.pivots == 0
 
 
 def test_an_lps_rows_are_read_only():
-    lp = start_lp(lo=np.zeros(3))
+    lp = given_arrays_lp(lo=np.zeros(3))
     for a in (lp.A, lp.b, lp.lo, lp.hi, lp.rows.A):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -516,9 +535,12 @@ def test_a_dropped_outcome_is_collected_over_a_chain_of_warm_solves():
     dropped = []
     for _ in range(20):
         dropped.append(weakref.ref(out))
-        out = solve(start_lp(rng.uniform(0.1, 3.0, size=3), start=out))
+        c = rng.uniform(0.1, 3.0, size=3)
+        out = solve(start_lp(c, start=out))
     assert out.status == "optimal"
     assert all(ref() is None for ref in dropped)
+    # the chain was warm: its last objective, repeated, takes no pivot
+    assert solve(start_lp(c, start=out)).pivots == 0
 
 
 def test_warm_chains_do_not_drift_from_a_fresh_factorization():
@@ -531,9 +553,10 @@ def test_warm_chains_do_not_drift_from_a_fresh_factorization():
                   1.0)
     senses = ["<="] * (m - 1) + [">="]
     T0 = np.hstack([A, np.diag([1.0] * (m - 1) + [-1.0]), np.eye(m)[:, -1:], b[:, None]])
+    rows = LpRows(A, senses, b)
 
     def lp(c, start=None):
-        return LinearProgram(sense="min", c=c, A=A, senses=senses, b=b, start=start)
+        return LinearProgram(sense="min", c=c, rows=rows, start=start)
 
     out = solve(lp(rng.uniform(-1.0, 1.0, size=n)))
     warm_pivots = 0
@@ -548,6 +571,8 @@ def test_warm_chains_do_not_drift_from_a_fresh_factorization():
         fresh = np.linalg.solve(T0[tab.origin][:, tab.basis], T0[tab.origin])
         assert np.max(np.abs(tab.T - fresh)) <= 1e-9
     assert warm_pivots > 0
+    # the chain was warm: its last objective, repeated, takes no pivot
+    assert solve(lp(c, start=out)).pivots == 0
 
 
 # -- the pivot's arithmetic ------------------------------------------------------
@@ -596,12 +621,18 @@ def kernel_chains(seed, count):
 
 
 def solve_chain(lp, objectives):
-    """The LP's outcome, then each objective's, warm from the one before."""
+    """The LP's outcome, then each objective's over its rows, warm from the
+    one before."""
     outs = [solve(lp)]
     for c in objectives:
-        outs.append(solve(LinearProgram(sense=lp.sense, c=c, A=lp.A, senses=lp.senses,
-                                        b=lp.b, lo=lp.lo, hi=lp.hi, start=outs[-1])))
+        outs.append(solve(LinearProgram(sense=lp.sense, c=c, rows=lp.rows, start=outs[-1])))
     return outs
+
+
+def chain_colds(outs):
+    """The cold starts a chain makes: its first LP, and each LP after an
+    infeasible outcome, which hands on no tableau."""
+    return 1 + sum(out.status == "infeasible" for out in outs[:-1])
 
 
 def test_touched_row_pivots_give_the_dense_update(monkeypatch):
@@ -618,8 +649,11 @@ def test_touched_row_pivots_give_the_dense_update(monkeypatch):
         dense_pivot(self, rowi, colj)
 
     seen, phase_one = set(), 0
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
     for lp, objectives in kernel_chains(2024, 200):
+        colds.clear()
         outs = solve_chain(lp, objectives)
+        assert len(colds) == chain_colds(outs)
         with monkeypatch.context() as patch:
             patch.setattr(simplex._Tableau, "pivot", watched_dense)
             refs = solve_chain(lp, objectives)
@@ -662,8 +696,11 @@ def test_carried_reduced_costs_track_fresh_ones_and_exits_are_fresh(monkeypatch)
     for name, spy in (("run", run), ("reduced_costs", priced), ("bland", bland),
                       ("pivot", pivot)):
         monkeypatch.setattr(simplex._Tableau, name, spy)
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
     for lp, objectives in kernel_chains(7, 100):
-        solve_chain(lp, objectives)
+        colds.clear()
+        outs = solve_chain(lp, objectives)
+        assert len(colds) == chain_colds(outs)
     exits = [k for k, e in enumerate(events) if e[0] == "exit"]
     for k in exits:
         # the exit is decided on reduced costs priced after the last pivot

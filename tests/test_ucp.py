@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ddbd.diagram import (
+    CUT_TOL,
     CutRow,
     EmptyDiagramError,
     InfeasibleDiagramError,
@@ -18,7 +19,7 @@ from ddbd.diagram import (
     reduce_interval_arcs,
     refine_with_cut,
 )
-from ddbd.engine import replay_cuts
+from ddbd.engine import dd_bd_solve, replay_cuts
 from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
 import ddbd.ucp as ucp_module
 from ddbd.simplex import FEAS_TOL, LpOutcome, NumericalFailureError, solve, verify_certificate
@@ -740,8 +741,7 @@ def record_dual_solves(monkeypatch):
 
 
 def test_warm_started_evaluation_takes_fewer_pivots(monkeypatch):
-    # at demand x0.9 every commitment but all-on is capacity-short in some
-    # scenario and skips the LP; at x0.7 the second commitment reaches it
+    # at demand x0.7 the second commitment is dispatchable in every scenario
     inst = scaled_instance(3, 6, 16, 0, 0.7)
     calls = record_dual_solves(monkeypatch)
     oracle = UcpSubproblemOracle(inst)
@@ -780,7 +780,7 @@ def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
             calls.clear()
             res = oracle.evaluate(x)
             for lp, out in calls:
-                # capacity-short scenarios skip the LP: pair by objective
+                # pair each LP with its scenario by objective
                 sc = next(sc for sc in inst.scenarios
                           if np.array_equal(build_dual_subproblem(inst, x, sc).c, lp.c))
                 warm_starts += lp.start is not None
@@ -835,13 +835,12 @@ def startup_short_instance():
                                   Scenario(0.5, (48.0, 40.0), (0.0, 5.0))]).validate()
 
 
-def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut(monkeypatch):
+def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut():
     rng = np.random.default_rng(31)
     instances = [gen_random_instance(int(rng.integers(1, 4)), int(rng.integers(2, 6)),
                                      int(rng.integers(1, 4)), seed=int(seed))
                  for seed in rng.integers(0, 10 ** 6, size=12)]
     instances += [scaled_instance(*params) for params in LOW_DEMAND]
-    calls = record_dual_solves(monkeypatch)
     compared = set()
     for inst in instances:
         for _ in range(15):
@@ -850,34 +849,29 @@ def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut(monkeypatch):
                 t = first_short_period(inst, x, sc)
                 if t is None:
                     continue
-                cold = solve(build_dual_subproblem(inst, x, sc))
+                lp = build_dual_subproblem(inst, x, sc)
+                cold = solve(lp)
                 assert cold.status == "unbounded"
-                alone = dataclasses.replace(inst, scenarios=[dataclasses.replace(sc, prob=1.0)])
-                calls.clear()
-                res = UcpSubproblemOracle(alone).evaluate(x)
-                assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
-                # a commitment also short of start-up output adds that cut,
-                # which can make the capacity cut redundant
-                want = [feasibility_cut(inst, sc, cold.ray)]
-                if startup_short(inst, x, sc):
-                    want.append(startup_cut(alone))
-                assert res.cuts == ucp_module._tightest(want)
-                if res.cuts[0] == want[0]:
-                    compared.add((id(inst), x, t))
+                # the closed-form ray at the first short period certifies
+                # x against the cold LP, and gives that LP ray's cut
+                ray = ucp_module._capacity_ray(inst, t)
+                assert verify_certificate(lp, LpOutcome(status="unbounded", ray=ray))
+                assert feasibility_cut(inst, sc, ray) == feasibility_cut(inst, sc, cold.ray)
+                compared.add((id(inst), x, t))
     assert len(compared) >= 100
 
 
-def test_capacity_short_commitment_makes_no_lp_call(monkeypatch):
+def test_initial_cuts_keep_the_tightest_period_0_rows_with_no_lp_call(monkeypatch):
     inst = scaled_instance(3, 6, 16, 0, 0.9)
     calls = record_dual_solves(monkeypatch)
-    res = UcpSubproblemOracle(inst).evaluate((0.0,) * inst.num_vars)
-    assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
-    # every scenario is short first in period 0, on the same row: the
-    # tightest of the 16 cuts is the one kept; so is the tightest of the
-    # 16 start-up cuts, the largest period-0 demand's
+    cuts = UcpSubproblemOracle(inst).initial_cuts()
+    assert calls == []
+    # of the 16 scenarios' capacity cuts at period 0, all on one row, the
+    # tightest is the one kept; so is the tightest of the 16 start-up
+    # cuts, the largest period-0 demand's
     scale = max(g.p_max for g in inst.generators)
     need = max(sc.demand[0] + sc.reserve[0] for sc in inst.scenarios)
-    cut, startup = res.cuts
+    cut, startup = cuts[0], cuts[-1]
     assert cut.coeffs == {inst.var_index(i, 0): -g.p_max / scale
                           for i, g in enumerate(inst.generators)}
     assert cut.rhs == pytest.approx(-need / scale, rel=1e-15)
@@ -898,13 +892,6 @@ def tamper_capacity_rays(monkeypatch):
         return ray
 
     monkeypatch.setattr(ucp_module, "_capacity_ray", tampered)
-
-
-def test_capacity_ray_that_fails_verification_raises(monkeypatch):
-    inst = scaled_instance(3, 6, 16, 0, 0.9)
-    tamper_capacity_rays(monkeypatch)
-    with pytest.raises(NumericalFailureError):
-        UcpSubproblemOracle(inst).evaluate((0.0,) * inst.num_vars)
 
 
 def seeding_instances():
@@ -945,28 +932,70 @@ def test_initial_cuts_hold_at_every_dispatchable_commitment():
     assert checked >= 50
 
 
-def test_initial_cuts_are_the_cuts_dispatch_returns_first_short():
-    compared = startup_at_later_periods = 0
+def test_initial_cuts_are_the_cuts_dispatch_returns_first_short(monkeypatch):
+    calls = record_dual_solves(monkeypatch)
+    compared = 0
     for inst in seeding_instances() + [startup_short_instance()]:
-        startup = startup_cut(inst)
-        returned = set()
+        seeded = UcpSubproblemOracle(inst).initial_cuts()
         for t in range(inst.horizon):
             # every unit on before t and off from t: t is every scenario's
-            # first short period, and the start-up cut comes after its cut
-            # when t is 0 (but for a lone unit, where the two share a row)
-            # or when the whole fleet falls short at period 0
+            # first short period, and a seeded cut already cuts x off
             x = tuple(float(j < t) for _ in range(inst.num_units) for j in range(inst.horizon))
-            later = t > 0 and cuts_off(startup, x)
+            assert any(cuts_off(cut, x) for cut in seeded), (t, x)
+            calls.clear()
             res = UcpSubproblemOracle(inst).dispatch(x)
-            assert cut_period(inst, res.cuts[0]) == t, (t, x)
-            assert len(res.cuts) == (1 + (inst.num_units > 1) if t == 0 else 1 + later), (t, x)
-            if len(res.cuts) == 2:
-                assert res.cuts[1].key() == startup.key(), (t, x)
-            returned |= {c.key() for c in res.cuts}
+            assert (res.kind, res.lp_calls, len(calls)) == \
+                ("infeasible", len(inst.scenarios), len(inst.scenarios)), (t, x)
+            # the LP rays give one cut, the capacity cut at t, which the
+            # seeded cuts make redundant (for a lone unit at period 0, the
+            # start-up cut on its row is the tighter)
+            [cut] = res.cuts
+            assert cut_period(inst, cut) == t and cuts_off(cut, x), (t, x)
+            assert ucp_module._tightest(seeded + [cut]) == seeded, (t, x)
             compared += 1
-            startup_at_later_periods += later
-        assert returned == {c.key() for c in UcpSubproblemOracle(inst).initial_cuts()}
-    assert compared >= 20 and startup_at_later_periods >= 1
+    assert compared >= 20
+
+
+class RecordingSubproblem(UcpSubproblemOracle):
+    """The ucp oracle, keeping every commitment it is asked to evaluate."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.asked = []
+
+    def evaluate(self, x):
+        self.asked.append(tuple(x))
+        return super().evaluate(x)
+
+
+def test_no_evaluated_commitment_is_short_beyond_the_seeded_cuts_band():
+    # the master meets each seeded cut to within CUT_TOL on its row,
+    # normalised to a largest coefficient of 1; so no commitment that
+    # dispatch sees is short of capacity or of period-0 start-up output by
+    # more than CUT_TOL times that row's largest coefficient, in MW, and
+    # dispatch need not look for such shortfalls
+    rng = np.random.default_rng(59)
+    generated = [gen_random_instance(int(rng.integers(1, 5)), int(rng.integers(2, 6)),
+                                     int(rng.integers(1, 4)), seed=int(seed))
+                 for seed in rng.integers(0, 10 ** 6, size=30)]
+    evaluated = 0
+    for inst in seeding_instances() + [startup_short_instance()] + generated:
+        try:
+            gamma = compute_gamma(inst)
+        except InfeasibleInstanceError:
+            continue
+        sub = RecordingSubproblem(inst)
+        dd_bd_solve(UcpMasterOracle(inst, gamma), sub)
+        p_max = np.array([g.p_max for g in inst.generators])
+        reach = np.minimum([g.startup_ramp for g in inst.generators], p_max)
+        for x in sub.asked:
+            on = np.reshape(x, (inst.num_units, inst.horizon))
+            for sc in inst.scenarios:
+                short = np.add(sc.demand, sc.reserve) - p_max @ on
+                assert short.max() <= CUT_TOL * p_max.max(), (x, short)
+                assert sc.demand[0] - reach @ on[:, 0] <= CUT_TOL * reach.max(), x
+            evaluated += 1
+    assert evaluated >= 50
 
 
 def test_initial_cuts_raise_when_a_ray_fails_verification(monkeypatch):
@@ -981,11 +1010,10 @@ def test_startup_short_instance_is_infeasible_without_an_lp(monkeypatch):
     calls = record_dual_solves(monkeypatch)
     on = (1.0,) * inst.num_vars
     assert all(first_short_period(inst, on, sc) is None for sc in inst.scenarios)
-    res = UcpSubproblemOracle(inst).evaluate(on)
-    assert (res.kind, res.lp_calls, len(calls)) == ("infeasible", 0, 0)
-    assert [c.key() for c in res.cuts] == [startup_cut(inst).key()]
-    assert res.cuts[0].coeffs == {inst.var_index(0, 0): -0.8, inst.var_index(1, 0): -1.0}
-    assert res.cuts[0].rhs == pytest.approx(-48.0 / 25.0, rel=1e-15)
+    cut = UcpSubproblemOracle(inst).initial_cuts()[-1]
+    assert cut.key() == startup_cut(inst).key() and cuts_off(cut, on)
+    assert cut.coeffs == {inst.var_index(0, 0): -0.8, inst.var_index(1, 0): -1.0}
+    assert cut.rhs == pytest.approx(-48.0 / 25.0, rel=1e-15)
     report = ucp_solve(inst)
     assert (report.status, report.lp_calls, len(calls)) == ("infeasible", 0, 0)
     assert brute_force_solve(inst).best_x is None
@@ -1012,18 +1040,13 @@ def test_startup_ray_takes_the_capacity_multipliers_above_maximum_output():
     assert cut.coeffs == {at0[0]: -30.0 / 40.0, at0[1]: -1.0, at0[2]: -1.0}
     assert cut.rhs == pytest.approx(-100.0 / 40.0, rel=1e-15)
     # the ray certifies every commitment the cut cuts off, against a cold
-    # dual LP built from scratch, dispatch returns the cut there with no
-    # LP for a short scenario, and the cut keeps every dispatchable one
+    # dual LP built from scratch, and the cut keeps every dispatchable one
     for x in feasible_assignments(inst):
         lhs = sum(c * x[k] for k, c in cut.coeffs.items())
-        short = [startup_short(inst, x, sc) for sc in inst.scenarios]
-        for sc, is_short in zip(inst.scenarios, short):
+        for sc in inst.scenarios:
             lp = build_dual_subproblem(inst, x, sc)
-            assert verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)) == is_short, x
-        if any(short):
-            res = UcpSubproblemOracle(inst).dispatch(x)
-            assert res.cuts[-1].key() == cut.key(), x
-            assert res.lp_calls == 0 or not all(short), x
+            assert verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)) == \
+                startup_short(inst, x, sc), x
         if stage2_expected_cost(inst, x) is not None:
             assert cut.satisfied(lhs), x
 
@@ -1045,23 +1068,21 @@ def test_startup_ray_that_fails_verification_raises(monkeypatch):
     tamper_startup_rays(monkeypatch)
     with pytest.raises(NumericalFailureError):
         UcpSubproblemOracle(inst).initial_cuts()
-    with pytest.raises(NumericalFailureError):
-        UcpSubproblemOracle(inst).evaluate((1.0,) * inst.num_vars)
 
 
-@pytest.mark.parametrize("shortfall,lp_calls", [(0.5 * FEAS_TOL, 1), (2.0 * FEAS_TOL, 0)])
-def test_shortfall_within_tolerance_goes_to_the_lp(monkeypatch, shortfall, lp_calls):
+@pytest.mark.parametrize("shortfall,feasible", [(0.5 * FEAS_TOL, 1), (2.0 * FEAS_TOL, 0)])
+def test_shortfall_within_tolerance_goes_to_the_lp(monkeypatch, shortfall, feasible):
     gen = simple_generator(p_min=10.0, p_max=50.0)
     inst = single_unit_instance(gen, 2, demand=(40.0, 20.0), reserve=(10.0 + shortfall, 0.0))
     calls = record_dual_solves(monkeypatch)
     res = UcpSubproblemOracle(inst).evaluate((1.0, 1.0))
-    assert (res.lp_calls, len(calls)) == (lp_calls, lp_calls)
-    if lp_calls:
+    # the LP decides either way: a ray gaining within FEAS_TOL is passed over
+    assert (res.kind, res.lp_calls, len(calls)) == \
+        ("optimal" if feasible else "infeasible", 1, 1)
+    if feasible:
         status, value = scipy_lp_min(build_subproblem(inst, (1.0, 1.0), inst.scenarios[0]))
-        assert (res.kind, status) == ("optimal", "optimal")
+        assert status == "optimal"
         assert res.value == pytest.approx(value, rel=1e-9)
-    else:
-        assert res.kind == "infeasible"
 
 
 def cuts_off(cut, x):
@@ -1081,11 +1102,10 @@ def test_capacity_short_and_ramp_infeasible_scenarios_both_give_cuts(monkeypatch
     assert first_short_period(inst, (1.0, 1.0), inst.scenarios[1]) == 1
     calls = record_dual_solves(monkeypatch)
     res = UcpSubproblemOracle(inst).evaluate((1.0, 1.0))
-    assert res.kind == "infeasible" and res.lp_calls == 1
-    assert [out.status for _, out in calls] == ["unbounded"]
-    assert res.cuts == [feasibility_cut(inst, inst.scenarios[0], calls[0][1].ray),
-                        feasibility_cut(inst, inst.scenarios[1],
-                                                    ucp_module._capacity_ray(inst, 1))]
+    assert res.kind == "infeasible" and res.lp_calls == 2
+    assert [out.status for _, out in calls] == ["unbounded", "unbounded"]
+    assert res.cuts == [feasibility_cut(inst, sc, out.ray)
+                        for sc, (_, out) in zip(inst.scenarios, calls)]
     for cut in res.cuts:
         assert cuts_off(cut, (1.0, 1.0))
         for x in feasible_assignments(inst):
@@ -1106,22 +1126,10 @@ def test_deduplicated_batch_cuts_off_what_the_full_batch_does(monkeypatch):
         for x in points:
             calls.clear()
             res = oracle.dispatch(x)
-            # the full batch, in scenario order: each short scenario's
-            # closed-form cut and each LP ray's cut, then each start-up
-            # cut; a scenario short of start-up output makes no LP
-            solved = iter(out for _, out in calls)
-            full = []
-            for sc in inst.scenarios:
-                t = first_short_period(inst, x, sc)
-                if t is not None:
-                    full.append(feasibility_cut(inst, sc, ucp_module._capacity_ray(inst, t)))
-                elif not startup_short(inst, x, sc):
-                    ray = next(solved).ray
-                    if ray is not None:
-                        full.append(feasibility_cut(inst, sc, ray))
-            assert next(solved, None) is None
-            full += [feasibility_cut(inst, sc, ucp_module._startup_ray(inst))
-                     for sc in inst.scenarios if startup_short(inst, x, sc)]
+            # the full batch: each LP ray's cut, in scenario order
+            assert len(calls) == len(inst.scenarios)
+            full = [feasibility_cut(inst, sc, out.ray)
+                    for sc, (_, out) in zip(inst.scenarios, calls) if out.ray is not None]
             if not full:
                 assert res.kind == "optimal"
                 continue
