@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 from .engine import EngineConfig, SolveReport, dd_bd_solve
 from .mip import MipMasterOracle, MipProblem, MipSubproblemOracle, UnboundedProblemError
@@ -151,20 +152,22 @@ def cmd_compare(args):
         results["dd-bd"] = (report.status, report.value, report.wall_time,
                             report.feasibility_cuts, report.optimality_cuts,
                             report.branches)
+        start = time.perf_counter()
         try:
             naive = naive_bd_solve(instance)
-            results["naive-bd"] = (naive.status, naive.value, 0.0,
+            results["naive-bd"] = (naive.status, naive.value, time.perf_counter() - start,
                                    naive.feasibility_cuts,
                                    naive.optimality_cuts, naive.iterations)
         except TooLargeError as exc:
-            results["naive-bd"] = ("error", None, 0.0, 0, 0, 0)
+            results["naive-bd"] = ("error", None, time.perf_counter() - start, 0, 0, 0)
             log.warning("naive-bd failed on %s: %s", instance_id, exc)
+        start = time.perf_counter()
         try:
             brute = brute_force_solve(instance)
             results["brute-force"] = (brute.status, brute.best_cost,
-                                      0.0, 0, 0, 0)
+                                      time.perf_counter() - start, 0, 0, 0)
         except TooLargeError as exc:
-            results["brute-force"] = ("error", None, 0.0, 0, 0, 0)
+            results["brute-force"] = ("error", None, time.perf_counter() - start, 0, 0, 0)
             log.warning("brute force failed on %s: %s", instance_id, exc)
         statuses = {r[0] for r in results.values() if r[0] != "error"}
         agree = _agree([r[1] for r in results.values() if r[0] != "error"]) \

@@ -181,8 +181,7 @@ class MipSubproblemOracle(SubproblemOracle):
         self.c = np.array(self.c, dtype=float)
         self.b_obj = np.array(problem.y_obj, dtype=float)
         if self.c.size:
-            self._rows = LpRows(self.B.T, [">="] * self.B.shape[1], self.b_obj,
-                                lo=np.zeros(self.c.size))
+            self._rows = LpRows(self.B.T, [">="] * self.B.shape[1], self.b_obj)
         self._last = None
 
     def evaluate(self, x):

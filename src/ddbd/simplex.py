@@ -1,10 +1,11 @@
 """Dense two-phase simplex with certified outcomes.
 
-The solver classifies every well-formed LP as Optimal (primal point,
-row duals, reduced costs), Infeasible (nonnegative row multipliers
-whose aggregate is unsatisfiable over the variable box), or Unbounded
-(an improving recession direction).  Certificates are re-checked
-before being returned; a solve that cannot produce a certificate that
+Every LP has one form: rows A x (senses) b over x >= 0, any other
+bound being a row.  The solver classifies every well-formed LP as
+Optimal (primal point, row duals, reduced costs), Infeasible (nonnegative
+row multipliers whose aggregate no x >= 0 satisfies), or Unbounded (an
+improving recession direction).  Certificates are re-checked before
+being returned; a solve that cannot produce a certificate that
 passes verification raises NumericalFailureError instead of guessing.
 
 Pivoting uses Bland's rule with a hard pivot cap, trading speed for a
@@ -32,16 +33,15 @@ the kept tableau is the final one.
 
 Warm start: every outcome carries its pivot count, and an optimal or
 unbounded one also keeps, privately, its final kernel state: the
-tableau in its final basis, the LP's rows (its LpRows) and the variable
-transform.  An LP whose `start` is such an outcome, of an LP over the
-same LpRows object (only the objective and its sense may differ),
-continues phase 2 from a copy of that tableau, which is still
-primal-feasible because the constraints are unchanged; the transform,
-the tableau set-up and phase 1 are skipped.  An LpRows is checked once,
-when made, and read-only, so LPs built over it need no check of their
-rows, and rows are matched by identity alone.  An LP given its own A,
-senses, b, lo and hi gets a fresh LpRows, holding copies, so it starts
-cold; LPs built over its `rows` can continue from its outcome.  Any
+tableau in its final basis and the LP's rows (its LpRows).  An LP whose
+`start` is such an outcome, of an LP over the same LpRows object (only
+the objective and its sense may differ), continues phase 2 from a copy
+of that tableau, which is still primal-feasible because the constraints
+are unchanged; the tableau set-up and phase 1 are skipped.  An LpRows is
+checked once, when made, and read-only, so LPs built over it need no
+check of their rows, and rows are matched by identity alone.  An LP
+given its own A, senses and b gets a fresh LpRows, holding copies, so it
+starts cold; LPs built over its `rows` can continue from its outcome.  Any
 other start (none, an infeasible outcome, or one over other rows, even
 rows equal by value) is a cold start from the slack/artificial basis.
 Certificates are checked the same way either way.  An outcome
@@ -68,32 +68,28 @@ class NumericalFailureError(Exception):
 
 
 class LpRows:
-    """An LP's rows and variable bounds, checked once and then read-only.
+    """An LP's rows A, senses and b over x >= 0, checked once and then read-only.
 
-    A, b, lo and hi are the object's own float arrays (copies of what it
-    was given), marked read-only, and senses is a tuple, so LPs that share
-    one LpRows share its checks and can never see it change.  lo and hi
-    default to 0 and +inf; they may be infinite but not NaN.
+    A (one row per sense, num_vars columns; [] is no rows) and b are the
+    object's own float arrays (copies of what it was given), marked
+    read-only, and senses is a tuple, so LPs that share one LpRows share
+    its checks and can never see it change.  lo and hi are 0 and +inf.
     """
 
-    def __init__(self, A, senses, b, lo=None, hi=None, num_vars=None):
-        A = np.array(A, dtype=float)
-        n = A.shape[-1] if num_vars is None else num_vars
-        self.A = A.reshape(-1, n)
+    def __init__(self, A, senses, b, num_vars=None):
+        self.A = np.array(A, dtype=float)
         self.b = np.array(b, dtype=float)
         self.senses = tuple(senses)
-        self.lo = np.zeros(n) if lo is None else np.array(lo, dtype=float)
-        self.hi = np.full(n, INF) if hi is None else np.array(hi, dtype=float)
-        if len(self.senses) != self.A.shape[0] or self.b.size != self.A.shape[0]:
+        n = self.A.shape[-1] if num_vars is None else num_vars
+        if self.A.shape == (0,):
+            self.A = self.A.reshape(0, n)
+        if self.A.shape != (len(self.senses), n):
+            raise ValueError(f"A is {self.A.shape}, not {len(self.senses)} rows by {n}")
+        if self.b.shape != (len(self.senses),):
             raise ValueError("row count mismatch")
-        if self.lo.size != n or self.hi.size != n:
-            raise ValueError("bound size mismatch")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise ValueError("matrix and rhs entries must be finite")
-        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
-            raise ValueError("bounds must not be NaN")
-        if np.any(self.lo > self.hi):
-            raise ValueError("lo > hi")
+        self.lo, self.hi = np.zeros(n), np.full(n, INF)
         senses = np.array(self.senses, dtype=object)
         self.le, self.ge, self.eq = senses == "<=", senses == ">=", senses == "="
         if not np.all(self.le | self.ge | self.eq):
@@ -108,37 +104,35 @@ class LpRows:
 
 @dataclass
 class LinearProgram:
-    """One LP: an objective over rows given either as A, senses, b, lo
-    and hi (checked and copied into a fresh LpRows) or as `rows`, an
-    LpRows that several LPs share; A, senses, b, lo and hi then read it.
-    `start` warm-starts only over the same LpRows object, so LPs that
-    should continue from each other's outcomes share `rows`."""
+    """One LP: an objective over x >= 0 and rows given either as A, senses
+    and b (checked and copied into a fresh LpRows) or as `rows`, an LpRows
+    that several LPs share; A, senses, b, lo and hi then read it.  `start`
+    warm-starts only over the same LpRows object, so LPs that should
+    continue from each other's outcomes share `rows`."""
 
     sense: str                 # "min" or "max"
     c: np.ndarray
     A: np.ndarray = None       # shape (m, n); may be empty (0, n)
     senses: list = None        # per-row "<=", ">=", "="
     b: np.ndarray = None
-    lo: np.ndarray = None
-    hi: np.ndarray = None
     start: LpOutcome = None    # an earlier outcome; warm when its LP had these rows
     rows: LpRows = None
     secondary: np.ndarray = None   # tie-break objective on the optimal face, same sense
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        given = (self.A, self.senses, self.b, self.lo, self.hi)
+        given = (self.A, self.senses, self.b)
         if self.rows is None:
             if self.A is None or self.senses is None or self.b is None:
                 raise TypeError("an LP needs A, senses and b, or rows")
             self.rows = LpRows(*given, num_vars=self.c.size)
         else:
             # dataclasses.replace passes the rows' own arrays back in with them
-            own = (self.rows.A, self.rows.senses, self.rows.b, self.rows.lo, self.rows.hi)
+            own = (self.rows.A, self.rows.senses, self.rows.b)
             if any(g is not None and g is not r for g, r in zip(given, own)):
-                raise ValueError("give rows, or A, senses, b, lo and hi, not both")
+                raise ValueError("give rows, or A, senses and b, not both")
             if self.rows.num_vars != self.c.size:
-                raise ValueError("bound size mismatch")
+                raise ValueError("objective size mismatch")
         rows = self.rows
         self.A, self.senses, self.b, self.lo, self.hi = \
             rows.A, rows.senses, rows.b, rows.lo, rows.hi
@@ -281,50 +275,6 @@ def _verify_ray(lp, d):
     return gain > FEAS_TOL if lp.sense == "max" else gain < -FEAS_TOL
 
 
-# -- variable transformation --------------------------------------------------------
-
-
-@dataclass
-class _Transform:
-    """Affine map x = shift + M u onto nonnegative kernel variables.
-
-    Kernel column k is sign[k] times original variable var[k] (after the
-    shift): a variable with a finite lower bound, or only a finite upper
-    bound, takes one column, a free variable two.  A variable with both
-    bounds finite also adds a `<=` row on its column.
-    """
-
-    var: np.ndarray
-    sign: np.ndarray
-    shift: np.ndarray
-
-    def to_x(self, u, base):
-        """base plus M u, summed column by column in kernel order."""
-        x = base.copy()
-        np.add.at(x, self.var, self.sign * u)
-        return x
-
-
-def _transform(lp):
-    lo_fin, hi_fin = np.isfinite(lp.lo), np.isfinite(lp.hi)
-    free = ~lo_fin & ~hi_fin
-    var = np.repeat(np.arange(lp.num_vars), np.where(free, 2, 1))
-    first = np.searchsorted(var, np.arange(lp.num_vars))   # each var's first column
-    sign = np.ones(var.size)
-    sign[first[~lo_fin & hi_fin]] = -1.0
-    sign[first[free] + 1] = -1.0
-    shift = np.where(lo_fin, lp.lo, np.where(hi_fin, lp.hi, 0.0))
-    boxed = np.flatnonzero(lo_fin & hi_fin)
-    m, nb = lp.num_rows, boxed.size
-    A = np.zeros((m + nb, var.size))
-    A[:m] += sign * lp.A[:, var]
-    A[m + np.arange(nb), first[boxed]] = 1.0
-    b = np.concatenate([lp.b - (lp.A @ shift if m else np.zeros(0)),
-                        lp.hi[boxed] - lp.lo[boxed]])
-    senses = list(lp.senses) + ["<="] * nb
-    return _Transform(var=var, sign=sign, shift=shift), A, senses, b
-
-
 # -- kernel -------------------------------------------------------------------------
 
 
@@ -335,30 +285,29 @@ def _solve_impl(lp):
     else:
         tab, y = _cold_start(lp)
         if y is not None:
-            # violation-orientation multipliers for the original rows
-            f = np.where(lp._le, -1.0, 1.0) * y[:lp.num_rows]
+            # violation-orientation multipliers for the LP's rows
+            f = np.where(lp._le, -1.0, 1.0) * y
             peak = float(np.max(np.abs(f))) if lp.num_rows else 0.0
             if peak > 0:
                 f = f / peak
             return LpOutcome(status="infeasible", farkas=f, pivots=tab.pivots)
-    t, n = tab.t, tab.n
     cost = tab.kernel_cost(lp.c, lp.sense)
     since = tab.pivots
     entering, red = tab.run(cost, tab.art, since)
     if entering == -1 and lp.secondary is not None:
         entering = tab.settle_face(cost, red, lp.secondary, lp.sense, since)
     if entering != -1:
-        d = t.to_x(tab.ray_along(entering)[:n], np.zeros(lp.num_vars))
+        d = tab.ray_along(entering)[:tab.n] + 0.0   # + 0.0 turns -0.0 into 0.0
         peak = np.max(np.abs(d))
         if peak > 0:
             d = d / peak
         return LpOutcome(status="unbounded", ray=d, pivots=tab.pivots, _tableau=tab)
-    u = np.zeros(cost.size)
-    u[tab.basis] = tab.T[:, -1]
-    x = t.to_x(u[:n], t.shift)
+    values = np.zeros(cost.size)   # of every kernel column
+    values[tab.basis] = tab.T[:, -1]
+    x = values[:tab.n] + 0.0
     y = np.zeros(tab.flip.size)
     y[tab.origin] = cost[tab.basis] @ tab.T[:, tab.reader]
-    y = (y * tab.flip)[:lp.num_rows]
+    y = y * tab.flip
     if lp.sense == "max":
         y = -y
     rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
@@ -367,22 +316,21 @@ def _solve_impl(lp):
 
 
 class _Tableau:
-    """Kernel state of  min c.u  s.t.  A u (senses) b,  u >= 0,  in one basis.
+    """Kernel state of  min c.x  s.t.  A x (senses) b,  x >= 0,  in one basis.
 
-    T's columns are u (the first n), then one slack per inequality row,
+    T's columns are x (the first n), then one slack per inequality row,
     then one artificial (`art`) per `>=` or `=` row, after rows with
     b < 0 are negated (`flip`), then the rhs; `basis` lists each row's
     basic column.  Row i of T is kernel row origin[i] (phase 1 drops
     redundant rows), whose dual is read from its slack or artificial
-    column, reader[i].
-    `t` maps u back to x, and `rows` is the LP's LpRows, which a warm
-    start must share.
+    column, reader[i].  `rows` is the LP's LpRows, which a warm start
+    must share.
     """
 
-    def __init__(self, T, basis, reader, flip, art, n, t, rows):
+    def __init__(self, T, basis, reader, flip, art, n, rows):
         self.T, self.basis, self.reader = T, basis, reader
         self.origin = np.arange(basis.size)
-        self.flip, self.art, self.n, self.t, self.rows = flip, art, n, t, rows
+        self.flip, self.art, self.n, self.rows = flip, art, n, rows
         self.cap = 10 * (basis.size + T.shape[1] - 1) ** 2
         self.pivots = 0
 
@@ -410,9 +358,9 @@ class _Tableau:
         self.basis[rowi] = colj
 
     def kernel_cost(self, c, sense):
-        """The minimised kernel cost of objective c under `sense`: 0 past u."""
+        """The minimised kernel cost of objective c under `sense`: 0 past x."""
         cost = np.zeros(self.T.shape[1] - 1)
-        cost[:self.n] = self.t.sign * (c if sense == "min" else -c)[self.t.var]
+        cost[:self.n] = c if sense == "min" else -c
         return cost
 
     def reduced_costs(self, cost):
@@ -528,10 +476,10 @@ def _cold_start(lp):
 
     Returns (tableau, None) with a primal-feasible basis, or (tableau,
     y) when phase 1 proves the LP infeasible, where y holds the phase-1
-    row multipliers stated for the kernel rows as given (not the
+    row multipliers stated for the LP's rows as given (not the
     sign-flipped copies).
     """
-    t, A, senses, b = _transform(lp)
+    A, senses, b = lp.A.copy(), list(lp.senses), lp.b.copy()
     m, n = A.shape
     flip = np.ones(m)
     for i in range(m):
@@ -569,7 +517,7 @@ def _cold_start(lp):
     art = np.array(sorted(art_of.values()), dtype=int)
     reader = np.array([art_of[i] if i in art_of else slack_of[i] for i in range(m)],
                       dtype=int)
-    tab = _Tableau(T, basis, reader, flip, art, n, t, lp.rows)
+    tab = _Tableau(T, basis, reader, flip, art, n, lp.rows)
     if not art.size:
         return tab, None
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pathlib
+import types
 
 import pytest
 
@@ -273,6 +274,19 @@ def test_compare_three_way_agreement(tmp_path, capsys):
     assert lines[0].startswith("instance,method,status")
     assert len(lines) == 1 + 2 * 3
     assert all(line.endswith(",=") for line in lines[1:])
+
+
+def test_compare_times_the_classical_split_and_brute_force(tmp_path, monkeypatch):
+    import ddbd.cli as cli
+
+    # naive-bd runs from 10.0 to 10.25, brute force from 20.0 to 21.5
+    ticks = iter([10.0, 10.25, 20.0, 21.5])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--sizes", "2,2,1", "--seeds", "0", "--out", str(out)]) == 0
+    times = {row[1]: row[4] for row in
+             (line.split(",") for line in out.read_text().strip().splitlines()[1:])}
+    assert times["naive-bd"] == "0.250" and times["brute-force"] == "1.500"
 
 
 def test_compare_empty_seed_list(tmp_path):

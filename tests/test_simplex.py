@@ -15,11 +15,11 @@ from ddbd.simplex import (
 from reference_lp import best_vertex_value, enumerate_vertices
 
 
-def make_lp(sense, c, rows, senses, b, lo=None, hi=None):
+def make_lp(sense, c, rows, senses, b):
     c = np.asarray(c, dtype=float)
     return LinearProgram(sense=sense, c=c,
                          A=np.asarray(rows, dtype=float).reshape(len(senses), c.size),
-                         senses=senses, b=np.asarray(b, dtype=float), lo=lo, hi=hi)
+                         senses=senses, b=np.asarray(b, dtype=float))
 
 
 # -- hand-checked cases ---------------------------------------------------------
@@ -78,20 +78,13 @@ def test_ray_too_flat_to_certify_is_passed_over():
 
 
 def test_equality_rows_and_boxes():
+    # the box x <= 1 as rows
     lp = make_lp("min", [1.0, 2.0, 0.0],
-                 [[1.0, 1.0, 1.0]], ["="], [2.0],
-                 lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
+                 [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                 ["=", "<=", "<=", "<="], [2.0, 1.0, 1.0, 1.0])
     out = solve(lp)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(1.0)  # x = (1, 0, 1)
-
-
-def test_free_variable():
-    lp = make_lp("min", [1.0], [[1.0]], [">="], [-5.0],
-                 lo=[-np.inf], hi=[np.inf])
-    out = solve(lp)
-    assert out.status == "optimal"
-    assert out.objective == pytest.approx(-5.0)
 
 
 # -- certificate rejection -------------------------------------------------------
@@ -103,21 +96,22 @@ def test_an_unknown_row_sense_is_rejected(sense):
         LinearProgram(sense="min", c=[1.0], A=[[1.0]], senses=[sense], b=[1.0])
 
 
-@pytest.mark.parametrize("bound", ["lo", "hi"])
-def test_a_nan_bound_is_rejected(bound):
-    # a NaN bound is not finite, so _verify_ray would read it as none: with
-    # hi = [nan], max x over x >= 0 came back as a self-verified ray
-    with pytest.raises(ValueError, match="NaN"):
-        make_lp("max", [1.0], [[1.0]], [">="], [0.0], **{bound: [np.nan]})
-    with pytest.raises(ValueError, match="NaN"):
-        LpRows([[1.0]], [">="], [0.0], **{bound: [np.nan]})
+@pytest.mark.parametrize("A, senses, num_vars", [
+    (np.ones((4, 3)), ["<=", "<="], 6),    # was read as 2 rows by 6
+    (np.ones((2, 3)), ["<=", "<=", "<="], 2),   # was read as 3 rows by 2
+    (np.ones(3), ["<="], 3),
+], ids=["4x3-as-2x6", "2x3-as-3x2", "1-d"])
+def test_a_matrix_of_the_wrong_shape_is_rejected(A, senses, num_vars):
+    b = np.zeros(len(senses))
+    with pytest.raises(ValueError, match="rows by"):
+        LinearProgram(sense="min", c=np.ones(num_vars), A=A, senses=senses, b=b)
+    with pytest.raises(ValueError, match="rows by"):
+        LpRows(A, senses, b, num_vars=num_vars)
 
 
-def test_infinite_bounds_stay_allowed():
-    out = solve(make_lp("max", [1.0], [[1.0]], [">="], [0.0], lo=[-np.inf], hi=[np.inf]))
-    assert out.status == "unbounded"
-    out = solve(make_lp("min", [1.0], [[1.0]], [">="], [0.0], lo=[-np.inf], hi=[np.inf]))
-    assert out.status == "optimal" and out.x[0] == 0.0
+def test_an_empty_matrix_is_no_rows():
+    out = solve(LinearProgram(sense="min", c=[1.0, 2.0], A=[], senses=[], b=[]))
+    assert out.status == "optimal" and out.x.tolist() == [0.0, 0.0]
 
 
 def test_verify_rejects_bad_farkas_sign():
@@ -146,6 +140,7 @@ def test_verify_recomputes_optimal_residuals():
 
 
 def random_lp(rng, nmax=6, mmax=8, force_feasible=False):
+    """A random LP whose last n rows are its box, x_j <= hi_j."""
     n = rng.integers(1, nmax + 1)
     m = rng.integers(1, mmax + 1)
     A = np.round(rng.uniform(-3, 3, size=(m, n)), 2)
@@ -165,7 +160,8 @@ def random_lp(rng, nmax=6, mmax=8, force_feasible=False):
     c = np.round(rng.uniform(-2, 2, size=n), 2)
     hi = np.round(rng.uniform(1, 6, size=n), 2)
     sense = "min" if rng.random() < 0.5 else "max"
-    return make_lp(sense, c, A, senses, b, lo=np.zeros(n), hi=hi)
+    return make_lp(sense, c, np.vstack([A, np.eye(n)]), senses + ["<="] * n,
+                   np.append(b, hi))
 
 
 def test_strong_duality_on_random_boxed_lps():
@@ -193,7 +189,8 @@ def test_larger_feasible_lps_match_reference():
         x0 = np.round(rng.uniform(0, 1.5, size=n), 2)
         b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
         c = np.round(rng.uniform(-2, 2, size=n), 2)
-        lp = make_lp("min", c, A, ["<="] * m, b, lo=np.zeros(n), hi=np.full(n, 4.0))
+        lp = make_lp("min", c, np.vstack([A, np.eye(n)]), ["<="] * (m + n),
+                     np.append(b, np.full(n, 4.0)))
         out = solve(lp)
         ref = best_vertex_value(lp)
         assert out.status == "optimal"
@@ -209,13 +206,14 @@ def test_farkas_soundness_random():
         if out.status != "infeasible":
             continue
         found += 1
-        # the aggregated row must exclude every vertex of the box relaxation
+        # the aggregated row must exclude every vertex of the generator's box
         orient = np.array([1.0 if s in (">=", "=") else -1.0 for s in lp.senses])
         w = (orient * out.farkas) @ lp.A
         r = float((orient * out.farkas) @ lp.b)
+        hi = lp.b[-lp.num_vars:]
         for _ in range(50):
             pick = rng.integers(0, 2, size=lp.num_vars)
-            x = np.where(pick == 0, lp.lo, lp.hi)
+            x = np.where(pick == 0, 0.0, hi)
             assert float(w @ x) < r - 1e-9
 
 
@@ -313,15 +311,16 @@ def test_farkas_sign_boundary():
 
 
 def test_farkas_margin_boundary():
-    # r - best must exceed FEAS_TOL (1 + |r|)
-    # x1 >= 1 + t over x1 in [0, 1]: r = 1 + t, best = 1 from the upper bound
+    # r - best must exceed FEAS_TOL (1 + |r|); the rows aggregate to w = 0,
+    # so best is 0 and r = t
+    # x1 >= 1 + t with the row x1 <= 1
     assert_boundary(lambda t: farkas_holds(
-        make_lp("max", [1.0], [[1.0]], [">="], [1.0 + t], lo=[0.0], hi=[1.0]), [1.0]),
-        FEAS_TOL * 2.0 / (1.0 - FEAS_TOL), lower_is_bad=True)
-    # x1 <= 1 - t over x1 in [1, inf): r = t - 1, best = -1 from the lower bound
+        make_lp("max", [1.0], [[1.0], [1.0]], [">=", "<="], [1.0 + t, 1.0]), [1.0, 1.0]),
+        FEAS_TOL / (1.0 - FEAS_TOL), lower_is_bad=True)
+    # x1 <= 1 - t with the row x1 >= 1
     assert_boundary(lambda t: farkas_holds(
-        make_lp("max", [1.0], [[1.0]], ["<="], [1.0 - t], lo=[1.0]), [1.0]),
-        FEAS_TOL * 2.0 / (1.0 + FEAS_TOL), lower_is_bad=True)
+        make_lp("max", [1.0], [[1.0], [1.0]], ["<=", ">="], [1.0 - t, 1.0]), [1.0, 1.0]),
+        FEAS_TOL / (1.0 - FEAS_TOL), lower_is_bad=True)
 
 
 def test_ray_row_residual_boundary():
@@ -334,11 +333,10 @@ def test_ray_row_residual_boundary():
 
 
 def test_ray_bound_sign_boundary():
-    # max x1 st -x1 <= 1; x2 is bounded below (then above) and d moves it the wrong way
+    # max x1 st -x1 <= 1; x2 >= 0 (then also the row x2 <= 0) and d moves it the wrong way
     lp = make_lp("max", [1.0, 0.0], [[-1.0, 0.0]], ["<="], [1.0])
     assert_boundary(lambda t: ray_holds(lp, [1.0, -t]), FEAS_TOL)
-    lp = make_lp("max", [1.0, 0.0], [[-1.0, 0.0]], ["<="], [1.0],
-                 lo=[0.0, -np.inf], hi=[np.inf, 0.0])
+    lp = make_lp("max", [1.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]], ["<=", "<="], [1.0, 0.0])
     assert_boundary(lambda t: ray_holds(lp, [1.0, t]), FEAS_TOL)
 
 
@@ -359,7 +357,7 @@ def start_data(**changes):
     0 and 1, then the artificial of the ">=" row 0, so a cold start needs
     phase 1."""
     data = dict(A=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]), senses=[">=", "<="],
-                b=np.array([1.0, 2.0]), lo=None, hi=None)
+                b=np.array([1.0, 2.0]))
     data.update(changes)
     return data
 
@@ -404,32 +402,32 @@ def count_calls(monkeypatch, owner, name):
     ((1.0, 2.0, 3.0, 1.0), dict(A=np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 0.0]]))),
     ((1.0, 2.0, 3.0), dict(b=np.array([1.0, 3.0]))),
     ((1.0, 2.0, 3.0), dict(senses=[">=", "="])),
-    ((1.0, 2.0, 3.0), dict(lo=np.array([0.0, 0.5, 0.0]))),
-    ((1.0, 2.0, 3.0), dict(hi=np.array([np.inf, np.inf, 4.0]))),
     ((1.0, 2.0, 3.0), dict()),
-], ids=["A", "A-shape", "b", "sense", "lo", "hi", "equal-values"])
-def test_a_start_over_other_rows_is_a_cold_start(c, changes):
+], ids=["A", "A-shape", "b", "sense", "equal-values"])
+def test_a_start_over_other_rows_is_a_cold_start(c, changes, monkeypatch):
     start = solve(start_lp())
     assert start.status == "optimal"
     # another LpRows, even one equal to START_ROWS by value, starts cold
     rows = start_rows(**changes)
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
     out = solve(start_lp(c, start=start, rows=rows))
+    assert len(colds) == 1
     assert same_outcome(out, solve(start_lp(c, rows=rows)))
 
 
 def test_a_warm_start_skips_the_transform_and_phase_one(monkeypatch):
     cold = solve(start_lp())
     assert cold.status == "optimal" and cold.pivots > 0
-    transforms = count_calls(monkeypatch, simplex, "_transform")
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
     dense_solves = count_calls(monkeypatch, np.linalg, "solve")
     again = solve(start_lp(start=cold))
     assert again.pivots == 0 and again.objective == cold.objective
     # another objective over the same rows: the kept basis is still feasible
     c = (3.0, 2.0, 1.0)
     warm = solve(start_lp(c, start=cold))
-    assert transforms == [] and dense_solves == []
+    assert colds == [] and dense_solves == []
     ref = solve(start_lp(c))
-    assert len(transforms) == 1
+    assert len(colds) == 1
     assert warm.status == ref.status == "optimal"
     assert warm.objective == pytest.approx(ref.objective, rel=1e-12)
     assert warm.pivots < ref.pivots
@@ -450,9 +448,9 @@ def test_an_infeasible_outcome_hands_on_no_state(monkeypatch):
                       A=np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]))
     infeasible = solve(start_lp(rows=rows))
     assert infeasible.status == "infeasible"
-    transforms = count_calls(monkeypatch, simplex, "_transform")
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
     out = solve(start_lp((3.0, 2.0, 1.0), start=infeasible, rows=rows))
-    assert len(transforms) == 1
+    assert len(colds) == 1
     assert same_outcome(out, solve(start_lp((3.0, 2.0, 1.0), rows=rows)))
 
 
@@ -469,26 +467,13 @@ def test_lps_over_one_lp_rows_warm_start_with_no_row_check(monkeypatch):
     cold = solve(LinearProgram(sense="min", c=np.array([1.0, 2.0, 3.0]), rows=rows))
     checks = count_calls(monkeypatch, np, "array_equal")
     finite = count_calls(monkeypatch, np, "isfinite")
-    transforms = count_calls(monkeypatch, simplex, "_transform")
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
     lp = LinearProgram(sense="min", c=np.array([3.0, 2.0, 1.0]), rows=rows, start=cold)
     assert checks == [] and len(finite) == 1   # the objective's check only
     warm = solve(lp)
-    assert checks == [] and transforms == []
+    assert checks == [] and colds == []
     # the same outcome as a warm start over another LpRows of these values
     assert same_outcome(warm, solve(start_lp((3.0, 2.0, 1.0), start=solve(start_lp()))))
-
-
-@pytest.mark.parametrize("changes", [
-    dict(b=np.array([1.0, 3.0])),
-    dict(hi=np.array([np.inf, np.inf, 4.0])),
-], ids=["b", "hi"])
-def test_a_start_over_other_row_values_is_cold_with_shared_rows(changes, monkeypatch):
-    start = solve(start_lp())
-    other = start_rows(**changes)
-    transforms = count_calls(monkeypatch, simplex, "_transform")
-    out = solve(start_lp(start=start, rows=other))
-    assert len(transforms) == 1
-    assert same_outcome(out, solve(start_lp(rows=other)))
 
 
 def given_arrays_lp(c=(1.0, 2.0, 3.0), start=None, **changes):
@@ -503,27 +488,28 @@ def test_an_lp_keeps_its_own_copy_of_rows_its_caller_changes_in_place(monkeypatc
     cold = solve(first)
     A[1, 2], b[1] = -2.0, 3.0   # the caller's arrays stay writeable
     assert first.A[1, 2] == -1.0 and first.b[1] == 2.0
-    transforms = count_calls(monkeypatch, simplex, "_transform")
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
     out = solve(given_arrays_lp(A=A, b=b, start=cold))
-    assert len(transforms) == 1
+    assert len(colds) == 1
     assert same_outcome(out, solve(given_arrays_lp(A=A.copy(), b=b.copy())))
     # the LP's own LpRows is what its outcome warm-starts
     again = solve(start_lp(start=cold, rows=first.rows))
-    assert len(transforms) == 2 and again.pivots == 0
+    assert len(colds) == 2 and again.pivots == 0
 
 
 def test_an_lps_rows_are_read_only():
-    lp = given_arrays_lp(lo=np.zeros(3))
+    lp = given_arrays_lp()
     for a in (lp.A, lp.b, lp.lo, lp.hi, lp.rows.A):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+    assert lp.lo.tolist() == [0.0] * 3 and lp.hi.tolist() == [np.inf] * 3
     assert isinstance(lp.senses, tuple)
     shared = LinearProgram(sense="max", c=np.ones(3), rows=lp.rows)
     assert shared.rows is lp.rows and shared.A is lp.A
     with pytest.raises(ValueError, match="not both"):
         LinearProgram(sense="max", c=np.ones(3), A=np.ones((2, 3)), rows=lp.rows)
-    with pytest.raises(ValueError, match="bound size"):
+    with pytest.raises(ValueError, match="objective size"):
         LinearProgram(sense="max", c=np.ones(2), rows=lp.rows)
 
 
@@ -545,7 +531,7 @@ def test_a_dropped_outcome_is_collected_over_a_chain_of_warm_solves():
 
 def test_warm_chains_do_not_drift_from_a_fresh_factorization():
     # rows: A x <= b (slack 1) and x1 + ... + xn >= 1 (slack -1, artificial),
-    # so the kernel tableau is [A | slacks | artificial | b] with no transform
+    # so the kernel tableau is [A | slacks | artificial | b]
     rng = np.random.default_rng(11)
     n, m = 8, 10
     A = np.vstack([np.round(rng.uniform(-1.0, 3.0, size=(m - 1, n)), 2), np.ones(n)])
@@ -593,8 +579,8 @@ def dense_pivot(self, rowi, colj):
 
 def kernel_lp(rng):
     """A small LP with sparse rows of every sense; feasible around a point
-    (degenerate when slack is zero) or with a random rhs, and with boxed,
-    half-bounded and free variables, so it may be infeasible or unbounded."""
+    (degenerate when slack is zero) or with a random rhs, and with some
+    variables boxed by rows x_j <= hi_j, so it may be infeasible or unbounded."""
     n, m = rng.integers(1, 7), rng.integers(1, 9)
     A = np.round(rng.uniform(-3, 3, size=(m, n)), 1) * (rng.random((m, n)) < 0.6)
     senses = list(rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.35, 0.15]))
@@ -605,11 +591,12 @@ def kernel_lp(rng):
         b = A @ x0 + orient * slack
     else:
         b = np.round(rng.uniform(-3, 3, size=m), 1)
-    lo = np.where(rng.random(n) < 0.2, -np.inf, np.where(rng.random(n) < 0.2, -1.0, 0.0))
-    hi = np.where(rng.random(n) < 0.5, np.inf, np.round(rng.uniform(1, 6, size=n), 1))
+    boxed = np.flatnonzero(rng.random(n) < 0.5)
+    A = np.vstack([A, np.eye(n)[boxed]])
+    senses += ["<="] * boxed.size
+    b = np.append(b, np.round(rng.uniform(1, 6, size=boxed.size), 1))
     c = np.round(rng.uniform(-2, 2, size=n), 1)
-    return LinearProgram(sense=str(rng.choice(["min", "max"])), c=c, A=A, senses=senses,
-                         b=b, lo=lo, hi=hi)
+    return LinearProgram(sense=str(rng.choice(["min", "max"])), c=c, A=A, senses=senses, b=b)
 
 
 def kernel_chains(seed, count):
@@ -771,7 +758,7 @@ def test_a_secondary_unbounded_on_the_face_stops_at_an_optimal_basis(monkeypatch
     out = solve(with_secondary(lp, [0.0, -1.0]))
     assert out.status == "optimal" and out.objective == pytest.approx(0.0)
     assert verify_certificate(lp, out)
-    # the same on random LPs with free and half-bounded variables: record
+    # the same on random LPs with boxed and unbounded variables: record
     # whether each secondary run (the first run inside settle_face) ends on a ray
     entered, rays = [], []
     real_run, real_settle = simplex._Tableau.run, simplex._Tableau.settle_face
