@@ -476,6 +476,16 @@ def test_lps_over_one_lp_rows_warm_start_with_no_row_check(monkeypatch):
     assert same_outcome(warm, solve(start_lp((3.0, 2.0, 1.0), start=solve(start_lp()))))
 
 
+@pytest.mark.parametrize("changes", [dict(b=np.array([1.0, 3.0]))], ids=["b"])
+def test_a_start_over_other_row_values_is_cold_with_shared_rows(changes, monkeypatch):
+    start = solve(start_lp())
+    other = start_rows(**changes)
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
+    out = solve(start_lp(start=start, rows=other))
+    assert len(colds) == 1
+    assert same_outcome(out, solve(start_lp(rows=other)))
+
+
 def given_arrays_lp(c=(1.0, 2.0, 3.0), start=None, **changes):
     """start_lp's LP given its rows as arrays, so it makes its own LpRows."""
     return LinearProgram(sense="min", c=np.array(c), start=start, **start_data(**changes))
