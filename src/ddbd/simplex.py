@@ -43,11 +43,21 @@ check of their rows, and rows are matched by identity alone.  An LP
 given its own A, senses and b gets a fresh LpRows, holding copies, so it
 starts cold; LPs built over its `rows` can continue from its outcome.  Any
 other start (none, an infeasible outcome, or one over other rows, even
-rows equal by value) is a cold start from the slack/artificial basis.
-Certificates are checked the same way either way.  An outcome
-references neither its LP nor that LP's start, so a chain of warm
-solves keeps alive only the outcomes its caller keeps.  The module
-keeps no state.
+rows equal by value) is a cold start.
+
+Cold start: the slack/artificial tableau, rows with b < 0 negated, taken
+through phase 1.  An LP may instead give `basis`, one entry per row: the
+variable basic in that row, or -1 for the row's own slack.  A cold start
+then skips phase 1 and restates the tableau in that basis with one dense
+solve (basic columns set to the exact identity, basic values in
+[-FEAS_TOL, 0) to 0) before phase 2; a singular basis, or one whose
+values fall below -FEAS_TOL, raises NumericalFailureError.  A kept
+tableau from `start` takes precedence over `basis`.
+
+Certificates are checked the same way from every start.  An outcome
+references neither its LP nor that LP's start, so a chain of warm solves
+keeps alive only the outcomes its caller keeps.  The module keeps no
+state.
 """
 
 from __future__ import annotations
@@ -108,7 +118,10 @@ class LinearProgram:
     and b (checked and copied into a fresh LpRows) or as `rows`, an LpRows
     that several LPs share; A, senses, b, lo and hi then read it.  `start`
     warm-starts only over the same LpRows object, so LPs that should
-    continue from each other's outcomes share `rows`."""
+    continue from each other's outcomes share `rows`.  `basis`, one entry
+    per row (a variable's index, or -1 for the row's own slack, which an
+    `=` row lacks), is where a cold start begins phase 2; it is checked
+    here and kept as a read-only int array."""
 
     sense: str                 # "min" or "max"
     c: np.ndarray
@@ -118,6 +131,7 @@ class LinearProgram:
     start: LpOutcome = None    # an earlier outcome; warm when its LP had these rows
     rows: LpRows = None
     secondary: np.ndarray = None   # tie-break objective on the optimal face, same sense
+    basis: np.ndarray = None       # a cold start's: per row, a variable or -1 (its slack)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -149,6 +163,8 @@ class LinearProgram:
                 raise ValueError("secondary objective entries must be finite")
         if self.start is not None and not isinstance(self.start, LpOutcome):
             raise TypeError("start must be an LpOutcome or None")
+        if self.basis is not None:
+            self.basis = _checked_basis(self.basis, rows)
 
     @property
     def num_vars(self):
@@ -157,6 +173,26 @@ class LinearProgram:
     @property
     def num_rows(self):
         return self.A.shape[0]
+
+
+def _checked_basis(basis, rows):
+    """basis as a read-only int array, or ValueError when it is not one
+    entry per row, each a variable or -1 (the row's slack; not on an `=`
+    row), with no variable twice."""
+    basis = np.array(basis)
+    m = rows.b.size
+    if basis.shape != (m,) or (m and basis.dtype.kind not in "iu"):
+        raise ValueError(f"a basis needs one integer entry per row, {m} in all")
+    basis = basis.astype(int)
+    if np.any(basis < -1) or np.any(basis >= rows.num_vars):
+        raise ValueError("basis entries must be a variable's index or -1")
+    named = basis[basis >= 0].tolist()
+    if len(set(named)) != len(named):
+        raise ValueError("a basis names each variable at most once")
+    if np.any(rows.eq & (basis == -1)):
+        raise ValueError("an '=' row has no slack to be basic")
+    basis.flags.writeable = False
+    return basis
 
 
 @dataclass
@@ -305,9 +341,7 @@ def _solve_impl(lp):
     values = np.zeros(cost.size)   # of every kernel column
     values[tab.basis] = tab.T[:, -1]
     x = values[:tab.n] + 0.0
-    y = np.zeros(tab.flip.size)
-    y[tab.origin] = cost[tab.basis] @ tab.T[:, tab.reader]
-    y = y * tab.flip
+    y = (cost[tab.basis] @ tab.T[:, tab.reader]) * tab.flip
     if lp.sense == "max":
         y = -y
     rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
@@ -321,15 +355,15 @@ class _Tableau:
     T's columns are x (the first n), then one slack per inequality row,
     then one artificial (`art`) per `>=` or `=` row, after rows with
     b < 0 are negated (`flip`), then the rhs; `basis` lists each row's
-    basic column.  Row i of T is kernel row origin[i] (phase 1 drops
-    redundant rows), whose dual is read from its slack or artificial
-    column, reader[i].  `rows` is the LP's LpRows, which a warm start
-    must share.
+    basic column.  Kernel row i's dual is read from its slack or
+    artificial column, reader[i].  Phase 1 drops from T the rows it finds
+    redundant, each with its artificial basic at 0 and priced 0, but not
+    their columns, so reader keeps every row.  `rows` is the LP's LpRows,
+    which a warm start must share.
     """
 
     def __init__(self, T, basis, reader, flip, art, n, rows):
         self.T, self.basis, self.reader = T, basis, reader
-        self.origin = np.arange(basis.size)
         self.flip, self.art, self.n, self.rows = flip, art, n, rows
         self.cap = 10 * (basis.size + T.shape[1] - 1) ** 2
         self.pivots = 0
@@ -356,6 +390,23 @@ class _Tableau:
         T[:, colj] = 0.0
         T[rowi, colj] = 1.0
         self.basis[rowi] = colj
+
+    def restate(self, cols):
+        """Make cols[i] basic in row i by one dense solve, setting the basic
+        columns to the exact identity and basic values in [-FEAS_TOL, 0)
+        to 0; NumericalFailureError when that basis is singular or its
+        values fall below -FEAS_TOL."""
+        try:
+            T = np.linalg.solve(self.T[:, cols], self.T)
+        except np.linalg.LinAlgError:
+            raise NumericalFailureError("start basis is singular") from None
+        if not np.all(np.isfinite(T)):
+            raise NumericalFailureError("start basis is singular")
+        if np.any(T[:, -1] < -FEAS_TOL):
+            raise NumericalFailureError("start basis is infeasible")
+        T[:, cols] = np.eye(cols.size)
+        np.maximum(T[:, -1], 0.0, out=T[:, -1])
+        self.T, self.basis = T, cols
 
     def kernel_cost(self, c, sense):
         """The minimised kernel cost of objective c under `sense`: 0 past x."""
@@ -472,7 +523,8 @@ class _Tableau:
 
 
 def _cold_start(lp):
-    """The LP's tableau in the slack/artificial basis, taken through phase 1.
+    """The LP's tableau in the slack/artificial basis, taken through phase 1,
+    or restated in the LP's `basis` when it gives one.
 
     Returns (tableau, None) with a primal-feasible basis, or (tableau,
     y) when phase 1 proves the LP infeasible, where y holds the phase-1
@@ -518,6 +570,9 @@ def _cold_start(lp):
     reader = np.array([art_of[i] if i in art_of else slack_of[i] for i in range(m)],
                       dtype=int)
     tab = _Tableau(T, basis, reader, flip, art, n, lp.rows)
+    if lp.basis is not None and m:
+        tab.restate(np.array([j if j >= 0 else slack_of[i] for i, j in enumerate(lp.basis)]))
+        return tab, None
     if not art.size:
         return tab, None
 
@@ -546,5 +601,4 @@ def _cold_start(lp):
     if dead_rows:
         keep = np.array([i for i in range(m) if i not in dead_rows], dtype=int)
         tab.T, tab.basis = tab.T[keep], tab.basis[keep]
-        tab.origin, tab.reader = keep, reader[keep]
     return tab, None

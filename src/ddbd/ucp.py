@@ -915,6 +915,52 @@ def _dual_rows(instance):
     return np.array(rows), senses, np.array(rhs)
 
 
+def _merit_order_basis(instance, x, scenario):
+    """A start basis for the dual dispatch LP at the commitment x, one
+    entry per row of _dual_rows (a variable, or -1 for the row's slack):
+    the dual of the merit-order dispatch, feasible with no pivot.
+
+    Per period t the committed units are taken in (c_prod, index) order.
+    The marginal unit m is the first whose cumulative p_max reaches the
+    demand d_t, or the last when capacity falls short, and the price
+    lambda_t is c_m; lambda_t is 0, with no marginal unit, when no unit is
+    committed, when the committed p_min already covers d_t, or when
+    c_m <= 0.  Production row (i, t) has psi_t basic when i is m (value
+    lambda_t), else eta_it when c_i < lambda_t (lambda_t - c_i, the
+    headroom row (i, t) then having pi_it at the same value), else phi_it
+    when unit i is on, else its slack (both c_i - lambda_t).  Every other
+    headroom row keeps its slack (0).  So every value is >= 0, and the
+    basis matrix is triangular with a +-1 diagonal, never singular.
+    """
+    n, T = instance.num_units, instance.horizon
+    nT = n * T
+    PHI, PI, ETA = 2 * T, 2 * T + nT, 2 * T + 4 * nT
+    gens = instance.generators
+    cost = np.array([g.c_prod for g in gens])
+    p_min = np.array([g.p_min for g in gens])
+    p_max = np.array([g.p_max for g in gens])
+    on = np.reshape(x, (n, T)) > 0.5
+    merit = np.argsort(cost, kind="stable")
+    basis = np.full(2 * nT, -1)
+    for t in range(T):
+        units, d = merit[on[merit, t]], scenario.demand[t]
+        marginal, price = -1, 0.0
+        if units.size and p_min[units].sum() < d:
+            reach = np.flatnonzero(np.cumsum(p_max[units]) >= d)
+            m = units[reach[0]] if reach.size else units[-1]
+            if cost[m] > 0:
+                marginal, price = m, cost[m]
+        for i in range(n):
+            k = i * T + t
+            if i == marginal:
+                basis[2 * k] = t
+            elif cost[i] < price:
+                basis[2 * k], basis[2 * k + 1] = ETA + k, PI + k
+            elif on[i, t]:
+                basis[2 * k] = PHI + k
+    return basis
+
+
 def _cut_terms(units, scenario, values):
     """Constant and dense x-coefficients of the dual objective at `values`.
 
@@ -1113,8 +1159,11 @@ class UcpSubproblemOracle(SubproblemOracle):
     of the LP solved before it, the only state kept between LPs: x and
     the scenario change only the objective, so phase 2 continues from
     that outcome's final tableau, which is still primal-feasible (see
-    ddbd.simplex).  Only the first LP is a cold start.  initial_cuts()'s
-    ray checks neither use nor change the kept outcome.
+    ddbd.simplex).  Only the first LP is a cold start, and it begins at
+    the dual of the merit-order dispatch at its commitment and scenario
+    (_merit_order_basis), which is feasible, so it skips phase 1 and
+    needs far fewer pivots than a start from the slack basis.
+    initial_cuts()'s ray checks neither use nor change the kept outcome.
 
     Each scenario LP carries a secondary objective, the dual objective at
     the core point x0 = 0.5 on every commitment variable (priced once,
@@ -1205,10 +1254,11 @@ class UcpSubproblemOracle(SubproblemOracle):
         # the first scenario whose coefficients hold each index, for the order
         seen = np.full(instance.num_vars, len(instance.scenarios))
         for s, sc in enumerate(instance.scenarios):
+            basis = _merit_order_basis(instance, x, sc) if self._last is None else None
             out = solve(LinearProgram(sense="max",
                                       c=_dual_objective(self._demand[s], self._need[s], prices),
                                       rows=self._rows, start=self._last,
-                                      secondary=self._core[s]))
+                                      secondary=self._core[s], basis=basis))
             self._last = out
             if out.status == "unbounded":
                 feas_cuts.append(_feasibility_cut(self._units, sc, out.ray))

@@ -23,6 +23,16 @@ The four rows with no optimal face to move along kept their totals.
 3x4x2 s1 was re-recorded (40, 1) -> (0, 0) when the root pool began with
 the closed-form start-up cut (see test_search_golden): it proves that
 row infeasible at the root, so no dispatch LP is solved.
+
+Every cold total was re-recorded when each oracle's first dispatch LP
+began at the merit-order basis (ucp._merit_order_basis) instead of the
+slack basis: that start is feasible, so phase 1 is skipped, and close to
+optimal, so phase 2 is short; 3x6x16 s0 went (58, 13) -> (8, 13), and
+the ten rows' cold total 386 -> 67.  The warm totals of three rows moved
+too (3x4x2 s2 0 -> 1, 2x4x2 s5 15 -> 13, 4x6x3 s1 13 -> 10), because
+each warm chain continues from the first LP's final tableau, and that
+LP can now end at another vertex of its optimal face.  Every row's status and
+value are unchanged (test_search_golden).
 """
 
 import pytest
@@ -32,16 +42,16 @@ from reference_lp import scaled_instance
 from test_search_golden import GOLDEN
 
 PIVOTS = {   # spec -> (cold, warm) dispatch pivots
-    (3, 4, 2, 0, 1.0): (41, 0),
+    (3, 4, 2, 0, 1.0): (6, 0),
     (3, 4, 2, 1, 1.0): (0, 0),
-    (3, 4, 2, 2, 1.0): (39, 0),
-    (2, 4, 2, 0, 0.4): (16, 0),
-    (3, 3, 1, 0, 0.4): (25, 6),
-    (2, 4, 2, 5, 0.5): (23, 15),
-    (3, 5, 2, 1, 0.8): (49, 6),
-    (3, 6, 3, 1, 0.8): (59, 7),
-    (4, 6, 3, 1, 0.8): (76, 13),
-    (3, 6, 16, 0, 0.9): (58, 13),
+    (3, 4, 2, 2, 1.0): (6, 1),
+    (2, 4, 2, 0, 0.4): (12, 0),
+    (3, 3, 1, 0, 0.4): (5, 6),
+    (2, 4, 2, 5, 0.5): (5, 13),
+    (3, 5, 2, 1, 0.8): (7, 6),
+    (3, 6, 3, 1, 0.8): (8, 7),
+    (4, 6, 3, 1, 0.8): (10, 10),
+    (3, 6, 16, 0, 0.9): (8, 13),
 }
 
 

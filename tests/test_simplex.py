@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from ddbd import simplex
+from ddbd.oracle import scipy_lp_min
 from ddbd.simplex import (
     LinearProgram,
     LpOutcome,
     LpRows,
+    NumericalFailureError,
     solve,
     verify_certificate,
 )
@@ -564,11 +566,109 @@ def test_warm_chains_do_not_drift_from_a_fresh_factorization():
         assert out.status == ref.status == "optimal"
         assert abs(out.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
         tab = out._tableau
-        fresh = np.linalg.solve(T0[tab.origin][:, tab.basis], T0[tab.origin])
+        assert tab.T.shape[0] == m   # phase 1 dropped no row
+        fresh = np.linalg.solve(T0[:, tab.basis], T0)
         assert np.max(np.abs(tab.T - fresh)) <= 1e-9
     assert warm_pivots > 0
     # the chain was warm: its last objective, repeated, takes no pivot
     assert solve(lp(c, start=out)).pivots == 0
+
+
+# -- start basis ------------------------------------------------------------------
+
+
+def flipped_lp(basis=None):
+    """min x1 + 2 x2 with x1 + x2 >= 2 and x1 - x2 <= 1, both given negated
+    (b < 0, so the kernel flips them back and a cold start needs phase 1),
+    and x1 + x2 <= 4; optimal at (1.5, 0.5) in the basis [0, 1, -1]."""
+    lp = make_lp("min", [1.0, 2.0], [[-1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]],
+                 ["<=", ">=", "<="], [-2.0, -1.0, 4.0])
+    return dataclasses.replace(lp, basis=basis)
+
+
+def test_a_start_basis_on_flipped_rows_makes_no_phase_one_pivot(monkeypatch):
+    cold = solve(flipped_lp())
+    assert cold.status == "optimal" and cold.pivots > 0
+    runs = count_calls(monkeypatch, simplex._Tableau, "run")
+    at_optimum = solve(flipped_lp([0, 1, -1]))
+    assert len(runs) == 1 and at_optimum.pivots == 0   # phase 2 alone
+    # from a feasible basis that is not optimal, only phase 2 pivots
+    runs.clear()
+    above = solve(flipped_lp([1, -1, -1]))   # x2 = 2, objective 4
+    assert len(runs) == 1 and above.pivots > 0
+    for out in (at_optimum, above):
+        assert out.status == "optimal"
+        assert out.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert np.allclose(out.duals, cold.duals, rtol=0.0, atol=1e-12)
+
+
+def row_basis(lp, tab):
+    """The final kernel basis of an outcome as LinearProgram.basis entries,
+    or None when an artificial is basic or phase 1 dropped a row."""
+    m, n = lp.num_rows, lp.num_vars
+    ineq = [i for i, s in enumerate(lp.senses) if s != "="]
+    if tab.basis.size != m or np.any(tab.basis >= n + len(ineq)):
+        return None
+    basis = np.full(m, -1)
+    own = {ineq[j - n] for j in tab.basis.tolist() if j >= n}
+    free = (i for i in range(m) if i not in own)
+    for j in tab.basis[tab.basis < n].tolist():
+        basis[next(free)] = j
+    return basis
+
+
+def test_an_optimal_start_basis_needs_no_pivot_on_random_lps():
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(150):
+        lp = random_lp(rng, force_feasible=True)
+        cold = solve(lp)
+        basis = row_basis(lp, cold._tableau) if cold.status == "optimal" else None
+        if basis is None:
+            continue
+        out = solve(dataclasses.replace(lp, basis=basis))
+        assert out.status == "optimal" and out.pivots == 0
+        assert out.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        checked += 1
+    assert checked > 100
+
+
+def test_a_kept_tableau_takes_precedence_over_a_start_basis(monkeypatch):
+    cold = solve(start_lp())
+    dense_solves = count_calls(monkeypatch, np.linalg, "solve")
+    lp = dataclasses.replace(start_lp((3.0, 2.0, 1.0), start=cold), basis=[1, -1])
+    assert same_outcome(solve(lp), solve(start_lp((3.0, 2.0, 1.0), start=cold)))
+    assert dense_solves == []
+
+
+@pytest.mark.parametrize("basis", [[0], [0, 1, 2], [[0, 1]], [0, 3], [0, -2], [1, 1],
+                                   [-1, 0], [0.0, 1.0]],
+                         ids=["short", "long", "shape", "past-n", "below-1", "repeat",
+                              "slack-on-eq", "float"])
+def test_a_malformed_start_basis_is_rejected(basis):
+    # three variables, and an "=" row, which has no slack, then a "<=" row
+    lp = make_lp("min", [1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], ["=", "<="],
+                 [1.0, 2.0])
+    with pytest.raises(ValueError):
+        dataclasses.replace(lp, basis=basis)
+
+
+def test_a_start_basis_is_kept_as_a_read_only_copy():
+    given = [2, -1]
+    lp = make_lp("min", [1.0, 1.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], ["=", "<="],
+                 [1.0, 2.0])
+    lp = dataclasses.replace(lp, basis=given)
+    given[0] = 0
+    assert lp.basis.tolist() == [2, -1] and not lp.basis.flags.writeable
+
+
+@pytest.mark.parametrize("basis", [[1, -1], [0, -1]], ids=["singular", "infeasible"])
+def test_a_singular_or_infeasible_start_basis_raises(basis):
+    # x2 has no entry in row 0, so [1, -1] is singular; x1 = 1 in row 0
+    # leaves row 1 (x1 - x2 <= 0.5) a slack of -0.5
+    lp = make_lp("min", [1.0, 1.0], [[1.0, 0.0], [1.0, -1.0]], ["<=", "<="], [1.0, 0.5])
+    with pytest.raises(NumericalFailureError):
+        solve(dataclasses.replace(lp, basis=basis))
 
 
 # -- the pivot's arithmetic ------------------------------------------------------

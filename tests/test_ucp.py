@@ -484,8 +484,12 @@ def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
 
 def test_ucp_solve_closes_at_the_root():
     # both branched at width 2 while restricted diagrams were cut to the
-    # width; a converged restricted loop over exact ∩ pool solves the root
-    for args, optimum in [((3, 4, 2, 1, 0.6), 31765.555004250513),
+    # width; a converged restricted loop over exact ∩ pool solves the root.
+    # The first pin moved by one ulp (from ...513) when each oracle's first
+    # dispatch LP began at the merit-order basis: that LP reaches its
+    # optimal vertex through another tableau, so its dual values round
+    # differently; the brute-force check below still holds it to 1e-9
+    for args, optimum in [((3, 4, 2, 1, 0.6), 31765.555004250517),
                           ((3, 4, 1, 4, 0.7), 39027.205105283065)]:
         inst = scaled_instance(*args)
         report = ucp_solve(inst)
@@ -798,6 +802,67 @@ def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
                     lhs = sum(c * xt[k] for k, c in cut.coeffs.items()) + cut.z_coeff * z
                     assert cut.satisfied(lhs, tol=1e-6), (x, cut, xt, z)
     assert warm_starts > 0
+
+
+def merit_order_cases():
+    """(instance, commitment, scenario index) over random instances, some
+    units' production costs made negative and demand scaled from x0.05 (the
+    committed minimum output often covers it) to x1.0, at the all-off and
+    all-on commitments and at random ones."""
+    rng = np.random.default_rng(12)
+    for seed in range(24):
+        inst = scaled_instance(int(rng.integers(1, 5)), int(rng.integers(1, 5)), 2, seed,
+                               float(rng.choice([0.05, 0.3, 0.7, 1.0])))
+        inst.generators = [dataclasses.replace(g, c_prod=-g.c_prod)
+                           if rng.random() < 0.3 else g for g in inst.generators]
+        nv = inst.num_vars
+        for x in ([0.0] * nv, [1.0] * nv, *(rng.random((4, nv)) < 0.6).astype(float).tolist()):
+            for s in range(len(inst.scenarios)):
+                yield inst, tuple(x), s
+
+
+def test_the_merit_order_basis_starts_every_dispatch_lp_where_a_cold_start_ends():
+    """The merit-order basis is a feasible start for every scenario's dual
+    LP (restating the tableau in it raises otherwise), and its outcome
+    matches a cold solve's in status and objective, and in the cut's value
+    at the midpoint x0 = 0.5: optimal faces need not be unique, so values
+    are compared, not cut bits."""
+    seen = dict(zero_price=0, priced=0, negative=0, all_off=0, all_on=0, optimal=0)
+    for inst, x, s in merit_order_cases():
+        oracle = UcpSubproblemOracle(inst)
+        sc = inst.scenarios[s]
+        basis = ucp_module._merit_order_basis(inst, x, sc)
+        lp = dataclasses.replace(build_dual_subproblem(inst, x, sc), secondary=oracle._core[s])
+        started, cold = solve(dataclasses.replace(lp, basis=basis)), solve(lp)
+        assert started.status == cold.status
+        if cold.status == "optimal":
+            assert started.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            core, ref_core = oracle._core[s] @ started.x, oracle._core[s] @ cold.x
+            assert core == pytest.approx(ref_core, rel=1e-9, abs=1e-9)
+            seen["optimal"] += 1
+        # psi_t, variable t, is basic exactly when period t has a price
+        priced = np.isin(np.arange(inst.horizon), basis).sum()
+        seen["priced"] += priced
+        seen["zero_price"] += inst.horizon - priced
+        seen["negative"] += any(g.c_prod < 0 for g in inst.generators)
+        seen["all_off"] += not any(x)
+        seen["all_on"] += all(x)
+    assert min(seen.values()) > 20, seen
+
+
+def test_only_the_oracles_first_lp_starts_from_the_merit_order_basis(monkeypatch):
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    calls = record_dual_solves(monkeypatch)
+    oracle = UcpSubproblemOracle(inst)
+    x = (1.0,) * inst.num_vars
+    oracle.evaluate(x)
+    oracle.evaluate((0.0,) * 3 + (1.0,) * (inst.num_vars - 3))
+    assert len(calls) == 32
+    first, out = calls[0]
+    assert first.start is None and np.array_equal(
+        first.basis, ucp_module._merit_order_basis(inst, x, inst.scenarios[0]))
+    assert all(lp.basis is None and lp.start is not None for lp, _ in calls[1:])
+    assert out.pivots < solve(dataclasses.replace(first, basis=None)).pivots
 
 
 def first_short_period(inst, x, sc):
