@@ -7,6 +7,8 @@ row multipliers whose aggregate no x >= 0 satisfies), or Unbounded (an
 improving recession direction).  Certificates are re-checked before
 being returned; a solve that cannot produce a certificate that
 passes verification raises NumericalFailureError instead of guessing.
+The checks assume x >= 0 and nothing else; verify_rays checks a stack
+of rays over one LpRows at once, and one LP's ray is its one-row case.
 
 Pivoting uses Bland's rule with a hard pivot cap, trading speed for a
 finite-termination guarantee.  The tableau has dense storage, with
@@ -231,44 +233,40 @@ def verify_certificate(lp, outcome):
     return False
 
 
-def _rows_hold(lp, res):
-    """Each row's residual (lhs - rhs) is within FEAS_TOL on its feasible side."""
-    return not (np.any(lp._le & (res > FEAS_TOL)) or np.any(lp._ge & (res < -FEAS_TOL))
-                or np.any(lp._eq & (np.abs(res) > FEAS_TOL)))
+def _rows_hold(rows, res):
+    """Whether each row's residual (lhs - rhs) is within FEAS_TOL on its
+    feasible side; one verdict per residual vector when res stacks them."""
+    return ~((~rows.ge & (res > FEAS_TOL)) | (~rows.le & (res < -FEAS_TOL))).any(axis=-1)
 
 
 def _verify_optimal(lp, out):
     x = out.x
-    if x is None or x.size != lp.num_vars or not np.all(np.isfinite(x)):
+    if x is None or x.size != lp.num_vars or not (np.isfinite(x) & (x >= -FEAS_TOL)).all():
         return False
-    if np.any(x < lp.lo - FEAS_TOL) or np.any(x > lp.hi + FEAS_TOL):
-        return False
-    res = lp.A @ x - lp.b if lp.num_rows else np.zeros(0)
-    if not _rows_hold(lp, res):
+    res = lp.A @ x - lp.b
+    if not _rows_hold(lp.rows, res):
         return False
     y = out.duals
     if y is None or y.size != lp.num_rows:
         return False
     sign = 1.0 if lp.sense == "min" else -1.0
-    scale = 1.0 + float(np.max(np.abs(lp.c))) if lp.c.size else 1.0
-    if np.any(lp._le & (sign * y > FEAS_TOL * scale)) or \
-            np.any(lp._ge & (sign * y < -FEAS_TOL * scale)):
+    scale = 1.0 + float(np.abs(lp.c).max()) if lp.c.size else 1.0
+    if (lp._le & (sign * y > FEAS_TOL * scale)).any() or \
+            (lp._ge & (sign * y < -FEAS_TOL * scale)).any():
         return False
     # complementary slackness: active dual implies (near-)tight row
-    if np.any(~lp._eq & (np.abs(y) > FEAS_TOL * scale)
-              & (np.abs(res) > 1e-5 * (1.0 + np.abs(lp.b)))):
+    if (~lp._eq & (np.abs(y) > FEAS_TOL * scale)
+            & (np.abs(res) > 1e-5 * (1.0 + np.abs(lp.b)))).any():
         return False
-    rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
-    if out.reduced_costs is not None and np.max(np.abs(rc - out.reduced_costs)) > 1e-6 * scale:
+    rc = lp.c - lp.A.T @ y
+    if out.reduced_costs is not None and np.abs(rc - out.reduced_costs).max() > 1e-6 * scale:
         return False
+    # over x >= 0 a variable priced above tolerance must sit at 0, and none
+    # may price below -tolerance: no variable has an upper bound to sit at
     r = sign * rc
-    at_lo = r > FEAS_TOL * scale         # variable must sit at its lower bound
-    at_hi = r < -FEAS_TOL * scale        # at its upper bound
-    if np.any(at_lo & ~(np.isfinite(lp.lo) & (x <= lp.lo + 1e-6))) or \
-            np.any(at_hi & ~(np.isfinite(lp.hi) & (x >= lp.hi - 1e-6))):
+    if ((r > FEAS_TOL * scale) & (x > 1e-6)).any() or (r < -FEAS_TOL * scale).any():
         return False
-    dual_obj = float(y @ lp.b) if lp.num_rows else 0.0
-    dual_obj += float(rc[at_lo] @ lp.lo[at_lo] + rc[at_hi] @ lp.hi[at_hi])
+    dual_obj = float(y @ lp.b)
     obj = float(lp.c @ x)
     if abs(obj - out.objective) > 1e-6 * (1.0 + abs(obj)):
         return False
@@ -289,26 +287,29 @@ def _verify_farkas(lp, f):
     # Aggregation noise: entries of w that should be exactly zero come out
     # at rounding level; treat them as zero when deciding boundedness.
     wtol = 1e-9 * peak * (1.0 + float(np.max(np.abs(lp.A))) if lp.num_rows else 1.0)
-    up, down = w > wtol, w < -wtol
-    if not (np.all(np.isfinite(lp.hi[up])) and np.all(np.isfinite(lp.lo[down]))):
+    # over x >= 0, w x is unbounded above if an entry of w is positive, else at most 0
+    if np.any(w > wtol):
         return False
-    best = float(w[up] @ lp.hi[up] + w[down] @ lp.lo[down])
-    return r - best > FEAS_TOL * (1.0 + abs(r))
+    return r > FEAS_TOL * (1.0 + abs(r))
 
 
 def _verify_ray(lp, d):
-    if d is None or d.size != lp.num_vars or not np.all(np.isfinite(d)):
-        return False
-    if np.max(np.abs(d)) <= FEAS_TOL:
-        return False
-    res = lp.A @ d if lp.num_rows else np.zeros(0)
-    if not _rows_hold(lp, res):
-        return False
-    if np.any(np.isfinite(lp.lo) & (d < -FEAS_TOL)) or \
-            np.any(np.isfinite(lp.hi) & (d > FEAS_TOL)):
-        return False
-    gain = float(lp.c @ d)
-    return gain > FEAS_TOL if lp.sense == "max" else gain < -FEAS_TOL
+    return d is not None and d.size == lp.num_vars and \
+        bool(verify_rays(lp.rows, lp.sense, lp.c, d.reshape(1, -1))[0])
+
+
+def verify_rays(rows, sense, c, rays):
+    """Whether each row d of `rays` is an improving ray of the LP over the
+    LpRows `rows` under `sense` with objective the same row of c (or c, if
+    1-D): finite, above FEAS_TOL in some entry and below -FEAS_TOL in none,
+    with A d on each row's feasible side and a gain above FEAS_TOL."""
+    rays = np.asarray(rays, dtype=float)
+    # a ray with an entry that is not finite is zeroed, so the size test rejects it
+    d = np.where(np.all(np.isfinite(rays), axis=1, keepdims=True), rays, 0.0)
+    gain = np.sum(c * d, axis=1)
+    return ((np.max(np.abs(d), axis=1, initial=0.0) > FEAS_TOL)
+            & np.all(d >= -FEAS_TOL, axis=1) & _rows_hold(rows, d @ rows.A.T)
+            & ((gain if sense == "max" else -gain) > FEAS_TOL))
 
 
 # -- kernel -------------------------------------------------------------------------

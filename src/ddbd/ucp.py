@@ -66,11 +66,10 @@ from .engine import (  # noqa: F401
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
-    LpOutcome,
     LpRows,
     NumericalFailureError,
     solve,
-    verify_certificate,
+    verify_rays,
 )
 
 INF = float("inf")
@@ -961,44 +960,46 @@ def _merit_order_basis(instance, x, scenario):
     return basis
 
 
-def _cut_terms(units, scenario, values):
+def _fold(terms):
+    """terms summed over the first axis in order from 0.0, bit for bit a loop of +=."""
+    return np.add.accumulate(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]))[-1]
+
+
+def _cut_terms(units, demand, need, values):
     """Constant and dense x-coefficients of the dual objective at `values`.
 
+    values is one dual vector or a stack of them, priced by the scenario
+    rows demand and need (demand plus reserve) that broadcast against it.
     Returns (const, coef, present), coef and present over the variable
-    indices.  coef at unit i, period j is the sum, in this order, of
-    p_min*phi - p_max*pi, -SU*gamma and (SD - RD)*delta at (i, j), then
-    (SU - RU)*gamma and -SD*delta at (i, j + 1).  Terms at or below
-    COEF_EPS are left out, and present marks the indices where one of
-    the terms is kept.  All entries are summed at once, a left-out term
-    adding +0.0: no partial sum is -0.0, so that changes no bit of adding
-    the kept terms one by one.  units is _unit_columns of the instance.
+    indices; const, a float (an array for a stack), sums from 0.0, period by
+    period, demand and need times their prices.  coef at unit i, period j
+    is the sum, in this order, of p_min*phi - p_max*pi, -SU*gamma and
+    (SD - RD)*delta at (i, j), then (SU - RU)*gamma and -SD*delta at
+    (i, j + 1).  Terms at or below COEF_EPS are left out, and present
+    marks the indices where one of the terms is kept.  All entries are
+    summed at once, a left-out term adding +0.0: no partial sum is -0.0,
+    so that changes no bit of adding the kept terms one by one.  units is
+    _unit_columns of the instance.
     """
     p_min, p_max, su, sd, ru, rd = units
-    n, T = p_min.shape[0], len(scenario.demand)
+    n, T = p_min.shape[-2], demand.shape[-1]
     nT = n * T
     values = np.asarray(values, dtype=float)
-    const = 0.0
-    for j in range(T):
-        const += scenario.demand[j] * values[j]
-        const += (scenario.demand[j] + scenario.reserve[j]) * values[T + j]
-    phi, pi, gam, dlt = values[2 * T:2 * T + 4 * nT].reshape(4, n, T)
-    terms = np.zeros((5, n, T))   # the next period's terms are 0 at the horizon
+    lead = values.shape[:-1]
+    priced = np.stack([demand * values[..., :T], need * values[..., T:2 * T]])
+    const = _fold(np.moveaxis(priced, -1, 0).reshape((2 * T,) + lead))
+    phi, pi, gam, dlt = np.moveaxis(
+        values[..., 2 * T:2 * T + 4 * nT].reshape(lead + (4, n, T)), -3, 0)
+    terms = np.zeros((5,) + lead + (n, T))   # the next period's terms are 0 at the horizon
     terms[0] = p_min * phi - p_max * pi
     terms[1] = -su * gam
     terms[2] = (sd - rd) * dlt
-    terms[3, :, :-1] = (su - ru) * gam[:, 1:]
-    terms[4, :, :-1] = -sd * dlt[:, 1:]
+    terms[3, ..., :-1] = (su - ru) * gam[..., 1:]
+    terms[4, ..., :-1] = -sd * dlt[..., 1:]
     kept = np.abs(terms) > COEF_EPS
     t = np.where(kept, terms, 0.0)
     total = (((t[0] + t[1]) + t[2]) + t[3]) + t[4]
-    return const, total.ravel(), kept.any(axis=0).ravel()
-
-
-def _cut_pieces(units, scenario, values):
-    """_cut_terms with coef as a dict over the present indices, ascending."""
-    const, total, present = _cut_terms(units, scenario, values)
-    present = np.flatnonzero(present)
-    return const, dict(zip(present.tolist(), total[present]))
+    return const, total.reshape(lead + (nT,)), kept.any(axis=0).reshape(lead + (nT,))
 
 
 def _capacity_ray(instance, period):
@@ -1039,15 +1040,16 @@ def _startup_ray(instance):
     return ray
 
 
-def _feasibility_cut(units, scenario, ray):
-    """The dual ray's cut over x, scaled to a largest coefficient of 1;
-    units is _unit_columns of the instance."""
-    const, coef = _cut_pieces(units, scenario, ray)
-    scale = max([abs(v) for v in coef.values()] + [COEF_EPS])
-    if scale <= COEF_EPS:
-        scale = max(abs(const), 1.0)
-    return CutRow(coeffs={k: v / scale for k, v in coef.items()},
-                  z_coeff=0.0, rhs=-const / scale, sense="<=")
+def _feasibility_cuts(units, demand, need, rays):
+    """Each dual ray's cut over x, scaled to a largest coefficient of 1:
+    rays is a stack of rays, and demand and need their scenarios' rows, as
+    _cut_terms takes them; units is _unit_columns of the instance."""
+    consts, coefs, present = _cut_terms(units, demand, need, rays)
+    scales = np.max(np.abs(coefs), axis=1, where=present, initial=COEF_EPS)
+    scales = np.where(scales <= COEF_EPS, np.maximum(np.abs(consts), 1.0), scales)
+    return [CutRow(coeffs={k: coef[k] / scale for k in np.flatnonzero(kept).tolist()},
+                   z_coeff=0.0, rhs=-const / scale, sense="<=")
+            for const, coef, kept, scale in zip(consts, coefs, present, scales)]
 
 
 def _tightest(cuts):
@@ -1145,8 +1147,9 @@ class UcpSubproblemOracle(SubproblemOracle):
     """Dual dispatch for every scenario, memoized per commitment.
 
     initial_cuts() writes the closed-form feasibility cuts, one capacity
-    cut per period and the start-up cut, each from a ray verified against
-    its scenario's dual LP; the engine pools them before the first build.
+    cut per period and the start-up cut, from rays verified in one batch,
+    each against its scenario's dual LP; the engine pools them before the
+    first build.
     The master then meets them to within CUT_TOL, so dispatch solves one
     dual LP per scenario and nothing else: a commitment short of them
     only within that band, or infeasible for another reason (ramping,
@@ -1164,6 +1167,8 @@ class UcpSubproblemOracle(SubproblemOracle):
     (_merit_order_basis), which is feasible, so it skips phase 1 and
     needs far fewer pivots than a start from the slack basis.
     initial_cuts()'s ray checks neither use nor change the kept outcome.
+    Past the LPs the per-scenario arithmetic is array-shaped: dispatch
+    writes every scenario's cut in one _cut_terms call on stacked duals.
 
     Each scenario LP carries a secondary objective, the dual objective at
     the core point x0 = 0.5 on every commitment variable (priced once,
@@ -1183,6 +1188,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         self._units = _unit_columns(instance)
         self._demand = np.array([sc.demand for sc in instance.scenarios], dtype=float)
         self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
+        self._prob = np.array([sc.prob for sc in instance.scenarios])
         core = _commitment_prices(self._units, [0.5] * instance.num_vars)
         self._core = _dual_objective(self._demand, self._need,
                                      np.tile(core, (len(instance.scenarios), 1)))
@@ -1209,28 +1215,26 @@ class UcpSubproblemOracle(SubproblemOracle):
         off before the horizon, so sum_i min(SU_i, p_max_i) x_i0 >= d_0
         for the first scenario with that demand.  A cut that another makes
         redundant is left out (_tightest).  At the all-off commitment every
-        such cut is violated, so each ray is verified against its
-        scenario's dual LP there.  Raises NumericalFailureError when a ray
-        fails verification.
+        such cut is violated, so the rays, stacked, are verified there in
+        one verify_rays call, each against its own scenario's dual
+        objective, and their cuts written from one _cut_terms call.
+        Raises NumericalFailureError when any ray fails verification.
         """
         instance = self.instance
-        prices = _commitment_prices(self._units, [0.0] * instance.num_vars)
-        cuts = [self._ray_cut(int(self._need[:, t].argmax()), _capacity_ray(instance, t), prices)
-                for t in range(instance.horizon)
-                if self._need[:, t].max() > FEAS_TOL]
+        periods = np.flatnonzero(self._need.max(axis=0) > FEAS_TOL)
+        scenarios = self._need.argmax(axis=0)[periods].tolist()
+        rays = [_capacity_ray(instance, t) for t in periods.tolist()]
         if self._demand[:, 0].max() > FEAS_TOL:
-            cuts.append(self._ray_cut(int(self._demand[:, 0].argmax()),
-                                      _startup_ray(instance), prices))
-        return _tightest(cuts)
-
-    def _ray_cut(self, s, ray, prices):
-        """Scenario s's cut from a closed-form ray, verified against its
-        dual LP at the commitment priced by prices."""
-        lp = LinearProgram(sense="max", c=_dual_objective(self._demand[s], self._need[s], prices),
-                           rows=self._rows)
-        if not verify_certificate(lp, LpOutcome(status="unbounded", ray=ray)):
+            scenarios.append(int(self._demand[:, 0].argmax()))
+            rays.append(_startup_ray(instance))
+        if not rays:
+            return []
+        rays, demand, need = np.array(rays), self._demand[scenarios], self._need[scenarios]
+        prices = _commitment_prices(self._units, [0.0] * instance.num_vars)
+        c = _dual_objective(demand, need, np.tile(prices, (len(rays), 1)))
+        if not np.all(verify_rays(self._rows, "max", c, rays)):
             raise NumericalFailureError("closed-form ray failed self-verification")
-        return _feasibility_cut(self._units, self.instance.scenarios[s], ray)
+        return _tightest(_feasibility_cuts(self._units, demand, need, rays))
 
     def dispatch(self, x):
         """Solve every scenario's dual dispatch problem at the commitment x.
@@ -1240,49 +1244,44 @@ class UcpSubproblemOracle(SubproblemOracle):
         in scenario order, less each cut that another one makes redundant
         (_tightest).  Otherwise returns the probability-weighted expected
         cost with a single aggregated lower-bounding cut on the value
-        variable, whose coefficients are summed over the scenarios in one
-        dense array and listed in the order their indices first appear,
-        scenario by scenario.  lp_calls is the number of scenarios.
+        variable, whose coefficients are listed in the order their indices
+        first appear, scenario by scenario.  The cuts come from one
+        _cut_terms call over the stacked rays or optimal duals, summed over
+        the scenarios in order (_fold).  lp_calls is the number of scenarios.
         """
         instance = self.instance
         x = _commitment_vector(instance, x)
-        prices = _commitment_prices(self._units, x)
-        feas_cuts = []
-        total = 0.0
-        agg_const = 0.0
-        agg_coef = np.zeros(instance.num_vars)
-        # the first scenario whose coefficients hold each index, for the order
-        seen = np.full(instance.num_vars, len(instance.scenarios))
+        prices = np.tile(_commitment_prices(self._units, x), (len(instance.scenarios), 1))
+        objectives = _dual_objective(self._demand, self._need, prices)
+        outs = []
         for s, sc in enumerate(instance.scenarios):
             basis = _merit_order_basis(instance, x, sc) if self._last is None else None
-            out = solve(LinearProgram(sense="max",
-                                      c=_dual_objective(self._demand[s], self._need[s], prices),
-                                      rows=self._rows, start=self._last,
-                                      secondary=self._core[s], basis=basis))
+            out = solve(LinearProgram(sense="max", c=objectives[s], rows=self._rows,
+                                      start=self._last, secondary=self._core[s], basis=basis))
             self._last = out
-            if out.status == "unbounded":
-                feas_cuts.append(_feasibility_cut(self._units, sc, out.ray))
-                continue
-            if out.status != "optimal":
+            if out.status not in ("optimal", "unbounded"):
                 raise RuntimeError("dual dispatch problem reported "
                                    f"{out.status}; the dual is always feasible")
-            const, coef, present = _cut_terms(self._units, sc, out.x)
-            total += sc.prob * out.objective
-            agg_const += sc.prob * const
-            # an index a scenario leaves out adds exactly +0.0, which
-            # changes no sum: agg_coef never holds -0.0
-            agg_coef += sc.prob * coef
-            seen[present & (seen > s)] = s
-        lp_calls = len(instance.scenarios)
-        if feas_cuts:
-            return SubproblemResult(kind="infeasible", cuts=_tightest(feas_cuts),
-                                    lp_calls=lp_calls)
-        order = np.argsort(seen, kind="stable")
+            outs.append(out)
+        short = [s for s, out in enumerate(outs) if out.status == "unbounded"]
+        if short:
+            cuts = _feasibility_cuts(self._units, self._demand[short], self._need[short],
+                                     np.array([outs[s].ray for s in short]))
+            return SubproblemResult(kind="infeasible", cuts=_tightest(cuts), lp_calls=len(outs))
+        const, coef, present = _cut_terms(self._units, self._demand, self._need,
+                                          np.array([out.x for out in outs]))
+        # an index a scenario leaves out adds exactly +0.0, which changes
+        # no sum: agg_coef never holds -0.0
+        sums = _fold(self._prob[:, None] * np.column_stack(
+            [[out.objective for out in outs], const, coef]))
+        total, agg_const, agg_coef = sums[0], sums[1], sums[2:]
+        # indices by the first scenario holding them; one none holds sums to 0
+        order = np.argsort(present.argmax(axis=0), kind="stable")
         order = order[np.abs(agg_coef[order]) > COEF_EPS]
         cut = CutRow(coeffs=dict(zip(order.tolist(), -agg_coef[order])),
-                     z_coeff=1.0, rhs=agg_const, sense=">=")
-        return SubproblemResult(kind="optimal", cuts=[cut], value=total,
-                                lp_calls=lp_calls)
+                     z_coeff=1.0, rhs=float(agg_const), sense=">=")
+        return SubproblemResult(kind="optimal", cuts=[cut], value=float(total),
+                                lp_calls=len(outs))
 
 
 def ucp_solve(instance, config=None, instance_id=""):

@@ -10,7 +10,11 @@ checks.
 build_subproblem_original is the indicator form of the unit-commitment
 dispatch LP, the reference that the committed-only form is checked
 against.  scaled_instance builds the low-demand inputs.
-cut_pieces_by_terms is the term-by-term form of ddbd.ucp._cut_pieces.
+cut_pieces_by_terms is the term-by-term form of one row of ddbd.ucp._cut_terms,
+and optimality_cut_by_scenarios folds it into the dispatch optimality cut
+one scenario at a time.  verify_certificate_with_bounds is the certificate
+check as it was written for variables with lower and upper bounds, read
+from lp.lo and lp.hi: the reference for the x >= 0 form in ddbd.simplex.
 """
 
 import dataclasses
@@ -18,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from ddbd.simplex import LinearProgram
+from ddbd.simplex import FEAS_TOL, LinearProgram
 from ddbd.ucp import COEF_EPS, build_subproblem, gen_random_instance
 
 FEAS = 1e-7
@@ -114,7 +118,7 @@ def scaled_instance(n, horizon, scenarios, seed, factor):
 
 
 def cut_pieces_by_terms(instance, scenario, values):
-    """ddbd.ucp._cut_pieces as a loop over the terms, one dict update each:
+    """ddbd.ucp._cut_terms on one row, as a loop over the terms, one dict update each:
     the reference for the vectorised version."""
     n, T = instance.num_units, instance.horizon
     nT = n * T
@@ -142,3 +146,105 @@ def cut_pieces_by_terms(instance, scenario, values):
             bump(i, j, (gen.shutdown_ramp - gen.ramp_down) * values[DEL + k])
             bump(i, j - 1, -gen.shutdown_ramp * values[DEL + k])
     return const, coef
+
+
+def optimality_cut_by_scenarios(instance, duals, objectives):
+    """The dispatch optimality cut at the scenarios' optimal duals and
+    objectives, summed one scenario at a time as a loop of +=, with the
+    coefficients in a dict in the order their indices first appear.
+    Returns (coefficient items, rhs, expected value)."""
+    total, rhs, coef = 0.0, 0.0, {}
+    for sc, y, objective in zip(instance.scenarios, duals, objectives):
+        const, pieces = cut_pieces_by_terms(instance, sc, y)
+        total += sc.prob * objective
+        rhs += sc.prob * const
+        for k in sorted(pieces):
+            coef[k] = coef.get(k, 0.0) + sc.prob * pieces[k]
+    return [(k, -v) for k, v in coef.items() if abs(v) > COEF_EPS], rhs, total
+
+
+def verify_certificate_with_bounds(lp, outcome):
+    """ddbd.simplex.verify_certificate as written for bounded variables."""
+    if outcome.status == "optimal":
+        return _verify_optimal(lp, outcome)
+    if outcome.status == "infeasible":
+        return _verify_farkas(lp, outcome.farkas)
+    if outcome.status == "unbounded":
+        return _verify_ray(lp, outcome.ray)
+    return False
+
+
+def _rows_hold(lp, res):
+    return not (np.any(lp._le & (res > FEAS_TOL)) or np.any(lp._ge & (res < -FEAS_TOL))
+                or np.any(lp._eq & (np.abs(res) > FEAS_TOL)))
+
+
+def _verify_optimal(lp, out):
+    x = out.x
+    if x is None or x.size != lp.num_vars or not np.all(np.isfinite(x)):
+        return False
+    if np.any(x < lp.lo - FEAS_TOL) or np.any(x > lp.hi + FEAS_TOL):
+        return False
+    res = lp.A @ x - lp.b if lp.num_rows else np.zeros(0)
+    if not _rows_hold(lp, res):
+        return False
+    y = out.duals
+    if y is None or y.size != lp.num_rows:
+        return False
+    sign = 1.0 if lp.sense == "min" else -1.0
+    scale = 1.0 + float(np.max(np.abs(lp.c))) if lp.c.size else 1.0
+    if np.any(lp._le & (sign * y > FEAS_TOL * scale)) or \
+            np.any(lp._ge & (sign * y < -FEAS_TOL * scale)):
+        return False
+    if np.any(~lp._eq & (np.abs(y) > FEAS_TOL * scale)
+              & (np.abs(res) > 1e-5 * (1.0 + np.abs(lp.b)))):
+        return False
+    rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
+    if out.reduced_costs is not None and np.max(np.abs(rc - out.reduced_costs)) > 1e-6 * scale:
+        return False
+    r = sign * rc
+    at_lo = r > FEAS_TOL * scale
+    at_hi = r < -FEAS_TOL * scale
+    if np.any(at_lo & ~(np.isfinite(lp.lo) & (x <= lp.lo + 1e-6))) or \
+            np.any(at_hi & ~(np.isfinite(lp.hi) & (x >= lp.hi - 1e-6))):
+        return False
+    dual_obj = float(y @ lp.b) if lp.num_rows else 0.0
+    dual_obj += float(rc[at_lo] @ lp.lo[at_lo] + rc[at_hi] @ lp.hi[at_hi])
+    obj = float(lp.c @ x)
+    if abs(obj - out.objective) > 1e-6 * (1.0 + abs(obj)):
+        return False
+    return abs(obj - dual_obj) <= 1e-6 * (1.0 + abs(obj))
+
+
+def _verify_farkas(lp, f):
+    if f is None or f.size != lp.num_rows:
+        return False
+    orient = np.where(lp._ge | lp._eq, 1.0, -1.0)
+    peak = float(np.max(np.abs(f))) if f.size else 0.0
+    if peak <= 0.0:
+        return False
+    if np.any(~lp._eq & (f < -FEAS_TOL * (1.0 + peak))):
+        return False
+    w = (orient * f) @ lp.A
+    r = float((orient * f) @ lp.b)
+    wtol = 1e-9 * peak * (1.0 + float(np.max(np.abs(lp.A))) if lp.num_rows else 1.0)
+    up, down = w > wtol, w < -wtol
+    if not (np.all(np.isfinite(lp.hi[up])) and np.all(np.isfinite(lp.lo[down]))):
+        return False
+    best = float(w[up] @ lp.hi[up] + w[down] @ lp.lo[down])
+    return r - best > FEAS_TOL * (1.0 + abs(r))
+
+
+def _verify_ray(lp, d):
+    if d is None or d.size != lp.num_vars or not np.all(np.isfinite(d)):
+        return False
+    if np.max(np.abs(d)) <= FEAS_TOL:
+        return False
+    res = lp.A @ d if lp.num_rows else np.zeros(0)
+    if not _rows_hold(lp, res):
+        return False
+    if np.any(np.isfinite(lp.lo) & (d < -FEAS_TOL)) or \
+            np.any(np.isfinite(lp.hi) & (d > FEAS_TOL)):
+        return False
+    gain = float(lp.c @ d)
+    return gain > FEAS_TOL if lp.sense == "max" else gain < -FEAS_TOL

@@ -219,6 +219,51 @@ def test_farkas_soundness_random():
             assert float(w @ x) < r - 1e-9
 
 
+def tampered_certificates(lp, out, rng):
+    """out with its certificate (and an optimal outcome's duals) moved in
+    one entry by steps from well inside to far past the tolerances,
+    negated and shrunk to a sliver; an optimal outcome also with a shifted
+    objective and with unchecked reduced costs and noisy duals; then a
+    random ray and a random infeasibility aggregate of the LP's size."""
+    names = {"optimal": ["x", "duals"], "infeasible": ["farkas"], "unbounded": ["ray"]}
+    changed = []
+    for name in names[out.status]:
+        v = getattr(out, name)
+        for step in (1e-8, -1e-8, 1e-7, -1e-7, 1e-6, -1e-6, 1e-5, -1e-5, 1e-2, -1e-2):
+            if v.size:
+                w = v.copy()
+                w[rng.integers(v.size)] += step
+                changed.append(dataclasses.replace(out, **{name: w}))
+        changed += [dataclasses.replace(out, **{name: -v}),
+                    dataclasses.replace(out, **{name: v * 1e-8})]
+    if out.status == "optimal":
+        changed += [dataclasses.replace(out, objective=out.objective + 1e-5),
+                    dataclasses.replace(out, reduced_costs=None,
+                                        duals=out.duals + 1e-6 * rng.normal(size=out.duals.size))]
+    return changed + [LpOutcome(status="unbounded", ray=np.abs(rng.normal(size=lp.num_vars))),
+                      LpOutcome(status="infeasible", farkas=np.abs(rng.normal(size=lp.num_rows)))]
+
+
+def test_x_ge_0_verifiers_give_the_bounded_forms_verdicts_on_criterion_10_lps():
+    from reference_lp import verify_certificate_with_bounds
+
+    # criterion 10's LPs, and each again without its box rows, so that
+    # some are unbounded; every certificate honest and tampered
+    rng, tamper = np.random.default_rng(1234), np.random.default_rng(77)
+    verdicts = {}
+    for solved in range(200):
+        boxed = random_lp(rng, force_feasible=(solved % 2 == 0))
+        n = boxed.num_vars
+        unboxed = make_lp(boxed.sense, boxed.c, boxed.A[:-n], boxed.senses[:-n], boxed.b[:-n])
+        for lp in (boxed, unboxed):
+            out = solve(lp)
+            for cert in [out] + tampered_certificates(lp, out, tamper):
+                verdict = verify_certificate(lp, cert)
+                assert verdict == verify_certificate_with_bounds(lp, cert), (solved, cert)
+                verdicts[cert.status, verdict] = verdicts.get((cert.status, verdict), 0) + 1
+    assert len(verdicts) == 6 and min(verdicts.values()) >= 50, verdicts
+
+
 def test_determinism():
     rng = np.random.default_rng(5)
     lp = random_lp(rng, force_feasible=True)

@@ -728,7 +728,9 @@ def test_optimality_cuts_are_valid_tight_and_pareto_at_the_midpoint(monkeypatch)
 
 
 def feasibility_cut(inst, sc, ray):
-    return ucp_module._feasibility_cut(ucp_module._unit_columns(inst), sc, ray)
+    [cut] = ucp_module._feasibility_cuts(ucp_module._unit_columns(inst), np.array(sc.demand),
+                                         np.add(sc.demand, sc.reserve), np.array([ray]))
+    return cut
 
 
 def record_dual_solves(monkeypatch):
@@ -1135,6 +1137,64 @@ def test_startup_ray_that_fails_verification_raises(monkeypatch):
         UcpSubproblemOracle(inst).initial_cuts()
 
 
+def tamper_last_capacity_ray(monkeypatch):
+    """Make only the last period's closed-form capacity ray drop unit 1's
+    capacity multiplier: a bad ray between good ones in initial_cuts()."""
+    closed_form = ucp_module._capacity_ray
+
+    def tampered(instance, period):
+        ray = closed_form(instance, period)
+        if period == instance.horizon - 1:
+            ray[2 * instance.horizon + instance.num_vars + instance.var_index(1, period)] = 0.0
+        return ray
+
+    monkeypatch.setattr(ucp_module, "_capacity_ray", tampered)
+
+
+@pytest.mark.parametrize("tamper", [tamper_last_capacity_ray, tamper_startup_rays])
+def test_initial_cuts_raise_when_one_ray_of_the_batch_fails(monkeypatch, tamper):
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    assert len(UcpSubproblemOracle(inst).initial_cuts()) == inst.horizon + 1
+    tamper(monkeypatch)
+    with pytest.raises(NumericalFailureError):
+        UcpSubproblemOracle(inst).initial_cuts()
+
+
+def test_batched_ray_check_matches_the_per_ray_certificate_check():
+    # closed-form rays at random commitments, each priced by a random
+    # scenario, some nudged by about FEAS_TOL in one entry: rays that
+    # certify and rays that do not, checked in one batch per instance
+    from ddbd.simplex import LinearProgram, verify_rays
+
+    rng = np.random.default_rng(83)
+    verdicts = []
+    for seed in range(12):
+        inst = scaled_instance(int(rng.integers(1, 4)), int(rng.integers(2, 5)),
+                               int(rng.integers(1, 4)), seed, float(rng.uniform(0.4, 1.0)))
+        oracle = UcpSubproblemOracle(inst)
+        units, rows = ucp_module._unit_columns(inst), oracle._rows
+        c, rays = [], []
+        for _ in range(6):
+            x = [float(v) for v in rng.random(inst.num_vars) < 0.7]
+            prices = ucp_module._commitment_prices(units, x)
+            for ray in [ucp_module._capacity_ray(inst, t) for t in range(inst.horizon)] + \
+                    [ucp_module._startup_ray(inst)]:
+                s = int(rng.integers(len(inst.scenarios)))
+                c.append(ucp_module._dual_objective(oracle._demand[s], oracle._need[s], prices))
+                if rng.random() < 0.3:
+                    ray = ray.copy()
+                    ray[rng.integers(ray.size)] += rng.choice([-2.0, -0.5, 0.5, 2.0]) * FEAS_TOL
+                rays.append(ray)
+        sense = "max" if seed % 2 else "min"
+        c = np.array(c) if sense == "max" else -np.array(c)
+        batch = verify_rays(rows, sense, c, np.array(rays))
+        for objective, ray, verdict in zip(c, rays, batch.tolist()):
+            lp = LinearProgram(sense=sense, c=objective, rows=rows)
+            assert verdict == verify_certificate(lp, LpOutcome(status="unbounded", ray=ray))
+            verdicts.append(verdict)
+    assert len(verdicts) >= 200 and min(verdicts.count(True), verdicts.count(False)) >= 50
+
+
 @pytest.mark.parametrize("shortfall,feasible", [(0.5 * FEAS_TOL, 1), (2.0 * FEAS_TOL, 0)])
 def test_shortfall_within_tolerance_goes_to_the_lp(monkeypatch, shortfall, feasible):
     gen = simple_generator(p_min=10.0, p_max=50.0)
@@ -1207,6 +1267,32 @@ def test_deduplicated_batch_cuts_off_what_the_full_batch_does(monkeypatch):
     assert shrunk >= 10
 
 
+def test_dispatch_optimality_cut_is_the_scenario_by_scenario_fold(monkeypatch):
+    from reference_lp import optimality_cut_by_scenarios
+
+    rng = np.random.default_rng(89)
+    calls = record_dual_solves(monkeypatch)
+    compared = 0
+    for seed in range(40):
+        inst = scaled_instance(int(rng.integers(2, 4)), int(rng.integers(3, 6)),
+                               int(rng.integers(3, 17)), seed, float(rng.uniform(0.5, 0.8)))
+        oracle = UcpSubproblemOracle(inst)
+        for _ in range(5):
+            x = tuple(float(v) for v in rng.random(inst.num_vars) < 0.95)
+            calls.clear()
+            res = oracle.dispatch(x)
+            if res.kind != "optimal":
+                continue
+            [cut] = res.cuts
+            items, rhs, value = optimality_cut_by_scenarios(
+                inst, [out.x for _, out in calls], [out.objective for _, out in calls])
+            assert [(k, v.hex()) for k, v in cut.coeffs.items()] == \
+                [(k, v.hex()) for k, v in items]
+            assert (cut.rhs.hex(), res.value.hex()) == (rhs.hex(), value.hex())
+            compared += 1
+    assert compared >= 100, compared
+
+
 def test_tightest_drops_only_cuts_with_the_same_row_and_a_looser_rhs():
     from ddbd.diagram import CutRow
 
@@ -1228,16 +1314,22 @@ def test_cut_pieces_matches_the_term_by_term_loop():
                                   shutdown_ramp=4.0, ramp_down=2.0)
               for g in base.generators]
     seen = {"exact zero": 0, "left out": 0}
+    insts, stack = [], []
     for trial in range(200):
-        inst = dataclasses.replace(base, generators=dyadic if trial % 2 else base.generators)
-        size = 2 * inst.horizon + 5 * inst.num_vars
+        insts.append(dataclasses.replace(base, generators=dyadic if trial % 2 else base.generators))
+        size = 2 * base.horizon + 5 * base.num_vars
         if trial % 2:
-            values = rng.choice([0.0, 0.5, 1.0, -0.5, -1.0, 3e-13, -2e-13, 1e-12], size=size,
-                                p=[0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+            stack.append(rng.choice([0.0, 0.5, 1.0, -0.5, -1.0, 3e-13, -2e-13, 1e-12], size=size,
+                                    p=[0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]))
         else:
-            values = rng.normal(size=size) * rng.choice([1.0, 1e-13, 0.0], size=size)
-        sc = inst.scenarios[0]
-        const, coef = ucp_module._cut_pieces(ucp_module._unit_columns(inst), sc, values)
+            stack.append(rng.normal(size=size) * rng.choice([1.0, 1e-13, 0.0], size=size))
+    # one call over the 200 rows, each with its own instance's unit constants
+    sc = base.scenarios[0]
+    units = np.stack([ucp_module._unit_columns(inst) for inst in insts], axis=1)
+    consts, coefs, present = ucp_module._cut_terms(
+        units, np.array(sc.demand), np.add(sc.demand, sc.reserve), np.array(stack))
+    for inst, values, const, total, kept in zip(insts, stack, consts, coefs, present):
+        coef = {k: total[k] for k in np.flatnonzero(kept).tolist()}
         ref_const, ref_coef = cut_pieces_by_terms(inst, sc, values)
         assert (type(const), const.hex()) == (type(ref_const), ref_const.hex())
         assert sorted(coef) == sorted(ref_coef)
