@@ -7,8 +7,10 @@ row multipliers whose aggregate no x >= 0 satisfies), or Unbounded (an
 improving recession direction).  Certificates are re-checked before
 being returned; a solve that cannot produce a certificate that
 passes verification raises NumericalFailureError instead of guessing.
-The checks assume x >= 0 and nothing else; verify_rays checks a stack
-of rays over one LpRows at once, and one LP's ray is its one-row case.
+The checks assume x >= 0 and nothing else.  Each is written for a
+stack of certificates over one LpRows, one verdict per row, and one LP's
+certificate is its one-row case: verify_rays checks a stack of rays at
+once, and the optimal and Farkas checks are stacked likewise.
 
 Pivoting uses Bland's rule with a hard pivot cap, trading speed for a
 finite-termination guarantee.  The tableau has dense storage, with
@@ -55,6 +57,22 @@ solve (basic columns set to the exact identity, basic values in
 [-FEAS_TOL, 0) to 0) before phase 2; a singular basis, or one whose
 values fall below -FEAS_TOL, raises NumericalFailureError.  A kept
 tableau from `start` takes precedence over `basis`.
+
+Chains: an LP's c may stack S objectives over its rows, as an (S, n)
+array, with `secondary` of the same shape (LPs that share rows and differ
+only in the objective, as the scenario subproblems of a stochastic
+program do; the bunching of Wets's L-shaped method).  One solve call then
+solves them in order: row s continues from row s - 1's final tableau,
+exactly as an LP whose `start` is row s - 1's outcome would, and the
+first row starts from `start` or `basis`, or cold.  Phase 1 depends only
+on the rows, so it runs at most once, and when it proves the rows
+infeasible every row is.  The per-LP costs are paid once for the chain:
+the objective checks, the read-off of x, duals, reduced costs and rays,
+and the certificate checks, all on stacked arrays.  Rows are not pivoted
+in lockstep: each continues from the last, which needs far fewer
+pivots.  A single LP is the chain's one-row case, through the same
+kernel and checks; the outcome's fields gain a leading axis only for an
+(S, n) c (see LpOutcome).
 
 Certificates are checked the same way from every start.  An outcome
 references neither its LP nor that LP's start, so a chain of warm solves
@@ -116,14 +134,17 @@ class LpRows:
 
 @dataclass
 class LinearProgram:
-    """One LP: an objective over x >= 0 and rows given either as A, senses
-    and b (checked and copied into a fresh LpRows) or as `rows`, an LpRows
-    that several LPs share; A, senses, b, lo and hi then read it.  `start`
-    warm-starts only over the same LpRows object, so LPs that should
-    continue from each other's outcomes share `rows`.  `basis`, one entry
-    per row (a variable's index, or -1 for the row's own slack, which an
-    `=` row lacks), is where a cold start begins phase 2; it is checked
-    here and kept as a read-only int array."""
+    """One LP, or a chain of LPs that share their rows: an objective over
+    x >= 0 (c of length n), or a stack of S objectives (c of shape (S, n))
+    solved in order, and rows given either as A, senses and b (checked and
+    copied into a fresh LpRows) or as `rows`, an LpRows that several LPs
+    share; A, senses, b, lo and hi then read it.  `start` warm-starts only
+    over the same LpRows object, so LPs that should continue from each
+    other's outcomes share `rows`.  `basis`, one entry per row (a
+    variable's index, or -1 for the row's own slack, which an `=` row
+    lacks), is where a cold start begins phase 2; it is checked here and
+    kept as a read-only int array.  In a chain, `start` and `basis` are
+    the first objective's, and `secondary` has c's shape."""
 
     sense: str                 # "min" or "max"
     c: np.ndarray
@@ -137,17 +158,19 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
+        if self.c.ndim not in (1, 2) or self.c.ndim == 2 and not self.c.shape[0]:
+            raise ValueError("c must be one objective or a nonempty stack of them")
         given = (self.A, self.senses, self.b)
         if self.rows is None:
             if self.A is None or self.senses is None or self.b is None:
                 raise TypeError("an LP needs A, senses and b, or rows")
-            self.rows = LpRows(*given, num_vars=self.c.size)
+            self.rows = LpRows(*given, num_vars=self.num_vars)
         else:
             # dataclasses.replace passes the rows' own arrays back in with them
             own = (self.rows.A, self.rows.senses, self.rows.b)
             if any(g is not None and g is not r for g, r in zip(given, own)):
                 raise ValueError("give rows, or A, senses and b, not both")
-            if self.rows.num_vars != self.c.size:
+            if self.rows.num_vars != self.num_vars:
                 raise ValueError("objective size mismatch")
         rows = self.rows
         self.A, self.senses, self.b, self.lo, self.hi = \
@@ -170,7 +193,7 @@ class LinearProgram:
 
     @property
     def num_vars(self):
-        return self.c.size
+        return self.c.shape[-1]
 
     @property
     def num_rows(self):
@@ -199,6 +222,14 @@ def _checked_basis(basis, rows):
 
 @dataclass
 class LpOutcome:
+    """An LP's certified outcome.  A chain's outcome holds every row's:
+    statuses lists them, and status is "infeasible" when they are (then
+    every row is), else "unbounded" when any row is, else "optimal".  Its
+    other fields gain a leading axis, one entry per row, and are NaN on a
+    row whose status lacks them (x, duals, reduced costs and objective are
+    an optimal row's, ray an unbounded row's, farkas an infeasible row's);
+    a field that no row has is None.  The kept tableau is the last row's."""
+
     status: str                       # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray = None
     duals: np.ndarray = None          # per original row
@@ -207,14 +238,27 @@ class LpOutcome:
     farkas: np.ndarray = None         # >= 0 on inequality rows, see verify
     ray: np.ndarray = None            # improving recession direction
     pivots: int = 0                   # tableau pivots, both phases
+    statuses: tuple = None            # a chain's, one per row
     _tableau: _Tableau = field(default=None, repr=False, compare=False)  # warm-start state
+
+
+# the fields each status certifies with
+_FIELDS = {"optimal": ("x", "duals", "reduced_costs", "objective"),
+           "unbounded": ("ray",), "infeasible": ("farkas",)}
+
+
+def _chain_status(statuses):
+    if "infeasible" in statuses:
+        return "infeasible"
+    return "unbounded" if "unbounded" in statuses else "optimal"
 
 
 # -- public entry points -----------------------------------------------------------
 
 
 def solve(lp):
-    """Classify the LP with a certificate; never returns an unverified answer."""
+    """Classify the LP, or every LP of a chain, with a certificate; never
+    returns an unverified answer, and raises when any row's fails."""
     outcome = _solve_impl(lp)
     if not verify_certificate(lp, outcome):
         raise NumericalFailureError(
@@ -223,14 +267,44 @@ def solve(lp):
 
 
 def verify_certificate(lp, outcome):
-    """Re-check the outcome against the LP data alone; returns False on doubt."""
-    if outcome.status == "optimal":
-        return _verify_optimal(lp, outcome)
-    if outcome.status == "infeasible":
-        return _verify_farkas(lp, outcome.farkas)
-    if outcome.status == "unbounded":
-        return _verify_ray(lp, outcome.ray)
-    return False
+    """Re-check the outcome against the LP data alone; returns False on
+    doubt, and for a chain when any row's certificate fails."""
+    return bool(np.all(_row_verdicts(lp, outcome)))
+
+
+def _row_verdicts(lp, out):
+    """Whether each row's certificate in out holds for lp; one LP is one
+    row.  A field of the wrong size fails every row that reads it."""
+    chain = lp.c.ndim == 2
+    c = np.atleast_2d(lp.c)
+    S, n, m = c.shape[0], lp.num_vars, lp.num_rows
+    statuses = np.array(out.statuses if chain else (out.status,), dtype=object)
+    if statuses.shape != (S,) or chain and out.status != _chain_status(out.statuses):
+        return np.zeros(S, dtype=bool)
+
+    def stacked(name, width):
+        v = getattr(out, name)
+        v = None if v is None else np.asarray(v, dtype=float)
+        return v.reshape(S, width) if v is not None and v.size == S * width else None
+
+    ok = np.zeros(S, dtype=bool)
+    rows = statuses == "optimal"
+    if rows.any():
+        x, y, obj = stacked("x", n), stacked("duals", m), stacked("objective", 1)
+        rc = stacked("reduced_costs", n)
+        if not (x is None or y is None or obj is None
+                or rc is None and out.reduced_costs is not None):
+            ok[rows] = _verify_optimal(lp, c[rows], x[rows], y[rows],
+                                       None if rc is None else rc[rows], obj[rows, 0])
+    rows = statuses == "unbounded"
+    d = stacked("ray", n)
+    if rows.any() and d is not None:
+        ok[rows] = verify_rays(lp.rows, lp.sense, c[rows], d[rows])
+    rows = statuses == "infeasible"
+    f = stacked("farkas", m)
+    if rows.any() and f is not None:
+        ok[rows] = _verify_farkas(lp.rows, f[rows])
+    return ok
 
 
 def _rows_hold(rows, res):
@@ -239,63 +313,50 @@ def _rows_hold(rows, res):
     return ~((~rows.ge & (res > FEAS_TOL)) | (~rows.le & (res < -FEAS_TOL))).any(axis=-1)
 
 
-def _verify_optimal(lp, out):
-    x = out.x
-    if x is None or x.size != lp.num_vars or not (np.isfinite(x) & (x >= -FEAS_TOL)).all():
-        return False
-    res = lp.A @ x - lp.b
-    if not _rows_hold(lp.rows, res):
-        return False
-    y = out.duals
-    if y is None or y.size != lp.num_rows:
-        return False
+def _verify_optimal(lp, c, x, y, reduced_costs, objective):
+    """Per row of the stacks c, x, y, reduced costs (or None) and
+    objective: whether x and y are primal and dual feasible for lp's rows
+    under objective c, complementary, with the reduced costs and
+    objective they imply, and of equal value."""
+    rows = lp.rows
+    primal = (np.isfinite(x) & (x >= -FEAS_TOL)).all(axis=1)
+    x = np.where(primal[:, None], x, 0.0)   # a row that fails here computes nothing more
+    res = x @ rows.A.T - rows.b
     sign = 1.0 if lp.sense == "min" else -1.0
-    scale = 1.0 + float(np.abs(lp.c).max()) if lp.c.size else 1.0
-    if (lp._le & (sign * y > FEAS_TOL * scale)).any() or \
-            (lp._ge & (sign * y < -FEAS_TOL * scale)).any():
-        return False
+    scale = 1.0 + np.abs(c).max(axis=1, initial=0.0)
+    tol = FEAS_TOL * scale[:, None]
+    ok = primal & _rows_hold(rows, res)
+    ok &= ~((rows.le & (sign * y > tol)) | (rows.ge & (sign * y < -tol))).any(axis=1)
     # complementary slackness: active dual implies (near-)tight row
-    if (~lp._eq & (np.abs(y) > FEAS_TOL * scale)
-            & (np.abs(res) > 1e-5 * (1.0 + np.abs(lp.b)))).any():
-        return False
-    rc = lp.c - lp.A.T @ y
-    if out.reduced_costs is not None and np.abs(rc - out.reduced_costs).max() > 1e-6 * scale:
-        return False
+    ok &= ~(~rows.eq & (np.abs(y) > tol)
+            & (np.abs(res) > 1e-5 * (1.0 + np.abs(rows.b)))).any(axis=1)
+    rc = c - y @ rows.A
+    if reduced_costs is not None:
+        ok &= ~(np.abs(rc - reduced_costs).max(axis=1, initial=0.0) > 1e-6 * scale)
     # over x >= 0 a variable priced above tolerance must sit at 0, and none
     # may price below -tolerance: no variable has an upper bound to sit at
     r = sign * rc
-    if ((r > FEAS_TOL * scale) & (x > 1e-6)).any() or (r < -FEAS_TOL * scale).any():
-        return False
-    dual_obj = float(y @ lp.b)
-    obj = float(lp.c @ x)
-    if abs(obj - out.objective) > 1e-6 * (1.0 + abs(obj)):
-        return False
-    return abs(obj - dual_obj) <= 1e-6 * (1.0 + abs(obj))
+    ok &= ~(((r > tol) & (x > 1e-6)) | (r < -tol)).any(axis=1)
+    dual_obj = y @ rows.b
+    obj = np.sum(c * x, axis=1)
+    ok &= ~(np.abs(obj - objective) > 1e-6 * (1.0 + np.abs(obj)))
+    return ok & (np.abs(obj - dual_obj) <= 1e-6 * (1.0 + np.abs(obj)))
 
 
-def _verify_farkas(lp, f):
-    if f is None or f.size != lp.num_rows:
-        return False
-    orient = np.where(lp._ge | lp._eq, 1.0, -1.0)
-    peak = float(np.max(np.abs(f))) if f.size else 0.0
-    if peak <= 0.0:
-        return False
-    if np.any(~lp._eq & (f < -FEAS_TOL * (1.0 + peak))):
-        return False
-    w = (orient * f) @ lp.A
-    r = float((orient * f) @ lp.b)
+def _verify_farkas(rows, f):
+    """Per row of the stack f: whether it is a Farkas certificate that no
+    x >= 0 meets the LpRows rows."""
+    orient = np.where(rows.ge | rows.eq, 1.0, -1.0)
+    peak = np.abs(f).max(axis=1, initial=0.0)
+    ok = ~(peak <= 0.0) & ~(~rows.eq & (f < -FEAS_TOL * (1.0 + peak[:, None]))).any(axis=1)
+    w = (orient * f) @ rows.A
+    r = (orient * f) @ rows.b
     # Aggregation noise: entries of w that should be exactly zero come out
     # at rounding level; treat them as zero when deciding boundedness.
-    wtol = 1e-9 * peak * (1.0 + float(np.max(np.abs(lp.A))) if lp.num_rows else 1.0)
+    wtol = 1e-9 * peak * (1.0 + np.abs(rows.A).max(initial=0.0))
     # over x >= 0, w x is unbounded above if an entry of w is positive, else at most 0
-    if np.any(w > wtol):
-        return False
-    return r > FEAS_TOL * (1.0 + abs(r))
-
-
-def _verify_ray(lp, d):
-    return d is not None and d.size == lp.num_vars and \
-        bool(verify_rays(lp.rows, lp.sense, lp.c, d.reshape(1, -1))[0])
+    ok &= ~(w > wtol[:, None]).any(axis=1)
+    return ok & (r > FEAS_TOL * (1.0 + np.abs(r)))
 
 
 def verify_rays(rows, sense, c, rays):
@@ -316,6 +377,12 @@ def verify_rays(rows, sense, c, rays):
 
 
 def _solve_impl(lp):
+    """Every row's outcome, row s continuing from row s - 1's final
+    tableau; the first from lp's start or basis, or from phase 1, whose
+    verdict of infeasible holds for every row."""
+    c = np.atleast_2d(lp.c)
+    secondary = None if lp.secondary is None else np.atleast_2d(lp.secondary)
+    S, n = c.shape
     kept = lp.start._tableau if lp.start is not None else None
     if kept is not None and lp.rows is kept.rows:
         tab = kept.copy()
@@ -327,27 +394,60 @@ def _solve_impl(lp):
             peak = float(np.max(np.abs(f))) if lp.num_rows else 0.0
             if peak > 0:
                 f = f / peak
-            return LpOutcome(status="infeasible", farkas=f, pivots=tab.pivots)
-    cost = tab.kernel_cost(lp.c, lp.sense)
-    since = tab.pivots
-    entering, red = tab.run(cost, tab.art, since)
-    if entering == -1 and lp.secondary is not None:
-        entering = tab.settle_face(cost, red, lp.secondary, lp.sense, since)
-    if entering != -1:
-        d = tab.ray_along(entering)[:tab.n] + 0.0   # + 0.0 turns -0.0 into 0.0
-        peak = np.max(np.abs(d))
-        if peak > 0:
-            d = d / peak
-        return LpOutcome(status="unbounded", ray=d, pivots=tab.pivots, _tableau=tab)
-    values = np.zeros(cost.size)   # of every kernel column
-    values[tab.basis] = tab.T[:, -1]
-    x = values[:tab.n] + 0.0
-    y = (cost[tab.basis] @ tab.T[:, tab.reader]) * tab.flip
-    if lp.sense == "max":
-        y = -y
-    rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
-    return LpOutcome(status="optimal", x=x, duals=y, reduced_costs=rc,
-                     objective=float(lp.c @ x), pivots=tab.pivots, _tableau=tab)
+            return _outcome(lp, ["infeasible"] * S, [tab.pivots] * S, farkas=np.tile(f, (S, 1)))
+    statuses, pivots, rays, found = [], [], [], []
+    for s in range(S):
+        cost = tab.kernel_cost(c[s], lp.sense)
+        since = tab.pivots
+        entering, red = tab.run(cost, tab.art, since)
+        if entering == -1 and secondary is not None:
+            entering = tab.settle_face(cost, red, secondary[s], lp.sense, since)
+        if entering != -1:
+            statuses.append("unbounded")
+            rays.append(tab.ray_along(entering)[:n])
+        else:
+            # only what the read-off needs: the rhs and the rows' dual readers
+            statuses.append("optimal")
+            found.append((cost[tab.basis], tab.basis.copy(), tab.T[:, -1].copy(),
+                          tab.T[:, tab.reader]))
+        pivots.append(tab.pivots)
+        tab.pivots = 0
+    fields = {}
+    if rays:
+        d = np.array(rays) + 0.0   # + 0.0 turns -0.0 into 0.0
+        peak = np.max(np.abs(d), axis=1, keepdims=True)
+        fields["ray"] = np.divide(d, peak, out=d, where=peak > 0)
+    if found:
+        cb, basis, rhs, readers = map(np.array, zip(*found))
+        values = np.zeros((len(found), tab.T.shape[1] - 1))   # of every kernel column
+        values[np.arange(len(found))[:, None], basis] = rhs
+        x = values[:, :n] + 0.0
+        y = (cb[:, None, :] @ readers)[:, 0] * tab.flip
+        if lp.sense == "max":
+            y = -y
+        c = c[[status == "optimal" for status in statuses]]
+        fields.update(x=x, duals=y, reduced_costs=c - (lp.A.T @ y[:, :, None])[:, :, 0],
+                      objective=np.array([float(ci @ xi) for ci, xi in zip(c, x)]))
+    return _outcome(lp, statuses, pivots, tab, **fields)
+
+
+def _outcome(lp, statuses, pivots, tab=None, **fields):
+    """lp's outcome from each row's status and pivots, the last row's
+    tableau, and each field stacked over the rows whose status has it;
+    one LP's is its row's."""
+    if lp.c.ndim == 1:
+        row = {name: v[0] for name, v in fields.items()}
+        if "objective" in row:
+            row["objective"] = float(row["objective"])
+        return LpOutcome(statuses[0], pivots=pivots[0], _tableau=tab, **row)
+    for status, names in _FIELDS.items():
+        rows = [st == status for st in statuses]
+        for name in set(names) & set(fields):
+            full = np.full((len(statuses),) + fields[name].shape[1:], np.nan)
+            full[rows] = fields[name]
+            fields[name] = full
+    return LpOutcome(_chain_status(statuses), pivots=np.array(pivots),
+                     statuses=tuple(statuses), _tableau=tab, **fields)
 
 
 class _Tableau:

@@ -451,6 +451,10 @@ def _capped_moves(gen, horizon):
     return tuple(tuple((lab, w, index[nxt]) for lab, w, nxt in moves) for moves in out)
 
 
+def _unit_moves(instance):
+    return [_capped_moves(gen, instance.horizon) for gen in instance.generators]
+
+
 def _cut_schedule(feas, order):
     """When each feasibility cut is tested, along the layer order `order`.
 
@@ -680,7 +684,7 @@ def _one_path(instance, gamma, x, opt):
         lo=np.array([lo]), hi=np.array([hi]))
 
 
-def build_restricted_master_dd(instance, gamma, cuts=()):
+def build_restricted_master_dd(instance, gamma, cuts=(), moves=None):
     """Restricted master diagram under the cuts.
 
     One period-major label pass (_best_completion) finds an optimum of
@@ -688,9 +692,12 @@ def build_restricted_master_dd(instance, gamma, cuts=()):
     one path, in the master's unit-major layer order (_one_path).  It
     holds an optimum of exact ∩ cuts, which is what the engine's
     is_exact promises, so it returns (diagram, True).  Raises
-    InfeasibleDiagramError when the cuts remove every path.
+    InfeasibleDiagramError when the cuts remove every path.  moves, each
+    unit's _capped_moves, depend on the instance alone, so a caller that
+    builds many diagrams may pass them in.
     """
-    moves = [_capped_moves(gen, instance.horizon) for gen in instance.generators]
+    if moves is None:
+        moves = _unit_moves(instance)
     cuts = list(cuts)
     x = _best_completion(instance, moves, gamma, cuts)
     return _one_path(instance, gamma, x, [c for c in cuts if c.z_coeff != 0.0]), True
@@ -880,38 +887,31 @@ def _commitment_prices(units, x):
 
 
 def _dual_rows(instance):
-    """Constraint matrix, senses and rhs of the dual dispatch LP."""
+    """Constraint matrix, senses and rhs of the dual dispatch LP: per
+    unit-period k = i * T + j, the production column's row 2k and the
+    headroom column's row 2k + 1, every row "<="."""
     n, T = instance.num_units, instance.horizon
     nT = n * T
     PSI, BETA = 0, T
     PHI, PI = 2 * T, 2 * T + nT
     GAM, DEL, ETA = 2 * T + 2 * nT, 2 * T + 3 * nT, 2 * T + 4 * nT
-    nv = 2 * T + 5 * nT
-    rows, senses, rhs = [], [], []
-    for i, gen in enumerate(instance.generators):
-        for j in range(T):
-            k = i * T + j
-            r = np.zeros(nv)   # production column
-            r[PSI + j] = 1.0
-            r[GAM + k] = -1.0
-            if j + 1 < T:
-                r[GAM + k + 1] = 1.0
-            r[DEL + k] = 1.0
-            if j + 1 < T:
-                r[DEL + k + 1] = -1.0
-            r[PHI + k] = 1.0
-            r[ETA + k] = -1.0
-            rows.append(r)
-            senses.append("<=")
-            rhs.append(gen.c_prod)
-            r = np.zeros(nv)   # headroom column
-            r[BETA + j] = 1.0
-            r[ETA + k] = 1.0
-            r[PI + k] = -1.0
-            rows.append(r)
-            senses.append("<=")
-            rhs.append(0.0)
-    return np.array(rows), senses, np.array(rhs)
+    k = np.arange(nT)
+    j, on = k % T, k[k % T + 1 < T]   # on: the unit-periods with a next period
+    A = np.zeros((nT, 2, 2 * T + 5 * nT))
+    prod, head = A[:, 0], A[:, 1]
+    prod[k, PSI + j] = 1.0
+    prod[k, GAM + k] = -1.0
+    prod[on, GAM + on + 1] = 1.0
+    prod[k, DEL + k] = 1.0
+    prod[on, DEL + on + 1] = -1.0
+    prod[k, PHI + k] = 1.0
+    prod[k, ETA + k] = -1.0
+    head[k, BETA + j] = 1.0
+    head[k, ETA + k] = 1.0
+    head[k, PI + k] = -1.0
+    rhs = np.zeros((nT, 2))
+    rhs[:, 0] = np.repeat([gen.c_prod for gen in instance.generators], T)
+    return A.reshape(2 * nT, -1), ["<="] * (2 * nT), rhs.ravel()
 
 
 def _merit_order_basis(instance, x, scenario):
@@ -1124,8 +1124,9 @@ class UcpMasterOracle(MasterOracle):
     A restricted diagram is one optimal path of exact ∩ pool, found by
     one label pass over the whole pool on every ask
     (build_restricted_master_dd) and reported exact, so a converged
-    path is optimal.  Nothing is kept between asks: a label dominated
-    under one pool need not be under a larger one.
+    path is optimal.  No label is kept between asks: a label dominated
+    under one pool need not be under a larger one.  Each unit's moves
+    (_capped_moves) depend on the instance alone, so they are built once.
     """
 
     sense = "min"
@@ -1133,12 +1134,13 @@ class UcpMasterOracle(MasterOracle):
     def __init__(self, instance, gamma):
         self.instance = instance
         self.gamma = gamma
+        self._moves = _unit_moves(instance)
 
     def build_restricted_dd(self, cuts):
         # no path the pool leaves proves the instance infeasible: the
         # restricted diagram is then exact
         try:
-            return build_restricted_master_dd(self.instance, self.gamma, cuts)
+            return build_restricted_master_dd(self.instance, self.gamma, cuts, self._moves)
         except InfeasibleDiagramError:
             return None, True
 
@@ -1158,17 +1160,20 @@ class UcpSubproblemOracle(SubproblemOracle):
     The dual's rows depend on the instance alone, so they are built and
     checked once, as one read-only LpRows that every scenario LP and every
     closed-form ray check shares; so are the per-unit constants of the
-    prices and cuts (_unit_columns).  Each LP is started from the outcome
-    of the LP solved before it, the only state kept between LPs: x and
-    the scenario change only the objective, so phase 2 continues from
-    that outcome's final tableau, which is still primal-feasible (see
-    ddbd.simplex).  Only the first LP is a cold start, and it begins at
-    the dual of the merit-order dispatch at its commitment and scenario
+    prices and cuts (_unit_columns).  An evaluation solves its scenarios'
+    LPs in one chained solve call (see ddbd.simplex), through the module
+    name `solve`: x and the scenario change only the objective, so each
+    scenario's LP continues phase 2 from the final tableau of the one
+    before it, which is still primal-feasible, and the first from the
+    previous call's outcome, the only state kept between evaluations.
+    Only the oracle's first LP is a cold start, and it begins at the dual
+    of the merit-order dispatch at its commitment and first scenario
     (_merit_order_basis), which is feasible, so it skips phase 1 and
     needs far fewer pivots than a start from the slack basis.
     initial_cuts()'s ray checks neither use nor change the kept outcome.
-    Past the LPs the per-scenario arithmetic is array-shaped: dispatch
-    writes every scenario's cut in one _cut_terms call on stacked duals.
+    The call checks the objectives, reads off the duals and rays and
+    verifies every certificate on stacked arrays, and dispatch writes
+    every scenario's cut in one _cut_terms call on the stacked duals.
 
     Each scenario LP carries a secondary objective, the dual objective at
     the core point x0 = 0.5 on every commitment variable (priced once,
@@ -1245,35 +1250,33 @@ class UcpSubproblemOracle(SubproblemOracle):
         (_tightest).  Otherwise returns the probability-weighted expected
         cost with a single aggregated lower-bounding cut on the value
         variable, whose coefficients are listed in the order their indices
-        first appear, scenario by scenario.  The cuts come from one
-        _cut_terms call over the stacked rays or optimal duals, summed over
-        the scenarios in order (_fold).  lp_calls is the number of scenarios.
+        first appear, scenario by scenario.  Every scenario's LP is solved
+        in one chained solve call, and the cuts come from one _cut_terms
+        call over its stacked rays or optimal duals, summed over the
+        scenarios in order (_fold).  lp_calls is the number of scenarios.
         """
         instance = self.instance
         x = _commitment_vector(instance, x)
         prices = np.tile(_commitment_prices(self._units, x), (len(instance.scenarios), 1))
         objectives = _dual_objective(self._demand, self._need, prices)
-        outs = []
-        for s, sc in enumerate(instance.scenarios):
-            basis = _merit_order_basis(instance, x, sc) if self._last is None else None
-            out = solve(LinearProgram(sense="max", c=objectives[s], rows=self._rows,
-                                      start=self._last, secondary=self._core[s], basis=basis))
-            self._last = out
-            if out.status not in ("optimal", "unbounded"):
-                raise RuntimeError("dual dispatch problem reported "
-                                   f"{out.status}; the dual is always feasible")
-            outs.append(out)
-        short = [s for s, out in enumerate(outs) if out.status == "unbounded"]
+        basis = None if self._last is not None else \
+            _merit_order_basis(instance, x, instance.scenarios[0])
+        out = solve(LinearProgram(sense="max", c=objectives, rows=self._rows,
+                                  start=self._last, secondary=self._core, basis=basis))
+        self._last = out
+        if out.status == "infeasible":
+            raise RuntimeError("dual dispatch problems reported infeasible; "
+                               "the dual is always feasible")
+        calls = len(out.statuses)
+        short = [s for s, status in enumerate(out.statuses) if status == "unbounded"]
         if short:
             cuts = _feasibility_cuts(self._units, self._demand[short], self._need[short],
-                                     np.array([outs[s].ray for s in short]))
-            return SubproblemResult(kind="infeasible", cuts=_tightest(cuts), lp_calls=len(outs))
-        const, coef, present = _cut_terms(self._units, self._demand, self._need,
-                                          np.array([out.x for out in outs]))
+                                     out.ray[short])
+            return SubproblemResult(kind="infeasible", cuts=_tightest(cuts), lp_calls=calls)
+        const, coef, present = _cut_terms(self._units, self._demand, self._need, out.x)
         # an index a scenario leaves out adds exactly +0.0, which changes
         # no sum: agg_coef never holds -0.0
-        sums = _fold(self._prob[:, None] * np.column_stack(
-            [[out.objective for out in outs], const, coef]))
+        sums = _fold(self._prob[:, None] * np.column_stack([out.objective, const, coef]))
         total, agg_const, agg_coef = sums[0], sums[1], sums[2:]
         # indices by the first scenario holding them; one none holds sums to 0
         order = np.argsort(present.argmax(axis=0), kind="stable")
@@ -1281,7 +1284,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         cut = CutRow(coeffs=dict(zip(order.tolist(), -agg_coef[order])),
                      z_coeff=1.0, rhs=float(agg_const), sense=">=")
         return SubproblemResult(kind="optimal", cuts=[cut], value=float(total),
-                                lp_calls=len(outs))
+                                lp_calls=calls)
 
 
 def ucp_solve(instance, config=None, instance_id=""):

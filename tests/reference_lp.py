@@ -10,11 +10,15 @@ checks.
 build_subproblem_original is the indicator form of the unit-commitment
 dispatch LP, the reference that the committed-only form is checked
 against.  scaled_instance builds the low-demand inputs.
-cut_pieces_by_terms is the term-by-term form of one row of ddbd.ucp._cut_terms,
-and optimality_cut_by_scenarios folds it into the dispatch optimality cut
+dual_rows_by_loop is ddbd.ucp._dual_rows written row by row, the
+reference for its array-indexed form.  cut_pieces_by_terms is the
+term-by-term form of one row of ddbd.ucp._cut_terms, and
+optimality_cut_by_scenarios folds it into the dispatch optimality cut
 one scenario at a time.  verify_certificate_with_bounds is the certificate
 check as it was written for variables with lower and upper bounds, read
 from lp.lo and lp.hi: the reference for the x >= 0 form in ddbd.simplex.
+chain_rows splits one chained ddbd.simplex.solve call into the
+single-objective LPs and outcomes it stands for.
 """
 
 import dataclasses
@@ -22,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from ddbd.simplex import FEAS_TOL, LinearProgram
+from ddbd.simplex import FEAS_TOL, LinearProgram, LpOutcome
 from ddbd.ucp import COEF_EPS, build_subproblem, gen_random_instance
 
 FEAS = 1e-7
@@ -115,6 +119,42 @@ def scaled_instance(n, horizon, scenarios, seed, factor):
                             reserve=tuple(r * factor for r in sc.reserve))
         for sc in inst.scenarios]
     return inst.validate()
+
+
+def dual_rows_by_loop(instance):
+    """Constraint matrix, senses and rhs of the dual dispatch LP, one
+    row at a time: each unit-period's production row, then its headroom row."""
+    n, T = instance.num_units, instance.horizon
+    nT = n * T
+    PSI, BETA = 0, T
+    PHI, PI = 2 * T, 2 * T + nT
+    GAM, DEL, ETA = 2 * T + 2 * nT, 2 * T + 3 * nT, 2 * T + 4 * nT
+    nv = 2 * T + 5 * nT
+    rows, senses, rhs = [], [], []
+    for i, gen in enumerate(instance.generators):
+        for j in range(T):
+            k = i * T + j
+            r = np.zeros(nv)   # production column
+            r[PSI + j] = 1.0
+            r[GAM + k] = -1.0
+            if j + 1 < T:
+                r[GAM + k + 1] = 1.0
+            r[DEL + k] = 1.0
+            if j + 1 < T:
+                r[DEL + k + 1] = -1.0
+            r[PHI + k] = 1.0
+            r[ETA + k] = -1.0
+            rows.append(r)
+            senses.append("<=")
+            rhs.append(gen.c_prod)
+            r = np.zeros(nv)   # headroom column
+            r[BETA + j] = 1.0
+            r[ETA + k] = 1.0
+            r[PI + k] = -1.0
+            rows.append(r)
+            senses.append("<=")
+            rhs.append(0.0)
+    return np.array(rows), senses, np.array(rhs)
 
 
 def cut_pieces_by_terms(instance, scenario, values):
@@ -248,3 +288,26 @@ def _verify_ray(lp, d):
         return False
     gain = float(lp.c @ d)
     return gain > FEAS_TOL if lp.sense == "max" else gain < -FEAS_TOL
+
+
+# the outcome fields each status has
+STATUS_FIELDS = {"optimal": ("x", "duals", "reduced_costs", "objective"),
+                 "unbounded": ("ray",), "infeasible": ("farkas",)}
+
+
+def chain_rows(lp, out):
+    """A chained LP (c of shape (S, n)) and its outcome as one (LP,
+    outcome) pair per objective.  Row s's LP has objective c[s] and
+    secondary[s] over lp's rows, and starts from lp's start and basis at
+    row 0 and from row s - 1's outcome after it; its outcome holds row s
+    of each field its status has, as solve returns them for one LP."""
+    pairs, start, basis = [], lp.start, lp.basis
+    for s, status in enumerate(out.statuses):
+        row = dataclasses.replace(lp, c=lp.c[s], start=start, basis=basis,
+                                  secondary=None if lp.secondary is None else lp.secondary[s])
+        fields = {name: getattr(out, name)[s] for name in STATUS_FIELDS[status]}
+        if status == "optimal":
+            fields["objective"] = float(fields["objective"])
+        start, basis = LpOutcome(status=status, pivots=int(out.pivots[s]), **fields), None
+        pairs.append((row, start))
+    return pairs

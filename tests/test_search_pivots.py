@@ -4,10 +4,13 @@ change the pivot sequence.
 Each golden search row (test_search_golden.GOLDEN) is solved with a
 wrapper on the dual dispatch LPs that sums LpOutcome.pivots, split into
 cold LPs (no kept tableau to start from) and warm ones (continuing from
-the previous outcome's tableau).  The totals were recorded from the dense
-kernel, whose pivots updated every tableau row and priced every reduced
-cost afresh, and were unchanged when the kernel began to update only the
-rows a pivot touches and to carry reduced costs between pivots.  A
+the previous LP's tableau).  An evaluation solves its scenarios' LPs in
+one chained call with one pivot count per scenario; only the first can
+be cold.  The totals were recorded from the dense kernel, whose pivots
+updated every tableau row and priced every reduced cost afresh, and were
+unchanged when the kernel began to update only the rows a pivot touches
+and to carry reduced costs between pivots, and when each evaluation
+began to solve its scenarios' LPs in one chained call.  A
 change that alters the pivots on purpose records new totals and says why.
 
 The warm total of 2x4x2 s5 was re-recorded (24 -> 19) when the root
@@ -63,8 +66,12 @@ def test_dispatch_lps_repeat_the_recorded_pivots(spec, monkeypatch):
     real = ucp.solve
 
     def counting(lp):
+        # one chained call per evaluation, one pivot count per scenario:
+        # the first is cold unless the call starts from a kept tableau
         out = real(lp)
-        totals[lp.start is not None and lp.start._tableau is not None] += out.pivots
+        first, *rest = out.pivots.tolist()
+        totals[lp.start is not None and lp.start._tableau is not None] += first
+        totals[1] += sum(rest)
         return out
 
     monkeypatch.setattr(ucp, "solve", counting)

@@ -14,7 +14,7 @@ from ddbd.simplex import (
     solve,
     verify_certificate,
 )
-from reference_lp import best_vertex_value, enumerate_vertices
+from reference_lp import best_vertex_value, chain_rows, enumerate_vertices
 
 
 def make_lp(sense, c, rows, senses, b):
@@ -980,3 +980,128 @@ def test_a_bad_secondary_objective_is_rejected(secondary):
     with pytest.raises(ValueError):
         LinearProgram(sense="min", c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[">="], b=[1.0],
                       secondary=secondary)
+
+
+# -- one call over a chain of objectives ------------------------------------------
+
+
+def chain_over(lp, rng, size=4, start=None):
+    """`size` objectives over lp's rows, as one chained LP, each with a
+    secondary; the objectives' small integer entries often tie, so the
+    secondaries move along optimal faces."""
+    shape = (size, lp.num_vars)
+    return LinearProgram(sense=lp.sense, c=rng.integers(-2, 3, size=shape).astype(float),
+                         rows=lp.rows, secondary=rng.uniform(-2, 2, size=shape), start=start)
+
+
+def chain_outcome(outs):
+    """Single-objective outcomes stacked as one chained call's, NaN where
+    a row lacks a field."""
+    statuses = tuple(out.status for out in outs)
+    status = ("infeasible" if "infeasible" in statuses else
+              "unbounded" if "unbounded" in statuses else "optimal")
+    fields = {}
+    for name in ("x", "duals", "reduced_costs", "objective", "ray", "farkas"):
+        got = [getattr(out, name) for out in outs]
+        if any(v is not None for v in got):
+            shape = np.shape(next(v for v in got if v is not None))
+            fields[name] = np.array([np.full(shape, np.nan) if v is None else v for v in got])
+    return LpOutcome(status, statuses=statuses, pivots=np.array([o.pivots for o in outs]),
+                     **fields)
+
+
+def test_a_chained_call_gives_each_row_what_a_chain_of_single_solves_gives():
+    rng = np.random.default_rng(404)
+    seen = {}
+    for lp, _ in kernel_chains(41, 250):
+        start = solve(lp) if rng.random() < 0.5 else None
+        chain = chain_over(lp, rng, start=start)
+        out = solve(chain)
+        prev = start
+        for s, (row_lp, row) in enumerate(chain_rows(chain, out)):
+            single = solve(LinearProgram(sense=lp.sense, c=chain.c[s], rows=lp.rows,
+                                         secondary=chain.secondary[s], start=prev))
+            assert same_outcome(row, single), s
+            assert np.asarray(row.reduced_costs).tobytes() == \
+                np.asarray(single.reduced_costs).tobytes()
+            prev = single
+        # the chain hands on the last row's tableau
+        if out.status == "infeasible":
+            assert out._tableau is None and prev._tableau is None
+        else:
+            assert np.array_equal(out._tableau.basis, prev._tableau.basis)
+            assert out._tableau.T.tobytes() == prev._tableau.T.tobytes()
+        kind = out.status if len(set(out.statuses)) == 1 else "mixed"
+        seen[kind, start is not None] = seen.get((kind, start is not None), 0) + 1
+    assert len(seen) == 8 and min(seen.values()) >= 3, seen
+
+
+def test_an_infeasible_chain_is_infeasible_in_every_row_after_one_phase_one(monkeypatch):
+    rows = start_rows(b=np.array([3.0, -2.0]), senses=[">=", ">="],
+                      A=np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]))
+    single = solve(start_lp(rows=rows))
+    assert single.status == "infeasible" and single.pivots > 0
+    colds = count_calls(monkeypatch, simplex, "_cold_start")
+    out = solve(chain_over(start_lp(rows=rows), np.random.default_rng(0), size=3))
+    assert len(colds) == 1
+    assert (out.status, out.statuses, out.pivots.tolist()) == \
+        ("infeasible", ("infeasible",) * 3, [single.pivots] * 3)
+    assert all(f.tobytes() == single.farkas.tobytes() for f in out.farkas)
+    assert out.x is None and out.ray is None and out._tableau is None
+
+
+def optimal_and_unbounded_chain():
+    """A chain over START_ROWS whose row 1 is unbounded, and its outcome."""
+    lp = LinearProgram(sense="min", c=np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 0.0],
+                                                 [3.0, 2.0, 1.0]]), rows=START_ROWS)
+    out = solve(lp)
+    assert out.statuses == ("optimal", "unbounded", "optimal")
+    assert out.status == "unbounded" and verify_certificate(lp, out)
+    return lp, out
+
+
+def tamper_row(out, name, row, change):
+    v = getattr(out, name).copy()
+    v[row] = change(v[row])
+    return dataclasses.replace(out, **{name: v})
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda out: tamper_row(out, "objective", 2, lambda v: v + 1e-3),
+    lambda out: tamper_row(out, "x", 0, lambda v: v + 1e-3),
+    lambda out: tamper_row(out, "duals", 2, lambda v: -v),
+    lambda out: tamper_row(out, "ray", 1, lambda v: -v),
+    lambda out: dataclasses.replace(out, status="optimal"),
+    lambda out: dataclasses.replace(out, statuses=("optimal", "optimal", "optimal")),
+], ids=["objective", "x", "duals", "ray", "status", "statuses"])
+def test_one_tampered_row_fails_the_whole_chained_call(tamper, monkeypatch):
+    lp, out = optimal_and_unbounded_chain()
+    assert not verify_certificate(lp, tamper(out))
+    real = simplex._solve_impl
+    monkeypatch.setattr(simplex, "_solve_impl", lambda lp: tamper(real(lp)))
+    with pytest.raises(NumericalFailureError):
+        solve(lp)
+
+
+def test_the_chained_verifier_gives_the_bounded_forms_verdicts_row_by_row():
+    from reference_lp import verify_certificate_with_bounds
+
+    # chains over criterion 10's rows, with and without their box rows;
+    # one row's certificate at a time honest or tampered, the others honest
+    rng, tamper = np.random.default_rng(4321), np.random.default_rng(78)
+    verdicts = {}
+    for solved in range(40):
+        boxed = random_lp(rng, force_feasible=(solved % 2 == 0))
+        n = boxed.num_vars
+        unboxed = make_lp(boxed.sense, boxed.c, boxed.A[:-n], boxed.senses[:-n], boxed.b[:-n])
+        for lp in (boxed, unboxed):
+            chain = dataclasses.replace(
+                lp, c=np.vstack([lp.c, np.round(rng.uniform(-2, 2, size=(2, n)), 2)]))
+            pairs = chain_rows(chain, solve(chain))
+            for s, (row_lp, row) in enumerate(pairs):
+                for cert in [row] + tampered_certificates(row_lp, row, tamper):
+                    outs = [cert if k == s else honest for k, (_, honest) in enumerate(pairs)]
+                    verdict = verify_certificate(chain, chain_outcome(outs))
+                    assert verdict == verify_certificate_with_bounds(row_lp, cert), (solved, s)
+                    verdicts[cert.status, verdict] = verdicts.get((cert.status, verdict), 0) + 1
+    assert len(verdicts) == 6 and min(verdicts.values()) >= 30, verdicts

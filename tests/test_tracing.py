@@ -48,14 +48,15 @@ def test_trace_records_no_refine_in_a_unit_commitment_solve():
 
 def test_trace_records_one_dual_lp_span_per_lp_call():
     # the tracer times dual LPs by rebinding ucp.solve, so every LP the
-    # subproblem oracle solves must go through that attribute
+    # subproblem oracle solves must go through that attribute: one call
+    # per evaluation, chaining the LPs of the instance's two scenarios
     tracer = Tracer()
     with traced(tracer):
         report = ucp_solve(scaled_instance(2, 4, 2, 0, 0.4))
     spans = tracer.take()
     dual_lps = [s for s in spans if s.name == "simplex.dual_lp"]
-    assert len(dual_lps) == report.lp_calls > 0
-    assert layer_metrics([spans], [report])["simplex.dual_lp.calls"] == report.lp_calls
+    assert 2 * len(dual_lps) == report.lp_calls > 0
+    assert layer_metrics([spans], [report])["simplex.dual_lp.calls"] == len(dual_lps)
 
 
 def test_trace_records_one_restricted_compile_per_restricted_build():

@@ -48,7 +48,9 @@ from ddbd.ucp import (
 from reference_lp import (
     LOW_DEMAND,
     build_subproblem_original,
+    chain_rows,
     cut_pieces_by_terms,
+    dual_rows_by_loop,
     scaled_instance,
 )
 
@@ -482,6 +484,31 @@ def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
     assert unit.build_restricted_dd(fixing_cuts((1.0, 0.0))) == (None, True)
 
 
+def test_the_master_oracle_builds_each_units_moves_once(monkeypatch):
+    inst = scaled_instance(3, 6, 3, 0, 0.8)
+    gamma = compute_gamma(inst)
+    pools = [[], [CutRow(coeffs={0: 1.0}, rhs=1.0, sense=">=")]]
+    # each pool's path from a build that writes the moves afresh
+    paths = [optimal_path(build_restricted_master_dd(inst, gamma, cuts)[0], "min")
+             for cuts in pools]
+    built, compiled = [], []
+    real_moves, real_build = ucp_module._capped_moves, ucp_module.build_restricted_master_dd
+
+    def compile_counted(*args, **kwargs):
+        compiled.append(1)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(ucp_module, "_capped_moves",
+                        lambda *args: built.append(1) or real_moves(*args))
+    monkeypatch.setattr(ucp_module, "build_restricted_master_dd", compile_counted)
+    oracle = UcpMasterOracle(inst, gamma)
+    for cuts, path in zip(pools, paths):
+        dd, exact = oracle.build_restricted_dd(cuts)
+        assert (optimal_path(dd, "min"), exact) == (path, True)
+    # each ask goes through the module's name, and none rebuilds the moves
+    assert len(compiled) == 2 and len(built) == inst.num_units
+
+
 def test_ucp_solve_closes_at_the_root():
     # both branched at width 2 while restricted diagrams were cut to the
     # width; a converged restricted loop over exact ∩ pool solves the root.
@@ -623,6 +650,18 @@ def test_reformed_and_indicator_forms_agree():
         checked += 1
 
 
+def test_dual_rows_are_the_row_by_row_loops():
+    rng = np.random.default_rng(61)
+    instances = [gen_random_instance(int(rng.integers(1, 6)), int(rng.integers(1, 9)), 2,
+                                     seed=int(rng.integers(0, 10 ** 6))) for _ in range(20)]
+    negative = single_unit_instance(simple_generator(c_prod=-3.0), 3)
+    for inst in instances + [negative]:
+        A, senses, b = ucp_module._dual_rows(inst)
+        ref_A, ref_senses, ref_b = dual_rows_by_loop(inst)
+        assert A.tobytes() == ref_A.tobytes() and A.shape == ref_A.shape
+        assert senses == ref_senses and b.tobytes() == ref_b.tobytes()
+
+
 def test_dual_matches_primal_value_and_unboundedness():
     rng = np.random.default_rng(23)
     seen_infeasible = 0
@@ -734,12 +773,13 @@ def feasibility_cut(inst, sc, ray):
 
 
 def record_dual_solves(monkeypatch):
-    """Every (lp, outcome) pair the ucp module solves from now on."""
+    """Every (lp, outcome) pair the ucp module solves from now on, one per
+    objective of each chained call (reference_lp.chain_rows)."""
     calls = []
 
     def recording(lp):
         out = solve(lp)
-        calls.append((lp, out))
+        calls.extend(chain_rows(lp, out))
         return out
 
     monkeypatch.setattr(ucp_module, "solve", recording)
