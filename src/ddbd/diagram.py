@@ -100,8 +100,8 @@ class CutRow:
         return "feasibility" if self.z_coeff == 0.0 else "optimality"
 
     def key(self):
-        items = tuple(sorted((j, round(c / SPLIT_GRID)) for j, c in self.coeffs.items()
-                             if round(c / SPLIT_GRID) != 0))
+        grid = [(j, round(c / SPLIT_GRID)) for j, c in self.coeffs.items()]
+        items = tuple(sorted(item for item in grid if item[1] != 0))
         return (self.sense, round(self.z_coeff / SPLIT_GRID), items,
                 round(self.rhs / SPLIT_GRID))
 

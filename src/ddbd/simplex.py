@@ -331,15 +331,16 @@ def _verify_optimal(lp, c, x, y, reduced_costs, objective):
     ok &= ~(~rows.eq & (np.abs(y) > tol)
             & (np.abs(res) > 1e-5 * (1.0 + np.abs(rows.b)))).any(axis=1)
     rc = c - y @ rows.A
+    # the two checks of claimed values read `<=`, which a NaN fails
     if reduced_costs is not None:
-        ok &= ~(np.abs(rc - reduced_costs).max(axis=1, initial=0.0) > 1e-6 * scale)
+        ok &= np.abs(rc - reduced_costs).max(axis=1, initial=0.0) <= 1e-6 * scale
     # over x >= 0 a variable priced above tolerance must sit at 0, and none
     # may price below -tolerance: no variable has an upper bound to sit at
     r = sign * rc
     ok &= ~(((r > tol) & (x > 1e-6)) | (r < -tol)).any(axis=1)
     dual_obj = y @ rows.b
     obj = np.sum(c * x, axis=1)
-    ok &= ~(np.abs(obj - objective) > 1e-6 * (1.0 + np.abs(obj)))
+    ok &= np.abs(obj - objective) <= 1e-6 * (1.0 + np.abs(obj))
     return ok & (np.abs(obj - dual_obj) <= 1e-6 * (1.0 + np.abs(obj)))
 
 

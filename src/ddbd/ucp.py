@@ -28,8 +28,13 @@ period across the units, so it is settled at the end of its period,
 and optimality cuts are resources of Pareto labels rather than keys
 that split nodes (the label dominance of resource-constrained shortest
 paths, Irnich and Desaulniers 2005; in decision diagrams, Coppé,
-Gillard and Schaus, INFORMS J. Computing 2024).  The pass returns one
-optimal path, in the unit-major layer order of the exact master.
+Gillard and Schaus, INFORMS J. Computing 2024).  A label's key, the
+unit states and the rounded lhs of the open feasibility cuts, depends on
+no label, so the keys and the arcs between them are laid out once per
+list of feasibility cuts (KeyGraph); an oracle keeps that graph across
+asks, and an ask under the same feasibility cuts only moves labels.
+The pass returns one optimal path, in the unit-major layer order of the
+exact master.
 
 The on/off variables are laid out unit-major: all periods of the first
 generator, then the second, and so on, followed by the value layer.
@@ -39,8 +44,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from operator import add, ge
+from operator import add, ge, is_
 
 import numpy as np
 
@@ -557,56 +563,70 @@ def _add_label(labels, label, margin):
     labels[:] = kept
 
 
-def _best_completion(instance, moves, gamma, cuts):
-    """x of an optimal completion under the cuts, unit-major, as floats.
+class KeyGraph:
+    """The label pass's keys and arcs, kept across asks of one instance and gamma.
 
-    One top-down pass over period-major layers: layer g sets unit g % n
-    at period g // n.  A label is a prefix: its cost, the signed lhs of
-    every optimality cut and x as an integer whose bits read x in
-    unit-major order, so that of two prefixes of one layer the smaller
-    integer is the lexicographically smaller x, whatever the common
-    completion.  Labels are grouped by key: the capped state of every
-    unit (_capped_moves) and the SPLIT_GRID-rounded lhs of every open
-    feasibility cut (_cut_schedule), whose values the key's first label
-    supplies.  Each key keeps a Pareto set (_add_label); with no
-    optimality cut that is its cheapest label, and any label within the
-    tie margin that has a smaller x.  This is the label dominance of
-    resource-constrained shortest paths (Irnich and Desaulniers, 2005).
-
-    A final label is worth cost + z, where z is the largest of gamma.lo
-    and every optimality cut's bound, capped at gamma.hi; one whose bound
-    tops gamma.hi by more than CUT_TOL is dropped, as _tighten drops its
-    value arc.  Of the labels within PATH_TIE_TOL of the best worth, the
-    one with the smallest x wins, as optimal_path breaks ties.  Raises
-    InfeasibleDiagramError when no label is left.
+    Keys depend on the feasibility cuts alone (_key_graph), so a caller
+    that asks again under the same feasibility cuts, the same objects in
+    the same order, reuses the arcs and only moves labels
+    (_best_completion).  Any other list of feasibility cuts rebuilds them.
+    The layer order, each layer's bit of x and the tie margin depend on
+    the instance and gamma alone.
     """
-    n, T = instance.num_units, instance.horizon
-    N = n * T
-    order = [(g % n) * T + g // n for g in range(N)]
-    feas = [c for c in cuts if c.z_coeff == 0.0]
-    opt = [c for c in cuts if c.z_coeff != 0.0]
-    if any((c.sense == "<=") == (c.z_coeff > 0) for c in opt):
-        raise ValueError("an optimality cut must bound the value from below")
-    schedule = _cut_schedule(feas, order)
-    # signed so that a higher lhs is a lower bound on z
-    ocoef = (np.array([np.sign(c.z_coeff) * c.dense(N) for c in opt]).T.tolist()
-             if opt else [()] * N)
-    # two costs closer than margin may tie in the end (PATH_TIE_TOL of any worth)
-    scale = sum(T * (abs(g.c_fixed) + max(abs(g.startup_cost_inf), *map(abs, g.startup_costs)))
-                for g in instance.generators) + abs(gamma.lo) + abs(gamma.hi)
-    margin = 2 * PATH_TIE_TOL * (1.0 + scale)
 
-    # key (unit states, open cuts' rounded lhs) -> (open cuts' lhs, labels)
-    layer = {((0,) * n, ()): ((), [(0.0, (0.0,) * len(opt), 0)])}
-    for g in range(N):
-        unit, v = g % n, order[g]
-        bit = 1 << (N - 1 - v)
-        tests = schedule[g]
+    def __init__(self, instance, gamma):
+        n, T = instance.num_units, instance.horizon
+        N = n * T
+        self.order = [(g % n) * T + g // n for g in range(N)]
+        self.bits = [1 << (N - 1 - v) for v in self.order]
+        # two costs closer than margin may tie in the end (PATH_TIE_TOL of any worth)
+        scale = sum(T * (abs(g.c_fixed) + max(abs(g.startup_cost_inf), *map(abs, g.startup_costs)))
+                    for g in instance.generators) + abs(gamma.lo) + abs(gamma.hi)
+        self.margin = 2 * PATH_TIE_TOL * (1.0 + scale)
+        self.feas = None
+        self.layers = None
+
+    def fit(self, instance, moves, feas):
+        """Build the arcs under the feasibility cuts feas unless they are kept."""
+        if (self.feas is not None and len(self.feas) == len(feas)
+                and all(map(is_, self.feas, feas))):
+            return
+        self.feas = None   # a build that raises keeps nothing
+        self.layers = _key_graph(instance, moves, feas, self.order)
+        self.feas = list(feas)
+
+
+def _key_graph(instance, moves, feas, order):
+    """The keys of a period-major label pass and the arcs between them.
+
+    Layer g sets unit g % n at period g // n, order[g] in unit-major
+    order.  A key is the capped state of every unit (_capped_moves) and
+    the SPLIT_GRID-rounded lhs of every open feasibility cut
+    (_cut_schedule), whose values the first arc to reach the key
+    supplies; a move that a feasibility test drops makes no arc.  Keys
+    are numbered per layer in the order arcs first reach them, visiting
+    the parent keys in their own order and each parent's moves in
+    _capped_moves' order.  No key depends on a label, so this is the
+    order in which a label pass that keyed labels as it went would meet
+    them.
+
+    Returns one (parent, label, weight, child, width) per layer: its arcs
+    in visiting order as `array` columns (parent and child key indices,
+    the move's label and weight) and its number of keys.  Raises
+    InfeasibleDiagramError when no key is left.
+    """
+    n = instance.num_units
+    schedule = _cut_schedule(feas, order)
+    keys, lhs_of = [((0,) * n, ())], [()]
+    graph = []
+    for g, tests in enumerate(schedule):
+        unit = g % n
         open_now = {k: t for k, *t, opens in tests if not opens}
         opening = [(k, *t) for k, *t, opens in tests if opens]
-        oc = ocoef[v]
-        children = {}
-        for (states, fkey), (flhs, labels) in layer.items():
+        parent, label, weight, child = array("i"), array("b"), array("d"), array("i")
+        children, child_lhs = {}, []
+        for i, (states, fkey) in enumerate(keys):
+            flhs = lhs_of[i]
             for lab, w, nxt in moves[unit][states[unit]]:
                 if tests:
                     cflhs = _advance_cuts(flhs, lab, open_now, opening)
@@ -616,24 +636,70 @@ def _best_completion(instance, moves, gamma, cuts):
                 else:
                     cflhs, cfkey = flhs, fkey
                 key = (states[:unit] + (nxt,) + states[unit + 1:], cfkey)
-                if lab:
-                    moved = [(cost + w, tuple(map(add, olhs, oc)), xkey | bit)
-                             for cost, olhs, xkey in labels]
-                else:   # a down move costs nothing and adds nothing to any lhs
-                    moved = labels
-                bucket = children.get(key)
-                if bucket is None:   # one parent's set, moved alike, needs no test
-                    children[key] = (cflhs, list(moved))
-                else:
-                    for label in moved:
-                        _add_label(bucket[1], label, margin)
+                j = children.get(key)
+                if j is None:
+                    j = children[key] = len(child_lhs)
+                    child_lhs.append(cflhs)
+                parent.append(i)
+                label.append(1 if lab else 0)
+                weight.append(w)
+                child.append(j)
         if not children:
             raise InfeasibleDiagramError("a cut removes every path")
-        layer = children
+        graph.append((parent, label, weight, child, len(child_lhs)))
+        keys, lhs_of = children, child_lhs
+    return graph
+
+
+def _best_completion(graph, gamma, opt):
+    """x of an optimal completion under the optimality cuts opt, unit-major, as floats.
+
+    One top-down label pass over graph's layers (KeyGraph, _key_graph).
+    A label is a prefix: its cost, the signed lhs of every optimality
+    cut and x as an integer whose bits read x in unit-major order, so
+    that of two prefixes of one layer the smaller integer is the
+    lexicographically smaller x, whatever the common completion.  Each
+    arc moves its parent key's labels to its child key, visiting arcs in
+    the graph's order, and each key keeps a Pareto set (_add_label);
+    with no optimality cut that is its cheapest label, and any label
+    within the tie margin that has a smaller x.  This is the label
+    dominance of resource-constrained shortest paths (Irnich and
+    Desaulniers, 2005).
+
+    A final label is worth cost + z, where z is the largest of gamma.lo
+    and every optimality cut's bound, capped at gamma.hi; one whose bound
+    tops gamma.hi by more than CUT_TOL is dropped, as _tighten drops its
+    value arc.  Of the labels within PATH_TIE_TOL of the best worth, the
+    one with the smallest x wins, as optimal_path breaks ties.  Raises
+    InfeasibleDiagramError when no label is left.
+    """
+    N, margin = len(graph.order), graph.margin
+    # signed so that a higher lhs is a lower bound on z
+    ocoef = (np.array([np.sign(c.z_coeff) * c.dense(N) for c in opt]).T.tolist()
+             if opt else [()] * N)
+    sets = [[(0.0, (0.0,) * len(opt), 0)]]   # labels per key
+    for v, bit, (parent, label, weight, child, width) in zip(graph.order, graph.bits,
+                                                            graph.layers):
+        oc = ocoef[v]
+        out = [None] * width
+        for i, up, w, j in zip(parent, label, weight, child):
+            labels = sets[i]
+            if up:
+                moved = [(cost + w, tuple(map(add, olhs, oc)), xkey | bit)
+                         for cost, olhs, xkey in labels]
+            else:   # a down move costs nothing and adds nothing to any lhs
+                moved = labels
+            bucket = out[j]
+            if bucket is None:   # one parent's set, moved alike, needs no test
+                out[j] = list(moved)
+            else:
+                for entry in moved:
+                    _add_label(bucket, entry, margin)
+        sets = out
 
     bounds = [(c.rhs, c.z_coeff, np.sign(c.z_coeff)) for c in opt]
     worth = []
-    for _, labels in layer.values():
+    for labels in sets:
         for cost, olhs, xkey in labels:
             z = max([gamma.lo] + [(rhs - s * lhs) / zc
                                   for lhs, (rhs, zc, s) in zip(olhs, bounds)])
@@ -684,7 +750,7 @@ def _one_path(instance, gamma, x, opt):
         lo=np.array([lo]), hi=np.array([hi]))
 
 
-def build_restricted_master_dd(instance, gamma, cuts=(), moves=None):
+def build_restricted_master_dd(instance, gamma, cuts=(), moves=None, graph=None):
     """Restricted master diagram under the cuts.
 
     One period-major label pass (_best_completion) finds an optimum of
@@ -693,14 +759,21 @@ def build_restricted_master_dd(instance, gamma, cuts=(), moves=None):
     holds an optimum of exact ∩ cuts, which is what the engine's
     is_exact promises, so it returns (diagram, True).  Raises
     InfeasibleDiagramError when the cuts remove every path.  moves, each
-    unit's _capped_moves, depend on the instance alone, so a caller that
-    builds many diagrams may pass them in.
+    unit's _capped_moves, depend on the instance alone, and graph, a
+    KeyGraph of this instance and gamma, keeps the pass's keys for the
+    feasibility cuts it last saw, so a caller that builds many diagrams
+    may pass both in.
     """
-    if moves is None:
-        moves = _unit_moves(instance)
     cuts = list(cuts)
-    x = _best_completion(instance, moves, gamma, cuts)
-    return _one_path(instance, gamma, x, [c for c in cuts if c.z_coeff != 0.0]), True
+    feas = [c for c in cuts if c.z_coeff == 0.0]
+    opt = [c for c in cuts if c.z_coeff != 0.0]
+    if any((c.sense == "<=") == (c.z_coeff > 0) for c in opt):
+        raise ValueError("an optimality cut must bound the value from below")
+    if graph is None:
+        graph = KeyGraph(instance, gamma)
+    graph.fit(instance, _unit_moves(instance) if moves is None else moves, feas)
+    x = _best_completion(graph, gamma, opt)
+    return _one_path(instance, gamma, x, opt), True
 
 
 def master_cost(instance, x):
@@ -1124,9 +1197,11 @@ class UcpMasterOracle(MasterOracle):
     A restricted diagram is one optimal path of exact ∩ pool, found by
     one label pass over the whole pool on every ask
     (build_restricted_master_dd) and reported exact, so a converged
-    path is optimal.  No label is kept between asks: a label dominated
-    under one pool need not be under a larger one.  Each unit's moves
-    (_capped_moves) depend on the instance alone, so they are built once.
+    path is optimal.  The pass's keys and arcs are kept across asks
+    (KeyGraph) and built again only when the pool's feasibility cuts
+    change; labels are not kept: a label dominated under one pool need
+    not be under a larger one.  Each unit's moves (_capped_moves) depend
+    on the instance alone, so they are built once.
     """
 
     sense = "min"
@@ -1135,12 +1210,14 @@ class UcpMasterOracle(MasterOracle):
         self.instance = instance
         self.gamma = gamma
         self._moves = _unit_moves(instance)
+        self._graph = KeyGraph(instance, gamma)
 
     def build_restricted_dd(self, cuts):
         # no path the pool leaves proves the instance infeasible: the
         # restricted diagram is then exact
         try:
-            return build_restricted_master_dd(self.instance, self.gamma, cuts, self._moves)
+            return build_restricted_master_dd(self.instance, self.gamma, cuts, self._moves,
+                                              self._graph)
         except InfeasibleDiagramError:
             return None, True
 

@@ -240,7 +240,9 @@ def _verify_optimal(lp, out):
               & (np.abs(res) > 1e-5 * (1.0 + np.abs(lp.b)))):
         return False
     rc = lp.c - (lp.A.T @ y if lp.num_rows else 0.0)
-    if out.reduced_costs is not None and np.max(np.abs(rc - out.reduced_costs)) > 1e-6 * scale:
+    # claimed values are checked with `<=`, which a NaN fails
+    if out.reduced_costs is not None and \
+            not np.max(np.abs(rc - out.reduced_costs)) <= 1e-6 * scale:
         return False
     r = sign * rc
     at_lo = r > FEAS_TOL * scale
@@ -251,7 +253,7 @@ def _verify_optimal(lp, out):
     dual_obj = float(y @ lp.b) if lp.num_rows else 0.0
     dual_obj += float(rc[at_lo] @ lp.lo[at_lo] + rc[at_hi] @ lp.hi[at_hi])
     obj = float(lp.c @ x)
-    if abs(obj - out.objective) > 1e-6 * (1.0 + abs(obj)):
+    if not abs(obj - out.objective) <= 1e-6 * (1.0 + abs(obj)):
         return False
     return abs(obj - dual_obj) <= 1e-6 * (1.0 + abs(obj))
 

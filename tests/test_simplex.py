@@ -138,6 +138,22 @@ def test_verify_recomputes_optimal_residuals():
     assert not verify_certificate(lp, tampered)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_verifiers_reject_a_non_finite_objective_or_reduced_cost(bad):
+    from reference_lp import verify_certificate_with_bounds
+
+    lp = make_lp("min", [1.0, 2.0], [[1.0, 1.0]], [">="], [1.0])
+    out = solve(lp)
+    assert verify_certificate(lp, out) and verify_certificate_with_bounds(lp, out)
+    for k in range(lp.num_vars):
+        rc = out.reduced_costs.copy()
+        rc[k] = bad
+        for cert in (dataclasses.replace(out, objective=bad),
+                     dataclasses.replace(out, reduced_costs=rc)):
+            assert not verify_certificate(lp, cert)
+            assert not verify_certificate_with_bounds(lp, cert)
+
+
 # -- randomized cross-check against vertex enumeration -----------------------------
 
 
@@ -223,8 +239,9 @@ def tampered_certificates(lp, out, rng):
     """out with its certificate (and an optimal outcome's duals) moved in
     one entry by steps from well inside to far past the tolerances,
     negated and shrunk to a sliver; an optimal outcome also with a shifted
-    objective and with unchecked reduced costs and noisy duals; then a
-    random ray and a random infeasibility aggregate of the LP's size."""
+    objective and with unchecked reduced costs and noisy duals, and with
+    a NaN or infinite objective or reduced cost; then a random ray and a
+    random infeasibility aggregate of the LP's size."""
     names = {"optimal": ["x", "duals"], "infeasible": ["farkas"], "unbounded": ["ray"]}
     changed = []
     for name in names[out.status]:
@@ -240,6 +257,12 @@ def tampered_certificates(lp, out, rng):
         changed += [dataclasses.replace(out, objective=out.objective + 1e-5),
                     dataclasses.replace(out, reduced_costs=None,
                                         duals=out.duals + 1e-6 * rng.normal(size=out.duals.size))]
+        for bad in (np.nan, np.inf, -np.inf):
+            changed.append(dataclasses.replace(out, objective=bad))
+            if out.reduced_costs.size:
+                rc = out.reduced_costs.copy()
+                rc[-1] = bad
+                changed.append(dataclasses.replace(out, reduced_costs=rc))
     return changed + [LpOutcome(status="unbounded", ray=np.abs(rng.normal(size=lp.num_vars))),
                       LpOutcome(status="infeasible", farkas=np.abs(rng.normal(size=lp.num_rows)))]
 
@@ -996,13 +1019,18 @@ def chain_over(lp, rng, size=4, start=None):
 
 def chain_outcome(outs):
     """Single-objective outcomes stacked as one chained call's, NaN where
-    a row lacks a field."""
+    a row lacks a field.  A chained call's reduced costs are checked for
+    every optimal row or for none, and a NaN one fails its row, so they
+    are left out when an optimal row lacks them."""
     statuses = tuple(out.status for out in outs)
     status = ("infeasible" if "infeasible" in statuses else
               "unbounded" if "unbounded" in statuses else "optimal")
     fields = {}
     for name in ("x", "duals", "reduced_costs", "objective", "ray", "farkas"):
         got = [getattr(out, name) for out in outs]
+        if name == "reduced_costs" and any(v is None and out.status == "optimal"
+                                           for v, out in zip(got, outs)):
+            continue
         if any(v is not None for v in got):
             shape = np.shape(next(v for v in got if v is not None))
             fields[name] = np.array([np.full(shape, np.nan) if v is None else v for v in got])
@@ -1068,12 +1096,20 @@ def tamper_row(out, name, row, change):
 
 @pytest.mark.parametrize("tamper", [
     lambda out: tamper_row(out, "objective", 2, lambda v: v + 1e-3),
+    lambda out: tamper_row(out, "objective", 2, lambda v: np.nan),
+    lambda out: tamper_row(out, "objective", 0, lambda v: np.inf),
+    lambda out: tamper_row(out, "objective", 2, lambda v: -np.inf),
+    lambda out: tamper_row(out, "reduced_costs", 0, lambda v: np.r_[v[:-1], np.nan]),
+    lambda out: tamper_row(out, "reduced_costs", 2, lambda v: np.r_[np.inf, v[1:]]),
+    lambda out: tamper_row(out, "reduced_costs", 0, lambda v: np.r_[-np.inf, v[1:]]),
     lambda out: tamper_row(out, "x", 0, lambda v: v + 1e-3),
     lambda out: tamper_row(out, "duals", 2, lambda v: -v),
     lambda out: tamper_row(out, "ray", 1, lambda v: -v),
     lambda out: dataclasses.replace(out, status="optimal"),
     lambda out: dataclasses.replace(out, statuses=("optimal", "optimal", "optimal")),
-], ids=["objective", "x", "duals", "ray", "status", "statuses"])
+], ids=["objective", "objective_nan", "objective_inf", "objective_minus_inf",
+        "reduced_cost_nan", "reduced_cost_inf", "reduced_cost_minus_inf",
+        "x", "duals", "ray", "status", "statuses"])
 def test_one_tampered_row_fails_the_whole_chained_call(tamper, monkeypatch):
     lp, out = optimal_and_unbounded_chain()
     assert not verify_certificate(lp, tamper(out))

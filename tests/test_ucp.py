@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import operator
 import pathlib
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from ddbd.diagram import (
     CUT_TOL,
+    SPLIT_GRID,
     CutRow,
     EmptyDiagramError,
     InfeasibleDiagramError,
@@ -507,6 +509,142 @@ def test_the_master_oracle_builds_each_units_moves_once(monkeypatch):
         assert (optimal_path(dd, "min"), exact) == (path, True)
     # each ask goes through the module's name, and none rebuilds the moves
     assert len(compiled) == 2 and len(built) == inst.num_units
+
+
+def count_key_graph_builds(monkeypatch):
+    """Calls of ucp._cut_schedule, which runs once per key graph built."""
+    calls = []
+    real = ucp_module._cut_schedule
+    monkeypatch.setattr(ucp_module, "_cut_schedule",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def same_answer(got, want):
+    return got == want or (got[0] is not None and want[0] is not None
+                           and got[1] == want[1] and dd_to_json(got[0]) == dd_to_json(want[0]))
+
+
+def fresh_answer(inst, gamma, cuts):
+    """The oracle's answer from a build that keeps nothing."""
+    try:
+        return build_restricted_master_dd(inst, gamma, cuts)
+    except InfeasibleDiagramError:
+        return None, True
+
+
+def test_the_kept_key_graph_gives_every_ask_a_fresh_builds_answer(monkeypatch):
+    # one oracle asked along a growing pool, then along lists whose
+    # feasibility cuts change: one appended mid-sequence, one swapped for
+    # an equal copy, and the same cuts in another order.  Only the
+    # feasibility cuts, the same objects in the same order, keep the graph
+    rng = np.random.default_rng(17)
+    seen_optimal = 0
+    for args in [(2, 4, 2, 0, 0.4), (3, 4, 2, 1, 0.6), (3, 3, 1, 0, 0.4)]:
+        inst = scaled_instance(*args)
+        gamma = compute_gamma(inst)
+        pool = UcpSubproblemOracle(inst).initial_cuts() + harvested_pool(inst, rng)
+        feas = [c for c in pool if c.z_coeff == 0.0]
+        opt = [c for c in pool if c.z_coeff != 0.0]
+        twin = dataclasses.replace(feas[1])
+        assert twin == feas[1] and twin is not feas[1]
+        asks = [(feas[:2], True), (feas[:2] + opt[:1], False), (opt[:3] + feas[:2], False),
+                (feas[:3] + opt[:3], True), (opt[:1] + feas[:3] + opt[1:4], False),
+                ([feas[0], twin, feas[2]] + opt[:4], True), ([feas[0], twin, feas[2]], False),
+                ([feas[2], feas[0], twin] + opt, True), (feas + opt, True), (opt, True)]
+        want = [fresh_answer(inst, gamma, cuts) for cuts, _ in asks]
+        builds = count_key_graph_builds(monkeypatch)
+        oracle = UcpMasterOracle(inst, gamma)
+        for k, ((cuts, rebuilds), answer) in enumerate(zip(asks, want)):
+            before = len(builds)
+            assert same_answer(oracle.build_restricted_dd(cuts), answer), (args, k)
+            assert len(builds) - before == rebuilds, (args, k)
+            seen_optimal += answer[0] is not None
+        monkeypatch.undo()
+    assert seen_optimal >= 20
+
+
+def test_a_solve_asks_like_fresh_builds_and_builds_one_graph_per_feasibility_set(monkeypatch):
+    # every ask of real solves, checked against a build that keeps nothing
+    real = ucp_module.build_restricted_master_dd
+    kept, count = [], {"asks": 0, "sets": 0}   # sets: distinct feasibility lists in a row
+
+    def checked(inst, gamma, cuts, *rest):
+        cuts = list(cuts)
+        feas = [c for c in cuts if c.z_coeff == 0.0]
+        if not kept or len(feas) != len(kept) or not all(map(operator.is_, feas, kept)):
+            count["sets"] += 1
+        kept[:] = feas
+        count["asks"] += 1
+        want = fresh_answer(inst, gamma, cuts)
+        try:
+            got = real(inst, gamma, cuts, *rest)
+        except InfeasibleDiagramError:
+            got = None, True
+        assert same_answer(got, want)
+        if got[0] is None:
+            raise InfeasibleDiagramError("the cuts remove every path")
+        return got
+
+    monkeypatch.setattr(ucp_module, "build_restricted_master_dd", checked)
+    for args in [(3, 6, 3, 0, 0.8), (3, 4, 2, 1, 0.6), (4, 6, 3, 4, 0.8)]:
+        kept.clear()
+        count.update(asks=0, sets=0)
+        builds = count_key_graph_builds(monkeypatch)
+        assert ucp_solve(scaled_instance(*args)).status == "optimal"
+        # the fresh builds keep nothing: one graph each
+        assert len(builds) == count["asks"] + count["sets"], (args, count)
+        assert count["asks"] > count["sets"], (args, count)
+
+
+def test_a_cached_ask_keeps_every_check_of_the_label_pass(monkeypatch):
+    inst = scaled_instance(3, 4, 2, 1, 0.6)
+    gamma = compute_gamma(inst)
+    pool = UcpSubproblemOracle(inst).initial_cuts() + harvested_pool(
+        inst, np.random.default_rng(29))
+    want = fresh_answer(inst, gamma, pool)
+    assert want[0] is not None
+    builds = count_key_graph_builds(monkeypatch)
+    oracle = UcpMasterOracle(inst, gamma)
+    assert same_answer(oracle.build_restricted_dd(pool), want)
+    # an optimality cut that bounds the value from above
+    upper = CutRow(coeffs={0: 1.0}, z_coeff=1.0, rhs=0.0, sense="<=")
+    with pytest.raises(ValueError):
+        oracle.build_restricted_dd(pool + [upper])
+    # an optimality cut above gamma.hi leaves no path
+    beyond = CutRow(coeffs={}, z_coeff=1.0, rhs=gamma.hi + 1.0, sense=">=")
+    assert oracle.build_restricted_dd(pool + [beyond]) == (None, True)
+    assert same_answer(oracle.build_restricted_dd(pool), want)
+    assert len(builds) == 1
+    # feasibility cuts that together leave no path build no graph to keep
+    clash = pool + fixing_cuts((1.0,)) + [CutRow(coeffs={0: 1.0}, rhs=0.0, sense="<=")]
+    for _ in range(2):
+        assert oracle.build_restricted_dd(clash) == (None, True)
+    assert len(builds) == 3
+    assert same_answer(oracle.build_restricted_dd(pool), want)
+    assert len(builds) == 4
+
+
+def test_cut_keys_equal_the_two_pass_formula_on_harvested_cuts():
+    # CutRow.key rounds each coefficient once; the formula it replaced
+    # rounded it twice, once to drop zeros and once for the value
+    def two_pass_key(cut):
+        items = tuple(sorted((j, round(c / SPLIT_GRID)) for j, c in cut.coeffs.items()
+                             if round(c / SPLIT_GRID) != 0))
+        return (cut.sense, round(cut.z_coeff / SPLIT_GRID), items, round(cut.rhs / SPLIT_GRID))
+
+    rng = np.random.default_rng(31)
+    cuts = []
+    for args in [(2, 4, 2, 0, 0.4), (3, 4, 2, 1, 0.6), (3, 6, 3, 0, 0.8)]:
+        inst = scaled_instance(*args)
+        cuts += UcpSubproblemOracle(inst).initial_cuts() + harvested_pool(inst, rng)
+    # and each again with coefficients shrunk to about the grid, so that
+    # some round to zero and drop out of the key
+    cuts += [dataclasses.replace(c, coeffs={j: v * SPLIT_GRID / max(map(abs, c.coeffs.values()))
+                                            for j, v in c.coeffs.items()})
+             for c in cuts if c.coeffs]
+    assert all(cut.key() == two_pass_key(cut) for cut in cuts)
+    assert any(round(v / SPLIT_GRID) == 0 for c in cuts for v in c.coeffs.values())
 
 
 def test_ucp_solve_closes_at_the_root():
