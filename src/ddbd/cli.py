@@ -5,8 +5,8 @@ Exit codes for `solve`: 0 optimal, 2 time limit hit, 3 infeasible,
 its own sense.  `compare` exits 1 on malformed arguments or when any
 method disagrees on an optimum, `verify-decomposition` when a condition
 or an equivalence check fails.  Every command exits 1 on a usage error,
-with the usage on stderr, and on an --out path it cannot write, checked
-before any work is done.
+with the usage on stderr, and on an --out path it cannot write (or a
+--emit-dot directory it cannot make), checked before any work is done.
 """
 
 from __future__ import annotations
@@ -81,10 +81,14 @@ def cmd_solve(args):
             n, t, s, seed = _parse_ints(args.gen, "n,T,S,seed")
             kind, problem = "ucp", gen_random_instance(n, t, s, seed)
             instance_id = f"gen-{n}x{t}x{s}-seed{seed}"
-        config = EngineConfig(time_limit=args.time_limit, dot_dir=args.emit_dot)
+        config = EngineConfig(time_limit=args.time_limit)
         _check_out(args.out)
         if kind == "mip":
-            master, sub = MipMasterOracle(problem), MipSubproblemOracle(problem)
+            sub = MipSubproblemOracle(problem)
+            master = MipMasterOracle(problem, dot_dir=args.emit_dot)
+        elif args.emit_dot:
+            # the unit-commitment master builds no diagram to draw
+            raise ValueError("--emit-dot needs a MIP instance")
     except (OSError, ValueError, InstanceError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -221,7 +225,8 @@ def build_parser():
     ps.add_argument("--instance", help="instance JSON (unit commitment or MIP)")
     ps.add_argument("--gen", help="n,T,S,seed to generate an instance instead")
     ps.add_argument("--time-limit", type=float, default=None)
-    ps.add_argument("--emit-dot", metavar="DIR", default=None)
+    ps.add_argument("--emit-dot", metavar="DIR", default=None,
+                    help="write each master diagram of a MIP solve here as Graphviz text")
     ps.add_argument("--out", help="write the JSON report here (plus a .csv row)")
     ps.set_defaults(func=cmd_solve)
 

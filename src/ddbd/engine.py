@@ -1,26 +1,26 @@
-"""Benders-style cut generation over a master decision diagram.
+"""Benders-style cut generation over a master oracle.
 
 The solve is one separation loop at the root: ask the master for its
-diagram under the cut pool, take the diagram's optimal path, evaluate
-the subproblem there, pool the cuts, and ask the master again under the
-grown pool (the only way fresh cuts reach the master), until the path's
-value variable agrees with the subproblem optimum.  The master must
-answer with a diagram that holds an optimum of its points under the
-pool (see MasterOracle), so a converged path is optimal and no relaxed
-diagram or branching is needed; both shipped oracles answer that way.
+best point under the cut pool, evaluate the subproblem there, pool the
+cuts, and ask the master again under the grown pool (the only way fresh
+cuts reach the master), until the point's value variable agrees with
+the subproblem optimum.  The master answers with an optimum of its
+points under the pool (see MasterOracle), so a converged point is
+optimal and no relaxed diagram or branching is needed.
 A cut the pool already holds is an oracle error.
-Cuts live in a global deduplicated pool, seeded before the first build
+Cuts live in a global deduplicated pool, seeded before the first ask
 with the subproblem oracle's initial_cuts(): cuts that hold for every
 x, such as the unit-commitment oracle's per-period capacity cuts and
-its period-0 start-up cut.  The MIP oracle brings the pool into a
-diagram by one exact refinement pass over the list (see replay_cuts);
+its period-0 start-up cut.  The MIP oracle brings the pool into its
+master diagram by one exact refinement pass over the list (see
+replay_cuts) and reads the diagram's optimal path off (diagram_point);
 the unit-commitment oracle finds an optimal path of its master under
-the pool in one label pass and returns that path.  Every path whose
-evaluation is optimal is a feasible point, and the best of them is the
-incumbent until a converged path replaces it, so a solve stopped by the
-clock still reports one.  The clock is read before the first build and
-before every evaluation; a solve stopped after a build reports that
-build's path value as its bound.
+the pool in one label pass and returns its point.  Every point whose
+evaluation is optimal is feasible, and the best of them is the
+incumbent until a converged point replaces it, so a solve stopped by the
+clock still reports one.  The clock is read before the first ask and
+before every evaluation; a solve stopped after an ask reports that
+point's master value as its bound.
 
 Master and subproblem oracles are duck-typed; see MasterOracle and
 SubproblemOracle for the expected surface.
@@ -31,26 +31,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import (
-    EmptyDiagramError,
-    optimal_path,
-    refine_with_cut,
-    to_dot,
-)
+from .diagram import EmptyDiagramError, optimal_path, refine_with_cut
 
 VALUE_TOL = 1e-9       # strictness for incumbent comparisons
-CONVERGE_TOL = 1e-6    # repeat-loop test: path z equals subproblem value
+CONVERGE_TOL = 1e-6    # repeat-loop test: the point's z equals subproblem value
 REPEAT_CAP = 1000      # evaluations before the loop gives up
 
 
 class EngineError(Exception):
-    """An oracle broke its contract (stalled refinement, bad diagram)."""
+    """An oracle broke its contract (stalled refinement, a loop past its cap)."""
 
 
 class PropertyViolationError(Exception):
@@ -58,28 +52,26 @@ class PropertyViolationError(Exception):
 
 
 class MasterOracle:
-    """Contract for problem-specific master diagram builders.
+    """Contract for problem-specific master oracles.
 
     sense: "min" or "max".
-    build_restricted_dd(cuts) -> (diagram or None, is_exact)
+    best_point(cuts) -> (x, z, w) or None
 
     Write Sol(exact) for the master's points that satisfy every cut.
-    The diagram must hold an optimum of Sol(exact), at its value, so that
-    its optimal path is optimal over the master under the cuts; None
-    says Sol(exact) is empty.  is_exact confirms that promise, and the
-    engine raises EngineError when it is False: a diagram that may miss
-    every optimum would need relaxed diagrams and branching, which the
-    engine does not have.  Diagrams must end in a continuous value layer
-    (a [v, v] interval when the subproblem value is fixed).
+    The answer is an optimum of Sol(exact): its discrete labels x (a
+    tuple), its value variable z and its master value w, so that a
+    converged point is optimal over the master under the cuts; None says
+    Sol(exact) is empty.  Every master has a value variable (fixed at v
+    when the subproblem value is fixed), so z is always a number.
 
-    The build is asked again after every batch of fresh cuts, with the
+    The master is asked again after every batch of fresh cuts, with the
     pool's list grown by them (the list only appends, and a cut never
     changes).  These calls are the only way fresh cuts reach the master.
     """
 
     sense = "min"
 
-    def build_restricted_dd(self, cuts):
+    def best_point(self, cuts):
         raise NotImplementedError
 
 
@@ -137,7 +129,6 @@ class CutPool:
 @dataclass
 class EngineConfig:
     time_limit: float = None
-    dot_dir: str = None                # dump refinement snapshots when set
 
     def __post_init__(self):
         # `not >=` also rejects NaN, which every comparison would ignore
@@ -187,11 +178,17 @@ class SolveReport:
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def split_assignment(dd, assignment):
-    """(discrete labels, value-variable) parts of a path assignment."""
-    if dd.layer_kinds and dd.layer_kinds[-1] == "continuous":
-        return tuple(assignment[:-1]), assignment[-1]
-    return tuple(assignment), None
+def diagram_point(dd, sense):
+    """(x, z, w) of an optimal path of dd, a diagram ending in its value
+    layer, or None when dd is None or has no path.  It calls optimal_path
+    through this module's name, which perfbench/layers.py rebinds."""
+    if dd is None:
+        return None
+    try:
+        assignment, w = optimal_path(dd, sense)
+    except EmptyDiagramError:
+        return None
+    return tuple(assignment[:-1]), assignment[-1], w
 
 
 # no solve calls enumerate_prefixes; it stays importable as engine.enumerate_prefixes,
@@ -234,33 +231,16 @@ def replay_cuts(dd, cuts):
     return dd
 
 
-class _DotDumper:
-    def __init__(self, directory):
-        self.directory = directory
-        self.seq = 0
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-
-    def dump(self, dd, tag):
-        if not self.directory:
-            return
-        path = os.path.join(self.directory, f"{self.seq:04d}_{tag}.dot")
-        with open(path, "w") as fh:
-            fh.write(to_dot(dd))
-        self.seq += 1
-
-
 def dd_bd_solve(master, sub, config=None, instance_id=""):
     """Run the decomposition loop to optimality (or time limit)."""
     cfg = config or EngineConfig()
     sense = master.sense
     t0 = time.perf_counter()
-    dots = _DotDumper(cfg.dot_dir)
     pool = CutPool()
     for cut in sub.initial_cuts():
         pool.add(cut)
     best_x, best_z, w_star = None, None, None
-    bound = None          # the last path value, when the clock stops the loop
+    bound = None          # the last point's value, when the clock stops the loop
     lp_calls = 0
     nodes = 0
     status = "optimal"
@@ -278,17 +258,10 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
     else:
         nodes = 1
         for evaluations in itertools.count():
-            dd, is_exact = master.build_restricted_dd(pool.cuts)
-            if not is_exact:
-                raise EngineError("the master diagram may miss every optimum")
-            if dd is None:
+            point = master.best_point(pool.cuts)
+            if point is None:
                 break
-            dots.dump(dd, "restricted")
-            try:
-                assignment, w = optimal_path(dd, sense)
-            except EmptyDiagramError:
-                break
-            x, z = split_assignment(dd, assignment)
+            x, z, w = point
             if evaluations == REPEAT_CAP:
                 raise EngineError("restricted repeat loop exceeded its cap")
             if out_of_time():
@@ -299,9 +272,9 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
             res = sub.evaluate(x)
             lp_calls += res.lp_calls
             fresh = [c for c in res.cuts if pool.add(c)]
-            if res.kind == "optimal" and z is not None:
+            if res.kind == "optimal":
                 if abs(z - res.value) <= CONVERGE_TOL:
-                    # a converged path replaces an incumbent it ties, which
+                    # a converged point replaces an incumbent it ties, which
                     # came from a point evaluated on the way
                     if better(w, w_star) or abs(w - w_star) <= VALUE_TOL:
                         w_star, best_x, best_z = w, x, z

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CutRow, DiagramBuilder, InfeasibleDiagramError, Interval
-from .engine import MasterOracle, SubproblemOracle, SubproblemResult, replay_cuts
+from .diagram import CutRow, DiagramBuilder, InfeasibleDiagramError, Interval, to_dot
+from .engine import MasterOracle, SubproblemOracle, SubproblemResult, diagram_point, replay_cuts
 from .simplex import LinearProgram, LpRows, solve
 
 COEF_EPS = 1e-12
@@ -105,17 +106,23 @@ class MipMasterOracle(MasterOracle):
     domain value, weighted by its objective term, and ends in the
     [z_lo, z_hi] value arc.  The master rows, made feasibility cuts once
     ("=" as a "<=" and a ">=" row), are replayed into it when the oracle
-    is made; each ask replays only the pool.  The restricted diagram is
-    this exact one, reported exact.
+    is made; each ask replays only the pool, and its best point is the
+    optimal path of that exact diagram.  Given dot_dir, the oracle makes
+    that directory and writes each ask's diagram there as Graphviz text,
+    0000_restricted.dot, 0001_restricted.dot and so on; an ask that
+    leaves no diagram writes none.
     """
 
-    def __init__(self, problem):
+    def __init__(self, problem, dot_dir=None):
         self.problem = problem
         self.sense = problem.sense
         self._rows = [CutRow(coeffs=_dense_to_sparse(ax), rhs=float(rhs), sense=s)
                       for ax, _, sense, rhs in problem.master_rows()
                       for s in (("<=", ">=") if sense == "=" else (sense,))]
         self._master = self._compile()
+        self._dot_dir, self._dots = dot_dir, 0
+        if dot_dir:
+            os.makedirs(dot_dir, exist_ok=True)
 
     def _compile(self):
         """The chain refined by the master rows, or None when no point is left."""
@@ -142,8 +149,14 @@ class MipMasterOracle(MasterOracle):
         except InfeasibleDiagramError:
             return None
 
-    def build_restricted_dd(self, cuts):
-        return self.build_exact_dd(cuts), True
+    def best_point(self, cuts):
+        dd = self.build_exact_dd(cuts)
+        if dd is not None and self._dot_dir:
+            path = os.path.join(self._dot_dir, f"{self._dots:04d}_restricted.dot")
+            with open(path, "w") as fh:
+                fh.write(to_dot(dd))
+            self._dots += 1
+        return diagram_point(dd, self.sense)
 
 
 class MipSubproblemOracle(SubproblemOracle):

@@ -33,8 +33,10 @@ unit states and the rounded lhs of the open feasibility cuts, depends on
 no label, so the keys and the arcs between them are laid out once per
 list of feasibility cuts (KeyGraph); an oracle keeps that graph across
 asks, and an ask under the same feasibility cuts only moves labels.
-The pass returns one optimal path, in the unit-major layer order of the
-exact master.
+The pass finds the x of one optimal path, in the unit-major layer order
+of the exact master, and the master answers with that point: x, its
+value variable and its master value, summed as the exact master's
+optimal path sums them, with no diagram built.
 
 The on/off variables are laid out unit-major: all periods of the first
 generator, then the second, and so on, followed by the value layer.
@@ -55,7 +57,6 @@ from .diagram import (
     PATH_TIE_TOL,
     SPLIT_GRID,
     CutRow,
-    DecisionDiagram,
     DiagramBuilder,
     EmptyDiagramError,
     InfeasibleDiagramError,
@@ -457,10 +458,6 @@ def _capped_moves(gen, horizon):
     return tuple(tuple((lab, w, index[nxt]) for lab, w, nxt in moves) for moves in out)
 
 
-def _unit_moves(instance):
-    return [_capped_moves(gen, instance.horizon) for gen in instance.generators]
-
-
 def _cut_schedule(feas, order):
     """When each feasibility cut is tested, along the layer order `order`.
 
@@ -570,13 +567,15 @@ class KeyGraph:
     that asks again under the same feasibility cuts, the same objects in
     the same order, reuses the arcs and only moves labels
     (_best_completion).  Any other list of feasibility cuts rebuilds them.
-    The layer order, each layer's bit of x and the tie margin depend on
-    the instance and gamma alone.
+    Each unit's moves (_capped_moves), the layer order, each layer's bit
+    of x and the tie margin depend on the instance and gamma alone, and
+    are made once.
     """
 
     def __init__(self, instance, gamma):
         n, T = instance.num_units, instance.horizon
         N = n * T
+        self.moves = [_capped_moves(gen, T) for gen in instance.generators]
         self.order = [(g % n) * T + g // n for g in range(N)]
         self.bits = [1 << (N - 1 - v) for v in self.order]
         # two costs closer than margin may tie in the end (PATH_TIE_TOL of any worth)
@@ -586,27 +585,27 @@ class KeyGraph:
         self.feas = None
         self.layers = None
 
-    def fit(self, instance, moves, feas):
+    def fit(self, feas):
         """Build the arcs under the feasibility cuts feas unless they are kept."""
         if (self.feas is not None and len(self.feas) == len(feas)
                 and all(map(is_, self.feas, feas))):
             return
         self.feas = None   # a build that raises keeps nothing
-        self.layers = _key_graph(instance, moves, feas, self.order)
+        self.layers = _key_graph(self.moves, feas, self.order)
         self.feas = list(feas)
 
 
-def _key_graph(instance, moves, feas, order):
+def _key_graph(moves, feas, order):
     """The keys of a period-major label pass and the arcs between them.
 
-    Layer g sets unit g % n at period g // n, order[g] in unit-major
-    order.  A key is the capped state of every unit (_capped_moves) and
-    the SPLIT_GRID-rounded lhs of every open feasibility cut
-    (_cut_schedule), whose values the first arc to reach the key
-    supplies; a move that a feasibility test drops makes no arc.  Keys
-    are numbered per layer in the order arcs first reach them, visiting
-    the parent keys in their own order and each parent's moves in
-    _capped_moves' order.  No key depends on a label, so this is the
+    moves holds each unit's _capped_moves.  Layer g sets unit g % n at
+    period g // n, order[g] in unit-major order.  A key is the capped
+    state of every unit and the SPLIT_GRID-rounded lhs of every open
+    feasibility cut (_cut_schedule), whose values the first arc to reach
+    the key supplies; a move that a feasibility test drops makes no arc.
+    Keys are numbered per layer in the order arcs first reach them,
+    visiting the parent keys in their own order and each parent's moves
+    in _capped_moves' order.  No key depends on a label, so this is the
     order in which a label pass that keyed labels as it went would meet
     them.
 
@@ -615,7 +614,7 @@ def _key_graph(instance, moves, feas, order):
     the move's label and weight) and its number of keys.  Raises
     InfeasibleDiagramError when no key is left.
     """
-    n = instance.num_units
+    n = len(moves)
     schedule = _cut_schedule(feas, order)
     keys, lhs_of = [((0,) * n, ())], [()]
     graph = []
@@ -713,56 +712,51 @@ def _best_completion(graph, gamma, opt):
     return [float(xkey >> (N - 1 - v) & 1) for v in range(N)]
 
 
-def _one_path(instance, gamma, x, opt):
-    """The master's path of x, unit-major, ending in the value arc [z, gamma.hi].
+def _point(graph, gamma, x, opt):
+    """(x, z, w) of the exact master's path of x, to the bit as optimal_path
+    reads them off that path.
 
-    Arc weights and node states are the exact master's along x.  z is
-    gamma.lo raised by each optimality cut in list order, with each cut's
-    lhs summed over the variables in unit-major order, as a replay into
-    the exact master sums it, so that the path's value keeps its bits.
+    Each layer's weight is that of x's move in graph.moves, which is the
+    exact master's.  z is gamma.lo raised by each optimality cut in list
+    order, with each cut's lhs summed over the variables in unit-major
+    order, as a replay into the exact master sums it, and capped at
+    gamma.hi.  w sums the weights and then z from the last layer up,
+    w_0 + (w_1 + ... + (w_(N-1) + z)), the order optimal_path sums in.
     """
-    n, T = instance.num_units, instance.horizon
-    N = n * T
-    states, weights = [_fresh_state(False)], []
-    for unit, gen in enumerate(instance.generators):
-        min_up, min_down = effective_times(gen, T)
-        state = _fresh_state(False)
-        for t in range(T):
-            _, w, state = next(m for m in _transitions(gen, state, False, min_up, min_down)
-                               if m[0] == x[unit * T + t])
+    T = len(x) // len(graph.moves)
+    weights = []
+    for unit, moves in enumerate(graph.moves):
+        state = 0
+        for lab in x[unit * T:(unit + 1) * T]:
+            w, state = next((w, nxt) for b, w, nxt in moves[state] if b == lab)
             weights.append(w)
-            states.append(_fresh_state(False) if t == T - 1 and unit < n - 1 else state)
-    lo, hi = gamma.lo, gamma.hi
+    z, hi = gamma.lo, gamma.hi
     for cut in opt:
         lhs = 0.0
-        for v, c in enumerate(cut.dense(N).tolist()):
-            if x[v]:
+        for c, on in zip(cut.dense(len(x)).tolist(), x):
+            if on:
                 lhs += c
         bound = (cut.rhs - lhs) / cut.z_coeff
-        lo = bound if bound > lo else lo
-        lo = hi if hi < lo else lo
-    rows = np.arange(N + 2)
-    return DecisionDiagram(
-        layer_kinds=["discrete"] * N + ["continuous"], node_first=np.arange(N + 3),
-        states=states + [None], merged=np.zeros(N + 2, dtype=bool),
-        arc_first=np.arange(N + 2), tail=rows[:-1], head=rows[1:],
-        label=np.array(x + [np.nan]), weight=np.array(weights + [1.0]),
-        lo=np.array([lo]), hi=np.array([hi]))
+        z = bound if bound > z else z
+        z = hi if hi < z else z
+    w = 0.0
+    for weight in reversed(weights + [z]):
+        w = weight + w
+    return tuple(x), z, w
 
 
-def build_restricted_master_dd(instance, gamma, cuts=(), moves=None, graph=None):
-    """Restricted master diagram under the cuts.
+# perfbench/layers.py wraps build_restricted_master_dd by name, which is why it
+# keeps its name though it builds no diagram
+def build_restricted_master_dd(instance, gamma, cuts=(), graph=None):
+    """The restricted master's answer under the cuts: an optimum of the
+    exact master's points that satisfy every cut, as (x, z, w).
 
-    One period-major label pass (_best_completion) finds an optimum of
-    the exact master's paths that satisfy every cut; the diagram is that
-    one path, in the master's unit-major layer order (_one_path).  It
-    holds an optimum of exact ∩ cuts, which is what the engine's
-    is_exact promises, so it returns (diagram, True).  Raises
-    InfeasibleDiagramError when the cuts remove every path.  moves, each
-    unit's _capped_moves, depend on the instance alone, and graph, a
-    KeyGraph of this instance and gamma, keeps the pass's keys for the
-    feasibility cuts it last saw, so a caller that builds many diagrams
-    may pass both in.
+    One period-major label pass (_best_completion) finds x, and _point
+    reads z and w off x's path of the exact master.  Raises
+    InfeasibleDiagramError when the cuts remove every path.  graph, a
+    KeyGraph of this instance and gamma, keeps each unit's moves and the
+    pass's keys for the feasibility cuts it last saw, so a caller that
+    asks many times may pass one in.
     """
     cuts = list(cuts)
     feas = [c for c in cuts if c.z_coeff == 0.0]
@@ -771,9 +765,8 @@ def build_restricted_master_dd(instance, gamma, cuts=(), moves=None, graph=None)
         raise ValueError("an optimality cut must bound the value from below")
     if graph is None:
         graph = KeyGraph(instance, gamma)
-    graph.fit(instance, _unit_moves(instance) if moves is None else moves, feas)
-    x = _best_completion(graph, gamma, opt)
-    return _one_path(instance, gamma, x, opt), True
+    graph.fit(feas)
+    return _point(graph, gamma, _best_completion(graph, gamma, opt), opt)
 
 
 def master_cost(instance, x):
@@ -1192,16 +1185,14 @@ def gen_random_instance(num_units, horizon, num_scenarios, seed):
 
 
 class UcpMasterOracle(MasterOracle):
-    """Master diagrams of a unit-commitment instance.
+    """The master of a unit-commitment instance.
 
-    A restricted diagram is one optimal path of exact ∩ pool, found by
-    one label pass over the whole pool on every ask
-    (build_restricted_master_dd) and reported exact, so a converged
-    path is optimal.  The pass's keys and arcs are kept across asks
-    (KeyGraph) and built again only when the pool's feasibility cuts
-    change; labels are not kept: a label dominated under one pool need
-    not be under a larger one.  Each unit's moves (_capped_moves) depend
-    on the instance alone, so they are built once.
+    Its best point is an optimum of exact ∩ pool, found by one label
+    pass over the whole pool on every ask (build_restricted_master_dd),
+    so a converged point is optimal.  The pass's keys and arcs are kept
+    across asks (KeyGraph, which also holds each unit's moves) and built
+    again only when the pool's feasibility cuts change; labels are not
+    kept: a label dominated under one pool need not be under a larger one.
     """
 
     sense = "min"
@@ -1209,17 +1200,14 @@ class UcpMasterOracle(MasterOracle):
     def __init__(self, instance, gamma):
         self.instance = instance
         self.gamma = gamma
-        self._moves = _unit_moves(instance)
         self._graph = KeyGraph(instance, gamma)
 
-    def build_restricted_dd(self, cuts):
-        # no path the pool leaves proves the instance infeasible: the
-        # restricted diagram is then exact
+    def best_point(self, cuts):
+        # no path the pool leaves proves the instance infeasible
         try:
-            return build_restricted_master_dd(self.instance, self.gamma, cuts, self._moves,
-                                              self._graph)
+            return build_restricted_master_dd(self.instance, self.gamma, cuts, self._graph)
         except InfeasibleDiagramError:
-            return None, True
+            return None
 
 
 class UcpSubproblemOracle(SubproblemOracle):

@@ -195,12 +195,12 @@ def test_criterion_5_ramp_reformulation_equivalence():
 
 
 class SandwichMaster:
-    """Checks relaxed <= exact = restricted path values at every
-    restricted build, and the relaxed bound against the optimum.  A
-    restricted diagram reported exact holds an optimum of exact ∩ pool,
-    so its path value equals the exact one, and it is None exactly when
-    exact ∩ pool is empty.  The relaxed side is the width-2 relaxed
-    master refined by the cuts, which the solve itself never builds."""
+    """Checks relaxed <= exact = best point values at every ask, and the
+    relaxed bound against the optimum.  The master's best point is an
+    optimum of exact ∩ pool, so its value equals the exact one, and it
+    is None exactly when exact ∩ pool is empty.  The relaxed side is the
+    width-2 relaxed master refined by the cuts, which the solve itself
+    never builds."""
 
     def __init__(self, inner, optimum):
         self.inner = inner
@@ -208,15 +208,15 @@ class SandwichMaster:
         self.optimum = optimum
         self.checked = 0
 
-    def build_restricted_dd(self, cuts):
-        built = self.inner.build_restricted_dd(cuts)
+    def best_point(self, cuts):
+        point = self.inner.best_point(cuts)
         inst, gamma = self.inner.instance, self.inner.gamma
         try:
             exact = replay_cuts(build_master_dd(inst, (), gamma), cuts)
             _, exact_val = optimal_path(exact, "min")
         except (EmptyDiagramError, InfeasibleDiagramError):
-            assert built == (None, True), "restricted diagram of an empty node"
-            return built
+            assert point is None, "best point of an empty master"
+            return point
         tol = 1e-6 * (1.0 + abs(exact_val))
         # every exact path survives the relaxed refinement, so it cannot empty
         relaxed = replay_cuts(build_relaxed_master_dd(inst, (), gamma, 2), cuts)
@@ -226,12 +226,12 @@ class SandwichMaster:
         if self.optimum is not None:
             assert relax_val <= self.optimum + 1e-6, \
                 f"relaxed bound {relax_val} excludes the optimum {self.optimum}"
-        assert built[1], "restricted diagram not reported exact"
-        _, restr_val = optimal_path(built[0], "min")
+        assert point is not None, "no best point of a master with points"
+        restr_val = point[2]
         assert abs(restr_val - exact_val) <= tol, \
-            f"restricted value {restr_val} is not the exact value {exact_val}"
+            f"best point value {restr_val} is not the exact value {exact_val}"
         self.checked += 1
-        return built
+        return point
 
 
 class OptimumSub:
@@ -265,8 +265,7 @@ def test_criterion_6_bound_sandwich_everywhere():
         gamma = GammaBounds(0.0, 0.0)
         exact = build_master_dd(inst, gamma=gamma)
         _, exact_val = optimal_path(exact, "min")
-        restricted, _ = build_restricted_master_dd(inst, gamma)
-        _, restr_val = optimal_path(restricted, "min")
+        _, _, restr_val = build_restricted_master_dd(inst, gamma)
         assert abs(restr_val - exact_val) <= 1e-9 * (1.0 + abs(exact_val)), f"seed {seed}"
         for width in (1, 2, 3):
             relaxed = build_relaxed_master_dd(inst, (), gamma, width)

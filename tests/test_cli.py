@@ -354,18 +354,6 @@ PINNED_DOTS = {
         "0001_restricted.dot": "b839f89032174d29716791d54b013204efb73eba5b158cfb47b3e2e3986375ea",
         "0002_restricted.dot": "11e52109134673105a61e58cb0dad643b7548f0f9ea6f5a51d4e04cfe742f91a",
     },
-    # golden row 2x4x2 s5 x0.5: the restricted path of each of the six
-    # asks, re-recorded when restricted diagrams became one optimal path
-    # found by a label pass, where they used to be the master refined by
-    # the pool (the solve and its report are unchanged)
-    "ucp-2x4x2-s5-d0.5": {
-        "0000_restricted.dot": "314cc36024ebb3fbc4567e5ce72bc6493cc64ec44e1fd73f3453d239212f3249",
-        "0001_restricted.dot": "ebce2e76182e66e1e75944584d901e97468898669b3203e265218ae2c1ef6e9e",
-        "0002_restricted.dot": "c2d332e16b7610befa7a3c6338e10b974d61cbbe4c93e284882dc023bbd40355",
-        "0003_restricted.dot": "953fcfbb48e1acae026c02d27173c8910be19bd19c5ddae1c4a630fd62c1ae3e",
-        "0004_restricted.dot": "6157d8d44e4751b57ecc40386b28d96313455406a6212c155b6736be7e25c831",
-        "0005_restricted.dot": "7301244c0a1bad8cf42e04e38af5ffc299e6a3bf771f4c0fe15c470feca261e6",
-    },
 }
 
 
@@ -379,11 +367,27 @@ def _dot_hashes(tmp_path, name, instance):
 
 
 def test_emitted_dot_files_match_their_recorded_hashes(tmp_path):
+    got = {"two_binary_mip": _dot_hashes(tmp_path, "two_binary_mip",
+                                         FIXTURES / "two_binary_mip.json")}
+    assert got == PINNED_DOTS
+
+
+def test_emit_dot_is_a_usage_error_where_it_cannot_write_or_draw(tmp_path, capsys):
     from reference_lp import scaled_instance
 
+    # a regular file where the directory should go
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # a unit-commitment master builds no diagram to draw
     ucp = tmp_path / "ucp.json"
     ucp.write_text(scaled_instance(2, 4, 2, 5, 0.5).to_json())
-    got = {"two_binary_mip": _dot_hashes(tmp_path, "two_binary_mip",
-                                         FIXTURES / "two_binary_mip.json"),
-           "ucp-2x4x2-s5-d0.5": _dot_hashes(tmp_path, "ucp", ucp)}
-    assert got == PINNED_DOTS
+    for instance, dots, message in [
+            (FIXTURES / "two_binary_mip.json", taken, "error: "),
+            (ucp, tmp_path / "dots", "error: --emit-dot needs a MIP instance")]:
+        out = tmp_path / "r.json"
+        code = main(["solve", "--instance", str(instance), "--emit-dot", str(dots),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err.startswith(message), captured.err
+        assert captured.out == "" and not out.exists()
+    assert not (tmp_path / "dots").exists()

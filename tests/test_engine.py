@@ -277,22 +277,20 @@ def unit_weights(layer, label):
 
 class GridMaster(MasterOracle):
     """Two binaries, each costing its label, with the value in [0, 100]:
-    every point, refined by the pool through engine.replay_cuts and
-    reported exact unless `exact` is False.  Records the pool of every
-    build."""
+    every point, refined by the pool through engine.replay_cuts, answers
+    with its diagram's best point.  Records the pool of every ask."""
 
-    def __init__(self, exact=True):
-        self.exact = exact
+    def __init__(self):
         self.pools = []
 
-    def build_restricted_dd(self, cuts):
+    def best_point(self, cuts):
         self.pools.append(list(cuts))
         points = itertools.product((0.0, 1.0), repeat=2)
         dd = from_paths([p + ((0.0, 100.0),) for p in points], weight_fn=unit_weights)
         try:
-            return engine.replay_cuts(dd, cuts), self.exact
+            return engine.diagram_point(engine.replay_cuts(dd, cuts), self.sense)
         except InfeasibleDiagramError:
-            return None, self.exact
+            return None
 
 
 class RepeatSub(SubproblemOracle):
@@ -327,18 +325,6 @@ def test_stale_cut_on_the_restricted_side_is_an_oracle_error():
     assert sub.evaluated == [(0.0, 0.0), (0.0, 0.0)]
 
 
-def test_an_inexact_restricted_diagram_is_an_oracle_error():
-    class EmptyInexactMaster(MasterOracle):
-        def build_restricted_dd(self, cuts):
-            return None, False
-
-    for master in (GridMaster(exact=False), EmptyInexactMaster()):
-        sub = RepeatSub(0.0)
-        with pytest.raises(EngineError, match="miss every optimum"):
-            dd_bd_solve(master, sub, EngineConfig())
-        assert sub.evaluated == []
-
-
 def test_initial_cuts_are_pooled_before_the_root_is_built():
     # x_0 + x_1 >= 1 removes the cheapest point (0, 0); of the two points
     # that cost 1 the lexicographically smaller converges at once
@@ -365,16 +351,16 @@ def tree_weights(layer, label):
 
 class CubeMaster(MasterOracle):
     """Binaries y_0 .. y_2 costing COSTS and a value in [0, 30]: every
-    point, refined by the pool through engine.replay_cuts and reported
-    exact."""
+    point, refined by the pool through engine.replay_cuts, answers with
+    its diagram's best point."""
 
-    def build_restricted_dd(self, cuts):
+    def best_point(self, cuts):
         points = itertools.product((0.0, 1.0), repeat=len(COSTS))
         dd = from_paths([p + ((0.0, 30.0),) for p in points], weight_fn=tree_weights)
         try:
-            return engine.replay_cuts(dd, cuts), True
+            return engine.diagram_point(engine.replay_cuts(dd, cuts), self.sense)
         except InfeasibleDiagramError:
-            return None, True
+            return None
 
 
 class NoGoodSub(SubproblemOracle):
@@ -493,14 +479,14 @@ A_POINT, B_POINT = (0.0, 1.0), (1.0, 0.0)
 
 class ScriptedMaster(MasterOracle):
     """Hands out the scripted (x, value interval) paths in turn, whatever
-    the pool, each as a diagram reported exact."""
+    the pool, each the best point of its one-path diagram."""
 
     def __init__(self, script):
         self.script = list(script)
 
-    def build_restricted_dd(self, cuts):
+    def best_point(self, cuts):
         x, z = self.script.pop(0)
-        return from_paths([x + (z,)], weight_fn=unit_weights), True
+        return engine.diagram_point(from_paths([x + (z,)], weight_fn=unit_weights), self.sense)
 
 
 class TableSub(SubproblemOracle):

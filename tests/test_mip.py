@@ -97,17 +97,17 @@ def test_refined_master_has_exactly_the_enumerated_points():
         points = reference_points(problem)
         dd = master.build_exact_dd([])
         if not points:
-            assert dd is None, f"trial {trial}"
+            assert dd is None and master.best_point([]) is None, f"trial {trial}"
             empty += 1
             continue
         dd.validate()
         ends = Interval(*problem.z_bounds).endpoints()
         assert set(enumerate_solutions(dd)) == {x + (e,) for x in points for e in ends}, \
             f"trial {trial}"
-        restricted, is_exact = master.build_restricted_dd([])
-        assert is_exact
-        restricted.validate()
-        assert set(enumerate_solutions(restricted)) == set(enumerate_solutions(dd))
+        # the best point is an optimum of those points, at z's upper bound (max sense)
+        x, z, w = master.best_point([])
+        assert x in points and z == problem.z_bounds[1], f"trial {trial}"
+        assert w == max(float(np.dot(problem.x_obj, p)) for p in points) + z, f"trial {trial}"
     # both outcomes are well represented
     assert 40 <= empty <= 280
 
