@@ -26,7 +26,7 @@ from .ucp import InstanceError, UcpInstance, gen_random_instance, ucp_solve
 
 log = logging.getLogger("ddbd")
 
-COMPARE_HEADER = "instance,method,status,value,time,f_cuts,o_cuts,branches,agree"
+COMPARE_HEADER = "instance,method,status,value,time,f_cuts,o_cuts,agree"
 
 
 def _setup_logging():
@@ -154,34 +154,32 @@ def cmd_compare(args):
         results = {}
         report = ucp_solve(instance, instance_id=instance_id)
         results["dd-bd"] = (report.status, report.value, report.wall_time,
-                            report.feasibility_cuts, report.optimality_cuts,
-                            report.branches)
+                            report.feasibility_cuts, report.optimality_cuts)
         start = time.perf_counter()
         try:
             naive = naive_bd_solve(instance)
             results["naive-bd"] = (naive.status, naive.value, time.perf_counter() - start,
-                                   naive.feasibility_cuts,
-                                   naive.optimality_cuts, naive.iterations)
+                                   naive.feasibility_cuts, naive.optimality_cuts)
         except TooLargeError as exc:
-            results["naive-bd"] = ("error", None, time.perf_counter() - start, 0, 0, 0)
+            results["naive-bd"] = ("error", None, time.perf_counter() - start, 0, 0)
             log.warning("naive-bd failed on %s: %s", instance_id, exc)
         start = time.perf_counter()
         try:
             brute = brute_force_solve(instance)
             results["brute-force"] = (brute.status, brute.best_cost,
-                                      time.perf_counter() - start, 0, 0, 0)
+                                      time.perf_counter() - start, 0, 0)
         except TooLargeError as exc:
-            results["brute-force"] = ("error", None, time.perf_counter() - start, 0, 0, 0)
+            results["brute-force"] = ("error", None, time.perf_counter() - start, 0, 0)
             log.warning("brute force failed on %s: %s", instance_id, exc)
         statuses = {r[0] for r in results.values() if r[0] != "error"}
         agree = _agree([r[1] for r in results.values() if r[0] != "error"]) \
             and len(statuses) == 1
         all_agree = all_agree and agree
         for method in ("dd-bd", "naive-bd", "brute-force"):
-            status, value, wall, fc, oc, br = results[method]
+            status, value, wall, fc, oc = results[method]
             val = "" if value is None else f"{value:.9g}"
             rows.append(f"{instance_id},{method},{status},{val},"
-                        f"{wall:.3f},{fc},{oc},{br},{'=' if agree else '!'}")
+                        f"{wall:.3f},{fc},{oc},{'=' if agree else '!'}")
     text = COMPARE_HEADER + "\n" + "".join(r + "\n" for r in rows)
     if args.out:
         with open(args.out, "w") as fh:

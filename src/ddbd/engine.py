@@ -7,7 +7,6 @@ cuts reach the master), until the point's value variable agrees with
 the subproblem optimum.  The master answers with an optimum of its
 points under the pool (see MasterOracle), so a converged point is
 optimal and no relaxed diagram or branching is needed.
-A cut the pool already holds is an oracle error.
 Cuts live in a global deduplicated pool, seeded before the first ask
 with the subproblem oracle's initial_cuts(): cuts that hold for every
 x, such as the unit-commitment oracle's per-period capacity cuts and
@@ -19,8 +18,14 @@ the pool in one label pass and returns its point.  Every point whose
 evaluation is optimal is feasible, and the best of them is the
 incumbent until a converged point replaces it, so a solve stopped by the
 clock still reports one.  The clock is read before the first ask and
-before every evaluation; a solve stopped after an ask reports that
-point's master value as its bound.
+after every ask; a solve stopped after an ask reports that point's
+master value as its bound.
+The engine evaluates each point at most once and keeps its result.  A
+point the master answers again is decided from the kept result, whose
+cuts are all pooled, so it converges or, like any evaluation that
+brings no fresh cut, raises EngineError.  Each pass therefore evaluates
+a point not seen before or ends the loop, and a master's x takes
+finitely many values, so the loop ends.
 
 Master and subproblem oracles are duck-typed; see MasterOracle and
 SubproblemOracle for the expected surface.
@@ -28,7 +33,6 @@ SubproblemOracle for the expected surface.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -39,12 +43,12 @@ import numpy as np
 from .diagram import EmptyDiagramError, optimal_path, refine_with_cut
 
 VALUE_TOL = 1e-9       # strictness for incumbent comparisons
-CONVERGE_TOL = 1e-6    # repeat-loop test: the point's z equals subproblem value
-REPEAT_CAP = 1000      # evaluations before the loop gives up
+CONVERGE_TOL = 1e-6    # convergence test: the point's z equals subproblem value
 
 
 class EngineError(Exception):
-    """An oracle broke its contract (stalled refinement, a loop past its cap)."""
+    """An oracle broke its contract (an evaluation that neither converges
+    nor brings a fresh cut)."""
 
 
 class PropertyViolationError(Exception):
@@ -78,11 +82,9 @@ class MasterOracle:
 class SubproblemOracle:
     """evaluate(x) returns a SubproblemResult.
 
-    Its kind and value must be a pure function of x.  The cuts need only
-    be valid: an oracle that warm-starts its LPs from earlier ones may
-    return a different cut for the same x when the dual is degenerate,
-    so an oracle that must repeat itself exactly memoizes per x, as
-    UcpSubproblemOracle does.
+    The engine evaluates each point at most once.  The cuts need only be
+    valid: an oracle that warm-starts its LPs from earlier ones may
+    return a different cut for the same x when the dual is degenerate.
 
     initial_cuts() returns cuts that hold for every x the subproblem can
     serve and that the oracle can write before any evaluation; the solve
@@ -257,20 +259,21 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
         status = "time_limit"
     else:
         nodes = 1
-        for evaluations in itertools.count():
+        seen = {}         # each evaluated x and its result
+        while True:
             point = master.best_point(pool.cuts)
             if point is None:
                 break
             x, z, w = point
-            if evaluations == REPEAT_CAP:
-                raise EngineError("restricted repeat loop exceeded its cap")
             if out_of_time():
                 # w is the optimum of the master under the pool: it bounds
                 # every feasible point
                 status, bound = "time_limit", w
                 break
-            res = sub.evaluate(x)
-            lp_calls += res.lp_calls
+            res = seen.get(x)
+            if res is None:
+                res = seen[x] = sub.evaluate(x)
+                lp_calls += res.lp_calls
             fresh = [c for c in res.cuts if pool.add(c)]
             if res.kind == "optimal":
                 if abs(z - res.value) <= CONVERGE_TOL:

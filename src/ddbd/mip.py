@@ -170,9 +170,10 @@ class MipSubproblemOracle(SubproblemOracle):
     """
 
     def __init__(self, problem):
-        if problem.sense != "max":
-            raise ValueError("the generic adapter currently covers max problems")
         self.problem = problem
+        # a min slave is the max of -y_obj: the sign flips the dual's
+        # objective rows, the value and the value coefficient of its cut
+        self.sign = 1.0 if problem.sense == "max" else -1.0
         rows = problem.slave_rows()
         # normalise slave rows to  B y <= c - A x  (flip >= rows)
         self.A = []
@@ -192,7 +193,7 @@ class MipSubproblemOracle(SubproblemOracle):
         self.A = np.array(self.A, dtype=float)
         self.B = np.array(self.B, dtype=float)
         self.c = np.array(self.c, dtype=float)
-        self.b_obj = np.array(problem.y_obj, dtype=float)
+        self.b_obj = self.sign * np.array(problem.y_obj, dtype=float)
         if self.c.size:
             self._rows = LpRows(self.B.T, [">="] * self.B.shape[1], self.b_obj)
         self._last = None
@@ -204,7 +205,7 @@ class MipSubproblemOracle(SubproblemOracle):
             if np.any(self.b_obj > COEF_EPS):
                 raise UnboundedProblemError("the slave has no rows: the problem is unbounded")
             return SubproblemResult(kind="optimal", value=0.0, cuts=[
-                CutRow(coeffs={}, z_coeff=1.0, rhs=0.0, sense="<=")])
+                CutRow(coeffs={}, z_coeff=self.sign, rhs=0.0, sense="<=")])
         x = np.asarray(x, dtype=float)
         rhs = self.c - self.A @ x
         dual = LinearProgram(sense="min", c=rhs, rows=self._rows, start=self._last)
@@ -212,10 +213,10 @@ class MipSubproblemOracle(SubproblemOracle):
         self._last = out
         if out.status == "optimal":
             u = out.x
-            cut = CutRow(coeffs=_dense_to_sparse(u @ self.A), z_coeff=1.0,
+            cut = CutRow(coeffs=_dense_to_sparse(u @ self.A), z_coeff=self.sign,
                          rhs=float(u @ self.c), sense="<=")
             return SubproblemResult(kind="optimal", cuts=[cut],
-                                    value=float(out.objective), lp_calls=1)
+                                    value=self.sign * float(out.objective), lp_calls=1)
         if out.status == "unbounded":
             u = out.ray
             coeffs = u @ self.A

@@ -159,7 +159,6 @@ class NaiveBdResult:
     value: float = None
     feasibility_cuts: int = 0
     optimality_cuts: int = 0
-    iterations: int = 0
 
 
 def naive_bd_solve(instance, max_iterations=10_000):
@@ -192,7 +191,7 @@ def naive_bd_solve(instance, max_iterations=10_000):
             z = max(z, bound / cut.z_coeff)
         return master_cost(instance, x) + z, z
 
-    for it in range(1, max_iterations + 1):
+    for _ in range(max_iterations):
         best = None
         for x in candidates:
             got = master_value(x)
@@ -205,7 +204,7 @@ def naive_bd_solve(instance, max_iterations=10_000):
         if best is None:
             return NaiveBdResult(status="infeasible",
                                  feasibility_cuts=len(feas_cuts),
-                                 optimality_cuts=len(opt_cuts), iterations=it)
+                                 optimality_cuts=len(opt_cuts))
         value, x, z = best
         res = evaluate_subproblems(instance, x)
         for cut in res.cuts:
@@ -217,5 +216,5 @@ def naive_bd_solve(instance, max_iterations=10_000):
         if res.kind == "optimal" and res.value <= z + 1e-6:
             return NaiveBdResult(status="optimal", best_x=x, value=value,
                                  feasibility_cuts=len(feas_cuts),
-                                 optimality_cuts=len(opt_cuts), iterations=it)
+                                 optimality_cuts=len(opt_cuts))
     raise RuntimeError("classical decomposition failed to converge")

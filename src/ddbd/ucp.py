@@ -15,7 +15,8 @@ capacity must cover demand plus reserve in every period, and the units
 on at period 0 must reach its demand from off in one start-up ramp.
 Both are pooled before the first build, so no commitment the master
 proposes falls short of them beyond the pool's CUT_TOL, and every
-evaluation is LPs only.
+evaluation is LPs only.  The oracle keeps no memo of its evaluations:
+the engine evaluates each commitment once.
 The value variable's [lo, hi] interval on the diagram's last arc layer
 comes from closed-form bounds on the dispatch cost (a merit-order
 lower bound, every costly unit at full output as the upper bound), not
@@ -1137,9 +1138,9 @@ def _tightest(cuts):
 def evaluate_subproblems(instance, x):
     """One evaluation at the commitment x by a fresh UcpSubproblemOracle.
 
-    See UcpSubproblemOracle.dispatch; nothing is memoized or carried over.
+    See UcpSubproblemOracle.evaluate; nothing is carried over.
     """
-    return UcpSubproblemOracle(instance).dispatch(x)
+    return UcpSubproblemOracle(instance).evaluate(x)
 
 
 # -- instance generation --------------------------------------------------------------
@@ -1211,13 +1212,13 @@ class UcpMasterOracle(MasterOracle):
 
 
 class UcpSubproblemOracle(SubproblemOracle):
-    """Dual dispatch for every scenario, memoized per commitment.
+    """Dual dispatch for every scenario at a commitment.
 
     initial_cuts() writes the closed-form feasibility cuts, one capacity
     cut per period and the start-up cut, from rays verified in one batch,
     each against its scenario's dual LP; the engine pools them before the
     first build.
-    The master then meets them to within CUT_TOL, so dispatch solves one
+    The master then meets them to within CUT_TOL, so evaluate solves one
     dual LP per scenario and nothing else: a commitment short of them
     only within that band, or infeasible for another reason (ramping,
     minimum output), gets its cut from the LP's ray.
@@ -1237,7 +1238,7 @@ class UcpSubproblemOracle(SubproblemOracle):
     needs far fewer pivots than a start from the slack basis.
     initial_cuts()'s ray checks neither use nor change the kept outcome.
     The call checks the objectives, reads off the duals and rays and
-    verifies every certificate on stacked arrays, and dispatch writes
+    verifies every certificate on stacked arrays, and evaluate writes
     every scenario's cut in one _cut_terms call on the stacked duals.
 
     Each scenario LP carries a secondary objective, the dual objective at
@@ -1248,8 +1249,7 @@ class UcpSubproblemOracle(SubproblemOracle):
     in the core (Papadakos, 2008).  The cut is still tight at x, being
     on the optimal face, and valid, being dual-feasible; the primary
     certificate checks both.  Values do not depend on the start; where
-    several optimal duals tie at x0 the cut can, and the memo keeps
-    repeat visits identical (and free of LP solves).
+    several optimal duals tie at x0 the cut can.
     """
 
     def __init__(self, instance):
@@ -1263,17 +1263,6 @@ class UcpSubproblemOracle(SubproblemOracle):
         self._core = _dual_objective(self._demand, self._need,
                                      np.tile(core, (len(instance.scenarios), 1)))
         self._last = None
-        self._cache = {}
-
-    def evaluate(self, x):
-        key = tuple(round(float(v)) for v in x)
-        if key in self._cache:
-            hit = self._cache[key]
-            return SubproblemResult(kind=hit.kind, cuts=hit.cuts,
-                                    value=hit.value, lp_calls=0)
-        res = self.dispatch(key)
-        self._cache[key] = res
-        return res
 
     def initial_cuts(self):
         """The closed-form cuts that every dispatchable commitment satisfies.
@@ -1306,7 +1295,7 @@ class UcpSubproblemOracle(SubproblemOracle):
             raise NumericalFailureError("closed-form ray failed self-verification")
         return _tightest(_feasibility_cuts(self._units, demand, need, rays))
 
-    def dispatch(self, x):
+    def evaluate(self, x):
         """Solve every scenario's dual dispatch problem at the commitment x.
 
         Returns the feasibility variant when any scenario's dual LP is

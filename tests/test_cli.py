@@ -157,8 +157,7 @@ def broken_mip(tmp_path, edit):
 @pytest.mark.parametrize("argv", [
     lambda tmp_path: ["gen", "--params", "0,3,2,2"],
     lambda tmp_path: broken_mip(tmp_path, lambda doc: doc.pop("rows")),
-    lambda tmp_path: broken_mip(tmp_path, lambda doc: doc.update(sense="min")),
-], ids=["gen-without-units", "mip-without-rows", "mip-min-sense"])
+], ids=["gen-without-units", "mip-without-rows"])
 def test_malformed_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -249,6 +248,26 @@ def test_mip_without_integer_variables_solves_its_slave(tmp_path):
     assert doc["value"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_a_min_mip_solves(tmp_path):
+    # the fixture re-posed as min: x = (1, 0) with y = (0.75, 0.25) costs 2.75
+    out = tmp_path / "r.json"
+    assert main(broken_mip(tmp_path, lambda doc: doc.update(sense="min"))
+                + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "optimal" and doc["x"] == [1.0, 0.0]
+    assert doc["value"] == pytest.approx(2.75, abs=1e-9)
+
+    # with no y the slave's value cut bounds z from below by 0
+    def drop_y(doc):
+        doc.update(sense="min", y_obj=[],
+                   rows=[{"ax": [1, 1], "by": [], "rhs": 1, "sense": ">="}])
+
+    assert main(broken_mip(tmp_path, drop_y) + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "optimal" and doc["x"] == [0.0, 1.0]
+    assert doc["value"] == 1.0 and doc["z"] == 0.0
+
+
 @pytest.mark.parametrize("rows", [
     [{"ax": [1, 1], "by": [0], "rhs": 1, "sense": ">="}],
     [{"ax": [1, 1], "by": [0], "rhs": 1, "sense": ">="},
@@ -294,7 +313,7 @@ def test_compare_empty_seed_list(tmp_path):
     code = main(["compare", "--sizes", "2,2,2", "--out", str(out)])
     assert code == 0
     assert out.read_text().strip().splitlines() == [
-        "instance,method,status,value,time,f_cuts,o_cuts,branches,agree"]
+        "instance,method,status,value,time,f_cuts,o_cuts,agree"]
 
 
 def test_verify_fixture_pass_and_fail(capsys):

@@ -317,12 +317,12 @@ def value_floor(k):
 
 
 def test_stale_cut_on_the_restricted_side_is_an_oracle_error():
-    # the value 1000 is out of every path's reach, so the cheapest point
-    # is evaluated again, and its cut is pooled already
+    # the value 1000 is out of every path's reach, so the master answers
+    # the cheapest point again, whose kept cut is pooled already
     sub = RepeatSub(1000.0, [VACUOUS])
     with pytest.raises(EngineError, match="only pooled cuts"):
         dd_bd_solve(GridMaster(), sub, EngineConfig())
-    assert sub.evaluated == [(0.0, 0.0), (0.0, 0.0)]
+    assert sub.evaluated == [(0.0, 0.0)]
 
 
 def test_initial_cuts_are_pooled_before_the_root_is_built():
@@ -337,6 +337,53 @@ def test_initial_cuts_are_pooled_before_the_root_is_built():
     assert (report.status, report.x, report.value, report.feasibility_cuts) == \
         ("optimal", (0.0, 1.0), 1.0, 1)
     assert SubproblemOracle().initial_cuts() == []
+
+
+def test_a_point_the_master_answers_again_is_not_evaluated_again():
+    # (0, 0) is evaluated at 5 with z at 0; under z >= 5 the master answers
+    # it again, now converged, and the kept result decides it
+    master, sub = GridMaster(), RepeatSub(5.0, [value_floor(5)])
+    report = dd_bd_solve(master, sub, EngineConfig())
+    assert len(master.pools) == 2 and sub.evaluated == [(0.0, 0.0)]
+    assert (report.status, report.x, report.z, report.value, report.optimality_cuts) == \
+        ("optimal", (0.0, 0.0), 5.0, 5.0, 1)
+
+
+# -- a solve of more than a thousand evaluations ---------------------------------------
+
+POINTS = 1200
+
+
+class LineMaster(MasterOracle):
+    """x_0 in 0 .. POINTS - 1, costing its label, with the value fixed at
+    0; every cut it is given is x_0 >= k."""
+
+    def best_point(self, cuts):
+        lo = max((cut.rhs for cut in cuts), default=0.0)
+        return ((lo,), 0.0, lo) if lo < POINTS else None
+
+
+class StepSub(SubproblemOracle):
+    """Cuts each point below the last off with x_0 >= x_0 + 1; the last
+    is optimal at 0."""
+
+    def __init__(self):
+        self.evaluated = []
+
+    def evaluate(self, x):
+        self.evaluated.append(x)
+        if x[0] < POINTS - 1:
+            cut = CutRow(coeffs={0: 1.0}, rhs=x[0] + 1.0, sense=">=")
+            return SubproblemResult(kind="infeasible", cuts=[cut])
+        return SubproblemResult(kind="optimal", cuts=[value_floor(0)], value=0.0)
+
+
+def test_a_solve_may_take_more_than_a_thousand_evaluations():
+    sub = StepSub()
+    report = dd_bd_solve(LineMaster(), sub, EngineConfig())
+    assert sub.evaluated == [(float(k),) for k in range(POINTS)]
+    assert (report.status, report.x, report.value, report.feasibility_cuts) == \
+        ("optimal", (POINTS - 1.0,), POINTS - 1.0, POINTS - 1)
 
 
 # -- a stub solve that takes several evaluations ---------------------------------------

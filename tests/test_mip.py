@@ -3,7 +3,7 @@
 The master diagram is compiled by refinement, so it is checked here
 against the plain enumeration of the x domain product that it replaces
 (reference_points), and whole solves are checked against enumerating x
-and solving every slave LP with scipy's HiGHS (brute_force_max).  The
+and solving every slave LP with scipy's HiGHS (brute_force).  The
 data are integers and halves, so every row's lhs is exact in floating
 point and no tolerance decides a point.  The refined masters are also
 checked bit for bit against tests/reference_refine.py, with pools of
@@ -179,37 +179,41 @@ def random_mip(seed):
                       y_obj=y_obj, rows=rows, x_domains=domains, z_bounds=(-z, z))
 
 
-def brute_force_max(problem):
-    """Best objective over the enumerated x, each slave LP solved by HiGHS;
-    None when no x has a feasible slave."""
+def brute_force(problem):
+    """Best objective in the problem's sense over the enumerated x, each
+    slave LP solved by HiGHS; None when no x has a feasible slave."""
+    sign = 1.0 if problem.sense == "max" else -1.0
     slave = problem.slave_rows()
     best = None
     for x in reference_points(problem):
-        lp = LinearProgram(sense="min", c=-np.array(problem.y_obj),
+        lp = LinearProgram(sense="min", c=-sign * np.array(problem.y_obj),
                            A=[by for _, by, _, _ in slave], senses=[s for *_, s, _ in slave],
                            b=[rhs - np.dot(ax, x) for ax, _, _, rhs in slave])
         status, value = scipy_lp_min(lp)
         if status == "optimal":
-            total = float(np.dot(problem.x_obj, x)) - value
-            best = total if best is None else max(best, total)
+            total = float(np.dot(problem.x_obj, x)) - sign * value
+            if best is None or sign * total > sign * best:
+                best = total
     return best
 
 
 def test_mip_solves_agree_with_brute_force():
     t0 = time.perf_counter()
-    feasible = 0
-    for seed in range(160):
-        problem = random_mip(seed)
-        best = brute_force_max(problem)
-        report = dd_bd_solve(ValidatingMaster(problem), MipSubproblemOracle(problem),
-                             EngineConfig(), instance_id=str(seed))
-        assert report.status == ("infeasible" if best is None else "optimal"), f"seed {seed}"
-        if best is not None:
-            assert abs(report.value - best) <= 1e-6 * (1.0 + abs(best)), \
-                f"seed {seed}: {report.value} vs {best}"
-            feasible += 1
-    # both statuses are well represented
-    assert 40 <= feasible <= 120
+    for sense in ("max", "min"):
+        feasible = 0
+        for seed in range(160):
+            problem = dataclasses.replace(random_mip(seed), sense=sense)
+            best = brute_force(problem)
+            report = dd_bd_solve(ValidatingMaster(problem), MipSubproblemOracle(problem),
+                                 EngineConfig(), instance_id=str(seed))
+            assert report.status == ("infeasible" if best is None else "optimal"), \
+                f"{sense} seed {seed}"
+            if best is not None:
+                assert abs(report.value - best) <= 1e-6 * (1.0 + abs(best)), \
+                    f"{sense} seed {seed}: {report.value} vs {best}"
+                feasible += 1
+        # both statuses are well represented
+        assert 40 <= feasible <= 120, sense
     assert time.perf_counter() - t0 < 120.0
 
 

@@ -234,7 +234,7 @@ def test_runs_match_the_reference_on_ucp_masters_with_prefixes():
     pool = []
     while sum(c.z_coeff == 0.0 for c in pool) < 6 or sum(c.z_coeff != 0.0 for c in pool) < 4:
         x = tuple(float(rng.random() < 0.7) for _ in range(inst.num_vars))
-        pool.extend(oracle.dispatch(x).cuts)
+        pool.extend(oracle.evaluate(x).cuts)
     paths = enumerate_solutions(build_master_dd(inst, (), gamma))
     partials = sorted({tuple(p[:k]) for p in paths for k in (0, 1, 3, 5, 7)})
     mid_run = 0
@@ -341,7 +341,7 @@ def test_optimality_replays_that_split_nothing_match_the_reference_on_ucp_master
     pool = []
     while len(pool) < 6:
         x = tuple(float(rng.random() < 0.7) for _ in range(inst.num_vars))
-        res = oracle.dispatch(x)
+        res = oracle.evaluate(x)
         if res.kind == "optimal":
             pool.extend(res.cuts)
     seen = {"replays": 0, "emptying": 0, "out of order": 0}

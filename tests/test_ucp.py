@@ -344,7 +344,7 @@ def harvested_pool(inst, rng, feasibility=6, optimality=4):
     while sum(c.z_coeff == 0.0 for c in pool) < feasibility or \
             sum(c.z_coeff != 0.0 for c in pool) < optimality:
         x = tuple(float(rng.random() < 0.7) for _ in range(inst.num_vars))
-        pool.extend(oracle.dispatch(x).cuts)
+        pool.extend(oracle.evaluate(x).cuts)
     return pool
 
 
@@ -833,7 +833,7 @@ def test_dual_matches_primal_value_and_unboundedness():
 def test_zero_demand_gives_zero_value_cut():
     """At zero demand the all-off commitment costs 0, and so does its cut
     there.  The cut used to have every coefficient 0, the vertex Bland's
-    rule reached first; among the optimal duals dispatch now takes the one
+    rule reached first; among the optimal duals evaluate now takes the one
     best at the commitment midpoint, whose cut charges each committed
     period, so it is checked for value, tightness and validity instead."""
     from ddbd.oracle import stage2_expected_cost
@@ -873,7 +873,7 @@ def test_cuts_are_valid_for_every_feasible_commitment():
 
 
 def test_optimality_cuts_are_valid_tight_and_pareto_at_the_midpoint(monkeypatch):
-    """Every optimality cut dispatch returns holds at every feasible
+    """Every optimality cut evaluate returns holds at every feasible
     commitment (checked against HiGHS), is tight at its own commitment x̂,
     and at the midpoint x0 = 0.5 is at least the cut from the same LPs
     solved without a secondary objective (Magnanti-Wong)."""
@@ -1196,7 +1196,7 @@ def test_initial_cuts_are_the_cuts_dispatch_returns_first_short(monkeypatch):
             x = tuple(float(j < t) for _ in range(inst.num_units) for j in range(inst.horizon))
             assert any(cuts_off(cut, x) for cut in seeded), (t, x)
             calls.clear()
-            res = UcpSubproblemOracle(inst).dispatch(x)
+            res = UcpSubproblemOracle(inst).evaluate(x)
             assert (res.kind, res.lp_calls, len(calls)) == \
                 ("infeasible", len(inst.scenarios), len(inst.scenarios)), (t, x)
             # the LP rays give one cut, the capacity cut at t, which the
@@ -1223,14 +1223,15 @@ class RecordingSubproblem(UcpSubproblemOracle):
 
 def test_no_evaluated_commitment_is_short_beyond_the_seeded_cuts_band():
     # the master meets each seeded cut to within CUT_TOL on its row,
-    # normalised to a largest coefficient of 1; so no commitment that
-    # dispatch sees is short of capacity or of period-0 start-up output by
+    # normalised to a largest coefficient of 1; so no commitment that is
+    # evaluated is short of capacity or of period-0 start-up output by
     # more than CUT_TOL times that row's largest coefficient, in MW, and
-    # dispatch need not look for such shortfalls
+    # evaluate need not look for such shortfalls; a solve evaluates each
+    # commitment once, so it takes 50 generated instances to reach 50
     rng = np.random.default_rng(59)
     generated = [gen_random_instance(int(rng.integers(1, 5)), int(rng.integers(2, 6)),
                                      int(rng.integers(1, 4)), seed=int(seed))
-                 for seed in rng.integers(0, 10 ** 6, size=30)]
+                 for seed in rng.integers(0, 10 ** 6, size=50)]
     evaluated = 0
     for inst in seeding_instances() + [startup_short_instance()] + generated:
         try:
@@ -1436,7 +1437,7 @@ def test_deduplicated_batch_cuts_off_what_the_full_batch_does(monkeypatch):
         oracle = UcpSubproblemOracle(inst)
         for x in points:
             calls.clear()
-            res = oracle.dispatch(x)
+            res = oracle.evaluate(x)
             # the full batch: each LP ray's cut, in scenario order
             assert len(calls) == len(inst.scenarios)
             full = [feasibility_cut(inst, sc, out.ray)
@@ -1466,7 +1467,7 @@ def test_dispatch_optimality_cut_is_the_scenario_by_scenario_fold(monkeypatch):
         for _ in range(5):
             x = tuple(float(v) for v in rng.random(inst.num_vars) < 0.95)
             calls.clear()
-            res = oracle.dispatch(x)
+            res = oracle.evaluate(x)
             if res.kind != "optimal":
                 continue
             [cut] = res.cuts
