@@ -141,7 +141,7 @@ def _agree(values):
 def cmd_compare(args):
     try:
         sizes = [_parse_ints(spec, "n,T,S") for spec in args.sizes]
-        seeds = [int(v) for v in args.seeds.split(",")] if args.seeds else []
+        seeds = [int(v) for v in args.seeds.split(",")]
         instances = [(f"{n}x{t}x{s}-seed{seed}", gen_random_instance(n, t, s, seed))
                      for n, t, s in sizes for seed in seeds]
         _check_out(args.out)
@@ -236,8 +236,8 @@ def build_parser():
     pc = sub.add_parser("compare",
                         help="cross-check solver, classical split, brute force")
     pc.add_argument("--sizes", action="append", default=[],
-                    help="n,T,S triple; repeatable")
-    pc.add_argument("--seeds", default="", help="comma-separated seeds")
+                    help="n,T,S triple; repeatable, at least one")
+    pc.add_argument("--seeds", default="", help="comma-separated seeds, at least one")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_compare)
 
@@ -254,6 +254,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "solve" and bool(args.instance) == bool(args.gen):
         parser.error("solve needs exactly one of --instance or --gen")
+    if args.command == "compare" and not (args.sizes and args.seeds):
+        parser.error("compare needs --sizes and --seeds")
     return args.func(args)
 
 

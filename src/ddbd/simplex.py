@@ -52,11 +52,12 @@ rows equal by value) is a cold start.
 Cold start: the slack/artificial tableau, rows with b < 0 negated, taken
 through phase 1.  An LP may instead give `basis`, one entry per row: the
 variable basic in that row, or -1 for the row's own slack.  A cold start
-then skips phase 1 and restates the tableau in that basis with one dense
-solve (basic columns set to the exact identity, basic values in
-[-FEAS_TOL, 0) to 0) before phase 2; a singular basis, or one whose
-values fall below -FEAS_TOL, raises NumericalFailureError.  A kept
-tableau from `start` takes precedence over `basis`.
+then skips phase 1 and restates the tableau in that basis by one
+product with the basis inverse, B^-1 T (basic columns set to the exact
+identity, basic values in [-FEAS_TOL, 0) to 0), before phase 2; a
+singular basis, or one whose values fall below -FEAS_TOL, raises
+NumericalFailureError.  A kept tableau from `start` takes precedence
+over `basis`.
 
 Chains: an LP's c may stack S objectives over its rows, as an (S, n)
 array, with `secondary` of the same shape (LPs that share rows and differ
@@ -494,12 +495,16 @@ class _Tableau:
         self.basis[rowi] = colj
 
     def restate(self, cols):
-        """Make cols[i] basic in row i by one dense solve, setting the basic
-        columns to the exact identity and basic values in [-FEAS_TOL, 0)
-        to 0; NumericalFailureError when that basis is singular or its
-        values fall below -FEAS_TOL."""
+        """Make cols[i] basic in row i by one product with the basis
+        inverse, B^-1 T, setting the basic columns to the exact identity
+        and basic values in [-FEAS_TOL, 0) to 0; NumericalFailureError
+        when that basis is singular or its values fall below -FEAS_TOL.
+
+        For a 0/+-1 basis that is triangular with a +-1 diagonal once its
+        columns are ordered, B^-1 is exact, so the product is as exact as
+        the dense solve np.linalg.solve(B, T) it replaces."""
         try:
-            T = np.linalg.solve(self.T[:, cols], self.T)
+            T = np.linalg.inv(self.T[:, cols]) @ self.T
         except np.linalg.LinAlgError:
             raise NumericalFailureError("start basis is singular") from None
         if not np.all(np.isfinite(T)):

@@ -994,17 +994,33 @@ def _merit_order_basis(instance, x, scenario):
     c_m <= 0.  Production row (i, t) has psi_t basic when i is m (value
     lambda_t), else eta_it when c_i < lambda_t (lambda_t - c_i, the
     headroom row (i, t) then having pi_it at the same value), else phi_it
-    when unit i is on, else its slack (both c_i - lambda_t).  Every other
-    headroom row keeps its slack (0).  So every value is >= 0, and the
-    basis matrix is triangular with a +-1 diagonal, never singular.
+    when unit i is on, else its slack (both c_i - lambda_t).  Two rules
+    then write in what Bland's rule would pivot to from there:
+    - start-up ramp: a unit on at period 0 with c_i < lambda_0 and
+      SU < p_max makes at most SU there, as every unit is off before the
+      horizon, so its ramp-up multiplier gamma_i0, priced at SU, binds in
+      place of pi_i0, priced at p_max.  gamma_i0 takes production row
+      (i, 0) (lambda_0 - c_i) and eta_i0 headroom row (i, 0)
+      (-beta_0 = 0), with pi_i0 nonbasic.
+      Later periods are left alone: there gamma or delta also enters the
+      production row of the period before, whose slack can go negative.
+    - reserve price: beta_t takes the headroom row of the lowest-index
+      unit whose headroom row still has its slack (0, the slack's value),
+      when there is one: Bland's degenerate pivot at t.
+    Every other headroom row keeps its slack (0).  So every value is
+    >= 0.  Taking psi's and beta's columns first (their rows hold no
+    other basic column), then each unit-period's eta before the pi or
+    gamma it shares a row with, the basis matrix is triangular with a
+    +-1 diagonal, never singular, and its inverse is exact.
     """
     n, T = instance.num_units, instance.horizon
     nT = n * T
-    PHI, PI, ETA = 2 * T, 2 * T + nT, 2 * T + 4 * nT
+    PHI, PI, GAM, ETA = 2 * T, 2 * T + nT, 2 * T + 2 * nT, 2 * T + 4 * nT
     gens = instance.generators
     cost = np.array([g.c_prod for g in gens])
     p_min = np.array([g.p_min for g in gens])
     p_max = np.array([g.p_max for g in gens])
+    su_binds = np.array([g.startup_ramp < g.p_max for g in gens])
     on = np.reshape(x, (n, T)) > 0.5
     merit = np.argsort(cost, kind="stable")
     basis = np.full(2 * nT, -1)
@@ -1020,10 +1036,15 @@ def _merit_order_basis(instance, x, scenario):
             k = i * T + t
             if i == marginal:
                 basis[2 * k] = t
+            elif cost[i] < price and t == 0 and on[i, t] and su_binds[i]:
+                basis[2 * k], basis[2 * k + 1] = GAM + k, ETA + k
             elif cost[i] < price:
                 basis[2 * k], basis[2 * k + 1] = ETA + k, PI + k
             elif on[i, t]:
                 basis[2 * k] = PHI + k
+        free = np.flatnonzero(basis[2 * (np.arange(n) * T + t) + 1] == -1)
+        if free.size:
+            basis[2 * (free[0] * T + t) + 1] = T + t
     return basis
 
 
@@ -1235,7 +1256,13 @@ class UcpSubproblemOracle(SubproblemOracle):
     Only the oracle's first LP is a cold start, and it begins at the dual
     of the merit-order dispatch at its commitment and first scenario
     (_merit_order_basis), which is feasible, so it skips phase 1 and
-    needs far fewer pivots than a start from the slack basis.
+    needs far fewer pivots than a start from the slack basis.  That basis
+    already holds the pivots Bland's rule would make first from the
+    plain merit-order dual: each period's reserve price, brought in at 0,
+    and the start-up ramp's multiplier in place of the capacity
+    multiplier of each cheaper unit on at period 0; its matrix is 0/+-1
+    and triangular with a +-1 diagonal, so the kernel's restate in it,
+    one product with the exact basis inverse, loses nothing.
     initial_cuts()'s ray checks neither use nor change the kept outcome.
     The call checks the objectives, reads off the duals and rays and
     verifies every certificate on stacked arrays, and evaluate writes

@@ -86,8 +86,11 @@ def test_time_limit_report_file_is_strict_json(tmp_path):
      "--width", "0"],
     ["compare", "--sizes", "2,2,1", "--seeds", "0", "--width", "0"],
     ["solve", "--gen", "2,2,1,0", "--no-relaxed-cuts"],
+    ["compare", "--sizes", "2,3,2"],
+    ["compare", "--seeds", "0,1"],
 ], ids=["solve-width", "solve-no-source", "solve-time-limit-abc", "compare-width",
-        "solve-width-0", "mip-sense-width-0", "compare-width-0", "solve-no-relaxed-cuts"])
+        "solve-width-0", "mip-sense-width-0", "compare-width-0", "solve-no-relaxed-cuts",
+        "compare-no-seeds", "compare-no-sizes"])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as stop:
         main(argv)
@@ -306,14 +309,6 @@ def test_compare_times_the_classical_split_and_brute_force(tmp_path, monkeypatch
     times = {row[1]: row[4] for row in
              (line.split(",") for line in out.read_text().strip().splitlines()[1:])}
     assert times["naive-bd"] == "0.250" and times["brute-force"] == "1.500"
-
-
-def test_compare_empty_seed_list(tmp_path):
-    out = tmp_path / "cmp.csv"
-    code = main(["compare", "--sizes", "2,2,2", "--out", str(out)])
-    assert code == 0
-    assert out.read_text().strip().splitlines() == [
-        "instance,method,status,value,time,f_cuts,o_cuts,agree"]
 
 
 def test_verify_fixture_pass_and_fail(capsys):

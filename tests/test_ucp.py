@@ -23,6 +23,7 @@ from ddbd.diagram import (
 )
 from ddbd.engine import dd_bd_solve, replay_cuts
 from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
+import ddbd.simplex as simplex_module
 import ddbd.ucp as ucp_module
 from ddbd.simplex import FEAS_TOL, LpOutcome, NumericalFailureError, solve, verify_certificate
 from ddbd.ucp import (
@@ -1051,6 +1052,71 @@ def test_only_the_oracles_first_lp_starts_from_the_merit_order_basis(monkeypatch
         first.basis, ucp_module._merit_order_basis(inst, x, inst.scenarios[0]))
     assert all(lp.basis is None and lp.start is not None for lp, _ in calls[1:])
     assert out.pivots < solve(dataclasses.replace(first, basis=None)).pivots
+
+
+def test_the_merit_order_basis_writes_in_the_reserve_and_start_up_pivots(monkeypatch):
+    """beta_t is basic in the lowest headroom row of period t that would
+    keep its slack, when one does, and gamma_i0 of every unit on at period
+    0, cheaper than its price and with SU < p_max takes pi_i0's place; no
+    other beta or gamma is basic.  On 3x6x16 s0 x0.9 that leaves Bland's
+    rule nothing to do: the oracle's first LP makes no pivot."""
+    seen = dict(beta=0, no_beta=0, gamma=0)
+    for inst, x, s in merit_order_cases():
+        n, T = inst.num_units, inst.horizon
+        GAM, ETA = 2 * T + 2 * n * T, 2 * T + 4 * n * T
+        basis = ucp_module._merit_order_basis(inst, x, inst.scenarios[s])
+        cost = [g.c_prod for g in inst.generators]
+        head = basis[1::2].reshape(n, T)   # headroom row (i, t) is row 2(i T + t) + 1
+        for t in range(T):
+            rows = head[:, t]
+            beta = np.flatnonzero(rows == T + t)
+            if beta.size:
+                # every lower unit's headroom row holds a basic variable of its own
+                assert beta.size == 1 and np.all(rows[:beta[0]] != -1)
+                seen["beta"] += 1
+            else:
+                assert np.all(rows != -1) and T + t not in basis
+                seen["no_beta"] += 1
+        at0 = np.flatnonzero(basis == 0)   # psi_0 is basic in the marginal unit's row
+        price = cost[at0[0] // 2 // T] if at0.size else 0.0
+        for i, g in enumerate(inst.generators):
+            k = i * T
+            ramped = x[k] > 0.5 and cost[i] < price and g.startup_ramp < g.p_max
+            assert (GAM + k in basis) == ramped
+            if ramped:
+                assert basis[2 * k] == GAM + k and basis[2 * k + 1] == ETA + k
+                seen["gamma"] += 1
+        assert not any(GAM + i * T + t in basis for i in range(n) for t in range(1, T))
+    assert min(seen.values()) > 20, seen
+
+    inst = scaled_instance(3, 6, 16, 0, 0.9)
+    calls = record_dual_solves(monkeypatch)
+    UcpSubproblemOracle(inst).evaluate((1.0,) * inst.num_vars)
+    first, out = calls[0]
+    assert first.basis is not None and out.status == "optimal" and out.pivots == 0
+
+
+def test_restating_the_merit_order_basis_matches_a_dense_solve_bit_for_bit(monkeypatch):
+    """The start basis is 0/+-1 and triangular with a +-1 diagonal, so its
+    inverse is exact and B^-1 T is np.linalg.solve(B, T) to the last bit,
+    once the solve's -0.0 entries are written as 0.0."""
+    restated = []
+    real = simplex_module._Tableau.restate
+
+    def spying(tab, cols):
+        ref = np.linalg.solve(tab.T[:, cols], tab.T) + 0.0
+        ref[:, cols] = np.eye(cols.size)
+        np.maximum(ref[:, -1], 0.0, out=ref[:, -1])
+        real(tab, cols)
+        restated.append((ref, tab.T.copy()))   # before pivots change it
+
+    monkeypatch.setattr(simplex_module._Tableau, "restate", spying)
+    for inst, x, s in merit_order_cases():
+        sc = inst.scenarios[s]
+        basis = ucp_module._merit_order_basis(inst, x, sc)
+        solve(dataclasses.replace(build_dual_subproblem(inst, x, sc), basis=basis))
+    assert len(restated) == 288
+    assert all(ref.tobytes() == got.tobytes() for ref, got in restated)
 
 
 def first_short_period(inst, x, sc):
