@@ -7,6 +7,9 @@ method disagrees on an optimum, `verify-decomposition` when a condition
 or an equivalence check fails.  Every command exits 1 on a usage error,
 with the usage on stderr, and on an --out path it cannot write (or a
 --emit-dot directory it cannot make), checked before any work is done.
+`solve --out` writes the JSON report there and the CSV row beside it,
+at the same path with the extension .csv; both paths are checked, and
+an --out that already ends in .csv is a usage error.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def _check_out(path):
         raise OSError(f"cannot write --out {path}")
 
 
+def _csv_path(out):
+    """Where `solve --out` writes its CSV row: out with the extension .csv."""
+    return None if out is None else os.path.splitext(out)[0] + ".csv"
+
+
 def cmd_solve(args):
     try:
         if args.instance:
@@ -82,7 +90,9 @@ def cmd_solve(args):
             kind, problem = "ucp", gen_random_instance(n, t, s, seed)
             instance_id = f"gen-{n}x{t}x{s}-seed{seed}"
         config = EngineConfig(time_limit=args.time_limit)
+        csv_path = _csv_path(args.out)
         _check_out(args.out)
+        _check_out(csv_path)
         if kind == "mip":
             sub = MipSubproblemOracle(problem)
             master = MipMasterOracle(problem, dot_dir=args.emit_dot)
@@ -105,7 +115,6 @@ def cmd_solve(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json())
-        csv_path = os.path.splitext(args.out)[0] + ".csv"
         with open(csv_path, "w") as fh:
             fh.write(SolveReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
         log.info("wrote %s and %s", args.out, csv_path)
@@ -254,6 +263,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "solve" and bool(args.instance) == bool(args.gen):
         parser.error("solve needs exactly one of --instance or --gen")
+    if args.command == "solve" and args.out and _csv_path(args.out) == args.out:
+        parser.error(f"--out {args.out} is where the CSV row goes; "
+                     "give the JSON report another extension")
     if args.command == "compare" and not (args.sizes and args.seeds):
         parser.error("compare needs --sizes and --seeds")
     return args.func(args)

@@ -73,7 +73,10 @@ class CutRow:
     coeffs is keyed by discrete arc-layer index.  z_coeff is zero for
     feasibility cuts and nonzero for optimality cuts; z always maps to
     the continuous terminal layer.  A cut is not changed once made (see
-    dense).
+    dense).  Keys and numbers may be of any numeric type; the
+    unit-commitment oracle writes Python int keys and Python float
+    coefficients, z_coeff and rhs, which key(), called by every
+    CutPool.add, rounds several times faster than numpy scalars.
     """
 
     coeffs: dict = field(default_factory=dict)

@@ -98,6 +98,9 @@ class NumericalFailureError(Exception):
     """The pivot cap was hit or a certificate failed self-verification."""
 
 
+_SENSE_KIND = {"<=": 0, ">=": 1, "=": 2}   # a row sense's index among the masks le, ge, eq
+
+
 class LpRows:
     """An LP's rows A, senses and b over x >= 0, checked once and then read-only.
 
@@ -121,10 +124,11 @@ class LpRows:
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise ValueError("matrix and rhs entries must be finite")
         self.lo, self.hi = np.zeros(n), np.full(n, INF)
-        senses = np.array(self.senses, dtype=object)
-        self.le, self.ge, self.eq = senses == "<=", senses == ">=", senses == "="
-        if not np.all(self.le | self.ge | self.eq):
+        kinds = np.array([_SENSE_KIND.get(s, -1) if isinstance(s, str) else -1
+                          for s in self.senses], dtype=int)
+        if np.any(kinds < 0):
             raise ValueError("row senses must be '<=', '>=' or '='")
+        self.le, self.ge, self.eq = kinds == 0, kinds == 1, kinds == 2
         for a in (self.A, self.b, self.lo, self.hi, self.le, self.ge, self.eq):
             a.flags.writeable = False
 
@@ -638,47 +642,34 @@ def _cold_start(lp):
     row multipliers stated for the LP's rows as given (not the
     sign-flipped copies).
     """
-    A, senses, b = lp.A.copy(), list(lp.senses), lp.b.copy()
+    A, b = lp.A.copy(), lp.b.copy()
     m, n = A.shape
-    flip = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            flip[i] = -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
+    neg = b < 0
+    flip = np.where(neg, -1.0, 1.0)
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    # senses after the flip: a negated row swaps "<=" and ">="
+    le, ge = np.where(neg, lp._ge, lp._le), np.where(neg, lp._le, lp._ge)
 
-    slack_of = {}
-    art_of = {}
-    ncols = n
-    for i, s in enumerate(senses):
-        if s in ("<=", ">="):
-            slack_of[i] = ncols
-            ncols += 1
-    for i, s in enumerate(senses):
-        if s in (">=", "="):
-            art_of[i] = ncols
-            ncols += 1
+    # one slack per inequality row, then one artificial per ">=" or "=" row,
+    # each numbered in row order
+    slack_rows, art_rows = np.flatnonzero(le | ge), np.flatnonzero(ge | lp._eq)
+    slack_of = np.full(m, -1)
+    slack_of[slack_rows] = n + np.arange(slack_rows.size)
+    art = n + slack_rows.size + np.arange(art_rows.size)
+    ncols = n + slack_rows.size + art_rows.size
 
     T = np.zeros((m, ncols + 1))
     T[:, :n] = A
     T[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    for i, s in enumerate(senses):
-        if s == "<=":
-            T[i, slack_of[i]] = 1.0
-            basis[i] = slack_of[i]
-        else:
-            if s == ">=":
-                T[i, slack_of[i]] = -1.0
-            T[i, art_of[i]] = 1.0
-            basis[i] = art_of[i]
-    art = np.array(sorted(art_of.values()), dtype=int)
-    reader = np.array([art_of[i] if i in art_of else slack_of[i] for i in range(m)],
-                      dtype=int)
+    T[slack_rows, slack_of[slack_rows]] = np.where(le[slack_rows], 1.0, -1.0)
+    T[art_rows, art] = 1.0
+    reader = slack_of.copy()
+    reader[art_rows] = art
+    basis = np.where(le, slack_of, reader)
     tab = _Tableau(T, basis, reader, flip, art, n, lp.rows)
     if lp.basis is not None and m:
-        tab.restate(np.array([j if j >= 0 else slack_of[i] for i, j in enumerate(lp.basis)]))
+        tab.restate(np.where(lp.basis >= 0, lp.basis, slack_of))
         return tab, None
     if not art.size:
         return tab, None
@@ -692,7 +683,7 @@ def _cold_start(lp):
     if float(cb1 @ tab.T[:, -1]) > FEAS_TOL:
         return tab, (cb1 @ tab.T[:, reader]) * flip
     # drive remaining artificials out of the basis
-    art_cols = set(art_of.values())
+    art_cols = set(art.tolist())
     dead_rows = []
     for i in range(m):
         if tab.basis[i] in art_cols:

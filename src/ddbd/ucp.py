@@ -175,6 +175,8 @@ class UcpInstance:
             _require_finite("scenario data", (sc.prob, *sc.demand, *sc.reserve))
             if min(sc.demand) < 0 or min(sc.reserve) < 0:
                 raise InstanceError("demand and reserve must be nonnegative")
+            if sc.prob < 0:
+                raise InstanceError("scenario probabilities must be nonnegative")
             total += sc.prob
         if abs(total - 1.0) > 1e-9:
             raise InstanceError("scenario probabilities must sum to one")
@@ -475,37 +477,46 @@ def _cut_schedule(feas, order):
     limit itself: there every open cut is decided as CutRow.satisfied
     decides it.
 
-    Returns one list per layer of (cut, coefficient, drop, settle,
-    opens), the cuts in list order.
+    The suffix sums run from the last layer back over the cut's nonzero
+    terms alone, one cut at a time: a zero term adds nothing to them.
+
+    Returns one (open_now, opening) pair per layer, split as
+    _advance_cuts takes them: open_now maps each cut already open that
+    the layer tests to its (coefficient, drop, settle), and opening lists
+    (cut, coefficient, drop, settle) for the cuts that open there, in
+    list order.
     """
     N = len(order)
-    layers = [[] for _ in range(N)]
-    if not feas:
-        return layers
-    sign = np.array([1.0 if c.sense == "<=" else -1.0 for c in feas])
-    rhs = np.array([c.rhs for c in feas])
-    a = sign[:, None] * np.array([c.dense(N) for c in feas])[:, order]
-    rest_lo, rest_hi = (np.append(np.cumsum(t[:, ::-1], axis=1)[:, ::-1],
-                                  np.zeros((len(feas), 1)), axis=1)
-                        for t in (np.minimum(a, 0.0), np.maximum(a, 0.0)))
-    limit = sign * rhs + CUT_TOL
-    margin = 2 * (N + 2) * SPLIT_GRID * (1.0 + np.abs(rhs))
-    touched = a != 0.0
-    some = touched.any(axis=1)
-    if (rest_lo[:, 0] > limit + np.where(some, margin, 0.0)).any():
-        raise InfeasibleDiagramError("a cut removes every path")
-    opened = some & ~(rest_hi[:, 0] <= limit - margin)
-    drop = (limit + margin)[:, None] - rest_lo[:, 1:]
-    settle = (limit - margin)[:, None] - rest_hi[:, 1:]
-    first = touched.argmax(axis=1)
-    last = N - 1 - touched[:, ::-1].argmax(axis=1)
-    ks = np.arange(len(feas))
-    drop[ks, last] = settle[ks, last] = limit
-    g_at, k_at = np.nonzero((touched & opened[:, None]).T)   # by layer, then cut
-    for g, k, coef, up, down, opens in zip(g_at.tolist(), k_at.tolist(), a[k_at, g_at].tolist(),
-                                       drop[k_at, g_at].tolist(), settle[k_at, g_at].tolist(),
-                                       (first[k_at] == g_at).tolist()):
-        layers[g].append((k, coef, up, down, opens))
+    layers = [({}, []) for _ in range(N)]
+    layer_of = {v: g for g, v in enumerate(order)}
+    for k, cut in enumerate(feas):
+        sign = 1.0 if cut.sense == "<=" else -1.0
+        terms = sorted((layer_of[j], sign * c) for j, c in cut.coeffs.items()
+                       if c != 0.0 and j in layer_of)
+        # each term with the suffix sums of the least and greatest terms after it
+        rest, lo, hi = [], 0.0, 0.0
+        for g, a in reversed(terms):
+            rest.append((g, a, lo, hi))
+            if a < 0.0:
+                lo += a
+            else:
+                hi += a
+        limit = sign * cut.rhs + CUT_TOL
+        margin = 2 * (N + 2) * SPLIT_GRID * (1.0 + abs(cut.rhs))
+        if lo > limit + (margin if terms else 0.0):
+            raise InfeasibleDiagramError("a cut removes every path")
+        if not terms or hi <= limit - margin:
+            continue
+        first, last = terms[0][0], terms[-1][0]
+        for g, a, rest_lo, rest_hi in reversed(rest):
+            if g == last:
+                drop = settle = limit
+            else:
+                drop, settle = limit + margin - rest_lo, limit - margin - rest_hi
+            if g == first:
+                layers[g][1].append((k, a, drop, settle))
+            else:
+                layers[g][0][k] = (a, drop, settle)
     return layers
 
 
@@ -568,15 +579,18 @@ class KeyGraph:
     that asks again under the same feasibility cuts, the same objects in
     the same order, reuses the arcs and only moves labels
     (_best_completion).  Any other list of feasibility cuts rebuilds them.
-    Each unit's moves (_capped_moves), the layer order, each layer's bit
-    of x and the tie margin depend on the instance and gamma alone, and
-    are made once.
+    The layer order, each layer's bit of x and the tie margin depend on
+    the instance and gamma alone, and are made here.  So is each unit's
+    moves (_capped_moves), but only by the first fit whose cuts pass
+    _cut_schedule's every-path test: a root that those cuts prove
+    infeasible never builds them.
     """
 
     def __init__(self, instance, gamma):
         n, T = instance.num_units, instance.horizon
         N = n * T
-        self.moves = [_capped_moves(gen, T) for gen in instance.generators]
+        self.instance = instance
+        self.moves = None
         self.order = [(g % n) * T + g // n for g in range(N)]
         self.bits = [1 << (N - 1 - v) for v in self.order]
         # two costs closer than margin may tie in the end (PATH_TIE_TOL of any worth)
@@ -592,18 +606,23 @@ class KeyGraph:
                 and all(map(is_, self.feas, feas))):
             return
         self.feas = None   # a build that raises keeps nothing
-        self.layers = _key_graph(self.moves, feas, self.order)
+        schedule = _cut_schedule(feas, self.order)
+        if self.moves is None:
+            T = self.instance.horizon
+            self.moves = [_capped_moves(gen, T) for gen in self.instance.generators]
+        self.layers = _key_graph(self.moves, schedule)
         self.feas = list(feas)
 
 
-def _key_graph(moves, feas, order):
+def _key_graph(moves, schedule):
     """The keys of a period-major label pass and the arcs between them.
 
-    moves holds each unit's _capped_moves.  Layer g sets unit g % n at
-    period g // n, order[g] in unit-major order.  A key is the capped
-    state of every unit and the SPLIT_GRID-rounded lhs of every open
-    feasibility cut (_cut_schedule), whose values the first arc to reach
-    the key supplies; a move that a feasibility test drops makes no arc.
+    moves holds each unit's _capped_moves, and schedule the feasibility
+    tests of each layer (_cut_schedule).  Layer g sets unit g % n at
+    period g // n.  A key is the capped state of every unit and the
+    SPLIT_GRID-rounded lhs of every open feasibility cut, whose values
+    the first arc to reach the key supplies; a move that a feasibility
+    test drops makes no arc.
     Keys are numbered per layer in the order arcs first reach them,
     visiting the parent keys in their own order and each parent's moves
     in _capped_moves' order.  No key depends on a label, so this is the
@@ -616,13 +635,11 @@ def _key_graph(moves, feas, order):
     InfeasibleDiagramError when no key is left.
     """
     n = len(moves)
-    schedule = _cut_schedule(feas, order)
     keys, lhs_of = [((0,) * n, ())], [()]
     graph = []
-    for g, tests in enumerate(schedule):
+    for g, (open_now, opening) in enumerate(schedule):
         unit = g % n
-        open_now = {k: t for k, *t, opens in tests if not opens}
-        opening = [(k, *t) for k, *t, opens in tests if opens]
+        tests = open_now or opening
         parent, label, weight, child = array("i"), array("b"), array("d"), array("i")
         children, child_lhs = {}, []
         for i, (states, fkey) in enumerate(keys):
@@ -944,13 +961,14 @@ def _commitment_prices(units, x):
     p_min, p_max, su, sd, ru, rd = units
     n = p_min.shape[0]
     on = np.reshape(x, (n, -1))
-    before = np.hstack([np.zeros((n, 1)), on[:, :-1]])   # 0 before the horizon
-    return np.concatenate([
-        (p_min * on).ravel(),
-        (-p_max * on).ravel(),
-        ((su - ru) * before - su * on).ravel(),
-        ((sd - rd) * on - sd * before).ravel(),
-        np.zeros(on.size)])
+    before = np.zeros(on.shape)   # 0 before the horizon
+    before[:, 1:] = on[:, :-1]
+    prices = np.zeros((5,) + on.shape)
+    np.multiply(p_min, on, out=prices[0])
+    np.multiply(-p_max, on, out=prices[1])
+    np.subtract((su - ru) * before, su * on, out=prices[2])
+    np.subtract((sd - rd) * on, sd * before, out=prices[3])
+    return prices.ravel()
 
 
 def _dual_rows(instance):
@@ -986,7 +1004,8 @@ def _merit_order_basis(instance, x, scenario):
     entry per row of _dual_rows (a variable, or -1 for the row's slack):
     the dual of the merit-order dispatch, feasible with no pivot.
 
-    Per period t the committed units are taken in (c_prod, index) order.
+    Per period t the committed units are taken in (c_prod, index) order,
+    their p_min and p_max summed one unit at a time in that order.
     The marginal unit m is the first whose cumulative p_max reaches the
     demand d_t, or the last when capacity falls short, and the price
     lambda_t is c_m; lambda_t is 0, with no marginal unit, when no unit is
@@ -1017,35 +1036,39 @@ def _merit_order_basis(instance, x, scenario):
     nT = n * T
     PHI, PI, GAM, ETA = 2 * T, 2 * T + nT, 2 * T + 2 * nT, 2 * T + 4 * nT
     gens = instance.generators
-    cost = np.array([g.c_prod for g in gens])
-    p_min = np.array([g.p_min for g in gens])
-    p_max = np.array([g.p_max for g in gens])
-    su_binds = np.array([g.startup_ramp < g.p_max for g in gens])
-    on = np.reshape(x, (n, T)) > 0.5
-    merit = np.argsort(cost, kind="stable")
-    basis = np.full(2 * nT, -1)
-    for t in range(T):
-        units, d = merit[on[merit, t]], scenario.demand[t]
+    cost = [g.c_prod for g in gens]
+    merit = sorted(range(n), key=cost.__getitem__)   # stable: ties by index
+    on = [[v > 0.5 for v in x[i * T:(i + 1) * T]] for i in range(n)]
+    basis = [-1] * (2 * nT)
+    for t, d in enumerate(scenario.demand):
+        units = [i for i in merit if on[i][t]]
         marginal, price = -1, 0.0
-        if units.size and p_min[units].sum() < d:
-            reach = np.flatnonzero(np.cumsum(p_max[units]) >= d)
-            m = units[reach[0]] if reach.size else units[-1]
+        if units and sum(gens[i].p_min for i in units) < d:
+            reach, m = 0.0, units[-1]
+            for i in units:
+                reach += gens[i].p_max
+                if reach >= d:
+                    m = i
+                    break
             if cost[m] > 0:
                 marginal, price = m, cost[m]
+        free = -1   # the first unit whose headroom row keeps its slack
         for i in range(n):
             k = i * T + t
             if i == marginal:
                 basis[2 * k] = t
-            elif cost[i] < price and t == 0 and on[i, t] and su_binds[i]:
+            elif cost[i] < price and t == 0 and on[i][t] and \
+                    gens[i].startup_ramp < gens[i].p_max:
                 basis[2 * k], basis[2 * k + 1] = GAM + k, ETA + k
             elif cost[i] < price:
                 basis[2 * k], basis[2 * k + 1] = ETA + k, PI + k
-            elif on[i, t]:
+            elif on[i][t]:
                 basis[2 * k] = PHI + k
-        free = np.flatnonzero(basis[2 * (np.arange(n) * T + t) + 1] == -1)
-        if free.size:
-            basis[2 * (free[0] * T + t) + 1] = T + t
-    return basis
+            if free < 0 and basis[2 * k + 1] == -1:
+                free = i
+        if free >= 0:
+            basis[2 * (free * T + t) + 1] = T + t
+    return np.array(basis)
 
 
 def _fold(terms):
@@ -1074,35 +1097,47 @@ def _cut_terms(units, demand, need, values):
     nT = n * T
     values = np.asarray(values, dtype=float)
     lead = values.shape[:-1]
-    priced = np.stack([demand * values[..., :T], need * values[..., T:2 * T]])
-    const = _fold(np.moveaxis(priced, -1, 0).reshape((2 * T,) + lead))
-    phi, pi, gam, dlt = np.moveaxis(
-        values[..., 2 * T:2 * T + 4 * nT].reshape(lead + (4, n, T)), -3, 0)
+    # 0.0, then each period's demand and need terms, summed in that order
+    priced = np.zeros(lead + (2 * T + 1,))
+    np.multiply(demand, values[..., :T], out=priced[..., 1::2])
+    np.multiply(need, values[..., T:2 * T], out=priced[..., 2::2])
+    # [()] turns one row's 0-d sum into a float
+    const = np.add.accumulate(priced, axis=-1, out=priced)[..., -1][()]
+    blocks = values[..., 2 * T:2 * T + 4 * nT].reshape(lead + (4, n, T))
+    phi, pi, gam, dlt = (blocks[..., j, :, :] for j in range(4))
     terms = np.zeros((5,) + lead + (n, T))   # the next period's terms are 0 at the horizon
-    terms[0] = p_min * phi - p_max * pi
-    terms[1] = -su * gam
-    terms[2] = (sd - rd) * dlt
-    terms[3, ..., :-1] = (su - ru) * gam[..., 1:]
-    terms[4, ..., :-1] = -sd * dlt[..., 1:]
+    np.multiply(p_min, phi, out=terms[0])
+    terms[0] -= p_max * pi
+    np.multiply(-su, gam, out=terms[1])
+    np.multiply(sd - rd, dlt, out=terms[2])
+    np.multiply(su - ru, gam[..., 1:], out=terms[3, ..., :-1])
+    np.multiply(-sd, dlt[..., 1:], out=terms[4, ..., :-1])
     kept = np.abs(terms) > COEF_EPS
-    t = np.where(kept, terms, 0.0)
-    total = (((t[0] + t[1]) + t[2]) + t[3]) + t[4]
+    terms[~kept] = 0.0
+    total = terms[0] + terms[1]
+    for t in terms[2:]:
+        total += t
     return const, total.reshape(lead + (nT,)), kept.any(axis=0).reshape(lead + (nT,))
 
 
-def _capacity_ray(instance, period):
-    """Dual ray for a commitment whose capacity at `period` is short.
+def _capacity_rays(instance, periods):
+    """Dual rays for a commitment whose capacity is short, one per period
+    in `periods`, stacked in that order.
 
-    Reserve price 1 at the period and capacity multiplier 1 for every
-    unit there, 0 elsewhere: each headroom row then reads beta - pi = 0
-    and each production row 0, and along the ray the dual objective gains
-    demand plus reserve minus the committed capacity at the period.
+    A period's ray has reserve price 1 at the period and capacity
+    multiplier 1 for every unit there, 0 elsewhere: each headroom row then
+    reads beta - pi = 0 and each production row 0, and along the ray the
+    dual objective gains demand plus reserve minus the committed capacity
+    at the period.  The entries are set by index arithmetic, in one
+    assignment for the whole stack.
     """
     n, T = instance.num_units, instance.horizon
-    ray = np.zeros(2 * T + 5 * n * T)
-    ray[T + period] = 1.0
-    ray[2 * T + n * T + period + T * np.arange(n)] = 1.0
-    return ray
+    periods = np.asarray(periods, dtype=int)
+    rays = np.zeros((periods.size, 2 * T + 5 * n * T))
+    # the reserve price's column, then every unit's capacity multiplier's
+    offsets = np.concatenate([[T], 2 * T + n * T + T * np.arange(n)])
+    rays[np.arange(periods.size)[:, None], periods[:, None] + offsets] = 1.0
+    return rays
 
 
 def _startup_ray(instance):
@@ -1131,13 +1166,19 @@ def _startup_ray(instance):
 def _feasibility_cuts(units, demand, need, rays):
     """Each dual ray's cut over x, scaled to a largest coefficient of 1:
     rays is a stack of rays, and demand and need their scenarios' rows, as
-    _cut_terms takes them; units is _unit_columns of the instance."""
+    _cut_terms takes them; units is _unit_columns of the instance.  The
+    cuts' keys are Python ints and their coefficients and rhs Python
+    floats, divided on the stacked arrays."""
     consts, coefs, present = _cut_terms(units, demand, need, rays)
     scales = np.max(np.abs(coefs), axis=1, where=present, initial=COEF_EPS)
     scales = np.where(scales <= COEF_EPS, np.maximum(np.abs(consts), 1.0), scales)
-    return [CutRow(coeffs={k: coef[k] / scale for k in np.flatnonzero(kept).tolist()},
-                   z_coeff=0.0, rhs=-const / scale, sense="<=")
-            for const, coef, kept, scale in zip(consts, coefs, present, scales)]
+    rows, cols = np.nonzero(present)
+    values = (coefs[rows, cols] / scales[rows]).tolist()
+    cols = cols.tolist()
+    ends = np.bincount(rows, minlength=len(present)).cumsum().tolist()   # each row's end in cols
+    return [CutRow(coeffs=dict(zip(cols[start:end], values[start:end])),
+                   z_coeff=0.0, rhs=rhs, sense="<=")
+            for start, end, rhs in zip([0] + ends, ends, (-consts / scales).tolist())]
 
 
 def _tightest(cuts):
@@ -1236,9 +1277,13 @@ class UcpSubproblemOracle(SubproblemOracle):
     """Dual dispatch for every scenario at a commitment.
 
     initial_cuts() writes the closed-form feasibility cuts, one capacity
-    cut per period and the start-up cut, from rays verified in one batch,
-    each against its scenario's dual LP; the engine pools them before the
-    first build.
+    cut per period and the start-up cut, from rays stacked in one array
+    by index arithmetic (_capacity_rays, with _startup_ray's row last) and
+    verified in one batch, each against its scenario's dual LP; the engine
+    pools them before the first build.  Every cut the oracle writes,
+    initial or evaluated, has Python int keys and Python float
+    coefficients and rhs, never numpy scalars, so CutPool.add's key()
+    rounds Python floats.
     The master then meets them to within CUT_TOL, so evaluate solves one
     dual LP per scenario and nothing else: a commitment short of them
     only within that band, or infeasible for another reason (ramping,
@@ -1283,12 +1328,13 @@ class UcpSubproblemOracle(SubproblemOracle):
         self.instance = instance
         self._rows = LpRows(*_dual_rows(instance))
         self._units = _unit_columns(instance)
-        self._demand = np.array([sc.demand for sc in instance.scenarios], dtype=float)
-        self._need = np.array([np.add(sc.demand, sc.reserve) for sc in instance.scenarios])
-        self._prob = np.array([sc.prob for sc in instance.scenarios])
+        scenarios = instance.scenarios
+        self._demand = np.array([sc.demand for sc in scenarios], dtype=float)
+        self._need = self._demand + np.array([sc.reserve for sc in scenarios], dtype=float)
+        self._prob = np.array([sc.prob for sc in scenarios])
         core = _commitment_prices(self._units, [0.5] * instance.num_vars)
         self._core = _dual_objective(self._demand, self._need,
-                                     np.tile(core, (len(instance.scenarios), 1)))
+                                     np.broadcast_to(core, (len(self._demand), core.size)))
         self._last = None
 
     def initial_cuts(self):
@@ -1301,23 +1347,30 @@ class UcpSubproblemOracle(SubproblemOracle):
         off before the horizon, so sum_i min(SU_i, p_max_i) x_i0 >= d_0
         for the first scenario with that demand.  A cut that another makes
         redundant is left out (_tightest).  At the all-off commitment every
-        such cut is violated, so the rays, stacked, are verified there in
-        one verify_rays call, each against its own scenario's dual
-        objective, and their cuts written from one _cut_terms call.
+        such cut is violated, so the rays are verified there in one
+        verify_rays call, each against its own scenario's dual objective,
+        and their cuts written from one _cut_terms call.  The rays are one
+        array, the capacity rays set by index arithmetic (_capacity_rays)
+        and the start-up ray appended as the last row; the all-off
+        commitment prices no unit-period multiplier, so each ray's
+        objective is its scenario's demand and need rows followed by
+        zeros.  The cuts' keys are Python ints and their coefficients and
+        rhs Python floats (_feasibility_cuts).
         Raises NumericalFailureError when any ray fails verification.
         """
-        instance = self.instance
+        instance, T = self.instance, self.instance.horizon
         periods = np.flatnonzero(self._need.max(axis=0) > FEAS_TOL)
-        scenarios = self._need.argmax(axis=0)[periods].tolist()
-        rays = [_capacity_ray(instance, t) for t in periods.tolist()]
+        scenarios = self._need.argmax(axis=0)[periods]
+        rays = _capacity_rays(instance, periods)
         if self._demand[:, 0].max() > FEAS_TOL:
-            scenarios.append(int(self._demand[:, 0].argmax()))
-            rays.append(_startup_ray(instance))
-        if not rays:
+            scenarios = np.append(scenarios, self._demand[:, 0].argmax())
+            rays = np.concatenate([rays, _startup_ray(instance)[None]])
+        if not len(rays):
             return []
-        rays, demand, need = np.array(rays), self._demand[scenarios], self._need[scenarios]
-        prices = _commitment_prices(self._units, [0.0] * instance.num_vars)
-        c = _dual_objective(demand, need, np.tile(prices, (len(rays), 1)))
+        demand, need = self._demand[scenarios], self._need[scenarios]
+        # the all-off commitment prices no unit-period multiplier
+        c = np.zeros(rays.shape)
+        c[:, :T], c[:, T:2 * T] = demand, need
         if not np.all(verify_rays(self._rows, "max", c, rays)):
             raise NumericalFailureError("closed-form ray failed self-verification")
         return _tightest(_feasibility_cuts(self._units, demand, need, rays))
@@ -1338,8 +1391,9 @@ class UcpSubproblemOracle(SubproblemOracle):
         """
         instance = self.instance
         x = _commitment_vector(instance, x)
-        prices = np.tile(_commitment_prices(self._units, x), (len(instance.scenarios), 1))
-        objectives = _dual_objective(self._demand, self._need, prices)
+        prices = _commitment_prices(self._units, x)
+        objectives = _dual_objective(self._demand, self._need,
+                                     np.broadcast_to(prices, (len(self._demand), prices.size)))
         basis = None if self._last is not None else \
             _merit_order_basis(instance, x, instance.scenarios[0])
         out = solve(LinearProgram(sense="max", c=objectives, rows=self._rows,
@@ -1362,7 +1416,7 @@ class UcpSubproblemOracle(SubproblemOracle):
         # indices by the first scenario holding them; one none holds sums to 0
         order = np.argsort(present.argmax(axis=0), kind="stable")
         order = order[np.abs(agg_coef[order]) > COEF_EPS]
-        cut = CutRow(coeffs=dict(zip(order.tolist(), -agg_coef[order])),
+        cut = CutRow(coeffs=dict(zip(order.tolist(), (-agg_coef[order]).tolist())),
                      z_coeff=1.0, rhs=float(agg_const), sense=">=")
         return SubproblemResult(kind="optimal", cuts=[cut], value=float(total),
                                 lp_calls=calls)

@@ -88,9 +88,10 @@ def test_time_limit_report_file_is_strict_json(tmp_path):
     ["solve", "--gen", "2,2,1,0", "--no-relaxed-cuts"],
     ["compare", "--sizes", "2,3,2"],
     ["compare", "--seeds", "0,1"],
+    ["solve", "--gen", "2,2,1,0", "--out", "r.csv"],
 ], ids=["solve-width", "solve-no-source", "solve-time-limit-abc", "compare-width",
         "solve-width-0", "mip-sense-width-0", "compare-width-0", "solve-no-relaxed-cuts",
-        "compare-no-seeds", "compare-no-sizes"])
+        "compare-no-seeds", "compare-no-sizes", "solve-out-csv"])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as stop:
         main(argv)
@@ -125,6 +126,15 @@ def test_unwritable_out_is_an_error_before_any_work(argv, tmp_path, capsys, monk
     assert captured.err.startswith("error:") and str(out) in captured.err
     assert captured.out == ""
     assert not (tmp_path / "missing").exists()
+    if argv[0] == "solve":
+        # solve also writes the CSV row at the same path with .csv: a
+        # directory there is caught before the solve, and no report is written
+        (tmp_path / "r.csv").mkdir()
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and str(tmp_path / "r.csv") in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("limit", ["-1", "nan"])
@@ -204,6 +214,12 @@ def set_demand(doc):
     doc["scenarios"][0]["D"][1] = math.nan
 
 
+def set_negative_probability(doc):
+    # they still sum to one, but a weight below 0 makes the aggregated
+    # optimality cut no lower bound
+    doc["scenarios"][0]["prob"], doc["scenarios"][1]["prob"] = 1.5, -0.5
+
+
 # JSON's NaN and Infinity literals parse to floats, float() takes "500",
 # and an integer past the float range overflows any conversion
 @pytest.mark.parametrize("edit", [
@@ -213,7 +229,9 @@ def set_demand(doc):
     lambda doc: doc.update(T=3.9),
     set_generator("c_f", "500"),
     set_generator("c_f", 10 ** 400),
-], ids=["nan-demand", "nan-c_g", "infinite-c_f", "fractional-T", "string-c_f", "huge-c_f"])
+    set_negative_probability,
+], ids=["nan-demand", "nan-c_g", "infinite-c_f", "fractional-T", "string-c_f", "huge-c_f",
+        "negative-prob"])
 def test_malformed_ucp_instance_is_rejected(edit, tmp_path, capsys):
     doc = json.loads(gen_random_instance(2, 3, 2, seed=2).to_json())
     edit(doc)

@@ -513,8 +513,8 @@ def test_a_key_keeps_the_feasibility_lhs_of_the_first_arc_to_reach_it():
     inst = single_unit_instance(simple_generator(min_up=1), 3)
     cut = CutRow(coeffs={0: 3e-10, 2: 1.0}, rhs=1.0 + 1.5e-10 - CUT_TOL, sense="<=")
     graph = ucp_module.KeyGraph(inst, GammaBounds(0.0, 0.0))
-    layers = ucp_module._key_graph(graph.moves, [cut], graph.order)
-    arcs = [list(zip(parent, label, child)) for parent, label, _, child, _ in layers]
+    graph.fit([cut])
+    arcs = [list(zip(parent, label, child)) for parent, label, _, child, _ in graph.layers]
     # (parent key, label, child key); key 1 of layer 1 is the merged one
     assert arcs[1] == [(0, 0, 0), (0, 1, 1), (1, 1, 1), (1, 0, 2)]
     assert arcs[2] == [(0, 0, 0), (0, 1, 1), (1, 1, 1), (1, 0, 2), (2, 0, 3)]
@@ -1173,11 +1173,119 @@ def test_closed_form_capacity_cut_equals_the_cold_lp_ray_cut():
                 assert cold.status == "unbounded"
                 # the closed-form ray at the first short period certifies
                 # x against the cold LP, and gives that LP ray's cut
-                ray = ucp_module._capacity_ray(inst, t)
+                [ray] = ucp_module._capacity_rays(inst, [t])
                 assert verify_certificate(lp, LpOutcome(status="unbounded", ray=ray))
                 assert feasibility_cut(inst, sc, ray) == feasibility_cut(inst, sc, cold.ray)
                 compared.add((id(inst), x, t))
     assert len(compared) >= 100
+
+
+# every initial_cuts() row, recorded when each capacity ray was written on
+# its own; stacking the rays must change no bit: (keys in order,
+# coefficients, rhs), as hex.  The start-up cut proves the first instance
+# infeasible at the root
+INITIAL_CUTS = {
+    (3, 6, 3, 1, 1.0): [
+        ([0, 6, 12],
+         "-0x1.0000000000000p+0 -0x1.475ba8840d775p-2 -0x1.b1ced2fbb5cf1p-1",
+         "-0x1.155f29cf6f22bp+1"),
+        ([1, 7, 13],
+         "-0x1.0000000000000p+0 -0x1.475ba8840d775p-2 -0x1.b1ced2fbb5cf1p-1",
+         "-0x1.152e41cebf00fp+1"),
+        ([2, 8, 14],
+         "-0x1.0000000000000p+0 -0x1.475ba8840d775p-2 -0x1.b1ced2fbb5cf1p-1",
+         "-0x1.faa9ef48a2de5p+0"),
+        ([3, 9, 15],
+         "-0x1.0000000000000p+0 -0x1.475ba8840d775p-2 -0x1.b1ced2fbb5cf1p-1",
+         "-0x1.06c99e7a430ffp+1"),
+        ([4, 10, 16],
+         "-0x1.0000000000000p+0 -0x1.475ba8840d775p-2 -0x1.b1ced2fbb5cf1p-1",
+         "-0x1.11e5cd963d47ep+1"),
+        ([5, 11, 17],
+         "-0x1.0000000000000p+0 -0x1.475ba8840d775p-2 -0x1.b1ced2fbb5cf1p-1",
+         "-0x1.1312ba48f10a4p+1"),
+        ([0, 6, 12],
+         "-0x1.0000000000000p+0 -0x1.432f4d545d5a1p-2 -0x1.b4a7e754d9fd7p-1",
+         "-0x1.2421ff0349304p+1"),
+    ],
+    (4, 6, 3, 0, 0.8): [
+        ([0, 6, 12, 18],
+         "-0x1.65ef9564c2d70p-1 -0x1.e56d1c0f11b88p-1 -0x1.3d181386858e9p-1 -0x1.0000000000000p+0",
+         "-0x1.4abec35642388p+1"),
+        ([1, 7, 13, 19],
+         "-0x1.65ef9564c2d70p-1 -0x1.e56d1c0f11b88p-1 -0x1.3d181386858e9p-1 -0x1.0000000000000p+0",
+         "-0x1.4e7dc0feded2dp+1"),
+        ([2, 8, 14, 20],
+         "-0x1.65ef9564c2d70p-1 -0x1.e56d1c0f11b88p-1 -0x1.3d181386858e9p-1 -0x1.0000000000000p+0",
+         "-0x1.1d8846ff4116bp+1"),
+        ([3, 9, 15, 21],
+         "-0x1.65ef9564c2d70p-1 -0x1.e56d1c0f11b88p-1 -0x1.3d181386858e9p-1 -0x1.0000000000000p+0",
+         "-0x1.3ae7a5b60925dp+1"),
+        ([4, 10, 16, 22],
+         "-0x1.65ef9564c2d70p-1 -0x1.e56d1c0f11b88p-1 -0x1.3d181386858e9p-1 -0x1.0000000000000p+0",
+         "-0x1.1a7a342e28e02p+1"),
+        ([5, 11, 17, 23],
+         "-0x1.65ef9564c2d70p-1 -0x1.e56d1c0f11b88p-1 -0x1.3d181386858e9p-1 -0x1.0000000000000p+0",
+         "-0x1.4d1c0cda834b4p+1"),
+        ([0, 6, 12, 18],
+         "-0x1.79e7f7304227fp-1 -0x1.f70af8030adf5p-1 -0x1.469baa0774bb3p-1 -0x1.0000000000000p+0",
+         "-0x1.5a6b366f06242p+1"),
+    ],
+    (3, 6, 16, 0, 0.9): [
+        ([0, 6, 12],
+         "-0x1.7987ca78fff5dp-1 -0x1.0000000000000p+0 -0x1.4e73ea610f6aep-1",
+         "-0x1.13656f1776a8fp+1"),
+        ([1, 7, 13],
+         "-0x1.7987ca78fff5dp-1 -0x1.0000000000000p+0 -0x1.4e73ea610f6aep-1",
+         "-0x1.13656f1776a8fp+1"),
+        ([2, 8, 14],
+         "-0x1.7987ca78fff5dp-1 -0x1.0000000000000p+0 -0x1.4e73ea610f6aep-1",
+         "-0x1.13656f1776a8fp+1"),
+        ([3, 9, 15],
+         "-0x1.7987ca78fff5dp-1 -0x1.0000000000000p+0 -0x1.4e73ea610f6aep-1",
+         "-0x1.13656f1776a8fp+1"),
+        ([4, 10, 16],
+         "-0x1.7987ca78fff5dp-1 -0x1.0000000000000p+0 -0x1.4e73ea610f6aep-1",
+         "-0x1.13656f1776a8fp+1"),
+        ([5, 11, 17],
+         "-0x1.7987ca78fff5dp-1 -0x1.0000000000000p+0 -0x1.4e73ea610f6aep-1",
+         "-0x1.13656f1776a8fp+1"),
+        ([0, 6, 12],
+         "-0x1.80a29552403b2p-1 -0x1.0000000000000p+0 -0x1.4c6c72e7c7ddbp-1",
+         "-0x1.1ab38877dadf2p+1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", list(INITIAL_CUTS),
+                         ids=["3x6x3-s1-d1", "4x6x3-s0-d0.8", "3x6x16-s0-d0.9"])
+def test_initial_cuts_repeat_the_recorded_rows_bit_for_bit(spec):
+    cuts = UcpSubproblemOracle(scaled_instance(*spec)).initial_cuts()
+    got = [(list(cut.coeffs), " ".join(v.hex() for v in cut.coeffs.values()), cut.rhs.hex())
+           for cut in cuts]
+    assert got == INITIAL_CUTS[spec]
+    assert all((cut.sense, cut.z_coeff) == ("<=", 0.0) for cut in cuts)
+
+
+def test_every_cut_the_oracle_writes_holds_python_numbers():
+    # initial cuts, and cuts from evaluations that are optimal and that
+    # are short (LP rays): int keys, float coefficients, float rhs and z
+    # coefficient, never numpy scalars
+    rng = np.random.default_rng(41)
+    kinds = set()
+    for spec in [(3, 6, 3, 0, 1.0), (4, 6, 3, 0, 0.8), (3, 6, 16, 0, 0.9), (2, 4, 2, 5, 0.5)]:
+        inst = scaled_instance(*spec)
+        oracle = UcpSubproblemOracle(inst)
+        cuts = oracle.initial_cuts()
+        for _ in range(6):
+            res = oracle.evaluate(tuple(float(v) for v in rng.random(inst.num_vars) < 0.8))
+            kinds.add(res.kind)
+            cuts += res.cuts
+        for cut in cuts:
+            assert {type(k) for k in cut.coeffs} <= {int}, cut
+            assert {type(v) for v in cut.coeffs.values()} <= {float}, cut
+            assert (type(cut.rhs), type(cut.z_coeff)) == (float, float), cut
+    assert kinds == {"optimal", "infeasible"}
 
 
 def test_initial_cuts_keep_the_tightest_period_0_rows_with_no_lp_call(monkeypatch):
@@ -1203,14 +1311,16 @@ def test_initial_cuts_keep_the_tightest_period_0_rows_with_no_lp_call(monkeypatc
 
 def tamper_capacity_rays(monkeypatch):
     """Make every closed-form ray drop unit 1's capacity multiplier."""
-    closed_form = ucp_module._capacity_ray
+    closed_form = ucp_module._capacity_rays
 
-    def tampered(instance, period):
-        ray = closed_form(instance, period)
-        ray[2 * instance.horizon + instance.num_vars + instance.var_index(1, period)] = 0.0
-        return ray
+    def tampered(instance, periods):
+        rays = closed_form(instance, periods)
+        periods = np.asarray(periods, dtype=int)
+        rays[np.arange(periods.size), 2 * instance.horizon + instance.num_vars
+             + instance.var_index(1, periods)] = 0.0
+        return rays
 
-    monkeypatch.setattr(ucp_module, "_capacity_ray", tampered)
+    monkeypatch.setattr(ucp_module, "_capacity_rays", tampered)
 
 
 def seeding_instances():
@@ -1393,15 +1503,16 @@ def test_startup_ray_that_fails_verification_raises(monkeypatch):
 def tamper_last_capacity_ray(monkeypatch):
     """Make only the last period's closed-form capacity ray drop unit 1's
     capacity multiplier: a bad ray between good ones in initial_cuts()."""
-    closed_form = ucp_module._capacity_ray
+    closed_form = ucp_module._capacity_rays
 
-    def tampered(instance, period):
-        ray = closed_form(instance, period)
-        if period == instance.horizon - 1:
-            ray[2 * instance.horizon + instance.num_vars + instance.var_index(1, period)] = 0.0
-        return ray
+    def tampered(instance, periods):
+        rays = closed_form(instance, periods)
+        last = instance.horizon - 1
+        rays[np.asarray(periods) == last,
+             2 * instance.horizon + instance.num_vars + instance.var_index(1, last)] = 0.0
+        return rays
 
-    monkeypatch.setattr(ucp_module, "_capacity_ray", tampered)
+    monkeypatch.setattr(ucp_module, "_capacity_rays", tampered)
 
 
 @pytest.mark.parametrize("tamper", [tamper_last_capacity_ray, tamper_startup_rays])
@@ -1430,7 +1541,7 @@ def test_batched_ray_check_matches_the_per_ray_certificate_check():
         for _ in range(6):
             x = [float(v) for v in rng.random(inst.num_vars) < 0.7]
             prices = ucp_module._commitment_prices(units, x)
-            for ray in [ucp_module._capacity_ray(inst, t) for t in range(inst.horizon)] + \
+            for ray in list(ucp_module._capacity_rays(inst, range(inst.horizon))) + \
                     [ucp_module._startup_ray(inst)]:
                 s = int(rng.integers(len(inst.scenarios)))
                 c.append(ucp_module._dual_objective(oracle._demand[s], oracle._need[s], prices))
