@@ -1,15 +1,15 @@
 """Command-line surface: generate, solve, compare, verify.
 
-Exit codes for `solve`: 0 optimal, 2 time limit hit, 3 infeasible,
-1 for malformed inputs and for an unbounded MIP; an instance declares
-its own sense.  `compare` exits 1 on malformed arguments or when any
-method disagrees on an optimum, `verify-decomposition` when a condition
-or an equivalence check fails.  Every command exits 1 on a usage error,
-with the usage on stderr, and on an --out path it cannot write (or a
---emit-dot directory it cannot make), checked before any work is done.
-`solve --out` writes the JSON report there and the CSV row beside it,
-at the same path with the extension .csv; both paths are checked, and
-an --out that already ends in .csv is a usage error.
+Exit codes for `solve`: 0 optimal, 2 time limit hit, 3 infeasible, 1 for
+malformed inputs, for an unbounded MIP and for a MIP whose z_bounds do
+not hold; an instance declares its own sense.  `compare` exits 1 on
+malformed arguments or when any method disagrees on an optimum,
+`verify-decomposition` when a condition or an equivalence check fails.
+Every command exits 1 on a usage error, with the usage on stderr, and on
+an --out path it cannot write, checked before any work is done.  `solve
+--out` writes the JSON report there and the CSV row beside it, at the
+same path with the extension .csv; both paths are checked, and an --out
+that already ends in .csv is a usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import sys
 import time
 
 from .engine import EngineConfig, SolveReport, dd_bd_solve
-from .mip import MipMasterOracle, MipProblem, MipSubproblemOracle, UnboundedProblemError
+from .mip import (MipMasterOracle, MipProblem, MipSubproblemOracle, UnboundedProblemError,
+                  ValueBoundsError)
 from .oracle import TooLargeError, brute_force_solve, naive_bd_solve
 from .rectangles import equivalence_check, load_fixture, verify_decomposition
 from .ucp import InstanceError, UcpInstance, gen_random_instance, ucp_solve
@@ -95,10 +96,7 @@ def cmd_solve(args):
         _check_out(csv_path)
         if kind == "mip":
             sub = MipSubproblemOracle(problem)
-            master = MipMasterOracle(problem, dot_dir=args.emit_dot)
-        elif args.emit_dot:
-            # the unit-commitment master builds no diagram to draw
-            raise ValueError("--emit-dot needs a MIP instance")
+            master = MipMasterOracle(problem)
     except (OSError, ValueError, InstanceError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -108,7 +106,7 @@ def cmd_solve(args):
     else:
         try:
             report = dd_bd_solve(master, sub, config, instance_id=instance_id)
-        except UnboundedProblemError as exc:
+        except (UnboundedProblemError, ValueBoundsError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
@@ -232,8 +230,6 @@ def build_parser():
     ps.add_argument("--instance", help="instance JSON (unit commitment or MIP)")
     ps.add_argument("--gen", help="n,T,S,seed to generate an instance instead")
     ps.add_argument("--time-limit", type=float, default=None)
-    ps.add_argument("--emit-dot", metavar="DIR", default=None,
-                    help="write each master diagram of a MIP solve here as Graphviz text")
     ps.add_argument("--out", help="write the JSON report here (plus a .csv row)")
     ps.set_defaults(func=cmd_solve)
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass, field
+from operator import add, ge, is_, mul
 
 import numpy as np
 
@@ -759,6 +761,328 @@ def _completion_limits(dd, feas, sign, fstep):
     limit = sign * rhs + CUT_TOL
     margin = 2 * (m + 1) * SPLIT_GRID * (1.0 + np.abs(rhs))
     return limit + margin - lo, limit - margin - hi
+
+
+# -- the label pass: one master pass for both oracles ----------------------------
+
+
+class KeyGraph:
+    """The label pass's keys and arcs, kept across asks of one master.
+
+    Layer g sets variable order[g] by a move of unit g % n, each unit its
+    own variables in order (numbered unit-major) from state 0.  labels[v]
+    holds v's sorted distinct labels, moves() each unit's (label, weight,
+    next state) moves by state, a label 0.0 weighing 0, and costs closer
+    than margin may tie.  Keys depend on the feasibility cuts alone: under
+    the same ones, the same objects in the same order, an ask only moves
+    labels.  The moves and the tables are made by the first fit whose cuts
+    pass _cut_schedule's every-path test.
+    """
+
+    def __init__(self, labels, order, moves, margin):
+        self.labels, self.order, self.margin = labels, order, margin
+        self._make_moves = moves
+        self.moves = self.feas = self.layers = None
+
+    def fit(self, feas):
+        """Build the arcs under the feasibility cuts feas unless they are kept."""
+        if (self.feas is not None and len(self.feas) == len(feas)
+                and all(map(is_, self.feas, feas))):
+            return
+        self.feas = None   # a build that raises keeps nothing
+        schedule = _cut_schedule(feas, self.order, self.labels)
+        if self.moves is None:
+            self.moves = self._make_moves()
+            # x is one integer in mixed radix over the label ranks, unit-major
+            # (bits for binary labels): the smaller integer, the smaller x
+            self.place = list(itertools.accumulate(map(len, self.labels[:0:-1]), mul,
+                                                   initial=1))[::-1]
+            # per layer and label, None (label 0.0 at rank 0 changes nothing)
+            # or the row (of step_var and step_label) and the x it adds
+            steps, var, value = [], [], []
+            for v, labs in enumerate(self.labels):
+                steps.append(dict.fromkeys(labs))
+                for r, lab in enumerate(labs):
+                    if r or lab != 0.0:
+                        steps[v][lab] = (len(var), r * self.place[v])
+                        var.append(v)
+                        value.append(lab)
+            self.steps = [steps[v] for v in self.order]
+            self.step_var, self.step_label = np.array(var, dtype=np.intp), np.array(value)[:, None]
+        self.layers = _key_graph(self.moves, schedule)
+        self.feas = list(feas)
+
+
+def label_point(graph, bounds, cuts):
+    """An optimum of the master's points that satisfy every cut, as (x, z, w),
+    the value variable within bounds.lo and bounds.hi, each optimality cut
+    bounding it from below.  Raises InfeasibleDiagramError when the cuts
+    remove every path."""
+    feas = [c for c in cuts if c.z_coeff == 0.0]
+    opt = [c for c in cuts if c.z_coeff != 0.0]
+    if any((c.sense == "<=") == (c.z_coeff > 0) for c in opt):
+        raise ValueError("an optimality cut must bound the value from below")
+    graph.fit(feas)
+    return _point(graph, bounds, _best_completion(graph, bounds, opt), opt)
+
+
+def _cut_schedule(feas, order, labels):
+    """When each feasibility cut is tested, along the layer order `order`.
+
+    A cut is signed to read lhs <= limit, its rhs plus CUT_TOL (a ">="
+    cut is negated, exactly).  After layer g the lhs still to come lies
+    between the suffix sums of each later layer's least and greatest
+    term, the least and greatest of a * v over its variable's labels
+    (min(0, a) and max(0, a) for labels {0, 1}).  A cut that every
+    completion meets, with a margin, never opens; one that every
+    completion breaks raises InfeasibleDiagramError.  Any other cut opens
+    at its first layer with a nonzero coefficient, and every such layer
+    tests a label's lhs: above `drop` the label goes, at or below
+    `settle` the cut is settled and leaves the key.  Both keep
+    _completion_limits' rounding margin, except at the cut's last nonzero
+    coefficient, where both are the limit itself: there every open cut
+    is decided as CutRow.satisfied decides it.
+
+    The suffix sums run from the last layer back over the cut's nonzero
+    terms alone, one cut at a time: a zero term adds nothing to them.
+
+    Returns one (open_now, opening) pair per layer, split as
+    _advance_cuts takes them: open_now maps each cut already open that
+    the layer tests to its (coefficient, drop, settle), and opening lists
+    (cut, coefficient, drop, settle) for the cuts that open there, in
+    list order.
+    """
+    N = len(order)
+    layers = [({}, []) for _ in range(N)]
+    layer_of = {v: g for g, v in enumerate(order)}
+    for k, cut in enumerate(feas):
+        sign = 1.0 if cut.sense == "<=" else -1.0
+        terms = sorted((layer_of[j], sign * c) for j, c in cut.coeffs.items()
+                       if c != 0.0 and j in layer_of)
+        # each term with the suffix sums of the least and greatest terms after it
+        rest, lo, hi = [], 0.0, 0.0
+        for g, a in reversed(terms):
+            rest.append((g, a, lo, hi))
+            labs = labels[order[g]]
+            if a < 0.0:
+                lo += a * labs[-1]
+                hi += a * labs[0]
+            else:
+                lo += a * labs[0]
+                hi += a * labs[-1]
+        limit = sign * cut.rhs + CUT_TOL
+        margin = 2 * (N + 2) * SPLIT_GRID * (1.0 + abs(cut.rhs))
+        if lo > limit + (margin if terms else 0.0):
+            raise InfeasibleDiagramError("a cut removes every path")
+        if not terms or hi <= limit - margin:
+            continue
+        first, last = terms[0][0], terms[-1][0]
+        for g, a, rest_lo, rest_hi in reversed(rest):
+            if g == last:
+                drop = settle = limit
+            else:
+                drop, settle = limit + margin - rest_lo, limit - margin - rest_hi
+            if g == first:
+                layers[g][1].append((k, a, drop, settle))
+            else:
+                layers[g][0][k] = (a, drop, settle)
+    return layers
+
+
+def _advance_cuts(flhs, lab, open_now, opening):
+    """The open feasibility cuts' (cut, lhs) pairs after one layer's move.
+
+    flhs holds the cuts open before the layer; the move sets the layer's
+    variable to lab.  open_now maps each of them that the layer tests to
+    its (coefficient, drop, settle), and opening lists (cut, coefficient,
+    drop, settle) for the cuts whose first nonzero coefficient is the
+    layer's (see _cut_schedule).  A settled cut leaves; None when a test
+    drops the move.
+    """
+    out = []
+    for k, lhs in flhs:
+        test = open_now.get(k)
+        if test is not None:
+            a, drop, settle = test
+            if lab:
+                lhs += a * lab
+            if lhs > drop:
+                return None
+            if lhs <= settle:
+                continue
+        out.append((k, lhs))
+    for k, a, drop, settle in opening:
+        lhs = a * lab if lab else 0.0
+        if lhs > drop:
+            return None
+        if lhs > settle:
+            out.append((k, lhs))
+    return tuple(out)
+
+
+def _add_label(labels, label, margin):
+    """Keep labels a Pareto set: add label unless one there dominates it,
+    and drop those it dominates.
+
+    a dominates b when it costs no more, has every optimality lhs at
+    least as high (signed), and has either the lexicographically smaller
+    x or a cost lower by more than the tie margin: b can then neither
+    win nor tie into the win.  Dominance is transitive, so a label that
+    one there dominates dominates none of them.
+    """
+    cost, olhs, xkey = label
+    kept = []
+    for old in labels:
+        c, o, x = old
+        if c <= cost and (x < xkey or c < cost - margin) and all(map(ge, o, olhs)):
+            return
+        if not (cost <= c and (xkey < x or cost < c - margin) and all(map(ge, olhs, o))):
+            kept.append(old)
+    kept.append(label)
+    labels[:] = kept
+
+
+def _key_graph(moves, schedule):
+    """The keys of a label pass and the arcs between them.
+
+    moves holds each unit's moves by state (KeyGraph) and schedule the
+    feasibility tests of each layer (_cut_schedule).  A key is the
+    state of every unit and the SPLIT_GRID-rounded lhs of every open
+    feasibility cut, whose values the first arc to reach the key
+    supplies; a move that a feasibility test drops makes no arc.
+    Keys are numbered per layer in the order arcs first reach them,
+    visiting the parent keys in their own order and each parent's moves
+    in their listed order.  No key depends on a label, so this is the
+    order in which a label pass that keyed labels as it went would meet
+    them.
+
+    Returns one (parent, label, weight, child, width) per layer: its arcs
+    in visiting order as `array` columns (parent and child key indices,
+    the move's label and weight) and its number of keys.
+    Raises InfeasibleDiagramError when no key is left.
+    """
+    n = len(moves)
+    keys, lhs_of = [((0,) * n, ())], [()]
+    graph = []
+    for g, (open_now, opening) in enumerate(schedule):
+        unit = g % n
+        tests = open_now or opening
+        parent, label, weight, child = array("i"), array("d"), array("d"), array("i")
+        children, child_lhs = {}, []
+        for i, (states, fkey) in enumerate(keys):
+            flhs = lhs_of[i]
+            for lab, w, nxt in moves[unit][states[unit]]:
+                if tests:
+                    cflhs = _advance_cuts(flhs, lab, open_now, opening)
+                    if cflhs is None:
+                        continue
+                    cfkey = tuple((k, round(lhs / SPLIT_GRID)) for k, lhs in cflhs)
+                else:
+                    cflhs, cfkey = flhs, fkey
+                key = (states[:unit] + (nxt,) + states[unit + 1:], cfkey)
+                j = children.get(key)
+                if j is None:
+                    j = children[key] = len(child_lhs)
+                    child_lhs.append(cflhs)
+                parent.append(i)
+                label.append(lab)
+                weight.append(w)
+                child.append(j)
+        if not children:
+            raise InfeasibleDiagramError("a cut removes every path")
+        graph.append((parent, label, weight, child, len(child_lhs)))
+        keys, lhs_of = children, child_lhs
+    return graph
+
+
+def _best_completion(graph, bounds, opt):
+    """x of an optimal completion under the optimality cuts opt, unit-major.
+
+    One top-down label pass over graph's layers (KeyGraph, _key_graph).
+    A label is a prefix: its cost, the signed lhs of every optimality
+    cut and x as one integer (KeyGraph.fit).  Each arc moves its parent
+    key's labels to its child key, in the graph's order, adding the
+    move's weight, a * v to each lhs (rows of one numpy product per ask)
+    and its rank to x.  Each key keeps a Pareto set (_add_label); with no
+    optimality cut that is its cheapest label, and any label within the
+    tie margin that has a smaller x.  This is the label dominance of
+    resource-constrained shortest paths (Irnich and Desaulniers, 2005).
+
+    A final label is worth cost + z, where z is the largest of bounds.lo
+    and every optimality cut's bound, capped at bounds.hi; one whose bound
+    tops bounds.hi by more than CUT_TOL is dropped, as _tighten drops its
+    value arc.  Of the labels within PATH_TIE_TOL of the best worth, the
+    one with the smallest x wins, as optimal_path breaks ties.  Raises
+    InfeasibleDiagramError when no label is left.
+    """
+    N, margin = len(graph.order), graph.margin
+    # signed so that a higher lhs is a lower bound on z
+    ocoef = np.array([np.sign(c.z_coeff) * c.dense(N) for c in opt]).reshape(len(opt), N).T
+    rows = (ocoef[graph.step_var] * graph.step_label).tolist()
+    sets = [[(0.0, (0.0,) * len(opt), 0)]]   # labels per key
+    for steps, (parent, label, weight, child, width) in zip(graph.steps, graph.layers):
+        out = [None] * width
+        for i, lab, w, j in zip(parent, label, weight, child):
+            labels = sets[i]
+            step = steps[lab]
+            if step is None:   # label 0.0 costs nothing and adds nothing to any lhs
+                moved = labels
+            else:
+                k, dx = step
+                oc = rows[k]
+                moved = [(cost + w, tuple(map(add, olhs, oc)), xkey + dx)
+                         for cost, olhs, xkey in labels]
+            bucket = out[j]
+            if bucket is None:   # one parent's set, moved alike, needs no test
+                out[j] = list(moved)
+            else:
+                for entry in moved:
+                    _add_label(bucket, entry, margin)
+        sets = out
+
+    limits = [(c.rhs, c.z_coeff, np.sign(c.z_coeff)) for c in opt]
+    worth = []
+    for labels in sets:
+        for cost, olhs, xkey in labels:
+            z = max([bounds.lo] + [(rhs - s * lhs) / zc
+                                   for lhs, (rhs, zc, s) in zip(olhs, limits)])
+            if z <= bounds.hi + CUT_TOL:
+                worth.append((cost + min(z, bounds.hi), xkey))
+    if not worth:
+        raise InfeasibleDiagramError("the optimality cuts remove every path")
+    best = min(w for w, _ in worth)
+    tol = PATH_TIE_TOL * (1.0 + abs(best))
+    xkey = min(k for w, k in worth if w <= best + tol)
+    return [labs[xkey // p % len(labs)] for labs, p in zip(graph.labels, graph.place)]
+
+
+def _point(graph, bounds, x, opt):
+    """(x, z, w) of the master's path of x, to the bit as optimal_path
+    reads them off that path in the exact diagram: z is bounds.lo raised
+    by each optimality cut in list order, each lhs summed in unit-major
+    order as a replay sums it, and capped at bounds.hi; w sums x's move
+    weights and then z from the last layer up, w_0 + (... + (w_(N-1) + z)).
+    """
+    T = len(x) // len(graph.moves)
+    weights = []
+    for unit, moves in enumerate(graph.moves):
+        state = 0
+        for lab in x[unit * T:(unit + 1) * T]:
+            w, state = next((w, nxt) for b, w, nxt in moves[state] if b == lab)
+            weights.append(w)
+    z, hi = bounds.lo, bounds.hi
+    for cut in opt:
+        lhs = 0.0
+        for c, v in zip(cut.dense(len(x)).tolist(), x):
+            if v:
+                lhs += c * v
+        bound = (cut.rhs - lhs) / cut.z_coeff
+        z = bound if bound > z else z
+        z = hi if hi < z else z
+    w = 0.0
+    for weight in reversed(weights + [z]):
+        w = weight + w
+    return tuple(x), z, w
 
 
 # -- constructors ----------------------------------------------------------------

@@ -10,11 +10,9 @@ optimal and no relaxed diagram or branching is needed.
 Cuts live in a global deduplicated pool, seeded before the first ask
 with the subproblem oracle's initial_cuts(): cuts that hold for every
 x, such as the unit-commitment oracle's per-period capacity cuts and
-its period-0 start-up cut.  The MIP oracle brings the pool into its
-master diagram by one exact refinement pass over the list (see
-replay_cuts) and reads the diagram's optimal path off (diagram_point);
-the unit-commitment oracle finds an optimal path of its master under
-the pool in one label pass and returns its point.  Every point whose
+its period-0 start-up cut.  Both oracles find an optimal path of their
+master under the pool in one label pass (diagram.label_point) and return
+its point; neither builds a diagram.  Every point whose
 evaluation is optimal is feasible, and the best of them is the
 incumbent until a converged point replaces it, so a solve stopped by the
 clock still reports one.  The clock is read before the first ask and
@@ -40,7 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import EmptyDiagramError, optimal_path, refine_with_cut
+# no solve calls optimal_path or replay_cuts (below): they are the tests'
+# reference, and perfbench/layers.py rebinds both by name
+from .diagram import EmptyDiagramError, optimal_path, refine_with_cut  # noqa: F401
 
 VALUE_TOL = 1e-9       # strictness for incumbent comparisons
 CONVERGE_TOL = 1e-6    # convergence test: the point's z equals subproblem value
@@ -180,19 +180,6 @@ class SolveReport:
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def diagram_point(dd, sense):
-    """(x, z, w) of an optimal path of dd, a diagram ending in its value
-    layer, or None when dd is None or has no path.  It calls optimal_path
-    through this module's name, which perfbench/layers.py rebinds."""
-    if dd is None:
-        return None
-    try:
-        assignment, w = optimal_path(dd, sense)
-    except EmptyDiagramError:
-        return None
-    return tuple(assignment[:-1]), assignment[-1], w
-
-
 # no solve calls enumerate_prefixes; it stays importable as engine.enumerate_prefixes,
 # which perfbench/layers.py rebinds by name
 def enumerate_prefixes(dd, layer_idx, cap):
@@ -288,8 +275,8 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                     w_star, best_x, best_z = w - z + res.value, x, res.value
             if not fresh:
                 raise EngineError(
-                    "subproblem regenerated only pooled cuts; the diagram "
-                    "refinement cannot make progress")
+                    "subproblem regenerated only pooled cuts; the master's "
+                    "point brought no fresh cut")
 
     wall = time.perf_counter() - t0
     report = SolveReport(status=status, nodes=nodes,

@@ -3,24 +3,26 @@
 A problem is max/min a.x + b.y subject to rows over (x, y), with x
 integer over finite domains and y >= 0 continuous.  Rows touching only
 x become master constraints; the rest form the slave LP whose dual
-yields the cuts.  The master diagram is compiled by refinement: a chain
-with one arc per domain value is cut by the master rows, as pooled cuts
-are, so its size follows the rows' distinct partial sums rather than the
-number of feasible points.
+yields the cuts.  The master answers by the label pass that the
+unit-commitment master runs (diagram.KeyGraph, label_point), over the
+chain of the variables with one move per domain value: the master rows
+and the pool's feasibility cuts split its keys by their rounded lhs, so
+its size follows the rows' distinct partial sums rather than the number
+of feasible points, and optimality cuts ride on its labels.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CutRow, DiagramBuilder, InfeasibleDiagramError, Interval, to_dot
-from .engine import MasterOracle, SubproblemOracle, SubproblemResult, diagram_point, replay_cuts
-from .simplex import LinearProgram, LpRows, solve
+from .diagram import PATH_TIE_TOL, CutRow, InfeasibleDiagramError, Interval, KeyGraph, label_point
+from .engine import MasterOracle, SubproblemOracle, SubproblemResult
+from .simplex import FEAS_TOL, LinearProgram, LpRows, solve
 
 COEF_EPS = 1e-12
 
@@ -28,6 +30,10 @@ COEF_EPS = 1e-12
 class UnboundedProblemError(Exception):
     """The slave LP is unbounded (or infeasible) for every x: the dual
     slave has no feasible point, and that does not depend on x."""
+
+
+class ValueBoundsError(Exception):
+    """An optimal slave value lies outside z_bounds: the stated bounds do not hold."""
 
 
 @dataclass
@@ -46,7 +52,8 @@ class MipProblem:
         return [r for r in self.rows if any(abs(v) > COEF_EPS for v in r[1])]
 
     def validate(self):
-        """Raise ValueError unless the senses and lengths fit together."""
+        """Raise ValueError unless the senses and lengths fit together and
+        every number is finite."""
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be min or max, not {self.sense!r}")
         n = len(self.x_domains)
@@ -57,6 +64,10 @@ class MipProblem:
                 raise ValueError(f"row sense must be <=, >= or =, not {sense!r}")
             if len(ax) != n or len(by) != len(self.y_obj):
                 raise ValueError("row ax must match x_domains and by must match y_obj")
+        if not all(map(math.isfinite, [*self.x_obj, *self.y_obj, *self.z_bounds,
+                                       *(v for d in self.x_domains for v in d),
+                                       *(v for r in self.rows for v in (*r[0], *r[1], r[3]))])):
+            raise ValueError("every objective, row, domain and z_bounds number must be finite")
         if len(self.z_bounds) != 2 or self.z_bounds[0] > self.z_bounds[1]:
             raise ValueError("z_bounds must be two finite numbers lo <= hi")
         return self
@@ -100,63 +111,48 @@ def _numbers(values):
 
 
 class MipMasterOracle(MasterOracle):
-    """Exact master diagram compiled by refinement.
-
-    A chain with one node per layer carries an arc for each distinct
-    domain value, weighted by its objective term, and ends in the
-    [z_lo, z_hi] value arc.  The master rows, made feasibility cuts once
-    ("=" as a "<=" and a ">=" row), are replayed into it when the oracle
-    is made; each ask replays only the pool, and its best point is the
-    optimal path of that exact diagram.  Given dot_dir, the oracle makes
-    that directory and writes each ask's diagram there as Graphviz text,
-    0000_restricted.dot, 0001_restricted.dot and so on; an ask that
-    leaves no diagram writes none.
+    """The unit-commitment master's label pass over one unit, the chain:
+    state j moves to j + 1 by one move per distinct domain value v of x_j,
+    weighted x_obj[j] * v.  The master rows, feasibility cuts made once
+    ("=" as "<=" and ">="), lead every ask's feasibility list, so the keys
+    are built again only when the pool's feasibility cuts grow.  A max
+    problem is asked as the min of its negation (weights, value bounds
+    and each optimality cut's z_coeff negated), and z and w negated back.
     """
 
-    def __init__(self, problem, dot_dir=None):
-        self.problem = problem
+    def __init__(self, problem):
+        self.problem = problem.validate()
         self.sense = problem.sense
         self._rows = [CutRow(coeffs=_dense_to_sparse(ax), rhs=float(rhs), sense=s)
                       for ax, _, sense, rhs in problem.master_rows()
                       for s in (("<=", ">=") if sense == "=" else (sense,))]
-        self._master = self._compile()
-        self._dot_dir, self._dots = dot_dir, 0
-        if dot_dir:
-            os.makedirs(dot_dir, exist_ok=True)
-
-    def _compile(self):
-        """The chain refined by the master rows, or None when no point is left."""
-        n = len(self.problem.x_domains)
-        dd = DiagramBuilder(n + 1, continuous_last=True)
-        node = dd.new_node(0)
-        for j, domain in enumerate(self.problem.x_domains):
-            head = dd.new_node(j + 1)
-            if not domain:
-                return None
-            for v in dict.fromkeys(float(v) for v in domain):
-                dd.add_arc(j, node, head, v, self.problem.x_obj[j] * v)
-            node = head
-        lo, hi = self.problem.z_bounds
-        dd.add_arc(n, node, dd.new_node(n + 1), Interval(float(lo), float(hi)), 1.0)
-        try:
-            return replay_cuts(dd.build(), self._rows)
-        except InfeasibleDiagramError:
-            return None
-
-    def build_exact_dd(self, cuts):
-        try:
-            return None if self._master is None else replay_cuts(self._master, cuts)
-        except InfeasibleDiagramError:
-            return None
+        self._flip = -1.0 if self.sense == "max" else 1.0
+        lo, hi = map(float, problem.z_bounds)
+        self._bounds = Interval(-hi, -lo) if self._flip < 0 else Interval(lo, hi)
+        labels = [sorted({float(v) + 0.0 for v in d}) for d in problem.x_domains]
+        weights = [self._flip * c for c in problem.x_obj]
+        scale = sum(abs(c) * max(map(abs, labs), default=0.0)
+                    for c, labs in zip(weights, labels)) + abs(lo) + abs(hi)
+        # an empty domain leaves no point, and no graph to ask
+        self._graph = None if not all(labels) else KeyGraph(
+            labels, range(len(labels)),
+            lambda: [tuple(tuple((v, c * v, j + 1) for v in labs)
+                           for j, (c, labs) in enumerate(zip(weights, labels)))],
+            2 * PATH_TIE_TOL * (1.0 + scale))
 
     def best_point(self, cuts):
-        dd = self.build_exact_dd(cuts)
-        if dd is not None and self._dot_dir:
-            path = os.path.join(self._dot_dir, f"{self._dots:04d}_restricted.dot")
-            with open(path, "w") as fh:
-                fh.write(to_dot(dd))
-            self._dots += 1
-        return diagram_point(dd, self.sense)
+        if self._graph is None:
+            return None
+        opt = [c for c in cuts if c.z_coeff != 0.0]
+        if self._flip < 0:
+            opt = [dataclasses.replace(c, z_coeff=-c.z_coeff) for c in opt]
+        try:
+            x, z, w = label_point(self._graph, self._bounds,
+                                  self._rows + [c for c in cuts if c.z_coeff == 0.0] + opt)
+        except InfeasibleDiagramError:
+            return None
+        # + 0.0 folds the -0.0 that negating a zero makes
+        return (x, z, w) if self._flip > 0 else (x, -z + 0.0, -w + 0.0)
 
 
 class MipSubproblemOracle(SubproblemOracle):
@@ -170,29 +166,16 @@ class MipSubproblemOracle(SubproblemOracle):
     """
 
     def __init__(self, problem):
-        self.problem = problem
+        self.problem = problem.validate()
         # a min slave is the max of -y_obj: the sign flips the dual's
         # objective rows, the value and the value coefficient of its cut
         self.sign = 1.0 if problem.sense == "max" else -1.0
-        rows = problem.slave_rows()
-        # normalise slave rows to  B y <= c - A x  (flip >= rows)
-        self.A = []
-        self.B = []
-        self.c = []
-        for ax, by, s, rhs in rows:
-            if s == "=":
-                variants = [(1.0,), (-1.0,)]
-            elif s == "<=":
-                variants = [(1.0,)]
-            else:
-                variants = [(-1.0,)]
-            for (sgn,) in variants:
-                self.A.append([sgn * v for v in ax])
-                self.B.append([sgn * v for v in by])
-                self.c.append(sgn * rhs)
-        self.A = np.array(self.A, dtype=float)
-        self.B = np.array(self.B, dtype=float)
-        self.c = np.array(self.c, dtype=float)
+        # normalise slave rows to  B y <= c - A x  (flip >= rows, split = rows)
+        rows = [(sgn, ax, by, rhs) for ax, by, s, rhs in problem.slave_rows()
+                for sgn in {"<=": (1.0,), ">=": (-1.0,), "=": (1.0, -1.0)}[s]]
+        self.A = np.array([[sgn * v for v in ax] for sgn, ax, _, _ in rows], dtype=float)
+        self.B = np.array([[sgn * v for v in by] for sgn, _, by, _ in rows], dtype=float)
+        self.c = np.array([sgn * rhs for sgn, _, _, rhs in rows], dtype=float)
         self.b_obj = self.sign * np.array(problem.y_obj, dtype=float)
         if self.c.size:
             self._rows = LpRows(self.B.T, [">="] * self.B.shape[1], self.b_obj)
@@ -204,7 +187,7 @@ class MipSubproblemOracle(SubproblemOracle):
             # the value 0 for every x, unless some y earns without limit
             if np.any(self.b_obj > COEF_EPS):
                 raise UnboundedProblemError("the slave has no rows: the problem is unbounded")
-            return SubproblemResult(kind="optimal", value=0.0, cuts=[
+            return SubproblemResult(kind="optimal", value=self._within_bounds(0.0, x), cuts=[
                 CutRow(coeffs={}, z_coeff=self.sign, rhs=0.0, sense="<=")])
         x = np.asarray(x, dtype=float)
         rhs = self.c - self.A @ x
@@ -215,8 +198,8 @@ class MipSubproblemOracle(SubproblemOracle):
             u = out.x
             cut = CutRow(coeffs=_dense_to_sparse(u @ self.A), z_coeff=self.sign,
                          rhs=float(u @ self.c), sense="<=")
-            return SubproblemResult(kind="optimal", cuts=[cut],
-                                    value=self.sign * float(out.objective), lp_calls=1)
+            value = self._within_bounds(self.sign * float(out.objective), x)
+            return SubproblemResult(kind="optimal", cuts=[cut], value=value, lp_calls=1)
         if out.status == "unbounded":
             u = out.ray
             coeffs = u @ self.A
@@ -226,6 +209,15 @@ class MipSubproblemOracle(SubproblemOracle):
                          rhs=rhs_cut / scale, sense="<=")
             return SubproblemResult(kind="infeasible", cuts=[cut], lp_calls=1)
         raise UnboundedProblemError("dual slave is infeasible: the problem is unbounded")
+
+    def _within_bounds(self, value, x):
+        """value, unless it lies outside z_bounds by more than FEAS_TOL (relative)."""
+        lo, hi = self.problem.z_bounds
+        tol = FEAS_TOL * (1.0 + abs(value))
+        if not lo - tol <= value <= hi + tol:
+            raise ValueBoundsError(f"the slave value {value:.9g} at x = {tuple(map(float, x))} "
+                                   f"lies outside z_bounds [{lo:g}, {hi:g}]")
+        return value
 
 
 def _dense_to_sparse(vec):

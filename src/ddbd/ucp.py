@@ -23,21 +23,23 @@ lower bound, every costly unit at full output as the upper bound), not
 from an LP; optimality cuts tighten it path by path.
 
 The restricted master is not compiled and then refined.  One top-down
-label pass over period-major layers (layer g sets unit g % n at period
-g // n) takes the whole cut pool at once: a capacity cut couples one
-period across the units, so it is settled at the end of its period,
-and optimality cuts are resources of Pareto labels rather than keys
-that split nodes (the label dominance of resource-constrained shortest
-paths, Irnich and Desaulniers 2005; in decision diagrams, Coppé,
-Gillard and Schaus, INFORMS J. Computing 2024).  A label's key, the
-unit states and the rounded lhs of the open feasibility cuts, depends on
-no label, so the keys and the arcs between them are laid out once per
-list of feasibility cuts (KeyGraph); an oracle keeps that graph across
-asks, and an ask under the same feasibility cuts only moves labels.
-The pass finds the x of one optimal path, in the unit-major layer order
-of the exact master, and the master answers with that point: x, its
-value variable and its master value, summed as the exact master's
-optimal path sums them, with no diagram built.
+label pass (diagram.label_point, the MIP master's pass too) over
+period-major layers (layer g sets unit g % n at period g // n) takes the
+whole cut pool at once: a capacity cut couples one period across the
+units, so it is settled at the end of its period, and optimality cuts
+are resources of Pareto labels rather than keys that split nodes (the
+label dominance of resource-constrained shortest paths, Irnich and
+Desaulniers 2005; in decision diagrams, Coppé, Gillard and Schaus,
+INFORMS J. Computing 2024).  A label's key, the unit states and the
+rounded lhs of the open feasibility cuts, depends on no label, so the
+keys and the arcs between them are laid out once per list of feasibility
+cuts (diagram.KeyGraph, here over each unit's _capped_moves:
+master_key_graph); an oracle keeps that graph across asks, and an ask
+under the same feasibility cuts only moves labels.  The pass finds the x
+of one optimal path, in the unit-major layer order of the exact master,
+and the master answers with that point: x, its value variable and its
+master value, summed as the exact master's optimal path sums them, with
+no diagram built.
 
 The on/off variables are laid out unit-major: all periods of the first
 generator, then the second, and so on, followed by the value layer.
@@ -47,21 +49,19 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
-from operator import add, ge, is_
 
 import numpy as np
 
 from .diagram import (
-    CUT_TOL,
     PATH_TIE_TOL,
-    SPLIT_GRID,
     CutRow,
     DiagramBuilder,
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
+    KeyGraph,
+    label_point,
 )
 # replay_cuts is no longer called here; it stays importable as ucp.replay_cuts,
 # which perfbench/layers.py rebinds by name
@@ -461,330 +461,29 @@ def _capped_moves(gen, horizon):
     return tuple(tuple((lab, w, index[nxt]) for lab, w, nxt in moves) for moves in out)
 
 
-def _cut_schedule(feas, order):
-    """When each feasibility cut is tested, along the layer order `order`.
-
-    A cut is signed to read lhs <= limit, its rhs plus CUT_TOL (a ">="
-    cut is negated, exactly).  After layer g the lhs still to come lies
-    between the suffix sums of each later layer's least and greatest
-    term, min(0, a) and max(0, a).  A cut that every completion meets,
-    with a margin, never opens; one that every completion breaks raises
-    InfeasibleDiagramError.  Any other cut opens at its first layer with
-    a nonzero coefficient, and every such layer tests a label's lhs:
-    above `drop` the label goes, at or below `settle` the cut is settled
-    and leaves the key.  Both keep _completion_limits' rounding margin,
-    except at the cut's last nonzero coefficient, where both are the
-    limit itself: there every open cut is decided as CutRow.satisfied
-    decides it.
-
-    The suffix sums run from the last layer back over the cut's nonzero
-    terms alone, one cut at a time: a zero term adds nothing to them.
-
-    Returns one (open_now, opening) pair per layer, split as
-    _advance_cuts takes them: open_now maps each cut already open that
-    the layer tests to its (coefficient, drop, settle), and opening lists
-    (cut, coefficient, drop, settle) for the cuts that open there, in
-    list order.
-    """
-    N = len(order)
-    layers = [({}, []) for _ in range(N)]
-    layer_of = {v: g for g, v in enumerate(order)}
-    for k, cut in enumerate(feas):
-        sign = 1.0 if cut.sense == "<=" else -1.0
-        terms = sorted((layer_of[j], sign * c) for j, c in cut.coeffs.items()
-                       if c != 0.0 and j in layer_of)
-        # each term with the suffix sums of the least and greatest terms after it
-        rest, lo, hi = [], 0.0, 0.0
-        for g, a in reversed(terms):
-            rest.append((g, a, lo, hi))
-            if a < 0.0:
-                lo += a
-            else:
-                hi += a
-        limit = sign * cut.rhs + CUT_TOL
-        margin = 2 * (N + 2) * SPLIT_GRID * (1.0 + abs(cut.rhs))
-        if lo > limit + (margin if terms else 0.0):
-            raise InfeasibleDiagramError("a cut removes every path")
-        if not terms or hi <= limit - margin:
-            continue
-        first, last = terms[0][0], terms[-1][0]
-        for g, a, rest_lo, rest_hi in reversed(rest):
-            if g == last:
-                drop = settle = limit
-            else:
-                drop, settle = limit + margin - rest_lo, limit - margin - rest_hi
-            if g == first:
-                layers[g][1].append((k, a, drop, settle))
-            else:
-                layers[g][0][k] = (a, drop, settle)
-    return layers
-
-
-def _advance_cuts(flhs, lab, open_now, opening):
-    """The open feasibility cuts' (cut, lhs) pairs after one layer's move.
-
-    flhs holds the cuts open before the layer; open_now maps each of
-    them that the layer tests to its (coefficient, drop, settle), and
-    opening lists (cut, coefficient, drop, settle) for the cuts whose
-    first nonzero coefficient is the layer's (see _cut_schedule).  A
-    settled cut leaves; None when a test drops the move.
-    """
-    out = []
-    for k, lhs in flhs:
-        test = open_now.get(k)
-        if test is not None:
-            a, drop, settle = test
-            if lab:
-                lhs += a
-            if lhs > drop:
-                return None
-            if lhs <= settle:
-                continue
-        out.append((k, lhs))
-    for k, a, drop, settle in opening:
-        lhs = a if lab else 0.0
-        if lhs > drop:
-            return None
-        if lhs > settle:
-            out.append((k, lhs))
-    return tuple(out)
-
-
-def _add_label(labels, label, margin):
-    """Keep labels a Pareto set: add label unless one there dominates it,
-    and drop those it dominates.
-
-    a dominates b when it costs no more, has every optimality lhs at
-    least as high (signed), and has either the lexicographically smaller
-    x or a cost lower by more than the tie margin: b can then neither
-    win nor tie into the win.  Dominance is transitive, so a label that
-    one there dominates dominates none of them.
-    """
-    cost, olhs, xkey = label
-    kept = []
-    for old in labels:
-        c, o, x = old
-        if c <= cost and (x < xkey or c < cost - margin) and all(map(ge, o, olhs)):
-            return
-        if not (cost <= c and (xkey < x or cost < c - margin) and all(map(ge, olhs, o))):
-            kept.append(old)
-    kept.append(label)
-    labels[:] = kept
-
-
-class KeyGraph:
-    """The label pass's keys and arcs, kept across asks of one instance and gamma.
-
-    Keys depend on the feasibility cuts alone (_key_graph), so a caller
-    that asks again under the same feasibility cuts, the same objects in
-    the same order, reuses the arcs and only moves labels
-    (_best_completion).  Any other list of feasibility cuts rebuilds them.
-    The layer order, each layer's bit of x and the tie margin depend on
-    the instance and gamma alone, and are made here.  So is each unit's
-    moves (_capped_moves), but only by the first fit whose cuts pass
-    _cut_schedule's every-path test: a root that those cuts prove
-    infeasible never builds them.
-    """
-
-    def __init__(self, instance, gamma):
-        n, T = instance.num_units, instance.horizon
-        N = n * T
-        self.instance = instance
-        self.moves = None
-        self.order = [(g % n) * T + g // n for g in range(N)]
-        self.bits = [1 << (N - 1 - v) for v in self.order]
-        # two costs closer than margin may tie in the end (PATH_TIE_TOL of any worth)
-        scale = sum(T * (abs(g.c_fixed) + max(abs(g.startup_cost_inf), *map(abs, g.startup_costs)))
-                    for g in instance.generators) + abs(gamma.lo) + abs(gamma.hi)
-        self.margin = 2 * PATH_TIE_TOL * (1.0 + scale)
-        self.feas = None
-        self.layers = None
-
-    def fit(self, feas):
-        """Build the arcs under the feasibility cuts feas unless they are kept."""
-        if (self.feas is not None and len(self.feas) == len(feas)
-                and all(map(is_, self.feas, feas))):
-            return
-        self.feas = None   # a build that raises keeps nothing
-        schedule = _cut_schedule(feas, self.order)
-        if self.moves is None:
-            T = self.instance.horizon
-            self.moves = [_capped_moves(gen, T) for gen in self.instance.generators]
-        self.layers = _key_graph(self.moves, schedule)
-        self.feas = list(feas)
-
-
-def _key_graph(moves, schedule):
-    """The keys of a period-major label pass and the arcs between them.
-
-    moves holds each unit's _capped_moves, and schedule the feasibility
-    tests of each layer (_cut_schedule).  Layer g sets unit g % n at
-    period g // n.  A key is the capped state of every unit and the
-    SPLIT_GRID-rounded lhs of every open feasibility cut, whose values
-    the first arc to reach the key supplies; a move that a feasibility
-    test drops makes no arc.
-    Keys are numbered per layer in the order arcs first reach them,
-    visiting the parent keys in their own order and each parent's moves
-    in _capped_moves' order.  No key depends on a label, so this is the
-    order in which a label pass that keyed labels as it went would meet
-    them.
-
-    Returns one (parent, label, weight, child, width) per layer: its arcs
-    in visiting order as `array` columns (parent and child key indices,
-    the move's label and weight) and its number of keys.  Raises
-    InfeasibleDiagramError when no key is left.
-    """
-    n = len(moves)
-    keys, lhs_of = [((0,) * n, ())], [()]
-    graph = []
-    for g, (open_now, opening) in enumerate(schedule):
-        unit = g % n
-        tests = open_now or opening
-        parent, label, weight, child = array("i"), array("b"), array("d"), array("i")
-        children, child_lhs = {}, []
-        for i, (states, fkey) in enumerate(keys):
-            flhs = lhs_of[i]
-            for lab, w, nxt in moves[unit][states[unit]]:
-                if tests:
-                    cflhs = _advance_cuts(flhs, lab, open_now, opening)
-                    if cflhs is None:
-                        continue
-                    cfkey = tuple((k, round(lhs / SPLIT_GRID)) for k, lhs in cflhs)
-                else:
-                    cflhs, cfkey = flhs, fkey
-                key = (states[:unit] + (nxt,) + states[unit + 1:], cfkey)
-                j = children.get(key)
-                if j is None:
-                    j = children[key] = len(child_lhs)
-                    child_lhs.append(cflhs)
-                parent.append(i)
-                label.append(1 if lab else 0)
-                weight.append(w)
-                child.append(j)
-        if not children:
-            raise InfeasibleDiagramError("a cut removes every path")
-        graph.append((parent, label, weight, child, len(child_lhs)))
-        keys, lhs_of = children, child_lhs
-    return graph
-
-
-def _best_completion(graph, gamma, opt):
-    """x of an optimal completion under the optimality cuts opt, unit-major, as floats.
-
-    One top-down label pass over graph's layers (KeyGraph, _key_graph).
-    A label is a prefix: its cost, the signed lhs of every optimality
-    cut and x as an integer whose bits read x in unit-major order, so
-    that of two prefixes of one layer the smaller integer is the
-    lexicographically smaller x, whatever the common completion.  Each
-    arc moves its parent key's labels to its child key, visiting arcs in
-    the graph's order, and each key keeps a Pareto set (_add_label);
-    with no optimality cut that is its cheapest label, and any label
-    within the tie margin that has a smaller x.  This is the label
-    dominance of resource-constrained shortest paths (Irnich and
-    Desaulniers, 2005).
-
-    A final label is worth cost + z, where z is the largest of gamma.lo
-    and every optimality cut's bound, capped at gamma.hi; one whose bound
-    tops gamma.hi by more than CUT_TOL is dropped, as _tighten drops its
-    value arc.  Of the labels within PATH_TIE_TOL of the best worth, the
-    one with the smallest x wins, as optimal_path breaks ties.  Raises
-    InfeasibleDiagramError when no label is left.
-    """
-    N, margin = len(graph.order), graph.margin
-    # signed so that a higher lhs is a lower bound on z
-    ocoef = (np.array([np.sign(c.z_coeff) * c.dense(N) for c in opt]).T.tolist()
-             if opt else [()] * N)
-    sets = [[(0.0, (0.0,) * len(opt), 0)]]   # labels per key
-    for v, bit, (parent, label, weight, child, width) in zip(graph.order, graph.bits,
-                                                            graph.layers):
-        oc = ocoef[v]
-        out = [None] * width
-        for i, up, w, j in zip(parent, label, weight, child):
-            labels = sets[i]
-            if up:
-                moved = [(cost + w, tuple(map(add, olhs, oc)), xkey | bit)
-                         for cost, olhs, xkey in labels]
-            else:   # a down move costs nothing and adds nothing to any lhs
-                moved = labels
-            bucket = out[j]
-            if bucket is None:   # one parent's set, moved alike, needs no test
-                out[j] = list(moved)
-            else:
-                for entry in moved:
-                    _add_label(bucket, entry, margin)
-        sets = out
-
-    bounds = [(c.rhs, c.z_coeff, np.sign(c.z_coeff)) for c in opt]
-    worth = []
-    for labels in sets:
-        for cost, olhs, xkey in labels:
-            z = max([gamma.lo] + [(rhs - s * lhs) / zc
-                                  for lhs, (rhs, zc, s) in zip(olhs, bounds)])
-            if z <= gamma.hi + CUT_TOL:
-                worth.append((cost + min(z, gamma.hi), xkey))
-    if not worth:
-        raise InfeasibleDiagramError("the optimality cuts remove every path")
-    best = min(w for w, _ in worth)
-    tol = PATH_TIE_TOL * (1.0 + abs(best))
-    xkey = min(k for w, k in worth if w <= best + tol)
-    return [float(xkey >> (N - 1 - v) & 1) for v in range(N)]
-
-
-def _point(graph, gamma, x, opt):
-    """(x, z, w) of the exact master's path of x, to the bit as optimal_path
-    reads them off that path.
-
-    Each layer's weight is that of x's move in graph.moves, which is the
-    exact master's.  z is gamma.lo raised by each optimality cut in list
-    order, with each cut's lhs summed over the variables in unit-major
-    order, as a replay into the exact master sums it, and capped at
-    gamma.hi.  w sums the weights and then z from the last layer up,
-    w_0 + (w_1 + ... + (w_(N-1) + z)), the order optimal_path sums in.
-    """
-    T = len(x) // len(graph.moves)
-    weights = []
-    for unit, moves in enumerate(graph.moves):
-        state = 0
-        for lab in x[unit * T:(unit + 1) * T]:
-            w, state = next((w, nxt) for b, w, nxt in moves[state] if b == lab)
-            weights.append(w)
-    z, hi = gamma.lo, gamma.hi
-    for cut in opt:
-        lhs = 0.0
-        for c, on in zip(cut.dense(len(x)).tolist(), x):
-            if on:
-                lhs += c
-        bound = (cut.rhs - lhs) / cut.z_coeff
-        z = bound if bound > z else z
-        z = hi if hi < z else z
-    w = 0.0
-    for weight in reversed(weights + [z]):
-        w = weight + w
-    return tuple(x), z, w
+def master_key_graph(instance, gamma):
+    """The restricted master's KeyGraph: a unit per generator, moving by
+    _capped_moves, and period-major layers (g sets unit g % n at period g // n)."""
+    n, T = instance.num_units, instance.horizon
+    scale = sum(T * (abs(g.c_fixed) + max(abs(g.startup_cost_inf), *map(abs, g.startup_costs)))
+                for g in instance.generators) + abs(gamma.lo) + abs(gamma.hi)
+    return KeyGraph([(0.0, 1.0)] * (n * T), [(g % n) * T + g // n for g in range(n * T)],
+                    lambda: [_capped_moves(gen, T) for gen in instance.generators],
+                    2 * PATH_TIE_TOL * (1.0 + scale))
 
 
 # perfbench/layers.py wraps build_restricted_master_dd by name, which is why it
 # keeps its name though it builds no diagram
 def build_restricted_master_dd(instance, gamma, cuts=(), graph=None):
-    """The restricted master's answer under the cuts: an optimum of the
-    exact master's points that satisfy every cut, as (x, z, w).
-
-    One period-major label pass (_best_completion) finds x, and _point
-    reads z and w off x's path of the exact master.  Raises
-    InfeasibleDiagramError when the cuts remove every path.  graph, a
-    KeyGraph of this instance and gamma, keeps each unit's moves and the
-    pass's keys for the feasibility cuts it last saw, so a caller that
-    asks many times may pass one in.
+    """The restricted master's answer under the cuts, as (x, z, w): an
+    optimum of the exact master's points that satisfy every cut
+    (label_point).  graph, a master_key_graph of this instance and gamma,
+    keeps the pass's keys for the feasibility cuts it last saw, so a
+    caller that asks many times may pass one in.
     """
-    cuts = list(cuts)
-    feas = [c for c in cuts if c.z_coeff == 0.0]
-    opt = [c for c in cuts if c.z_coeff != 0.0]
-    if any((c.sense == "<=") == (c.z_coeff > 0) for c in opt):
-        raise ValueError("an optimality cut must bound the value from below")
     if graph is None:
-        graph = KeyGraph(instance, gamma)
-    graph.fit(feas)
-    return _point(graph, gamma, _best_completion(graph, gamma, opt), opt)
+        graph = master_key_graph(instance, gamma)
+    return label_point(graph, gamma, cuts)
 
 
 def master_cost(instance, x):
@@ -1263,7 +962,7 @@ class UcpMasterOracle(MasterOracle):
     def __init__(self, instance, gamma):
         self.instance = instance
         self.gamma = gamma
-        self._graph = KeyGraph(instance, gamma)
+        self._graph = master_key_graph(instance, gamma)
 
     def best_point(self, cuts):
         # no path the pool leaves proves the instance infeasible

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import pathlib
@@ -305,6 +304,20 @@ def test_unbounded_mip_is_an_error_not_a_traceback(rows, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("z_bounds", [[5.0, 10.0], [0.0, 1.0]], ids=["above", "below"])
+def test_mip_whose_z_bounds_do_not_hold_is_an_error_not_a_traceback(z_bounds, tmp_path,
+                                                                    capsys):
+    # the optimum 11/3 is at x = (1, 0), whose slave value 8/3 lies below
+    # 5 and above 1; the first point evaluated, (0, 1), has value 2
+    out = tmp_path / "r.json"
+    code = main(broken_mip(tmp_path, lambda doc: doc.update(z_bounds=z_bounds))
+                + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err.startswith("error:"), captured.err
+    assert "z_bounds" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_compare_three_way_agreement(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--sizes", "2,2,2", "--seeds", "0,1",
@@ -365,61 +378,3 @@ def test_verify_rejects_a_malformed_fixture(doc, tmp_path, capsys):
 def test_verify_missing_file(capsys):
     code = main(["verify-decomposition", "/nonexistent.json"])
     assert code == 1
-
-
-def test_emit_dot_snapshots(tmp_path):
-    dots = tmp_path / "dots"
-    code = main(["solve", "--instance", str(FIXTURES / "two_binary_mip.json"),
-                 "--emit-dot", str(dots), "--out", str(tmp_path / "r.json")])
-    assert code == 0
-    files = sorted(dots.glob("*.dot"))
-    assert files, "expected diagram snapshots"
-    assert "digraph" in files[0].read_text()
-
-
-# sha256 of every --emit-dot file, by file name; the MIP hashes were
-# recorded before diagrams were stored as flat arrays: to_dot must write
-# the same bytes
-PINNED_DOTS = {
-    "two_binary_mip": {
-        "0000_restricted.dot": "62eeff71c6ac96d1fe5e566fc4955674af9f62222fb76022c4f6c827630bbc2c",
-        "0001_restricted.dot": "b839f89032174d29716791d54b013204efb73eba5b158cfb47b3e2e3986375ea",
-        "0002_restricted.dot": "11e52109134673105a61e58cb0dad643b7548f0f9ea6f5a51d4e04cfe742f91a",
-    },
-}
-
-
-def _dot_hashes(tmp_path, name, instance):
-    dots = tmp_path / name
-    code = main(["solve", "--instance", str(instance), "--emit-dot", str(dots),
-                 "--out", str(tmp_path / f"{name}.json")])
-    assert code == 0
-    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(dots.glob("*.dot"))}
-
-
-def test_emitted_dot_files_match_their_recorded_hashes(tmp_path):
-    got = {"two_binary_mip": _dot_hashes(tmp_path, "two_binary_mip",
-                                         FIXTURES / "two_binary_mip.json")}
-    assert got == PINNED_DOTS
-
-
-def test_emit_dot_is_a_usage_error_where_it_cannot_write_or_draw(tmp_path, capsys):
-    from reference_lp import scaled_instance
-
-    # a regular file where the directory should go
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    # a unit-commitment master builds no diagram to draw
-    ucp = tmp_path / "ucp.json"
-    ucp.write_text(scaled_instance(2, 4, 2, 5, 0.5).to_json())
-    for instance, dots, message in [
-            (FIXTURES / "two_binary_mip.json", taken, "error: "),
-            (ucp, tmp_path / "dots", "error: --emit-dot needs a MIP instance")]:
-        out = tmp_path / "r.json"
-        code = main(["solve", "--instance", str(instance), "--emit-dot", str(dots),
-                     "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.err.startswith(message), captured.err
-        assert captured.out == "" and not out.exists()
-    assert not (tmp_path / "dots").exists()

@@ -8,6 +8,7 @@ import pytest
 from ddbd.diagram import (
     CutRow,
     DiagramBuilder,
+    EmptyDiagramError,
     InfeasibleDiagramError,
     append_value_layer,
     from_paths,
@@ -33,6 +34,17 @@ from ddbd.mip import (
     MipSubproblemOracle,
     example_two_binary_problem,
 )
+
+
+def diagram_point(dd, sense):
+    """(x, z, w) of an optimal path of dd, a diagram ending in its value
+    layer, or None when dd has no path: the answer of a master that
+    builds its diagram."""
+    try:
+        assignment, w = optimal_path(dd, sense)
+    except EmptyDiagramError:
+        return None
+    return tuple(assignment[:-1]), assignment[-1], w
 
 
 # -- cut pool ---------------------------------------------------------------------
@@ -180,13 +192,16 @@ def test_degenerate_benders_equals_longest_path():
         x_domains=[[0.0, 1.0]] * 3,
         z_bounds=(0.0, 0.0),
     )
-    master = MipMasterOracle(problem)
-    sub = MipSubproblemOracle(problem)
-    report = dd_bd_solve(master, sub, EngineConfig())
-    dd = master.build_exact_dd([])
-    _, value = optimal_path(dd, "max")
+    report = dd_bd_solve(MipMasterOracle(problem), MipSubproblemOracle(problem),
+                         EngineConfig())
+    # the longest path of the chain of the three binaries, each arc weighted
+    # by its objective term, with the value fixed at 0
+    chain = from_paths([x + ((0.0, 0.0),) for x in itertools.product((0.0, 1.0), repeat=3)],
+                       weight_fn=lambda j, v: 1.0 if j == 3 else problem.x_obj[j] * v)
+    _, value = optimal_path(chain, "max")
     assert report.value == pytest.approx(value, abs=1e-9)
     assert report.value == pytest.approx(2.5)
+    assert report.x == (1.0, 0.0, 1.0)
 
 
 def test_infeasible_master_reports_infeasible():
@@ -288,7 +303,7 @@ class GridMaster(MasterOracle):
         points = itertools.product((0.0, 1.0), repeat=2)
         dd = from_paths([p + ((0.0, 100.0),) for p in points], weight_fn=unit_weights)
         try:
-            return engine.diagram_point(engine.replay_cuts(dd, cuts), self.sense)
+            return diagram_point(engine.replay_cuts(dd, cuts), self.sense)
         except InfeasibleDiagramError:
             return None
 
@@ -405,7 +420,7 @@ class CubeMaster(MasterOracle):
         points = itertools.product((0.0, 1.0), repeat=len(COSTS))
         dd = from_paths([p + ((0.0, 30.0),) for p in points], weight_fn=tree_weights)
         try:
-            return engine.diagram_point(engine.replay_cuts(dd, cuts), self.sense)
+            return diagram_point(engine.replay_cuts(dd, cuts), self.sense)
         except InfeasibleDiagramError:
             return None
 
@@ -533,7 +548,7 @@ class ScriptedMaster(MasterOracle):
 
     def best_point(self, cuts):
         x, z = self.script.pop(0)
-        return engine.diagram_point(from_paths([x + (z,)], weight_fn=unit_weights), self.sense)
+        return diagram_point(from_paths([x + (z,)], weight_fn=unit_weights), self.sense)
 
 
 class TableSub(SubproblemOracle):

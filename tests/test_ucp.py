@@ -23,6 +23,7 @@ from ddbd.diagram import (
 )
 from ddbd.engine import dd_bd_solve, replay_cuts
 from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
+import ddbd.diagram as diagram_module
 import ddbd.simplex as simplex_module
 import ddbd.ucp as ucp_module
 from ddbd.simplex import FEAS_TOL, LpOutcome, NumericalFailureError, solve, verify_certificate
@@ -512,7 +513,7 @@ def test_a_key_keeps_the_feasibility_lhs_of_the_first_arc_to_reach_it():
     # so it never merges the two prefixes.
     inst = single_unit_instance(simple_generator(min_up=1), 3)
     cut = CutRow(coeffs={0: 3e-10, 2: 1.0}, rhs=1.0 + 1.5e-10 - CUT_TOL, sense="<=")
-    graph = ucp_module.KeyGraph(inst, GammaBounds(0.0, 0.0))
+    graph = ucp_module.master_key_graph(inst, GammaBounds(0.0, 0.0))
     graph.fit([cut])
     arcs = [list(zip(parent, label, child)) for parent, label, _, child, _ in graph.layers]
     # (parent key, label, child key); key 1 of layer 1 is the merged one
@@ -521,10 +522,10 @@ def test_a_key_keeps_the_feasibility_lhs_of_the_first_arc_to_reach_it():
 
 
 def count_key_graph_builds(monkeypatch):
-    """Calls of ucp._cut_schedule, which runs once per key graph built."""
+    """Calls of diagram._cut_schedule, which runs once per key graph built."""
     calls = []
-    real = ucp_module._cut_schedule
-    monkeypatch.setattr(ucp_module, "_cut_schedule",
+    real = diagram_module._cut_schedule
+    monkeypatch.setattr(diagram_module, "_cut_schedule",
                         lambda *args: calls.append(1) or real(*args))
     return calls
 
