@@ -523,244 +523,163 @@ def append_value_layer(dd, lo, hi, slope=1.0):
 
 
 def refine_with_cut(dd, cuts):
-    """Restrict the diagram to a list of cuts, exactly.
+    """Restrict the diagram to a list of cuts, exactly, in one top-down pass.
 
-    The result encodes {s in Sol(dd) : s satisfies every cut}.  All cuts
-    are applied in one top-down pass (see _refine_exact): nodes are split
-    on the accumulated left-hand sides so the decision at the last layer
-    is unambiguous, interval endpoints are tightened for optimality cuts,
-    and violating paths are removed.
+    The result encodes {s in Sol(dd) : s satisfies every cut}.  An output
+    node stands for an input node together with the accumulated left-hand
+    side of every tracked cut, rounded to SPLIT_GRID; the first prefix to
+    reach a key supplies the lhs values carried on.  Optimality cuts are
+    always tracked, because their lhs bounds the value interval on the
+    last layer.  A feasibility cut is tracked until the completion ranges
+    of one backward pass over the input (_completion_limits) show that
+    every completion from the node satisfies it; a child is dropped as
+    soon as even its best completion violates one.  Both tests leave a
+    rounding margin, so on the last layer the cuts still tracked are
+    decided by CutRow.satisfied exactly as if each cut were applied on its
+    own, and optimality cuts tighten [lo, hi] in list order (_tighten).
+
+    Each layer is extended for all cuts at once: rows of lhs values, one
+    per output node, one column per cut.  A settled cut's entry is NaN,
+    never 0: a zero there would merge a prefix whose cut is settled with
+    one whose lhs is exactly 0 and still open, and hand both the same,
+    wrong, completions.
 
     Raises InfeasibleDiagramError when every path is removed.
     """
-    if dd.num_arc_layers == 0:
-        raise EmptyDiagramError("cannot refine an empty diagram")
-    if dd.layer_kinds[-1] != "continuous" and any(c.z_coeff != 0.0 for c in cuts):
-        raise ValueError("optimality cut on a diagram without a continuous layer")
-    return _refine_exact(dd, cuts)
-
-
-def _refine_exact(dd, cuts):
-    """Exact refinement by a list of cuts in one top-down pass.
-
-    An output node stands for an input node together with the
-    accumulated left-hand side of every tracked cut, rounded to
-    SPLIT_GRID; the first prefix to reach a key supplies the lhs values
-    carried on.  Optimality cuts are always tracked, because their lhs
-    bounds the value interval on the last layer.  A feasibility cut is
-    tracked until the completion ranges of one backward pass over the
-    input (_completion_limits) show that every completion from the node
-    satisfies it; a child is dropped as soon as even its best completion
-    violates one.  Both tests leave a rounding margin, so on the last
-    layer the cuts still tracked are decided by CutRow.satisfied exactly
-    as if each cut were applied on its own, and optimality cuts tighten
-    [lo, hi] in list order.
-
-    Each layer is extended for all cuts at once: rows of lhs values, one
-    per output node, one column per cut (feasibility cuts first).  A
-    settled cut's entry is NaN, never 0: a zero there would merge a
-    prefix whose cut is settled with one whose lhs is exactly 0 and
-    still open, and hand both the same, wrong, completions.  A column
-    that is NaN in every carried row separates no two keys, so it is
-    dropped; cuts settled at the root never enter the pass.
-
-    Each arc gets a row of label times coefficient (from CutRow.dense,
-    which the cut keeps) and of the drop and settle limits at its head,
-    and one key per arc holds the head and the rounded lhs of every
-    column.  The output is collected as input rows per output node and
-    (tail, head, input arc) per output arc, and labels, weights, states
-    and tags are gathered from the input once at the end.
-    """
     m = dd.num_arc_layers
+    if m == 0:
+        raise EmptyDiagramError("cannot refine an empty diagram")
     cont = dd.layer_kinds[-1] == "continuous"
+    if not cont and any(c.z_coeff != 0.0 for c in cuts):
+        raise ValueError("optimality cut on a diagram without a continuous layer")
     num_discrete = m - 1 if cont else m
     feas = [c for c in cuts if c.z_coeff == 0.0]
     opt = [c for c in cuts if c.z_coeff != 0.0]
-    nf = len(feas)
-    # ">=" feasibility cuts are negated (exactly) so that every feasibility
-    # test below reads  sign * lhs <= sign * rhs + CUT_TOL
+    # ">=" cuts are negated (exactly) so that every feasibility test below
+    # reads  sign * lhs <= sign * rhs + CUT_TOL
     sign = np.array([1.0 if c.sense == "<=" else -1.0 for c in feas])
+    # each discrete layer's coefficients, one column per cut
     coef = np.array([c.dense(num_discrete) for c in feas + opt],
-                    dtype=float).reshape(len(cuts), num_discrete).T
-    coef[:, :nf] *= sign
-    heads = dd.head
-    nd = int(dd.arc_first[num_discrete])   # arcs on discrete layers come first
-    step = np.zeros((len(heads), len(cuts)))
-    step[:nd] = dd.label[:nd, None] \
-        * coef[np.repeat(np.arange(num_discrete), np.diff(dd.arc_first[:num_discrete + 1]))]
-    drop_above, settled_at = _completion_limits(dd, feas, sign, step[:, :nf])
-    # per discrete arc: step, drop limit and settle limit at its head; the
-    # optimality columns get limits that never fire
-    per_arc = np.empty((nd, 3, len(cuts)))
-    per_arc[:, 0] = step[:nd]
-    per_arc[:, 1, :nf] = drop_above[heads[:nd]]
-    per_arc[:, 1, nf:] = np.inf
-    per_arc[:, 2, :nf] = settled_at[heads[:nd]]
-    per_arc[:, 2, nf:] = -np.inf
-    # CutRow.satisfied per column, for the last layer
-    le = np.array([c.sense == "<=" for c in feas] + [True] * len(opt))
-    rhs = np.array([c.rhs for c in feas] + [np.inf] * len(opt))
-    rhs_up, rhs_down = rhs + CUT_TOL, rhs - CUT_TOL
+                    dtype=float).reshape(len(feas) + len(opt), num_discrete).T
+    fcoef, ocoef = coef[:, :len(feas)] * sign, coef[:, len(feas):]
+    drop_above, settled_at = _completion_limits(dd, feas, sign, fcoef)
 
-    if (0.0 > drop_above[dd.root]).any():
+    def settle(lhs, heads):
+        """lhs with newly settled cuts set to NaN, and the rows that survive."""
+        keep = ~(lhs > drop_above[heads]).any(axis=1)
+        return np.where(lhs <= settled_at[heads], np.nan, lhs), keep
+
+    def satisfied(flhs):
+        """Per row: CutRow.satisfied holds for every cut the row still tracks."""
+        ok = np.ones(len(flhs), dtype=bool)
+        for r, i in zip(*np.nonzero(~np.isnan(flhs))):
+            ok[r] &= feas[i].satisfied(sign[i] * flhs[r, i])
+        return ok
+
+    flhs, keep = settle(np.zeros((1, len(feas))), [dd.root])
+    if not keep[0]:
         raise InfeasibleDiagramError("a cut removes every path")
-    cols = np.concatenate([np.flatnonzero(settled_at[dd.root] < 0.0),
-                           np.arange(nf, len(cuts))])
-    lhs = np.zeros((1, cols.size))
-    order, out_first = dd.out_index()
-    out_deg = np.diff(out_first)
-    # dead nodes are possible only where an input node has no out-arc or an
-    # arc is dropped; otherwise every output node is on a path
-    pruned = not out_deg[:-1].all()
-
-    # the output: the input row of each node, layer by layer, and the
-    # (tail row, head row, input arc) of each arc, with per-layer counts
-    node_src, layer_size = [np.array([dd.root])], [1]
-    arc_tail, arc_head, arc_src, layer_arcs = [], [], [], []
-    olds = node_src[0]   # input rows of the frontier
-    base = 0             # output row of the frontier's first node
-    lo, hi = dd.lo, dd.hi   # the value layer's intervals, tightened on the way out
+    olhs = np.zeros((1, len(opt)))
+    states, merged = dd.states, dd.merged.tolist()
+    head, weight, labels = dd.head.tolist(), dd.weight.tolist(), _arc_labels(dd)
+    order, first = (a.tolist() for a in dd.out_index())
+    out = DiagramBuilder(m)
+    out.layer_kinds = list(dd.layer_kinds)
+    olds = [dd.root]
+    news = [out.new_node(0, states[dd.root], merged[dd.root])]
+    term = out.new_node(m, states[dd.terminal], merged[dd.terminal])
     for j in range(m):
         # each frontier node's out-arcs in turn, in add order
-        deg = out_deg[olds]
-        src = np.repeat(np.arange(len(olds)), deg)
-        if not src.size:
+        src, arcs = [], []
+        for r, u in enumerate(olds):
+            for i in order[first[u]:first[u + 1]]:
+                src.append(r)
+                arcs.append(i)
+        if not arcs:
             raise InfeasibleDiagramError("a cut removes every path")
-        idx = order[np.arange(src.size) + (out_first[olds] - np.cumsum(deg) + deg)[src]]
-        is_last = j == m - 1
-        if cont and is_last:
-            keep, lo, hi = _tighten(dd, opt, idx - dd.value_first,
-                                    lhs[:, cols.size - len(opt):], src,
-                                    _satisfied(lhs, le[cols], rhs_up[cols], rhs_down[cols]))
-            lo, hi = lo[keep], hi[keep]
-        else:
-            g = per_arc[idx]
-            if cols.size < len(cuts):
-                g = g[:, :, cols]
-            child = lhs[src] + g[:, 0]
-            keep = ~(child > g[:, 1]).any(axis=1)
-            child = np.where(child <= g[:, 2], np.nan, child)
-            if is_last:
-                keep &= _satisfied(child, le[cols], rhs_up[cols], rhs_down[cols])
-        if is_last:
-            node_src.append(np.array([dd.terminal]))
-            layer_size.append(1)
-            arc_tail.append(base + src[keep])
-            arc_head.append(np.full(int(keep.sum()), base + len(olds)))
-            arc_src.append(idx[keep])
-            layer_arcs.append(int(keep.sum()))
-            pruned = pruned or layer_arcs[-1] < keep.size
+        if cont and j == m - 1:
+            ok, bound_lhs = satisfied(flhs), olhs.tolist()
+            for i, r in zip(arcs, src):
+                label = _tighten(*labels[i], opt, bound_lhs[r]) if ok[r] else None
+                if label is not None:
+                    out.add_arc(j, news[r], term, label, weight[i])
             break
-        sel = np.flatnonzero(keep)
-        pruned = pruned or sel.size < keep.size
-        if not sel.size:
-            raise InfeasibleDiagramError("a cut removes every path")
-        # keys compare bits: every NaN here is np.nan itself, so one
-        # pattern per settled entry, and + 0.0 folds -0.0 into 0.0 as
-        # round() does
-        key = np.empty((sel.size, 1 + cols.size))
-        key[:, 0] = heads[idx[sel]]
-        np.rint(child[sel] / SPLIT_GRID, out=key[:, 1:])
-        key[:, 1:] += 0.0
-        group, firsts = {}, []   # output node of each key, numbered by first arc
-        gid = []
-        for c, k in zip(sel.tolist(), _row_keys(key)):
-            if k not in group:
-                group[k] = len(firsts)
+        lab = dd.label[arcs, None]
+        child_f, keep = settle(flhs[src] + lab * fcoef[j], dd.head[arcs])
+        if j == m - 1:
+            for c in np.flatnonzero(keep & satisfied(child_f)).tolist():
+                out.add_arc(j, news[src[c]], term, labels[arcs[c]], weight[arcs[c]])
+            break
+        child_o = olhs[src] + lab * ocoef[j]
+        # keys compare bits: one NaN pattern for every settled cut, and
+        # + 0.0 folds -0.0 into 0.0 as round() does
+        keys = _row_keys(np.column_stack([
+            dd.head[arcs],
+            np.where(np.isnan(child_f), np.nan, np.rint(child_f / SPLIT_GRID) + 0.0),
+            np.rint(child_o / SPLIT_GRID) + 0.0]))
+        nxt, firsts = {}, []   # output node of each key, numbered by first arc
+        for c in np.flatnonzero(keep).tolist():
+            i = arcs[c]
+            node = nxt.get(keys[c])
+            if node is None:
+                node = nxt[keys[c]] = out.new_node(j + 1, states[head[i]], merged[head[i]])
                 firsts.append(c)
-            gid.append(group[k])
-        arc_tail.append(base + src[sel])
-        base += len(olds)
-        arc_head.append(base + np.array(gid, dtype=np.intp))
-        arc_src.append(idx[sel])
-        layer_arcs.append(sel.size)
-        olds = heads[idx[firsts]]
-        node_src.append(olds)
-        layer_size.append(len(firsts))
-        lhs = child[firsts]
-        if cols.size > len(opt):   # only feasibility columns settle
-            live = ~np.isnan(lhs).all(axis=0)
-            if not live.all():
-                cols, lhs = cols[live], lhs[:, live]
-    node_src = np.concatenate(node_src)
-    arc_src = np.concatenate(arc_src)
-    out = DecisionDiagram(
-        layer_kinds=list(dd.layer_kinds),
-        node_first=np.array(list(itertools.accumulate(layer_size, initial=0))),
-        states=[dd.states[r] for r in node_src.tolist()],
-        merged=dd.merged[node_src],
-        arc_first=np.array(list(itertools.accumulate(layer_arcs, initial=0))),
-        tail=np.concatenate(arc_tail), head=np.concatenate(arc_head),
-        label=dd.label[arc_src], weight=dd.weight[arc_src],
-        lo=lo, hi=hi)
-    return _drop_dead_nodes(out) if pruned else out
+            out.add_arc(j, news[src[c]], node, labels[i], weight[i])
+        olds = [head[arcs[c]] for c in firsts]
+        news = list(nxt.values())
+        flhs, olhs = child_f[firsts], child_o[firsts]
+    return _drop_dead_nodes(out.build())
 
 
-def _tighten(dd, opt, value_arcs, bound_lhs, src, ok):
-    """(keep, lo, hi) of value-layer arcs after each optimality cut in turn.
+def _completion_limits(dd, feas, sign, fcoef):
+    """Per input node row, the lhs limits past which feasibility cuts are decided.
 
-    value_arcs indexes dd.lo and dd.hi; arc k leaves the frontier node
-    src[k], whose optimality lhs values are bound_lhs[src[k]] and whose
-    feasibility cuts hold where ok is set.  An arc is dropped once its
-    interval is empty; min and max keep the first operand on ties.
+    One backward pass gives, for every node, the min and max over its
+    completions of each cut's signed lhs (+inf and -inf when no
+    completion exists).  drop_above[u, i] is the signed prefix lhs
+    beyond which even the best completion violates cut i by more than
+    CUT_TOL plus a margin; settled_at[u, i] is the signed prefix lhs at
+    or below which every completion satisfies it with the same margin to
+    spare.  The margin covers the SPLIT_GRID drift of carried lhs values
+    (one grid step per layer, on either side) and the different
+    summation order.  fcoef[j] holds the signed coefficients of discrete
+    layer j.
     """
-    lo, hi = dd.lo[value_arcs], dd.hi[value_arcs]
-    keep = ok[src]
-    for k, c in enumerate(opt):
-        bound = (c.rhs - bound_lhs[src, k]) / c.z_coeff
-        if (c.sense == "<=") == (c.z_coeff > 0):   # bounds z from above
-            hi = np.where(bound < hi, bound, hi)
+    m, n = dd.num_arc_layers, dd.node_count()
+    lo = np.full((n, len(feas)), np.inf)
+    hi = np.full((n, len(feas)), -np.inf)
+    lo[dd.terminal] = hi[dd.terminal] = 0.0
+    first = dd.arc_first.tolist()
+    for j in range(m - 1, -1, -1):
+        a, b = first[j], first[j + 1]
+        step = dd.label[a:b, None] * fcoef[j] if j < len(fcoef) else 0.0
+        np.minimum.at(lo, dd.tail[a:b], lo[dd.head[a:b]] + step)
+        np.maximum.at(hi, dd.tail[a:b], hi[dd.head[a:b]] + step)
+    rhs = np.array([c.rhs for c in feas])
+    limit = sign * rhs + CUT_TOL
+    margin = 2 * (m + 1) * SPLIT_GRID * (1.0 + np.abs(rhs))
+    return limit + margin - lo, limit - margin - hi
+
+
+def _tighten(lo, hi, opt, lhs):
+    """The interval [lo, hi] after each optimality cut in turn, whose lhs
+    values are lhs, or None once it is empty."""
+    for cut, s in zip(opt, lhs):
+        bound = (cut.rhs - s) / cut.z_coeff
+        if (cut.sense == "<=") == (cut.z_coeff > 0):   # bounds z from above
+            hi = min(hi, bound)
         else:
-            lo = np.where(bound > lo, bound, lo)
-        keep &= ~(lo > hi + CUT_TOL)
-        lo, hi = np.where(hi < lo, hi, lo), np.where(hi > lo, hi, lo)
-    return keep, lo, hi
-
-
-def _satisfied(lhs, le, rhs_up, rhs_down):
-    """Per row: CutRow.satisfied holds in every column that is not NaN.
-
-    lhs holds signed feasibility lhs values; le, rhs_up (rhs + CUT_TOL)
-    and rhs_down (rhs - CUT_TOL) describe each column's cut.
-    """
-    return (np.where(le, lhs <= rhs_up, -lhs >= rhs_down) | np.isnan(lhs)).all(axis=1)
+            lo = max(lo, bound)
+        if lo > hi + CUT_TOL:
+            return None
+        lo, hi = min(lo, hi), max(lo, hi)
+    return Interval(lo, hi)
 
 
 def _row_keys(a):
     """One bytes object per row of a float array, equal iff the rows' bits are."""
     a = np.ascontiguousarray(a)
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
-
-
-def _completion_limits(dd, feas, sign, fstep):
-    """Per input node row, the lhs limits past which feasibility cuts are decided.
-
-    One backward pass, an arc layer at a time, gives for every node the
-    min and max over its completions of each cut's signed lhs (+inf and
-    -inf when no completion exists).  drop_above[u, i] is the signed
-    prefix lhs beyond which even the best completion violates cut i by
-    more than CUT_TOL plus a margin; settled_at[u, i] is the signed
-    prefix lhs at or below which every completion satisfies it with the
-    same margin to spare.  The margin covers the SPLIT_GRID drift of
-    carried lhs values (one grid step per layer, on either side) and the
-    different summation order.  fstep holds each arc's signed lhs step
-    (zero on a continuous layer).
-    """
-    m, n = dd.num_arc_layers, dd.node_count()
-    if not feas:
-        return np.empty((n, 0)), np.empty((n, 0))
-    tails, heads, first = dd.tail, dd.head, dd.arc_first.tolist()
-    lo = np.full((n, len(feas)), np.inf)
-    hi = np.full((n, len(feas)), -np.inf)
-    lo[dd.terminal] = hi[dd.terminal] = 0.0
-    for a, b in zip(first[-2::-1], first[:0:-1]):
-        t, h = tails[a:b], heads[a:b]
-        np.minimum.at(lo, t, lo[h] + fstep[a:b])
-        np.maximum.at(hi, t, hi[h] + fstep[a:b])
-    rhs = np.array([c.rhs for c in feas])
-    limit = sign * rhs + CUT_TOL
-    margin = 2 * (m + 1) * SPLIT_GRID * (1.0 + np.abs(rhs))
-    return limit + margin - lo, limit - margin - hi
 
 
 # -- the label pass: one master pass for both oracles ----------------------------
@@ -838,10 +757,10 @@ def _cut_schedule(feas, order, labels):
     completion breaks raises InfeasibleDiagramError.  Any other cut opens
     at its first layer with a nonzero coefficient, and every such layer
     tests a label's lhs: above `drop` the label goes, at or below
-    `settle` the cut is settled and leaves the key.  Both keep
-    _completion_limits' rounding margin, except at the cut's last nonzero
-    coefficient, where both are the limit itself: there every open cut
-    is decided as CutRow.satisfied decides it.
+    `settle` the cut is settled and leaves the key.  Both keep the
+    rounding margin of refine_with_cut's completion limits, except at the
+    cut's last nonzero coefficient, where both are the limit itself:
+    there every open cut is decided as CutRow.satisfied decides it.
 
     The suffix sums run from the last layer back over the cut's nonzero
     terms alone, one cut at a time: a zero term adds nothing to them.
@@ -1010,8 +929,8 @@ def _best_completion(graph, bounds, opt):
 
     A final label is worth cost + z, where z is the largest of bounds.lo
     and every optimality cut's bound, capped at bounds.hi; one whose bound
-    tops bounds.hi by more than CUT_TOL is dropped, as _tighten drops its
-    value arc.  Of the labels within PATH_TIE_TOL of the best worth, the
+    tops bounds.hi by more than CUT_TOL is dropped, as refine_with_cut drops
+    a value arc whose interval it empties.  Of the labels within PATH_TIE_TOL of the best worth, the
     one with the smallest x wins, as optimal_path breaks ties.  Raises
     InfeasibleDiagramError when no label is left.
     """

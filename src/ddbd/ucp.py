@@ -426,20 +426,27 @@ def build_relaxed_master_dd(instance, partial, gamma, width):
 
 
 def _capped_moves(gen, horizon):
-    """One unit's moves over capped states, by state index.
+    """One unit's moves over capped states, by state index: the moves of
+    _transitions, each next state capped.
 
-    An up unit's state is (min(up, min_up), INF), a down unit's
+    An up state caps to (min(up, min_up), INF), a down state to
     (INF, min(down, cap)) with cap = max(min_down, len(startup_costs)),
     and a unit that has never been up stays (INF, INF).  No later move
     or weight of _transitions reads more than that: an up unit may stop
     once up reaches min_up, a down one may start once down reaches
     min_down, at the start-up cost of its down age, which saturates at
-    the table's length.  The reachable states are numbered from 0, the
-    fresh state; moves[s] lists (label, weight, next state's index) from
-    state s, the weights written as _transitions writes them.
+    the table's length.  The reachable states are numbered depth first
+    from 0, the fresh state; moves[s] lists (label, weight, next state's
+    index) from state s.
     """
     min_up, min_down = effective_times(gen, horizon)
     cap = max(min_down, len(gen.startup_costs))
+
+    def capped(up, down):
+        if up < down:
+            return min(up, min_up), INF
+        return INF, down if down == INF else min(down, cap)
+
     index, out = {}, []
     todo = [_fresh_state(False)]
     while todo:
@@ -447,15 +454,8 @@ def _capped_moves(gen, horizon):
         if state in index:
             continue
         index[state] = len(index)
-        up, down = state
-        if up < down:
-            moves = [(1.0, gen.c_fixed, (min(up + 1, min_up), INF))]
-            if up >= min_up:
-                moves.append((0.0, 0.0, (INF, 1)))
-        else:
-            moves = [(0.0, 0.0, (INF, down if down == INF else min(down + 1, cap)))]
-            if down >= min_down:
-                moves.append((1.0, gen.c_fixed + gen.startup_cost(down), (1, INF)))
+        moves = [(lab, w, capped(*nxt))
+                 for lab, w, nxt in _transitions(gen, state, False, min_up, min_down)]
         out.append(moves)
         todo.extend(nxt for _, _, nxt in moves)
     return tuple(tuple((lab, w, index[nxt]) for lab, w, nxt in moves) for moves in out)

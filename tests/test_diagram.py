@@ -268,6 +268,15 @@ def test_refine_optimality_cut_tightens_endpoints():
     assert value == pytest.approx(11.0 / 3.0)
 
 
+def test_refine_keeps_an_interval_crossed_within_cut_tol_in_order():
+    # z <= -5e-8 crosses [0, 10] by less than CUT_TOL: the arc stays, its
+    # ends swapped so that lo <= hi
+    dd = from_paths([(1.0, (0.0, 10.0))])
+    ref = refine_with_cut(dd, [CutRow(coeffs={}, z_coeff=1.0, rhs=-5e-8, sense="<=")])
+    ref.validate()
+    assert (ref.lo.tolist(), ref.hi.tolist()) == ([-5e-8], [0.0])
+
+
 def test_refine_vacuous_cut_is_identity():
     dd = example_master_dd()
     cut = CutRow(coeffs={0: 0.0, 1: 0.0}, z_coeff=0.0, rhs=1.0, sense="<=")
@@ -316,9 +325,12 @@ def test_exact_refinement_soundness_by_enumeration():
         cut = random_cut(rng, 4, with_z=True)
         expected = sorted(s for s in enumerate_solutions(dd) if satisfies(cut, s, 3))
         try:
-            got = sorted(enumerate_solutions(refine_with_cut(dd, [cut])))
+            refined = refine_with_cut(dd, [cut])
         except InfeasibleDiagramError:
             got = []
+        else:
+            refined.validate()
+            got = sorted(enumerate_solutions(refined))
         if cut.z_coeff == 0.0:
             assert got == expected, f"trial {trial}"
         else:
@@ -368,27 +380,35 @@ def boundary_cut(rng, dd):
 
 
 def solutions_or_empty(refine):
+    """The refined diagram's solutions, after it passes validate(), or []."""
     try:
-        return sorted(enumerate_solutions(refine()))
+        refined = refine()
     except InfeasibleDiagramError:
         return []
+    refined.validate()
+    return sorted(enumerate_solutions(refined))
 
 
 def refine_cut_by_cut(dd, cuts):
     for cut in cuts:
         dd = refine_with_cut(dd, [cut])
+        dd.validate()
     return dd
 
 
 def test_one_pass_refinement_equals_cut_by_cut():
     rng = random.Random(11)
-    for trial in range(160):
-        if trial % 2:
+    seen = {"infeasible": 0, "refined": 0}   # of the diagrams without a value layer
+    for trial in range(200):
+        value_layer = trial < 160
+        if not value_layer:   # the last discrete layer decides every cut
+            dd = random_dd(rng, num_layers=4, max_nodes=3, parallel=2)
+        elif trial % 2:
             dd = random_mixed_dd(rng)
         else:   # reconvergent paths and parallel arcs
             dd = append_value_layer(random_dd(rng, num_layers=3, max_nodes=3, parallel=2),
                                     rng.uniform(-3, 0), rng.uniform(0, 3))
-        cuts = [random_cut(rng, dd.num_arc_layers, with_z=True)
+        cuts = [random_cut(rng, dd.num_arc_layers, with_z=value_layer)
                 for _ in range(rng.randint(1, 6))]
         if rng.random() < 0.5:
             cuts[rng.randrange(len(cuts))] = boundary_cut(rng, dd)
@@ -409,6 +429,25 @@ def test_one_pass_refinement_equals_cut_by_cut():
                        if all(satisfies(c, s) for c in feas))
         assert solutions_or_empty(lambda: refine_with_cut(dd, feas)) == truth, \
             f"trial {trial}"
+        if not value_layer:
+            seen["refined" if truth else "infeasible"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_dense_coefficients_kept_on_the_cut_are_invisible():
+    # the label pass reads a cut's coefficients through dense, which keeps
+    # the vector on the cut; that must change neither ==, key() nor repr
+    cut = CutRow(coeffs={0: 0.5, 3: -1.0, 40: 2.0}, rhs=1.5, sense=">=")
+    twin = CutRow(coeffs={0: 0.5, 3: -1.0, 40: 2.0}, rhs=1.5, sense=">=")
+    before = (repr(cut), cut.key())
+    dense = cut.dense(8)
+    assert dense.tolist() == [0.5, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0]
+    assert cut.dense(8) is dense and cut._dense is dense
+    assert (repr(cut), cut.key()) == before
+    assert cut == twin and twin._dense is None
+    # coefficients past the diagram's layers are ignored, as the dicts are
+    assert cut.dense(4).tolist() == [0.5, 0.0, 0.0, -1.0]
+    assert cut.dense(2).tolist() == [0.5, 0.0]
 
 
 def test_operations_leave_their_input_as_it_was():

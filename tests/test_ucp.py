@@ -461,6 +461,21 @@ def test_capped_states_keep_every_move_and_weight():
         assert paths == {tuple(bits) for bits in unit_schedules(gen, horizon)}
 
 
+def test_capped_moves_of_one_generator_are_pinned():
+    # states by depth-first index: 0 never up, 1 and 2 up for one and for
+    # two or more periods, 3 to 5 down for one, two, and three or more.
+    # The never-up state keeps itself and its cold start (100 + 10); from
+    # state 5 a start pays the table's last cost, 9
+    gen = simple_generator(min_up=2, min_down=3, table=(5.0, 9.0), cold=10.0)
+    assert ucp_module._capped_moves(gen, 6) == (
+        ((0.0, 0.0, 0), (1.0, 110.0, 1)),
+        ((1.0, 100.0, 2),),
+        ((1.0, 100.0, 2), (0.0, 0.0, 3)),
+        ((0.0, 0.0, 4),),
+        ((0.0, 0.0, 5),),
+        ((0.0, 0.0, 5), (1.0, 109.0, 1)))
+
+
 def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
     inst = scaled_instance(2, 4, 2, 0, 0.4)
     oracle = UcpMasterOracle(inst, compute_gamma(inst))
