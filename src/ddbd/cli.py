@@ -52,6 +52,8 @@ def _load_instance(path):
     with open(path) as fh:
         text = fh.read()
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise InstanceError("bad instance document: expected a JSON object")
     if "generators" in doc:
         return "ucp", UcpInstance.from_json(text)
     if "x_domains" in doc:

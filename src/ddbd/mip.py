@@ -75,6 +75,8 @@ class MipProblem:
     @staticmethod
     def from_json(text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("bad problem document: expected a JSON object")
         if doc.get("version") != 1:
             raise ValueError("unsupported problem schema version")
         try:

@@ -1,26 +1,28 @@
-"""Brute-force reference solvers for the unit-commitment application.
+"""Reference solvers for the unit-commitment application.
 
-Everything here trades speed for being obviously correct: commitments
-are enumerated outright, dispatch LPs are handed to an off-the-shelf
-solver (scipy/HiGHS) rather than to the in-house simplex, and no
-pruning is attempted.  These results are the ground truth the
-decomposition solver is tested against.
+brute_force_solve enumerates every commitment and hands its dispatch LPs
+to scipy/HiGHS, not the in-house simplex, with no pruning: the ground
+truth the decomposition solver is tested against.  naive_bd_solve is the
+classical decomposition: the engine's loop and subproblem oracle (whose
+LPs go to the in-house simplex) over a master that enumerates every
+commitment in place of the decision diagram.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
+from .diagram import CUT_TOL, PATH_TIE_TOL
+from .engine import MasterOracle, SolveReport, dd_bd_solve
 from .ucp import (
     InfeasibleInstanceError,
     UcpSubproblemOracle,
     build_subproblem,
     compute_gamma,
-    evaluate_subproblems,
     master_cost,
 )
 
@@ -35,7 +37,6 @@ class TooLargeError(Exception):
 class OracleResult:
     best_x: tuple = None
     best_cost: float = None
-    table: dict = field(default_factory=dict)  # x -> (feasible, total cost or None)
 
     @property
     def status(self):
@@ -131,10 +132,8 @@ def brute_force_solve(instance):
     for x in feasible_assignments(instance):
         stage2 = stage2_expected_cost(instance, x)
         if stage2 is None:
-            result.table[x] = (False, None)
             continue
         cost = master_cost(instance, x) + stage2
-        result.table[x] = (True, cost)
         if result.best_cost is None or cost < result.best_cost - 1e-12 or \
                 (abs(cost - result.best_cost) <= 1e-12 and x < result.best_x):
             result.best_cost = cost
@@ -142,79 +141,49 @@ def brute_force_solve(instance):
     return result
 
 
-def dump_table_csv(result, path):
-    with open(path, "w") as fh:
-        fh.write("assignment,feasible,cost\n")
-        for x in sorted(result.table):
-            feasible, cost = result.table[x]
-            bits = "".join(str(int(v)) for v in x)
-            fh.write(f"{bits},{int(feasible)},"
-                     f"{'' if cost is None else f'{cost:.9g}'}\n")
+class EnumeratedMaster(MasterOracle):
+    """A unit-commitment master that scans every feasible commitment,
+    listed once in increasing x with its first-stage cost, under the pool
+    as the label pass (diagram._best_completion) reads it: z starts at
+    gamma.lo, each optimality cut raises it, a point whose z tops gamma.hi
+    by more than CUT_TOL goes and z is capped there; of the points within
+    PATH_TIE_TOL of the cheapest w = cost + z, the first wins."""
+
+    sense = "min"
+
+    def __init__(self, instance, gamma):
+        self.gamma = gamma
+        self._x = feasible_assignments(instance)
+        self._points = np.array(self._x, dtype=float).reshape(len(self._x), instance.num_vars)
+        self._cost = np.array([master_cost(instance, x) for x in self._x])
+
+    def best_point(self, cuts):
+        points, lo, hi = self._points, self.gamma.lo, self.gamma.hi
+        keep = np.ones(len(points), dtype=bool)
+        z = np.full(len(points), lo)
+        for cut in cuts:
+            lhs = points @ cut.dense(points.shape[1])
+            if cut.z_coeff == 0.0:
+                keep &= cut.satisfied(lhs)
+            else:
+                z = np.maximum(z, (cut.rhs - lhs) / cut.z_coeff)
+        keep &= z <= hi + CUT_TOL
+        if not keep.any():
+            return None
+        z = np.minimum(z, hi)
+        w = np.where(keep, self._cost + z, np.inf)
+        best = w.min()
+        i = int(np.argmax(w <= best + PATH_TIE_TOL * (1.0 + abs(best))))
+        return self._x[i], float(z[i]), float(w[i])
 
 
-@dataclass
-class NaiveBdResult:
-    status: str
-    best_x: tuple = None
-    value: float = None
-    feasibility_cuts: int = 0
-    optimality_cuts: int = 0
-
-
-def naive_bd_solve(instance, max_iterations=10_000):
-    """Classical decomposition with the master solved by enumeration.
-
-    Shares the cut machinery with the diagram solver, the seeded
-    closed-form cuts of UcpSubproblemOracle.initial_cuts() included, but
-    replaces the diagram master by a scan over all feasible commitments,
-    making it a mid-weight cross-check between brute force and the real
-    solver.
-    """
+def naive_bd_solve(instance):
+    """Classical decomposition: dd_bd_solve over EnumeratedMaster, a
+    mid-weight cross-check between brute force and the diagram solver."""
     if instance.num_vars > ENUMERATION_CAP:
         raise TooLargeError("master enumeration too large")
     try:
         gamma = compute_gamma(instance)
     except InfeasibleInstanceError:
-        return NaiveBdResult(status="infeasible")
-    candidates = feasible_assignments(instance)
-    feas_cuts, opt_cuts = UcpSubproblemOracle(instance).initial_cuts(), []
-    seen = {cut.key() for cut in feas_cuts}
-
-    def master_value(x):
-        for cut in feas_cuts:
-            lhs = sum(c * x[k] for k, c in cut.coeffs.items())
-            if not cut.satisfied(lhs):
-                return None
-        z = gamma.lo
-        for cut in opt_cuts:
-            bound = cut.rhs - sum(c * x[k] for k, c in cut.coeffs.items())
-            z = max(z, bound / cut.z_coeff)
-        return master_cost(instance, x) + z, z
-
-    for _ in range(max_iterations):
-        best = None
-        for x in candidates:
-            got = master_value(x)
-            if got is None:
-                continue
-            value, z = got
-            if best is None or value < best[0] - 1e-12 or \
-                    (abs(value - best[0]) <= 1e-12 and x < best[1]):
-                best = (value, x, z)
-        if best is None:
-            return NaiveBdResult(status="infeasible",
-                                 feasibility_cuts=len(feas_cuts),
-                                 optimality_cuts=len(opt_cuts))
-        value, x, z = best
-        res = evaluate_subproblems(instance, x)
-        for cut in res.cuts:
-            key = cut.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            (feas_cuts if cut.kind == "feasibility" else opt_cuts).append(cut)
-        if res.kind == "optimal" and res.value <= z + 1e-6:
-            return NaiveBdResult(status="optimal", best_x=x, value=value,
-                                 feasibility_cuts=len(feas_cuts),
-                                 optimality_cuts=len(opt_cuts))
-    raise RuntimeError("classical decomposition failed to converge")
+        return SolveReport(status="infeasible")
+    return dd_bd_solve(EnumeratedMaster(instance, gamma), UcpSubproblemOracle(instance))

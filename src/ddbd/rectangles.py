@@ -284,6 +284,11 @@ def load_fixture(text):
             pieces.append(PieceSet(boxes=boxes, fixed_coords=fixed))
         objectives = [(obj.get("name", f"f{k}"), make_polynomial(obj["terms"]))
                       for k, obj in enumerate(doc.get("objectives", []))]
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, DimensionMismatchError) as exc:
         raise ValueError(f"bad fixture document: {exc}") from exc
+    if not samples.points or not pieces:
+        raise ValueError("bad fixture document: samples and pieces must be nonempty")
+    for k, piece in enumerate(pieces):
+        if not piece.boxes or any(box.dim != dim for box in piece.boxes):
+            raise ValueError(f"bad fixture document: piece {k} needs boxes of dimension {dim}")
     return samples, free, pieces, objectives

@@ -224,6 +224,8 @@ class UcpInstance:
     @staticmethod
     def from_json(text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise InstanceError("bad instance document: expected a JSON object")
         if doc.get("version") != 1:
             raise InstanceError(f"unsupported instance version {doc.get('version')}")
         try:

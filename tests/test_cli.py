@@ -166,10 +166,23 @@ def broken_mip(tmp_path, edit):
     return ["solve", "--instance", str(path)]
 
 
+def instance_file(text):
+    def argv(tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        return ["solve", "--instance", str(path)]
+    return argv
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp_path: ["gen", "--params", "0,3,2,2"],
     lambda tmp_path: broken_mip(tmp_path, lambda doc: doc.pop("rows")),
-], ids=["gen-without-units", "mip-without-rows"])
+    instance_file("5"),
+    instance_file("null"),
+    instance_file('"generators"'),
+    instance_file("[1, 2]"),
+], ids=["gen-without-units", "mip-without-rows", "number-document", "null-document",
+        "string-document", "list-document"])
 def test_malformed_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -365,7 +378,13 @@ def boxes_with(edit):
     "x",
     boxes_with(lambda doc: doc.update(membership=[1, 2])),
     boxes_with(lambda doc: doc.pop("samples")),
-], ids=["list", "string", "membership-list", "no-samples"])
+    boxes_with(lambda doc: doc.update(pieces=[])),
+    boxes_with(lambda doc: doc["pieces"][0].update(boxes=[])),
+    boxes_with(lambda doc: doc["pieces"][0]["boxes"][0].update(lo=[0.0, 0.0])),
+    boxes_with(lambda doc: doc["pieces"][1]["boxes"][0].update(lo=[1.0, 0.0], hi=[1.0, 2.0])),
+    boxes_with(lambda doc: doc.update(samples=[])),
+], ids=["list", "string", "membership-list", "no-samples", "empty-pieces", "piece-without-boxes",
+        "box-lo-hi-lengths", "box-dimensions", "empty-samples"])
 def test_verify_rejects_a_malformed_fixture(doc, tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))

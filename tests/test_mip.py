@@ -243,6 +243,13 @@ def test_a_problem_with_a_non_finite_number_is_rejected(edit):
             oracle(problem)
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"x_domains"', "[1, 2]"],
+                         ids=["number", "null", "string", "list"])
+def test_a_document_that_is_not_an_object_is_rejected(text):
+    with pytest.raises(ValueError, match="bad problem document: expected a JSON object"):
+        MipProblem.from_json(text)
+
+
 # -- brute-force agreement sweep ---------------------------------------------------
 
 Y_CAP = 4.0   # every y is capped by a slave row y_i <= Y_CAP

@@ -1,10 +1,11 @@
 import pytest
 
 from ddbd.diagram import enumerate_solutions
+from ddbd.engine import dd_bd_solve
 from ddbd.oracle import (
+    EnumeratedMaster,
     TooLargeError,
     brute_force_solve,
-    dump_table_csv,
     feasible_assignments,
     naive_bd_solve,
 )
@@ -12,7 +13,10 @@ from ddbd.ucp import (
     Generator,
     Scenario,
     UcpInstance,
+    UcpMasterOracle,
+    UcpSubproblemOracle,
     build_master_dd,
+    compute_gamma,
     gen_random_instance,
     ucp_solve,
 )
@@ -37,12 +41,12 @@ def test_zero_demand_all_off_is_optimal():
     assert result.best_cost == pytest.approx(0.0)
 
 
-def test_table_rows_are_reproducible():
+def test_brute_force_is_reproducible():
     inst = gen_random_instance(2, 2, 2, seed=1)
     first = brute_force_solve(inst)
     second = brute_force_solve(inst)
-    assert first.table == second.table
     assert first.best_x == second.best_x
+    assert first.best_cost == second.best_cost
 
 
 def test_enumeration_guard():
@@ -59,24 +63,46 @@ def test_feasibility_agrees_with_master_diagram():
         assert paths == set(feasible_assignments(inst))
 
 
-def test_dump_table_csv(tmp_path):
-    inst = zero_demand_instance()
-    result = brute_force_solve(inst)
-    path = tmp_path / "table.csv"
-    dump_table_csv(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "assignment,feasible,cost"
-    assert len(lines) == 1 + len(result.table)
-
-
 def test_naive_bd_matches_brute_force():
-    for seed in (0, 1, 2, 3):
-        inst = gen_random_instance(2, 2, 2, seed=seed)
+    # at LOW_DEMAND optimality cuts, not capacity cuts, decide the search
+    cases = [gen_random_instance(2, 2, 2, seed=seed) for seed in (0, 1, 2, 3)]
+    cases += [scaled_instance(*params) for params in LOW_DEMAND]
+    for inst in cases:
         brute = brute_force_solve(inst)
         naive = naive_bd_solve(inst)
         assert naive.status == brute.status
         if brute.status == "optimal":
             assert naive.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6)
+
+
+def harvested_pool(inst, gamma):
+    """The cut pool of a real solve of inst, in the order it grew."""
+    asked = []
+
+    class Recording(UcpMasterOracle):
+        def best_point(self, cuts):
+            asked.append(cuts)
+            return super().best_point(cuts)
+
+    dd_bd_solve(Recording(inst, gamma), UcpSubproblemOracle(inst))
+    return list(asked[-1])
+
+
+def test_enumerated_master_matches_the_label_pass():
+    cases = [gen_random_instance(2, 3, 2, seed=seed) for seed in range(6)]
+    cases += [scaled_instance(*params) for params in LOW_DEMAND]
+    optimality_cuts = 0
+    for inst in cases:
+        gamma = compute_gamma(inst)
+        pool = harvested_pool(inst, gamma)
+        optimality_cuts += sum(cut.kind == "optimality" for cut in pool)
+        scan, label = EnumeratedMaster(inst, gamma), UcpMasterOracle(inst, gamma)
+        for k in range(len(pool) + 1):
+            got, want = scan.best_point(pool[:k]), label.best_point(pool[:k])
+            assert (got is None) == (want is None), k
+            if want is not None:
+                assert got[2] == pytest.approx(want[2], rel=1e-9), k
+    assert optimality_cuts > 0
 
 
 def test_dd_bd_matches_brute_force_small():

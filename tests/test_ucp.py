@@ -1797,3 +1797,6 @@ def test_json_round_trip_and_validation():
     doc = inst.to_json().replace('"version": 1', '"version": 9')
     with pytest.raises(InstanceError):
         UcpInstance.from_json(doc)
+    for text in ["5", "null", '"generators"', "[1, 2]"]:
+        with pytest.raises(InstanceError, match="bad instance document: expected a JSON object"):
+            UcpInstance.from_json(text)
