@@ -1,5 +1,6 @@
 """Reference solvers for the unit-commitment application.
 
+Both answer with the engine's SolveReport, as ucp_solve does.
 brute_force_solve enumerates every commitment and hands its dispatch LPs
 to scipy/HiGHS, not the in-house simplex, with no pruning: the ground
 truth the decomposition solver is tested against.  naive_bd_solve is the
@@ -11,7 +12,7 @@ commitment in place of the decision diagram.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
 
 import numpy as np
 from scipy.optimize import linprog
@@ -33,42 +34,19 @@ class TooLargeError(Exception):
     pass
 
 
-@dataclass
-class OracleResult:
-    best_x: tuple = None
-    best_cost: float = None
-
-    @property
-    def status(self):
-        return "optimal" if self.best_x is not None else "infeasible"
-
-
 def scipy_lp_min(lp):
-    """Minimise one of our LinearProgram objects with scipy's HiGHS.
+    """Minimise one of our LinearProgram objects, over x >= 0 as every
+    LP is, with scipy's HiGHS.
 
     Returns (status, value) with status in optimal/infeasible/unbounded.
     """
     if lp.sense != "min":
         raise ValueError("reference route only minimises")
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for i, s in enumerate(lp.senses):
-        if s == "<=":
-            a_ub.append(lp.A[i])
-            b_ub.append(lp.b[i])
-        elif s == ">=":
-            a_ub.append(-lp.A[i])
-            b_ub.append(-lp.b[i])
-        else:
-            a_eq.append(lp.A[i])
-            b_eq.append(lp.b[i])
-    bounds = [(l if np.isfinite(l) else None, h if np.isfinite(h) else None)
-              for l, h in zip(lp.lo, lp.hi)]
-    res = linprog(lp.c,
-                  A_ub=np.array(a_ub) if a_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(a_eq) if a_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs")
+    # >= rows negated into A_ub, which keeps every inequality in its order
+    sign = np.where(lp.rows.ge, -1.0, 1.0)
+    a, b, eq = sign[:, None] * lp.A, sign * lp.b, lp.rows.eq
+    res = linprog(lp.c, A_ub=a[~eq], b_ub=b[~eq], A_eq=a[eq], b_eq=b[eq],
+                  bounds=(0, None), method="highs")
     if res.status == 0:
         return "optimal", float(res.fun)
     if res.status == 2:
@@ -124,21 +102,23 @@ def stage2_expected_cost(instance, x):
 
 
 def brute_force_solve(instance):
-    """Exact optimum by enumerating every feasible commitment."""
+    """Exact optimum by enumerating every feasible commitment; on ties
+    within 1e-12 the smaller x wins."""
     if instance.num_vars > ENUMERATION_CAP:
         raise TooLargeError(f"{instance.num_vars} commitment bits exceed the "
                             f"enumeration cap of {ENUMERATION_CAP}")
-    result = OracleResult()
+    t0 = time.perf_counter()
+    report = SolveReport(status="infeasible")
     for x in feasible_assignments(instance):
         stage2 = stage2_expected_cost(instance, x)
         if stage2 is None:
             continue
         cost = master_cost(instance, x) + stage2
-        if result.best_cost is None or cost < result.best_cost - 1e-12 or \
-                (abs(cost - result.best_cost) <= 1e-12 and x < result.best_x):
-            result.best_cost = cost
-            result.best_x = x
-    return result
+        if report.value is None or cost < report.value - 1e-12 or \
+                (abs(cost - report.value) <= 1e-12 and x < report.x):
+            report = SolveReport(status="optimal", x=x, z=stage2, value=cost)
+    report.wall_time = time.perf_counter() - t0
+    return report
 
 
 class EnumeratedMaster(MasterOracle):

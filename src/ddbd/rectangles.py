@@ -193,17 +193,17 @@ def verify_decomposition(samples, free_indices, pieces):
     return DecompositionReport(cond_i, cond_ii, cond_iii, notes)
 
 
-def equivalence_check(samples, free_indices, pieces, objectives, tol=EQ_TOL):
+def equivalence_check(samples, pieces, objectives, tol=EQ_TOL):
     """True iff each objective has equal maxima over the sampled set,
-    the per-piece sampled points, and the box vertex set."""
-    del free_indices  # conventions match verify_decomposition; not needed here
+    the per-piece sampled points, and the box vertex set; False when a
+    pool is empty, as when no sample lies in any piece."""
     vertex_pool = []
     piece_pool = []
     for piece in pieces:
         vertex_pool.extend(piece.vertices())
         piece_pool.extend(_piece_samples(samples, piece))
     if not samples.points or not vertex_pool or not piece_pool:
-        raise ValueError("empty point pools; nothing to compare")
+        return False
     for f in objectives:
         m_set = max(f(p) for p in samples.points)
         m_piece = max(f(p) for p in piece_pool)
@@ -228,14 +228,25 @@ def _poly_eval(terms, point):
     return total
 
 
+def _poly_terms(terms):
+    """A fixture's [coef, exponents] pairs, each exponent a JSON integer >= 0."""
+    out = []
+    for c, exps in terms:
+        if not all(type(e) is int and e >= 0 for e in exps):
+            raise ValueError(f"bad fixture document: exponents {exps!r} "
+                             "must be nonnegative integers")
+        out.append((float(c), tuple(exps)))
+    return out
+
+
 def make_polynomial(terms):
-    terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
+    terms = _poly_terms(terms)
     return lambda p: _poly_eval(terms, p)
 
 
 def _make_membership(spec, dim, tol=HULL_TOL):
     domains = spec.get("domains") or [None] * dim
-    constraints = [(t["terms"], t["sense"], float(t["rhs"]))
+    constraints = [(_poly_terms(t["terms"]), t["sense"], float(t["rhs"]))
                    for t in spec.get("constraints", [])]
 
     def member(p):
@@ -252,7 +263,7 @@ def _make_membership(spec, dim, tol=HULL_TOL):
                 if min(abs(x - v) for v in dom["values"]) > tol:
                     return False
         for terms, sense, rhs in constraints:
-            val = _poly_eval([(float(c), e) for c, e in terms], p)
+            val = _poly_eval(terms, p)
             if sense == "<=" and val > rhs + tol:
                 return False
             if sense == ">=" and val < rhs - tol:

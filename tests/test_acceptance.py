@@ -160,9 +160,9 @@ def test_criterion_4_oracle_agreement_sweep():
             rep = ucp_solve(inst, EngineConfig(), instance_id=str(seed))
             assert rep.status == brute.status, f"seed {seed}"
             if brute.status == "optimal":
-                tol = 1e-6 * (1.0 + abs(brute.best_cost))
-                assert abs(rep.value - brute.best_cost) <= tol, \
-                    f"seed {seed}: {rep.value} vs {brute.best_cost}"
+                tol = 1e-6 * (1.0 + abs(brute.value))
+                assert abs(rep.value - brute.value) <= tol, \
+                    f"seed {seed}: {rep.value} vs {brute.value}"
             statuses[rep.status] += 1
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -280,8 +280,8 @@ def test_criterion_6_bound_sandwich_everywhere():
             assert brute.status == "infeasible", f"seed {seed}"
             checked += 1
             continue
-        master = SandwichMaster(UcpMasterOracle(inst, gamma), brute.best_cost)
-        sub = OptimumSub(UcpSubproblemOracle(inst), brute.best_cost)
+        master = SandwichMaster(UcpMasterOracle(inst, gamma), brute.value)
+        sub = OptimumSub(UcpSubproblemOracle(inst), brute.value)
         rep = dd_bd_solve(master, sub, EngineConfig(), instance_id=str(seed))
         assert rep.status == brute.status
         builds += master.checked

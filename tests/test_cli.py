@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import pathlib
 import types
@@ -345,14 +346,32 @@ def test_compare_three_way_agreement(tmp_path, capsys):
 def test_compare_times_the_classical_split_and_brute_force(tmp_path, monkeypatch):
     import ddbd.cli as cli
 
-    # naive-bd runs from 10.0 to 10.25, brute force from 20.0 to 21.5
-    ticks = iter([10.0, 10.25, 20.0, 21.5])
+    # dd-bd runs from 1.0 to 1.125, naive-bd from 10.0 to 10.25, brute
+    # force from 20.0 to 21.5: each cell is its solver's whole call
+    ticks = iter([1.0, 1.125, 10.0, 10.25, 20.0, 21.5])
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--sizes", "2,2,1", "--seeds", "0", "--out", str(out)]) == 0
     times = {row[1]: row[4] for row in
              (line.split(",") for line in out.read_text().strip().splitlines()[1:])}
-    assert times["naive-bd"] == "0.250" and times["brute-force"] == "1.500"
+    assert times == {"dd-bd": "0.125", "naive-bd": "0.250", "brute-force": "1.500"}
+
+
+def test_compare_past_the_enumeration_cap(tmp_path, monkeypatch, caplog):
+    # 2 units x 2 periods are 4 commitment bits, above a cap of 3: the
+    # enumerating methods write error rows and the diagram solver stands alone
+    monkeypatch.setattr("ddbd.oracle.ENUMERATION_CAP", 3)
+    out = tmp_path / "cmp.csv"
+    with caplog.at_level(logging.WARNING, logger="ddbd"):
+        assert main(["compare", "--sizes", "2,2,1", "--seeds", "0", "--out", str(out)]) == 0
+    rows = {row[1]: row for row in
+            (line.split(",") for line in out.read_text().strip().splitlines()[1:])}
+    assert rows["dd-bd"][2] == "optimal" and rows["dd-bd"][3] != ""
+    for method in ("naive-bd", "brute-force"):
+        assert rows[method][2:4] == ["error", ""] and rows[method][5:7] == ["0", "0"]
+    assert all(row[-1] == "=" for row in rows.values())
+    failed = [r.getMessage().split()[0] for r in caplog.records if "failed on" in r.getMessage()]
+    assert failed == ["naive-bd", "brute-force"]
 
 
 def test_verify_fixture_pass_and_fail(capsys):
@@ -367,10 +386,31 @@ def test_verify_fixture_pass_and_fail(capsys):
     assert "equivalence[neg_square_x2]: FAIL" in out
 
 
+def test_verify_fails_when_no_sample_lies_in_a_piece(tmp_path, capsys):
+    # the one sample sits in the dropped first piece: the second piece's
+    # pool is empty, so every equivalence fails rather than raising
+    doc = json.loads((FIXTURES / "example_boxes.json").read_text())
+    doc.update(samples=[[0, 0, 0]], pieces=doc["pieces"][1:])
+    path = tmp_path / "no_sample_in_piece.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-decomposition", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "equivalence[sum_all]: FAIL" in captured.out
+    assert "equivalence[shifted_square]: FAIL" in captured.out
+    assert captured.err == ""
+
+
 def boxes_with(edit):
     doc = json.loads((FIXTURES / "example_boxes.json").read_text())
     edit(doc)
     return doc
+
+
+def first_term_with(polynomial, exponents):
+    """example_boxes.json with the first term of one polynomial given these exponents."""
+    def edit(doc):
+        polynomial(doc)["terms"][0][1] = exponents
+    return boxes_with(edit)
 
 
 @pytest.mark.parametrize("doc", [
@@ -383,8 +423,13 @@ def boxes_with(edit):
     boxes_with(lambda doc: doc["pieces"][0]["boxes"][0].update(lo=[0.0, 0.0])),
     boxes_with(lambda doc: doc["pieces"][1]["boxes"][0].update(lo=[1.0, 0.0], hi=[1.0, 2.0])),
     boxes_with(lambda doc: doc.update(samples=[])),
+    first_term_with(lambda doc: doc["objectives"][0], [-1, 0, 0]),
+    first_term_with(lambda doc: doc["membership"]["constraints"][0], [-1, 0, 0]),
+    first_term_with(lambda doc: doc["objectives"][0], [1.5, 0, 0]),
+    first_term_with(lambda doc: doc["objectives"][0], [True, 0, 0]),
 ], ids=["list", "string", "membership-list", "no-samples", "empty-pieces", "piece-without-boxes",
-        "box-lo-hi-lengths", "box-dimensions", "empty-samples"])
+        "box-lo-hi-lengths", "box-dimensions", "empty-samples", "negative-objective-exponent",
+        "negative-constraint-exponent", "fractional-exponent", "bool-exponent"])
 def test_verify_rejects_a_malformed_fixture(doc, tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from ddbd.diagram import enumerate_solutions
@@ -18,6 +20,7 @@ from ddbd.ucp import (
     build_master_dd,
     compute_gamma,
     gen_random_instance,
+    master_cost,
     ucp_solve,
 )
 from reference_lp import LOW_DEMAND, scaled_instance
@@ -37,16 +40,25 @@ def test_zero_demand_all_off_is_optimal():
     inst = zero_demand_instance()
     result = brute_force_solve(inst)
     assert result.status == "optimal"
-    assert result.best_x == (0, 0)
-    assert result.best_cost == pytest.approx(0.0)
+    assert result.x == (0, 0)
+    assert result.value == pytest.approx(0.0)
+    assert master_cost(inst, result.x) + result.z == result.value
+
+
+def test_brute_force_times_its_own_call(monkeypatch):
+    import ddbd.oracle as oracle
+
+    ticks = iter([3.0, 3.75])
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    assert brute_force_solve(zero_demand_instance()).wall_time == 0.75
 
 
 def test_brute_force_is_reproducible():
     inst = gen_random_instance(2, 2, 2, seed=1)
     first = brute_force_solve(inst)
     second = brute_force_solve(inst)
-    assert first.best_x == second.best_x
-    assert first.best_cost == second.best_cost
+    assert first.x == second.x
+    assert first.value == second.value
 
 
 def test_enumeration_guard():
@@ -72,7 +84,7 @@ def test_naive_bd_matches_brute_force():
         naive = naive_bd_solve(inst)
         assert naive.status == brute.status
         if brute.status == "optimal":
-            assert naive.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6)
+            assert naive.value == pytest.approx(brute.value, rel=1e-6, abs=1e-6)
 
 
 def harvested_pool(inst, gamma):
@@ -106,8 +118,6 @@ def test_enumerated_master_matches_the_label_pass():
 
 
 def test_dd_bd_matches_brute_force_small():
-    from ddbd.ucp import master_cost
-
     cases = [(f"s{seed}", gen_random_instance(2, 3, 2, seed=seed)) for seed in range(6)]
     cases += [(f"low{params}", scaled_instance(*params)) for params in LOW_DEMAND]
     for name, inst in cases:
@@ -115,7 +125,7 @@ def test_dd_bd_matches_brute_force_small():
         report = ucp_solve(inst, instance_id=name)
         assert report.status == brute.status, name
         if brute.status == "optimal":
-            assert report.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6), \
+            assert report.value == pytest.approx(brute.value, rel=1e-6, abs=1e-6), \
                 name
             # the reported value re-evaluates from its own (x, z) pair
             redo = master_cost(inst, report.x) + report.z
@@ -137,4 +147,4 @@ def test_dd_bd_matches_brute_force_at_low_demand(spec):
     report = ucp_solve(inst)
     assert report.status == brute.status
     if brute.status == "optimal":
-        assert report.value == pytest.approx(brute.best_cost, rel=1e-6, abs=1e-6)
+        assert report.value == pytest.approx(brute.value, rel=1e-6, abs=1e-6)

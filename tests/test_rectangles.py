@@ -35,7 +35,7 @@ def test_example_fixture_passes_all_conditions():
     assert report.cond_i, report.notes
     assert report.cond_ii, report.notes
     assert report.cond_iii_sampled, report.notes
-    assert equivalence_check(samples, free, pieces, [f for _, f in objectives])
+    assert equivalence_check(samples, pieces, [f for _, f in objectives])
 
 
 def test_extreme_point_fixture_fails_equivalence():
@@ -43,7 +43,7 @@ def test_extreme_point_fixture_fails_equivalence():
     report = verify_decomposition(samples, free, pieces)
     assert not report.cond_i  # the lone piece does not fix x2
     fns = [f for _, f in objectives]
-    assert not equivalence_check(samples, free, pieces, fns)
+    assert not equivalence_check(samples, pieces, fns)
     # the failing objective really separates: 0 over the set, -1 over vertices
     f = fns[0]
     assert max(f(p) for p in samples.points) == pytest.approx(0.0)
@@ -62,7 +62,7 @@ def test_zero_dimensional_decomposition_of_integer_sets():
         assert report.all_pass(), report.notes
         fns = [lambda q, a=rng.uniform(-1, 1), b=rng.uniform(-1, 1): a * q[0] + b * q[1]
                for _ in range(5)]
-        assert equivalence_check(samples, [0, 1], pieces, fns)
+        assert equivalence_check(samples, pieces, fns)
 
 
 def random_convex_in_free(rng, free, dim, table_values):
@@ -87,7 +87,13 @@ def test_passing_decomposition_equivalence_for_random_convex_family():
     fixed_values = {tuple(round(p[i], 6) for i in range(3) if i not in free)
                     for p in samples.points}
     fns = [random_convex_in_free(rng, free, 3, fixed_values) for _ in range(50)]
-    assert equivalence_check(samples, free, pieces, fns, tol=1e-9)
+    assert equivalence_check(samples, pieces, fns, tol=1e-9)
+
+
+def test_equivalence_fails_when_no_sample_lies_in_a_piece():
+    samples, _, pieces, objectives = load("example_boxes.json")
+    samples = SampleSet(points=[(0.0, 0.0, 0.0)], member=samples.member)
+    assert not equivalence_check(samples, pieces[1:], [f for _, f in objectives])
 
 
 def test_box_vertex_outside_set_fails_cond_ii():

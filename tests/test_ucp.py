@@ -686,8 +686,8 @@ def test_ucp_solve_closes_at_the_root():
         assert (report.status, report.nodes, report.branches) == ("optimal", 1, 0), args
         assert report.value == optimum, args
         brute = brute_force_solve(inst)
-        assert report.x == brute.best_x, args
-        assert report.value == pytest.approx(brute.best_cost, rel=1e-9), args
+        assert report.x == brute.x, args
+        assert report.value == pytest.approx(brute.value, rel=1e-9), args
 
 
 def test_frontier_instances_solve_at_the_milp_optimum():
@@ -1462,7 +1462,7 @@ def test_startup_short_instance_is_infeasible_without_an_lp(monkeypatch):
     assert cut.rhs == pytest.approx(-48.0 / 25.0, rel=1e-15)
     report = ucp_solve(inst)
     assert (report.status, report.lp_calls, len(calls)) == ("infeasible", 0, 0)
-    assert brute_force_solve(inst).best_x is None
+    assert brute_force_solve(inst).x is None
 
 
 def test_startup_ray_takes_the_capacity_multipliers_above_maximum_output():
