@@ -9,7 +9,6 @@ from .diagram import (
     InfeasibleDiagramError,
     Interval,
     PathExplosionError,
-    dd_from_json,
     dd_to_json,
     enumerate_solutions,
     from_boxes,
@@ -17,7 +16,6 @@ from .diagram import (
     optimal_path,
     reduce_interval_arcs,
     refine_with_cut,
-    to_dot,
 )
 from .engine import (
     CutPool,
@@ -45,7 +43,6 @@ from .ucp import (
     build_restricted_master_dd,
     build_subproblem,
     compute_gamma,
-    evaluate_subproblems,
     gen_random_instance,
     ucp_solve,
 )

@@ -58,9 +58,6 @@ class Interval:
     lo: float
     hi: float
 
-    def endpoints(self):
-        return _endpoints(self.lo, self.hi)
-
 
 def _endpoints(lo, hi):
     if abs(hi - lo) <= 0.0:
@@ -1091,31 +1088,6 @@ def from_boxes(boxes, weight_fn=None):
 # -- export ----------------------------------------------------------------------
 
 
-def to_dot(dd):
-    """Graphviz text with deterministic node ordering."""
-    lines = ["digraph dd {", "  rankdir=TB;"]
-    names = []
-    merged = dd.merged.tolist()
-    for r, state in enumerate(dd.states):
-        if r == dd.root:
-            name = "r"
-        elif dd.num_arc_layers and r == dd.terminal:
-            name = "t"
-        else:
-            name = f"n{r}"
-        names.append(name)
-        label = name if state is None else f"{name} {state}"
-        if merged[r]:
-            label += " *"
-        lines.append(f'  {name} [label="{label}"];')
-    for tail, head, lab, w in zip(dd.tail.tolist(), dd.head.tolist(), _arc_labels(dd),
-                                  dd.weight.tolist()):
-        lab = f"[{lab[0]:g},{lab[1]:g}]" if isinstance(lab, tuple) else f"{lab:g}"
-        lines.append(f'  {names[tail]} -> {names[head]} [label="{lab} / {w:g}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 SCHEMA_VERSION = 1
 
 
@@ -1139,24 +1111,3 @@ def dd_to_json(dd):
         "arcs": [arcs[a:b] for a, b in zip(arc_first[:-1], arc_first[1:])],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def dd_from_json(text):
-    doc = json.loads(text)
-    if doc.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported diagram schema version {doc.get('version')}")
-    dd = DiagramBuilder(len(doc["arcs"]))
-    dd.layer_kinds = list(doc["layer_kinds"])
-    handle = {}
-    for i, layer in enumerate(doc["layers"]):
-        for node in layer:
-            state = node.get("state")
-            handle[node["id"]] = dd.new_node(
-                i, tuple(state) if isinstance(state, list) else state, node.get("merged", False))
-    for j, layer in enumerate(doc["arcs"]):
-        for a in layer:
-            label = a["label"]
-            if isinstance(label, dict):
-                label = Interval(label["lo"], label["hi"])
-            dd.add_arc(j, handle[a["tail"]], handle[a["head"]], label, a["weight"])
-    return dd.build()

@@ -20,7 +20,6 @@ from scipy.optimize import linprog
 from .diagram import CUT_TOL, PATH_TIE_TOL
 from .engine import MasterOracle, SolveReport, dd_bd_solve
 from .ucp import (
-    InfeasibleInstanceError,
     UcpSubproblemOracle,
     build_subproblem,
     compute_gamma,
@@ -162,8 +161,5 @@ def naive_bd_solve(instance):
     mid-weight cross-check between brute force and the diagram solver."""
     if instance.num_vars > ENUMERATION_CAP:
         raise TooLargeError("master enumeration too large")
-    try:
-        gamma = compute_gamma(instance)
-    except InfeasibleInstanceError:
-        return SolveReport(status="infeasible")
-    return dd_bd_solve(EnumeratedMaster(instance, gamma), UcpSubproblemOracle(instance))
+    return dd_bd_solve(EnumeratedMaster(instance, compute_gamma(instance)),
+                       UcpSubproblemOracle(instance))

@@ -228,10 +228,14 @@ def _poly_eval(terms, point):
     return total
 
 
-def _poly_terms(terms):
-    """A fixture's [coef, exponents] pairs, each exponent a JSON integer >= 0."""
+def _poly_terms(terms, dim):
+    """A fixture's [coef, exponents] pairs: one exponent per coordinate,
+    each a JSON integer >= 0."""
     out = []
     for c, exps in terms:
+        if len(exps) != dim:
+            raise ValueError(f"bad fixture document: exponents {exps!r} "
+                             f"must number {dim}, one per coordinate")
         if not all(type(e) is int and e >= 0 for e in exps):
             raise ValueError(f"bad fixture document: exponents {exps!r} "
                              "must be nonnegative integers")
@@ -239,15 +243,22 @@ def _poly_terms(terms):
     return out
 
 
-def make_polynomial(terms):
-    terms = _poly_terms(terms)
+def make_polynomial(terms, dim):
+    terms = _poly_terms(terms, dim)
     return lambda p: _poly_eval(terms, p)
+
+
+SENSES = ("<=", ">=", "=")
 
 
 def _make_membership(spec, dim, tol=HULL_TOL):
     domains = spec.get("domains") or [None] * dim
-    constraints = [(_poly_terms(t["terms"]), t["sense"], float(t["rhs"]))
+    constraints = [(_poly_terms(t["terms"], dim), t["sense"], float(t["rhs"]))
                    for t in spec.get("constraints", [])]
+    for _, sense, _ in constraints:
+        if sense not in SENSES:
+            raise ValueError(f"bad fixture document: constraint sense {sense!r} "
+                             f"must be one of {', '.join(SENSES)}")
 
     def member(p):
         if len(p) != dim:
@@ -293,7 +304,7 @@ def load_fixture(text):
                          hi=tuple(float(v) for v in bx["hi"])) for bx in pc["boxes"]]
             fixed = {int(k): float(v) for k, v in pc.get("fixed", {}).items()}
             pieces.append(PieceSet(boxes=boxes, fixed_coords=fixed))
-        objectives = [(obj.get("name", f"f{k}"), make_polynomial(obj["terms"]))
+        objectives = [(obj.get("name", f"f{k}"), make_polynomial(obj["terms"], dim))
                       for k, obj in enumerate(doc.get("objectives", []))]
     except (KeyError, TypeError, AttributeError, DimensionMismatchError) as exc:
         raise ValueError(f"bad fixture document: {exc}") from exc

@@ -15,8 +15,10 @@ capacity must cover demand plus reserve in every period, and the units
 on at period 0 must reach its demand from off in one start-up ramp.
 Both are pooled before the first build, so no commitment the master
 proposes falls short of them beyond the pool's CUT_TOL, and every
-evaluation is LPs only.  The oracle keeps no memo of its evaluations:
-the engine evaluates each commitment once.
+evaluation is LPs only.  A fleet short of capacity in some period is
+proven infeasible by that period's capacity cut alone: the master has no
+point under the seeded pool, and no LP runs.  The oracle keeps no memo
+of its evaluations: the engine evaluates each commitment once.
 The value variable's [lo, hi] interval on the diagram's last arc layer
 comes from closed-form bounds on the dispatch cost (a merit-order
 lower bound, every costly unit at full output as the upper bound), not
@@ -69,6 +71,7 @@ from .engine import (  # noqa: F401
     MasterOracle,
     SubproblemOracle,
     SubproblemResult,
+    dd_bd_solve,
     replay_cuts,
 )
 from .simplex import (
@@ -86,10 +89,6 @@ COEF_EPS = 1e-12
 
 class InstanceError(Exception):
     """Malformed instance data."""
-
-
-class InfeasibleInstanceError(Exception):
-    """Some scenario cannot be dispatched even with every unit relaxed on."""
 
 
 def _require_finite(what, values, kind=(int, float)):
@@ -189,10 +188,6 @@ class UcpInstance:
     @property
     def num_vars(self):
         return self.num_units * self.horizon
-
-    @property
-    def total_capacity(self):
-        return sum(g.p_max for g in self.generators)
 
     def var_index(self, unit, period):
         return unit * self.horizon + period
@@ -521,18 +516,15 @@ def compute_gamma(instance):
     positive cost at maximum output in every period; no dispatch costs
     more, because production never exceeds maximum output.
 
-    Raises InfeasibleInstanceError when some period's demand plus
-    reserve exceeds the fleet's capacity, which no commitment can serve.
+    The bounds hold for any instance.  One whose demand plus reserve
+    exceeds the fleet's capacity in some period is proven infeasible by
+    the solve: the subproblem oracle's seeded capacity cut for that
+    period leaves the master no commitment.
     """
     merit = sorted(instance.generators, key=lambda g: g.c_prod)
-    cap = instance.total_capacity
     lo = 0.0
     for sc in instance.scenarios:
-        for demand, reserve in zip(sc.demand, sc.reserve):
-            # the dispatch LPs accept rows within their feasibility tolerance
-            if demand + reserve > cap + 1e-7 * (1.0 + cap):
-                raise InfeasibleInstanceError(
-                    "demand plus reserve exceeds the fleet's capacity")
+        for demand in sc.demand:
             need = demand
             for gen in merit:
                 out = gen.p_max if gen.c_prod < 0 else min(gen.p_max, max(need, 0.0))
@@ -898,14 +890,6 @@ def _tightest(cuts):
     return [cut for cut in cuts if id(cut) in kept]
 
 
-def evaluate_subproblems(instance, x):
-    """One evaluation at the commitment x by a fresh UcpSubproblemOracle.
-
-    See UcpSubproblemOracle.evaluate; nothing is carried over.
-    """
-    return UcpSubproblemOracle(instance).evaluate(x)
-
-
 # -- instance generation --------------------------------------------------------------
 
 
@@ -1124,13 +1108,7 @@ class UcpSubproblemOracle(SubproblemOracle):
 
 
 def ucp_solve(instance, config=None, instance_id=""):
-    """Convenience wrapper: bounds, oracles, and the decomposition loop."""
-    from .engine import SolveReport, dd_bd_solve
-
-    try:
-        gamma = compute_gamma(instance)
-    except InfeasibleInstanceError:
-        return SolveReport(status="infeasible", instance=instance_id)
-    master = UcpMasterOracle(instance, gamma)
-    sub = UcpSubproblemOracle(instance)
-    return dd_bd_solve(master, sub, config, instance_id=instance_id)
+    """Convenience wrapper: bounds, oracles, and the decomposition loop,
+    which also proves a capacity shortfall infeasible (see the module)."""
+    return dd_bd_solve(UcpMasterOracle(instance, compute_gamma(instance)),
+                       UcpSubproblemOracle(instance), config, instance_id=instance_id)

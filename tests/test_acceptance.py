@@ -37,7 +37,6 @@ from ddbd.ucp import (
     build_master_dd,
     build_relaxed_master_dd,
     build_restricted_master_dd,
-    InfeasibleInstanceError,
     UcpMasterOracle,
     UcpSubproblemOracle,
     build_subproblem,
@@ -274,13 +273,7 @@ def test_criterion_6_bound_sandwich_everywhere():
             sandwiches += 1
         # per-node checks inside the solver, against the true optimum
         brute = brute_force_solve(inst)
-        try:
-            gamma = compute_gamma(inst)
-        except InfeasibleInstanceError:
-            assert brute.status == "infeasible", f"seed {seed}"
-            checked += 1
-            continue
-        master = SandwichMaster(UcpMasterOracle(inst, gamma), brute.value)
+        master = SandwichMaster(UcpMasterOracle(inst, compute_gamma(inst)), brute.value)
         sub = OptimumSub(UcpSubproblemOracle(inst), brute.value)
         rep = dd_bd_solve(master, sub, EngineConfig(), instance_id=str(seed))
         assert rep.status == brute.status

@@ -427,9 +427,14 @@ def first_term_with(polynomial, exponents):
     first_term_with(lambda doc: doc["membership"]["constraints"][0], [-1, 0, 0]),
     first_term_with(lambda doc: doc["objectives"][0], [1.5, 0, 0]),
     first_term_with(lambda doc: doc["objectives"][0], [True, 0, 0]),
+    # one exponent per coordinate: a longer list would be cut off by zip
+    first_term_with(lambda doc: doc["objectives"][0], [0, 0, 0, 5]),
+    first_term_with(lambda doc: doc["membership"]["constraints"][0], [1, 0]),
+    boxes_with(lambda doc: doc["membership"]["constraints"][0].update(sense="<")),
 ], ids=["list", "string", "membership-list", "no-samples", "empty-pieces", "piece-without-boxes",
         "box-lo-hi-lengths", "box-dimensions", "empty-samples", "negative-objective-exponent",
-        "negative-constraint-exponent", "fractional-exponent", "bool-exponent"])
+        "negative-constraint-exponent", "fractional-exponent", "bool-exponent",
+        "long-objective-exponents", "short-constraint-exponents", "unknown-sense"])
 def test_verify_rejects_a_malformed_fixture(doc, tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))

@@ -502,7 +502,6 @@ def test_time_limit_keeps_the_first_optimal_evaluation_as_incumbent():
         UcpMasterOracle,
         UcpSubproblemOracle,
         compute_gamma,
-        evaluate_subproblems,
         gen_random_instance,
         master_cost,
     )
@@ -526,7 +525,7 @@ def test_time_limit_keeps_the_first_optimal_evaluation_as_incumbent():
                          EngineConfig(time_limit=0.015))
     assert report.status == "time_limit"
     assert calls[:1] == [report.x]
-    value = evaluate_subproblems(inst, report.x).value
+    value = UcpSubproblemOracle(inst).evaluate(report.x).value
     assert report.z == value
     assert report.value == pytest.approx(master_cost(inst, report.x) + value, rel=1e-12)
     assert report.value == pytest.approx(41_452.09, abs=0.01)

@@ -22,7 +22,7 @@ from ddbd.diagram import (
     refine_with_cut,
 )
 from ddbd.engine import dd_bd_solve, replay_cuts
-from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
+from ddbd.oracle import brute_force_solve, naive_bd_solve, scipy_lp_min, unit_schedules
 import ddbd.diagram as diagram_module
 import ddbd.simplex as simplex_module
 import ddbd.ucp as ucp_module
@@ -31,7 +31,6 @@ from ddbd.ucp import (
     INF,
     GammaBounds,
     Generator,
-    InfeasibleInstanceError,
     InstanceError,
     Scenario,
     UcpInstance,
@@ -44,7 +43,6 @@ from ddbd.ucp import (
     build_restricted_master_dd,
     build_subproblem,
     compute_gamma,
-    evaluate_subproblems,
     gen_random_instance,
     master_cost,
     ucp_solve,
@@ -99,11 +97,6 @@ def test_two_period_master_structure():
     for sol in enumerate_solutions(dd):
         values.setdefault(sol[:-1], set()).add(sol[-1])
     assert all(v == {-25.0, 25.0} for v in values.values())
-    from ddbd.diagram import to_dot
-
-    node_lines = [ln for ln in to_dot(dd).splitlines()
-                  if "[label=" in ln and "->" not in ln]
-    assert len(node_lines) == 7
 
 
 def test_one_period_master():
@@ -703,8 +696,8 @@ def test_frontier_instances_solve_at_the_milp_optimum():
         assert (report.status, report.branches) == ("optimal", 0), args
         _, optimum = milp_optimum(inst)
         assert report.value == pytest.approx(optimum, rel=1e-6), args
-        assert master_cost(inst, report.x) + evaluate_subproblems(inst, report.x).value \
-            == pytest.approx(optimum, rel=1e-6), args
+        value = UcpSubproblemOracle(inst).evaluate(report.x).value
+        assert master_cost(inst, report.x) + value == pytest.approx(optimum, rel=1e-6), args
 
 
 # -- value bounds ------------------------------------------------------------------
@@ -741,9 +734,21 @@ def test_gamma_merit_order_and_capacity():
     assert gamma.lo == pytest.approx(-2.0 * 10.0 + 3.0 * 15.0)
     assert gamma.hi == pytest.approx(3.0 * 20.0 + 5.0 * 50.0)
     assert compute_gamma(fleet(0.0)).lo == pytest.approx(-20.0)
-    compute_gamma(fleet(60.0, 20.0))  # demand plus reserve at capacity
-    with pytest.raises(InfeasibleInstanceError):
-        compute_gamma(fleet(60.0, 21.0))
+    # demand plus reserve at capacity needs every unit on
+    inst = fleet(60.0, 20.0)
+    brute = brute_force_solve(inst)
+    assert brute.x == (1.0, 1.0, 1.0)
+    for report in (ucp_solve(inst), naive_bd_solve(inst)):
+        assert report.status == "optimal" and report.x == brute.x
+        assert report.value == pytest.approx(brute.value, rel=1e-9)
+    # one unit over capacity: the seeded capacity cut leaves the master no
+    # point, so the solve proves infeasibility with no LP
+    inst = fleet(60.0, 21.0)
+    assert brute_force_solve(inst).status == "infeasible"
+    for report in (ucp_solve(inst), naive_bd_solve(inst)):
+        assert report.status == "infeasible" and report.x is None
+        assert (report.lp_calls, report.nodes) == (0, 1)
+        assert report.feasibility_cuts >= 1 and report.wall_time > 0.0
 
 
 def test_gamma_at_full_output_survives_probability_rounding():
@@ -764,10 +769,7 @@ def test_gamma_brackets_true_second_stage_cost():
     instances = [gen_random_instance(2, 3, 2, seed=seed) for seed in (3, 4, 5)]
     instances += [scaled_instance(*params) for params in LOW_DEMAND] + [negative]
     for inst in instances:
-        try:
-            gamma = compute_gamma(inst)
-        except InfeasibleInstanceError:
-            continue
+        gamma = compute_gamma(inst)
         for x in feasible_assignments(inst):
             cost = stage2_expected_cost(inst, x)
             if cost is None:
@@ -857,7 +859,7 @@ def test_zero_demand_gives_zero_value_cut():
 
     gen = simple_generator()
     inst = single_unit_instance(gen, 2)
-    res = evaluate_subproblems(inst, (0.0, 0.0))
+    res = UcpSubproblemOracle(inst).evaluate((0.0, 0.0))
     assert res.kind == "optimal"
     assert res.value == pytest.approx(0.0)
     cut = res.cuts[0]
@@ -880,7 +882,7 @@ def test_cuts_are_valid_for_every_feasible_commitment():
         truth[x] = stage2_expected_cost(inst, x)
     probes = list(truth)[:6]
     for probe in probes:
-        res = evaluate_subproblems(inst, probe)
+        res = UcpSubproblemOracle(inst).evaluate(probe)
         for cut in res.cuts:
             for x, z in truth.items():
                 if z is None:
@@ -912,10 +914,10 @@ def test_optimality_cuts_are_valid_tight_and_pareto_at_the_midpoint(monkeypatch)
         for x_hat, value in truth.items():
             if value is None:
                 continue
-            res = evaluate_subproblems(inst, x_hat)
+            res = UcpSubproblemOracle(inst).evaluate(x_hat)
             with monkeypatch.context() as patch:
                 patch.setattr(ucp_module, "solve", plain)
-                ref = evaluate_subproblems(inst, x_hat)
+                ref = UcpSubproblemOracle(inst).evaluate(x_hat)
             assert res.kind == ref.kind == "optimal"
             (cut,), (ref_cut,) = res.cuts, ref.cuts
             assert bound(cut, x_hat) == pytest.approx(value, rel=1e-6, abs=1e-6)
@@ -1426,12 +1428,8 @@ def test_no_evaluated_commitment_is_short_beyond_the_seeded_cuts_band():
                  for seed in rng.integers(0, 10 ** 6, size=50)]
     evaluated = 0
     for inst in seeding_instances() + [startup_short_instance()] + generated:
-        try:
-            gamma = compute_gamma(inst)
-        except InfeasibleInstanceError:
-            continue
         sub = RecordingSubproblem(inst)
-        dd_bd_solve(UcpMasterOracle(inst, gamma), sub)
+        dd_bd_solve(UcpMasterOracle(inst, compute_gamma(inst)), sub)
         p_max = np.array([g.p_max for g in inst.generators])
         reach = np.minimum([g.startup_ramp for g in inst.generators], p_max)
         for x in sub.asked:
@@ -1770,7 +1768,7 @@ def test_generator_determinism_and_ranges():
     samples = [gen_random_instance(2, 2, 1, seed=s) for s in range(500)]
     cap_margin = 1e-9
     for inst in samples:
-        cap = inst.total_capacity
+        cap = sum(gen.p_max for gen in inst.generators)
         for gen in inst.generators:
             assert 400.0 <= gen.c_fixed <= 1000.0
             assert gen.startup_ramp == gen.ramp_up
