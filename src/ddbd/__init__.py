@@ -34,7 +34,6 @@ from .simplex import (
     verify_certificate,
 )
 from .ucp import (
-    GammaBounds,
     Generator,
     Scenario,
     UcpInstance,

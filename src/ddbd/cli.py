@@ -103,14 +103,15 @@ def cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if kind == "ucp":
-        report = ucp_solve(problem, config, instance_id=instance_id)
-    else:
-        try:
-            report = dd_bd_solve(master, sub, config, instance_id=instance_id)
-        except (UnboundedProblemError, ValueBoundsError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        if kind == "ucp":
+            report = ucp_solve(problem, config)
+        else:
+            report = dd_bd_solve(master, sub, config)
+    except (InstanceError, UnboundedProblemError, ValueBoundsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    report.instance = instance_id
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -731,15 +731,20 @@ class KeyGraph:
 
 def label_point(graph, bounds, cuts):
     """An optimum of the master's points that satisfy every cut, as (x, z, w),
-    the value variable within bounds.lo and bounds.hi, each optimality cut
-    bounding it from below.  Raises InfeasibleDiagramError when the cuts
-    remove every path."""
+    the value variable within the Interval bounds, each optimality cut
+    bounding it from below; None when the cuts leave no point, as a
+    MasterOracle answers.  The pass's every-path test, key graph and
+    labels raise InfeasibleDiagramError, caught here alone."""
     feas = [c for c in cuts if c.z_coeff == 0.0]
     opt = [c for c in cuts if c.z_coeff != 0.0]
     if any((c.sense == "<=") == (c.z_coeff > 0) for c in opt):
         raise ValueError("an optimality cut must bound the value from below")
-    graph.fit(feas)
-    return _point(graph, bounds, _best_completion(graph, bounds, opt), opt)
+    try:
+        graph.fit(feas)
+        x = _best_completion(graph, bounds, opt)
+    except InfeasibleDiagramError:
+        return None
+    return _point(graph, bounds, x, opt)
 
 
 def _cut_schedule(feas, order, labels):

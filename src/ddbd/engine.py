@@ -220,7 +220,7 @@ def replay_cuts(dd, cuts):
     return dd
 
 
-def dd_bd_solve(master, sub, config=None, instance_id=""):
+def dd_bd_solve(master, sub, config=None):
     """Run the decomposition loop to optimality (or time limit)."""
     cfg = config or EngineConfig()
     sense = master.sense
@@ -279,8 +279,7 @@ def dd_bd_solve(master, sub, config=None, instance_id=""):
                     "point brought no fresh cut")
 
     wall = time.perf_counter() - t0
-    report = SolveReport(status=status, nodes=nodes,
-                         lp_calls=lp_calls, wall_time=wall, instance=instance_id,
+    report = SolveReport(status=status, nodes=nodes, lp_calls=lp_calls, wall_time=wall,
                          feasibility_cuts=pool.count("feasibility"),
                          optimality_cuts=pool.count("optimality"))
     if best_x is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import PATH_TIE_TOL, CutRow, InfeasibleDiagramError, Interval, KeyGraph, label_point
+from .diagram import PATH_TIE_TOL, CutRow, Interval, KeyGraph, label_point
 from .engine import MasterOracle, SubproblemOracle, SubproblemResult
 from .simplex import FEAS_TOL, LinearProgram, LpRows, solve
 
@@ -89,19 +89,6 @@ class MipProblem:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad problem document: {exc}") from exc
 
-    def to_json(self):
-        doc = {
-            "version": 1,
-            "sense": self.sense,
-            "x_obj": list(self.x_obj),
-            "y_obj": list(self.y_obj),
-            "rows": [{"ax": list(ax), "by": list(by), "sense": s, "rhs": rhs}
-                     for ax, by, s, rhs in self.rows],
-            "x_domains": [list(d) for d in self.x_domains],
-            "z_bounds": list(self.z_bounds),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
 
 def _numbers(values):
     """A JSON list of finite numbers as floats; ValueError otherwise."""
@@ -148,13 +135,13 @@ class MipMasterOracle(MasterOracle):
         opt = [c for c in cuts if c.z_coeff != 0.0]
         if self._flip < 0:
             opt = [dataclasses.replace(c, z_coeff=-c.z_coeff) for c in opt]
-        try:
-            x, z, w = label_point(self._graph, self._bounds,
-                                  self._rows + [c for c in cuts if c.z_coeff == 0.0] + opt)
-        except InfeasibleDiagramError:
-            return None
+        point = label_point(self._graph, self._bounds,
+                            self._rows + [c for c in cuts if c.z_coeff == 0.0] + opt)
+        if point is None or self._flip > 0:
+            return point
+        x, z, w = point
         # + 0.0 folds the -0.0 that negating a zero makes
-        return (x, z, w) if self._flip > 0 else (x, -z + 0.0, -w + 0.0)
+        return x, -z + 0.0, -w + 0.0
 
 
 class MipSubproblemOracle(SubproblemOracle):

@@ -15,7 +15,6 @@ import itertools
 import time
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .diagram import CUT_TOL, PATH_TIE_TOL
 from .engine import MasterOracle, SolveReport, dd_bd_solve
@@ -38,7 +37,10 @@ def scipy_lp_min(lp):
     LP is, with scipy's HiGHS.
 
     Returns (status, value) with status in optimal/infeasible/unbounded.
+    scipy is imported here, so only the brute force loads it.
     """
+    from scipy.optimize import linprog
+
     if lp.sense != "min":
         raise ValueError("reference route only minimises")
     # >= rows negated into A_ub, which keeps every inequality in its order

@@ -682,21 +682,17 @@ def _cold_start(lp):
     cb1 = cost1[tab.basis]
     if float(cb1 @ tab.T[:, -1]) > FEAS_TOL:
         return tab, (cb1 @ tab.T[:, reader]) * flip
-    # drive remaining artificials out of the basis
-    art_cols = set(art.tolist())
+    # drive remaining artificials out of the basis, each into the first
+    # column before the artificials (the last columns) it can pivot on; a
+    # row with none is redundant and is dropped
     dead_rows = []
     for i in range(m):
-        if tab.basis[i] in art_cols:
-            target = -1
-            for j in range(ncols):
-                if j not in art_cols and abs(tab.T[i, j]) > 1e-9:
-                    target = j
-                    break
-            if target >= 0:
-                tab.pivot(i, target)
+        if tab.basis[i] >= art[0]:
+            cols = np.flatnonzero(np.abs(tab.T[i, :art[0]]) > 1e-9)
+            if cols.size:
+                tab.pivot(i, cols[0])
             else:
                 dead_rows.append(i)
     if dead_rows:
-        keep = np.array([i for i in range(m) if i not in dead_rows], dtype=int)
-        tab.T, tab.basis = tab.T[keep], tab.basis[keep]
+        tab.T, tab.basis = np.delete(tab.T, dead_rows, 0), np.delete(tab.basis, dead_rows)
     return tab, None

@@ -60,7 +60,6 @@ from .diagram import (
     CutRow,
     DiagramBuilder,
     EmptyDiagramError,
-    InfeasibleDiagramError,
     Interval,
     KeyGraph,
     label_point,
@@ -242,18 +241,6 @@ class UcpInstance:
             raise InstanceError(f"bad instance document: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GammaBounds:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("value bounds must be finite")
-        if self.lo > self.hi:
-            raise ValueError("lo > hi")
-
-
 # -- master diagram compilation -------------------------------------------------------
 
 
@@ -401,7 +388,7 @@ def _compile_master(instance, partial, gamma, width=None):
 
     term = dd.new_node(n * T + 1)
     for node in cur.values():
-        dd.add_arc(n * T, node, term, Interval(gamma.lo, gamma.hi), 1.0)
+        dd.add_arc(n * T, node, term, gamma, 1.0)
     return dd.build()
 
 
@@ -410,7 +397,7 @@ def _compile_master(instance, partial, gamma, width=None):
 # perfbench/layers.py rebinds build_relaxed_master_dd by name.
 def build_master_dd(instance, partial=(), gamma=None):
     """Exact diagram over the commitment variables plus the value layer."""
-    return _compile_master(instance, partial, gamma or GammaBounds(0.0, 0.0))
+    return _compile_master(instance, partial, gamma or Interval(0.0, 0.0))
 
 
 def build_relaxed_master_dd(instance, partial, gamma, width):
@@ -474,9 +461,10 @@ def master_key_graph(instance, gamma):
 def build_restricted_master_dd(instance, gamma, cuts=(), graph=None):
     """The restricted master's answer under the cuts, as (x, z, w): an
     optimum of the exact master's points that satisfy every cut
-    (label_point).  graph, a master_key_graph of this instance and gamma,
-    keeps the pass's keys for the feasibility cuts it last saw, so a
-    caller that asks many times may pass one in.
+    (label_point), or None when the cuts leave none.  graph, a
+    master_key_graph of this instance and gamma, keeps the pass's keys for
+    the feasibility cuts it last saw, so a caller that asks many times may
+    pass one in.
     """
     if graph is None:
         graph = master_key_graph(instance, gamma)
@@ -516,10 +504,12 @@ def compute_gamma(instance):
     positive cost at maximum output in every period; no dispatch costs
     more, because production never exceeds maximum output.
 
-    The bounds hold for any instance.  One whose demand plus reserve
-    exceeds the fleet's capacity in some period is proven infeasible by
-    the solve: the subproblem oracle's seeded capacity cut for that
-    period leaves the master no commitment.
+    Returns them as the Interval that labels the value arcs, and raises
+    InstanceError when either overflows a float.  The bounds hold for any
+    instance.  One whose demand plus reserve exceeds the fleet's capacity
+    in some period is proven infeasible by the solve: the subproblem
+    oracle's seeded capacity cut for that period leaves the master no
+    commitment.
     """
     merit = sorted(instance.generators, key=lambda g: g.c_prod)
     lo = 0.0
@@ -531,8 +521,10 @@ def compute_gamma(instance):
                 lo += sc.prob * gen.c_prod * out
                 need -= out
     hi = instance.horizon * sum(max(g.c_prod, 0.0) * g.p_max for g in instance.generators)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InstanceError("the dispatch cost bounds overflow: scale the instance down")
     # lo can pass hi only by rounding, when every unit runs flat out
-    return GammaBounds(min(lo, hi), hi)
+    return Interval(min(lo, hi), hi)
 
 
 # -- dispatch subproblems ----------------------------------------------------------------
@@ -941,6 +933,9 @@ class UcpMasterOracle(MasterOracle):
     across asks (KeyGraph, which also holds each unit's moves) and built
     again only when the pool's feasibility cuts change; labels are not
     kept: a label dominated under one pool need not be under a larger one.
+    gamma, the Interval of compute_gamma, bounds the value variable.  When
+    the pool leaves no path, the instance is infeasible and best_point
+    returns label_point's None.
     """
 
     sense = "min"
@@ -951,11 +946,7 @@ class UcpMasterOracle(MasterOracle):
         self._graph = master_key_graph(instance, gamma)
 
     def best_point(self, cuts):
-        # no path the pool leaves proves the instance infeasible
-        try:
-            return build_restricted_master_dd(self.instance, self.gamma, cuts, self._graph)
-        except InfeasibleDiagramError:
-            return None
+        return build_restricted_master_dd(self.instance, self.gamma, cuts, self._graph)
 
 
 class UcpSubproblemOracle(SubproblemOracle):
@@ -1107,8 +1098,8 @@ class UcpSubproblemOracle(SubproblemOracle):
                                 lp_calls=calls)
 
 
-def ucp_solve(instance, config=None, instance_id=""):
+def ucp_solve(instance, config=None):
     """Convenience wrapper: bounds, oracles, and the decomposition loop,
     which also proves a capacity shortfall infeasible (see the module)."""
     return dd_bd_solve(UcpMasterOracle(instance, compute_gamma(instance)),
-                       UcpSubproblemOracle(instance), config, instance_id=instance_id)
+                       UcpSubproblemOracle(instance), config)

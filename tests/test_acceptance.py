@@ -16,6 +16,7 @@ from ddbd.cli import main as cli_main
 from ddbd.diagram import (
     EmptyDiagramError,
     InfeasibleDiagramError,
+    Interval,
     enumerate_solutions,
     dd_to_json,
     from_boxes,
@@ -30,7 +31,6 @@ from ddbd.mip import MipMasterOracle, MipSubproblemOracle, example_two_binary_pr
 from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
 from ddbd.simplex import solve, verify_certificate
 from ddbd.ucp import (
-    GammaBounds,
     Generator,
     Scenario,
     UcpInstance,
@@ -77,7 +77,7 @@ def test_criterion_1_worked_mip_end_to_end():
     master = MipMasterOracle(problem)
     sub = RecordingSub(MipSubproblemOracle(problem))
     t0 = time.perf_counter()
-    rep = dd_bd_solve(master, sub, EngineConfig(), instance_id="worked")
+    rep = dd_bd_solve(master, sub, EngineConfig())
     elapsed = time.perf_counter() - t0
     assert rep.status == "optimal"
     assert abs(rep.value - 11.0 / 3.0) <= 1e-6
@@ -135,7 +135,7 @@ GOLDEN_GENERATOR = Generator(
 def test_criterion_3_golden_master_diagram():
     inst = UcpInstance(generators=[GOLDEN_GENERATOR], horizon=2,
                        scenarios=[Scenario(1.0, (0.0, 0.0), (0.0, 0.0))]).validate()
-    dd = build_master_dd(inst, gamma=GammaBounds(-25.0, 25.0))
+    dd = build_master_dd(inst, gamma=Interval(-25.0, 25.0))
     xs = sorted({sol[:-1] for sol in enumerate_solutions(dd)})
     assert xs == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     first_start = [i for i in dd.layer_arcs(0) if dd.label[i] == 1.0]
@@ -156,7 +156,7 @@ def test_criterion_4_oracle_agreement_sweep():
             seed = 1000 * n + 100 * horizon + 10 * scen + k
             inst = gen_random_instance(n, horizon, scen, seed=seed)
             brute = brute_force_solve(inst)
-            rep = ucp_solve(inst, EngineConfig(), instance_id=str(seed))
+            rep = ucp_solve(inst, EngineConfig())
             assert rep.status == brute.status, f"seed {seed}"
             if brute.status == "optimal":
                 tol = 1e-6 * (1.0 + abs(brute.value))
@@ -261,7 +261,7 @@ def test_criterion_6_bound_sandwich_everywhere():
         horizon = 2 + seed % 3
         scen = 1 + seed % 2
         inst = gen_random_instance(n, horizon, scen, seed=5000 + seed)
-        gamma = GammaBounds(0.0, 0.0)
+        gamma = Interval(0.0, 0.0)
         exact = build_master_dd(inst, gamma=gamma)
         _, exact_val = optimal_path(exact, "min")
         _, _, restr_val = build_restricted_master_dd(inst, gamma)
@@ -275,7 +275,7 @@ def test_criterion_6_bound_sandwich_everywhere():
         brute = brute_force_solve(inst)
         master = SandwichMaster(UcpMasterOracle(inst, compute_gamma(inst)), brute.value)
         sub = OptimumSub(UcpSubproblemOracle(inst), brute.value)
-        rep = dd_bd_solve(master, sub, EngineConfig(), instance_id=str(seed))
+        rep = dd_bd_solve(master, sub, EngineConfig())
         assert rep.status == brute.status
         builds += master.checked
         checked += 1

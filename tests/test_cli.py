@@ -1,11 +1,15 @@
 import json
 import logging
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
+import ddbd
 from ddbd.cli import main
 from ddbd.ucp import gen_random_instance
 
@@ -175,6 +179,14 @@ def instance_file(text):
     return argv
 
 
+def overflowing_instance():
+    """A well-formed instance whose dispatch cost bound overflows a float:
+    one generator's output and ramps are 1e308."""
+    doc = json.loads(gen_random_instance(2, 3, 2, 0).to_json())
+    doc["generators"][0].update(M=1e308, SU=1e308, SD=1e308, RU=1e308, RD=1e308)
+    return instance_file(json.dumps(doc))
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp_path: ["gen", "--params", "0,3,2,2"],
     lambda tmp_path: broken_mip(tmp_path, lambda doc: doc.pop("rows")),
@@ -182,8 +194,9 @@ def instance_file(text):
     instance_file("null"),
     instance_file('"generators"'),
     instance_file("[1, 2]"),
+    overflowing_instance(),
 ], ids=["gen-without-units", "mip-without-rows", "number-document", "null-document",
-        "string-document", "list-document"])
+        "string-document", "list-document", "overflowing-bounds"])
 def test_malformed_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -447,3 +460,10 @@ def test_verify_rejects_a_malformed_fixture(doc, tmp_path, capsys):
 def test_verify_missing_file(capsys):
     code = main(["verify-decomposition", "/nonexistent.json"])
     assert code == 1
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy serves only the brute-force reference, which imports it on its first LP
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ddbd.__file__).resolve().parents[1]))
+    code = "import sys, ddbd.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

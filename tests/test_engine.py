@@ -153,7 +153,7 @@ def test_worked_mip_end_to_end():
     problem = example_two_binary_problem()
     master = MipMasterOracle(problem)
     sub = MipSubproblemOracle(problem)
-    report = dd_bd_solve(master, sub, EngineConfig(), instance_id="worked")
+    report = dd_bd_solve(master, sub, EngineConfig())
     assert report.status == "optimal"
     assert report.value == pytest.approx(11.0 / 3.0, abs=1e-6)
     assert tuple(report.x) == (1.0, 0.0)

@@ -301,7 +301,7 @@ def test_mip_solves_agree_with_brute_force():
             problem = dataclasses.replace(random_mip(seed), sense=sense)
             best = brute_force(problem)
             report = dd_bd_solve(MipMasterOracle(problem), MipSubproblemOracle(problem),
-                                 EngineConfig(), instance_id=str(seed))
+                                 EngineConfig())
             assert report.status == ("infeasible" if best is None else "optimal"), \
                 f"{sense} seed {seed}"
             if best is not None:

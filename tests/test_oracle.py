@@ -122,7 +122,7 @@ def test_dd_bd_matches_brute_force_small():
     cases += [(f"low{params}", scaled_instance(*params)) for params in LOW_DEMAND]
     for name, inst in cases:
         brute = brute_force_solve(inst)
-        report = ucp_solve(inst, instance_id=name)
+        report = ucp_solve(inst)
         assert report.status == brute.status, name
         if brute.status == "optimal":
             assert report.value == pytest.approx(brute.value, rel=1e-6, abs=1e-6), \

@@ -89,6 +89,19 @@ def test_equality_rows_and_boxes():
     assert out.objective == pytest.approx(1.0)  # x = (1, 0, 1)
 
 
+def test_a_redundant_equality_row_is_dropped_after_phase_one():
+    # x0 + x1 = 1 twice: one artificial stays basic at 0 in a row with no
+    # other column to pivot on, and the tableau handed on drops that row
+    lp = make_lp("min", [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+                 ["=", "=", ">="], [1.0, 1.0, 0.0])
+    out = solve(lp)
+    assert out._tableau.T.shape[0] == 2
+    assert out.status == "optimal" and verify_certificate(lp, out)
+    assert out.x.tolist() == [1.0, 0.0]
+    assert out.duals.tolist() == [1.0, 0.0, 0.0]
+    assert out.objective == 1.0
+
+
 # -- certificate rejection -------------------------------------------------------
 
 

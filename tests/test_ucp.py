@@ -14,6 +14,7 @@ from ddbd.diagram import (
     CutRow,
     EmptyDiagramError,
     InfeasibleDiagramError,
+    Interval,
     dd_to_json,
     enumerate_solutions,
     optimal_path,
@@ -29,7 +30,6 @@ import ddbd.ucp as ucp_module
 from ddbd.simplex import FEAS_TOL, LpOutcome, NumericalFailureError, solve, verify_certificate
 from ddbd.ucp import (
     INF,
-    GammaBounds,
     Generator,
     InstanceError,
     Scenario,
@@ -85,7 +85,7 @@ def x_paths(dd):
 
 def test_two_period_master_structure():
     inst = single_unit_instance(simple_generator(min_up=2, min_down=1), 2)
-    dd = build_master_dd(inst, gamma=GammaBounds(-25.0, 25.0))
+    dd = build_master_dd(inst, gamma=Interval(-25.0, 25.0))
     assert x_paths(dd) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     assert dd.node_count() == 7
     gen = inst.generators[0]
@@ -176,7 +176,7 @@ def test_memoryless_state_property():
 def test_relaxed_without_width_pressure_equals_exact():
     gen = simple_generator(min_up=2, min_down=2)
     inst = single_unit_instance(gen, 4)
-    gamma = GammaBounds(-5.0, 5.0)
+    gamma = Interval(-5.0, 5.0)
     exact = build_master_dd(inst, gamma=gamma)
     relaxed = build_relaxed_master_dd(inst, (), gamma, width=10 ** 6)
     assert not relaxed.merged.any()
@@ -267,7 +267,7 @@ def test_compiled_masters_match_their_recorded_hashes():
     got, merged = {}, 0
     for seed, partial, width in PINNED_MASTERS:
         inst = gen_random_instance(3, 4, 1, seed)
-        gamma = GammaBounds(0.0, 1.0)
+        gamma = Interval(0.0, 1.0)
         dd = (build_master_dd(inst, partial, gamma) if width is None
               else build_relaxed_master_dd(inst, partial, gamma, width))
         merged += bool(dd.merged.any())
@@ -297,7 +297,7 @@ def test_relaxed_keeps_exact_paths_with_no_greater_weight():
     gen = simple_generator(min_up=2, min_down=2)
     inst = single_unit_instance(gen, 5)
     exact = build_master_dd(inst)
-    relaxed = build_relaxed_master_dd(inst, (), GammaBounds(0.0, 0.0), width=2)
+    relaxed = build_relaxed_master_dd(inst, (), Interval(0.0, 0.0), width=2)
     exact_sols = enumerate_solutions(exact)
     relaxed_x = {sol[:-1] for sol in enumerate_solutions(relaxed)}
     for sol in exact_sols:
@@ -308,7 +308,7 @@ def test_relaxed_keeps_exact_paths_with_no_greater_weight():
 def test_relaxed_shortest_path_is_a_lower_bound():
     for seed in range(20):
         inst = gen_random_instance(1, 5, 1, seed=seed)
-        gamma = GammaBounds(0.0, 0.0)
+        gamma = Interval(0.0, 0.0)
         exact = build_master_dd(inst, gamma=gamma)
         _, exact_val = optimal_path(exact, "min")
         for width in (1, 2, 3):
@@ -321,7 +321,7 @@ def test_relaxed_shortest_path_is_a_lower_bound():
 def test_restricted_is_subset_and_respects_rules():
     gen = simple_generator(min_up=2, min_down=2)
     inst = single_unit_instance(gen, 3)
-    gamma = GammaBounds(0.0, 0.0)
+    gamma = Interval(0.0, 0.0)
     exact = build_master_dd(inst, gamma=gamma)
     feasible = {tuple(float(b) for b in bits) for bits in unit_schedules(gen, 3)}
     # the point of one path of the exact master, however wide the master
@@ -374,14 +374,13 @@ def assert_build_matches_the_refined_master(inst, partial, gamma, cuts, where):
     """build_restricted_master_dd, given the partial assignment as cuts
     (fixing_cuts) ahead of `cuts`, gives the x, z and value, to the bit,
     of optimal_path over the exact master of the partial refined by the
-    cuts, and raises InfeasibleDiagramError where that master is empty or
-    emptied.  Returns "ok", "empty" or "emptied"."""
+    cuts, and None where that master is empty or emptied.  Returns "ok",
+    "empty" or "emptied"."""
     fixed = fixing_cuts(partial) + list(cuts)
     try:
         want = optimal_path(replay_cuts(build_master_dd(inst, partial, gamma), cuts), "min")
     except (EmptyDiagramError, InfeasibleDiagramError) as exc:
-        with pytest.raises(InfeasibleDiagramError):
-            build_restricted_master_dd(inst, gamma, fixed)
+        assert build_restricted_master_dd(inst, gamma, fixed) is None, where
         return "empty" if isinstance(exc, EmptyDiagramError) else "emptied"
     x, z, w = build_restricted_master_dd(inst, gamma, fixed)
     assert list(x) + [z] == want[0] and w.hex() == want[1].hex(), (where, (x, z, w), want)
@@ -481,7 +480,7 @@ def test_oracle_reports_a_node_the_pool_empties_as_infeasible_and_exact():
     # so are cuts that only the unit's rules make exclusive: down after
     # one period up, against a two-period minimum up time
     unit = UcpMasterOracle(single_unit_instance(simple_generator(min_up=2), 4),
-                           GammaBounds(0.0, 0.0))
+                           Interval(0.0, 0.0))
     assert unit.best_point(fixing_cuts((1.0,))) is not None
     assert unit.best_point(fixing_cuts((1.0, 0.0))) is None
 
@@ -521,7 +520,7 @@ def test_a_key_keeps_the_feasibility_lhs_of_the_first_arc_to_reach_it():
     # so it never merges the two prefixes.
     inst = single_unit_instance(simple_generator(min_up=1), 3)
     cut = CutRow(coeffs={0: 3e-10, 2: 1.0}, rhs=1.0 + 1.5e-10 - CUT_TOL, sense="<=")
-    graph = ucp_module.master_key_graph(inst, GammaBounds(0.0, 0.0))
+    graph = ucp_module.master_key_graph(inst, Interval(0.0, 0.0))
     graph.fit([cut])
     arcs = [list(zip(parent, label, child)) for parent, label, _, child, _ in graph.layers]
     # (parent key, label, child key); key 1 of layer 1 is the merged one
@@ -545,10 +544,7 @@ def same_answer(got, want):
 
 def fresh_answer(inst, gamma, cuts):
     """The oracle's answer from a build that keeps nothing."""
-    try:
-        return build_restricted_master_dd(inst, gamma, cuts)
-    except InfeasibleDiagramError:
-        return None
+    return build_restricted_master_dd(inst, gamma, cuts)
 
 
 def test_the_kept_key_graph_gives_every_ask_a_fresh_builds_answer(monkeypatch):
@@ -594,14 +590,8 @@ def test_a_solve_asks_like_fresh_builds_and_builds_one_graph_per_feasibility_set
             count["sets"] += 1
         kept[:] = feas
         count["asks"] += 1
-        want = fresh_answer(inst, gamma, cuts)
-        try:
-            got = real(inst, gamma, cuts, *rest)
-        except InfeasibleDiagramError:
-            got = None
-        assert same_answer(got, want)
-        if got is None:
-            raise InfeasibleDiagramError("the cuts remove every path")
+        got = real(inst, gamma, cuts, *rest)
+        assert same_answer(got, fresh_answer(inst, gamma, cuts))
         return got
 
     monkeypatch.setattr(ucp_module, "build_restricted_master_dd", checked)
@@ -759,6 +749,14 @@ def test_gamma_at_full_output_survives_probability_rounding():
                                   Scenario(0.5 + 5e-10, (50.0,), (0.0,))]).validate()
     gamma = compute_gamma(inst)
     assert gamma.lo == gamma.hi == pytest.approx(5.0 * 50.0)
+
+
+def test_gamma_that_overflows_a_float_is_an_instance_error():
+    # every number is finite, but the bound T * c_prod * p_max is not
+    gen = simple_generator(p_min=0.0, p_max=1e308)
+    inst = single_unit_instance(gen, 2, demand=(20.0, 30.0))
+    with pytest.raises(InstanceError, match="overflow"):
+        compute_gamma(inst)
 
 
 def test_gamma_brackets_true_second_stage_cost():
