@@ -253,6 +253,11 @@ SENSES = ("<=", ">=", "=")
 
 def _make_membership(spec, dim, tol=HULL_TOL):
     domains = spec.get("domains") or [None] * dim
+    if len(domains) != dim or not all(
+            dom is None or isinstance(dom, dict) and {"interval", "values"} & dom.keys()
+            for dom in domains):
+        raise ValueError(f"bad fixture document: membership needs {dim} domains, each null "
+                         "or holding an interval or values")
     constraints = [(_poly_terms(t["terms"], dim), t["sense"], float(t["rhs"]))
                    for t in spec.get("constraints", [])]
     for _, sense, _ in constraints:
@@ -313,4 +318,8 @@ def load_fixture(text):
     for k, piece in enumerate(pieces):
         if not piece.boxes or any(box.dim != dim for box in piece.boxes):
             raise ValueError(f"bad fixture document: piece {k} needs boxes of dimension {dim}")
+        if not all(0 <= i < dim for i in piece.fixed_coords):
+            raise ValueError(f"bad fixture document: piece {k} fixes an index outside 0..{dim - 1}")
+    if not all(0 <= i < dim for i in free):
+        raise ValueError(f"bad fixture document: free indices must lie in 0..{dim - 1}")
     return samples, free, pieces, objectives

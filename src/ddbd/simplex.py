@@ -67,13 +67,13 @@ solves them in order: row s continues from row s - 1's final tableau,
 exactly as an LP whose `start` is row s - 1's outcome would, and the
 first row starts from `start` or `basis`, or cold.  Phase 1 depends only
 on the rows, so it runs at most once, and when it proves the rows
-infeasible every row is.  The per-LP costs are paid once for the chain:
-the objective checks, the read-off of x, duals, reduced costs and rays,
-and the certificate checks, all on stacked arrays.  Rows are not pivoted
-in lockstep: each continues from the last, which needs far fewer
-pivots.  A single LP is the chain's one-row case, through the same
-kernel and checks; the outcome's fields gain a leading axis only for an
-(S, n) c (see LpOutcome).
+infeasible every row is.  Each row's x, duals and objective, or ray, is
+read off as the row finishes, keeping O(n + m) a row; the objective
+checks, reduced costs and certificate checks are paid once for the
+chain, on stacked arrays.  Rows are not pivoted in lockstep: each
+continues from the last, which needs far fewer pivots.  A single LP is
+the chain's one-row case, through the same kernel and checks; the
+outcome's fields gain a leading axis only for an (S, n) c (see LpOutcome).
 
 Certificates are checked the same way from every start.  An outcome
 references neither its LP nor that LP's start, so a chain of warm solves
@@ -230,10 +230,11 @@ class LpOutcome:
     """An LP's certified outcome.  A chain's outcome holds every row's:
     statuses lists them, and status is "infeasible" when they are (then
     every row is), else "unbounded" when any row is, else "optimal".  Its
-    other fields gain a leading axis, one entry per row, and are NaN on a
-    row whose status lacks them (x, duals, reduced costs and objective are
-    an optimal row's, ray an unbounded row's, farkas an infeasible row's);
-    a field that no row has is None.  The kept tableau is the last row's."""
+    other fields gain a leading axis, one entry per row written as it
+    finishes, NaN on a row whose status lacks it (x, duals, reduced costs
+    and objective are an optimal row's, ray an unbounded row's, farkas an
+    infeasible row's); a field that no row has is None.  The kept tableau
+    is the last row's."""
 
     status: str                       # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray = None
@@ -245,11 +246,6 @@ class LpOutcome:
     pivots: int = 0                   # tableau pivots, both phases
     statuses: tuple = None            # a chain's, one per row
     _tableau: _Tableau = field(default=None, repr=False, compare=False)  # warm-start state
-
-
-# the fields each status certifies with
-_FIELDS = {"optimal": ("x", "duals", "reduced_costs", "objective"),
-           "unbounded": ("ray",), "infeasible": ("farkas",)}
 
 
 def _chain_status(statuses):
@@ -401,7 +397,10 @@ def _solve_impl(lp):
             if peak > 0:
                 f = f / peak
             return _outcome(lp, ["infeasible"] * S, [tab.pivots] * S, farkas=np.tile(f, (S, 1)))
-    statuses, pivots, rays, found = [], [], [], []
+    statuses, pivots = [], []
+    # each row's fields, written as it finishes; NaN where its status lacks them
+    x, ray = np.full((S, n), np.nan), np.full((S, n), np.nan)
+    y, objective = np.full((S, lp.num_rows), np.nan), np.full(S, np.nan)
     for s in range(S):
         cost = tab.kernel_cost(c[s], lp.sense)
         since = tab.pivots
@@ -410,48 +409,37 @@ def _solve_impl(lp):
             entering = tab.settle_face(cost, red, secondary[s], lp.sense, since)
         if entering != -1:
             statuses.append("unbounded")
-            rays.append(tab.ray_along(entering)[:n])
+            d = tab.ray_along(entering)[:n] + 0.0   # + 0.0 turns -0.0 into 0.0
+            peak = np.max(np.abs(d))
+            ray[s] = d / peak if peak > 0 else d
         else:
-            # only what the read-off needs: the rhs and the rows' dual readers
             statuses.append("optimal")
-            found.append((cost[tab.basis], tab.basis.copy(), tab.T[:, -1].copy(),
-                          tab.T[:, tab.reader]))
+            values = np.zeros(tab.T.shape[1] - 1)   # of every kernel column
+            values[tab.basis] = tab.T[:, -1]
+            x[s] = values[:n] + 0.0
+            y[s] = cost[tab.basis] @ tab.T[:, tab.reader] * tab.flip
+            objective[s] = float(c[s] @ x[s])
         pivots.append(tab.pivots)
         tab.pivots = 0
     fields = {}
-    if rays:
-        d = np.array(rays) + 0.0   # + 0.0 turns -0.0 into 0.0
-        peak = np.max(np.abs(d), axis=1, keepdims=True)
-        fields["ray"] = np.divide(d, peak, out=d, where=peak > 0)
-    if found:
-        cb, basis, rhs, readers = map(np.array, zip(*found))
-        values = np.zeros((len(found), tab.T.shape[1] - 1))   # of every kernel column
-        values[np.arange(len(found))[:, None], basis] = rhs
-        x = values[:, :n] + 0.0
-        y = (cb[:, None, :] @ readers)[:, 0] * tab.flip
+    if "unbounded" in statuses:
+        fields["ray"] = ray
+    if "optimal" in statuses:
         if lp.sense == "max":
             y = -y
-        c = c[[status == "optimal" for status in statuses]]
         fields.update(x=x, duals=y, reduced_costs=c - (lp.A.T @ y[:, :, None])[:, :, 0],
-                      objective=np.array([float(ci @ xi) for ci, xi in zip(c, x)]))
+                      objective=objective)
     return _outcome(lp, statuses, pivots, tab, **fields)
 
 
 def _outcome(lp, statuses, pivots, tab=None, **fields):
     """lp's outcome from each row's status and pivots, the last row's
-    tableau, and each field stacked over the rows whose status has it;
-    one LP's is its row's."""
+    tableau, and each field with one row per LP; one LP's is its row's."""
     if lp.c.ndim == 1:
         row = {name: v[0] for name, v in fields.items()}
         if "objective" in row:
             row["objective"] = float(row["objective"])
         return LpOutcome(statuses[0], pivots=pivots[0], _tableau=tab, **row)
-    for status, names in _FIELDS.items():
-        rows = [st == status for st in statuses]
-        for name in set(names) & set(fields):
-            full = np.full((len(statuses),) + fields[name].shape[1:], np.nan)
-            full[rows] = fields[name]
-            fields[name] = full
     return LpOutcome(_chain_status(statuses), pivots=np.array(pivots),
                      statuses=tuple(statuses), _tableau=tab, **fields)
 

@@ -985,8 +985,8 @@ class UcpSubproblemOracle(SubproblemOracle):
     and triangular with a +-1 diagonal, so the kernel's restate in it,
     one product with the exact basis inverse, loses nothing.
     initial_cuts()'s ray checks neither use nor change the kept outcome.
-    The call checks the objectives, reads off the duals and rays and
-    verifies every certificate on stacked arrays, and evaluate writes
+    The call reads each scenario's duals or ray off as its row finishes,
+    checks every certificate once on stacked arrays, and evaluate writes
     every scenario's cut in one _cut_terms call on the stacked duals.
 
     Each scenario LP carries a secondary objective, the dual objective at

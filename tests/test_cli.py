@@ -444,10 +444,19 @@ def first_term_with(polynomial, exponents):
     first_term_with(lambda doc: doc["objectives"][0], [0, 0, 0, 5]),
     first_term_with(lambda doc: doc["membership"]["constraints"][0], [1, 0]),
     boxes_with(lambda doc: doc["membership"]["constraints"][0].update(sense="<")),
+    # every index a fixture names must be a coordinate, and every coordinate
+    # have one domain: zip would skip the ones past the shorter list
+    boxes_with(lambda doc: doc["pieces"][0]["fixed"].update({"9": 1.0})),
+    boxes_with(lambda doc: doc.update(free_indices=[0, 1, 2, 7])),
+    boxes_with(lambda doc: doc["membership"]["domains"].pop()),
+    boxes_with(lambda doc: doc["membership"]["domains"].append(None)),
+    boxes_with(lambda doc: doc["membership"]["domains"].__setitem__(0, {"interva": [0, 1]})),
 ], ids=["list", "string", "membership-list", "no-samples", "empty-pieces", "piece-without-boxes",
         "box-lo-hi-lengths", "box-dimensions", "empty-samples", "negative-objective-exponent",
         "negative-constraint-exponent", "fractional-exponent", "bool-exponent",
-        "long-objective-exponents", "short-constraint-exponents", "unknown-sense"])
+        "long-objective-exponents", "short-constraint-exponents", "unknown-sense",
+        "fixed-coordinate-outside", "free-index-outside", "short-domains", "long-domains",
+        "unknown-domain"])
 def test_verify_rejects_a_malformed_fixture(doc, tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))

@@ -4,6 +4,7 @@ import itertools
 import operator
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -967,6 +968,21 @@ def test_warm_started_evaluation_takes_fewer_pivots(monkeypatch):
         assert warm.status == ref.status
         if ref.status == "optimal":
             assert warm.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+def test_an_evaluation_at_many_scenarios_keeps_no_square_block_per_scenario():
+    # a chained call reads each row off as it finishes, O(n + m) a row; an
+    # m x m dual reader kept per scenario would take about 40 MB here
+    inst = scaled_instance(6, 8, 256, 0, 0.8)
+    oracle = UcpSubproblemOracle(inst)
+    tracemalloc.start()
+    try:
+        res = oracle.evaluate((1.0,) * inst.num_vars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.kind == "optimal" and res.lp_calls == 256
+    assert peak < 16e6
 
 
 def test_warm_started_oracle_matches_cold_solves_and_the_primal(monkeypatch):
