@@ -8,13 +8,7 @@ from .diagram import (
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
-    PathExplosionError,
-    dd_to_json,
-    enumerate_solutions,
-    from_boxes,
-    from_paths,
     optimal_path,
-    reduce_interval_arcs,
     refine_with_cut,
 )
 from .engine import (
@@ -23,7 +17,6 @@ from .engine import (
     EngineError,
     SolveReport,
     SubproblemResult,
-    cost_tuple_reward,
     dd_bd_solve,
 )
 from .simplex import (
@@ -37,7 +30,6 @@ from .ucp import (
     Generator,
     Scenario,
     UcpInstance,
-    build_master_dd,
     build_relaxed_master_dd,
     build_restricted_master_dd,
     build_subproblem,

@@ -20,12 +20,17 @@ DiagramBuilder makes diagrams: it numbers the rows layer by layer in
 creation order and keeps each layer's arcs in add order.  A built
 diagram is never changed (its arrays are read-only), so operations share
 arrays freely and every operation returns a fresh diagram.
+
+No solve builds a diagram: both masters answer by the label pass at the
+end of this module (KeyGraph, label_point).  The diagram, its builder,
+optimal_path and refine_with_cut stay for the relaxed compiler and the
+names perfbench/layers.py binds; the explicit-diagram operations that
+only the tests use are in tests/reference_dd.py.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from array import array
 from dataclasses import dataclass, field
 from operator import add, ge, is_, mul
@@ -47,10 +52,6 @@ class EmptyDiagramError(Exception):
 
 class InfeasibleDiagramError(Exception):
     """A refinement removed every root-terminal path."""
-
-
-class PathExplosionError(Exception):
-    """Path enumeration exceeded the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,6 @@ class DecisionDiagram:
     def node_count(self):
         return len(self.states)
 
-    def layer_rows(self, i):
-        """Rows of node layer i."""
-        return range(int(self.node_first[i]), int(self.node_first[i + 1]))
-
-    def layer_arcs(self, j):
-        """Arc indices of arc layer j."""
-        return range(int(self.arc_first[j]), int(self.arc_first[j + 1]))
-
     @property
     def value_first(self):
         """Index of the first value-layer arc (the arc count when there is
@@ -174,40 +167,6 @@ class DecisionDiagram:
         order[first[u]:first[u + 1]]."""
         order = np.argsort(self.tail, kind="stable")
         return order, _offsets(self.tail, self.node_count())
-
-    def validate(self):
-        """Check the array invariants; raises ValueError on violation."""
-        n, m, num_arcs = len(self.states), self.num_arc_layers, len(self.tail)
-        for name, first, size in (("node", self.node_first, n),
-                                  ("arc", self.arc_first, num_arcs)):
-            if first[0] != 0 or first[-1] != size or (np.diff(first) < 0).any():
-                raise ValueError(f"{name} offsets are not monotone over the arrays")
-        if len(self.node_first) != m + 2 or len(self.arc_first) != m + 1:
-            raise ValueError("offsets do not match the layer count")
-        if len(self.merged) != n:
-            raise ValueError("states and merged need one entry per node")
-        if not len(self.head) == len(self.label) == len(self.weight) == num_arcs:
-            raise ValueError("arc arrays differ in length")
-        if np.diff(self.node_first)[[0, -1]].tolist() != [1, 1]:
-            raise ValueError("root and terminal layers must hold exactly one node")
-        if "continuous" in self.layer_kinds[:-1]:
-            raise ValueError("only the final arc layer may be continuous")
-        num_value = int(np.diff(self.arc_first)[-1]) \
-            if m and self.layer_kinds[-1] == "continuous" else 0
-        if not len(self.lo) == len(self.hi) == num_value:
-            raise ValueError("lo and hi need one entry per value-layer arc")
-        if (self.lo > self.hi).any():
-            raise ValueError("interval with lo > hi")
-        layer_of = np.repeat(np.arange(m + 1), np.diff(self.node_first))
-        arc_layer = np.repeat(np.arange(m), np.diff(self.arc_first))
-        if ((self.tail < 0) | (self.tail >= n) | (self.head < 0) | (self.head >= n)).any() \
-                or (layer_of[self.tail] != arc_layer).any() \
-                or (layer_of[self.head] != arc_layer + 1).any():
-            raise ValueError("an arc does not connect adjacent layers")
-        dangling = np.flatnonzero(~_alive_nodes(self))
-        if dangling.size:
-            raise ValueError(f"dangling node {dangling[0]} at layer {layer_of[dangling[0]]}")
-
 
 class DiagramBuilder:
     """Collects nodes and arcs in lists and freezes them once, in build.
@@ -400,120 +359,6 @@ def optimal_path(dd, sense="max"):
         assignment.append(choice[0])
         node = choice[1]
     return assignment, best[dd.root]
-
-
-def enumerate_solutions(dd, cap=100_000):
-    """Exact multiset of path encodings; interval arcs expand to endpoints."""
-    m = dd.num_arc_layers
-    if not m:
-        return []
-    labels, vf = _arc_labels(dd), dd.value_first
-    head = dd.head.tolist()
-    order, first = dd.out_index()
-    order, first = order.tolist(), first.tolist()
-    results = []
-    stack = [(dd.root, 0, ())]
-    while stack:
-        node, j, prefix = stack.pop()
-        if j == m:
-            results.append(prefix)
-            if len(results) > cap:
-                raise PathExplosionError(f"more than {cap} paths")
-            continue
-        for i in reversed(order[first[node]:first[node + 1]]):
-            lab = labels[i]
-            for e in reversed(_endpoints(*lab) if i >= vf else (lab,)):
-                stack.append((head[i], j + 1, prefix + (e,)))
-                if len(stack) > cap:
-                    raise PathExplosionError(f"more than {cap} paths")
-    return results
-
-
-def path_weight(dd, assignment, sense="max"):
-    """Length of a path encoding `assignment`.
-
-    When several paths share the encoding (equal labels toward different
-    nodes), the best length for the given sense is returned.
-    """
-    better = max if sense == "max" else min
-    labels, weight, vf = _arc_labels(dd), dd.weight.tolist(), dd.value_first
-    tail, head = dd.tail.tolist(), dd.head.tolist()
-    reach = {dd.root: 0.0}
-    for j, lab in enumerate(assignment):
-        nxt = {}
-        for i in dd.layer_arcs(j):
-            if tail[i] not in reach:
-                continue
-            if i >= vf:
-                lo, hi = labels[i]
-                if not (lo - 1e-12 <= lab <= hi + 1e-12):
-                    continue
-                total = reach[tail[i]] + weight[i] * lab
-            else:
-                if labels[i] != lab:
-                    continue
-                total = reach[tail[i]] + weight[i]
-            nxt[head[i]] = better(nxt.get(head[i], total), total)
-        if not nxt:
-            raise ValueError(f"no arc with label {lab} at layer {j}")
-        reach = nxt
-    return better(reach.values())
-
-
-# -- structural operations -----------------------------------------------------
-
-
-def reduce_interval_arcs(dd, layer_indices):
-    """Keep only the min- and max-labeled arc of every parallel bundle.
-
-    Applies to the arc layers in `layer_indices`, leaving the others
-    untouched.  Preserves optima of objectives convex in those
-    coordinates.
-    """
-    labels = _arc_labels(dd)
-    lo = [lab[0] if i >= dd.value_first else lab for i, lab in enumerate(labels)]
-    hi = [lab[1] if i >= dd.value_first else lab for i, lab in enumerate(labels)]
-    tail, head = dd.tail.tolist(), dd.head.tolist()
-    keep = np.ones(len(labels), dtype=bool)
-    for j in layer_indices:
-        groups = {}
-        for i in dd.layer_arcs(j):
-            keep[i] = False
-            groups.setdefault((tail[i], head[i]), []).append(i)
-        for arcs in groups.values():
-            keep[min(arcs, key=lo.__getitem__)] = True
-            keep[max(arcs, key=hi.__getitem__)] = True
-    return _subset(dd, np.ones(dd.node_count(), dtype=bool), keep)
-
-
-def append_value_layer(dd, lo, hi, slope=1.0):
-    """Add a trailing continuous layer with one [lo, hi] arc per pre-terminal node.
-
-    Each node u in the old pre-terminal layer keeps its arcs into a new
-    clone node, and the clone connects to the terminal with an interval
-    arc.  Used to give a value variable to diagrams built over discrete
-    variables only.
-    """
-    m = dd.num_arc_layers
-    out = DiagramBuilder(m + 1, continuous_last=True)
-    out.layer_kinds[:m] = list(dd.layer_kinds)
-    layer_of = np.repeat(np.arange(m + 1), np.diff(dd.node_first)).tolist()
-    merged = dd.merged.tolist()
-    for r in range(dd.terminal):   # every row but the terminal keeps its handle
-        out.new_node(layer_of[r], dd.states[r], merged[r])
-    tail, head = dd.tail.tolist(), dd.head.tolist()
-    label, weight = dd.label.tolist(), dd.weight.tolist()
-    clone = {}
-    for j in range(m):
-        for i in dd.layer_arcs(j):
-            if j == m - 1 and tail[i] not in clone:
-                clone[tail[i]] = out.new_node(m)
-            out.add_arc(j, tail[i], clone[tail[i]] if j == m - 1 else head[i],
-                        label[i], weight[i])
-    term = out.new_node(m + 1)
-    for v in clone.values():
-        out.add_arc(m, v, term, Interval(float(lo), float(hi)), slope)
-    return out.build()
 
 
 # -- cut refinement --------------------------------------------------------------
@@ -1004,115 +849,3 @@ def _point(graph, bounds, x, opt):
     for weight in reversed(weights + [z]):
         w = weight + w
     return tuple(x), z, w
-
-
-# -- constructors ----------------------------------------------------------------
-
-
-def from_paths(paths, weight_fn=None):
-    """Build a diagram encoding exactly the given label sequences.
-
-    Path elements are floats for discrete layers; the final element may
-    be an (lo, hi) pair or Interval, making the last layer continuous.
-    weight_fn(layer, label) supplies arc weights (interval arcs receive
-    the slope); weights default to zero.  A path given twice adds no arc.
-    """
-    paths = [tuple(p) for p in paths]
-    if not paths:
-        return DiagramBuilder(0).build()
-    m = len(paths[0])
-    if any(len(p) != m for p in paths):
-        raise ValueError("all paths must have the same length")
-
-    def norm(el):
-        if isinstance(el, Interval):
-            return el
-        if isinstance(el, tuple):
-            return Interval(float(el[0]), float(el[1]))
-        return float(el)
-
-    paths = [tuple(norm(el) for el in p) for p in paths]
-    continuous = any(isinstance(p[-1], Interval) for p in paths)
-    if any(isinstance(el, Interval) for p in paths for el in p[:-1]):
-        raise ValueError("interval labels are only allowed on the last layer")
-    dd = DiagramBuilder(m, continuous_last=continuous)
-    root = dd.new_node(0)
-    term = dd.new_node(m)
-    trie = {(): root}
-    last = set()   # (tail, label) of the last layer's arcs
-    for p in paths:
-        for j in range(m):
-            prefix, nxt = p[:j], p[:j + 1]
-            tail = trie[prefix]
-            if j == m - 1:
-                head = term
-            elif nxt in trie:
-                continue
-            else:
-                head = dd.new_node(j + 1)
-                trie[nxt] = head
-            label = p[j]
-            if continuous and j == m - 1 and not isinstance(label, Interval):
-                label = Interval(float(label), float(label))
-            w = weight_fn(j, label) if weight_fn is not None else 0.0
-            if j == m - 1:
-                if (tail, label) in last:
-                    continue
-                last.add((tail, label))
-            dd.add_arc(j, tail, head, label, w)
-    return dd.build()
-
-
-def from_boxes(boxes, weight_fn=None):
-    """Diagram whose paths encode the extreme points of axis-aligned boxes.
-
-    Boxes are (lo tuple, hi tuple) pairs.  Each box contributes one node
-    chain with parallel arcs labeled by the coordinate's two endpoints
-    (one arc when they coincide); root and terminal are shared, so the
-    width equals the number of boxes.
-    """
-    dims = {len(lo) for lo, hi in boxes}
-    if len(dims) != 1:
-        raise ValueError("boxes must share one dimension")
-    n = dims.pop()
-    dd = DiagramBuilder(n)
-    root = dd.new_node(0)
-    term = dd.new_node(n)
-    for lo, hi in boxes:
-        prev = root
-        for j in range(n):
-            head = term if j == n - 1 else dd.new_node(j + 1)
-            labels = (float(lo[j]),) if lo[j] == hi[j] else (float(lo[j]), float(hi[j]))
-            for lab in labels:
-                w = weight_fn(j, lab) if weight_fn is not None else 0.0
-                dd.add_arc(j, prev, head, lab, w)
-            prev = head
-    return dd.build()
-
-
-# -- export ----------------------------------------------------------------------
-
-
-SCHEMA_VERSION = 1
-
-
-def dd_to_json(dd):
-    """Versioned JSON text; node ids are the rows."""
-    merged = dd.merged.tolist()
-    nodes = [{"id": r,
-              **({} if s is None else {"state": list(s) if isinstance(s, (tuple, list)) else s}),
-              **({"merged": True} if merged[r] else {})}
-             for r, s in enumerate(dd.states)]
-    arcs = [{"tail": t, "head": h,
-             "label": {"lo": lab[0], "hi": lab[1]} if isinstance(lab, tuple) else lab,
-             "weight": w}
-            for t, h, lab, w in zip(dd.tail.tolist(), dd.head.tolist(), _arc_labels(dd),
-                                    dd.weight.tolist())]
-    node_first, arc_first = dd.node_first.tolist(), dd.arc_first.tolist()
-    doc = {
-        "version": SCHEMA_VERSION,
-        "layer_kinds": list(dd.layer_kinds),
-        "layers": [nodes[a:b] for a, b in zip(node_first[:-1], node_first[1:])],
-        "arcs": [arcs[a:b] for a, b in zip(arc_first[:-1], arc_first[1:])],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -36,11 +36,11 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-# no solve calls optimal_path or replay_cuts (below): they are the tests'
-# reference, and perfbench/layers.py rebinds both by name
-from .diagram import EmptyDiagramError, optimal_path, refine_with_cut  # noqa: F401
+# no solve calls optimal_path, refine_with_cut or replay_cuts (below): they
+# are the tests' reference, and perfbench/layers.py binds engine.optimal_path
+# and engine.refine_with_cut (its diagram.optimal_path and diagram.refine
+# spans) and engine.replay_cuts (engine.replay) by name
+from .diagram import optimal_path, refine_with_cut  # noqa: F401
 
 VALUE_TOL = 1e-9       # strictness for incumbent comparisons
 CONVERGE_TOL = 1e-6    # convergence test: the point's z equals subproblem value
@@ -49,10 +49,6 @@ CONVERGE_TOL = 1e-6    # convergence test: the point's z equals subproblem value
 class EngineError(Exception):
     """An oracle broke its contract (an evaluation that neither converges
     nor brings a fresh cut)."""
-
-
-class PropertyViolationError(Exception):
-    """Input diagram lacks the unique-incoming-arc property."""
 
 
 class MasterOracle:
@@ -124,10 +120,6 @@ class CutPool:
     def count(self, kind):
         return sum(1 for c in self.cuts if c.kind == kind)
 
-    def __len__(self):
-        return len(self.cuts)
-
-
 @dataclass
 class EngineConfig:
     time_limit: float = None
@@ -147,7 +139,6 @@ class SolveReport:
     feasibility_cuts: int = 0
     optimality_cuts: int = 0
     branches: int = 0                  # always 0: the solve does not branch
-    nodes: int = 0                     # 1 once the root loop has started, else 0
     lp_calls: int = 0
     wall_time: float = 0.0
     gap: float = None
@@ -171,7 +162,6 @@ class SolveReport:
             "feasibility_cuts": self.feasibility_cuts,
             "optimality_cuts": self.optimality_cuts,
             "branches": self.branches,
-            "nodes": self.nodes,
             "lp_calls": self.lp_calls,
             "wall_time": self.wall_time,
             # strict JSON has no Infinity: no incumbent, no finite gap
@@ -181,7 +171,7 @@ class SolveReport:
 
 
 # no solve calls enumerate_prefixes; it stays importable as engine.enumerate_prefixes,
-# which perfbench/layers.py rebinds by name
+# which perfbench/layers.py binds by name (its engine.enumerate_prefixes span)
 def enumerate_prefixes(dd, layer_idx, cap):
     """Distinct label prefixes of root paths into node layer layer_idx,
     sorted, or None when more than `cap` exist."""
@@ -231,7 +221,6 @@ def dd_bd_solve(master, sub, config=None):
     best_x, best_z, w_star = None, None, None
     bound = None          # the last point's value, when the clock stops the loop
     lp_calls = 0
-    nodes = 0
     status = "optimal"
 
     def better(a, b):
@@ -245,7 +234,6 @@ def dd_bd_solve(master, sub, config=None):
     if out_of_time():
         status = "time_limit"
     else:
-        nodes = 1
         seen = {}         # each evaluated x and its result
         while True:
             point = master.best_point(pool.cuts)
@@ -279,7 +267,7 @@ def dd_bd_solve(master, sub, config=None):
                     "point brought no fresh cut")
 
     wall = time.perf_counter() - t0
-    report = SolveReport(status=status, nodes=nodes, lp_calls=lp_calls, wall_time=wall,
+    report = SolveReport(status=status, lp_calls=lp_calls, wall_time=wall,
                          feasibility_cuts=pool.count("feasibility"),
                          optimality_cuts=pool.count("optimality"))
     if best_x is None:
@@ -291,64 +279,3 @@ def dd_bd_solve(master, sub, config=None):
     if status == "time_limit":
         report.gap = abs(bound - w_star)
     return report
-
-
-# -- reward propagation over unique-parent diagrams -----------------------------------
-
-
-def cost_tuple_reward(dd, cuts):
-    """Final reward of upper-bounding cuts over a non-reduced diagram.
-
-    Every cut must bound the value variable from above by an affine
-    function of the discrete labels (sense "<=", positive value
-    coefficient, or the mirrored pair).  Requires each internal node to
-    have exactly one incoming arc; per-cut rewards are propagated along
-    those arcs, combined by min at the last layer, and maximised over
-    its nodes.
-    """
-    m = dd.num_arc_layers
-    if m == 0 or not dd.layer_rows(m - 1):
-        raise EmptyDiagramError("no nodes to propagate rewards through")
-    incoming = np.bincount(dd.head, minlength=dd.node_count())
-    for j in range(1, m):
-        for nid in dd.layer_rows(j):
-            if incoming[nid] != 1:
-                raise PropertyViolationError(
-                    f"node {nid} at layer {j} has {incoming[nid]} incoming arcs")
-    alphas = []
-    for cut in cuts:
-        if cut.z_coeff == 0.0:
-            raise ValueError("only value-bounding cuts are supported")
-        if not ((cut.sense == "<=" and cut.z_coeff > 0) or
-                (cut.sense == ">=" and cut.z_coeff < 0)):
-            raise ValueError("cut must bound the value variable from above")
-        coef = {j: -c / cut.z_coeff for j, c in cut.coeffs.items()}
-        alphas.append((coef, cut.rhs / cut.z_coeff))
-
-    tail, head, label = dd.tail.tolist(), dd.head.tolist(), dd.label.tolist()
-    rewards = {dd.root: [a0 for _, a0 in alphas]}
-    for j in range(m - 1):
-        for i in dd.layer_arcs(j):
-            base = rewards[tail[i]]
-            rewards[head[i]] = [
-                base[k] + alphas[k][0].get(j, 0.0) * label[i]
-                for k in range(len(alphas))
-            ]
-    best = None
-    last = {}
-    for i in dd.layer_arcs(m - 1):
-        last.setdefault(tail[i], []).append(i)
-    for nid in dd.layer_rows(m - 1):
-        arcs = last.get(nid)
-        if not arcs:
-            continue
-        if len(arcs) != 1:
-            raise PropertyViolationError(
-                f"node {nid} sends {len(arcs)} arcs to the terminal")
-        acc = min(rewards[nid][k] + alphas[k][0].get(m - 1, 0.0) * label[arcs[0]]
-                  for k in range(len(alphas)))
-        if best is None or acc > best:
-            best = acc
-    if best is None:
-        raise EmptyDiagramError("no arcs into the terminal")
-    return best

@@ -211,23 +211,3 @@ class MipSubproblemOracle(SubproblemOracle):
 
 def _dense_to_sparse(vec):
     return {j: float(v) for j, v in enumerate(vec) if abs(v) > COEF_EPS}
-
-
-def example_two_binary_problem(big_m=10.0):
-    """The 2-binary / 2-continuous worked instance used across the tests.
-
-    max x1 + x2 + 2 y1 + y2  with  x1 + x2 >= 1,  y1 + y2 >= x1 + x2,
-    0.3 y1 + 0.7 y2 <= 0.1 x1 + 0.3,  x binary, y >= 0.
-    """
-    return MipProblem(
-        sense="max",
-        x_obj=[1.0, 1.0],
-        y_obj=[2.0, 1.0],
-        rows=[
-            ([1.0, 1.0], [0.0, 0.0], ">=", 1.0),
-            ([-1.0, -1.0], [1.0, 1.0], ">=", 0.0),
-            ([-0.1, 0.0], [0.3, 0.7], "<=", 0.3),
-        ],
-        x_domains=[[0.0, 1.0], [0.0, 1.0]],
-        z_bounds=(-big_m, big_m),
-    )

@@ -65,7 +65,7 @@ from .diagram import (
     label_point,
 )
 # replay_cuts is no longer called here; it stays importable as ucp.replay_cuts,
-# which perfbench/layers.py rebinds by name
+# which perfbench/layers.py binds by name (its engine.replay span)
 from .engine import (  # noqa: F401
     MasterOracle,
     SubproblemOracle,
@@ -392,14 +392,10 @@ def _compile_master(instance, partial, gamma, width=None):
     return dd.build()
 
 
-# No solve calls the two compilers below: they are the reference that the
-# restricted label pass and the relaxed bounds are checked against, and
-# perfbench/layers.py rebinds build_relaxed_master_dd by name.
-def build_master_dd(instance, partial=(), gamma=None):
-    """Exact diagram over the commitment variables plus the value layer."""
-    return _compile_master(instance, partial, gamma or Interval(0.0, 0.0))
-
-
+# No solve calls the relaxed compiler: the tests check the relaxed bounds
+# with it, and perfbench/layers.py binds ucp.build_relaxed_master_dd by name
+# (its ucp.compile_relaxed span).  The exact compiler, _compile_master with no
+# width, is the tests' reference (tests/reference_dd.py).
 def build_relaxed_master_dd(instance, partial, gamma, width):
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -605,22 +601,6 @@ def build_subproblem(instance, x, scenario):
         rhs.append(scenario.demand[j] + scenario.reserve[j])
     return LinearProgram(sense="min", c=c, A=np.array(rows), senses=senses,
                          b=np.array(rhs))
-
-
-def build_dual_subproblem(instance, x, scenario):
-    """Dual of the committed-only dispatch LP, built explicitly.
-
-    Variables: demand price, reserve price, then per unit-period the
-    min-output, capacity, ramp-up, ramp-down and headroom multipliers.
-    Unbounded rays certify undispatchable commitments.  The rows come
-    from _dual_rows and depend on the instance alone; x and the scenario
-    enter only the objective.
-    """
-    A, senses, b = _dual_rows(instance)
-    prices = _commitment_prices(_unit_columns(instance), _commitment_vector(instance, x))
-    demand = np.array(scenario.demand, dtype=float)
-    return LinearProgram(sense="max", c=_dual_objective(
-        demand, demand + np.array(scenario.reserve), prices), A=A, senses=senses, b=b)
 
 
 def _dual_objective(demand, need, prices):

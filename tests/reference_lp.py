@@ -9,7 +9,8 @@ checks.
 
 build_subproblem_original is the indicator form of the unit-commitment
 dispatch LP, the reference that the committed-only form is checked
-against.  scaled_instance builds the low-demand inputs.
+against.  scaled_instance builds the low-demand inputs, and
+two_binary_mip loads the worked two-binary MIP from its fixture.
 dual_rows_by_loop is ddbd.ucp._dual_rows written row by row, the
 reference for its array-indexed form.  cut_pieces_by_terms is the
 term-by-term form of one row of ddbd.ucp._cut_terms, and
@@ -23,9 +24,11 @@ single-objective LPs and outcomes it stands for.
 
 import dataclasses
 import itertools
+import pathlib
 
 import numpy as np
 
+from ddbd.mip import MipProblem
 from ddbd.simplex import FEAS_TOL, LinearProgram, LpOutcome
 from ddbd.ucp import COEF_EPS, build_subproblem, gen_random_instance
 
@@ -119,6 +122,16 @@ def scaled_instance(n, horizon, scenarios, seed, factor):
                             reserve=tuple(r * factor for r in sc.reserve))
         for sc in inst.scenarios]
     return inst.validate()
+
+
+def two_binary_mip():
+    """The 2-binary / 2-continuous worked instance used across the tests.
+
+    max x1 + x2 + 2 y1 + y2  with  x1 + x2 >= 1,  y1 + y2 >= x1 + x2,
+    0.3 y1 + 0.7 y2 <= 0.1 x1 + 0.3,  x binary, y >= 0, z_bounds [-10, 10].
+    """
+    path = pathlib.Path(__file__).parent / "fixtures" / "two_binary_mip.json"
+    return MipProblem.from_json(path.read_text())
 
 
 def dual_rows_by_loop(instance):

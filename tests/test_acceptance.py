@@ -17,24 +17,17 @@ from ddbd.diagram import (
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
-    enumerate_solutions,
-    dd_to_json,
-    from_boxes,
-    from_paths,
     optimal_path,
-    path_weight,
     refine_with_cut,
-    append_value_layer,
 )
-from ddbd.engine import CutPool, EngineConfig, cost_tuple_reward, dd_bd_solve, replay_cuts
-from ddbd.mip import MipMasterOracle, MipSubproblemOracle, example_two_binary_problem
+from ddbd.engine import CutPool, EngineConfig, dd_bd_solve, replay_cuts
+from ddbd.mip import MipMasterOracle, MipSubproblemOracle
 from ddbd.oracle import brute_force_solve, scipy_lp_min, unit_schedules
 from ddbd.simplex import solve, verify_certificate
 from ddbd.ucp import (
     Generator,
     Scenario,
     UcpInstance,
-    build_master_dd,
     build_relaxed_master_dd,
     build_restricted_master_dd,
     UcpMasterOracle,
@@ -43,9 +36,20 @@ from ddbd.ucp import (
     compute_gamma,
     gen_random_instance,
     master_cost,
+    master_key_graph,
     ucp_solve,
 )
-from reference_lp import build_subproblem_original
+from reference_dd import (
+    append_value_layer,
+    build_master_dd,
+    cost_tuple_reward,
+    dd_to_json,
+    enumerate_solutions,
+    from_boxes,
+    from_paths,
+    layer_arcs,
+)
+from reference_lp import build_subproblem_original, two_binary_mip
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -73,7 +77,7 @@ class RecordingSub:
 
 
 def test_criterion_1_worked_mip_end_to_end():
-    problem = example_two_binary_problem()
+    problem = two_binary_mip()
     master = MipMasterOracle(problem)
     sub = RecordingSub(MipSubproblemOracle(problem))
     t0 = time.perf_counter()
@@ -138,7 +142,7 @@ def test_criterion_3_golden_master_diagram():
     dd = build_master_dd(inst, gamma=Interval(-25.0, 25.0))
     xs = sorted({sol[:-1] for sol in enumerate_solutions(dd)})
     assert xs == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    first_start = [i for i in dd.layer_arcs(0) if dd.label[i] == 1.0]
+    first_start = [i for i in layer_arcs(dd, 0) if dd.label[i] == 1.0]
     assert len(first_start) == 1
     assert dd.weight[first_start[0]] == GOLDEN_GENERATOR.c_fixed + \
         GOLDEN_GENERATOR.startup_cost_inf
@@ -283,7 +287,30 @@ def test_criterion_6_bound_sandwich_everywhere():
               f"{builds} solver builds checked, zero violations")
 
 
+def key_graph_paths(graph):
+    """(x, summed weight) of every path of a fitted KeyGraph, read off its
+    layers' parent, label, weight and child columns; layer g sets variable
+    graph.order[g], and the weights are summed from the first layer on."""
+    reach = {0: [((), 0.0)]}   # per key of the last layer read: (labels, weight)
+    for parent, label, weight, child, _ in graph.layers:
+        nxt = {}
+        for i, lab, w, j in zip(parent, label, weight, child):
+            for labs, total in reach.get(i, ()):
+                nxt.setdefault(j, []).append((labs + (lab,), total + w))
+        reach = nxt
+    paths = []
+    for found in reach.values():
+        for labs, total in found:
+            x = [None] * len(labs)
+            for v, lab in zip(graph.order, labs):
+                x[v] = lab
+            paths.append((tuple(x), total))
+    return paths
+
+
 def test_criterion_7_schedule_bijection():
+    """The restricted master's own key graph, fitted with no cuts, has one
+    path per feasible schedule, weighing exactly its first-stage cost."""
     combos = 0
     for min_up, min_down in itertools.product((1, 2, 3), repeat=2):
         for horizon in (2, 3, 4):
@@ -295,13 +322,14 @@ def test_criterion_7_schedule_bijection():
             inst = UcpInstance(generators=[gen], horizon=horizon,
                                scenarios=[Scenario(1.0, (0.0,) * horizon,
                                                    (0.0,) * horizon)]).validate()
-            dd = build_master_dd(inst)  # zero-width value interval
-            got = sorted({sol[:-1] for sol in enumerate_solutions(dd)})
+            graph = master_key_graph(inst, Interval(0.0, 0.0))
+            graph.fit([])
+            paths = key_graph_paths(graph)
             want = sorted(tuple(float(b) for b in bits)
                           for bits in unit_schedules(gen, horizon))
-            assert got == want, (min_up, min_down, horizon)
-            for sol in enumerate_solutions(dd):
-                assert path_weight(dd, sol, "min") == master_cost(inst, sol[:-1])
+            assert sorted(x for x, _ in paths) == want, (min_up, min_down, horizon)
+            for x, weight in paths:
+                assert weight == master_cost(inst, x), (min_up, min_down, horizon, x)
             combos += 1
     report(7, f"{combos} (min_up, min_down, horizon) combinations, "
               f"paths and costs match exactly")

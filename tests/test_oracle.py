@@ -2,7 +2,6 @@ import types
 
 import pytest
 
-from ddbd.diagram import enumerate_solutions
 from ddbd.engine import dd_bd_solve
 from ddbd.oracle import (
     EnumeratedMaster,
@@ -17,12 +16,12 @@ from ddbd.ucp import (
     UcpInstance,
     UcpMasterOracle,
     UcpSubproblemOracle,
-    build_master_dd,
     compute_gamma,
     gen_random_instance,
     master_cost,
     ucp_solve,
 )
+from reference_dd import build_master_dd, enumerate_solutions
 from reference_lp import LOW_DEMAND, scaled_instance
 
 
