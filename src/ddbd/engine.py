@@ -31,6 +31,8 @@ SubproblemOracle for the expected surface.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -147,10 +149,14 @@ class SolveReport:
     CSV_HEADER = "instance,status,value,time,f_cuts,o_cuts,branches,lp_calls"
 
     def csv_row(self):
+        """The row under CSV_HEADER; a field holding a comma, a quote or a
+        line break is quoted, and any other row is the fields joined by commas."""
         val = "" if self.value is None else f"{self.value:.9g}"
-        return (f"{self.instance},{self.status},{val},{self.wall_time:.3f},"
-                f"{self.feasibility_cuts},{self.optimality_cuts},"
-                f"{self.branches},{self.lp_calls}")
+        buf = io.StringIO()
+        csv.writer(buf).writerow([
+            self.instance, self.status, val, f"{self.wall_time:.3f}", self.feasibility_cuts,
+            self.optimality_cuts, self.branches, self.lp_calls])
+        return buf.getvalue().removesuffix("\r\n")
 
     def to_json(self):
         doc = {

@@ -508,14 +508,20 @@ def compute_gamma(instance):
     commitment.
     """
     merit = sorted(instance.generators, key=lambda g: g.c_prod)
-    lo = 0.0
-    for sc in instance.scenarios:
-        for demand in sc.demand:
-            need = demand
-            for gen in merit:
-                out = gen.p_max if gen.c_prod < 0 else min(gen.p_max, max(need, 0.0))
-                lo += sc.prob * gen.c_prod * out
-                need -= out
+    need = np.array([sc.demand for sc in instance.scenarios], dtype=float)
+    out = np.empty((len(merit),) + need.shape)
+    # every (scenario, period) cell takes the operations of a loop over the
+    # units, and the terms are summed from 0.0 in (scenario, period, unit)
+    # order, so lo keeps its bits; an overflow is the InstanceError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, gen in zip(out, merit):
+            if gen.c_prod < 0:
+                row.fill(gen.p_max)
+            else:
+                np.minimum(gen.p_max, np.maximum(need, 0.0), out=row)
+            need -= row
+        cost = np.multiply.outer([g.c_prod for g in merit], [sc.prob for sc in instance.scenarios])
+        lo = float(_fold((cost[:, :, None] * out).transpose(1, 2, 0).ravel()))
     hi = instance.horizon * sum(max(g.c_prod, 0.0) * g.p_max for g in instance.generators)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InstanceError("the dispatch cost bounds overflow: scale the instance down")

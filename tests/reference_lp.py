@@ -11,6 +11,9 @@ build_subproblem_original is the indicator form of the unit-commitment
 dispatch LP, the reference that the committed-only form is checked
 against.  scaled_instance builds the low-demand inputs, and
 two_binary_mip loads the worked two-binary MIP from its fixture.
+reference_gamma is ddbd.ucp.compute_gamma's merit-order bounds written
+as a loop over scenarios, periods and units, the reference for its
+array form.
 dual_rows_by_loop is ddbd.ucp._dual_rows written row by row, the
 reference for its array-indexed form.  cut_pieces_by_terms is the
 term-by-term form of one row of ddbd.ucp._cut_terms, and
@@ -122,6 +125,21 @@ def scaled_instance(n, horizon, scenarios, seed, factor):
                             reserve=tuple(r * factor for r in sc.reserve))
         for sc in inst.scenarios]
     return inst.validate()
+
+
+def reference_gamma(instance):
+    """(lo, hi) of compute_gamma, summed one scenario, period and unit at a time."""
+    merit = sorted(instance.generators, key=lambda g: g.c_prod)
+    lo = 0.0
+    for sc in instance.scenarios:
+        for demand in sc.demand:
+            need = demand
+            for gen in merit:
+                out = gen.p_max if gen.c_prod < 0 else min(gen.p_max, max(need, 0.0))
+                lo += sc.prob * gen.c_prod * out
+                need -= out
+    hi = instance.horizon * sum(max(g.c_prod, 0.0) * g.p_max for g in instance.generators)
+    return min(lo, hi), hi
 
 
 def two_binary_mip():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 import math
@@ -54,6 +56,19 @@ def test_solve_zero_demand_generated(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["value"] == pytest.approx(0.0, abs=1e-9)
     assert rep["feasibility_cuts"] == 0
+
+
+def test_an_instance_name_with_a_comma_is_one_csv_field(tmp_path, capsys):
+    path = tmp_path / "a,b.json"
+    path.write_text(gen_random_instance(2, 3, 2, 0).to_json())
+    code = main(["solve", "--instance", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    printed = capsys.readouterr().out
+    written = (tmp_path / "r.csv").read_text()
+    assert printed == written
+    header, row = csv.reader(io.StringIO(written))
+    assert len(header) == len(row) == 8
+    assert row[:2] == ["a,b.json", "optimal"]
 
 
 def test_solve_rejects_bad_schema(tmp_path, capsys):

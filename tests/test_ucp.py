@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import operator
 import pathlib
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +59,7 @@ from reference_lp import (
     chain_rows,
     cut_pieces_by_terms,
     dual_rows_by_loop,
+    reference_gamma,
     scaled_instance,
 )
 
@@ -761,6 +764,57 @@ def test_gamma_that_overflows_a_float_is_an_instance_error():
     inst = single_unit_instance(gen, 2, demand=(20.0, 30.0))
     with pytest.raises(InstanceError, match="overflow"):
         compute_gamma(inst)
+
+
+def test_gamma_matches_the_loop_bit_for_bit():
+    instances = [gen_random_instance(*args) for args in
+                 [(1, 1, 1, 0), (2, 3, 2, 1), (3, 6, 16, 2), (5, 8, 4, 3), (6, 8, 1024, 0)]]
+    instances += [scaled_instance(*params) for params in LOW_DEMAND]
+    mixed = [simple_generator(c_prod=-3.0, p_min=0.0, p_max=15.0),
+             simple_generator(c_prod=0.0, p_max=20.0),
+             simple_generator(c_prod=4.0, p_max=30.0),
+             simple_generator(c_prod=2.5, p_max=25.0)]
+    demand = (0.0, 12.5, 40.0, 95.0)
+    instances += [
+        # one scenario: negative-cost and zero-cost units before the rest
+        UcpInstance(mixed, 4, [Scenario(1.0, demand, (0.0,) * 4)]).validate(),
+        # a zero-probability scenario still takes its turn in the sum
+        UcpInstance(mixed, 4, [Scenario(0.3, demand, (0.0,) * 4),
+                               Scenario(0.0, (80.0,) * 4, (0.0,) * 4),
+                               Scenario(0.7, demand[::-1], (0.0,) * 4)]).validate(),
+        single_unit_instance(simple_generator(c_prod=-3.0), 3, demand=(20.0, 30.0, 10.0)),
+        single_unit_instance(simple_generator(c_prod=0.0), 2, demand=(20.0, 60.0)),
+    ]
+    for inst in instances:
+        gamma = compute_gamma(inst)
+        lo, hi = reference_gamma(inst)
+        assert (gamma.lo.hex(), gamma.hi.hex()) == (lo.hex(), hi.hex())
+
+
+def with_unit_at(inst, i, c_prod):
+    """inst with unit i at production cost c_prod and 1e10 of output and ramps."""
+    gens = list(inst.generators)
+    gens[i] = dataclasses.replace(gens[i], c_prod=c_prod, p_min=0.0, p_max=1e10,
+                                  ramp_up=1e10, ramp_down=1e10,
+                                  startup_ramp=1e10, shutdown_ramp=1e10)
+    return dataclasses.replace(inst, generators=gens).validate()
+
+
+def test_gamma_whose_terms_overflow_is_an_instance_error_with_no_warning():
+    # unit 0 runs flat out at -1e300 a MW: its terms are -inf
+    minus = with_unit_at(gen_random_instance(2, 3, 2, 0), 0, -1e300)
+    assert reference_gamma(minus)[0] == -INF
+    # unit 1 at +1e300 a MW covers the other 1e10 of demand: its +inf
+    # terms and unit 0's -inf terms sum to NaN
+    both = with_unit_at(minus, 1, 1e300)
+    both = dataclasses.replace(both, scenarios=[
+        dataclasses.replace(sc, demand=(2e10,) * 3) for sc in both.scenarios]).validate()
+    assert math.isnan(reference_gamma(both)[0])
+    for inst in (minus, both):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstanceError, match="overflow"):
+                compute_gamma(inst)
 
 
 def test_gamma_brackets_true_second_stage_cost():
