@@ -1,9 +1,12 @@
 """Command-line surface: generate, solve, compare, verify.
 
 Exit codes for `solve`: 0 optimal, 2 time limit hit, 3 infeasible, 1 for
-malformed inputs, for an unbounded MIP and for a MIP whose z_bounds do
-not hold; an instance declares its own sense.  `compare` exits 1 on
-malformed arguments or when any method disagrees on an optimum,
+malformed inputs, for an unbounded MIP, for a MIP whose z_bounds do
+not hold and for a solve that stops on an EngineError or a
+NumericalFailureError; an instance declares its own sense.  `compare`
+exits 1 on malformed arguments, when any method disagrees on an optimum
+and when any solver stops on one of those two errors (its row reads
+`error`, as a method past the enumeration cap does),
 `verify-decomposition` when a condition or an equivalence check fails.
 Every command exits 1 on a usage error, with the usage on stderr, and on
 an --out path it cannot write, checked before any work is done.  `solve
@@ -21,11 +24,12 @@ import os
 import sys
 import time
 
-from .engine import EngineConfig, SolveReport, dd_bd_solve
+from .engine import EngineConfig, EngineError, SolveReport, dd_bd_solve
 from .mip import (MipMasterOracle, MipProblem, MipSubproblemOracle, UnboundedProblemError,
                   ValueBoundsError)
 from .oracle import TooLargeError, brute_force_solve, naive_bd_solve
 from .rectangles import equivalence_check, load_fixture, verify_decomposition
+from .simplex import NumericalFailureError
 from .ucp import InstanceError, UcpInstance, gen_random_instance, ucp_solve
 
 log = logging.getLogger("ddbd")
@@ -108,7 +112,8 @@ def cmd_solve(args):
             report = ucp_solve(problem, config)
         else:
             report = dd_bd_solve(master, sub, config)
-    except (InstanceError, UnboundedProblemError, ValueBoundsError) as exc:
+    except (InstanceError, UnboundedProblemError, ValueBoundsError, EngineError,
+            NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.instance = instance_id
@@ -159,7 +164,7 @@ def cmd_compare(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = []
-    all_agree = True
+    all_agree, failed = True, False
     for instance_id, instance in instances:
         results = []
         # looked up per call, so a stubbed solver in a test is the one that runs
@@ -168,8 +173,9 @@ def cmd_compare(args):
             start = time.perf_counter()
             try:
                 report = solve(instance)
-            except TooLargeError as exc:
+            except (TooLargeError, EngineError, NumericalFailureError) as exc:
                 report = None
+                failed = failed or not isinstance(exc, TooLargeError)
                 log.warning("%s failed on %s: %s", method, instance_id, exc)
             results.append((method, report, time.perf_counter() - start))
         reports = [r for _, r, _ in results if r is not None]
@@ -187,7 +193,7 @@ def cmd_compare(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all_agree else 1
+    return 0 if all_agree and not failed else 1
 
 
 def cmd_verify(args):

@@ -13,10 +13,18 @@ certificate is its one-row case: verify_rays checks a stack of rays at
 once, and the optimal and Farkas checks are stacked likewise.
 
 Pivoting uses Bland's rule with a hard pivot cap, trading speed for a
-finite-termination guarantee.  The tableau has dense storage, with
-updates that touch only the rows a pivot changes and reduced costs
-carried between pivots; every exit (optimal, or a ray) is decided on
-reduced costs priced afresh from the tableau.  An improving column that
+finite-termination guarantee.  The tableau has dense storage; at the
+sizes this package solves, a pivot costs numpy calls, not flops, so each
+step makes few of them.  Bland's scan masks `banned` columns only when
+there are any; the ratio test divides only when two or more rows are
+eligible (one eligible row leaves with no division); the pivot divides
+the pivot row once and updates only the rows whose entering-column entry
+is nonzero, by the products np.outer would give; and the reduced costs
+are carried to the next basis by one row update.  Every exit (optimal,
+or a ray) is decided on reduced costs priced afresh from the tableau.
+None of this changes a pivot or a bit of the outcome: tests/reference_lp.py
+keeps the former pivot, ratio test, scan and read-off, and the tests
+patch them in and compare bytes.  An improving column that
 no row bounds is returned as a ray only when the ray gains more than the
 verifier's FEAS_TOL; a flatter one is passed over, so an LP that is
 unbounded only within tolerance ends optimal within tolerance instead
@@ -67,13 +75,16 @@ solves them in order: row s continues from row s - 1's final tableau,
 exactly as an LP whose `start` is row s - 1's outcome would, and the
 first row starts from `start` or `basis`, or cold.  Phase 1 depends only
 on the rows, so it runs at most once, and when it proves the rows
-infeasible every row is.  Each row's x, duals and objective, or ray, is
-read off as the row finishes, keeping O(n + m) a row; the objective
-checks, reduced costs and certificate checks are paid once for the
-chain, on stacked arrays.  Rows are not pivoted in lockstep: each
-continues from the last, which needs far fewer pivots.  A single LP is
-the chain's one-row case, through the same kernel and checks; the
-outcome's fields gain a leading axis only for an (S, n) c (see LpOutcome).
+infeasible every row is.  The kernel costs of all S rows are one (S,
+cols) array, made once.  Each row's x, duals and objective, or ray, is
+read off as the row finishes, keeping O(n + m) a row; a row that makes
+no pivot after an optimal row has that row's basis and rhs, so it takes
+that row's x and reads only its duals.  The objective checks, reduced
+costs and certificate checks are paid once for the chain, on stacked
+arrays.  Rows are not pivoted in lockstep: each continues from the last,
+which needs far fewer pivots.  A single LP is the chain's one-row case,
+through the same kernel and checks; the outcome's fields gain a leading
+axis only for an (S, n) c (see LpOutcome).
 
 Certificates are checked the same way from every start.  An outcome
 references neither its LP nor that LP's start, so a chain of warm solves
@@ -383,7 +394,6 @@ def _solve_impl(lp):
     tableau; the first from lp's start or basis, or from phase 1, whose
     verdict of infeasible holds for every row."""
     c = np.atleast_2d(lp.c)
-    secondary = None if lp.secondary is None else np.atleast_2d(lp.secondary)
     S, n = c.shape
     kept = lp.start._tableau if lp.start is not None else None
     if kept is not None and lp.rows is kept.rows:
@@ -397,27 +407,29 @@ def _solve_impl(lp):
             if peak > 0:
                 f = f / peak
             return _outcome(lp, ["infeasible"] * S, [tab.pivots] * S, farkas=np.tile(f, (S, 1)))
+    costs = tab.kernel_cost(c, lp.sense)
+    second_costs = None if lp.secondary is None else \
+        tab.kernel_cost(np.atleast_2d(lp.secondary), lp.sense)
     statuses, pivots = [], []
     # each row's fields, written as it finishes; NaN where its status lacks them
     x, ray = np.full((S, n), np.nan), np.full((S, n), np.nan)
     y, objective = np.full((S, lp.num_rows), np.nan), np.full(S, np.nan)
     for s in range(S):
-        cost = tab.kernel_cost(c[s], lp.sense)
+        cost = costs[s]
         since = tab.pivots
         entering, red = tab.run(cost, tab.art, since)
-        if entering == -1 and secondary is not None:
-            entering = tab.settle_face(cost, red, secondary[s], lp.sense, since)
+        if entering == -1 and second_costs is not None:
+            entering = tab.settle_face(cost, red, second_costs[s], since)
         if entering != -1:
             statuses.append("unbounded")
             d = tab.ray_along(entering)[:n] + 0.0   # + 0.0 turns -0.0 into 0.0
             peak = np.max(np.abs(d))
             ray[s] = d / peak if peak > 0 else d
         else:
+            # with no pivot since an optimal row, the basis and rhs, so x, are that row's
+            same = s and not tab.pivots and statuses[-1] == "optimal"
             statuses.append("optimal")
-            values = np.zeros(tab.T.shape[1] - 1)   # of every kernel column
-            values[tab.basis] = tab.T[:, -1]
-            x[s] = values[:n] + 0.0
-            y[s] = cost[tab.basis] @ tab.T[:, tab.reader] * tab.flip
+            x[s], y[s] = tab.read_optimal(cost, x[s - 1] if same else None)
             objective[s] = float(c[s] @ x[s])
         pivots.append(tab.pivots)
         tab.pivots = 0
@@ -450,11 +462,19 @@ class _Tableau:
     T's columns are x (the first n), then one slack per inequality row,
     then one artificial (`art`) per `>=` or `=` row, after rows with
     b < 0 are negated (`flip`), then the rhs; `basis` lists each row's
-    basic column.  Kernel row i's dual is read from its slack or
-    artificial column, reader[i].  Phase 1 drops from T the rows it finds
+    basic column, whose tableau column is exactly the unit vector of
+    that row.  Kernel row i's dual is read from its slack or artificial
+    column, reader[i].  Phase 1 drops from T the rows it finds
     redundant, each with its artificial basic at 0 and priced 0, but not
     their columns, so reader keeps every row.  `rows` is the LP's LpRows,
     which a warm start must share.
+
+    One Bland step (run -> bland -> ratio_test -> pivot, then the
+    carried reduced costs) reads m x cols entries only where the pivot
+    updates the rows it touches; its other numpy calls take one row or
+    one column.  A chained row that makes no pivot is one fresh pricing
+    (an m-by-cols product), one scan, the face check and the read-off of
+    its duals (an m-by-m product).
     """
 
     def __init__(self, T, basis, reader, flip, art, n, rows):
@@ -472,16 +492,21 @@ class _Tableau:
     def pivot(self, rowi, colj):
         """Make colj basic in row rowi.
 
-        Only the rows whose colj entry is nonzero are updated: any other
-        row would lose 0 * (pivot row), so it is left as it is.
+        The pivot row is divided once.  Only the other rows whose colj
+        entry is nonzero are updated, each less its entry times the
+        divided row (the products np.outer would give): any other row
+        would lose 0 * (pivot row), so it is left as it is.
         """
         T = self.T
         self.pivots += 1
-        T[rowi] = T[rowi] / T[rowi, colj]
-        col = T[:, colj].copy()
-        col[rowi] = 0.0
-        nz = np.flatnonzero(col)
-        T[nz] -= np.outer(col[nz], T[rowi])
+        prow = T[rowi] / T[rowi, colj]
+        T[rowi, colj] = 0.0   # the pivot row is not among the rows it updates
+        col = T[:, colj]
+        nz = col.nonzero()[0]
+        rows = T.take(nz, axis=0)
+        rows -= col.take(nz)[:, None] * prow   # the products np.outer would give
+        T[nz] = rows
+        T[rowi] = prow
         T[:, colj] = 0.0
         T[rowi, colj] = 1.0
         self.basis[rowi] = colj
@@ -508,10 +533,21 @@ class _Tableau:
         self.T, self.basis = T, cols
 
     def kernel_cost(self, c, sense):
-        """The minimised kernel cost of objective c under `sense`: 0 past x."""
-        cost = np.zeros(self.T.shape[1] - 1)
-        cost[:self.n] = c if sense == "min" else -c
+        """The minimised kernel cost of objective c under `sense`: 0 past x;
+        one row per objective when c stacks them."""
+        cost = np.zeros(c.shape[:-1] + (self.T.shape[1] - 1,))
+        cost[..., :self.n] = c if sense == "min" else -c
         return cost
+
+    def read_optimal(self, cost, x=None):
+        """An optimal basis's x, over the LP's variables, and its duals
+        under cost, per original row before the sense's sign; x, when
+        given, is taken as the vertex, as it is when read at this basis."""
+        if x is None:
+            values = np.zeros(self.T.shape[1] - 1)   # of every kernel column
+            values[self.basis] = self.T[:, -1]
+            x = values[:self.n] + 0.0
+        return x, cost[self.basis] @ self.T[:, self.reader] * self.flip
 
     def reduced_costs(self, cost):
         """cost - cost[basis] @ T, priced afresh from the tableau."""
@@ -525,12 +561,19 @@ class _Tableau:
         return ray
 
     def ratio_test(self, entering):
-        """Bland's leaving row for the entering column, or -1 when none bounds it."""
+        """Bland's leaving row for the entering column, or -1 when none bounds it:
+        the eligible row (entry above PIV_TOL) of least ratio, scanned in
+        row order, a ratio within 1e-12 of the best so far winning when
+        its basic column is lower.  One eligible row is returned with no
+        division, as the scan would return it."""
         T, basis = self.T, self.basis
         col = T[:, entering]
-        eligible = np.flatnonzero(col > PIV_TOL)
+        eligible = (col > PIV_TOL).nonzero()[0]
+        if eligible.size < 2:   # the loop below returns the one row, or -1
+            return int(eligible[0]) if eligible.size else -1
         best_ratio, leave = None, -1
-        for i, ratio in zip(eligible.tolist(), (T[eligible, -1] / col[eligible]).tolist()):
+        ratios = T[:, -1].take(eligible) / col.take(eligible)
+        for i, ratio in zip(eligible.tolist(), ratios.tolist()):
             if best_ratio is None or ratio < best_ratio - 1e-12 or \
                     (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]):
                 best_ratio, leave = ratio, i
@@ -541,8 +584,9 @@ class _Tableau:
         (entering, -1) when entering gives a ray, or (-1, -1) when optimal."""
         improving = red < -OPT_TOL
         improving[self.basis] = False
-        improving[banned] = False
-        for entering in np.flatnonzero(improving).tolist():
+        if banned.size:
+            improving[banned] = False
+        for entering in improving.nonzero()[0].tolist():
             leave = self.ratio_test(entering)
             if leave >= 0:
                 return entering, leave
@@ -586,10 +630,10 @@ class _Tableau:
             if self.pivots - since > self.cap:
                 raise NumericalFailureError("pivot cap exceeded")
 
-    def settle_face(self, cost, red, secondary, sense, since):
+    def settle_face(self, cost, red, second, since):
         """From an optimal basis, move along the optimal face to a vertex
-        that is best for the objective `secondary` under `sense`; returns
-        the entering column as run does.
+        that is best for the kernel cost `second`; returns the entering
+        column as run does.
 
         red is cost's fresh reduced costs at the optimal basis.  Every
         column whose reduced cost is above OPT_TOL stays nonbasic at 0, so
@@ -603,7 +647,8 @@ class _Tableau:
         against one cap from `since`.
         """
         open_ = red <= OPT_TOL
-        open_[self.art] = False
+        if self.art.size:
+            open_[self.art] = False
         # basic columns price at exactly 0 and no artificial is basic, so
         # when only they are open, no nonbasic column is
         if np.count_nonzero(open_) == self.basis.size:
@@ -611,7 +656,6 @@ class _Tableau:
         banned = np.flatnonzero(~open_)
         open_[self.basis] = False
         cols = np.flatnonzero(open_)
-        second = self.kernel_cost(secondary, sense)
         if not np.any(second[cols] - second[self.basis] @ self.T[:, cols] < -OPT_TOL):
             return -1
         made = self.pivots

@@ -23,6 +23,13 @@ check as it was written for variables with lower and upper bounds, read
 from lp.lo and lp.hi: the reference for the x >= 0 form in ddbd.simplex.
 chain_rows splits one chained ddbd.simplex.solve call into the
 single-objective LPs and outcomes it stands for.
+REFERENCE_KERNEL holds the ddbd.simplex._Tableau methods pivot,
+ratio_test, bland and read_optimal as they were written before their
+numpy calls were cut: a dense np.outer update of the touched rows, a
+ratio test that divides and loops even for one eligible row, a Bland
+scan that masks `banned` always, and a read-off that reads x from the
+basis on every optimal row.  Patched in, they must give the same pivots
+and the same bytes.
 """
 
 import dataclasses
@@ -32,7 +39,7 @@ import pathlib
 import numpy as np
 
 from ddbd.mip import MipProblem
-from ddbd.simplex import FEAS_TOL, LinearProgram, LpOutcome
+from ddbd.simplex import FEAS_TOL, OPT_TOL, PIV_TOL, LinearProgram, LpOutcome
 from ddbd.ucp import COEF_EPS, build_subproblem, gen_random_instance
 
 FEAS = 1e-7
@@ -344,3 +351,56 @@ def chain_rows(lp, out):
         start, basis = LpOutcome(status=status, pivots=int(out.pivots[s]), **fields), None
         pairs.append((row, start))
     return pairs
+
+
+def reference_pivot(self, rowi, colj):
+    """_Tableau.pivot: the touched rows less np.outer(col, pivot row)."""
+    T = self.T
+    self.pivots += 1
+    T[rowi] = T[rowi] / T[rowi, colj]
+    col = T[:, colj].copy()
+    col[rowi] = 0.0
+    nz = np.flatnonzero(col)
+    T[nz] -= np.outer(col[nz], T[rowi])
+    T[:, colj] = 0.0
+    T[rowi, colj] = 1.0
+    self.basis[rowi] = colj
+
+
+def reference_ratio_test(self, entering):
+    """_Tableau.ratio_test: every eligible row's ratio, scanned in row order."""
+    T, basis = self.T, self.basis
+    col = T[:, entering]
+    eligible = np.flatnonzero(col > PIV_TOL)
+    best_ratio, leave = None, -1
+    for i, ratio in zip(eligible.tolist(), (T[eligible, -1] / col[eligible]).tolist()):
+        if best_ratio is None or ratio < best_ratio - 1e-12 or \
+                (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]):
+            best_ratio, leave = ratio, i
+    return leave
+
+
+def reference_bland(self, red, banned):
+    """_Tableau.bland, masking `banned` even when it is empty."""
+    improving = red < -OPT_TOL
+    improving[self.basis] = False
+    improving[banned] = False
+    for entering in np.flatnonzero(improving).tolist():
+        leave = self.ratio_test(entering)
+        if leave >= 0:
+            return entering, leave
+        if -red[entering] > FEAS_TOL * np.max(
+                np.abs(self.ray_along(entering)[:self.n]), initial=0.0):
+            return entering, -1
+    return -1, -1
+
+
+def reference_read_optimal(self, cost, x=None):
+    """_Tableau.read_optimal, reading x from the basis whether or not it is given."""
+    values = np.zeros(self.T.shape[1] - 1)
+    values[self.basis] = self.T[:, -1]
+    return values[:self.n] + 0.0, cost[self.basis] @ self.T[:, self.reader] * self.flip
+
+
+REFERENCE_KERNEL = {"pivot": reference_pivot, "ratio_test": reference_ratio_test,
+                    "bland": reference_bland, "read_optimal": reference_read_optimal}

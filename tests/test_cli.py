@@ -13,6 +13,8 @@ import pytest
 
 import ddbd
 from ddbd.cli import main
+from ddbd.engine import EngineError
+from ddbd.simplex import NumericalFailureError
 from ddbd.ucp import gen_random_instance
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -217,6 +219,59 @@ def test_malformed_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def large_unit_instance():
+    """A well-formed instance that the decomposition loop cannot finish:
+    one generator's output and ramps are 1e10, so its seeded capacity cut,
+    scaled to a largest coefficient of 1, holds at the all-off commitment
+    within the cut tolerance, and the subproblem returns that cut again."""
+    doc = json.loads(gen_random_instance(2, 3, 2, 0).to_json())
+    doc["generators"][0].update(M=1e10, SU=1e10, SD=1e10, RU=1e10, RD=1e10)
+    return instance_file(json.dumps(doc))
+
+
+def raising(exc):
+    def solve(*args, **kwargs):
+        raise exc
+    return solve
+
+
+@pytest.mark.parametrize("argv,stub", [
+    (large_unit_instance(), None),
+    (lambda tmp_path: ["solve", "--gen", "2,3,2,0"],
+     raising(NumericalFailureError("pivot cap exceeded"))),
+], ids=["engine-error", "numerical-failure"])
+def test_a_solve_that_stops_on_an_error_is_an_error_not_a_traceback(argv, stub, tmp_path,
+                                                                    capsys, monkeypatch):
+    import ddbd.cli as cli
+
+    if stub is not None:
+        monkeypatch.setattr(cli, "ucp_solve", stub)
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("exc", [EngineError("subproblem regenerated only pooled cuts"),
+                                 NumericalFailureError("pivot cap exceeded")],
+                         ids=["engine-error", "numerical-failure"])
+def test_compare_counts_a_solver_that_stops_on_an_error_and_exits_1(exc, tmp_path,
+                                                                     monkeypatch, caplog):
+    import ddbd.cli as cli
+
+    monkeypatch.setattr(cli, "naive_bd_solve", raising(exc))
+    out = tmp_path / "cmp.csv"
+    with caplog.at_level(logging.WARNING, logger="ddbd"):
+        assert main(["compare", "--sizes", "2,2,1", "--seeds", "0", "--out", str(out)]) == 1
+    rows = {row[1]: row for row in
+            (line.split(",") for line in out.read_text().strip().splitlines()[1:])}
+    assert rows["naive-bd"][2:4] == ["error", ""] and rows["naive-bd"][5:7] == ["0", "0"]
+    assert rows["dd-bd"][2] == rows["brute-force"][2] == "optimal"
+    assert all(row[-1] == "=" for row in rows.values())
+    failed = [r.getMessage().split()[0] for r in caplog.records if "failed on" in r.getMessage()]
+    assert failed == ["naive-bd"]
 
 
 def set_row(key, value):

@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import sys
 import weakref
 
 import numpy as np
@@ -14,7 +16,13 @@ from ddbd.simplex import (
     solve,
     verify_certificate,
 )
-from reference_lp import best_vertex_value, chain_rows, enumerate_vertices
+from reference_lp import (
+    REFERENCE_KERNEL,
+    best_vertex_value,
+    chain_rows,
+    enumerate_vertices,
+    reference_ratio_test,
+)
 
 
 def make_lp(sense, c, rows, senses, b):
@@ -897,6 +905,157 @@ def test_carried_reduced_costs_track_fresh_ones_and_exits_are_fresh(monkeypatch)
     # carried costs that showed no pivot to make, priced afresh before the exit
     repriced = sum(a[0] == "bland" and b[0] == "fresh" for a, b in zip(events, events[1:]))
     assert len(exits) > 300 and repriced > 100
+
+
+def outcome_bytes(out):
+    """An outcome's statuses, every field and per-row pivot count as
+    bytes, and the tableau and basis it hands on."""
+    fields = [out.status, out.statuses]
+    for name in ("x", "duals", "reduced_costs", "objective", "farkas", "ray", "pivots"):
+        v = getattr(out, name)
+        fields.append(None if v is None else np.asarray(v).tobytes())
+    tab = out._tableau
+    return fields + ([None] if tab is None else [tab.T.tobytes(), tab.basis.tobytes()])
+
+
+def solve_both(lp, monkeypatch):
+    """lp's outcome from the kernel, and from the reference kernel patched in."""
+    out = solve(lp)
+    with monkeypatch.context() as patch:
+        for name, method in REFERENCE_KERNEL.items():
+            patch.setattr(simplex._Tableau, name, method)
+        return out, solve(lp)
+
+
+def test_the_kernel_gives_the_reference_kernels_bytes_on_chains(monkeypatch):
+    # chains of four objectives over kernel_chains' rows: cold (phase 1
+    # when a row is `>=` or `=`) or warm, each with a secondary that
+    # moves along optimal faces where the objectives' small integers tie
+    tie_pivots = []
+    real_settle = simplex._Tableau.settle_face
+
+    def settle(self, *args):
+        made = self.pivots
+        result = real_settle(self, *args)
+        tie_pivots.append(self.pivots - made)
+        return result
+
+    monkeypatch.setattr(simplex._Tableau, "settle_face", settle)
+    rng = np.random.default_rng(45)
+    seen, phase_one = set(), 0
+    for lp, _ in kernel_chains(45, 300):
+        start = solve(lp) if rng.random() < 0.3 else None
+        out, ref = solve_both(chain_over(lp, rng, start=start), monkeypatch)
+        assert outcome_bytes(out) == outcome_bytes(ref)
+        seen.update(out.statuses)
+        # an artificial for each `=` row and each row that is `>=` once b >= 0
+        senses = np.array(lp.senses)
+        art = (senses == "=") | np.where(lp.b < 0, senses == "<=", senses == ">=")
+        phase_one += start is None and art.any()
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert phase_one > 100 and sum(p > 0 for p in tie_pivots) > 20
+
+
+def test_the_kernel_gives_the_reference_kernels_bytes_on_the_benchmark_lps(monkeypatch):
+    # every chained dispatch LP of the benchmark's 30 instances, each
+    # solved again from the same start by both kernels
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, make_instance
+
+    from ddbd import ucp
+
+    lps, real = [], ucp.solve
+
+    def recording(lp):
+        lps.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(ucp, "solve", recording)
+    for workload in WORKLOADS.values():
+        for spec in workload.specs:
+            ucp.ucp_solve(make_instance(spec))
+    monkeypatch.setattr(ucp, "solve", real)
+    rows = pivots = 0
+    for lp in lps:
+        out, ref = solve_both(lp, monkeypatch)
+        assert outcome_bytes(out) == outcome_bytes(ref)
+        rows, pivots = rows + len(out.statuses), pivots + int(np.sum(out.pivots))
+    assert len(lps) > 30 and rows > 150 and pivots > 300
+
+
+def ratio_tableau(col, rhs, basis):
+    """A tableau with only what ratio_test reads: the entering column 0,
+    the rhs and each row's basic column."""
+    T = np.zeros((len(col), 2))
+    T[:, 0], T[:, -1] = col, rhs
+    return simplex._Tableau(T, np.asarray(basis), None, None, np.array([], dtype=int), 1, None)
+
+
+def ratio_case(rng, ratios):
+    """A tableau whose eligible rows have about these ratios, in row
+    order, among rows that are not eligible, with basic columns in random
+    order; and the eligible rows."""
+    m = len(ratios) + int(rng.integers(0, 4))
+    rows = np.sort(rng.choice(m, size=len(ratios), replace=False))
+    col = rng.choice([0.0, -1.0, 1e-10, simplex.PIV_TOL], size=m)
+    col[rows] = np.where(rng.random(len(ratios)) < 0.5, 2.0 ** rng.integers(-2, 3, len(ratios)),
+                         rng.uniform(0.1, 10.0, len(ratios)))
+    rhs = rng.uniform(0.0, 5.0, size=m)
+    rhs[rows] = np.asarray(ratios) * col[rows]
+    return ratio_tableau(col, rhs, rng.permutation(3 * m)[:m] + 1), rows
+
+
+def picked_ratio(tab, row):
+    return tab.T[row, -1] / tab.T[row, 0]
+
+
+def test_the_ratio_test_picks_the_reference_row_on_ties():
+    rng = np.random.default_rng(1012)
+    not_lowest = drifted = 0
+    for _ in range(400):
+        # eligible ratios that tie within 1e-12, with rounding noise
+        base = rng.uniform(0.0, 10.0)
+        tab, rows = ratio_case(rng, base + rng.uniform(-1e-12, 1e-12, rng.integers(2, 7)))
+        leave = tab.ratio_test(0)
+        assert leave == reference_ratio_test(tab, 0)
+        lowest = min(rows, key=lambda i: picked_ratio(tab, i))
+        not_lowest += picked_ratio(tab, leave) > picked_ratio(tab, lowest)
+        # a chain of ties 0.9e-12 apart, each tie won by a lower basic
+        # column, drifts upward past 1e-12 from the lowest ratio
+        k = int(rng.integers(3, 8))
+        tab, rows = ratio_case(rng, base + 0.9e-12 * np.arange(k))
+        tab.basis[rows] = np.sort(tab.basis[rows])[::-1]
+        leave = tab.ratio_test(0)
+        assert leave == reference_ratio_test(tab, 0)
+        drifted += picked_ratio(tab, leave) - picked_ratio(tab, rows[0]) > 1e-12
+    assert not_lowest > 50 and drifted > 300
+
+
+def test_the_ratio_test_picks_the_reference_row_where_1e_12_is_below_one_ulp():
+    rng = np.random.default_rng(1_000_000)
+    steps = 0
+    for _ in range(300):
+        base = rng.uniform(0.5e6, 2e6)
+        ulps = rng.integers(0, 3, size=rng.integers(2, 7))
+        ratios = base + ulps * np.spacing(base)
+        assert np.spacing(base) > 1e-12
+        tab, rows = ratio_case(rng, ratios)
+        tab.T[rows, 0] = 1.0   # exact ratios: only equal ones tie
+        tab.T[rows, -1] = ratios
+        leave = tab.ratio_test(0)
+        assert leave == reference_ratio_test(tab, 0)
+        assert picked_ratio(tab, leave) == ratios.min()
+        steps += len(set(ulps.tolist())) > 1
+    assert steps > 100
+
+
+def test_the_ratio_test_returns_the_one_eligible_row_or_none():
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        tab, rows = ratio_case(rng, rng.uniform(0.0, 1e6, size=1))
+        assert tab.ratio_test(0) == reference_ratio_test(tab, 0) == rows[0]
+        tab.T[rows, 0] = rng.choice([0.0, -2.0, simplex.PIV_TOL])
+        assert tab.ratio_test(0) == reference_ratio_test(tab, 0) == -1
 
 
 # -- a secondary objective on the optimal face ----------------------------------
